@@ -68,6 +68,20 @@ class UsageError(Exception):
     pass
 
 
+def _matches_default(value, default) -> bool:
+    """True if `value` has the JSON type of `default`: ints pass for floats,
+    lists are checked element-wise, and a None default accepts an object."""
+    if default is None:
+        return value is None or isinstance(value, dict)
+    if isinstance(value, bool):  # no default is a bool, and bool passes as int
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
+    return isinstance(value, type(default))
+
+
 def _resolve_config(command: str, args) -> dict:
     cfg = dict(_DEFAULTS[command])
     if args.config is not None:
@@ -76,10 +90,20 @@ def _resolve_config(command: str, args) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config {args.config} must hold a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _matches_default(value, cfg[key]):
+                raise UsageError(f"config key {key!r}: {value!r} does not match the type "
+                                 f"of its default {cfg[key]!r}")
         cfg.update(loaded)
+    if cfg.get("n_step", 1) <= 0:
+        raise UsageError("n_step must be positive")
+    if any(r <= 0 for r in cfg.get("repetitions", ())):
+        raise UsageError("repetitions must be positive")
     cfg["seed"] = args.seed
     cfg["cutoff_override"] = args.cutoff
     return cfg
@@ -251,7 +275,7 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
             "circuit": circuit.to_json_dict(),
             "qubits": k, "mean_excitation": n_mean, "cutoff": cutoff,
             "a_oracle": a_oracle, "a_mixed": res.probability,
-            "deviation": dev, "method": res.method,
+            "deviation": dev, "truncation_tail": res.truncation_tail,
         })
     ok = worst <= cfg["equivalence_tol"]
     write_json(out, _metadata("msuqc-demo", cfg, {

@@ -304,18 +304,29 @@ def _parity_diag(d: int) -> np.ndarray:
     return (-1.0) ** np.arange(d)
 
 
-def _blockwise_expm_number_conserving(gen: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """expm of a generator that is block diagonal in the `totals` grading.
+def pair_excitation_blocks(d: int) -> list[np.ndarray]:
+    """Flat indices ``i * d + j`` of the two-mode states |i, j> grouped by total
+    excitation t = i + j, for t = 0 .. 2d - 2; each block is ordered by i.
 
-    Identical to ``scipy.linalg.expm(gen)`` because the generator has no
-    matrix elements between different totals; block-wise exponentiation is
-    just much faster at large cutoffs.
+    Every number-conserving two-mode operator is block diagonal in this split.
+    Blocks with t >= d are truncated: they hold 2d - 1 - t states, not t + 1.
     """
-    out = np.zeros_like(gen)
-    for t in np.unique(totals):
-        idx = np.flatnonzero(totals == t)
-        out[np.ix_(idx, idx)] = _expm(gen[np.ix_(idx, idx)])
-    return out
+    totals = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    return [np.flatnonzero(totals == t) for t in range(2 * d - 1)]
+
+
+def _beam_splitter_block(d: int, idx: np.ndarray) -> np.ndarray:
+    """exp of the beam-splitter generator on one total-excitation block.
+
+    On the block's states |i, t - i> the generator pi/4 (a_b a_a^dag -
+    a_b^dag a_a) is real, antisymmetric and tridiagonal in i, with
+    <i+1, t-i-1| G |i, t-i> = pi/4 sqrt(i + 1) sqrt(t - i) (the SU(2) picture
+    of Campos, Saleh & Teich, PRA 40, 1371 (1989)).
+    """
+    i, j = np.divmod(idx[:-1], d)
+    sub = (np.pi / 4) * (np.sqrt(i + 1.0) * np.sqrt(j))
+    gen = np.diag(sub, k=-1) - np.diag(sub, k=1)
+    return _expm(gen.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +343,6 @@ def annihilation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
     ax = layout.mode_axis(mode)
     return TruncatedOperator(layout, _embed_single(layout, ax, _destroy_matrix(layout.dims[ax])),
                              copy=False)
-
-
-def creation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    return annihilation(layout, mode).adjoint()
 
 
 def number(layout: SpaceLayout, mode: int) -> TruncatedOperator:
@@ -379,12 +386,11 @@ def beam_splitter_5050(layout: SpaceLayout, mode_a: int, mode_b: int) -> Truncat
     da, db = layout.dims[layout.mode_axis(mode_a)], layout.dims[layout.mode_axis(mode_b)]
     if da != db:
         raise LayoutError("beam splitter modes must share one cutoff")
-    sub = SpaceLayout(0, (da, db))
-    aa = _embed_single(sub, 0, _destroy_matrix(da))
-    ab = _embed_single(sub, 1, _destroy_matrix(db))
-    gen = (np.pi / 4) * (ab @ aa.conj().T - ab.conj().T @ aa)
-    totals = (np.arange(da)[:, None] + np.arange(db)[None, :]).ravel()
-    small = TruncatedOperator(sub, _blockwise_expm_number_conserving(gen, totals), copy=False)
+    sub = SpaceLayout(0, (da, da))
+    mat = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
+    for idx in pair_excitation_blocks(da):
+        mat[np.ix_(idx, idx)] = _beam_splitter_block(da, idx)
+    small = TruncatedOperator(sub, mat, copy=False)
     return tensor_embed(small, layout, mode_map=(mode_a, mode_b))
 
 
@@ -575,10 +581,6 @@ class HybridState:
             sl[ax] = dims[ax] - 1
             tail += float(p[tuple(sl)].sum())
         return tail
-
-    def refresh_tail(self) -> float:
-        self.truncation_tail = self._compute_tail()
-        return self.truncation_tail
 
     def validate(self, trace_tol: float = 1e-8, herm_tol: float = 1e-12,
                  psd_floor: float = -1e-10) -> None:

@@ -3,9 +3,19 @@
 The central claim being verified: a computation started from the mixed
 product of parity-projected thermal states returns exactly the same final
 measurement probability as the same circuit on any single pure basis pair,
-because every gate acts identically on every basis pair.  ``run_pure``,
-``run_mixed`` and ``qubit_space_oracle`` compute that probability by three
-independent routes.
+because every gate acts identically on every basis pair.  Three independent
+routes compute that probability:
+
+* ``run_mixed`` is the production mixed-state route.  It evolves the
+  diagonal initial mixture through the literal ancilla circuits, one mode
+  pair's total-excitation block at a time.
+* ``run_pure`` evolves one pure basis-pair product state through the same
+  ancilla circuits on the full dense hybrid space.
+* ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
+  space.
+
+The test suite keeps a fourth, dense route at tiny cutoffs as a cross-check
+of ``run_mixed``: full gate unitaries conjugating the whole density matrix.
 
 Circuit convention: steps are applied in list order; within one step the
 entangling rotations act first, then the X rotations, then the Z rotations
@@ -21,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from . import fock
 from .fock import HybridState, SpaceLayout
@@ -32,6 +41,7 @@ ANCILLA_RETURN_TOL = 1e-10
 SUPPORT_LEAK_TOL = 1e-9
 DEFAULT_CUTOFF_ONE_QUBIT = 20
 DEFAULT_CUTOFF_TWO_QUBIT = 8
+MAX_MIXED_BRANCHES = 1024
 
 
 class CircuitFormatError(ValueError):
@@ -143,7 +153,6 @@ class ComputationResult:
     cutoff: int
     basis_indices: tuple[tuple[int, int], ...] | None = None
     mean_excitation: float | None = None
-    method: str | None = None
     seed: int | None = None
     truncation_tail: float = 0.0
 
@@ -202,25 +211,6 @@ def _pair_modes(k: int) -> tuple[int, int]:
     return (2 * k, 2 * k + 1)
 
 
-def _swap_involution_matrix(d: int, as_sparse: bool) -> np.ndarray | _sparse.csr_matrix:
-    """B^dag P_2 B on one mode pair: the physical logical-X involution.
-
-    Equals the two-mode swap on every total-excitation block that fits under
-    the cutoff; built block-by-block in total excitation.
-    """
-    sub = SpaceLayout(0, (d, d))
-    B = fock.beam_splitter_5050(sub, 0, 1).matrix
-    pvec = np.kron(np.ones(d), (-1.0) ** np.arange(d))
-    totals = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
-    out = _sparse.lil_matrix((d * d, d * d), dtype=complex) if as_sparse else \
-        np.zeros((d * d, d * d), dtype=complex)
-    for t in np.unique(totals):
-        idx = np.flatnonzero(totals == t)
-        blk = B[np.ix_(idx, idx)]
-        out[np.ix_(idx, idx)] = blk.conj().T @ (pvec[idx, None] * blk)
-    return out.tocsr() if as_sparse else out
-
-
 class _PhysicalEngine:
     """Streams the ancilla-mediated gate circuits onto a batched state vector.
 
@@ -234,14 +224,7 @@ class _PhysicalEngine:
         self.layout = SpaceLayout(1, (cutoff,) * (2 * qubit_count))
         self.dims = self.layout.dims
         self._cdiag = fock.controlled_parity_diag(self.layout, 0, 0)  # same for every mode
-        self._bs = {}
-
-    def _beam_splitter(self, k: int):
-        if k not in self._bs:
-            sub = SpaceLayout(0, (self.d, self.d))
-            mat = fock.beam_splitter_5050(sub, 0, 1).matrix
-            self._bs[k] = _sparse.csr_matrix(mat) if self.d >= 16 else mat
-        return self._bs[k]
+        self._bs = fock.beam_splitter_5050(SpaceLayout(0, (cutoff, cutoff)), 0, 1).matrix
 
     def plus_basis_column(self, modes: tuple[int, ...]) -> np.ndarray:
         v0 = np.zeros(self.layout.total_dim, dtype=complex)
@@ -259,7 +242,7 @@ class _PhysicalEngine:
 
     def _apply_beam_splitter(self, work, k, dagger=False):
         ma, mb = _pair_modes(k)
-        mat = self._beam_splitter(k)
+        mat = self._bs
         if dagger:
             mat = mat.conj().T
         axes = (self.layout.mode_axis(ma), self.layout.mode_axis(mb))
@@ -291,7 +274,6 @@ class _PhysicalEngine:
         """Worst-case squared weight on the ancilla |-> component (per column)."""
         t = work.reshape((2, -1) if work.ndim == 1 else (2, -1, work.shape[1]))
         minus = (t[0] - t[1]) / math.sqrt(2)
-        axis = 0 if work.ndim == 1 else 0
         w_minus = (np.abs(minus) ** 2).sum(axis=0)
         w_tot = (np.abs(work) ** 2).sum(axis=0)
         return float(np.max(w_minus / w_tot))
@@ -399,146 +381,98 @@ def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e
         d += 1
 
 
-def _mixture_columns(eng: _PhysicalEngine, w_odd: np.ndarray, w_even: np.ndarray,
-                     qubit_count: int):
-    """Weights and |+> (x) Fock-product columns of the diagonal initial mixture."""
-    d = eng.d
-    occ_o = np.flatnonzero(w_odd > 0.0)
-    occ_e = np.flatnonzero(w_even > 0.0)
-    combos = []
-    weights = []
-    def rec(k, modes, w):
-        if k == qubit_count:
-            combos.append(tuple(modes))
-            weights.append(w)
-            return
-        for i in occ_o:
-            for j in occ_e:
-                rec(k + 1, modes + [i, j], w * w_odd[i] * w_even[j])
-    rec(0, [], 1.0)
-    batch = np.zeros((eng.layout.total_dim, len(combos)), dtype=complex)
-    for c, modes in enumerate(combos):
-        batch[:, c] = eng.plus_basis_column(modes)
-    return np.asarray(weights), batch
+class _PairBlocks:
+    """One mode pair's mixture columns, stacked by total excitation t.
 
+    Every pair gate conserves t = i + j, so a column that starts on the Fock
+    state |i, j> of the diagonal initial mixture stays in block t.  A pair
+    state is an array of shape (T, 2, n, c): occupied block, ancilla, state
+    within the block (ordered by i) and mixture column, zero padded to the
+    largest block n and the largest column count c.  The ancilla starts in
+    |+> on every column.
+    """
 
-def _run_mixed_ensemble(circuit: LogicalCircuit, w_odd, w_even, cutoff) -> float:
-    """Exact diagonal-mixture evolution: every occupied Fock product state is
-    evolved through the literal ancilla circuits and the readout expectations
-    are combined with the mixture weights.  Deterministic, no sampling."""
-    eng = _PhysicalEngine(circuit.qubit_count, cutoff)
-    weights, work = _mixture_columns(eng, w_odd, w_even, circuit.qubit_count)
-    for gate in step_gates(circuit):
-        work = eng.apply_gate(work, gate)
-        leak = eng.ancilla_minus_weight(work)
+    def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int):
+        d = cutoff
+        w_pair = np.outer(w_odd, w_even).ravel()
+        blocks = [(t, idx) for t, idx in enumerate(fock.pair_excitation_blocks(d))
+                  if (w_pair[idx] > 0.0).any()]
+        nb = len(blocks)
+        n = max(idx.size for _, idx in blocks)
+        c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
+        bs_full = fock.beam_splitter_5050(SpaceLayout(0, (d, d)), 0, 1).matrix
+        cp_full = fock.controlled_parity_diag(SpaceLayout(1, (d,)), 0, 0).reshape(2, d)
+        self.bs = np.zeros((nb, 1, n, n), dtype=complex)
+        self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
+        self.parity = np.zeros((nb, 1, n, 1))  # second-mode Fock parity
+        self.weight = np.zeros((nb, c))
+        self.initial = np.zeros((nb, 2, n, c), dtype=complex)
+        for b, (_, idx) in enumerate(blocks):
+            m = idx.size
+            j = idx % d
+            self.bs[b, 0, :m, :m] = bs_full[np.ix_(idx, idx)]
+            self.cp[b, :, :m, 0] = cp_full[:, j]
+            self.parity[b, 0, :m, 0] = (-1.0) ** j
+            occupied = np.flatnonzero(w_pair[idx] > 0.0)
+            self.weight[b, :occupied.size] = w_pair[idx[occupied]]
+            self.initial[b, :, occupied, np.arange(occupied.size)] = 1 / math.sqrt(2)
+        self.columns = self.weight > 0.0
+        # weight of the blocks the truncated beam splitter does not treat ideally
+        self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
+
+    def single_pair_gate(self, v, gate):
+        """The literal ancilla circuit of a Z or X rotation, on every block:
+        CP Rx CP, between B and B^dag for X; the ancilla must return to |+>."""
+        kind, _, ang = gate
+        if kind == "x":
+            v = self.bs @ v
+        rx = fock.qubit_rotation_matrix("x", ang)
+        v = self.cp * np.einsum("ab,tbnc->tanc", rx, self.cp * v)
+        if kind == "x":
+            v = self.bs.conj().transpose(0, 1, 3, 2) @ v
+        w_minus = (np.abs(v[:, 0] - v[:, 1]) ** 2).sum(axis=1) / 2
+        w_tot = (np.abs(v) ** 2).sum(axis=(1, 2))
+        leak = float(np.max(w_minus[self.columns] / w_tot[self.columns]))
         if leak > ANCILLA_RETURN_TOL:
             raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
-    mask = eng.readout_mask()
-    per_col = (mask[:, None] * np.abs(work) ** 2).sum(axis=0)
-    return float(np.dot(weights, per_col))
+        return v
+
+    def readout_gram(self, states) -> np.ndarray:
+        """G[s, r] = sum over columns of weight * <v_s| (I + P_b)/2 |v_r>."""
+        mask = (1.0 + self.parity) / 2 * self.weight[:, None, None, :]
+        stack = np.stack(states)
+        n = len(states)
+        return stack.reshape(n, -1).conj() @ (stack * mask).reshape(n, -1).T
 
 
-def _run_mixed_density(circuit: LogicalCircuit, w_odd, w_even, cutoff) -> float:
-    """Straight density-matrix conjugation with full gate unitaries.
-
-    Cross-validation route for small cutoffs; cost grows as the sixth power
-    of the cutoff for one logical qubit.
-    """
-    from . import encoding
-    k = circuit.qubit_count
-    layout = SpaceLayout(1, (cutoff,) * (2 * k))
-    if layout.total_dim > 3000:
-        raise DimensionBudgetError("density route limited to small cutoffs")
-    plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    pair = np.kron(np.diag(w_odd), np.diag(w_even))
-    rho = plus_dm
-    for _ in range(k):
-        rho = np.kron(rho, pair)
-    refs = [encoding.LogicalQubitRef(i) for i in range(k)]
-    for gate in step_gates(circuit):
-        if gate[0] == "z":
-            U = encoding.gate_UZ(layout, refs[gate[1]], gate[2])
-        elif gate[0] == "x":
-            U = encoding.gate_UX(layout, refs[gate[1]], gate[2])
-        else:
-            U = encoding.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
-        rho = U.matrix @ rho @ U.matrix.conj().T
-    eng = _PhysicalEngine(k, cutoff)
-    return float(np.real(np.diag(rho) @ eng.readout_mask()))
-
-
-def _run_mixed_factorized(circuit: LogicalCircuit, w_odd, w_even, cutoff) -> float:
-    """Exact mode-pair-factorized evolution for two logical qubits.
-
-    Every gate acts on the qumodes as cos(a) I + i sin(a) O with an involution
-    O local to one pair (or a product of second-mode parities for the
-    entangler), and the ancilla returns to |+> exactly; the entangler is the
-    only gate that couples the pairs, so the evolved state is a short sum of
-    pair-product terms.  The readout expectation factorizes accordingly.
-    """
-    if circuit.qubit_count != 2:
-        raise ValueError("factorized route is for two logical qubits")
-    d = cutoff
-    pair_dim = d * d
-    occ_o = np.flatnonzero(w_odd > 0.0)
-    occ_e = np.flatnonzero(w_even > 0.0)
-    weights = (w_odd[occ_o, None] * w_even[None, occ_e]).ravel()
-    base = np.zeros((pair_dim, weights.size), dtype=complex)
-    for c, (i, j) in enumerate((i, j) for i in occ_o for j in occ_e):
-        base[i * d + j, c] = 1.0
-    z_diag = np.kron(np.ones(d), (-1.0) ** np.arange(d))
-    m_inv = _swap_involution_matrix(d, as_sparse=d >= 16)
-    # branches: (coefficient, batch for pair 0, batch for pair 1)
-    branches = [(1.0 + 0.0j, base, base.copy())]
-
-    def rotated(batch, apply_o, ang):
-        return math.cos(ang) * batch + 1j * math.sin(ang) * apply_o(batch)
-
-    for gate in step_gates(circuit):
-        if gate[0] == "z":
-            _, k, ang = gate
-            branches = [
-                (c, rotated(b0, lambda v: z_diag[:, None] * v, ang) if k == 0 else b0,
-                 rotated(b1, lambda v: z_diag[:, None] * v, ang) if k == 1 else b1)
-                for (c, b0, b1) in branches]
-        elif gate[0] == "x":
-            _, k, ang = gate
-            branches = [
-                (c, rotated(b0, lambda v: m_inv @ v, ang) if k == 0 else b0,
-                 rotated(b1, lambda v: m_inv @ v, ang) if k == 1 else b1)
-                for (c, b0, b1) in branches]
-        else:
-            _, ka, kb, ang = gate
-            new = []
-            for (c, b0, b1) in branches:
-                new.append((c * math.cos(ang), b0, b1))
-                new.append((c * 1j * math.sin(ang), z_diag[:, None] * b0,
-                            z_diag[:, None] * b1))
-            branches = new
-
-    proj = np.kron(np.ones(d), (1.0 + (-1.0) ** np.arange(d)) / 2.0)
-    coeffs = np.array([c for (c, _, _) in branches])
-    stack0 = np.stack([b0 for (_, b0, _) in branches])          # (R, dim, B)
-    stack1 = np.stack([b1 for (_, _, b1) in branches])
-    x0 = np.einsum("sdb,d,rdb,b->sr", stack0.conj(), proj, stack0, weights, optimize=True)
-    x1 = np.einsum("sdb,d,rdb,b->sr", stack1.conj(), proj, stack1, weights, optimize=True)
-    a = np.einsum("s,r,sr,sr->", coeffs.conj(), coeffs, x0, x1)
-    return float(a.real)
-
-
-def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec, cutoff: int | None = None,
-              method: str = "auto") -> ComputationResult:
+def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
+              cutoff: int | None = None) -> ComputationResult:
     """Run the circuit on the product of parity-projected thermal pair states.
 
-    The initial state is diagonal in the Fock basis, so the evolution is
-    carried out as an exact weighted sum over its eigenstates (or as an exact
-    pair-factorized sum for two qubits); both are deterministic density-matrix
-    evaluations with no Monte-Carlo sampling.  Readout is the product of
-    second-mode parity projectors, never an individual-Fock-state projector.
+    The initial state is diagonal in the Fock basis and every gate conserves
+    each pair's total excitation, so each pair's mixture columns are evolved
+    inside their own total-excitation block (:class:`_PairBlocks`), the
+    truncated blocks with t >= cutoff included.  Z and X rotations run the
+    literal ancilla circuits on those blocks and the ancilla's return to |+>
+    is asserted after every gate.  An entangler exp(i gamma P_a P_b) splits
+    every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
+    a sum of pair-product branches and the readout expectation factorizes
+    over pairs.  Any number of logical qubits is accepted up to
+    ``MAX_MIXED_BRANCHES`` branches (2 to the number of entanglers).  The
+    evaluation is deterministic, with no Monte-Carlo sampling.  Readout is
+    the product of second-mode parity projectors, never an individual-Fock-
+    state projector.
+
+    ``truncation_tail`` is the joint mixture weight of the blocks where any
+    pair's total excitation reaches the cutoff; there the truncated beam
+    splitter differs from the ideal one.
     """
     k = circuit.qubit_count
-    if k > 2:
-        raise DimensionBudgetError("mixed runs support at most two logical qubits")
+    n_entanglers = sum(len(s.gamma) for s in circuit.steps)
+    if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
+        raise DimensionBudgetError(
+            f"{n_entanglers} entanglers exceed the mixed-run budget of "
+            f"{MAX_MIXED_BRANCHES} branches")
     if cutoff is None:
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
@@ -548,20 +482,26 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec, cutoff: int | None = N
             f"cutoff {cutoff} leaves thermal tail {q ** cutoff:.2e} >= {spec.tail_tol:.0e}")
     w_odd = even_odd_weights(spec.mean_excitation, cutoff, -1)
     w_even = even_odd_weights(spec.mean_excitation, cutoff, +1)
-    if method == "auto":
-        if k == 1:
-            method = "ensemble"
+    pair = _PairBlocks(w_odd, w_even, cutoff)
+    # states[p] lists the distinct states of pair p; a branch is a coefficient
+    # and the index of its state in every pair's list
+    states = [[pair.initial] for _ in range(k)]
+    coeffs = np.ones(1, dtype=complex)
+    index = np.zeros((1, k), dtype=int)
+    for gate in step_gates(circuit):
+        if gate[0] == "zz":
+            _, ka, kb, ang = gate
+            flipped = index.copy()
+            for p in (ka, kb):
+                flipped[:, p] += len(states[p])
+                states[p] = states[p] + [pair.parity * v for v in states[p]]
+            index = np.concatenate([index, flipped])
+            coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
         else:
-            method = "factorized"
-    if method == "ensemble":
-        if k == 2 and cutoff > 14:
-            raise DimensionBudgetError("ensemble route for two qubits needs cutoff <= 14")
-        a = _run_mixed_ensemble(circuit, w_odd, w_even, cutoff)
-    elif method == "density":
-        a = _run_mixed_density(circuit, w_odd, w_even, cutoff)
-    elif method == "factorized":
-        a = _run_mixed_factorized(circuit, w_odd, w_even, cutoff)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ComputationResult(a, "mixed", k, cutoff, mean_excitation=spec.mean_excitation,
-                             method=method)
+            states[gate[1]] = [pair.single_pair_gate(v, gate) for v in states[gate[1]]]
+    terms = np.outer(coeffs.conj(), coeffs)
+    for p in range(k):
+        terms = terms * pair.readout_gram(states[p])[np.ix_(index[:, p], index[:, p])]
+    return ComputationResult(float(terms.sum().real), "mixed", k, cutoff,
+                             mean_excitation=spec.mean_excitation,
+                             truncation_tail=1.0 - (1.0 - pair.broken_weight) ** k)

@@ -506,12 +506,6 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
         cutoff=d)
 
 
-def fidelity_sweep(grid, configs=None, noise="ideal-sequence") -> list[FidelityPoint]:
-    if configs is None:
-        configs = pulses.measurement_configs()
-    return [fidelity_point(float(n), cfg, noise=noise) for cfg in configs for n in grid]
-
-
 # ---------------------------------------------------------------------------
 # initialisation-error estimates
 # ---------------------------------------------------------------------------

@@ -87,6 +87,31 @@ def test_msuqc_demo_small(tmp_path):
     assert len(doc["runs"]) == 3
 
 
+def test_msuqc_demo_three_qubits(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qubit_counts": [3], "n_circuits": 1}))
+    out = tmp_path / "demo.json"
+    assert run(["msuqc-demo", "--config", str(cfg), "--out", str(out), "--seed", "4"]) == 0
+    (record,) = json.loads(out.read_text())["runs"]
+    assert record["qubits"] == 3
+    assert "method" not in record
+    assert 0.0 < record["truncation_tail"] < 1e-6
+
+
+@pytest.mark.parametrize("command, config", [
+    ("entropy-sweep", {"n_step": 0}),
+    ("entropy-sweep", {"n_min": "a"}),
+    ("fidelity-sweep", {"repetitions": [0]}),
+])
+def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ns_check(tmp_path):
     out = tmp_path / "ns.json"
     assert run(["ns-check", "--out", str(out), "--seed", "5", "--cutoff", "18"]) == 0

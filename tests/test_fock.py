@@ -109,13 +109,25 @@ def test_beam_splitter_vacuum_golden_sign_and_number_conservation():
         fock.beam_splitter_5050(lay, 0, 0)
 
 
-def test_beam_splitter_matches_generator_exponential():
+@pytest.mark.parametrize("cutoff", [7, 16])
+def test_beam_splitter_matches_generator_exponential(cutoff):
     # block-wise construction equals the dense matrix exponential
-    lay = SpaceLayout(0, (7, 7))
+    lay = SpaceLayout(0, (cutoff, cutoff))
     a0 = fock.annihilation(lay, 0).matrix
     a1 = fock.annihilation(lay, 1).matrix
     gen = (math.pi / 4) * (a1 @ a0.conj().T - a1.conj().T @ a0)
     assert np.abs(fock.beam_splitter_5050(lay, 0, 1).matrix - expm(gen)).max() < 1e-12
+
+
+def test_pair_excitation_blocks_partition_the_pair_space():
+    d = 5
+    blocks = fock.pair_excitation_blocks(d)
+    assert len(blocks) == 2 * d - 1
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(d * d))
+    for t, idx in enumerate(blocks):
+        i, j = np.divmod(idx, d)
+        assert np.all(i + j == t) and np.all(np.diff(i) > 0)
+        assert idx.size == min(t, 2 * d - 2 - t) + 1
 
 
 def test_two_mode_swap_action_and_conjugation():

@@ -3,10 +3,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tqpsim import msuqc, thermal
+from tqpsim import encoding, fock, msuqc, thermal
+from tqpsim.fock import SpaceLayout
 from tqpsim.msuqc import CircuitStep, LogicalCircuit
 from tqpsim.thermal import ThermalSpec
+
+
+def dense_mixed_probability(circuit, spec, cutoff):
+    """Cross-check of run_mixed: the full density matrix of the ancilla and all
+    modes, conjugated by the full gate unitaries.  Tiny cutoffs only."""
+    k = circuit.qubit_count
+    layout = SpaceLayout(1, (cutoff,) * (2 * k))
+    assert layout.total_dim <= 3000
+    n = spec.mean_excitation
+    pair = np.kron(np.diag(thermal.even_odd_weights(n, cutoff, -1)),
+                   np.diag(thermal.even_odd_weights(n, cutoff, +1)))
+    rho = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
+    for _ in range(k):
+        rho = np.kron(rho, pair)
+    refs = [encoding.LogicalQubitRef(i) for i in range(k)]
+    for gate in msuqc.step_gates(circuit):
+        if gate[0] == "z":
+            u = encoding.gate_UZ(layout, refs[gate[1]], gate[2])
+        elif gate[0] == "x":
+            u = encoding.gate_UX(layout, refs[gate[1]], gate[2])
+        else:
+            u = encoding.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
+        rho = u.matrix @ rho @ u.matrix.conj().T
+    readout = np.eye(layout.total_dim)
+    for ref in refs:
+        readout = readout @ (np.eye(layout.total_dim) + encoding.logical_Z(layout, ref).matrix) / 2
+    return float(np.trace(readout @ rho).real)
 
 
 def single_qubit(phi=0.0, theta=0.0):
@@ -78,7 +108,6 @@ def test_mixed_single_qubit_equivalence():
     a_oracle = msuqc.qubit_space_oracle(circ)
     d = msuqc.mixed_equivalence_cutoff(1.0)
     res = msuqc.run_mixed(circ, ThermalSpec(1.0), cutoff=d)
-    assert res.method == "ensemble"
     assert abs(res.probability - a_oracle) < 1e-8
 
 
@@ -87,22 +116,74 @@ def test_mixed_two_qubit_entangler_against_oracle():
     a_oracle = msuqc.qubit_space_oracle(circ)
     d = msuqc.mixed_equivalence_cutoff(0.5)
     res = msuqc.run_mixed(circ, ThermalSpec(0.5), cutoff=d)
-    assert res.method == "factorized"
     assert abs(res.probability - a_oracle) < 1e-8
 
 
 def test_mixed_methods_cross_validate():
+    # the block engine against the dense density-matrix route
     rng = np.random.default_rng(52)
     spec = ThermalSpec(0.4, cutoff=10, tail_tol=1e-3)
     circ = msuqc.random_circuit(rng, 1, 2)
-    a_e = msuqc.run_mixed(circ, spec, cutoff=10, method="ensemble").probability
-    a_d = msuqc.run_mixed(circ, spec, cutoff=10, method="density").probability
-    assert abs(a_e - a_d) < 1e-10
+    a_blocks = msuqc.run_mixed(circ, spec, cutoff=10).probability
+    assert abs(a_blocks - dense_mixed_probability(circ, spec, 10)) < 1e-10
     spec2 = ThermalSpec(0.15, cutoff=5, tail_tol=1e-2)
     circ2 = LogicalCircuit(2, (CircuitStep((0.3, 0.7), (0.2, -0.4), (0.6,)),))
-    a_f = msuqc.run_mixed(circ2, spec2, cutoff=5, method="factorized").probability
-    a_e2 = msuqc.run_mixed(circ2, spec2, cutoff=5, method="ensemble").probability
-    assert abs(a_f - a_e2) < 1e-10
+    a_blocks2 = msuqc.run_mixed(circ2, spec2, cutoff=5).probability
+    assert abs(a_blocks2 - dense_mixed_probability(circ2, spec2, 5)) < 1e-10
+
+
+_angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.sampled_from([1, 2]), cutoff=st.integers(3, 4),
+       n_mean=st.floats(0.0, 0.6), data=st.data())
+def test_mixed_engine_matches_dense_route_on_random_angles(k, cutoff, n_mean, data):
+    steps = tuple(CircuitStep(tuple(data.draw(_angles) for _ in range(k)),
+                              tuple(data.draw(_angles) for _ in range(k)),
+                              tuple(data.draw(_angles) for _ in range(k - 1)))
+                  for _ in range(data.draw(st.integers(1, 2))))
+    circ = LogicalCircuit(k, steps)
+    spec = ThermalSpec(n_mean, tail_tol=1.0)
+    a_blocks = msuqc.run_mixed(circ, spec, cutoff=cutoff).probability
+    assert abs(a_blocks - dense_mixed_probability(circ, spec, cutoff)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n_mean", [0.3, 0.5])
+def test_mixed_three_and_four_qubits_against_oracle(k, n_mean):
+    circ = msuqc.random_circuit(np.random.default_rng(60 + k), k, 2)
+    d = msuqc.mixed_equivalence_cutoff(n_mean)
+    res = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
+    assert abs(res.probability - msuqc.qubit_space_oracle(circ)) < 1e-8
+
+
+def test_mixed_truncation_tail_is_broken_block_weight():
+    n_mean, pair_weight_tol = 0.5, 1e-7
+    d = msuqc.mixed_equivalence_cutoff(n_mean, pair_weight_tol=pair_weight_tol)
+    circ = msuqc.random_circuit(np.random.default_rng(61), 2, 1)
+    res = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
+    w = np.outer(thermal.even_odd_weights(n_mean, d, -1), thermal.even_odd_weights(n_mean, d, +1))
+    broken = np.add.outer(np.arange(d), np.arange(d)) >= d
+    brute = sum(w[i1, j1] * w[i2, j2]
+                for i1, j1, i2, j2 in np.ndindex(d, d, d, d)
+                if broken[i1, j1] or broken[i2, j2])
+    assert res.truncation_tail == pytest.approx(brute, rel=1e-9)
+    assert 0.0 < res.truncation_tail < 2 * pair_weight_tol
+
+
+def test_mixed_ancilla_return_check_raises(monkeypatch):
+    # a controlled "parity" with a phase i on the |1> block is no involution,
+    # so CP Rx CP leaves the ancilla off |+>
+    real = fock.controlled_parity_diag
+
+    def broken(*args):
+        diag = real(*args).astype(complex)
+        diag[diag.size // 2:] *= 1j
+        return diag
+    monkeypatch.setattr(fock, "controlled_parity_diag", broken)
+    with pytest.raises(fock.StateError, match="ancilla failed to return"):
+        msuqc.run_mixed(single_qubit(phi=0.7), ThermalSpec(0.3), cutoff=14)
 
 
 def test_equivalence_cutoff_grows_with_temperature():
@@ -123,6 +204,9 @@ def test_circuit_validation_and_budget():
     with pytest.raises(msuqc.DimensionBudgetError):
         msuqc.run_mixed(msuqc.random_circuit(np.random.default_rng(0), 2, 1),
                         ThermalSpec(1.0), cutoff=8)
+    many_entanglers = msuqc.random_circuit(np.random.default_rng(0), 6, 3)  # 15 entanglers
+    with pytest.raises(msuqc.DimensionBudgetError):
+        msuqc.run_mixed(many_entanglers, ThermalSpec(0.0), cutoff=8)
 
 
 def test_wire_format_round_trip_and_rejection(tmp_path):
