@@ -16,6 +16,7 @@ byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -99,6 +100,8 @@ def _resolve_config(command: str, args) -> dict:
             if not _matches_default(value, cfg[key]):
                 raise UsageError(f"config key {key!r}: {value!r} does not match the type "
                                  f"of its default {cfg[key]!r}")
+            if value == []:
+                raise UsageError(f"config key {key!r} must not be an empty list")
         cfg.update(loaded)
     if cfg.get("n_step", 1) <= 0:
         raise UsageError("n_step must be positive")
@@ -164,17 +167,18 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     grid = _grid(cfg["n_min"], cfg["n_max"], cfg["n_step"])
     reps_list = list(cfg["repetitions"])
     configs = [(r, pulses.eta_for_repetitions(r)) for r in reps_list]
-    noise = cfg["noise"]
-    if cfg["bath"] is not None:
-        bath = dict(cfg["bath"])
+    noise, bath = cfg["noise"], cfg["bath"]
+    if bath is not None:
+        allowed = {f.name for f in dataclasses.fields(opensys.NoiseParams)} - {"eta"}
+        if "Q" not in bath or not set(bath) <= allowed or not all(
+                _matches_default(v, 0.0) for v in bath.values()):
+            raise ValueError(f"bath must map Q and optionally {sorted(allowed - {'Q'})} "
+                             f"to numbers (eta follows the repetition count), got {bath!r}")
         noise = opensys.NoiseParams(**bath)
     rows = []
     curves: dict[int, list[float]] = {r: [] for r in reps_list}
     for reps, eta in configs:
         for n in grid:
-            if isinstance(noise, opensys.NoiseParams):
-                noise = opensys.NoiseParams(Q=noise.Q, nu=noise.nu, eta=eta,
-                                            N_th=noise.N_th)
             pt = opensys.fidelity_point(n, (reps, eta), noise=noise,
                                         cutoff=cfg["cutoff_override"])
             rows.append((pt.mean_excitation, pt.eta, pt.repetitions, pt.fidelity,

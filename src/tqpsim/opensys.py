@@ -4,12 +4,12 @@ The mode couples to a hot background through the standard damping dissipators
 
     rho' = -i [H, rho] + (nu/Q)(N_th + 1) D{a} rho + (nu/Q) N_th D{a^dag} rho
 
-with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  Two integrators are
-provided: a fixed-step RK4 master-equation solver with mandatory step-halving
-certification (internally stepping in the frame co-rotating with the bare
-oscillator, where the dissipators are invariant and the coherent drive is
-slow), and a Monte-Carlo wavefunction unravelling with exact per-segment
-non-Hermitian propagators and dyadic jump-time bisection.
+with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  Two solvers are provided:
+the master equation through exact per-block segment propagators (the
+Hamiltonian is diagonal in the ancilla's Z basis and the jumps act on the
+mode alone, so each (q, q') block of rho evolves on its own), and a
+Monte-Carlo wavefunction unravelling with exact per-segment non-Hermitian
+propagators and dyadic jump-time bisection.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -40,7 +40,7 @@ JUMP_BISECTION_LEVELS = 40
 
 
 class ConvergenceError(RuntimeError):
-    """Step-halving certification failed to converge."""
+    """A numerical optimisation failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class _DampedModeModel:
     def __init__(self, layout: SpaceLayout, noise: NoiseParams):
         if layout.n_modes != 1 or layout.qubit_count > 1:
             raise fock.LayoutError("open-system model expects one mode and at most one qubit")
-        self.layout = layout
         self.noise = noise
         self.d = layout.mode_cutoffs[0]
         self.a = fock.annihilation(layout, 0).matrix
@@ -120,13 +119,17 @@ class _DampedModeModel:
         self.aad = self.a @ self.ad
         self.n_diag = np.diag(self.ada).real.copy()
         if layout.qubit_count == 1:
-            self.z = fock.qubit_pauli(layout, 0, "z").matrix
-            self.coupling = self.z @ (self.a + self.ad)
+            coupling = fock.qubit_pauli(layout, 0, "z").matrix @ (self.a + self.ad)
         else:
-            self.z = None
-            self.coupling = self.a + self.ad
-        self.h_free_lab = noise.nu * self.ada + noise.nu * noise.eta * self.coupling
+            coupling = self.a + self.ad
+        self.h_free_lab = noise.nu * self.ada + noise.nu * noise.eta * coupling
         self.h_wait_lab = noise.nu * self.ada
+        # anti-Hermitian no-jump term: H - i/2 sum_k L_k^dag L_k = H + decay
+        self.decay = -0.5j * (noise.rate_down * self.ada + noise.rate_up * self.aad)
+
+    def segment_hamiltonian(self, seg: FreeEvolution | WaitingPeriod) -> np.ndarray:
+        """Lab-frame Hamiltonian of a timed segment (the coupling is off while waiting)."""
+        return self.h_free_lab if isinstance(seg, FreeEvolution) else self.h_wait_lab
 
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         r1, r2 = self.noise.rate_down, self.noise.rate_up
@@ -142,18 +145,26 @@ class _DampedModeModel:
     def rhs_lab(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
         return -1j * (h @ rho - rho @ h) + self.dissipator(rho)
 
-    def drive_rotating(self, t: float) -> np.ndarray:
-        """Coherent drive in the frame co-rotating with nu a^dag a."""
-        eta, nu = self.noise.eta, self.noise.nu
-        if eta == 0.0:
-            return np.zeros_like(self.a)
-        sig = self.z if self.z is not None else np.eye(self.layout.total_dim)
-        return nu * eta * (sig @ (self.a * np.exp(-1j * nu * t)
-                                  + self.ad * np.exp(1j * nu * t)))
+    def block(self, q: int) -> slice:
+        """Rows of ancilla level q (the whole space without an ancilla)."""
+        return slice(q * self.d, (q + 1) * self.d)
 
-    def bare_frame(self, t: float) -> np.ndarray:
-        """Diagonal of exp(-i nu t a^dag a) on the full layout."""
-        return np.exp(-1j * self.noise.nu * t * self.n_diag)
+    def block_generator(self, seg: FreeEvolution | WaitingPeriod, q: int,
+                        q2: int) -> np.ndarray:
+        """Liouvillian of the (q, q') ancilla block of rho during a timed
+        segment, row-major vectorised.
+
+        With K = H + decay restricted to ancilla level q, the block obeys
+        rho' = -i K_q rho + i rho K_q'^dag + r_down a rho a^dag + r_up a^dag rho a,
+        and vec(A X B) = (A kron B^T) vec(X).
+        """
+        k = self.segment_hamiltonian(seg) + self.decay
+        kq, kq2 = k[self.block(q), self.block(q)], k[self.block(q2), self.block(q2)]
+        a = self.a[self.block(0), self.block(0)]
+        eye = np.eye(self.d)
+        return (-1j * (np.kron(kq, eye) - np.kron(eye, kq2.conj()))
+                + self.noise.rate_down * np.kron(a, a.conj())
+                + self.noise.rate_up * np.kron(a.conj().T, a.T))
 
 
 def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
@@ -179,94 +190,35 @@ def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
 # ---------------------------------------------------------------------------
 
 
-def _rk4_segment(model: _DampedModeModel, rho: np.ndarray, duration: float,
-                 dt: float, t0: float, drive_on: bool, frame: str) -> np.ndarray:
-    """Integrate one piecewise-constant segment; returns rho at t0 + duration.
+def evolve_master(state: HybridState, schedule: PulseSchedule,
+                  noise: NoiseParams) -> HybridState:
+    """Evolve a state through a pulse schedule under the master equation.
 
-    In the rotating frame `rho` is the co-rotating density matrix and t0 the
-    global elapsed time (the frame is continuous across segments).
+    Exact up to rounding.  The lab-frame Hamiltonian is diagonal in the
+    ancilla's Z basis and the jump operators act on the mode alone, so each
+    (q, q') block of rho evolves on its own under a d^2 x d^2 Liouvillian.
+    Its exponential is built once per (segment, q, q') and reused;
+    instantaneous rotations are applied as exact conjugations.
     """
-    if duration == 0.0:
-        return rho
-    nsteps = max(1, int(math.ceil(duration / dt)))
-    h_step = duration / nsteps
-    if frame == "lab":
-        h_mat = model.h_free_lab if drive_on else model.h_wait_lab
-
-        def rhs(_t, r):
-            return model.rhs_lab(r, h_mat)
-    else:
-        if drive_on:
-            def rhs(t, r):
-                hm = model.drive_rotating(t)
-                return -1j * (hm @ r - r @ hm) + model.dissipator(r)
-        else:
-            def rhs(_t, r):
-                return model.dissipator(r)
-    t = t0
-    for _ in range(nsteps):
-        k1 = rhs(t, rho)
-        k2 = rhs(t + h_step / 2, rho + (h_step / 2) * k1)
-        k3 = rhs(t + h_step / 2, rho + (h_step / 2) * k2)
-        k4 = rhs(t + h_step, rho + h_step * k3)
-        rho = rho + (h_step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h_step
-    return rho
-
-
-def _integrate_schedule(model: _DampedModeModel, rho0: np.ndarray,
-                        schedule: PulseSchedule, dt: float, frame: str) -> np.ndarray:
-    layout = model.layout
-    rho = rho0.copy()
-    t = 0.0
+    model = _DampedModeModel(state.layout, noise)
+    levels = range(2 ** state.layout.qubit_count)
+    rho = state.to_density().data.copy()
+    props: dict[tuple[FreeEvolution | WaitingPeriod, int, int], np.ndarray] = {}
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, QubitRotation):
-            # instantaneous; qubit rotations commute with the mode frame
-            r = fock.qubit_rotation(layout, 0, seg.axis, seg.angle).matrix
+            r = fock.qubit_rotation(state.layout, 0, seg.axis, seg.angle).matrix
             rho = r @ rho @ r.conj().T
             continue
-        drive_on = isinstance(seg, FreeEvolution)
-        rho = _rk4_segment(model, rho, seg.duration, dt, t, drive_on, frame)
-        t += seg.duration
-    if frame == "rotating" and t > 0.0:
-        u = model.bare_frame(t)
-        rho = (u[:, None] * rho) * u.conj()[None, :]
-    return rho
-
-
-def evolve_master(state: HybridState, schedule: PulseSchedule, noise: NoiseParams,
-                  dt: float | None = None, frame: str = "rotating",
-                  certify: bool = True, certify_tol: float = 1e-6,
-                  max_halvings: int = 3) -> HybridState:
-    """Integrate the master equation through a pulse schedule.
-
-    Fixed-step RK4 with mandatory step-halving certification: the full
-    integration is repeated with dt/2 until the final states agree within
-    `certify_tol` in trace distance (raises ConvergenceError after
-    `max_halvings` halvings).  Instantaneous rotations are applied as exact
-    conjugations.  The default frame co-rotates with the bare oscillator,
-    which removes the stiff nu a^dag a rotation from the stepped dynamics;
-    results are reported back in the lab frame.
-    """
-    if frame not in ("rotating", "lab"):
-        raise ValueError("frame must be 'rotating' or 'lab'")
-    rho0 = state.to_density().data
-    model = _DampedModeModel(state.layout, noise)
-    if dt is None:
-        dt = 0.01 / noise.nu
-    if not certify:
-        out = _integrate_schedule(model, rho0, schedule, dt, frame)
-        return HybridState.density(state.layout, out)
-    prev = _integrate_schedule(model, rho0, schedule, dt, frame)
-    for _ in range(max_halvings):
-        dt /= 2.0
-        cur = _integrate_schedule(model, rho0, schedule, dt, frame)
-        if trace_distance_matrices(prev, cur) < certify_tol:
-            return HybridState.density(state.layout, cur)
-        prev = cur
-    raise ConvergenceError(
-        f"master-equation step halving did not converge to {certify_tol:g} "
-        f"after {max_halvings} halvings")
+        if seg.duration == 0.0:
+            continue
+        for q in levels:
+            for q2 in levels:
+                key = (seg, q, q2)
+                if key not in props:
+                    props[key] = _expm(seg.duration * model.block_generator(seg, q, q2))
+                blk = (model.block(q), model.block(q2))
+                rho[blk] = (props[key] @ rho[blk].reshape(-1)).reshape(model.d, model.d)
+    return HybridState.density(state.layout, rho)
 
 
 def trace_distance_matrices(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -338,16 +290,13 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     ensemble mean converges to the master equation at the Monte-Carlo rate.
     """
     model = _DampedModeModel(state.layout, noise)
-    decay = -0.5j * (noise.rate_down * model.ada + noise.rate_up * model.aad)
-    props: dict[tuple[str, float], _SegmentPropagators] = {}
+    props: dict[FreeEvolution | WaitingPeriod, _SegmentPropagators] = {}
     segs = schedule.expand_waiting().segments
     for seg in segs:
-        if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0:
-            kind = "free" if isinstance(seg, FreeEvolution) else "wait"
-            key = (kind, seg.duration)
-            if key not in props:
-                h = model.h_free_lab if kind == "free" else model.h_wait_lab
-                props[key] = _SegmentPropagators(h + decay, seg.duration)
+        if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0 \
+                and seg not in props:
+            props[seg] = _SegmentPropagators(model.segment_hamiltonian(seg) + model.decay,
+                                             seg.duration)
     rotations = {}
     weights, columns = _decompose_for_trajectories(state)
     dim = state.layout.total_dim
@@ -369,8 +318,7 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
                 continue
             if seg.duration == 0.0:
                 continue
-            kind = "free" if isinstance(seg, FreeEvolution) else "wait"
-            ladder = props[(kind, seg.duration)]
+            ladder = props[seg]
             # walk the segment in dyadic chunks; bisect around each jump
             stack = [0]  # levels; level j covers duration/2^j
             while stack:
@@ -410,8 +358,7 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
     mixture.
     """
     model = _DampedModeModel(state.layout, noise)
-    decay = -0.5j * (noise.rate_down * model.ada + noise.rate_up * model.aad)
-    k = _expm(-1j * dt * (model.h_free_lab + decay))
+    k = _expm(-1j * dt * (model.h_free_lab + model.decay))
     weights, cols = _decompose_for_trajectories(state)
     evolved = k @ cols
     survive = (np.abs(evolved) ** 2).sum(axis=0)
@@ -463,7 +410,7 @@ def fidelity_cutoff(n_mean: float, tail_tol: float = 1e-6, headroom: int = 4) ->
 
 def fidelity_point(n_mean: float, config: tuple[int, float],
                    noise: NoiseParams | str = "ideal-sequence",
-                   cutoff: int | None = None, dt: float | None = None) -> FidelityPoint:
+                   cutoff: int | None = None) -> FidelityPoint:
     """Logical-qubit fidelity of the engineered parity measurement.
 
     `config` is (repetitions, eta).  With `noise="ideal-sequence"` (default)
@@ -471,7 +418,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     comes from the sequence's high-order excitation-dependent error alone;
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
-    equation.
+    equation, with its coupling taken from `config` (its own eta is ignored).
     """
     reps, eta = config
     if cutoff is None:
@@ -490,7 +437,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
             rho = gate.matrix @ state.data @ gate.matrix.conj().T
         elif isinstance(noise, NoiseParams):
             sched = pulses.build_h2_sequence(params, reps)
-            evolved = evolve_master(state, sched, noise, dt=dt)
+            evolved = evolve_master(state, sched, replace(noise, eta=eta))
             chi = 64.0 * reps * eta ** 2
             corr = fock.qubit_rotation(state.layout, 0, "z", chi / 2.0).matrix
             rho = corr @ evolved.data @ corr.conj().T

@@ -75,6 +75,16 @@ def test_fidelity_sweep_small_grid(tmp_path):
     assert meta["checks_passed"] is True
 
 
+def test_fidelity_sweep_with_bath(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_min": 0.5, "n_max": 0.5, "repetitions": [50],
+                               "bath": {"Q": 1e4, "N_th": 0.5}}))
+    out = tmp_path / "fid.csv"
+    assert run(["fidelity-sweep", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    (row,) = out.read_text().strip().splitlines()[1:]
+    assert 0.5 < float(row.split(",")[3]) <= 1.0
+
+
 def test_msuqc_demo_small(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_circuits": 3, "max_steps": 2,
@@ -102,6 +112,13 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("entropy-sweep", {"n_step": 0}),
     ("entropy-sweep", {"n_min": "a"}),
     ("fidelity-sweep", {"repetitions": [0]}),
+    ("fidelity-sweep", {"repetitions": []}),
+    ("algebra-check", {"cutoffs": []}),
+    ("msuqc-demo", {"qubit_counts": []}),
+    ("fidelity-sweep", {"bath": {"Q": 1e4, "temperature": 1.0}}),
+    ("fidelity-sweep", {"bath": {"Q": 1e4, "eta": 0.01}}),
+    ("fidelity-sweep", {"bath": {"N_th": 0.5}}),
+    ("fidelity-sweep", {"bath": {"Q": "high"}}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqpsim import fock, opensys, pulses, thermal
 from tqpsim.fock import HybridState, SpaceLayout
@@ -21,6 +23,34 @@ def hparams(eta, nu=1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return pulses.HybridHamiltonianParams(eta=eta, nu=nu)
+
+
+def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
+                  noise: NoiseParams, dt: float) -> HybridState:
+    """Plain lab-frame fixed-step RK4 on `lindblad_rhs`, the independent
+    cross-check of the exact segment propagators in `evolve_master`."""
+    d = state.layout.mode_cutoffs[0]
+    h = {pulses.FreeEvolution: pulses.hamiltonian(hparams(noise.eta, noise.nu), d),
+         pulses.WaitingPeriod: pulses.hamiltonian(hparams(0.0, noise.nu), d)}
+    rho = state.to_density().data
+    for seg in schedule.expand_waiting().segments:
+        if isinstance(seg, pulses.QubitRotation):
+            r = fock.qubit_rotation(state.layout, 0, seg.axis, seg.angle).matrix
+            rho = r @ rho @ r.conj().T
+            continue
+        nsteps = max(1, math.ceil(seg.duration / dt))
+        step = seg.duration / nsteps
+
+        def rhs(r, h_seg=h[type(seg)]):
+            return opensys.lindblad_rhs(r, h_seg, noise)
+
+        for _ in range(nsteps):
+            k1 = rhs(rho)
+            k2 = rhs(rho + (step / 2) * k1)
+            k3 = rhs(rho + (step / 2) * k2)
+            k4 = rhs(rho + step * k3)
+            rho = rho + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return HybridState.density(state.layout, rho)
 
 
 def test_noise_params_validation():
@@ -64,7 +94,7 @@ def test_master_equation_thermalizes_to_bath_occupation():
     noise = NoiseParams(Q=5.0, N_th=0.5)
     d = 14
     sched = pulses.PulseSchedule((pulses.WaitingPeriod(20 * noise.Q / noise.nu),))
-    out = opensys.evolve_master(_plus_fock_density(0, d), sched, noise, dt=0.01)
+    out = opensys.evolve_master(_plus_fock_density(0, d), sched, noise)
     nvec = np.kron(np.ones(2), np.arange(d))
     n_final = float((np.diag(out.data).real * nvec).sum())
     assert n_final == pytest.approx(0.5, abs=1e-3)
@@ -79,9 +109,31 @@ def test_evolve_master_zero_schedule_and_frames_agree():
     sched = pulses.PulseSchedule((pulses.FreeEvolution(1.7),
                                   pulses.QubitRotation("x", 0.4),
                                   pulses.WaitingPeriod(0.9)))
-    a = opensys.evolve_master(st, sched, noise, frame="rotating")
-    b = opensys.evolve_master(st, sched, noise, frame="lab")
-    assert opensys.trace_distance(a, b) < 1e-6
+    exact = opensys.evolve_master(st, sched, noise)
+    reference = rk4_reference(st, sched, noise, dt=0.01)
+    assert opensys.trace_distance(exact, reference) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.floats(1.0, 1e3), n_th=st.floats(0.0, 2.0), eta=st.floats(0.0, 0.2),
+       d=st.sampled_from([3, 4, 5]), durations=st.lists(st.floats(0.0, 5.0), min_size=1,
+                                                        max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
+                                                              durations, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+    rho = m @ m.conj().T
+    st_in = HybridState.density(SpaceLayout(1, (d,)), rho / np.trace(rho))
+    segs = []
+    for i, t in enumerate(durations):
+        segs.append(pulses.FreeEvolution(t) if i % 2 == 0 else pulses.WaitingPeriod(t))
+        segs.append(pulses.QubitRotation("xy"[i % 2], 0.3 * (i + 1)))
+    out = opensys.evolve_master(st_in, pulses.PulseSchedule(tuple(segs)),
+                                NoiseParams(Q=q, N_th=n_th, eta=eta)).data
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.abs(out - out.conj().T).max() < 1e-12
+    assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
 
 
 def test_closed_system_master_matches_unitary():
@@ -98,6 +150,9 @@ def test_closed_system_master_matches_unitary():
     u = pulses.simulate_schedule(sched, p, d)
     ref = u.matrix @ st.data @ u.matrix.conj().T
     assert opensys.trace_distance_matrices(evolved.data, ref) < 1e-6
+    u_dense = pulses.simulate_schedule(sched, p, d, closed_form=False)
+    ref_dense = u_dense.matrix @ st.data @ u_dense.matrix.conj().T
+    assert opensys.trace_distance_matrices(evolved.data, ref_dense) < 1e-12
     assert evolved.trace() == pytest.approx(1.0, abs=1e-8)
     herm = np.abs(evolved.data - evolved.data.conj().T).max()
     assert herm < 1e-10
@@ -149,6 +204,14 @@ def test_fidelity_exact_gate_is_one():
         assert pt.fidelity == pytest.approx(1.0, abs=1e-10)
         assert pt.p_plus + pt.p_minus == pytest.approx(1.0, abs=1e-8)
         assert pt.baseline == pytest.approx(1 / (n_mean + 1))
+
+
+def test_fidelity_point_takes_coupling_from_config():
+    # a bath without its own eta still runs the configured coupling
+    config = (50, pulses.eta_for_repetitions(50))
+    ideal = opensys.fidelity_point(0.5, config)
+    closed_bath = opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e300))
+    assert closed_bath.fidelity == pytest.approx(ideal.fidelity, abs=1e-6)
 
 
 def test_fidelity_config_ordering_at_reference_point():
