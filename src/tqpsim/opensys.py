@@ -8,8 +8,10 @@ with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  Two solvers are provided:
 the master equation through exact per-block segment propagators (the
 Hamiltonian is diagonal in the ancilla's Z basis and the jumps act on the
 mode alone, so each (q, q') block of rho evolves on its own), and a
-Monte-Carlo wavefunction unravelling with exact per-segment non-Hermitian
-propagators and dyadic jump-time bisection.
+Monte-Carlo wavefunction unravelling that carries all trajectories as columns
+of one array through exact per-segment non-Hermitian propagators, bisecting
+the jump time (dyadically) only in the columns whose norm crossed their
+threshold.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -114,6 +116,7 @@ class _DampedModeModel:
         self.noise = noise
         self.d = layout.mode_cutoffs[0]
         self.a = fock.annihilation(layout, 0).matrix
+        self.a_mode = self.a[:self.d, :self.d]  # a on the mode alone (one ancilla level)
         self.ad = self.a.conj().T
         self.ada = self.ad @ self.a
         self.aad = self.a @ self.ad
@@ -160,7 +163,7 @@ class _DampedModeModel:
         """
         k = self.segment_hamiltonian(seg) + self.decay
         kq, kq2 = k[self.block(q), self.block(q)], k[self.block(q2), self.block(q2)]
-        a = self.a[self.block(0), self.block(0)]
+        a = self.a_mode
         eye = np.eye(self.d)
         return (-1j * (np.kron(kq, eye) - np.kron(eye, kq2.conj()))
                 + self.noise.rate_down * np.kron(a, a.conj())
@@ -197,8 +200,10 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
     Exact up to rounding.  The lab-frame Hamiltonian is diagonal in the
     ancilla's Z basis and the jump operators act on the mode alone, so each
     (q, q') block of rho evolves on its own under a d^2 x d^2 Liouvillian.
-    Its exponential is built once per (segment, q, q') and reused;
-    instantaneous rotations are applied as exact conjugations.
+    Its exponential is built once per (segment, q <= q') and reused (one per
+    waiting segment, whose uncoupled blocks share a generator); the (q', q)
+    block is set to the adjoint of the evolved (q, q') block.  Instantaneous
+    rotations are applied as exact conjugations.
     """
     model = _DampedModeModel(state.layout, noise)
     levels = range(2 ** state.layout.qubit_count)
@@ -212,12 +217,15 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
         if seg.duration == 0.0:
             continue
         for q in levels:
-            for q2 in levels:
-                key = (seg, q, q2)
+            for q2 in levels[q:]:
+                # while waiting the coupling is off and every block shares one generator
+                key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
                 if key not in props:
                     props[key] = _expm(seg.duration * model.block_generator(seg, q, q2))
                 blk = (model.block(q), model.block(q2))
                 rho[blk] = (props[key] @ rho[blk].reshape(-1)).reshape(model.d, model.d)
+                if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
+                    rho[model.block(q2), model.block(q)] = rho[blk].conj().T
     return HybridState.density(state.layout, rho)
 
 
@@ -248,16 +256,21 @@ class JumpEnsemble:
 
 
 class _SegmentPropagators:
-    """Dyadic ladder of non-Hermitian propagators for one segment type."""
+    """Dyadic ladder of no-jump propagators for one segment type.
 
-    def __init__(self, h_eff: np.ndarray, duration: float):
-        self.h_eff = h_eff
+    The no-jump Hamiltonian is diagonal in the ancilla's Z basis, so level j
+    (covering duration/2^j) is stored as one d x d block per ancilla level,
+    stacked to (levels, d, d); it acts on (levels, d, n) column batches.
+    """
+
+    def __init__(self, k_blocks: np.ndarray, duration: float):
+        self.k_blocks = k_blocks
         self.duration = duration
         self._ladder: dict[int, np.ndarray] = {}
 
     def level(self, j: int) -> np.ndarray:
         if j not in self._ladder:
-            self._ladder[j] = _expm(-1j * (self.duration / 2 ** j) * self.h_eff)
+            self._ladder[j] = _expm(-1j * (self.duration / 2 ** j) * self.k_blocks)
         return self._ladder[j]
 
 
@@ -279,6 +292,39 @@ def _decompose_for_trajectories(state: HybridState):
     return lam[keep] / lam[keep].sum(), vec[:, keep]
 
 
+def _bisect_jumps(psi: np.ndarray, r_target: float, ladder: _SegmentPropagators,
+                  jump_ops, rng: np.random.Generator):
+    """Carry one trajectory across a segment whose full step fell below its
+    norm threshold: walk it in dyadic chunks and bisect around each jump.
+
+    `psi` is one (levels, d, 1) column; returns (psi, r_target, jumps).
+    """
+    jumps = 0
+    stack = [1, 1]  # levels; level j covers duration/2^j (level 0 crossed)
+    while stack:
+        j = stack.pop()
+        cand = ladder.level(j) @ psi
+        n2 = float(np.vdot(cand, cand).real)
+        if n2 >= r_target:
+            psi = cand
+            continue
+        if j >= JUMP_BISECTION_LEVELS:
+            # jump happens inside an interval shorter than 2^-40 of the
+            # segment: apply it at the chunk start
+            norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
+                              for rate, op in jump_ops])
+            pick = rng.choice(len(jump_ops), p=norms / norms.sum())
+            jumped = jump_ops[pick][1] @ psi
+            psi = jumped / np.linalg.norm(jumped)
+            r_target = rng.random()
+            jumps += 1
+            stack.append(j)  # redo the chunk after the jump
+            continue
+        stack.append(j + 1)  # second half (processed after the first)
+        stack.append(j + 1)  # first half
+    return psi, r_target, jumps
+
+
 def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoiseParams,
                      rng: np.random.Generator, n_traj: int) -> JumpEnsemble:
     """Monte-Carlo wavefunction unravelling of the master equation.
@@ -288,64 +334,52 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     a^dag at the printed rates.  Mixed inputs are sampled from their
     Fock-basis mixture weights (general inputs from their eigenbasis).  The
     ensemble mean converges to the master equation at the Monte-Carlo rate.
+
+    All trajectories are columns of one (levels, d, n_traj) array.  Each
+    timed segment's full-length propagator is applied to every column at
+    once, one d x d block per ancilla level, and rotations act on the
+    ancilla axis.  A column keeps that step while its norm^2 stays at or
+    above its random threshold; only the columns that fell below it are
+    walked one by one through the dyadic jump-time bisection.
     """
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
     model = _DampedModeModel(state.layout, noise)
+    levels = range(2 ** state.layout.qubit_count)
     props: dict[FreeEvolution | WaitingPeriod, _SegmentPropagators] = {}
     segs = schedule.expand_waiting().segments
     for seg in segs:
         if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0 \
                 and seg not in props:
-            props[seg] = _SegmentPropagators(model.segment_hamiltonian(seg) + model.decay,
-                                             seg.duration)
-    rotations = {}
+            k = model.segment_hamiltonian(seg) + model.decay
+            props[seg] = _SegmentPropagators(
+                np.stack([k[model.block(q), model.block(q)] for q in levels]),
+                seg.duration)
+    jump_ops = [(noise.rate_down, model.a_mode), (noise.rate_up, model.a_mode.conj().T)]
     weights, columns = _decompose_for_trajectories(state)
-    dim = state.layout.total_dim
-    rho_sum = np.zeros((dim, dim), dtype=complex)
+    psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
+    psi = psi.reshape(len(levels), model.d, n_traj)
+    r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
-    jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.ad)]
 
-    for traj in range(n_traj):
-        psi = columns[:, rng.choice(weights.size, p=weights)].copy()
-        r_target = rng.random()
-        jumps = 0
-        for seg in segs:
-            if isinstance(seg, QubitRotation):
-                key = (seg.axis, seg.angle)
-                if key not in rotations:
-                    rotations[key] = fock.qubit_rotation(
-                        state.layout, 0, seg.axis, seg.angle).matrix
-                psi = rotations[key] @ psi
-                continue
-            if seg.duration == 0.0:
-                continue
-            ladder = props[seg]
-            # walk the segment in dyadic chunks; bisect around each jump
-            stack = [0]  # levels; level j covers duration/2^j
-            while stack:
-                j = stack.pop()
-                cand = ladder.level(j) @ psi
-                n2 = float(np.vdot(cand, cand).real)
-                if n2 >= r_target:
-                    psi = cand
-                    continue
-                if j >= JUMP_BISECTION_LEVELS:
-                    # jump happens inside an interval shorter than 2^-40 of
-                    # the segment: apply it at the chunk start
-                    norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
-                                      for rate, op in jump_ops])
-                    pick = rng.choice(len(jump_ops), p=norms / norms.sum())
-                    jumped = jump_ops[pick][1] @ psi
-                    psi = jumped / np.linalg.norm(jumped)
-                    r_target = rng.random()
-                    jumps += 1
-                    stack.append(j)  # redo the chunk after the jump
-                    continue
-                stack.append(j + 1)  # second half (processed after the first)
-                stack.append(j + 1)  # first half
-        psi = psi / np.linalg.norm(psi)
-        rho_sum += np.outer(psi, psi.conj())
-        jump_counts[traj] = jumps
-    return JumpEnsemble(HybridState.density(state.layout, rho_sum / n_traj),
+    for seg in segs:
+        if isinstance(seg, QubitRotation):
+            r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
+            psi = (r @ psi.reshape(len(levels), -1)).reshape(psi.shape)
+            continue
+        if seg.duration == 0.0:
+            continue
+        ladder = props[seg]
+        stepped = ladder.level(0) @ psi
+        crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_target)
+        for c in crossed:
+            stepped[..., c:c + 1], r_target[c], jumps = _bisect_jumps(
+                psi[..., c:c + 1], r_target[c], ladder, jump_ops, rng)
+            jump_counts[c] += jumps
+        psi = stepped
+    psi = psi.reshape(-1, n_traj)
+    psi = psi / np.linalg.norm(psi, axis=0)
+    return JumpEnsemble(HybridState.density(state.layout, psi @ psi.conj().T / n_traj),
                         jump_counts, n_traj)
 
 

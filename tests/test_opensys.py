@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
+from scipy.linalg import expm
 
 from tqpsim import fock, opensys, pulses, thermal
 from tqpsim.fock import HybridState, SpaceLayout
@@ -17,6 +19,13 @@ def _plus_fock_density(n_mode: int, cutoff: int) -> HybridState:
     rho_mode[n_mode, n_mode] = 1.0
     plus = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
     return HybridState.density(lay, np.kron(plus, rho_mode))
+
+
+def _random_density(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
+    rho = m @ m.conj().T
+    return HybridState.density(SpaceLayout(1, (d,)), rho / np.trace(rho))
 
 
 def hparams(eta, nu=1.0):
@@ -121,10 +130,7 @@ def test_evolve_master_zero_schedule_and_frames_agree():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
                                                               durations, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
-    rho = m @ m.conj().T
-    st_in = HybridState.density(SpaceLayout(1, (d,)), rho / np.trace(rho))
+    st_in = _random_density(d, seed)
     segs = []
     for i, t in enumerate(durations):
         segs.append(pulses.FreeEvolution(t) if i % 2 == 0 else pulses.WaitingPeriod(t))
@@ -195,6 +201,100 @@ def test_trajectories_converge_to_master_small_case():
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(42), 600)
     assert opensys.trace_distance(master, ens.mean_state) <= 3 / math.sqrt(600)
     assert ens.mean_jumps > 0.5  # the regime genuinely produces jumps
+
+
+def _diagonal_density(d):
+    """Fock-diagonal input (the unravelling samples its diagonal directly)."""
+    w = np.kron([0.7, 0.3], thermal.thermal_weights(0.5, d))
+    return HybridState.density(SpaceLayout(1, (d,)), np.diag(w / w.sum()).astype(complex))
+
+
+def _noisy_unravelling_case(d=8):
+    noise = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
+    return noise, pulses.build_h2_sequence(hparams(0.03), 1), _diagonal_density(d)
+
+
+def test_jump_unravelling_seeded_runs_are_identical():
+    noise, sched, st = _noisy_unravelling_case()
+    a, b = (opensys.jump_unravelling(st, sched, noise, np.random.default_rng(5), 200)
+            for _ in range(2))
+    assert a.mean_jumps > 0.0
+    assert np.array_equal(a.jump_counts, b.jump_counts)
+    assert np.array_equal(a.mean_state.data, b.mean_state.data)
+
+
+def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
+    # with Q = 1e300 no column crosses its threshold and both routes are exact
+    d, n_traj, seed = 8, 40, 3
+    noise = NoiseParams(Q=1e300, eta=0.03)
+    sched = pulses.build_h2_sequence(hparams(0.03), 1)
+    st = _diagonal_density(d)
+    ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(seed), n_traj)
+    assert ens.mean_jumps == 0.0
+    h = {pulses.FreeEvolution: pulses.hamiltonian(hparams(0.03), d).matrix,
+         pulses.WaitingPeriod: pulses.hamiltonian(hparams(0.0), d).matrix}
+    # the unravelling's first draw picks every start column of the diagonal input
+    weights = np.real(np.diag(st.data))
+    starts = np.random.default_rng(seed).choice(weights.size, size=n_traj, p=weights)
+    ref = np.zeros((2 * d, 2 * d), dtype=complex)
+    for start in starts:
+        psi = np.zeros(2 * d, dtype=complex)
+        psi[start] = 1.0
+        for seg in sched.expand_waiting().segments:
+            if isinstance(seg, pulses.QubitRotation):
+                psi = fock.qubit_rotation(st.layout, 0, seg.axis, seg.angle).matrix @ psi
+            else:
+                psi = expm(-1j * seg.duration * h[type(seg)]) @ psi
+        ref += np.outer(psi, psi.conj()) / n_traj
+    assert np.abs(ens.mean_state.data - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["pure", "diagonal", "non-diagonal"])
+def test_jump_unravelling_matches_master_for_each_input_kind(kind):
+    d, n_traj = 8, 600
+    noise, sched, st = _noisy_unravelling_case(d)
+    if kind == "pure":
+        st = fock.plus_state_with_modes(SpaceLayout(1, (d,)), (1,))
+    elif kind == "non-diagonal":  # sampled from its eigenbasis
+        st = _random_density(d, 11)
+    master = opensys.evolve_master(st, sched, noise)
+    ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(9), n_traj)
+    assert ens.mean_jumps > 0.0
+    assert opensys.trace_distance(master, ens.mean_state) <= 3 / math.sqrt(n_traj)
+
+
+def test_jump_unravelling_several_jumps_in_one_segment():
+    # one long segment at a high jump rate: columns jump repeatedly inside it,
+    # each jump bisected and its chunk redone
+    d, n_traj = 14, 400
+    noise = NoiseParams(Q=2.0, N_th=1.0, eta=0.1)
+    sched = pulses.PulseSchedule((pulses.FreeEvolution(4.0), pulses.QubitRotation("x", 0.7)))
+    st = opensys._thermal_with_ancilla(0.5, d)
+    master = opensys.evolve_master(st, sched, noise)
+    ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(4), n_traj)
+    assert ens.mean_jumps > 2.0
+    assert opensys.trace_distance(master, ens.mean_state) <= 3 / math.sqrt(n_traj)
+    # the mean count is the master equation's jump rate integrated over the segment
+    a = fock.annihilation(st.layout, 0).matrix
+    rate_op = noise.rate_down * a.conj().T @ a + noise.rate_up * a @ a.conj().T
+    times = np.linspace(0.0, 4.0, 21)
+    rates = [np.trace(rate_op @ opensys.evolve_master(
+        st, pulses.PulseSchedule((pulses.FreeEvolution(t),)), noise).data).real
+        for t in times]
+    expected = simpson(rates, x=times)
+    stderr = ens.jump_counts.std() / math.sqrt(n_traj)
+    assert abs(ens.mean_jumps - expected) <= 4 * stderr
+
+
+@pytest.mark.parametrize("n_traj", [0, -1])
+def test_trajectory_count_must_be_positive(n_traj):
+    noise, sched, st = _noisy_unravelling_case(4)
+    with pytest.raises(ValueError):
+        opensys.jump_unravelling(st, sched, noise, np.random.default_rng(0), n_traj)
+    hot = NoiseParams(Q=1e6, N_th=100.0, eta=0.016)
+    with pytest.raises(ValueError):
+        opensys.epsilon_tqp_trajectory_check(hot, 1.0, np.random.default_rng(0), n_traj=n_traj,
+                                             cutoff=4)
 
 
 def test_fidelity_exact_gate_is_one():
