@@ -153,9 +153,6 @@ class TruncatedOperator:
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.layout, self.matrix.conj().T, copy=False)
 
-    def expm(self) -> "TruncatedOperator":
-        return matrix_exponential(self)
-
     # -- cached flags --------------------------------------------------------
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
@@ -186,10 +183,6 @@ def compose(*ops: TruncatedOperator) -> TruncatedOperator:
     for op in ops[1:]:
         out = out @ op
     return out
-
-
-def adjoint(op: TruncatedOperator) -> TruncatedOperator:
-    return op.adjoint()
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,18 @@
 The central claim being verified: a computation started from the mixed
 product of parity-projected thermal states returns exactly the same final
 measurement probability as the same circuit on any single pure basis pair,
-because every gate acts identically on every basis pair.  Three independent
+because every gate acts identically on every basis pair.  Two independent
 routes compute that probability:
 
-* ``run_mixed`` is the production mixed-state route.  It evolves the
-  diagonal initial mixture through the literal ancilla circuits, one mode
-  pair's total-excitation block at a time.
-* ``run_pure`` evolves one pure basis-pair product state through the same
-  ancilla circuits on the full dense hybrid space.
+* ``run_mixed`` and ``run_pure`` share one engine.  The diagonal initial
+  state (the thermal mixture, or one basis pair as a one-hot mixture)
+  evolves through the literal ancilla circuits, one mode pair's
+  total-excitation block at a time.
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
-The test suite keeps a fourth, dense route at tiny cutoffs as a cross-check
-of ``run_mixed``: full gate unitaries conjugating the whole density matrix.
+The test suite keeps a third, dense route at tiny cutoffs as a cross-check
+of both runs: full gate unitaries conjugating the whole density matrix.
 
 Circuit convention: steps are applied in list order; within one step the
 entangling rotations act first, then the X rotations, then the Z rotations
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .fock import HybridState, SpaceLayout
+from .fock import SpaceLayout
 from .thermal import ThermalSpec, even_odd_weights, required_cutoff
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -203,162 +202,7 @@ def qubit_space_oracle(circuit: LogicalCircuit) -> float:
 
 
 # ---------------------------------------------------------------------------
-# physical primitives, streamed onto state batches
-# ---------------------------------------------------------------------------
-
-
-def _pair_modes(k: int) -> tuple[int, int]:
-    return (2 * k, 2 * k + 1)
-
-
-class _PhysicalEngine:
-    """Streams the ancilla-mediated gate circuits onto a batched state vector.
-
-    Layout: one shared ancilla qubit, then modes (2k, 2k+1) per logical
-    qubit.  Works on a (total_dim, batch) array of pure-state columns.
-    """
-
-    def __init__(self, qubit_count: int, cutoff: int):
-        self.k = qubit_count
-        self.d = cutoff
-        self.layout = SpaceLayout(1, (cutoff,) * (2 * qubit_count))
-        self.dims = self.layout.dims
-        self._cdiag = fock.controlled_parity_diag(self.layout, 0, 0)  # same for every mode
-        self._bs = fock.beam_splitter_5050(SpaceLayout(0, (cutoff, cutoff)), 0, 1).matrix
-
-    def plus_basis_column(self, modes: tuple[int, ...]) -> np.ndarray:
-        v0 = np.zeros(self.layout.total_dim, dtype=complex)
-        v0[self.layout.basis_index((0,), modes)] = 1 / math.sqrt(2)
-        v0[self.layout.basis_index((1,), modes)] = 1 / math.sqrt(2)
-        return v0
-
-    def _apply_controlled_parity(self, work, k):
-        ax_mode = self.layout.mode_axis(_pair_modes(k)[1])
-        return fock.apply_diag_local(work, self.dims, self._cdiag, (0, ax_mode))
-
-    def _apply_ancilla_rx(self, work, angle):
-        rot = fock.qubit_rotation_matrix("x", angle)
-        return fock.apply_local(work, self.dims, rot, (0,))
-
-    def _apply_beam_splitter(self, work, k, dagger=False):
-        ma, mb = _pair_modes(k)
-        mat = self._bs
-        if dagger:
-            mat = mat.conj().T
-        axes = (self.layout.mode_axis(ma), self.layout.mode_axis(mb))
-        return fock.apply_local(work, self.dims, mat, axes)
-
-    def apply_gate(self, work: np.ndarray, gate) -> np.ndarray:
-        if gate[0] == "z":
-            _, k, ang = gate
-            work = self._apply_controlled_parity(work, k)
-            work = self._apply_ancilla_rx(work, ang)
-            work = self._apply_controlled_parity(work, k)
-        elif gate[0] == "x":
-            _, k, ang = gate
-            work = self._apply_beam_splitter(work, k)
-            work = self._apply_controlled_parity(work, k)
-            work = self._apply_ancilla_rx(work, ang)
-            work = self._apply_controlled_parity(work, k)
-            work = self._apply_beam_splitter(work, k, dagger=True)
-        else:
-            _, ka, kb, ang = gate
-            work = self._apply_controlled_parity(work, kb)
-            work = self._apply_controlled_parity(work, ka)
-            work = self._apply_ancilla_rx(work, ang)
-            work = self._apply_controlled_parity(work, ka)
-            work = self._apply_controlled_parity(work, kb)
-        return work
-
-    def ancilla_minus_weight(self, work: np.ndarray) -> float:
-        """Worst-case squared weight on the ancilla |-> component (per column)."""
-        t = work.reshape((2, -1) if work.ndim == 1 else (2, -1, work.shape[1]))
-        minus = (t[0] - t[1]) / math.sqrt(2)
-        w_minus = (np.abs(minus) ** 2).sum(axis=0)
-        w_tot = (np.abs(work) ** 2).sum(axis=0)
-        return float(np.max(w_minus / w_tot))
-
-    def readout_mask(self) -> np.ndarray:
-        """Diagonal of the product of (I + Z_L)/2 projectors over all qubits."""
-        mask = np.ones(1)
-        for ax, dim in enumerate(self.dims):
-            if ax == 0:
-                f = np.ones(2)
-            else:
-                mode = ax - 1
-                if mode % 2 == 1:  # second mode of its pair
-                    f = ((1.0 + (-1.0) ** np.arange(dim)) / 2.0)
-                else:
-                    f = np.ones(dim)
-            mask = np.kron(mask, f)
-        return mask
-
-    def support_mask(self, basis_indices) -> np.ndarray:
-        """Diagonal mask of the per-qubit basis-pair subspace (ancilla free)."""
-        mask = np.ones((2,), dtype=float)
-        for (m, n) in basis_indices:
-            pm = np.zeros((self.d, self.d))
-            for (i, j) in ((2 * m + 1, 2 * n), (2 * n, 2 * m + 1)):
-                pm[i, j] = 1.0
-            mask = np.kron(mask, pm.ravel())
-        return mask
-
-
-def _check_basis_indices(basis_indices, qubit_count, cutoff):
-    if len(basis_indices) != qubit_count:
-        raise ValueError("need one (m, n) basis pair per logical qubit")
-    out = []
-    for (m, n) in basis_indices:
-        if m < 0 or n < 0:
-            raise ValueError("basis indices must be non-negative")
-        if 2 * m + 1 >= cutoff or 2 * n >= cutoff:
-            raise DimensionBudgetError(
-                f"basis pair ({m}, {n}) does not fit under cutoff {cutoff}")
-        out.append((int(m), int(n)))
-    return tuple(out)
-
-
-def run_pure(circuit: LogicalCircuit, basis_indices, cutoff: int | None = None,
-             check_support: bool = True) -> ComputationResult:
-    """Evolve one pure basis-pair product state through the physical circuits.
-
-    The shared ancilla is carried explicitly; its return to |+> is asserted
-    after every gate.  The result is the expectation of the product of
-    (I + Z_L)/2 readout projectors.
-    """
-    k = circuit.qubit_count
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
-        # beam-splitter spreading stays exact while the pair total fits
-        need = max(2 * m + 1 + 2 * n + 1 for (m, n) in basis_indices)
-        cutoff = max(cutoff, need)
-    if k > 2 and cutoff ** (2 * k) * 2 > 4_000_000:
-        raise DimensionBudgetError("pure run exceeds the dense dimension budget")
-    basis_indices = _check_basis_indices(basis_indices, k, cutoff)
-    eng = _PhysicalEngine(k, cutoff)
-    modes = []
-    for (m, n) in basis_indices:
-        modes.extend((2 * m + 1, 2 * n))
-    work = eng.plus_basis_column(tuple(modes))
-    for gate in step_gates(circuit):
-        work = eng.apply_gate(work, gate)
-        leak = eng.ancilla_minus_weight(work)
-        if leak > ANCILLA_RETURN_TOL:
-            raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
-    a = float((eng.readout_mask() * np.abs(work) ** 2).sum())
-    if check_support:
-        pop_in = float((eng.support_mask(basis_indices) * np.abs(work) ** 2).sum())
-        leak = 1.0 - pop_in
-        if leak > SUPPORT_LEAK_TOL:
-            raise fock.StateError(
-                f"population {leak:.3e} left the encoded basis-pair subspace")
-    state = HybridState.pure(eng.layout, work)
-    return ComputationResult(a, "pure", k, cutoff, basis_indices=basis_indices,
-                             truncation_tail=state.truncation_tail)
-
-
-# ---------------------------------------------------------------------------
-# mixed runs
+# the pair-block engine shared by pure and mixed runs
 # ---------------------------------------------------------------------------
 
 
@@ -404,19 +248,22 @@ class _PairBlocks:
         cp_full = fock.controlled_parity_diag(SpaceLayout(1, (d,)), 0, 0).reshape(2, d)
         self.bs = np.zeros((nb, 1, n, n), dtype=complex)
         self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
+        self.first = np.full((nb, 1, n, 1), -1)  # first-mode Fock number, -1 on padding
         self.parity = np.zeros((nb, 1, n, 1))  # second-mode Fock parity
         self.weight = np.zeros((nb, c))
         self.initial = np.zeros((nb, 2, n, c), dtype=complex)
         for b, (_, idx) in enumerate(blocks):
             m = idx.size
-            j = idx % d
+            i, j = np.divmod(idx, d)
             self.bs[b, 0, :m, :m] = bs_full[np.ix_(idx, idx)]
             self.cp[b, :, :m, 0] = cp_full[:, j]
+            self.first[b, 0, :m, 0] = i
             self.parity[b, 0, :m, 0] = (-1.0) ** j
             occupied = np.flatnonzero(w_pair[idx] > 0.0)
             self.weight[b, :occupied.size] = w_pair[idx[occupied]]
             self.initial[b, :, occupied, np.arange(occupied.size)] = 1 / math.sqrt(2)
         self.columns = self.weight > 0.0
+        self.readout_mask = (1.0 + self.parity) / 2  # (I + Z_L)/2
         # weight of the blocks the truncated beam splitter does not treat ideally
         self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
 
@@ -437,12 +284,105 @@ class _PairBlocks:
             raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
         return v
 
-    def readout_gram(self, states) -> np.ndarray:
-        """G[s, r] = sum over columns of weight * <v_s| (I + P_b)/2 |v_r>."""
-        mask = (1.0 + self.parity) / 2 * self.weight[:, None, None, :]
+    def gram(self, states, mask) -> np.ndarray:
+        """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for a mask M
+        diagonal in the block states, shaped (T, 1, n, 1)."""
+        weighted = mask * self.weight[:, None, None, :]
         stack = np.stack(states)
         n = len(states)
-        return stack.reshape(n, -1).conj() @ (stack * mask).reshape(n, -1).T
+        return stack.reshape(n, -1).conj() @ (stack * weighted).reshape(n, -1).T
+
+
+def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],
+                  masks: list[list[np.ndarray]]) -> tuple[list[float], float]:
+    """Evolve logical qubit p's initial mixture ``pairs[p]`` through the circuit.
+
+    Z and X rotations run the literal ancilla circuits on one pair's blocks,
+    and the ancilla's return to |+> is asserted after every gate.  An
+    entangler exp(i gamma P_a P_b) splits every branch into cos(gamma) I and
+    i sin(gamma) P_a P_b, so the state is a sum of pair-product branches and
+    the expectation of a product of per-pair diagonal masks factorizes over
+    pairs.  ``masks[o][p]`` is pair p's mask in observable o.  Returns the
+    expectation of every observable and the truncation tail: the joint weight
+    of the blocks where any pair's total excitation reaches the cutoff.
+    """
+    n_entanglers = sum(len(s.gamma) for s in circuit.steps)
+    if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
+        raise DimensionBudgetError(
+            f"{n_entanglers} entanglers exceed the budget of {MAX_MIXED_BRANCHES} branches")
+    # states[p] lists the distinct states of pair p; a branch is a coefficient
+    # and the index of its state in every pair's list
+    states = [[pair.initial] for pair in pairs]
+    coeffs = np.ones(1, dtype=complex)
+    index = np.zeros((1, len(pairs)), dtype=int)
+    for gate in step_gates(circuit):
+        if gate[0] == "zz":
+            _, ka, kb, ang = gate
+            flipped = index.copy()
+            for p in (ka, kb):
+                flipped[:, p] += len(states[p])
+                states[p] = states[p] + [pairs[p].parity * v for v in states[p]]
+            index = np.concatenate([index, flipped])
+            coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
+        else:
+            p = gate[1]
+            states[p] = [pairs[p].single_pair_gate(v, gate) for v in states[p]]
+    values = []
+    for observable in masks:
+        terms = np.outer(coeffs.conj(), coeffs)
+        for p, (pair, mask) in enumerate(zip(pairs, observable)):
+            terms = terms * pair.gram(states[p], mask)[np.ix_(index[:, p], index[:, p])]
+        values.append(float(terms.sum().real))
+    return values, 1.0 - math.prod(1.0 - pair.broken_weight for pair in pairs)
+
+
+def _check_basis_indices(basis_indices, qubit_count, cutoff):
+    if len(basis_indices) != qubit_count:
+        raise ValueError("need one (m, n) basis pair per logical qubit")
+    out = []
+    for (m, n) in basis_indices:
+        if m < 0 or n < 0:
+            raise ValueError("basis indices must be non-negative")
+        if 2 * m + 1 + 2 * n >= cutoff:
+            raise DimensionBudgetError(
+                f"basis pair ({m}, {n}) has total excitation {2 * m + 1 + 2 * n}, "
+                f"not below cutoff {cutoff}")
+        out.append((int(m), int(n)))
+    return tuple(out)
+
+
+def run_pure(circuit: LogicalCircuit, basis_indices,
+             cutoff: int | None = None) -> ComputationResult:
+    """Run the circuit on one pure basis-pair product state.
+
+    Logical qubit p starts in |2m+1, 2n> for its basis pair (m, n), with the
+    ancilla in |+>.  That state is a one-hot diagonal mixture, so it runs on
+    the engine of :func:`run_mixed` with one :class:`_PairBlocks` per qubit,
+    and the ancilla's return to |+> is asserted after every gate.  The result
+    is the expectation of the product of (I + Z_L)/2 readout projectors.
+
+    Every pair's total excitation 2m+1+2n must lie below the cutoff, where
+    the truncated beam splitter is ideal (else ``DimensionBudgetError``); the
+    default cutoff is raised to fit.  ``StateError`` is raised if more than
+    ``SUPPORT_LEAK_TOL`` of the population leaves the product of the encoded
+    basis-pair subspaces {|2m+1, 2n>, |2n, 2m+1>}.
+    """
+    k = circuit.qubit_count
+    if cutoff is None:
+        cutoff = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
+        cutoff = max(cutoff, max(2 * m + 1 + 2 * n + 1 for (m, n) in basis_indices))
+    basis_indices = _check_basis_indices(basis_indices, k, cutoff)
+    one_hot = np.eye(cutoff)
+    pairs = [_PairBlocks(one_hot[2 * m + 1], one_hot[2 * n], cutoff) for (m, n) in basis_indices]
+    support = [np.isin(pair.first, (2 * m + 1, 2 * n)).astype(float)
+               for pair, (m, n) in zip(pairs, basis_indices)]
+    (a, pop_in), tail = _run_on_pairs(
+        circuit, pairs, [[pair.readout_mask for pair in pairs], support])
+    leak = 1.0 - pop_in
+    if leak > SUPPORT_LEAK_TOL:
+        raise fock.StateError(f"population {leak:.3e} left the encoded basis-pair subspace")
+    return ComputationResult(a, "pure", k, cutoff, basis_indices=basis_indices,
+                             truncation_tail=tail)
 
 
 def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
@@ -452,27 +392,20 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     The initial state is diagonal in the Fock basis and every gate conserves
     each pair's total excitation, so each pair's mixture columns are evolved
     inside their own total-excitation block (:class:`_PairBlocks`), the
-    truncated blocks with t >= cutoff included.  Z and X rotations run the
-    literal ancilla circuits on those blocks and the ancilla's return to |+>
-    is asserted after every gate.  An entangler exp(i gamma P_a P_b) splits
-    every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
-    a sum of pair-product branches and the readout expectation factorizes
-    over pairs.  Any number of logical qubits is accepted up to
-    ``MAX_MIXED_BRANCHES`` branches (2 to the number of entanglers).  The
-    evaluation is deterministic, with no Monte-Carlo sampling.  Readout is
-    the product of second-mode parity projectors, never an individual-Fock-
-    state projector.
+    truncated blocks with t >= cutoff included; every pair shares one
+    :class:`_PairBlocks`.  Z and X rotations run the literal ancilla circuits
+    on those blocks and the ancilla's return to |+> is asserted after every
+    gate; entanglers split pair-product branches (:func:`_run_on_pairs`).
+    Any number of logical qubits is accepted up to ``MAX_MIXED_BRANCHES``
+    branches (2 to the number of entanglers).  The evaluation is
+    deterministic, with no Monte-Carlo sampling.  Readout is the product of
+    second-mode parity projectors, never an individual-Fock-state projector.
 
     ``truncation_tail`` is the joint mixture weight of the blocks where any
     pair's total excitation reaches the cutoff; there the truncated beam
     splitter differs from the ideal one.
     """
     k = circuit.qubit_count
-    n_entanglers = sum(len(s.gamma) for s in circuit.steps)
-    if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
-        raise DimensionBudgetError(
-            f"{n_entanglers} entanglers exceed the mixed-run budget of "
-            f"{MAX_MIXED_BRANCHES} branches")
     if cutoff is None:
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
@@ -483,25 +416,6 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     w_odd = even_odd_weights(spec.mean_excitation, cutoff, -1)
     w_even = even_odd_weights(spec.mean_excitation, cutoff, +1)
     pair = _PairBlocks(w_odd, w_even, cutoff)
-    # states[p] lists the distinct states of pair p; a branch is a coefficient
-    # and the index of its state in every pair's list
-    states = [[pair.initial] for _ in range(k)]
-    coeffs = np.ones(1, dtype=complex)
-    index = np.zeros((1, k), dtype=int)
-    for gate in step_gates(circuit):
-        if gate[0] == "zz":
-            _, ka, kb, ang = gate
-            flipped = index.copy()
-            for p in (ka, kb):
-                flipped[:, p] += len(states[p])
-                states[p] = states[p] + [pair.parity * v for v in states[p]]
-            index = np.concatenate([index, flipped])
-            coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
-        else:
-            states[gate[1]] = [pair.single_pair_gate(v, gate) for v in states[gate[1]]]
-    terms = np.outer(coeffs.conj(), coeffs)
-    for p in range(k):
-        terms = terms * pair.readout_gram(states[p])[np.ix_(index[:, p], index[:, p])]
-    return ComputationResult(float(terms.sum().real), "mixed", k, cutoff,
-                             mean_excitation=spec.mean_excitation,
-                             truncation_tail=1.0 - (1.0 - pair.broken_weight) ** k)
+    (a,), tail = _run_on_pairs(circuit, [pair] * k, [[pair.readout_mask] * k])
+    return ComputationResult(a, "mixed", k, cutoff, mean_excitation=spec.mean_excitation,
+                             truncation_tail=tail)

@@ -205,18 +205,15 @@ def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:
 
 
 def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
-                      cutoff: int, closed_form: bool = True) -> TruncatedOperator:
+                      cutoff: int) -> TruncatedOperator:
     """Unitary of the whole schedule on (ancilla, mode), segments in time order.
 
-    Free evolutions use the closed-form propagator (or a dense matrix
-    exponential of the truncated Hamiltonian when `closed_form` is False);
-    rotations are ideal and instantaneous; waiting periods without a flip
-    interval are ideal bare evolutions, with one they are simulated as the
-    explicit flip sequence.
+    Free evolutions use the closed-form propagator; rotations are ideal and
+    instantaneous; waiting periods without a flip interval are ideal bare
+    evolutions, with one they are simulated as the explicit flip sequence.
     """
     lay = _hybrid_layout(cutoff)
     sched = schedule.expand_waiting()
-    h = None if closed_form else hamiltonian(params, cutoff)
     free_cache: dict[float, np.ndarray] = {}
     u = np.eye(lay.total_dim, dtype=complex)
     for seg in sched.segments:
@@ -224,12 +221,8 @@ def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
             mat = fock.qubit_rotation(lay, 0, seg.axis, seg.angle).matrix
         elif isinstance(seg, FreeEvolution):
             if seg.duration not in free_cache:
-                if closed_form:
-                    free_cache[seg.duration] = exact_free_propagator(
-                        params, seg.duration, cutoff).matrix
-                else:
-                    free_cache[seg.duration] = fock.matrix_exponential(
-                        (-1j * seg.duration) * h).matrix
+                free_cache[seg.duration] = exact_free_propagator(
+                    params, seg.duration, cutoff).matrix
             mat = free_cache[seg.duration]
         else:
             mat = bare_rotation(params.nu, seg.duration, cutoff).matrix
@@ -407,23 +400,14 @@ def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
 # ---------------------------------------------------------------------------
 
 
-def waiting_period_flip_cancellation(params: HybridHamiltonianParams, duration: float,
-                                     flip_interval: float, cutoff: int) -> TruncatedOperator:
-    """Dynamically cancelled waiting period: pairs of flipped short evolutions.
-
-    Approximates exp(-i duration nu a^dag a) with an error second order in
-    the flip interval.
-    """
-    if flip_interval > duration:
-        raise ValueError("flip interval cannot exceed the duration")
-    sched = PulseSchedule((WaitingPeriod(duration, flip_interval),))
-    return simulate_schedule(sched, params, cutoff)
-
-
 def flip_cancellation_residual(params: HybridHamiltonianParams, duration: float,
                                flip_interval: float, cutoff: int,
                                n_max: int | None = None) -> float:
-    """Phase-gauged distance of the flipped waiting period from the bare evolution."""
-    approx = waiting_period_flip_cancellation(params, duration, flip_interval, cutoff)
+    """Phase-gauged distance of the dynamically cancelled waiting period (the
+    qubit flipped every `flip_interval`) from the bare evolution
+    exp(-i duration nu a^dag a); the error is second order in the flip interval.
+    """
+    sched = PulseSchedule((WaitingPeriod(duration, flip_interval),))
+    approx = simulate_schedule(sched, params, cutoff)
     ideal = bare_rotation(params.nu, duration, cutoff)
     return gauged_distance(approx, ideal, n_max=n_max)

@@ -47,13 +47,6 @@ class ThermalSpec:
             raise ValueError("tail tolerance must be positive")
 
     @property
-    def beta(self) -> float:
-        n = self.mean_excitation
-        if n == 0:
-            return math.inf
-        return -math.log(n / (n + 1.0))
-
-    @property
     def boltzmann_ratio(self) -> float:
         """exp(-beta) = n/(n+1)."""
         n = self.mean_excitation

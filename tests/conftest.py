@@ -1,16 +1,46 @@
-"""Pin BLAS to one thread for the test suite.
+"""Pin BLAS to one thread for the test suite, and share test-side helpers.
 
 On a machine whose cores are shared, OpenBLAS's default thread pool thrashes
 and the suite runs several times slower.  BLAS reads its thread count when
 numpy is first imported, so the pin is set here, before any test module
-imports numpy; a value already in the environment wins.
+imports numpy; a value already in the environment wins.  numpy and tqpsim
+are therefore imported only inside the fixtures.
 """
 
 import os
 import sys
 import warnings
 
+import pytest
+
 if "numpy" in sys.modules:
     warnings.warn("numpy was imported before tests/conftest.py; BLAS threads are not pinned")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture
+def dense_schedule_unitary():
+    """``pulses.simulate_schedule`` with every free evolution a dense matrix
+    exponential of the truncated Hamiltonian, in place of the closed-form
+    propagator: the cross-check of the schedule unitary."""
+    import numpy as np
+    from tqpsim import fock, pulses
+
+    def unitary(schedule, params, cutoff):
+        lay = fock.SpaceLayout(1, (cutoff,))
+        h = pulses.hamiltonian(params, cutoff)
+        free: dict[float, np.ndarray] = {}
+        u = np.eye(lay.total_dim, dtype=complex)
+        for seg in schedule.expand_waiting().segments:
+            if isinstance(seg, pulses.QubitRotation):
+                mat = fock.qubit_rotation(lay, 0, seg.axis, seg.angle).matrix
+            elif isinstance(seg, pulses.FreeEvolution):
+                if seg.duration not in free:
+                    free[seg.duration] = fock.matrix_exponential((-1j * seg.duration) * h).matrix
+                mat = free[seg.duration]
+            else:
+                mat = pulses.bare_rotation(params.nu, seg.duration, cutoff).matrix
+            u = mat @ u
+        return fock.TruncatedOperator(lay, u, copy=False)
+    return unitary

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,18 +13,17 @@ from tqpsim.msuqc import CircuitStep, LogicalCircuit
 from tqpsim.thermal import ThermalSpec
 
 
-def dense_mixed_probability(circuit, spec, cutoff):
-    """Cross-check of run_mixed: the full density matrix of the ancilla and all
-    modes, conjugated by the full gate unitaries.  Tiny cutoffs only."""
+def dense_mixed_probability(circuit, pair_weights, cutoff):
+    """Cross-check of run_mixed and run_pure: the full density matrix of the
+    ancilla and all modes, conjugated by the full gate unitaries.  Pair k
+    starts in the diagonal state ``pair_weights[k]`` over |i, j> (flat index
+    i * cutoff + j).  Tiny cutoffs only."""
     k = circuit.qubit_count
     layout = SpaceLayout(1, (cutoff,) * (2 * k))
     assert layout.total_dim <= 3000
-    n = spec.mean_excitation
-    pair = np.kron(np.diag(thermal.even_odd_weights(n, cutoff, -1)),
-                   np.diag(thermal.even_odd_weights(n, cutoff, +1)))
     rho = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    for _ in range(k):
-        rho = np.kron(rho, pair)
+    for w in pair_weights:
+        rho = np.kron(rho, np.diag(w))
     refs = [encoding.LogicalQubitRef(i) for i in range(k)]
     for gate in msuqc.step_gates(circuit):
         if gate[0] == "z":
@@ -37,6 +37,23 @@ def dense_mixed_probability(circuit, spec, cutoff):
     for ref in refs:
         readout = readout @ (np.eye(layout.total_dim) + encoding.logical_Z(layout, ref).matrix) / 2
     return float(np.trace(readout @ rho).real)
+
+
+def thermal_pairs(spec, k, cutoff):
+    """Per-pair weights of the parity-projected thermal pair state."""
+    n = spec.mean_excitation
+    w = np.kron(thermal.even_odd_weights(n, cutoff, -1), thermal.even_odd_weights(n, cutoff, +1))
+    return [w] * k
+
+
+def basis_pairs(basis_indices, cutoff):
+    """Per-pair weights of the pure basis-pair state |2m+1, 2n>."""
+    out = []
+    for (m, n) in basis_indices:
+        w = np.zeros(cutoff * cutoff)
+        w[(2 * m + 1) * cutoff + 2 * n] = 1.0
+        out.append(w)
+    return out
 
 
 def single_qubit(phi=0.0, theta=0.0):
@@ -125,11 +142,23 @@ def test_mixed_methods_cross_validate():
     spec = ThermalSpec(0.4, cutoff=10, tail_tol=1e-3)
     circ = msuqc.random_circuit(rng, 1, 2)
     a_blocks = msuqc.run_mixed(circ, spec, cutoff=10).probability
-    assert abs(a_blocks - dense_mixed_probability(circ, spec, 10)) < 1e-10
+    assert abs(a_blocks - dense_mixed_probability(circ, thermal_pairs(spec, 1, 10), 10)) < 1e-10
     spec2 = ThermalSpec(0.15, cutoff=5, tail_tol=1e-2)
     circ2 = LogicalCircuit(2, (CircuitStep((0.3, 0.7), (0.2, -0.4), (0.6,)),))
     a_blocks2 = msuqc.run_mixed(circ2, spec2, cutoff=5).probability
-    assert abs(a_blocks2 - dense_mixed_probability(circ2, spec2, 5)) < 1e-10
+    assert abs(a_blocks2 - dense_mixed_probability(circ2, thermal_pairs(spec2, 2, 5), 5)) < 1e-10
+
+
+def test_pure_matches_dense_route():
+    # one qubit, and two qubits with a different basis pair on each
+    rng = np.random.default_rng(53)
+    circ = msuqc.random_circuit(rng, 1, 2)
+    a_pure = msuqc.run_pure(circ, [(1, 2)], cutoff=8).probability
+    assert abs(a_pure - dense_mixed_probability(circ, basis_pairs([(1, 2)], 8), 8)) < 1e-10
+    circ2 = msuqc.random_circuit(rng, 2, 1)
+    a_pure2 = msuqc.run_pure(circ2, [(1, 0), (0, 1)], cutoff=4).probability
+    dense2 = dense_mixed_probability(circ2, basis_pairs([(1, 0), (0, 1)], 4), 4)
+    assert abs(a_pure2 - dense2) < 1e-10
 
 
 _angles = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -146,7 +175,8 @@ def test_mixed_engine_matches_dense_route_on_random_angles(k, cutoff, n_mean, da
     circ = LogicalCircuit(k, steps)
     spec = ThermalSpec(n_mean, tail_tol=1.0)
     a_blocks = msuqc.run_mixed(circ, spec, cutoff=cutoff).probability
-    assert abs(a_blocks - dense_mixed_probability(circ, spec, cutoff)) < 1e-10
+    dense = dense_mixed_probability(circ, thermal_pairs(spec, k, cutoff), cutoff)
+    assert abs(a_blocks - dense) < 1e-10
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -155,7 +185,10 @@ def test_mixed_three_and_four_qubits_against_oracle(k, n_mean):
     circ = msuqc.random_circuit(np.random.default_rng(60 + k), k, 2)
     d = msuqc.mixed_equivalence_cutoff(n_mean)
     res = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
-    assert abs(res.probability - msuqc.qubit_space_oracle(circ)) < 1e-8
+    a_oracle = msuqc.qubit_space_oracle(circ)
+    assert abs(res.probability - a_oracle) < 1e-8
+    pure = msuqc.run_pure(circ, [(p % 2, (p + 1) % 3) for p in range(k)])
+    assert abs(pure.probability - a_oracle) < 1e-8
 
 
 def test_mixed_truncation_tail_is_broken_block_weight():
@@ -186,6 +219,19 @@ def test_mixed_ancilla_return_check_raises(monkeypatch):
         msuqc.run_mixed(single_qubit(phi=0.7), ThermalSpec(0.3), cutoff=14)
 
 
+def test_pure_support_check_raises(monkeypatch):
+    # the square root of the beam splitter still conserves number but is not
+    # 50:50, so an X rotation leaves the basis-pair subspace
+    real = fock.beam_splitter_5050
+
+    def half(*args):
+        op = real(*args)
+        return fock.TruncatedOperator(op.layout, scipy.linalg.sqrtm(op.matrix), copy=False)
+    monkeypatch.setattr(fock, "beam_splitter_5050", half)
+    with pytest.raises(fock.StateError, match="left the encoded basis-pair subspace"):
+        msuqc.run_pure(single_qubit(theta=0.3), [(1, 0)])
+
+
 def test_equivalence_cutoff_grows_with_temperature():
     d_half = msuqc.mixed_equivalence_cutoff(0.5)
     d_two = msuqc.mixed_equivalence_cutoff(2.0)
@@ -201,6 +247,10 @@ def test_circuit_validation_and_budget():
         LogicalCircuit(1, (CircuitStep((math.nan,), (0.0,), ()),))
     with pytest.raises(msuqc.DimensionBudgetError):
         msuqc.run_pure(LogicalCircuit(1, ()), [(5, 5)], cutoff=8)
+    # pair (1, 1) has total excitation 5: it must lie below the cutoff
+    for cutoff in (4, 5):
+        with pytest.raises(msuqc.DimensionBudgetError):
+            msuqc.run_pure(single_qubit(theta=0.3), [(1, 1)], cutoff=cutoff)
     with pytest.raises(msuqc.DimensionBudgetError):
         msuqc.run_mixed(msuqc.random_circuit(np.random.default_rng(0), 2, 1),
                         ThermalSpec(1.0), cutoff=8)

@@ -142,7 +142,7 @@ def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
 
 
-def test_closed_system_master_matches_unitary():
+def test_closed_system_master_matches_unitary(dense_schedule_unitary):
     p = hparams(0.03)
     sched = pulses.build_h2_sequence(p, 1)
     noise = NoiseParams(Q=1e300, eta=0.03)
@@ -156,7 +156,7 @@ def test_closed_system_master_matches_unitary():
     u = pulses.simulate_schedule(sched, p, d)
     ref = u.matrix @ st.data @ u.matrix.conj().T
     assert opensys.trace_distance_matrices(evolved.data, ref) < 1e-6
-    u_dense = pulses.simulate_schedule(sched, p, d, closed_form=False)
+    u_dense = dense_schedule_unitary(sched, p, d)
     ref_dense = u_dense.matrix @ st.data @ u_dense.matrix.conj().T
     assert opensys.trace_distance_matrices(evolved.data, ref_dense) < 1e-12
     assert evolved.trace() == pytest.approx(1.0, abs=1e-8)

@@ -158,9 +158,10 @@ def test_engineered_controlled_parity_branch_phases():
         assert rel[n] - rel[0] == pytest.approx(n, abs=0.1 * n * n + 0.05)
 
 
-def test_simulate_schedule_closed_form_flag():
+def test_simulate_schedule_closed_form_flag(dense_schedule_unitary):
+    # the closed-form schedule unitary against dense matrix exponentials
     p = params(0.03)
     sched = pulses.build_h2_sequence(p, 1)
-    u_fast = pulses.simulate_schedule(sched, p, 20, closed_form=True)
-    u_slow = pulses.simulate_schedule(sched, p, 20, closed_form=False)
+    u_fast = pulses.simulate_schedule(sched, p, 20)
+    u_slow = dense_schedule_unitary(sched, p, 20)
     assert pulses.gauged_distance(u_fast, u_slow, n_max=10) < 1e-8
