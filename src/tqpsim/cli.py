@@ -16,7 +16,6 @@ byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -38,7 +37,7 @@ _DEFAULTS = {
         "n_min": 0.2, "n_max": 4.0, "n_step": 0.2,
         "repetitions": [50, 100, 200],
         "noise": "ideal-sequence",
-        "bath": None,  # {"Q": ..., "N_th": ...} switches the master equation on
+        "bath": None,  # {"Q": ..., "N_th": ..., "nu": ...} switches the master equation on
         "ordering_slack": 0.0,
         "monotonic_slack": 1e-3,
     },
@@ -169,11 +168,13 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     configs = [(r, pulses.eta_for_repetitions(r)) for r in reps_list]
     noise, bath = cfg["noise"], cfg["bath"]
     if bath is not None:
-        allowed = {f.name for f in dataclasses.fields(opensys.NoiseParams)} - {"eta"}
-        if "Q" not in bath or not set(bath) <= allowed or not all(
+        if noise != _DEFAULTS["fidelity-sweep"]["noise"]:
+            raise ValueError("bath switches the master equation on; it cannot be "
+                             f"combined with noise {noise!r}")
+        if "Q" not in bath or not set(bath) <= {"Q", "N_th", "nu"} or not all(
                 _matches_default(v, 0.0) for v in bath.values()):
-            raise ValueError(f"bath must map Q and optionally {sorted(allowed - {'Q'})} "
-                             f"to numbers (eta follows the repetition count), got {bath!r}")
+            raise ValueError("bath must map Q and optionally N_th and nu to numbers "
+                             f"(eta follows the repetition count), got {bath!r}")
         noise = opensys.NoiseParams(**bath)
     rows = []
     curves: dict[int, list[float]] = {r: [] for r in reps_list}

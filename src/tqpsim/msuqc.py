@@ -51,6 +51,11 @@ class DimensionBudgetError(ValueError):
     """Requested simulation exceeds the dense-simulation budget."""
 
 
+def _is_number(value) -> bool:
+    """A JSON number (bool is an int subclass, but not a JSON number)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CircuitStep:
     """One computational step: per-qubit Z angles, X angles, and K-1 nearest-
@@ -90,24 +95,36 @@ class LogicalCircuit:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LogicalCircuit":
+        """Parse the wire format; any malformed document raises CircuitFormatError."""
+        if not isinstance(doc, dict):
+            raise CircuitFormatError("circuit document must be a JSON object")
         allowed = {"version", "qubits", "steps"}
         unknown = set(doc) - allowed
         if unknown:
             raise CircuitFormatError(f"unknown circuit keys: {sorted(unknown)}")
         version = doc.get("version", CIRCUIT_FORMAT_VERSION)
-        if version != CIRCUIT_FORMAT_VERSION:
+        if isinstance(version, bool) or version != CIRCUIT_FORMAT_VERSION:
             raise CircuitFormatError(f"unsupported circuit format version {version}")
         if "qubits" not in doc or "steps" not in doc:
             raise CircuitFormatError("circuit document needs 'qubits' and 'steps'")
+        qubits, raw_steps = doc["qubits"], doc["steps"]
+        if isinstance(qubits, bool) or not isinstance(qubits, int):
+            raise CircuitFormatError(f"'qubits' must be an integer, got {qubits!r}")
+        if not isinstance(raw_steps, list):
+            raise CircuitFormatError(f"'steps' must be a list, got {raw_steps!r}")
         steps = []
-        for i, s in enumerate(doc["steps"]):
+        for i, s in enumerate(raw_steps):
+            if not isinstance(s, dict):
+                raise CircuitFormatError(f"step {i}: must be a JSON object, got {s!r}")
             extra = set(s) - {"phi", "theta", "gamma"}
             if extra:
                 raise CircuitFormatError(f"step {i}: unknown keys {sorted(extra)}")
-            steps.append(CircuitStep(tuple(float(x) for x in s.get("phi", [])),
-                                     tuple(float(x) for x in s.get("theta", [])),
-                                     tuple(float(x) for x in s.get("gamma", []))))
-        return cls(int(doc["qubits"]), tuple(steps))
+            angles = [s.get(key, []) for key in ("phi", "theta", "gamma")]
+            if not all(isinstance(a, list) and all(map(_is_number, a)) for a in angles):
+                raise CircuitFormatError(f"step {i}: phi, theta and gamma must be lists "
+                                         "of numbers")
+            steps.append(CircuitStep(*(tuple(float(x) for x in a) for a in angles)))
+        return cls(qubits, tuple(steps))
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:
@@ -403,10 +420,17 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
 
     ``truncation_tail`` is the joint mixture weight of the blocks where any
     pair's total excitation reaches the cutoff; there the truncated beam
-    splitter differs from the ideal one.
+    splitter differs from the ideal one.  The cutoff is ``cutoff``, else
+    ``spec.cutoff``, else the smallest one above the default whose thermal
+    tail is below ``spec.tail_tol``; a ``cutoff`` that differs from a set
+    ``spec.cutoff`` is a ValueError.
     """
     k = circuit.qubit_count
-    if cutoff is None:
+    if spec.cutoff is not None:
+        if cutoff not in (None, spec.cutoff):
+            raise ValueError(f"cutoff {cutoff} differs from the spec's cutoff {spec.cutoff}")
+        cutoff = spec.cutoff
+    elif cutoff is None:
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
     q = spec.boltzmann_ratio

@@ -4,14 +4,17 @@ The mode couples to a hot background through the standard damping dissipators
 
     rho' = -i [H, rho] + (nu/Q)(N_th + 1) D{a} rho + (nu/Q) N_th D{a^dag} rho
 
-with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  Two solvers are provided:
-the master equation through exact per-block segment propagators (the
-Hamiltonian is diagonal in the ancilla's Z basis and the jumps act on the
-mode alone, so each (q, q') block of rho evolves on its own), and a
-Monte-Carlo wavefunction unravelling that carries all trajectories as columns
-of one array through exact per-segment non-Hermitian propagators, bisecting
-the jump time (dyadically) only in the columns whose norm crossed their
-threshold.
+with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  The Hamiltonian is
+diagonal in the ancilla's Z basis (`pulses.level_hamiltonians`) and the jumps
+act on the mode alone, so every solver works on one d x d block per ancilla
+level and never builds an operator on the whole (ancilla, mode) space.  Two
+solvers are provided: the master equation through exact per-block segment
+propagators (each (q, q') block of rho evolves on its own), and a Monte-Carlo
+wavefunction unravelling that carries all trajectories as columns of one
+array through exact per-segment non-Hermitian propagators, bisecting the jump
+time (dyadically) only in the columns whose norm crossed their threshold.
+`lindblad_rhs`, the printed right-hand side on the whole space, is kept as
+the independent reference the tests integrate.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -50,8 +53,8 @@ class NoiseParams:
     """Rates for the damped hybrid system, all in units of the mode frequency.
 
     Q is the mode quality factor; N_th the background occupation; the
-    engineered qubit decay/dephasing rates and the drive detuning/Rabi
-    frequency only enter the cooling comparison.
+    engineered qubit decay/dephasing rates only enter the cooling comparison,
+    which optimises over the drive itself.
     """
 
     Q: float
@@ -60,13 +63,11 @@ class NoiseParams:
     N_th: float = 0.0
     Gamma_dc: float = 0.0
     Gamma_dp: float = 0.0
-    Delta: float = 0.0
-    Omega: float = 0.0
 
     def __post_init__(self):
         if self.Q <= 0:
             raise ValueError("quality factor must be positive")
-        for name in ("nu", "eta", "N_th", "Gamma_dc", "Gamma_dp", "Delta", "Omega"):
+        for name in ("nu", "eta", "N_th", "Gamma_dc", "Gamma_dp"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -103,71 +104,40 @@ class FidelityPoint:
 
 
 # ---------------------------------------------------------------------------
-# Lindblad right-hand side
+# the damped hybrid model and the Lindblad right-hand side
 # ---------------------------------------------------------------------------
 
 
+def _check_layout(layout: SpaceLayout) -> None:
+    if layout.n_modes != 1 or layout.qubit_count > 1:
+        raise fock.LayoutError("open-system model expects one mode and at most one qubit")
+
+
 class _DampedModeModel:
-    """Precomputed operators for one (<=1 qubit, 1 mode) layout."""
+    """The damped hybrid model on a (<=1 qubit, 1 mode) layout, per ancilla level.
+
+    `k[FreeEvolution]` and `k[WaitingPeriod]` are (levels, d, d) stacks of the
+    no-jump generator K = H - i/2 [r_down a^dag a + r_up a a^dag] of a timed
+    segment, one block per ancilla Z level (the coupling is off while
+    waiting); without an ancilla the mode sees the Z = +1 level.  `a` acts on
+    the mode alone.
+    """
 
     def __init__(self, layout: SpaceLayout, noise: NoiseParams):
-        if layout.n_modes != 1 or layout.qubit_count > 1:
-            raise fock.LayoutError("open-system model expects one mode and at most one qubit")
-        self.noise = noise
+        _check_layout(layout)
         self.d = layout.mode_cutoffs[0]
-        self.a = fock.annihilation(layout, 0).matrix
-        self.a_mode = self.a[:self.d, :self.d]  # a on the mode alone (one ancilla level)
-        self.ad = self.a.conj().T
-        self.ada = self.ad @ self.a
-        self.aad = self.a @ self.ad
-        self.n_diag = np.diag(self.ada).real.copy()
-        if layout.qubit_count == 1:
-            coupling = fock.qubit_pauli(layout, 0, "z").matrix @ (self.a + self.ad)
-        else:
-            coupling = self.a + self.ad
-        self.h_free_lab = noise.nu * self.ada + noise.nu * noise.eta * coupling
-        self.h_wait_lab = noise.nu * self.ada
-        # anti-Hermitian no-jump term: H - i/2 sum_k L_k^dag L_k = H + decay
-        self.decay = -0.5j * (noise.rate_down * self.ada + noise.rate_up * self.aad)
+        self.levels = 2 ** layout.qubit_count
+        self.a = fock.annihilation(SpaceLayout(0, (self.d,)), 0).matrix
+        ad = self.a.conj().T
+        decay = -0.5j * (noise.rate_down * ad @ self.a + noise.rate_up * self.a @ ad)
+        self.k = {seg: pulses.level_hamiltonians(noise.nu, eta, self.d)[:self.levels] + decay
+                  for seg, eta in ((FreeEvolution, noise.eta), (WaitingPeriod, 0.0))}
 
-    def segment_hamiltonian(self, seg: FreeEvolution | WaitingPeriod) -> np.ndarray:
-        """Lab-frame Hamiltonian of a timed segment (the coupling is off while waiting)."""
-        return self.h_free_lab if isinstance(seg, FreeEvolution) else self.h_wait_lab
-
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        r1, r2 = self.noise.rate_down, self.noise.rate_up
-        out = np.zeros_like(rho)
-        if r1:
-            out += r1 * (self.a @ rho @ self.ad
-                         - 0.5 * (self.ada @ rho + rho @ self.ada))
-        if r2:
-            out += r2 * (self.ad @ rho @ self.a
-                         - 0.5 * (self.aad @ rho + rho @ self.aad))
-        return out
-
-    def rhs_lab(self, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-        return -1j * (h @ rho - rho @ h) + self.dissipator(rho)
-
-    def block(self, q: int) -> slice:
-        """Rows of ancilla level q (the whole space without an ancilla)."""
-        return slice(q * self.d, (q + 1) * self.d)
-
-    def block_generator(self, seg: FreeEvolution | WaitingPeriod, q: int,
-                        q2: int) -> np.ndarray:
-        """Liouvillian of the (q, q') ancilla block of rho during a timed
-        segment, row-major vectorised.
-
-        With K = H + decay restricted to ancilla level q, the block obeys
-        rho' = -i K_q rho + i rho K_q'^dag + r_down a rho a^dag + r_up a^dag rho a,
-        and vec(A X B) = (A kron B^T) vec(X).
-        """
-        k = self.segment_hamiltonian(seg) + self.decay
-        kq, kq2 = k[self.block(q), self.block(q)], k[self.block(q2), self.block(q2)]
-        a = self.a_mode
-        eye = np.eye(self.d)
-        return (-1j * (np.kron(kq, eye) - np.kron(eye, kq2.conj()))
-                + self.noise.rate_down * np.kron(a, a.conj())
-                + self.noise.rate_up * np.kron(a.conj().T, a.T))
+    def rotation(self, seg: QubitRotation) -> np.ndarray:
+        """The 2 x 2 ancilla rotation of `seg`."""
+        if self.levels == 1:
+            raise fock.LayoutError("a qubit rotation needs an ancilla in the layout")
+        return fock.qubit_rotation_matrix(seg.axis, seg.angle)
 
 
 def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
@@ -184,8 +154,13 @@ def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
         layout, rho = state.layout, state.data
     else:
         layout, rho = h.layout, np.asarray(state, dtype=complex)
-    model = _DampedModeModel(layout, noise)
-    return model.rhs_lab(rho, h.matrix)
+    _check_layout(layout)
+    a = fock.annihilation(layout, 0).matrix
+    out = -1j * (h.matrix @ rho - rho @ h.matrix)
+    for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T)):
+        op_dag_op = op.conj().T @ op
+        out += rate * (op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +173,43 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
     """Evolve a state through a pulse schedule under the master equation.
 
     Exact up to rounding.  The lab-frame Hamiltonian is diagonal in the
-    ancilla's Z basis and the jump operators act on the mode alone, so each
-    (q, q') block of rho evolves on its own under a d^2 x d^2 Liouvillian.
+    ancilla's Z basis and the jump operators act on the mode alone, so rho is
+    held as a (levels, d, levels, d) array and each (q, q') block evolves on
+    its own under a d^2 x d^2 Liouvillian:
+
+        d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
+                       + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a.
+
     Its exponential is built once per (segment, q <= q') and reused (one per
     waiting segment, whose uncoupled blocks share a generator); the (q', q)
     block is set to the adjoint of the evolved (q, q') block.  Instantaneous
-    rotations are applied as exact conjugations.
+    rotations are exact 2 x 2 conjugations on the ancilla axes.
     """
     model = _DampedModeModel(state.layout, noise)
-    levels = range(2 ** state.layout.qubit_count)
-    rho = state.to_density().data.copy()
+    levels, d, a, eye = model.levels, model.d, model.a, np.eye(model.d)
+    # row-major vec(A X B) = (A kron B^T) vec(X)
+    jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
+    rho = state.to_density().data.reshape(levels, d, levels, d).copy()
     props: dict[tuple[FreeEvolution | WaitingPeriod, int, int], np.ndarray] = {}
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, QubitRotation):
-            r = fock.qubit_rotation(state.layout, 0, seg.axis, seg.angle).matrix
-            rho = r @ rho @ r.conj().T
+            r = model.rotation(seg)
+            rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())
             continue
         if seg.duration == 0.0:
             continue
-        for q in levels:
-            for q2 in levels[q:]:
+        for q in range(levels):
+            for q2 in range(q, levels):
                 # while waiting the coupling is off and every block shares one generator
                 key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
                 if key not in props:
-                    props[key] = _expm(seg.duration * model.block_generator(seg, q, q2))
-                blk = (model.block(q), model.block(q2))
-                rho[blk] = (props[key] @ rho[blk].reshape(-1)).reshape(model.d, model.d)
+                    k = model.k[type(seg)]
+                    gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
+                    props[key] = _expm(seg.duration * gen)
+                rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
-                    rho[model.block(q2), model.block(q)] = rho[blk].conj().T
-    return HybridState.density(state.layout, rho)
+                    rho[q2, :, q, :] = rho[q, :, q2, :].conj().T
+    return HybridState.density(state.layout, rho.reshape(levels * d, levels * d))
 
 
 def trace_distance_matrices(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -345,27 +328,20 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     model = _DampedModeModel(state.layout, noise)
-    levels = range(2 ** state.layout.qubit_count)
-    props: dict[FreeEvolution | WaitingPeriod, _SegmentPropagators] = {}
     segs = schedule.expand_waiting().segments
-    for seg in segs:
-        if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0 \
-                and seg not in props:
-            k = model.segment_hamiltonian(seg) + model.decay
-            props[seg] = _SegmentPropagators(
-                np.stack([k[model.block(q), model.block(q)] for q in levels]),
-                seg.duration)
-    jump_ops = [(noise.rate_down, model.a_mode), (noise.rate_up, model.a_mode.conj().T)]
+    props = {seg: _SegmentPropagators(model.k[type(seg)], seg.duration) for seg in set(segs)
+             if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0}
+    jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
     weights, columns = _decompose_for_trajectories(state)
     psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
-    psi = psi.reshape(len(levels), model.d, n_traj)
+    psi = psi.reshape(model.levels, model.d, n_traj)
     r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
 
     for seg in segs:
         if isinstance(seg, QubitRotation):
-            r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
-            psi = (r @ psi.reshape(len(levels), -1)).reshape(psi.shape)
+            r = model.rotation(seg)
+            psi = (r @ psi.reshape(model.levels, -1)).reshape(psi.shape)
             continue
         if seg.duration == 0.0:
             continue
@@ -388,16 +364,17 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
     """(simulated, closed-form) jump probability over one short interval dt.
 
     The closed form is (2 N_th <n> + N_th + <n>) (nu/Q) dt; the simulated
-    value is the norm loss of the no-jump propagator averaged over the
-    mixture.
+    value is the norm loss of the trajectories' no-jump propagator over a
+    free evolution of length dt, averaged over the mixture.
     """
     model = _DampedModeModel(state.layout, noise)
-    k = _expm(-1j * dt * (model.h_free_lab + model.decay))
     weights, cols = _decompose_for_trajectories(state)
-    evolved = k @ cols
-    survive = (np.abs(evolved) ** 2).sum(axis=0)
+    cols = cols.reshape(model.levels, model.d, -1)
+    evolved = _SegmentPropagators(model.k[FreeEvolution], dt).level(0) @ cols
+    survive = (np.abs(evolved) ** 2).sum(axis=(0, 1))
     simulated = float(np.dot(weights, 1.0 - survive))
-    n_mean = float(np.dot(weights, (np.abs(cols) ** 2 * model.n_diag[:, None]).sum(axis=0)))
+    pops = (np.abs(cols) ** 2).sum(axis=0)
+    n_mean = float(np.dot(weights, np.arange(model.d) @ pops))
     closed = (2 * noise.N_th * n_mean + noise.N_th + n_mean) * noise.nu / noise.Q * dt
     return simulated, closed
 
@@ -417,24 +394,22 @@ def _thermal_with_ancilla(n_mean: float, cutoff: int) -> HybridState:
 
 def _parity_branch_factors(rho: np.ndarray, d: int) -> tuple[float, float, float, float]:
     """Measure the ancilla in the X basis; return p+, p-, and the parity
-    traces Tr(rho_+ (I+P)) and Tr(rho_- (I-P)) over normalized branches."""
-    h = np.kron(fock.HADAMARD, np.eye(d))
-    work = h @ rho @ h.conj().T
+    traces Tr(rho_+ (I+P)) and Tr(rho_- (I-P)) over normalized branches.
+
+    In the ancilla's Z blocks rho_qq' the branches are
+    <+-|rho|+-> = (rho_00 + rho_11 +- (rho_01 + rho_10)) / 2; only their
+    Fock populations enter.
+    """
+    pops = np.einsum("pnqn->pqn", rho.reshape(2, d, 2, d)).real
     parity = (-1.0) ** np.arange(d)
-    blocks = work.reshape(2, d, 2, d)
-    t_plus = t_minus = 2.0
-    probs = []
-    for bit, sign in ((0, +1), (1, -1)):
-        blk = blocks[bit, :, bit, :]
-        p = float(np.trace(blk).real)
+    probs, traces = [], []
+    for sign in (+1, -1):
+        branch = (pops[0, 0] + pops[1, 1] + sign * (pops[0, 1] + pops[1, 0])) / 2.0
+        p = float(branch.sum())
         probs.append(p)
-        if p >= DEGENERATE_BRANCH_FLOOR:
-            par = float((np.diag(blk).real * parity).sum()) / p
-            if sign > 0:
-                t_plus = 1.0 + par
-            else:
-                t_minus = 1.0 - par
-    return probs[0], probs[1], t_plus, t_minus
+        traces.append(1.0 + sign * float(branch @ parity) / p
+                      if p >= DEGENERATE_BRANCH_FLOOR else 2.0)
+    return probs[0], probs[1], traces[0], traces[1]
 
 
 def fidelity_cutoff(n_mean: float, tail_tol: float = 1e-6, headroom: int = 4) -> int:
@@ -461,22 +436,19 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     state = _thermal_with_ancilla(n_mean, d)
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # configs stay well under eta = 0.05
-        if noise == "exact-gate":
-            gate = fock.controlled_parity(state.layout, 0, 0)
-            rho = gate.matrix @ state.data @ gate.matrix.conj().T
-        elif noise == "ideal-sequence":
-            gate = pulses.engineered_controlled_parity(params, d, reps)
-            rho = gate.matrix @ state.data @ gate.matrix.conj().T
-        elif isinstance(noise, NoiseParams):
-            sched = pulses.build_h2_sequence(params, reps)
-            evolved = evolve_master(state, sched, replace(noise, eta=eta))
-            chi = 64.0 * reps * eta ** 2
-            corr = fock.qubit_rotation(state.layout, 0, "z", chi / 2.0).matrix
-            rho = corr @ evolved.data @ corr.conj().T
-        else:
-            raise ValueError(f"unknown noise mode {noise!r}")
+    if noise == "exact-gate":
+        gate = fock.controlled_parity(state.layout, 0, 0)
+        rho = gate.matrix @ state.data @ gate.matrix.conj().T
+    elif noise == "ideal-sequence":
+        gate = pulses.engineered_controlled_parity(params, d, reps)
+        rho = gate.matrix @ state.data @ gate.matrix.conj().T
+    elif isinstance(noise, NoiseParams):
+        # the engineered gate's frame correction exp(i chi/2 Z), chi = 64 R eta^2
+        frame = PulseSchedule((QubitRotation("z", 32.0 * reps * eta ** 2),))
+        sched = pulses.build_h2_sequence(params, reps) + frame
+        rho = evolve_master(state, sched, replace(noise, eta=eta)).data
+    else:
+        raise ValueError(f"unknown noise mode {noise!r}")
     p_plus, p_minus, t_plus, t_minus = _parity_branch_factors(rho, d)
     return FidelityPoint(
         mean_excitation=n_mean,

@@ -34,6 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import fock
 from .fock import SpaceLayout, TruncatedOperator
@@ -43,7 +44,7 @@ SEQUENCE_PERIODS = 18.0  # one engineered sequence lasts 18 pi / nu
 
 @dataclass(frozen=True)
 class HybridHamiltonianParams:
-    """First-order coupling H = nu a^dag a + nu eta sigma (a + a^dag).
+    """First-order coupling H = nu a^dag a + nu eta Z (a + a^dag).
 
     eta is dimensionless and must stay in the weak-coupling regime; values
     above 0.05 trigger a warning, above 0.2 an error.
@@ -51,7 +52,6 @@ class HybridHamiltonianParams:
 
     eta: float
     nu: float = 1.0
-    coupling_axis: str = "z"
 
     def __post_init__(self):
         if self.eta < 0:
@@ -61,8 +61,6 @@ class HybridHamiltonianParams:
         if self.eta > 0.05:
             warnings.warn(f"eta = {self.eta} is large for the engineered sequence; "
                           "residuals grow like eta^4", stacklevel=2)
-        if self.coupling_axis.lower() not in ("x", "y", "z"):
-            raise ValueError("coupling_axis must be one of x, y, z")
 
 
 @dataclass(frozen=True)
@@ -160,26 +158,29 @@ def _hybrid_layout(cutoff: int) -> SpaceLayout:
     return SpaceLayout(1, (cutoff,))
 
 
+def level_hamiltonians(nu: float, eta: float, cutoff: int) -> np.ndarray:
+    """[H_+, H_-], H_pm = nu a^dag a +- nu eta (a + a^dag) on the mode: H is
+    one d x d block per ancilla Z level, level 0 (qubit |0>, Z = +1) first."""
+    a = fock.annihilation(SpaceLayout(0, (cutoff,)), 0).matrix
+    n, x = nu * np.diag(np.arange(cutoff)), nu * eta * (a + a.conj().T)
+    return np.stack([n + x, n - x])
+
+
 def hamiltonian(params: HybridHamiltonianParams, cutoff: int) -> TruncatedOperator:
-    """H = nu a^dag a + nu eta sigma (a + a^dag) on (ancilla, mode)."""
-    lay = _hybrid_layout(cutoff)
-    a = fock.annihilation(lay, 0)
-    n = fock.number(lay, 0)
-    sig = fock.qubit_pauli(lay, 0, params.coupling_axis)
-    return params.nu * n + params.nu * params.eta * (sig @ (a + a.adjoint()))
+    """H = nu a^dag a + nu eta Z (a + a^dag) on (ancilla, mode)."""
+    blocks = level_hamiltonians(params.nu, params.eta, cutoff)
+    return TruncatedOperator(_hybrid_layout(cutoff), block_diag(*blocks), copy=False)
 
 
 def exact_free_propagator(params: HybridHamiltonianParams, t: float,
                           cutoff: int) -> TruncatedOperator:
-    """Closed-form exp(-i t H) for Z-axis coupling, block per qubit branch:
+    """Closed-form exp(-i t H), block per qubit branch:
 
         U_pm(t) = e^{i eta^2 (nu t - sin nu t)} e^{-i nu t a^dag a}
                   D(-/+ eta (e^{i nu t} - 1))
 
     The branch for qubit |0> (Z = +1) is U_+.
     """
-    if params.coupling_axis.lower() != "z":
-        raise ValueError("closed form applies to Z-axis coupling")
     lay = _hybrid_layout(cutoff)
     d = cutoff
     nu, eta = params.nu, params.eta
@@ -191,10 +192,7 @@ def exact_free_propagator(params: HybridHamiltonianParams, t: float,
         alpha = -sign * eta * (np.exp(1j * nu * t) - 1.0)
         disp = fock.displacement(sub, 0, alpha).matrix
         blocks.append(phase * rot @ disp)
-    mat = np.zeros((2 * d, 2 * d), dtype=complex)
-    mat[:d, :d] = blocks[0]
-    mat[d:, d:] = blocks[1]
-    return TruncatedOperator(lay, mat, copy=False)
+    return TruncatedOperator(lay, block_diag(*blocks), copy=False)
 
 
 def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:
@@ -292,8 +290,9 @@ def dispersive_target(params: HybridHamiltonianParams, cutoff: int,
 
 
 def gauged_distance(u: TruncatedOperator | np.ndarray, v: TruncatedOperator | np.ndarray,
-                    n_max: int | None = None, norm: str = "max") -> float:
-    """Distance between two (ancilla, mode) unitaries up to a global phase.
+                    n_max: int | None = None) -> float:
+    """Largest entry-wise distance between two (ancilla, mode) unitaries up to
+    a global phase.
 
     Restricted to Fock levels <= n_max on both qubit branches (default: full
     cutoff minus 6, excluding truncation-edge artifacts); the phase gauge
@@ -308,10 +307,7 @@ def gauged_distance(u: TruncatedOperator | np.ndarray, v: TruncatedOperator | np
     us, vs = um[np.ix_(keep, keep)], vm[np.ix_(keep, keep)]
     tr = np.trace(us.conj().T @ vs)
     phase = tr / abs(tr) if abs(tr) > 1e-300 else 1.0
-    diff = us * phase - vs
-    if norm == "max":
-        return float(np.abs(diff).max())
-    return float(np.linalg.norm(diff, 2))
+    return float(np.abs(us * phase - vs).max())
 
 
 def sequence_residual(params: HybridHamiltonianParams, cutoff: int,

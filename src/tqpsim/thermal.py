@@ -52,10 +52,10 @@ class ThermalSpec:
         n = self.mean_excitation
         return n / (n + 1.0)
 
-    def resolved_cutoff(self, default: int = 20) -> int:
+    def resolved_cutoff(self) -> int:
         if self.cutoff is not None:
             return self.cutoff
-        return required_cutoff(self.mean_excitation, self.tail_tol, default)
+        return required_cutoff(self.mean_excitation, self.tail_tol)
 
 
 def required_cutoff(mean_excitation: float, tail_tol: float = 1e-8, start: int = 20) -> int:

@@ -119,6 +119,9 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("fidelity-sweep", {"bath": {"Q": 1e4, "eta": 0.01}}),
     ("fidelity-sweep", {"bath": {"N_th": 0.5}}),
     ("fidelity-sweep", {"bath": {"Q": "high"}}),
+    ("fidelity-sweep", {"bath": {"Q": 1e4, "Gamma_dc": 3.0}}),
+    ("fidelity-sweep", {"bath": {"Q": 1e4, "Delta": 3.0}}),
+    ("fidelity-sweep", {"noise": "exact-gate", "bath": {"Q": 1e4}}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

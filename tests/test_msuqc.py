@@ -281,6 +281,46 @@ def test_wire_format_round_trip_and_rejection(tmp_path):
     assert LogicalCircuit.from_json_dict(doc3) == circ
 
 
+@pytest.mark.parametrize("change", [
+    {"steps": 5},
+    {"steps": [{"phi": 5, "theta": [0.2], "gamma": []}]},
+    {"qubits": "x"},
+    {"steps": [{"phi": ["a"], "theta": [0.2], "gamma": []}]},
+    {"qubits": 1.7},
+    {"qubits": True},
+    {"version": True},
+])
+def test_malformed_circuit_documents_are_format_errors(change):
+    doc = {"version": 1, "qubits": 1, "steps": [{"phi": [0.1], "theta": [0.2], "gamma": []}]}
+    LogicalCircuit.from_json_dict(doc)
+    doc.update(change)
+    with pytest.raises(msuqc.CircuitFormatError):
+        LogicalCircuit.from_json_dict(doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(1, 4), n_steps=st.integers(0, 3), data=st.data())
+def test_wire_format_round_trip_random_circuits(k, n_steps, data):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    steps = tuple(CircuitStep(*(tuple(data.draw(finite) for _ in range(n)) for n in (k, k, k - 1)))
+                  for _ in range(n_steps))
+    circ = LogicalCircuit(k, steps)
+    assert LogicalCircuit.from_json_dict(circ.to_json_dict()) == circ
+    assert LogicalCircuit.from_json_dict(json.loads(json.dumps(circ.to_json_dict()))) == circ
+
+
+def test_run_mixed_takes_the_spec_cutoff():
+    circ = single_qubit(phi=0.3, theta=0.8)
+    spec = ThermalSpec(0.5, cutoff=12, tail_tol=1e-5)
+    res = msuqc.run_mixed(circ, spec)
+    assert res.cutoff == 12
+    assert res.probability == msuqc.run_mixed(circ, ThermalSpec(0.5, tail_tol=1e-5),
+                                              cutoff=12).probability
+    assert msuqc.run_mixed(circ, spec, cutoff=12).cutoff == 12
+    with pytest.raises(ValueError, match="differs"):
+        msuqc.run_mixed(circ, spec, cutoff=14)
+
+
 def test_result_metadata():
     circ = single_qubit(theta=0.4)
     res = msuqc.run_pure(circ, [(0, 1)])

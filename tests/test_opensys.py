@@ -286,6 +286,36 @@ def test_jump_unravelling_several_jumps_in_one_segment():
     assert abs(ens.mean_jumps - expected) <= 4 * stderr
 
 
+def test_mode_only_layout_is_the_ancilla_zero_block():
+    # without an ancilla the mode sees the Z = +1 level: every solver must agree
+    # with the (0, 0) block of the same run with the ancilla held in |0><0|
+    d, n_traj = 8, 400
+    noise = NoiseParams(Q=20.0, N_th=0.7, eta=0.03)
+    sched = pulses.PulseSchedule((pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6),
+                                  pulses.FreeEvolution(0.9)))
+    block = _random_density(d, 21).data[:d, :d]
+    rho = block / np.trace(block)
+    mode_only = HybridState.density(SpaceLayout(0, (d,)), rho)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    with_ancilla = HybridState.density(SpaceLayout(1, (d,)), np.kron(zero, rho))
+    master = opensys.evolve_master(mode_only, sched, noise).data
+    reference = opensys.evolve_master(with_ancilla, sched, noise).data
+    assert np.abs(master - reference[:d, :d]).max() <= 1e-14
+    ens = opensys.jump_unravelling(mode_only, sched, noise, np.random.default_rng(3), n_traj)
+    assert ens.mean_jumps > 0.0
+    assert opensys.trace_distance_matrices(ens.mean_state.data, master) <= 3 / math.sqrt(n_traj)
+    h_mode = fock.TruncatedOperator(SpaceLayout(0, (d,)),
+                                    pulses.level_hamiltonians(1.0, 0.03, d)[0])
+    h = pulses.hamiltonian(hparams(0.03), d)
+    deriv = opensys.lindblad_rhs(mode_only, h_mode, noise)
+    assert np.abs(deriv - opensys.lindblad_rhs(with_ancilla, h, noise)[:d, :d]).max() <= 1e-14
+    rotated = sched + pulses.PulseSchedule((pulses.QubitRotation("x", 0.3),))
+    with pytest.raises(fock.LayoutError):
+        opensys.evolve_master(mode_only, rotated, noise)
+    with pytest.raises(fock.LayoutError):
+        opensys.jump_unravelling(mode_only, rotated, noise, np.random.default_rng(0), 2)
+
+
 @pytest.mark.parametrize("n_traj", [0, -1])
 def test_trajectory_count_must_be_positive(n_traj):
     noise, sched, st = _noisy_unravelling_case(4)
@@ -344,8 +374,7 @@ def test_epsilon_closed_form_values_and_scaling():
 
 
 def test_cooling_rate_zeros_and_optimum_scaling():
-    noise = NoiseParams(Q=1e6, N_th=100.0, eta=0.016, Gamma_dc=0.01, Gamma_dp=100.0,
-                        Delta=1.0, Omega=1.0)
+    noise = NoiseParams(Q=1e6, N_th=100.0, eta=0.016, Gamma_dc=0.01, Gamma_dp=100.0)
     assert opensys.cooling_rate(noise, 0.0, 1.0) == 0.0
     assert opensys.cooling_rate(noise, 1.0, 0.0) == 0.0
     comp = opensys.cooling_comparison(noise, n_mean=1.0)
