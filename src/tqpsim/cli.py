@@ -102,10 +102,16 @@ def _resolve_config(command: str, args) -> dict:
             if value == []:
                 raise UsageError(f"config key {key!r} must not be an empty list")
         cfg.update(loaded)
-    if cfg.get("n_step", 1) <= 0:
-        raise UsageError("n_step must be positive")
+    # a zero count or an empty grid would check nothing and still exit 0
+    for key in ("n_step", "n_circuits", "max_steps", "n_random_states"):
+        if cfg.get(key, 1) <= 0:
+            raise UsageError(f"{key} must be positive")
     if any(r <= 0 for r in cfg.get("repetitions", ())):
         raise UsageError("repetitions must be positive")
+    if cfg.get("n_max", 0.0) < cfg.get("n_min", 0.0):
+        raise UsageError(f"n_max {cfg['n_max']} is below n_min {cfg['n_min']}")
+    if args.cutoff is not None and args.cutoff < 2:  # 0 would silently mean "no override"
+        raise UsageError(f"--cutoff must be at least 2, got {args.cutoff}")
     cfg["seed"] = args.seed
     cfg["cutoff_override"] = args.cutoff
     return cfg
@@ -224,7 +230,7 @@ def _cmd_algebra_check(cfg: dict, out: str) -> int:
         eye = np.eye(lay.total_dim)
         P = fock.parity(lay, 1)
         S = fock.two_mode_swap(lay, 0, 1)
-        C = fock.controlled_parity(lay, 0, 1)
+        C = fock.controlled_parity(lay, 1)
         B = fock.beam_splitter_5050(lay, 0, 1)
         N = fock.number(lay, 0) + fock.number(lay, 1)
         checks = {
@@ -355,17 +361,23 @@ def _apply_threads(threads: int | None) -> None:
     # must happen before numpy is imported anywhere in this process
     if threads is None:
         env = os.environ.get("TQPSIM_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+        if not env:
+            return
+        try:
+            threads = int(env)
+        except ValueError:
+            raise UsageError(f"TQPSIM_THREADS must be an integer, got {env!r}")
+    if threads < 1:
+        raise UsageError(f"thread count must be positive, got {threads}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
+        _apply_threads(args.threads)
         cfg = _resolve_config(args.command, args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,16 +3,18 @@
 A logical qubit lives on a pair of qumodes holding one odd- and one
 even-parity state.  Logical Z is the Fock parity of the pair's second mode;
 logical X is the two-mode swap.  Arbitrary-angle exponentials of these
-involutions are realized with a single shared auxiliary qubit prepared in
-|+>, conjugating an ancilla X rotation by controlled-parity operations
-(beam-splitter conjugation turns the parity into the swap):
+involutions are realized with the single shared auxiliary qubit (the
+ancilla, tensor axis 0 of every hybrid layout) prepared in |+>, conjugating
+an ancilla X rotation by controlled-parity operations (beam-splitter
+conjugation turns the parity into the swap):
 
     C R_X(theta) C          -> exp(i theta Z_L)   on the mode factor
     B^dag C R_X(theta) C B  -> exp(i theta X_L)
     C_l C_k R_X(theta) C_k C_l -> exp(i theta Z_L Z_L)
 
-The ancilla returns to |+> exactly after each gate, so one ancilla can be
-reused for every gate and for the nondemolition parity measurement.
+The ancilla returns to |+> exactly after each gate, so one ancilla serves
+every gate and the nondemolition parity measurement; no function here takes
+an ancilla index.
 """
 
 from __future__ import annotations
@@ -40,19 +42,12 @@ class BranchError(ValueError):
 
 @dataclass(frozen=True)
 class LogicalQubitRef:
-    """Logical qubit k on modes (2k, 2k+1) of a layout, with a shared ancilla.
-
-    `modes` may be overridden for non-standard placements; the two modes must
-    share one cutoff.
-    """
+    """Logical qubit k on modes (2k, 2k+1) of a layout; the two modes must
+    share one cutoff."""
 
     index: int
-    modes: tuple[int, int] | None = None
-    ancilla: int = 0
 
     def mode_pair(self) -> tuple[int, int]:
-        if self.modes is not None:
-            return self.modes
         return (2 * self.index, 2 * self.index + 1)
 
 
@@ -103,8 +98,8 @@ def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> Trunca
 def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
     """C R_X(theta) C: exp(i theta Z_L) on the modes, ancilla |+> -> |+>."""
     _, mb = _check_pair(layout, ref)
-    C = fock.controlled_parity(layout, ref.ancilla, mb)
-    R = fock.qubit_rotation(layout, ref.ancilla, "x", theta)
+    C = fock.controlled_parity(layout, mb)
+    R = fock.qubit_rotation(layout, "x", theta)
     return C @ R @ C
 
 
@@ -112,8 +107,8 @@ def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> Truncate
     """B^dag C R_X(theta) C B: exp(i theta X_L) on the modes."""
     ma, mb = _check_pair(layout, ref)
     B = fock.beam_splitter_5050(layout, ma, mb)
-    C = fock.controlled_parity(layout, ref.ancilla, mb)
-    R = fock.qubit_rotation(layout, ref.ancilla, "x", theta)
+    C = fock.controlled_parity(layout, mb)
+    R = fock.qubit_rotation(layout, "x", theta)
     return B.adjoint() @ C @ R @ C @ B
 
 
@@ -122,44 +117,32 @@ def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef
     """C_l C_k R_X(theta) C_k C_l: exp(i theta Z_L (x) Z_L) across two pairs."""
     _, mbk = _check_pair(layout, ref_k)
     _, mbl = _check_pair(layout, ref_l)
-    if ref_k.ancilla != ref_l.ancilla:
-        raise fock.LayoutError("entangling gate uses one shared ancilla")
-    Ck = fock.controlled_parity(layout, ref_k.ancilla, mbk)
-    Cl = fock.controlled_parity(layout, ref_l.ancilla, mbl)
-    R = fock.qubit_rotation(layout, ref_k.ancilla, "x", theta)
+    Ck = fock.controlled_parity(layout, mbk)
+    Cl = fock.controlled_parity(layout, mbl)
+    R = fock.qubit_rotation(layout, "x", theta)
     return Cl @ Ck @ R @ Ck @ Cl
 
 
-def mode_factor_of_gate(gate: TruncatedOperator, ancilla: int = 0) -> np.ndarray:
+def _from_plus_block(gate: TruncatedOperator, bra: np.ndarray) -> np.ndarray:
+    """<bra|_A gate |+>_A, an operator on the mode factor."""
+    gate.layout.require_ancilla()
+    rest = gate.layout.total_dim // 2
+    return np.einsum("a,aibj,b->ij", bra.conj(), gate.matrix.reshape(2, rest, 2, rest),
+                     fock.KET_PLUS)
+
+
+def mode_factor_of_gate(gate: TruncatedOperator) -> np.ndarray:
     """<+|_A gate |+>_A: the induced map on the non-ancilla factor.
 
     Valid when the gate preserves |+> on the ancilla; the complementary
     block <-|gate|+> measures the ancilla leakage.
     """
-    layout = gate.layout
-    dims = layout.dims
-    n = len(dims)
-    ax = layout.qubit_axis(ancilla)
-    t = gate.matrix.reshape(dims + dims)
-    t = np.moveaxis(t, (ax, ax + n), (0, 1))
-    rest = layout.total_dim // 2
-    t = t.reshape(2, 2, rest, rest)
-    plus = fock.KET_PLUS
-    return np.einsum("a,abij,b->ij", plus.conj(), t, plus)
+    return _from_plus_block(gate, fock.KET_PLUS)
 
 
-def ancilla_leakage(gate: TruncatedOperator, ancilla: int = 0) -> float:
+def ancilla_leakage(gate: TruncatedOperator) -> float:
     """Spectral norm of <-|gate|+>; zero when the ancilla returns to |+> exactly."""
-    layout = gate.layout
-    dims = layout.dims
-    n = len(dims)
-    ax = layout.qubit_axis(ancilla)
-    t = gate.matrix.reshape(dims + dims)
-    t = np.moveaxis(t, (ax, ax + n), (0, 1))
-    rest = layout.total_dim // 2
-    t = t.reshape(2, 2, rest, rest)
-    blk = np.einsum("a,abij,b->ij", fock.KET_MINUS.conj(), t, fock.KET_PLUS)
-    return float(np.linalg.norm(blk, 2))
+    return float(np.linalg.norm(_from_plus_block(gate, fock.KET_MINUS), 2))
 
 
 def variant_conjugate(v: TruncatedOperator, op: TruncatedOperator) -> TruncatedOperator:
@@ -189,92 +172,62 @@ class ParityMeasurement:
     state: HybridState | None
 
 
-def _check_ancilla_plus(state: HybridState, ancilla: int) -> None:
-    red = state.reduced_qubit(ancilla)
+def _check_ancilla_plus(state: HybridState) -> None:
+    red = state.reduced_qubit()
     tr = float(np.trace(red).real)
     fid = float((fock.KET_PLUS.conj() @ red @ fock.KET_PLUS).real) / tr
     if 1.0 - fid > ANCILLA_RETURN_TOL:
         raise AncillaError(f"ancilla |+> fidelity deficit {1.0 - fid:.3e} exceeds tolerance")
 
 
-def _measure_branches(state: HybridState, ancilla: int, mode: int) -> list[ParityMeasurement]:
+def _measure_branches(state: HybridState, mode: int) -> list[ParityMeasurement]:
+    """Controlled parity, then an X-basis readout of the ancilla.
+
+    With the ancilla's Z components psi_q (rho_qq') after the controlled
+    parity, the + (even) and - (odd) branches are (psi_0 +- psi_1)/sqrt(2),
+    or (rho_00 + rho_11 +- (rho_01 + rho_10))/2 for a density matrix.
+    """
     layout = state.layout
-    _check_ancilla_plus(state, ancilla)
-    C = fock.controlled_parity(layout, ancilla, mode)
-    work = state.apply(C)
-    # X-basis measurement as Hadamard then Z-basis projection: outcome |0> is
-    # the + (even) branch because H|+> = |0>
-    H = TruncatedOperator(layout, fock._embed_single(layout, layout.qubit_axis(ancilla),
-                                                     fock.HADAMARD), copy=False)
-    work = work.apply(H)
-    dims = layout.dims
-    n = len(dims)
-    ax = layout.qubit_axis(ancilla)
-    out = []
+    _check_ancilla_plus(state)
+    work = state.apply(fock.controlled_parity(layout, mode)).data
+    rest = layout.total_dim // 2
     total = state.trace()
-    for bit, sign in ((0, +1), (1, -1)):
-        if work.is_pure:
-            t = np.moveaxis(work.data.reshape(dims), ax, 0)
-            branch = t[bit]
+    plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
+    out = []
+    for sign in (+1, -1):
+        if state.is_pure:
+            psi = work.reshape(2, rest)
+            branch = (psi[0] + sign * psi[1]) / math.sqrt(2)
             p = float((np.abs(branch) ** 2).sum()) / total
-            if p < BRANCH_FLOOR:
-                out.append(ParityMeasurement(sign, p, None))
-                continue
-            rest = branch.reshape(-1) / math.sqrt(p * total)
-            new = np.zeros(dims, dtype=complex)
-            mt = np.moveaxis(new, ax, 0)
-            mt[0] = (rest / math.sqrt(2)).reshape(mt[0].shape)
-            mt[1] = (rest / math.sqrt(2)).reshape(mt[1].shape)
-            out.append(ParityMeasurement(sign, p, HybridState.pure(layout, new.reshape(-1))))
         else:
-            t = work.data.reshape(dims + dims)
-            t = np.moveaxis(t, (ax, ax + n), (0, 1))
-            rest_dim = layout.total_dim // 2
-            blk = t.reshape(2, 2, rest_dim, rest_dim)[bit, bit]
-            p = float(np.trace(blk).real) / total
-            if p < BRANCH_FLOOR:
-                out.append(ParityMeasurement(sign, p, None))
-                continue
-            rho_rest = blk / (p * total)
-            out.append(ParityMeasurement(sign, p, _reassemble_density(layout, ax, rho_rest)))
+            rho = work.reshape(2, rest, 2, rest)
+            branch = (rho[0, :, 0] + rho[1, :, 1] + sign * (rho[0, :, 1] + rho[1, :, 0])) / 2.0
+            p = float(np.trace(branch).real) / total
+        if p < BRANCH_FLOOR:
+            post = None
+        elif state.is_pure:
+            post = HybridState.pure(layout, np.kron(fock.KET_PLUS, branch / math.sqrt(p * total)))
+        else:
+            post = HybridState.density(layout, np.kron(plus_dm, branch / (p * total)))
+        out.append(ParityMeasurement(sign, p, post))
     return out
 
 
-def _reassemble_density(layout: SpaceLayout, ax: int, rho_rest: np.ndarray) -> HybridState:
-    """|+><+| on the ancilla axis tensor rho_rest on the remaining axes."""
-    dims = layout.dims
-    rest_dims = tuple(d for i, d in enumerate(dims) if i != ax)
-    n = len(dims)
-    plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    t = np.einsum("ab,ij->aibj", plus_dm, rho_rest)
-    t = t.reshape((2,) + rest_dims + (2,) + rest_dims)
-    # current axes: [anc_row, rest_rows..., anc_col, rest_cols...]; permute the
-    # ancilla back to its layout position on both row and column sides
-    rest_axes = [i for i in range(n) if i != ax]
-    src_of_dst = [0] * n
-    src_of_dst[ax] = 0
-    for k, a in enumerate(rest_axes):
-        src_of_dst[a] = 1 + k
-    full_perm = src_of_dst + [n + s for s in src_of_dst]
-    t = t.transpose(full_perm)
-    return HybridState.density(layout, t.reshape(layout.total_dim, layout.total_dim))
-
-
-def parity_measurement_branches(state: HybridState, ancilla: int,
+def parity_measurement_branches(state: HybridState,
                                 mode: int) -> tuple[ParityMeasurement, ParityMeasurement]:
     """Deterministic mode: both measurement branches with their probabilities."""
-    even, odd = _measure_branches(state, ancilla, mode)
+    even, odd = _measure_branches(state, mode)
     return even, odd
 
 
-def parity_measurement(state: HybridState, ancilla: int, mode: int,
+def parity_measurement(state: HybridState, mode: int,
                        rng: np.random.Generator) -> ParityMeasurement:
     """Sample one parity-measurement outcome with the supplied generator.
 
     Nondemolition: measuring the returned state again gives the same outcome
     with probability one (up to numerical tolerance).
     """
-    even, odd = _measure_branches(state, ancilla, mode)
+    even, odd = _measure_branches(state, mode)
     pick = even if rng.random() < even.probability else odd
     if pick.state is None:
         raise BranchError(

@@ -1,15 +1,17 @@
 """Exact linear operators on truncated Fock spaces and hybrid qubit-qumode spaces.
 
 Every other module builds on the primitives here: a layout describing the
-tensor structure (auxiliary qubits first, then qumodes), dense operators on
-that layout, and states (pure vectors or density matrices) with explicit
+tensor structure (the shared ancilla, if any, then qumodes), dense operators
+on that layout, and states (pure vectors or density matrices) with explicit
 truncation-tail bookkeeping.
 
 Conventions
 -----------
-* Tensor order is qubits (2-dim factors) first, then qumodes in index order.
-  The order is fixed at construction and never changes.
-* Qubit basis: ``|0>`` is the +1 eigenstate of the Pauli Z operator.
+* A layout holds at most one qubit: the single auxiliary qubit (ancilla)
+  that every gate and the parity measurement share.  When present it is
+  tensor axis 0, a 2-dim factor; the qumodes follow in index order.  So an
+  (ancilla, rest) split is always ``reshape(2, rest, ...)``.
+* Ancilla basis: ``|0>`` is the +1 eigenstate of the Pauli Z operator.
 * The 50:50 beam splitter between modes (a, b) is ``exp(pi/4 (a_b a_a^dag -
   a_b^dag a_a))``.  With this generator the single-photon action is
   ``B |1,0> = (|1,0> - |0,1>)/sqrt(2)`` and ``B |0,1> = (|1,0> +
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 from scipy.linalg import expm as _expm
@@ -42,18 +43,18 @@ _PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    """Tensor structure of a hybrid space: qubits first, then qumodes.
+    """Tensor structure of a hybrid space: the ancilla at axis 0, then qumodes.
 
     Parameters
     ----------
-    qubit_count : number of auxiliary qubits (each dimension 2).
+    qubit_count : 1 for a layout with the shared ancilla (axis 0, dimension
+        2), 0 for a mode-only layout; any other value raises LayoutError.
     mode_cutoffs : per-mode Fock dimension d_i; mode i holds |0>..|d_i - 1>.
     """
 
@@ -62,8 +63,9 @@ class SpaceLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "mode_cutoffs", tuple(int(d) for d in self.mode_cutoffs))
-        if self.qubit_count < 0:
-            raise LayoutError("qubit_count must be non-negative")
+        if self.qubit_count not in (0, 1):
+            raise LayoutError(f"qubit_count must be 0 or 1 (the shared ancilla), "
+                              f"got {self.qubit_count}")
         if any(d < 2 for d in self.mode_cutoffs):
             raise LayoutError("every mode cutoff must be >= 2")
 
@@ -84,13 +86,13 @@ class SpaceLayout:
             raise LayoutError(f"mode index {mode} out of range [0, {self.n_modes})")
         return self.qubit_count + mode
 
-    def qubit_axis(self, qubit: int) -> int:
-        if not 0 <= qubit < self.qubit_count:
-            raise LayoutError(f"qubit index {qubit} out of range [0, {self.qubit_count})")
-        return qubit
+    def require_ancilla(self) -> None:
+        if self.qubit_count != 1:
+            raise LayoutError("layout has no ancilla")
 
     def basis_index(self, qubits: tuple[int, ...] = (), modes: tuple[int, ...] = ()) -> int:
-        """Flat index of the product basis state |qubits...>|modes...>."""
+        """Flat index of the product basis state |ancilla>|modes...>; `qubits`
+        is the ancilla label, (0,) or (1,), or () on a mode-only layout."""
         if len(qubits) != self.qubit_count or len(modes) != self.n_modes:
             raise LayoutError("basis labels must cover every qubit and mode")
         labels = tuple(qubits) + tuple(modes)
@@ -103,11 +105,10 @@ class SpaceLayout:
 class TruncatedOperator:
     """Dense complex operator on a :class:`SpaceLayout`.
 
-    Hermiticity/unitarity flags are computed lazily and cached together with
-    the tolerance they were verified at.  Instances are immutable.
+    Instances are immutable.
     """
 
-    __slots__ = ("layout", "matrix", "_flag_cache")
+    __slots__ = ("layout", "matrix")
 
     def __init__(self, layout: SpaceLayout, matrix: np.ndarray, copy: bool = True):
         matrix = np.asarray(matrix, dtype=complex)
@@ -120,7 +121,6 @@ class TruncatedOperator:
         matrix.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_flag_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedOperator is immutable")
@@ -153,21 +153,14 @@ class TruncatedOperator:
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.layout, self.matrix.conj().T, copy=False)
 
-    # -- cached flags --------------------------------------------------------
+    # -- flags ---------------------------------------------------------------
 
     def is_unitary(self, tol: float = 1e-10) -> bool:
-        key = ("unitary", tol)
-        if key not in self._flag_cache:
-            dev = np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.layout.total_dim)).max()
-            self._flag_cache[key] = bool(dev <= tol)
-        return self._flag_cache[key]
+        dev = np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.layout.total_dim)).max()
+        return bool(dev <= tol)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        key = ("hermitian", tol)
-        if key not in self._flag_cache:
-            dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            self._flag_cache[key] = bool(dev <= tol)
-        return self._flag_cache[key]
+        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
 
 def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
@@ -213,16 +206,15 @@ def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> n
 
 
 def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
-                 qubit_map: tuple[int, ...] = (), mode_map: tuple[int, ...] = ()) -> TruncatedOperator:
-    """Embed an operator from a sub-layout into `layout`, identity elsewhere.
-
-    ``qubit_map[i]`` / ``mode_map[j]`` give the target qubit / mode in
-    `layout` for qubit i / mode j of ``op.layout``.
+                 mode_map: tuple[int, ...]) -> TruncatedOperator:
+    """Embed an operator from a mode-only sub-layout into `layout`, identity
+    elsewhere.  ``mode_map[j]`` is the target mode in `layout` of mode j of
+    ``op.layout``.
     """
     sub = op.layout
-    if len(qubit_map) != sub.qubit_count or len(mode_map) != sub.n_modes:
-        raise LayoutError("qubit_map/mode_map must cover the sub-layout")
-    axes = [layout.qubit_axis(q) for q in qubit_map] + [layout.mode_axis(m) for m in mode_map]
+    if sub.qubit_count or len(mode_map) != sub.n_modes:
+        raise LayoutError("the sub-layout must be mode-only and mode_map must cover it")
+    axes = [layout.mode_axis(m) for m in mode_map]
     if len(set(axes)) != len(axes):
         raise LayoutError("target axes must be distinct")
     for sub_dim, ax in zip(sub.dims, axes):
@@ -232,7 +224,7 @@ def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
     rest_dim = int(np.prod([layout.dims[ax] for ax in rest], dtype=np.int64)) if rest else 1
     big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
     # permute (sub axes..., rest axes...) -> layout order, on rows and columns
-    tensor_dims = [sub.dims[i] for i in range(len(sub.dims))] + [layout.dims[ax] for ax in rest]
+    tensor_dims = list(sub.dims) + [layout.dims[ax] for ax in rest]
     n = len(layout.dims)
     big = big.reshape(tensor_dims + tensor_dims)
     src_order = axes + rest  # position p of the kron tensor holds layout axis src_order[p]
@@ -407,41 +399,35 @@ def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOpe
                         mode_map=(mode_a, mode_b))
 
 
-def controlled_parity(layout: SpaceLayout, qubit: int, mode: int) -> TruncatedOperator:
-    """exp(i pi/2 (I - Z) a^dag a): identity on the qubit |0> block, Fock parity on |1>.
+def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    """exp(i pi/2 (I - Z) a^dag a): identity on the ancilla |0> block, Fock parity on |1>.
 
     Diagonal sign matrix, so it squares to the identity exactly.
     """
-    qax = layout.qubit_axis(qubit)
-    max_ = layout.mode_axis(mode)
-    off = _embed_diagonal(layout, {qax: np.array([1.0, 0.0])})
-    on = _embed_diagonal(layout, {qax: np.array([0.0, 1.0]),
-                                  max_: _parity_diag(layout.dims[max_])})
+    layout.require_ancilla()
+    ax = layout.mode_axis(mode)
+    off = _embed_diagonal(layout, {0: np.array([1.0, 0.0])})
+    on = _embed_diagonal(layout, {0: np.array([0.0, 1.0]), ax: _parity_diag(layout.dims[ax])})
     return TruncatedOperator(layout, off + on, copy=False)
 
 
-def controlled_parity_diag(layout: SpaceLayout, qubit: int, mode: int) -> np.ndarray:
-    """Joint diagonal of the controlled-parity over (qubit, mode) axes, for streaming."""
+def controlled_parity_diag(layout: SpaceLayout, mode: int) -> np.ndarray:
+    """Joint diagonal of the controlled-parity over (ancilla, mode) axes, for streaming."""
     d = layout.dims[layout.mode_axis(mode)]
     return np.concatenate([np.ones(d), _parity_diag(d)])
 
 
-def qubit_pauli(layout: SpaceLayout, qubit: int, axis: str) -> TruncatedOperator:
-    qax = layout.qubit_axis(qubit)
-    return TruncatedOperator(layout, _embed_single(layout, qax, _PAULI[axis.lower()]), copy=False)
-
-
-def qubit_rotation(layout: SpaceLayout, qubit: int, axis: str, angle: float) -> TruncatedOperator:
-    """exp(i angle sigma) on one auxiliary qubit."""
-    sig = _PAULI[axis.lower()]
-    small = math.cos(angle) * np.eye(2) + 1j * math.sin(angle) * sig
-    qax = layout.qubit_axis(qubit)
-    return TruncatedOperator(layout, _embed_single(layout, qax, small), copy=False)
-
-
 def qubit_rotation_matrix(axis: str, angle: float) -> np.ndarray:
+    """exp(i angle sigma) on the ancilla alone: cos(angle) I + i sin(angle) sigma."""
     sig = _PAULI[axis.lower()]
     return math.cos(angle) * np.eye(2, dtype=complex) + 1j * math.sin(angle) * sig
+
+
+def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> TruncatedOperator:
+    """exp(i angle sigma) on the ancilla, embedded in the layout."""
+    layout.require_ancilla()
+    small = qubit_rotation_matrix(axis, angle)
+    return TruncatedOperator(layout, np.kron(small, np.eye(layout.total_dim // 2)), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +440,7 @@ class StateError(ValueError):
 
 
 class HybridState:
-    """Pure vector or density matrix over (qubits) x (qumodes).
+    """Pure vector or density matrix over (ancilla) x (qumodes).
 
     The truncation tail - total probability weight sitting on the top Fock
     level of any mode - is recorded at construction and after every
@@ -547,20 +533,14 @@ class HybridState:
         other = tuple(i for i in range(len(self.layout.dims)) if i != ax)
         return p.sum(axis=other)
 
-    def reduced_qubit(self, qubit: int) -> np.ndarray:
-        """2x2 reduced density matrix of one auxiliary qubit."""
-        ax = self.layout.qubit_axis(qubit)
-        dims = self.layout.dims
-        n = len(dims)
+    def reduced_qubit(self) -> np.ndarray:
+        """2x2 reduced density matrix of the ancilla."""
+        self.layout.require_ancilla()
+        rest = self.layout.total_dim // 2
         if self.is_pure:
-            psi = self.data.reshape(dims)
-            psi = np.moveaxis(psi, ax, 0).reshape(2, -1)
+            psi = self.data.reshape(2, rest)
             return psi @ psi.conj().T
-        rho = self.data.reshape(dims + dims)
-        rho = np.moveaxis(rho, (ax, ax + n), (0, 1))
-        rest = int(self.layout.total_dim // 2)
-        rho = rho.reshape(2, 2, rest, rest)
-        return np.trace(rho, axis1=2, axis2=3)
+        return np.trace(self.data.reshape(2, rest, 2, rest), axis1=1, axis2=3)
 
     def _compute_tail(self) -> float:
         dims = self.layout.dims
@@ -588,14 +568,9 @@ class HybridState:
                 raise StateError(f"density matrix eigenvalue {lo} below floor {psd_floor}")
 
 
-def plus_state_with_modes(layout: SpaceLayout, modes: tuple[int, ...],
-                          qubit: int = 0) -> HybridState:
-    """|+> on one auxiliary qubit tensor a Fock product state on the modes."""
-    if layout.qubit_count < 1:
-        raise LayoutError("layout has no auxiliary qubit")
-    v0 = HybridState.basis(layout, (0,) * layout.qubit_count, tuple(modes)).data
-    v1 = HybridState.basis(
-        layout,
-        tuple(1 if q == qubit else 0 for q in range(layout.qubit_count)),
-        tuple(modes)).data
+def plus_state_with_modes(layout: SpaceLayout, modes: tuple[int, ...]) -> HybridState:
+    """|+> on the ancilla tensor a Fock product state on the modes."""
+    layout.require_ancilla()
+    v0 = HybridState.basis(layout, (0,), tuple(modes)).data
+    v1 = HybridState.basis(layout, (1,), tuple(modes)).data
     return HybridState(layout, (v0 + v1) / math.sqrt(2), "pure", copy=False)

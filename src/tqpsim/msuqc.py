@@ -262,7 +262,7 @@ class _PairBlocks:
         n = max(idx.size for _, idx in blocks)
         c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
         bs_full = fock.beam_splitter_5050(SpaceLayout(0, (d, d)), 0, 1).matrix
-        cp_full = fock.controlled_parity_diag(SpaceLayout(1, (d,)), 0, 0).reshape(2, d)
+        cp_full = fock.controlled_parity_diag(SpaceLayout(1, (d,)), 0).reshape(2, d)
         self.bs = np.zeros((nb, 1, n, n), dtype=complex)
         self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
         self.first = np.full((nb, 1, n, 1), -1)  # first-mode Fock number, -1 on padding

@@ -68,17 +68,18 @@ def commutation_check(noise_op: TruncatedOperator, logical_op: TruncatedOperator
 
     The restriction (default: total excitation <= d/3) removes
     truncation-edge artifacts of the squeeze exponential; the claim being
-    checked is algebraic and survives the restriction.
+    checked is algebraic and survives the restriction.  Both modes must share
+    one cutoff d.
     """
     if noise_op.layout != logical_op.layout:
         raise fock.LayoutError("operators live on different layouts")
-    layout = noise_op.layout
-    d0, d1 = layout.mode_cutoffs
+    d, d1 = noise_op.layout.mode_cutoffs
+    if d != d1:
+        raise fock.LayoutError("commutation check needs modes that share one cutoff")
     if max_total is None:
-        max_total = min(d0, d1) // 3
+        max_total = d // 3
     comm = noise_op.matrix @ logical_op.matrix - logical_op.matrix @ noise_op.matrix
-    totals = (np.arange(d0)[:, None] + np.arange(d1)[None, :]).ravel()
-    keep = np.flatnonzero(totals <= max_total)
+    keep = np.concatenate(fock.pair_excitation_blocks(d)[:max_total + 1])
     return float(np.abs(comm[np.ix_(keep, keep)]).max())
 
 
@@ -157,6 +158,8 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     (SVD, relative threshold 1e-8) and a random-combination eigenvector
     search, plus the encoded-operator commutators for contrast.
     """
+    if max_total < 0:
+        raise ValueError(f"max_total must be non-negative, got {max_total}")
     if cutoff is None:
         cutoff = max_total + 3
     if max_total + 2 >= cutoff:
@@ -165,10 +168,10 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         rng = np.random.default_rng(0)
     layout = SpaceLayout(0, (cutoff, cutoff))
     gen = _squeeze_generator_pair(layout)
-    totals = (np.arange(cutoff)[:, None] + np.arange(cutoff)[None, :]).ravel()
+    blocks = fock.pair_excitation_blocks(cutoff)
     sectors = []
     for m in range(0, max_total + 1):
-        idx = np.flatnonzero(totals == m)
+        idx = blocks[m]
         restricted = gen[:, idx]
         svals = np.linalg.svd(restricted, compute_uv=False)
         thresh = NULLSPACE_RELATIVE_THRESHOLD * svals.max()

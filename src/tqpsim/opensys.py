@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm as _expm
-from scipy.optimize import minimize as _minimize
 
 from . import fock, pulses
 from .fock import HybridState, SpaceLayout, TruncatedOperator
@@ -42,10 +41,6 @@ from .thermal import required_cutoff, thermal_weights
 
 DEGENERATE_BRANCH_FLOOR = 1e-9
 JUMP_BISECTION_LEVELS = 40
-
-
-class ConvergenceError(RuntimeError):
-    """A numerical optimisation failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -109,12 +104,12 @@ class FidelityPoint:
 
 
 def _check_layout(layout: SpaceLayout) -> None:
-    if layout.n_modes != 1 or layout.qubit_count > 1:
-        raise fock.LayoutError("open-system model expects one mode and at most one qubit")
+    if layout.n_modes != 1:
+        raise fock.LayoutError("open-system model expects one mode")
 
 
 class _DampedModeModel:
-    """The damped hybrid model on a (<=1 qubit, 1 mode) layout, per ancilla level.
+    """The damped hybrid model on a one-mode layout, per ancilla level.
 
     `k[FreeEvolution]` and `k[WaitingPeriod]` are (levels, d, d) stacks of the
     no-jump generator K = H - i/2 [r_down a^dag a + r_up a a^dag] of a timed
@@ -125,6 +120,7 @@ class _DampedModeModel:
 
     def __init__(self, layout: SpaceLayout, noise: NoiseParams):
         _check_layout(layout)
+        self.layout = layout
         self.d = layout.mode_cutoffs[0]
         self.levels = 2 ** layout.qubit_count
         self.a = fock.annihilation(SpaceLayout(0, (self.d,)), 0).matrix
@@ -135,8 +131,7 @@ class _DampedModeModel:
 
     def rotation(self, seg: QubitRotation) -> np.ndarray:
         """The 2 x 2 ancilla rotation of `seg`."""
-        if self.levels == 1:
-            raise fock.LayoutError("a qubit rotation needs an ancilla in the layout")
+        self.layout.require_ancilla()
         return fock.qubit_rotation_matrix(seg.axis, seg.angle)
 
 
@@ -437,7 +432,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
     if noise == "exact-gate":
-        gate = fock.controlled_parity(state.layout, 0, 0)
+        gate = fock.controlled_parity(state.layout, 0)
         rho = gate.matrix @ state.data @ gate.matrix.conj().T
     elif noise == "ideal-sequence":
         gate = pulses.engineered_controlled_parity(params, d, reps)
@@ -547,30 +542,23 @@ def cooling_rate(noise: NoiseParams, delta: float, omega: float) -> float:
     return num / den
 
 
-def cooling_comparison(noise: NoiseParams, n_mean: float | None = None,
-                       grid_points: int = 32) -> CoolingComparison:
+def cooling_comparison(noise: NoiseParams, n_mean: float | None = None) -> CoolingComparison:
     """Maximize the cooling rate over (Delta, Omega) and compare error budgets.
 
-    Coarse log-grid over [1e-2, 1e4] nu in both drive parameters, refined
-    with Nelder-Mead in log space; the optimization domain is reported
-    implicitly through the optimum found.
+    The maximum is exact.  With A = Gdp^2 + Delta^2 and x = Omega^2 the rate
+    is 4 eta^2 nu Gdc Gdp Delta x / [(A + x)(Gdc A + Gdp x)].  Its x-derivative
+    vanishes where Gdc A^2 = Gdp x^2, i.e. x = A sqrt(Gdc/Gdp), and there the
+    rate is 4 eta^2 nu Gdc Gdp Delta / [A (sqrt(Gdp) + sqrt(Gdc))^2].  Since
+    Delta / (Gdp^2 + Delta^2) peaks at Delta = Gdp,
+
+        Delta* = Gdp,  Omega*^2 = 2 Gdp^(3/2) Gdc^(1/2),
+        gamma_c = 2 eta^2 nu Gdc / (sqrt(Gdp) + sqrt(Gdc))^2.
     """
-    if noise.Gamma_dc <= 0 or noise.Gamma_dp <= 0:
-        raise ValueError("cooling comparison needs positive engineered rates")
-    span = np.logspace(-2, 4, grid_points) * noise.nu
-    best_val, best_xy = 0.0, (noise.nu, noise.nu)
-    for d_ in span:
-        for o_ in span:
-            v = cooling_rate(noise, d_, o_)
-            if v > best_val:
-                best_val, best_xy = v, (d_, o_)
-    res = _minimize(lambda x: -cooling_rate(noise, math.exp(x[0]), math.exp(x[1])),
-                    np.log(best_xy), method="Nelder-Mead",
-                    options={"xatol": 1e-10, "fatol": 1e-16, "maxiter": 5000})
-    if not res.success and -res.fun <= best_val:
-        raise ConvergenceError("cooling-rate optimization failed to refine the grid optimum")
-    gamma_c = float(-res.fun)
-    delta_opt, omega_opt = (float(math.exp(v)) for v in res.x)
+    gdc, gdp = noise.Gamma_dc, noise.Gamma_dp
+    if noise.eta <= 0 or noise.nu <= 0 or gdc <= 0 or gdp <= 0:
+        raise ValueError("cooling comparison needs positive eta, nu and engineered rates")
+    gamma_c = 2 * noise.eta ** 2 * noise.nu * gdc / (math.sqrt(gdp) + math.sqrt(gdc)) ** 2
+    delta_opt, omega_opt = gdp, math.sqrt(2 * gdp ** 1.5 * gdc ** 0.5)
     scale = noise.eta ** 2 * noise.nu * noise.Gamma_dc / noise.Gamma_dp
     eps_cool = noise.N_th * (noise.nu / noise.Q) / gamma_c
     unresolved = noise.Gamma_dc < 0.1 * noise.nu < 0.1 ** 2 * noise.Gamma_dp

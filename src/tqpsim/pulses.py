@@ -216,7 +216,7 @@ def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
     u = np.eye(lay.total_dim, dtype=complex)
     for seg in sched.segments:
         if isinstance(seg, QubitRotation):
-            mat = fock.qubit_rotation(lay, 0, seg.axis, seg.angle).matrix
+            mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
         elif isinstance(seg, FreeEvolution):
             if seg.duration not in free_cache:
                 free_cache[seg.duration] = exact_free_propagator(
@@ -387,7 +387,7 @@ def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
         repetitions = repetitions_for_controlled_parity(params.eta)
     u = sequence_unitary(params, cutoff, repetitions)
     chi = 64.0 * repetitions * params.eta ** 2
-    corr = fock.qubit_rotation(u.layout, 0, "z", chi / 2.0)
+    corr = fock.qubit_rotation(u.layout, "z", chi / 2.0)
     return corr @ u
 
 

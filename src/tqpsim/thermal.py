@@ -41,16 +41,14 @@ class ThermalSpec:
     tail_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.mean_excitation < 0:
-            raise ValueError("mean excitation must be non-negative")
+        boltzmann_ratio(self.mean_excitation)  # rejects n < 0
         if self.tail_tol <= 0:
             raise ValueError("tail tolerance must be positive")
 
     @property
     def boltzmann_ratio(self) -> float:
         """exp(-beta) = n/(n+1)."""
-        n = self.mean_excitation
-        return n / (n + 1.0)
+        return boltzmann_ratio(self.mean_excitation)
 
     def resolved_cutoff(self) -> int:
         if self.cutoff is not None:
@@ -58,10 +56,17 @@ class ThermalSpec:
         return required_cutoff(self.mean_excitation, self.tail_tol)
 
 
+def boltzmann_ratio(mean_excitation: float) -> float:
+    """q = exp(-beta) = n/(n+1) of a thermal mode with mean excitation n >= 0."""
+    if not 0.0 <= mean_excitation < math.inf:
+        raise ValueError(f"mean excitation must be finite and non-negative, got {mean_excitation}")
+    return mean_excitation / (mean_excitation + 1.0)
+
+
 def required_cutoff(mean_excitation: float, tail_tol: float = 1e-8, start: int = 20) -> int:
     """Smallest cutoff >= `start` whose geometric tail q^d is below `tail_tol`."""
     d = max(int(start), 2)
-    q = mean_excitation / (mean_excitation + 1.0)
+    q = boltzmann_ratio(mean_excitation)
     if q == 0.0:
         return d
     while q ** d >= tail_tol:
@@ -71,7 +76,7 @@ def required_cutoff(mean_excitation: float, tail_tol: float = 1e-8, start: int =
 
 def thermal_weights(mean_excitation: float, cutoff: int) -> np.ndarray:
     """Unnormalized (1-q) q^n for n < cutoff; q = n/(n+1)."""
-    q = mean_excitation / (mean_excitation + 1.0)
+    q = boltzmann_ratio(mean_excitation)
     if q == 0.0:
         w = np.zeros(cutoff)
         w[0] = 1.0
@@ -129,7 +134,7 @@ def even_odd_weights(mean_excitation: float, cutoff: int, parity_sign: int) -> n
     Even branch: (1-q^2) q^(2n) on |2n>; odd branch: (1-q^2) q^(2n) on |2n+1>.
     Renormalized over the truncated support.
     """
-    q = mean_excitation / (mean_excitation + 1.0)
+    q = boltzmann_ratio(mean_excitation)
     w = np.zeros(cutoff)
     offset = 0 if parity_sign == +1 else 1
     ns = np.arange(offset, cutoff, 2)

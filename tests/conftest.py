@@ -34,7 +34,7 @@ def dense_schedule_unitary():
         u = np.eye(lay.total_dim, dtype=complex)
         for seg in schedule.expand_waiting().segments:
             if isinstance(seg, pulses.QubitRotation):
-                mat = fock.qubit_rotation(lay, 0, seg.axis, seg.angle).matrix
+                mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
             elif isinstance(seg, pulses.FreeEvolution):
                 if seg.duration not in free:
                     free[seg.duration] = fock.matrix_exponential((-1j * seg.duration) * h).matrix

@@ -45,7 +45,7 @@ def test_criterion_1_algebra_suite():
         eye = np.eye(lay.total_dim)
         p = fock.parity(lay, 1)
         s = fock.two_mode_swap(lay, 0, 1)
-        c = fock.controlled_parity(lay, 0, 1)
+        c = fock.controlled_parity(lay, 1)
         b = fock.beam_splitter_5050(lay, 0, 1)
         n = fock.number(lay, 0) + fock.number(lay, 1)
         worst = max(worst,
@@ -113,10 +113,9 @@ def test_criterion_2_gate_equivalence():
         # spectator modes factor out exactly, so the check lives on one pair
         # of readout modes
         lay2 = SpaceLayout(1, (6, 6))
-        refs = (LogicalQubitRef(0, modes=(0, 0)), LogicalQubitRef(0, modes=(1, 1)))
-        czz = fock.controlled_parity(lay2, 0, 0) @ fock.controlled_parity(lay2, 0, 1) \
-            @ fock.qubit_rotation(lay2, 0, "x", theta) \
-            @ fock.controlled_parity(lay2, 0, 1) @ fock.controlled_parity(lay2, 0, 0)
+        czz = fock.controlled_parity(lay2, 0) @ fock.controlled_parity(lay2, 1) \
+            @ fock.qubit_rotation(lay2, "x", theta) \
+            @ fock.controlled_parity(lay2, 1) @ fock.controlled_parity(lay2, 0)
         sub2 = SpaceLayout(0, (6, 6))
         ozz = encoding.exponential_hermitian_unitary(
             fock.parity(sub2, 0) @ fock.parity(sub2, 1), theta)

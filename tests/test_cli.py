@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("fidelity-sweep", {"bath": {"Q": 1e4, "Gamma_dc": 3.0}}),
     ("fidelity-sweep", {"bath": {"Q": 1e4, "Delta": 3.0}}),
     ("fidelity-sweep", {"noise": "exact-gate", "bath": {"Q": 1e4}}),
+    ("msuqc-demo", {"mean_excitations": [-1.0]}),
+    ("fidelity-sweep", {"n_min": -1.0, "n_max": 0.0}),
+    ("entropy-sweep", {"n_min": 1.0, "n_max": 0.5}),
+    ("fidelity-sweep", {"n_min": 1.0, "n_max": 0.5}),
+    ("msuqc-demo", {"n_circuits": -1}),
+    ("algebra-check", {"n_random_states": 0}),
+    ("msuqc-demo", {"max_steps": 0}),
+    ("ns-check", {"max_total": -1}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
@@ -130,6 +139,26 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, flags, env", [
+    ("fidelity-sweep", {"n_min": -1.0, "n_max": 0.0}, ["--cutoff", "10"], None),
+    ("algebra-check", {}, ["--cutoff", "0"], None),
+    ("entropy-sweep", {}, ["--threads", "-2"], None),
+    ("entropy-sweep", {}, [], "abc"),
+])
+def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                           command, config, flags, env):
+    if env is not None:
+        monkeypatch.setenv("TQPSIM_THREADS", env)
+    threads_before = os.environ.get("OMP_NUM_THREADS")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert os.environ.get("OMP_NUM_THREADS") == threads_before
 
 
 def test_ns_check(tmp_path):

@@ -116,14 +116,14 @@ def test_total_pair_parity_conserved_by_gates():
 def test_parity_measurement_vacuum_and_superposition():
     lay = SpaceLayout(1, (6,))
     vac = fock.plus_state_with_modes(lay, (0,))
-    even, odd = encoding.parity_measurement_branches(vac, 0, 0)
+    even, odd = encoding.parity_measurement_branches(vac, 0)
     assert even.probability == pytest.approx(1.0, abs=1e-12)
     assert odd.state is None
     sup = HybridState.pure(lay, (HybridState.basis(lay, (0,), (0,)).data
                                  + HybridState.basis(lay, (0,), (1,)).data
                                  + HybridState.basis(lay, (1,), (0,)).data
                                  + HybridState.basis(lay, (1,), (1,)).data) / 2.0)
-    even, odd = encoding.parity_measurement_branches(sup, 0, 0)
+    even, odd = encoding.parity_measurement_branches(sup, 0)
     assert even.probability == pytest.approx(0.5, abs=1e-12)
     assert odd.probability == pytest.approx(0.5, abs=1e-12)
     assert even.state.mode_populations(0)[0] == pytest.approx(1.0, abs=1e-12)
@@ -137,7 +137,7 @@ def test_parity_measurement_thermal_branch_statistics():
     lay = SpaceLayout(1, (d,))
     plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
     st = HybridState.density(lay, np.kron(plus_dm, np.diag(w.astype(complex))))
-    even, odd = encoding.parity_measurement_branches(st, 0, 0)
+    even, odd = encoding.parity_measurement_branches(st, 0)
     assert even.probability == pytest.approx(2.0 / 3.0, abs=1e-8)
     assert np.abs(even.state.mode_populations(0)
                   - thermal.even_odd_weights(1.0, d, +1)).max() < 1e-10
@@ -152,13 +152,13 @@ def test_parity_measurement_nondemolition_and_sampling():
                                 + HybridState.basis(lay, (1,), (2,)).data
                                 + HybridState.basis(lay, (1,), (3,)).data) / 2.0)
     rng = np.random.default_rng(17)
-    first = encoding.parity_measurement(st, 0, 0, rng)
-    again = encoding.parity_measurement(first.state, 0, 0, rng)
+    first = encoding.parity_measurement(st, 0, rng)
+    again = encoding.parity_measurement(first.state, 0, rng)
     assert again.sign == first.sign
     assert again.probability == pytest.approx(1.0, abs=1e-10)
     # identical seeds reproduce the outcome
-    r1 = encoding.parity_measurement(st, 0, 0, np.random.default_rng(123))
-    r2 = encoding.parity_measurement(st, 0, 0, np.random.default_rng(123))
+    r1 = encoding.parity_measurement(st, 0, np.random.default_rng(123))
+    r2 = encoding.parity_measurement(st, 0, np.random.default_rng(123))
     assert r1.sign == r2.sign
 
 
@@ -166,17 +166,17 @@ def test_parity_measurement_requires_plus_ancilla():
     lay = SpaceLayout(1, (6,))
     bad = HybridState.basis(lay, (1,), (0,))
     with pytest.raises(encoding.AncillaError):
-        encoding.parity_measurement_branches(bad, 0, 0)
+        encoding.parity_measurement_branches(bad, 0)
 
 
 def test_variant_conjugate_identity_and_beam_splitter():
     lay = SpaceLayout(1, (6, 6))
-    c = fock.controlled_parity(lay, 0, 1)
+    c = fock.controlled_parity(lay, 1)
     assert np.abs(encoding.variant_conjugate(fock.identity(lay), c).matrix
                   - c.matrix).max() == 0.0
     v = fock.beam_splitter_5050(lay, 0, 1)
     cv = encoding.variant_conjugate(v, c)
-    rx = fock.qubit_rotation(lay, 0, "x", 0.6)
+    rx = fock.qubit_rotation(lay, "x", 0.6)
     gate = cv @ rx @ cv
     mode_map = encoding.mode_factor_of_gate(gate)
     # conjugated circuit implements e^{i theta V (I (x) P) V^dag}

@@ -17,7 +17,19 @@ def test_layout_validation():
     with pytest.raises(fock.LayoutError):
         SpaceLayout(-1, (4,))
     with pytest.raises(fock.LayoutError):
+        SpaceLayout(2, (4,))  # one shared ancilla at most
+    with pytest.raises(fock.LayoutError):
         lay.mode_axis(2)
+
+
+def test_ancilla_operators_need_an_ancilla():
+    modes_only = SpaceLayout(0, (4,))
+    for build in (lambda: fock.controlled_parity(modes_only, 0),
+                  lambda: fock.qubit_rotation(modes_only, "x", 0.3),
+                  lambda: fock.plus_state_with_modes(modes_only, (1,)),
+                  lambda: HybridState.basis(modes_only, (), (1,)).reduced_qubit()):
+        with pytest.raises(fock.LayoutError):
+            build()
 
 
 def test_annihilation_lowest_dimension():
@@ -153,7 +165,7 @@ def test_swap_commutes_with_collective_phase():
 
 def test_controlled_parity_blocks_and_projection_identity():
     lay = SpaceLayout(1, (16,))
-    c = fock.controlled_parity(lay, 0, 0)
+    c = fock.controlled_parity(lay, 0)
     for n in (0, 3, 7):
         st = HybridState.basis(lay, (0,), (n,))
         assert np.abs(st.apply(c).data - st.data).max() == 0.0
@@ -193,10 +205,10 @@ def test_constructed_unitaries_meet_tolerance():
     ops = [
         fock.parity(lay, 0),
         fock.two_mode_swap(lay, 0, 1),
-        fock.controlled_parity(lay, 0, 1),
+        fock.controlled_parity(lay, 1),
         fock.beam_splitter_5050(lay, 0, 1),
         fock.displacement(lay, 0, 0.5),
-        fock.qubit_rotation(lay, 0, "x", 0.8),
+        fock.qubit_rotation(lay, "x", 0.8),
     ]
     for op in ops:
         assert op.is_unitary(1e-10)
@@ -209,7 +221,7 @@ def test_operator_immutability_and_flag_cache():
         p.matrix = np.eye(4)
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 5.0
-    assert p.is_hermitian(1e-12) and p.is_hermitian(1e-12)  # cached path
+    assert p.is_hermitian(1e-12) and p.is_hermitian(1e-12)  # repeated calls agree
 
 
 def test_tensor_embed_nonadjacent_axes():
@@ -257,9 +269,9 @@ def test_state_invariants_and_tail_accounting():
 def test_reduced_qubit_and_mode_populations():
     lay = SpaceLayout(1, (5,))
     st = fock.plus_state_with_modes(lay, (2,))
-    red = st.reduced_qubit(0)
+    red = st.reduced_qubit()
     assert np.abs(red - np.array([[0.5, 0.5], [0.5, 0.5]])).max() < 1e-14
     pops = st.mode_populations(0)
     assert pops[2] == pytest.approx(1.0)
     dm = st.to_density()
-    assert np.abs(dm.reduced_qubit(0) - red).max() < 1e-14
+    assert np.abs(dm.reduced_qubit() - red).max() < 1e-14

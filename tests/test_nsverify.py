@@ -22,6 +22,13 @@ def test_phase_channel_at_pi_is_double_parity():
     assert np.abs(e.matrix - pp.matrix).max() < 1e-12
 
 
+def test_commutation_check_needs_one_cutoff():
+    lay = SpaceLayout(0, (6, 8))
+    e = nsverify.collective_noise("phase", 0.7, lay)
+    with pytest.raises(fock.LayoutError):
+        nsverify.commutation_check(e, fock.parity(lay, 1))
+
+
 def test_channels_invert_and_squeeze_bound():
     e = nsverify.collective_noise("phase", 0.7, LAY)
     einv = nsverify.collective_noise("phase", -0.7, LAY)
@@ -112,7 +119,7 @@ def test_noise_acts_trivially_on_encoded_subsystem():
 
     before = state.apply(noise_full).apply(gate)
     after = state.apply(gate).apply(noise_full)
-    pb = encoding.parity_measurement_branches(before, 0, 1)
-    pa = encoding.parity_measurement_branches(after, 0, 1)
+    pb = encoding.parity_measurement_branches(before, 1)
+    pa = encoding.parity_measurement_branches(after, 1)
     assert pb[0].probability == pytest.approx(pa[0].probability, abs=1e-8)
     assert pb[1].probability == pytest.approx(pa[1].probability, abs=1e-8)

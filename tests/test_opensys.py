@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
     rho = state.to_density().data
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, pulses.QubitRotation):
-            r = fock.qubit_rotation(state.layout, 0, seg.axis, seg.angle).matrix
+            r = fock.qubit_rotation(state.layout, seg.axis, seg.angle).matrix
             rho = r @ rho @ r.conj().T
             continue
         nsteps = max(1, math.ceil(seg.duration / dt))
@@ -242,7 +243,7 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
         psi[start] = 1.0
         for seg in sched.expand_waiting().segments:
             if isinstance(seg, pulses.QubitRotation):
-                psi = fock.qubit_rotation(st.layout, 0, seg.axis, seg.angle).matrix @ psi
+                psi = fock.qubit_rotation(st.layout, seg.axis, seg.angle).matrix @ psi
             else:
                 psi = expm(-1j * seg.duration * h[type(seg)]) @ psi
         ref += np.outer(psi, psi.conj()) / n_traj
@@ -384,6 +385,19 @@ def test_cooling_rate_zeros_and_optimum_scaling():
     # parity-encoding advantage at <n> = 1 and Gamma_dp/Gamma_dc = 1e4
     assert comp.epsilon_tqp / comp.epsilon_cool < 0.1
     assert comp.advantage_flag
+
+
+@pytest.mark.parametrize("eta, gdc, gdp", [(0.016, 0.01, 100.0), (0.1, 0.3, 3.0)])
+def test_cooling_optimum_is_the_closed_form_maximum(eta, gdc, gdp):
+    noise = NoiseParams(Q=1e6, N_th=100.0, eta=eta, Gamma_dc=gdc, Gamma_dp=gdp)
+    comp = opensys.cooling_comparison(noise)
+    assert opensys.cooling_rate(noise, comp.delta_opt, comp.omega_opt) == pytest.approx(
+        comp.gamma_c, rel=1e-12)
+    span = np.logspace(-3, 5, 161)
+    rates = [opensys.cooling_rate(noise, d, o) for d in span for o in span]
+    assert max(rates) <= comp.gamma_c * (1 + 1e-12)
+    with pytest.raises(ValueError):
+        opensys.cooling_comparison(replace(noise, eta=0.0))
 
 
 def test_pure_state_rhs_rejected():

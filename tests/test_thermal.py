@@ -34,6 +34,15 @@ def test_thermal_state_cutoff_too_small():
         thermal.thermal_state(ThermalSpec(2.0, cutoff=8))
 
 
+@pytest.mark.parametrize("n", [-1.0, -1e-9, math.inf])
+def test_invalid_mean_excitation_is_rejected(n):
+    for build in (thermal.boltzmann_ratio, thermal.required_cutoff, ThermalSpec,
+                  lambda n: thermal.thermal_weights(n, 10),
+                  lambda n: thermal.even_odd_weights(n, 10, +1)):
+        with pytest.raises(ValueError, match="mean excitation"):
+            build(n)
+
+
 def test_parity_project_vacuum_and_thermal():
     vac = thermal.thermal_state(ThermalSpec(0.0))
     post, p = thermal.parity_project(vac, 0, +1)
