@@ -27,6 +27,7 @@ from ._io import format_value, sidecar_path, write_csv, write_json
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DEFAULTS = {
     "entropy-sweep": {
@@ -118,12 +119,19 @@ def _resolve_config(command: str, args) -> dict:
 
 
 def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
         "tool": "tqpsim",
         "version": __version__,
         "command": command,
         "config": {k: v for k, v in cfg.items()},
-        "threads": os.environ.get("OMP_NUM_THREADS", "default"),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS + ("TQPSIM_THREADS",)},
     }
     if extra:
         meta.update(extra)
@@ -369,7 +377,7 @@ def _apply_threads(threads: int | None) -> None:
             raise UsageError(f"TQPSIM_THREADS must be an integer, got {env!r}")
     if threads < 1:
         raise UsageError(f"thread count must be positive, got {threads}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_THREAD_VARS:
         os.environ[var] = str(threads)
 
 

@@ -6,15 +6,18 @@ The mode couples to a hot background through the standard damping dissipators
 
 with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  The Hamiltonian is
 diagonal in the ancilla's Z basis (`pulses.level_hamiltonians`) and the jumps
-act on the mode alone, so every solver works on one d x d block per ancilla
-level and never builds an operator on the whole (ancilla, mode) space.  Two
-solvers are provided: the master equation through exact per-block segment
-propagators (each (q, q') block of rho evolves on its own), and a Monte-Carlo
-wavefunction unravelling that carries all trajectories as columns of one
-array through exact per-segment non-Hermitian propagators, bisecting the jump
-time (dyadically) only in the columns whose norm crossed their threshold.
-`lindblad_rhs`, the printed right-hand side on the whole space, is kept as
-the independent reference the tests integrate.
+act on the mode alone, so every segment propagator is one d x d block per
+ancilla level.  Two solvers are provided: the master equation through exact
+per-block segment propagators (each (q, q') block of rho evolves on its
+own), and a Monte-Carlo wavefunction unravelling that carries all
+trajectories as columns of one array.  The unravelling screens every column
+with one composed no-jump propagator per period of the schedule (its only
+operator on the whole (ancilla, mode) space), then walks just the columns
+whose norm crossed their threshold through the period's per-segment
+propagators, bisecting the jump time (dyadically), with the same random
+draws as a walk of every column.  `lindblad_rhs`, the printed right-hand
+side on the whole space, is kept as the independent reference the tests
+integrate.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -27,6 +30,7 @@ regime.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -303,6 +307,14 @@ def _bisect_jumps(psi: np.ndarray, r_target: float, ladder: _SegmentPropagators,
     return psi, r_target, jumps
 
 
+def _schedule_period(segs: tuple) -> int:
+    """Length of the shortest prefix of `segs` whose repetition is `segs`
+    (the whole length when nothing shorter repeats; 1 when `segs` is empty)."""
+    n = len(segs)
+    return next((p for p in range(1, n) if n % p == 0 and segs[p:] == segs[:n - p]),
+                max(n, 1))
+
+
 def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoiseParams,
                      rng: np.random.Generator, n_traj: int) -> JumpEnsemble:
     """Monte-Carlo wavefunction unravelling of the master equation.
@@ -313,19 +325,42 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     Fock-basis mixture weights (general inputs from their eigenbasis).  The
     ensemble mean converges to the master equation at the Monte-Carlo rate.
 
-    All trajectories are columns of one (levels, d, n_traj) array.  Each
-    timed segment's full-length propagator is applied to every column at
-    once, one d x d block per ancilla level, and rotations act on the
-    ancilla axis.  A column keeps that step while its norm^2 stays at or
-    above its random threshold; only the columns that fell below it are
-    walked one by one through the dyadic jump-time bisection.
+    All trajectories are columns of one (levels, d, n_traj) array.  The
+    schedule (zero-duration segments dropped) is cut into repeats of its
+    shortest repeating prefix, the period (the whole schedule when nothing
+    repeats); the period's composed no-jump propagator, one
+    (levels d) x (levels d) matrix, screens every column at once.  The
+    no-jump norm never grows (d|psi|^2/dt = -<r_down a^dag a + r_up a a^dag>
+    <= 0, rotations are unitary), so a column that ends a period at or above
+    its random threshold crossed it nowhere inside.  Only the other columns
+    are walked through the period segment by segment: each timed segment's
+    full-length propagator, one d x d block per ancilla level, then the
+    dyadic jump-time bisection in column order for the columns that fell
+    below their threshold.  The random draws therefore come in the order a
+    segment-by-segment walk of every column makes them.
     """
+    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral):
+        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     model = _DampedModeModel(state.layout, noise)
-    segs = schedule.expand_waiting().segments
-    props = {seg: _SegmentPropagators(model.k[type(seg)], seg.duration) for seg in set(segs)
-             if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration > 0}
+    segs = tuple(seg for seg in schedule.expand_waiting().segments
+                 if isinstance(seg, QubitRotation) or seg.duration > 0)
+    props = {seg: model.rotation(seg) if isinstance(seg, QubitRotation)
+             else _SegmentPropagators(model.k[type(seg)], seg.duration) for seg in set(segs)}
+
+    def no_jump_step(seg, cols):
+        if isinstance(seg, QubitRotation):
+            return (props[seg] @ cols.reshape(model.levels, -1)).reshape(cols.shape)
+        return props[seg].level(0) @ cols
+
+    period = _schedule_period(segs)
+    dim = model.levels * model.d
+    window = np.eye(dim, dtype=complex).reshape(model.levels, model.d, dim)
+    for seg in segs[:period]:
+        window = no_jump_step(seg, window)
+    window = window.reshape(dim, dim)
+
     jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
     weights, columns = _decompose_for_trajectories(state)
     psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
@@ -333,21 +368,24 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
 
-    for seg in segs:
-        if isinstance(seg, QubitRotation):
-            r = model.rotation(seg)
-            psi = (r @ psi.reshape(model.levels, -1)).reshape(psi.shape)
-            continue
-        if seg.duration == 0.0:
-            continue
-        ladder = props[seg]
-        stepped = ladder.level(0) @ psi
-        crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_target)
-        for c in crossed:
-            stepped[..., c:c + 1], r_target[c], jumps = _bisect_jumps(
-                psi[..., c:c + 1], r_target[c], ladder, jump_ops, rng)
-            jump_counts[c] += jumps
-        psi = stepped
+    for start in range(0, len(segs), period):
+        screened = (window @ psi.reshape(dim, n_traj)).reshape(psi.shape)
+        # the margin keeps rounding in the composed product from hiding a crossing
+        walk = np.flatnonzero((np.abs(screened) ** 2).sum(axis=(0, 1))
+                              < r_target * (1.0 + 1e-12))
+        cols, r_walk = psi[..., walk], r_target[walk]
+        for seg in segs[start:start + period]:
+            stepped = no_jump_step(seg, cols)
+            if not isinstance(seg, QubitRotation):
+                crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_walk)
+                for c in crossed:
+                    stepped[..., c:c + 1], r_walk[c], jumps = _bisect_jumps(
+                        cols[..., c:c + 1], r_walk[c], props[seg], jump_ops, rng)
+                    jump_counts[walk[c]] += jumps
+            cols = stepped
+        screened[..., walk] = cols
+        r_target[walk] = r_walk
+        psi = screened
     psi = psi.reshape(-1, n_traj)
     psi = psi / np.linalg.norm(psi, axis=0)
     return JumpEnsemble(HybridState.density(state.layout, psi @ psi.conj().T / n_traj),
@@ -360,8 +398,11 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
 
     The closed form is (2 N_th <n> + N_th + <n>) (nu/Q) dt; the simulated
     value is the norm loss of the trajectories' no-jump propagator over a
-    free evolution of length dt, averaged over the mixture.
+    free evolution of length dt, averaged over the mixture.  `dt` must be
+    finite and positive.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     model = _DampedModeModel(state.layout, noise)
     weights, cols = _decompose_for_trajectories(state)
     cols = cols.reshape(model.levels, model.d, -1)

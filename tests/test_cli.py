@@ -178,3 +178,23 @@ def test_metadata_embeds_resolved_config(tmp_path):
     assert cfg["seed"] == 31
     assert "n_min" in cfg and "n_step" in cfg and "agreement_tol" in cfg
     assert "cutoff_override" in cfg
+
+
+def test_sidecar_records_libraries_and_thread_variables(tmp_path, monkeypatch):
+    import scipy
+
+    monkeypatch.setenv("TQPSIM_THREADS", "1")
+    for var in cli.BLAS_THREAD_VARS:  # restored after the test
+        monkeypatch.delenv(var, raising=False)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert run(["entropy-sweep", "--out", str(out), "--seed", "5"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+    assert meta["numpy"] == np.__version__
+    assert meta["scipy"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+    # TQPSIM_THREADS=1 is applied to every BLAS pool
+    assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                               "MKL_NUM_THREADS": "1", "TQPSIM_THREADS": "1"}

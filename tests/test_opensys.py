@@ -189,6 +189,13 @@ def test_short_time_jump_probability_closed_form():
     assert abs(sim - closed) / closed < 0.05
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_short_time_jump_probability_needs_a_finite_positive_interval(dt):
+    st = opensys._thermal_with_ancilla(1.0, 8)
+    with pytest.raises(ValueError):
+        opensys.short_time_jump_probability(st, NoiseParams(Q=1e6, N_th=100.0, eta=0.016), dt)
+
+
 def test_trajectories_converge_to_master_small_case():
     noise = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
     d = 12
@@ -248,6 +255,87 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
                 psi = expm(-1j * seg.duration * h[type(seg)]) @ psi
         ref += np.outer(psi, psi.conj()) / n_traj
     assert np.abs(ens.mean_state.data - ref).max() <= 1e-12
+
+
+def per_segment_unravelling(state, schedule, noise, rng, n_traj):
+    """Every column stepped through every timed segment, crossed columns
+    bisected in column order: the cross-check of the period screening in
+    `jump_unravelling`, which must make the same random draws."""
+    model = opensys._DampedModeModel(state.layout, noise)
+    segs = schedule.expand_waiting().segments
+    props = {seg: opensys._SegmentPropagators(model.k[type(seg)], seg.duration)
+             for seg in set(segs)
+             if isinstance(seg, (pulses.FreeEvolution, pulses.WaitingPeriod)) and seg.duration > 0}
+    jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
+    weights, columns = opensys._decompose_for_trajectories(state)
+    psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
+    psi = psi.reshape(model.levels, model.d, n_traj)
+    r_target = rng.random(n_traj)
+    jump_counts = np.zeros(n_traj, dtype=int)
+    for seg in segs:
+        if isinstance(seg, pulses.QubitRotation):
+            r = model.rotation(seg)
+            psi = (r @ psi.reshape(model.levels, -1)).reshape(psi.shape)
+            continue
+        if seg.duration == 0.0:
+            continue
+        ladder = props[seg]
+        stepped = ladder.level(0) @ psi
+        crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_target)
+        for c in crossed:
+            stepped[..., c:c + 1], r_target[c], jumps = opensys._bisect_jumps(
+                psi[..., c:c + 1], r_target[c], ladder, jump_ops, rng)
+            jump_counts[c] += jumps
+        psi = stepped
+    psi = psi.reshape(-1, n_traj)
+    psi = psi / np.linalg.norm(psi, axis=0)
+    return jump_counts, psi @ psi.conj().T / n_traj
+
+
+def _unravelling_cases():
+    rotated = pulses.PulseSchedule((
+        pulses.FreeEvolution(1.1), pulses.QubitRotation("x", 0.4), pulses.FreeEvolution(0.0),
+        pulses.WaitingPeriod(0.7), pulses.QubitRotation("y", -0.3), pulses.FreeEvolution(0.5)))
+    w = thermal.thermal_weights(0.5, 8)
+    mode_only = HybridState.density(SpaceLayout(0, (8,)), np.diag(w / w.sum()).astype(complex))
+    noisy = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
+    return {
+        "engineered": (_diagonal_density(8), pulses.build_h2_sequence(hparams(0.03), 2), noisy),
+        "no-repeat": (_random_density(6, 13), rotated, NoiseParams(Q=5.0, N_th=0.6, eta=0.05)),
+        "several-jumps": (opensys._thermal_with_ancilla(0.5, 14),
+                          pulses.PulseSchedule((pulses.FreeEvolution(4.0),
+                                                pulses.QubitRotation("x", 0.7))),
+                          NoiseParams(Q=2.0, N_th=1.0, eta=0.1)),
+        "mode-only": (mode_only, pulses.PulseSchedule((
+            pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6), pulses.FreeEvolution(0.9))),
+            NoiseParams(Q=20.0, N_th=0.7, eta=0.03)),
+        "empty": (_diagonal_density(6), pulses.PulseSchedule(()), noisy),
+    }
+
+
+@pytest.mark.parametrize("case", ["engineered", "no-repeat", "several-jumps", "mode-only",
+                                  "empty"])
+def test_period_screening_matches_per_segment_unravelling(case):
+    st, sched, noise = _unravelling_cases()[case]
+    ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(17), 200)
+    counts, mean = per_segment_unravelling(st, sched, noise, np.random.default_rng(17), 200)
+    assert np.array_equal(ens.jump_counts, counts)
+    assert np.abs(ens.mean_state.data - mean).max() <= 1e-12
+    if case == "empty":
+        assert ens.mean_jumps == 0.0
+    else:
+        assert ens.mean_jumps > 0.0
+
+
+@pytest.mark.parametrize("n_traj", [2.5, True, "3", None])
+def test_trajectory_count_must_be_an_integer(n_traj):
+    noise, sched, st = _noisy_unravelling_case(4)
+    with pytest.raises(ValueError):
+        opensys.jump_unravelling(st, sched, noise, np.random.default_rng(0), n_traj)
+    hot = NoiseParams(Q=1e6, N_th=100.0, eta=0.016)
+    with pytest.raises(ValueError):
+        opensys.epsilon_tqp_trajectory_check(hot, 1.0, np.random.default_rng(0), n_traj=n_traj,
+                                             cutoff=4)
 
 
 @pytest.mark.parametrize("kind", ["pure", "diagonal", "non-diagonal"])
