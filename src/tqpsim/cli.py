@@ -5,7 +5,9 @@ Subcommands: entropy-sweep, fidelity-sweep, algebra-check, msuqc-demo,
 ns-check.  Options: --config PATH (JSON), --seed U64, --out PATH,
 --cutoff INT, --threads INT; flags override config-file values.  The thread
 count is resolved flag > TQPSIM_THREADS environment variable > library
-default, and is applied to the BLAS thread pools before numpy is imported.
+default, and is applied to the BLAS thread pools before numpy is imported;
+called in a process that has already loaded numpy, `main` leaves the
+thread variables alone and notes a differing request on stderr.
 
 Exit codes: 0 success, 1 acceptance-check failure, 2 usage error.  Outputs
 embed the tool version, the fully resolved configuration, the seed, cutoffs
@@ -366,7 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_threads(threads: int | None) -> None:
-    # must happen before numpy is imported anywhere in this process
+    """Write the BLAS thread variables, which BLAS reads once, when numpy
+    loads.  Once numpy is loaded (an in-process `main` call) they would take
+    no effect, so they are left alone and a differing request is noted."""
     if threads is None:
         env = os.environ.get("TQPSIM_THREADS")
         if not env:
@@ -377,6 +381,11 @@ def _apply_threads(threads: int | None) -> None:
             raise UsageError(f"TQPSIM_THREADS must be an integer, got {env!r}")
     if threads < 1:
         raise UsageError(f"thread count must be positive, got {threads}")
+    if "numpy" in sys.modules:
+        if any(os.environ.get(var) != str(threads) for var in BLAS_THREAD_VARS):
+            print(f"note: numpy is already loaded, so the BLAS thread count stays as it "
+                  f"was; {threads} threads not applied", file=sys.stderr)
+        return
     for var in BLAS_THREAD_VARS:
         os.environ[var] = str(threads)
 

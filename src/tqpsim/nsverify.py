@@ -68,8 +68,10 @@ def commutation_check(noise_op: TruncatedOperator, logical_op: TruncatedOperator
 
     The restriction (default: total excitation <= d/3) removes
     truncation-edge artifacts of the squeeze exponential; the claim being
-    checked is algebraic and survives the restriction.  Both modes must share
-    one cutoff d.
+    checked is algebraic and survives the restriction.  Only the kept rows
+    and columns are computed, E[keep] L[:, keep] - L[keep] E[:, keep]: k^2 D
+    work for k kept states of the D-dimensional pair space, not D^3.  Both
+    modes must share one cutoff d.
     """
     if noise_op.layout != logical_op.layout:
         raise fock.LayoutError("operators live on different layouts")
@@ -78,9 +80,12 @@ def commutation_check(noise_op: TruncatedOperator, logical_op: TruncatedOperator
         raise fock.LayoutError("commutation check needs modes that share one cutoff")
     if max_total is None:
         max_total = d // 3
-    comm = noise_op.matrix @ logical_op.matrix - logical_op.matrix @ noise_op.matrix
+    if max_total < 0:
+        raise ValueError(f"max_total must be non-negative, got {max_total}")
     keep = np.concatenate(fock.pair_excitation_blocks(d)[:max_total + 1])
-    return float(np.abs(comm[np.ix_(keep, keep)]).max())
+    noise, logical = noise_op.matrix, logical_op.matrix
+    comm = noise[keep] @ logical[:, keep] - logical[keep] @ noise[:, keep]
+    return float(np.abs(comm).max())
 
 
 @dataclass(frozen=True)

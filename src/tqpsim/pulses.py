@@ -24,12 +24,21 @@ conventions differ by a factor of pi and both are exposed (`effective_coupling`
 returns the quoted strength; `repetitions_for_controlled_parity` uses the
 phase calibration).  Error estimates built on the quoted coupling use its
 own implied duration, keeping them self-consistent.
+
+Block structure.  H is diagonal in the ancilla's Z basis, one d x d block
+per level (`level_hamiltonians`), and the rotations act on the ancilla
+alone.  `simulate_schedule` therefore holds the unitary as a (2, d, 2d)
+array, rows split by ancilla level: a free evolution multiplies the two
+closed-form level blocks into it in one batched product, a rotation applies
+its 2 x 2 matrix to the level axis, and a bare waiting period scales every
+level by the same diagonal phase.  No 2d x 2d segment matrix is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -70,8 +79,14 @@ class FreeEvolution:
 
 @dataclass(frozen=True)
 class QubitRotation:
+    """Ideal instantaneous ancilla rotation exp(i angle sigma_axis)."""
+
     axis: str
     angle: float
+
+    def __post_init__(self):
+        if not isinstance(self.axis, str) or self.axis.lower() not in ("x", "y", "z"):
+            raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,19 @@ def hamiltonian(params: HybridHamiltonianParams, cutoff: int) -> TruncatedOperat
     return TruncatedOperator(_hybrid_layout(cutoff), block_diag(*blocks), copy=False)
 
 
+def _free_blocks(params: HybridHamiltonianParams, t: float, cutoff: int) -> np.ndarray:
+    """[U_+(t), U_-(t)]: exp(-i t H) as one d x d block per ancilla Z level."""
+    nu, eta = params.nu, params.eta
+    phase = np.exp(1j * eta ** 2 * (nu * t - math.sin(nu * t)))
+    rot = np.diag(np.exp(-1j * nu * t * np.arange(cutoff)))
+    sub = SpaceLayout(0, (cutoff,))
+    blocks = []
+    for sign in (+1, -1):
+        alpha = -sign * eta * (np.exp(1j * nu * t) - 1.0)
+        blocks.append(phase * rot @ fock.displacement(sub, 0, alpha).matrix)
+    return np.stack(blocks)
+
+
 def exact_free_propagator(params: HybridHamiltonianParams, t: float,
                           cutoff: int) -> TruncatedOperator:
     """Closed-form exp(-i t H), block per qubit branch:
@@ -181,18 +209,8 @@ def exact_free_propagator(params: HybridHamiltonianParams, t: float,
 
     The branch for qubit |0> (Z = +1) is U_+.
     """
-    lay = _hybrid_layout(cutoff)
-    d = cutoff
-    nu, eta = params.nu, params.eta
-    phase = np.exp(1j * eta ** 2 * (nu * t - math.sin(nu * t)))
-    rot = np.diag(np.exp(-1j * nu * t * np.arange(d)))
-    sub = SpaceLayout(0, (d,))
-    blocks = []
-    for sign in (+1, -1):
-        alpha = -sign * eta * (np.exp(1j * nu * t) - 1.0)
-        disp = fock.displacement(sub, 0, alpha).matrix
-        blocks.append(phase * rot @ disp)
-    return TruncatedOperator(lay, block_diag(*blocks), copy=False)
+    blocks = _free_blocks(params, t, cutoff)
+    return TruncatedOperator(_hybrid_layout(cutoff), block_diag(*blocks), copy=False)
 
 
 def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:
@@ -202,30 +220,36 @@ def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:
     return TruncatedOperator(lay, np.diag(diag), copy=False)
 
 
+def _on_ancilla(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The 2 x 2 ancilla matrix `r` applied to the rows of `u`, which are
+    split by ancilla level first."""
+    return (r @ u.reshape(2, -1)).reshape(u.shape)
+
+
 def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
                       cutoff: int) -> TruncatedOperator:
     """Unitary of the whole schedule on (ancilla, mode), segments in time order.
 
-    Free evolutions use the closed-form propagator; rotations are ideal and
-    instantaneous; waiting periods without a flip interval are ideal bare
-    evolutions, with one they are simulated as the explicit flip sequence.
+    The unitary is held as a (2, d, 2d) array, its rows split by ancilla Z
+    level.  Free evolutions apply the closed-form per-level blocks U_pm(t)
+    as one batched product; rotations are ideal and instantaneous, the 2 x 2
+    ancilla matrix acting on the level axis; waiting periods without a flip
+    interval are ideal bare evolutions, a diagonal phase on every level, and
+    with one they are simulated as the explicit flip sequence.
     """
-    lay = _hybrid_layout(cutoff)
-    sched = schedule.expand_waiting()
+    d = cutoff
     free_cache: dict[float, np.ndarray] = {}
-    u = np.eye(lay.total_dim, dtype=complex)
-    for seg in sched.segments:
+    u = np.eye(2 * d, dtype=complex).reshape(2, d, 2 * d)
+    for seg in schedule.expand_waiting().segments:
         if isinstance(seg, QubitRotation):
-            mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
+            u = _on_ancilla(fock.qubit_rotation_matrix(seg.axis, seg.angle), u)
         elif isinstance(seg, FreeEvolution):
             if seg.duration not in free_cache:
-                free_cache[seg.duration] = exact_free_propagator(
-                    params, seg.duration, cutoff).matrix
-            mat = free_cache[seg.duration]
+                free_cache[seg.duration] = _free_blocks(params, seg.duration, d)
+            u = free_cache[seg.duration] @ u
         else:
-            mat = bare_rotation(params.nu, seg.duration, cutoff).matrix
-        u = mat @ u
-    return TruncatedOperator(lay, u, copy=False)
+            u = np.exp(-1j * params.nu * seg.duration * np.arange(d))[:, None] * u
+    return TruncatedOperator(_hybrid_layout(d), u.reshape(2 * d, 2 * d), copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +278,7 @@ def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
     18 pi / nu.  Durations are in units of 1/nu for nu = 1; general nu
     scales every duration by 1/nu.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _check_repetitions(repetitions)
     group = _displacement_group()
     if flip_interval is not None:
         group = tuple(WaitingPeriod(s.duration, flip_interval)
@@ -271,9 +294,16 @@ def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
     return PulseSchedule(group * 4).repeated(repetitions)
 
 
+def _check_repetitions(repetitions) -> None:
+    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral) \
+            or repetitions < 1:
+        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
+
+
 def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
                      repetitions: int = 1) -> TruncatedOperator:
     """Unitary of `repetitions` engineered sequences (fast matrix-power path)."""
+    _check_repetitions(repetitions)
     one = simulate_schedule(build_h2_sequence(params, 1), params, cutoff)
     mat = np.linalg.matrix_power(one.matrix, repetitions)
     return TruncatedOperator(one.layout, mat, copy=False)
@@ -387,8 +417,8 @@ def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
         repetitions = repetitions_for_controlled_parity(params.eta)
     u = sequence_unitary(params, cutoff, repetitions)
     chi = 64.0 * repetitions * params.eta ** 2
-    corr = fock.qubit_rotation(u.layout, "z", chi / 2.0)
-    return corr @ u
+    corr = fock.qubit_rotation_matrix("z", chi / 2.0)
+    return TruncatedOperator(u.layout, _on_ancilla(corr, u.matrix), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -19,28 +19,51 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 
+def _dense_segment_product(schedule, params, cutoff, free_matrix):
+    """The schedule unitary as a product of dense 2d x 2d segment matrices in
+    time order; `free_matrix(t)` gives a free evolution's matrix."""
+    import numpy as np
+    from tqpsim import fock, pulses
+
+    lay = fock.SpaceLayout(1, (cutoff,))
+    free: dict[float, np.ndarray] = {}
+    u = np.eye(lay.total_dim, dtype=complex)
+    for seg in schedule.expand_waiting().segments:
+        if isinstance(seg, pulses.QubitRotation):
+            mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
+        elif isinstance(seg, pulses.FreeEvolution):
+            if seg.duration not in free:
+                free[seg.duration] = free_matrix(seg.duration)
+            mat = free[seg.duration]
+        else:
+            mat = pulses.bare_rotation(params.nu, seg.duration, cutoff).matrix
+        u = mat @ u
+    return fock.TruncatedOperator(lay, u, copy=False)
+
+
 @pytest.fixture
 def dense_schedule_unitary():
     """``pulses.simulate_schedule`` with every free evolution a dense matrix
     exponential of the truncated Hamiltonian, in place of the closed-form
     propagator: the cross-check of the schedule unitary."""
-    import numpy as np
     from tqpsim import fock, pulses
 
     def unitary(schedule, params, cutoff):
-        lay = fock.SpaceLayout(1, (cutoff,))
         h = pulses.hamiltonian(params, cutoff)
-        free: dict[float, np.ndarray] = {}
-        u = np.eye(lay.total_dim, dtype=complex)
-        for seg in schedule.expand_waiting().segments:
-            if isinstance(seg, pulses.QubitRotation):
-                mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
-            elif isinstance(seg, pulses.FreeEvolution):
-                if seg.duration not in free:
-                    free[seg.duration] = fock.matrix_exponential((-1j * seg.duration) * h).matrix
-                mat = free[seg.duration]
-            else:
-                mat = pulses.bare_rotation(params.nu, seg.duration, cutoff).matrix
-            u = mat @ u
-        return fock.TruncatedOperator(lay, u, copy=False)
+        return _dense_segment_product(
+            schedule, params, cutoff, lambda t: fock.matrix_exponential((-1j * t) * h).matrix)
+    return unitary
+
+
+@pytest.fixture
+def dense_segment_product():
+    """The same closed-form segments as ``pulses.simulate_schedule``, each
+    embedded as a dense 2d x 2d matrix (rotations through ``np.kron``) and
+    multiplied in turn: the cross-check of its per-ancilla-level blocks."""
+    from tqpsim import pulses
+
+    def unitary(schedule, params, cutoff):
+        return _dense_segment_product(
+            schedule, params, cutoff,
+            lambda t: pulses.exact_free_propagator(params, t, cutoff).matrix)
     return unitary

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +77,15 @@ def test_fidelity_sweep_small_grid(tmp_path):
             assert fid > baseline
     meta = json.loads((tmp_path / "fid.csv.meta.json").read_text())
     assert meta["checks_passed"] is True
+
+
+def test_fidelity_sweep_default_config(tmp_path):
+    out = tmp_path / "fid.csv"
+    assert run(["fidelity-sweep", "--out", str(out), "--seed", "5"]) == 0
+    assert len(out.read_text().strip().splitlines()) - 1 == 60  # 3 configs x 20 grid points
+    meta = json.loads((tmp_path / "fid.csv.meta.json").read_text())
+    assert meta["checks_passed"] is True
+    assert meta["rows"] == 60
 
 
 def test_fidelity_sweep_with_bath(tmp_path):
@@ -163,7 +175,7 @@ def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, mon
 
 def test_ns_check(tmp_path):
     out = tmp_path / "ns.json"
-    assert run(["ns-check", "--out", str(out), "--seed", "5", "--cutoff", "18"]) == 0
+    assert run(["ns-check", "--out", str(out), "--seed", "5"]) == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["dfs_report"]["all_null_dims_zero"] is True
@@ -180,12 +192,9 @@ def test_metadata_embeds_resolved_config(tmp_path):
     assert "cutoff_override" in cfg
 
 
-def test_sidecar_records_libraries_and_thread_variables(tmp_path, monkeypatch):
+def test_sidecar_records_libraries_and_thread_variables(tmp_path):
     import scipy
 
-    monkeypatch.setenv("TQPSIM_THREADS", "1")
-    for var in cli.BLAS_THREAD_VARS:  # restored after the test
-        monkeypatch.delenv(var, raising=False)
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in outs:
         assert run(["entropy-sweep", "--out", str(out), "--seed", "5"]) == 0
@@ -195,6 +204,36 @@ def test_sidecar_records_libraries_and_thread_variables(tmp_path, monkeypatch):
     assert meta["scipy"] == scipy.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
-    # TQPSIM_THREADS=1 is applied to every BLAS pool
+    # a fresh process applies TQPSIM_THREADS=1 to every BLAS pool before numpy loads
+    env = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+    env["TQPSIM_THREADS"] = "1"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "c.csv"
+    subprocess.run([sys.executable, "-m", "tqpsim.cli", "entropy-sweep", "--out", str(out),
+                    "--seed", "5"], env=env, check=True)
+    assert out.read_bytes() == outs[0].read_bytes()
+    meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
     assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
                                "MKL_NUM_THREADS": "1", "TQPSIM_THREADS": "1"}
+
+
+def test_threads_flag_after_numpy_loaded_changes_nothing(tmp_path, capsys, monkeypatch):
+    # in process numpy is loaded, so the BLAS pools keep their size: the
+    # variables stay as they are and a differing request is noted once
+    monkeypatch.delenv("TQPSIM_THREADS", raising=False)
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    env_before = dict(os.environ)
+    out = tmp_path / "e.csv"
+    assert run(["entropy-sweep", "--out", str(out), "--threads", "2"]) == 0
+    assert dict(os.environ) == env_before
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
+    assert meta["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+                               "MKL_NUM_THREADS": "1", "TQPSIM_THREADS": None}
+    # a request that matches the variables needs no note
+    assert run(["entropy-sweep", "--out", str(out), "--threads", "1"]) == 0
+    assert "note:" not in capsys.readouterr().err
+    assert dict(os.environ) == env_before

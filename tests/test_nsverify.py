@@ -29,6 +29,28 @@ def test_commutation_check_needs_one_cutoff():
         nsverify.commutation_check(e, fock.parity(lay, 1))
 
 
+@pytest.mark.parametrize("kind,par", [("phase", 0.7), ("squeeze", 0.2)])
+def test_commutation_check_matches_full_product(kind, par):
+    # only the kept rows and columns are multiplied; the full-product
+    # commutator restricted afterwards is the cross-check
+    d = LAY.mode_cutoffs[0]
+    e = nsverify.collective_noise(kind, par, LAY)
+    a1 = fock.annihilation(LAY, 1)
+    for op in (fock.parity(LAY, 1), fock.two_mode_swap(LAY, 0, 1), a1 + a1.adjoint()):
+        full = e.matrix @ op.matrix - op.matrix @ e.matrix
+        for max_total in (0, None, 2 * d - 2):
+            top = d // 3 if max_total is None else max_total
+            keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
+            ref = np.abs(full[np.ix_(keep, keep)]).max()
+            assert abs(nsverify.commutation_check(e, op, max_total) - ref) <= 1e-15
+
+
+def test_commutation_check_needs_a_non_negative_bound():
+    e = nsverify.collective_noise("phase", 0.7, LAY)
+    with pytest.raises(ValueError, match="max_total"):
+        nsverify.commutation_check(e, fock.parity(LAY, 1), max_total=-1)
+
+
 def test_channels_invert_and_squeeze_bound():
     e = nsverify.collective_noise("phase", 0.7, LAY)
     einv = nsverify.collective_noise("phase", -0.7, LAY)

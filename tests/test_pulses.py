@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tqpsim import fock, pulses
-from tqpsim.pulses import HybridHamiltonianParams, PulseSchedule, WaitingPeriod
+from tqpsim.pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
+                           QubitRotation, WaitingPeriod)
 
 
 def params(eta, nu=1.0):
@@ -158,10 +159,66 @@ def test_engineered_controlled_parity_branch_phases():
         assert rel[n] - rel[0] == pytest.approx(n, abs=0.1 * n * n + 0.05)
 
 
-def test_simulate_schedule_closed_form_flag(dense_schedule_unitary):
+def test_simulate_schedule_matches_dense_exponentials(dense_schedule_unitary):
     # the closed-form schedule unitary against dense matrix exponentials
     p = params(0.03)
     sched = pulses.build_h2_sequence(p, 1)
     u_fast = pulses.simulate_schedule(sched, p, 20)
     u_slow = dense_schedule_unitary(sched, p, 20)
     assert pulses.gauged_distance(u_fast, u_slow, n_max=10) < 1e-8
+
+
+def _cross_check_case(case):
+    eta50 = pulses.eta_for_repetitions(50)
+    if case == "engineered-d66":
+        return params(eta50), 66, pulses.build_h2_sequence(params(eta50), 1)
+    if case == "flip-cancelled-waiting":
+        sched = PulseSchedule((WaitingPeriod(0.7), FreeEvolution(0.4), QubitRotation("Y", 0.3),
+                               WaitingPeriod(math.pi / 2, 0.05), QubitRotation("z", -0.2)))
+        return params(0.05), 20, sched
+    if case == "nu-2":
+        p = params(0.03, nu=2.0)
+        return p, 24, pulses.build_h2_sequence(p, 2, flip_interval=0.05)
+    return params(0.03), 12, PulseSchedule(())
+
+
+@pytest.mark.parametrize("case", ["engineered-d66", "flip-cancelled-waiting", "nu-2", "empty"])
+def test_simulate_schedule_matches_dense_segment_product(dense_segment_product, case):
+    # the per-ancilla-level blocks against the product of dense 2d x 2d segments
+    p, d, sched = _cross_check_case(case)
+    u = pulses.simulate_schedule(sched, p, d).matrix
+    assert np.abs(u - dense_segment_product(sched, p, d).matrix).max() <= 1e-12
+    if case == "empty":
+        assert np.array_equal(u, np.eye(2 * d))
+
+
+def test_engineered_controlled_parity_matches_dense_route(dense_segment_product):
+    reps, eta = pulses.measurement_configs()[2]  # R = 200
+    p, d = params(eta), 66
+    one = dense_segment_product(pulses.build_h2_sequence(p, 1), p, d)
+    corr = fock.qubit_rotation(one.layout, "z", 32.0 * reps * eta ** 2)
+    ref = corr.matrix @ np.linalg.matrix_power(one.matrix, reps)
+    got = pulses.engineered_controlled_parity(p, d, reps).matrix
+    assert np.abs(got - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("reps", [0, -1, 2.5, True, "3"])
+def test_repetitions_must_be_a_positive_integer(reps):
+    p = params(0.03)
+    with pytest.raises(ValueError, match="repetitions"):
+        pulses.sequence_unitary(p, 8, reps)
+    with pytest.raises(ValueError, match="repetitions"):
+        pulses.engineered_controlled_parity(p, 8, reps)
+
+
+def test_numpy_integer_repetitions_are_accepted():
+    p = params(0.03)
+    u = pulses.sequence_unitary(p, 8, np.int64(3)).matrix
+    assert np.array_equal(u, pulses.sequence_unitary(p, 8, 3).matrix)
+
+
+@pytest.mark.parametrize("axis", ["w", "", "xy", None])
+def test_rotation_axis_is_checked_at_construction(axis):
+    with pytest.raises(ValueError, match="axis"):
+        QubitRotation(axis, 0.1)
+    assert QubitRotation("X", 0.1).axis == "X"
