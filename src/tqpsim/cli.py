@@ -85,13 +85,20 @@ def _matches_default(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
 def _resolve_config(command: str, args) -> dict:
     cfg = dict(_DEFAULTS[command])
     if args.config is not None:
         try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(args.config) as fh:  # NaN, +-Infinity and overflowing floats refused
+                loaded = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
@@ -104,6 +111,8 @@ def _resolve_config(command: str, args) -> dict:
                                  f"of its default {cfg[key]!r}")
             if value == []:
                 raise UsageError(f"config key {key!r} must not be an empty list")
+            if (key.endswith(("_tol", "_slack")) or key == "min_singular_value") and value < 0:
+                raise UsageError(f"config key {key!r} must not be negative, got {value!r}")
         cfg.update(loaded)
     # a zero count or an empty grid would check nothing and still exit 0
     for key in ("n_step", "n_circuits", "max_steps", "n_random_states"):

@@ -14,10 +14,10 @@ trajectories as columns of one array.  The unravelling screens every column
 with one composed no-jump propagator per period of the schedule (its only
 operator on the whole (ancilla, mode) space), then walks just the columns
 whose norm crossed their threshold through the period's per-segment
-propagators, bisecting the jump time (dyadically), with the same random
-draws as a walk of every column.  `lindblad_rhs`, the printed right-hand
-side on the whole space, is kept as the independent reference the tests
-integrate.
+propagators, finding each jump time by a Newton root find in the eigenbasis
+of the segment's no-jump generator, with the same random draws as a walk of
+every column.  `lindblad_rhs`, the printed right-hand side on the whole
+space, is kept as the independent reference the tests integrate.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -44,7 +44,8 @@ from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
 from .thermal import required_cutoff, thermal_weights
 
 DEGENERATE_BRANCH_FLOOR = 1e-9
-JUMP_BISECTION_LEVELS = 40
+# largest condition number of a no-jump eigenvector matrix V the trajectories accept
+EIGENBASIS_COND_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,12 @@ class NoiseParams:
     Gamma_dp: float = 0.0
 
     def __post_init__(self):
-        if self.Q <= 0:
-            raise ValueError("quality factor must be positive")
+        if not 0 < self.Q < math.inf:  # NaN fails every comparison
+            raise ValueError(f"quality factor Q must be finite and positive, got {self.Q!r}")
         for name in ("nu", "eta", "N_th", "Gamma_dc", "Gamma_dp"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
 
     @property
     def rate_down(self) -> float:
@@ -125,6 +127,7 @@ class _DampedModeModel:
     def __init__(self, layout: SpaceLayout, noise: NoiseParams):
         _check_layout(layout)
         self.layout = layout
+        self.noise = noise
         self.d = layout.mode_cutoffs[0]
         self.levels = 2 ** layout.qubit_count
         self.a = fock.annihilation(SpaceLayout(0, (self.d,)), 0).matrix
@@ -238,22 +241,75 @@ class JumpEnsemble:
 
 
 class _SegmentPropagators:
-    """Dyadic ladder of no-jump propagators for one segment type.
+    """No-jump propagators of one timed segment type from one eigenbasis.
 
-    The no-jump Hamiltonian is diagonal in the ancilla's Z basis, so level j
-    (covering duration/2^j) is stored as one d x d block per ancilla level,
-    stacked to (levels, d, d); it acts on (levels, d, n) column batches.
+    The (levels, d, d) no-jump generator, one d x d block per ancilla level,
+    is diagonalised once, K = V diag(lam) V^-1, so the propagator over any
+    tau is V exp(-i lam tau) V^-1.  A V whose condition number exceeds
+    EIGENBASIS_COND_LIMIT (K near defective) is refused.
     """
 
-    def __init__(self, k_blocks: np.ndarray, duration: float):
-        self.k_blocks = k_blocks
-        self.duration = duration
-        self._ladder: dict[int, np.ndarray] = {}
+    def __init__(self, model: _DampedModeModel, seg_type: type):
+        k = model.k[seg_type]
+        self.lam, self.v = np.linalg.eig(k)
+        cond = float(np.linalg.cond(self.v).max())
+        if cond > EIGENBASIS_COND_LIMIT:
+            raise ValueError(f"no-jump eigenbasis too ill-conditioned (cond {cond:.3g} > "
+                             f"{EIGENBASIS_COND_LIMIT:g}) at Q = {model.noise.Q!r}, "
+                             f"eta = {model.noise.eta!r}, cutoff {model.d}")
+        self.v_inv = np.linalg.inv(self.v)
+        # the diagonal of r_down a^dag a + r_up a a^dag, the truncation's top entry included
+        self.jump_rates = -2.0 * k[0].diagonal().imag
 
-    def level(self, j: int) -> np.ndarray:
-        if j not in self._ladder:
-            self._ladder[j] = _expm(-1j * (self.duration / 2 ** j) * self.k_blocks)
-        return self._ladder[j]
+    def step(self, tau: float) -> np.ndarray:
+        """The (levels, d, d) propagator over `tau`; it acts on (levels, d, n) columns."""
+        return (self.v * np.exp(-1j * tau * self.lam)[:, None, :]) @ self.v_inv
+
+    def jumps_across(self, psi: np.ndarray, r_target: float, duration: float, jump_ops,
+                     rng: np.random.Generator):
+        """Carry one (levels, d, 1) column across a segment of `duration` whose
+        full step fell below its norm threshold; returns (psi, r_target, jumps).
+
+        A jump time, the root of f(tau) = |V exp(-i lam tau) V^-1 psi|^2 -
+        r_target, is bracketed to tol = duration 2^-40 by Newton steps on the
+        exact slope -<psi(tau)|diag(jump_rates)|psi(tau)>, bisecting when a
+        step leaves the bracket (a step under tol/2 ends the search from the
+        left end, or is carried tol/4 past the root from the right end).  The
+        jump, applied at the left end (f >= 0), draws one operator and one new
+        threshold; the rest of the segment is searched again only if its end
+        point crosses that threshold.
+        """
+        jumps, remaining, tol = 0, duration, duration * 2.0 ** -40
+        while True:
+            c = self.v_inv @ psi
+            lo, hi, tau, at_tau = 0.0, remaining, 0.0, psi
+            while True:  # on exit psi is the column at lo
+                pops = (np.abs(at_tau) ** 2).sum(axis=(0, 2))
+                f, slope = float(pops.sum()) - r_target, -float(self.jump_rates @ pops)
+                if f >= 0.0:
+                    lo, psi = tau, at_tau
+                else:
+                    hi = tau
+                step = -f / slope if slope < 0.0 else math.inf
+                if hi - lo <= tol or (f >= 0.0 and step < 0.5 * tol):
+                    break
+                if abs(step) < 0.5 * tol:
+                    step -= 0.25 * tol
+                if not lo < tau + step < hi:
+                    step = 0.5 * (lo + hi) - tau
+                tau += step
+                at_tau = self.v @ (np.exp(-1j * tau * self.lam)[..., None] * c)
+            norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
+                              for rate, op in jump_ops])
+            pick = rng.choice(len(jump_ops), p=norms / norms.sum())
+            jumped = jump_ops[pick][1] @ psi
+            psi = jumped / np.linalg.norm(jumped)
+            r_target = rng.random()
+            jumps += 1
+            remaining -= lo
+            end = self.v @ (np.exp(-1j * remaining * self.lam)[..., None] * (self.v_inv @ psi))
+            if float(np.vdot(end, end).real) >= r_target:
+                return end, r_target, jumps
 
 
 def _decompose_for_trajectories(state: HybridState):
@@ -272,39 +328,6 @@ def _decompose_for_trajectories(state: HybridState):
     lam, vec = np.linalg.eigh(rho)
     keep = np.flatnonzero(lam > 1e-12)
     return lam[keep] / lam[keep].sum(), vec[:, keep]
-
-
-def _bisect_jumps(psi: np.ndarray, r_target: float, ladder: _SegmentPropagators,
-                  jump_ops, rng: np.random.Generator):
-    """Carry one trajectory across a segment whose full step fell below its
-    norm threshold: walk it in dyadic chunks and bisect around each jump.
-
-    `psi` is one (levels, d, 1) column; returns (psi, r_target, jumps).
-    """
-    jumps = 0
-    stack = [1, 1]  # levels; level j covers duration/2^j (level 0 crossed)
-    while stack:
-        j = stack.pop()
-        cand = ladder.level(j) @ psi
-        n2 = float(np.vdot(cand, cand).real)
-        if n2 >= r_target:
-            psi = cand
-            continue
-        if j >= JUMP_BISECTION_LEVELS:
-            # jump happens inside an interval shorter than 2^-40 of the
-            # segment: apply it at the chunk start
-            norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
-                              for rate, op in jump_ops])
-            pick = rng.choice(len(jump_ops), p=norms / norms.sum())
-            jumped = jump_ops[pick][1] @ psi
-            psi = jumped / np.linalg.norm(jumped)
-            r_target = rng.random()
-            jumps += 1
-            stack.append(j)  # redo the chunk after the jump
-            continue
-        stack.append(j + 1)  # second half (processed after the first)
-        stack.append(j + 1)  # first half
-    return psi, r_target, jumps
 
 
 def _schedule_period(segs: tuple) -> int:
@@ -335,9 +358,11 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     its random threshold crossed it nowhere inside.  Only the other columns
     are walked through the period segment by segment: each timed segment's
     full-length propagator, one d x d block per ancilla level, then the
-    dyadic jump-time bisection in column order for the columns that fell
-    below their threshold.  The random draws therefore come in the order a
-    segment-by-segment walk of every column makes them.
+    Newton jump-time root find (`_SegmentPropagators.jumps_across`) in column
+    order for the columns that fell below their threshold.  The random draws
+    therefore come in the order a segment-by-segment walk of every column
+    makes them.  Raises ValueError when a no-jump generator is too close to
+    defective for its eigenbasis (see EIGENBASIS_COND_LIMIT).
     """
     if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral):
         raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
@@ -346,13 +371,15 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     model = _DampedModeModel(state.layout, noise)
     segs = tuple(seg for seg in schedule.expand_waiting().segments
                  if isinstance(seg, QubitRotation) or seg.duration > 0)
-    props = {seg: model.rotation(seg) if isinstance(seg, QubitRotation)
-             else _SegmentPropagators(model.k[type(seg)], seg.duration) for seg in set(segs)}
+    rotations = {seg: model.rotation(seg) for seg in set(segs) if isinstance(seg, QubitRotation)}
+    props = {kind: _SegmentPropagators(model, kind)
+             for kind in {type(seg) for seg in segs} - {QubitRotation}}
+    steps = {seg: props[type(seg)].step(seg.duration) for seg in set(segs) - set(rotations)}
 
     def no_jump_step(seg, cols):
         if isinstance(seg, QubitRotation):
-            return (props[seg] @ cols.reshape(model.levels, -1)).reshape(cols.shape)
-        return props[seg].level(0) @ cols
+            return (rotations[seg] @ cols.reshape(model.levels, -1)).reshape(cols.shape)
+        return steps[seg] @ cols
 
     period = _schedule_period(segs)
     dim = model.levels * model.d
@@ -379,8 +406,8 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
             if not isinstance(seg, QubitRotation):
                 crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_walk)
                 for c in crossed:
-                    stepped[..., c:c + 1], r_walk[c], jumps = _bisect_jumps(
-                        cols[..., c:c + 1], r_walk[c], props[seg], jump_ops, rng)
+                    stepped[..., c:c + 1], r_walk[c], jumps = props[type(seg)].jumps_across(
+                        cols[..., c:c + 1], r_walk[c], seg.duration, jump_ops, rng)
                     jump_counts[walk[c]] += jumps
             cols = stepped
         screened[..., walk] = cols
@@ -397,16 +424,16 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
     """(simulated, closed-form) jump probability over one short interval dt.
 
     The closed form is (2 N_th <n> + N_th + <n>) (nu/Q) dt; the simulated
-    value is the norm loss of the trajectories' no-jump propagator over a
-    free evolution of length dt, averaged over the mixture.  `dt` must be
-    finite and positive.
+    value is the norm loss of the trajectories' no-jump propagator
+    V exp(-i lam dt) V^-1 over a free evolution of length dt, averaged over
+    the mixture.  `dt` must be finite and positive.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     model = _DampedModeModel(state.layout, noise)
     weights, cols = _decompose_for_trajectories(state)
     cols = cols.reshape(model.levels, model.d, -1)
-    evolved = _SegmentPropagators(model.k[FreeEvolution], dt).level(0) @ cols
+    evolved = _SegmentPropagators(model, FreeEvolution).step(dt) @ cols
     survive = (np.abs(evolved) ** 2).sum(axis=(0, 1))
     simulated = float(np.dot(weights, 1.0 - survive))
     pops = (np.abs(cols) ** 2).sum(axis=0)

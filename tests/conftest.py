@@ -4,7 +4,11 @@ On a machine whose cores are shared, OpenBLAS's default thread pool thrashes
 and the suite runs several times slower.  BLAS reads its thread count when
 numpy is first imported, so the pin is set here, before any test module
 imports numpy; a value already in the environment wins.  numpy and tqpsim
-are therefore imported only inside the fixtures.
+are therefore imported only inside the fixtures.  For the same reason the
+filter that turns numpy's ComplexWarning (a complex-to-real cast dropping an
+imaginary part) into an error is added in `pytest_configure`, not in
+pyproject.toml: pytest resolves the ini filters, importing numpy, before it
+loads this file.
 """
 
 import os
@@ -17,6 +21,10 @@ if "numpy" in sys.modules:
     warnings.warn("numpy was imported before tests/conftest.py; BLAS threads are not pinned")
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", "error::numpy.exceptions.ComplexWarning")
 
 
 def _dense_segment_product(schedule, params, cutoff, free_matrix):

@@ -143,6 +143,16 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("algebra-check", {"n_random_states": 0}),
     ("msuqc-demo", {"max_steps": 0}),
     ("ns-check", {"max_total": -1}),
+    ("fidelity-sweep", {"bath": {"Q": math.nan}, "n_min": 0.5, "n_max": 0.5,
+                        "repetitions": [50]}),
+    ("entropy-sweep", {"n_max": math.inf}),
+    ("entropy-sweep", {"n_step": math.nan}),
+    ("ns-check", {"min_singular_value": math.nan}),
+    ("ns-check", {"commutator_tol": math.nan}),
+    ("entropy-sweep", {"agreement_tol": math.nan}),
+    ("fidelity-sweep", {"monotonic_slack": math.nan}),
+    ("msuqc-demo", {"equivalence_tol": math.nan}),
+    ("algebra-check", {"residual_tol": -1.0}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

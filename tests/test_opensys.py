@@ -73,6 +73,13 @@ def test_noise_params_validation():
     assert n.rate_up == pytest.approx(0.02)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["Q", "nu", "eta", "N_th", "Gamma_dc", "Gamma_dp"])
+def test_noise_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        NoiseParams(**{"Q": 10.0, field: value})
+
+
 def test_rhs_trace_free_and_closed_system_limit():
     d = 10
     lay = SpaceLayout(1, (d,))
@@ -189,6 +196,22 @@ def test_short_time_jump_probability_closed_form():
     assert abs(sim - closed) / closed < 0.05
 
 
+def test_short_time_jump_probability_matches_expm_reference():
+    # the survival probability is Tr(U rho U^dag) with U = expm(-i dt K) on the
+    # whole (ancilla, mode) space, K = H - i/2 (r_down a^dag a + r_up a a^dag)
+    d = 12
+    st = opensys._thermal_with_ancilla(1.0, d)
+    noise = NoiseParams(Q=50.0, N_th=0.7, eta=0.05)
+    a = fock.annihilation(st.layout, 0).matrix
+    k = pulses.hamiltonian(hparams(noise.eta), d).matrix - 0.5j * (
+        noise.rate_down * a.conj().T @ a + noise.rate_up * a @ a.conj().T)
+    for dt in (1e-3, 0.7, 5.0):
+        u = expm(-1j * dt * k)
+        reference = 1.0 - np.trace(u @ st.data @ u.conj().T).real
+        sim, _ = opensys.short_time_jump_probability(st, noise, dt)
+        assert abs(sim - reference) <= 1e-12
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
 def test_short_time_jump_probability_needs_a_finite_positive_interval(dt):
     st = opensys._thermal_with_ancilla(1.0, 8)
@@ -257,13 +280,62 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
     assert np.abs(ens.mean_state.data - ref).max() <= 1e-12
 
 
+JUMP_BISECTION_LEVELS = 40
+
+
+class DyadicLadder:
+    """Dyadic ladder of no-jump propagators for one segment: level j (covering
+    duration/2^j) is expm(-i duration/2^j K), one d x d block per ancilla
+    level stacked to (levels, d, d)."""
+
+    def __init__(self, k_blocks, duration):
+        self.k_blocks = k_blocks
+        self.duration = duration
+        self._ladder = {}
+
+    def level(self, j):
+        if j not in self._ladder:
+            self._ladder[j] = expm(-1j * (self.duration / 2 ** j) * self.k_blocks)
+        return self._ladder[j]
+
+
+def bisect_jumps(psi, r_target, ladder, jump_ops, rng):
+    """Carry one (levels, d, 1) column across a segment whose full step fell
+    below its norm threshold: walk it in dyadic chunks and bisect around each
+    jump, applied at the start of a chunk of duration/2^40.  Returns
+    (psi, r_target, jumps)."""
+    jumps = 0
+    stack = [1, 1]  # levels; level j covers duration/2^j (level 0 crossed)
+    while stack:
+        j = stack.pop()
+        cand = ladder.level(j) @ psi
+        n2 = float(np.vdot(cand, cand).real)
+        if n2 >= r_target:
+            psi = cand
+            continue
+        if j >= JUMP_BISECTION_LEVELS:
+            norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
+                              for rate, op in jump_ops])
+            pick = rng.choice(len(jump_ops), p=norms / norms.sum())
+            jumped = jump_ops[pick][1] @ psi
+            psi = jumped / np.linalg.norm(jumped)
+            r_target = rng.random()
+            jumps += 1
+            stack.append(j)  # redo the chunk after the jump
+            continue
+        stack.append(j + 1)  # second half (processed after the first)
+        stack.append(j + 1)  # first half
+    return psi, r_target, jumps
+
+
 def per_segment_unravelling(state, schedule, noise, rng, n_traj):
-    """Every column stepped through every timed segment, crossed columns
-    bisected in column order: the cross-check of the period screening in
-    `jump_unravelling`, which must make the same random draws."""
+    """Every column stepped through every timed segment by `expm`, crossed
+    columns bisected on a dyadic ladder in column order: the cross-check of
+    the period screening and the eigenbasis root find in `jump_unravelling`,
+    which must make the same random draws."""
     model = opensys._DampedModeModel(state.layout, noise)
     segs = schedule.expand_waiting().segments
-    props = {seg: opensys._SegmentPropagators(model.k[type(seg)], seg.duration)
+    props = {seg: DyadicLadder(model.k[type(seg)], seg.duration)
              for seg in set(segs)
              if isinstance(seg, (pulses.FreeEvolution, pulses.WaitingPeriod)) and seg.duration > 0}
     jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
@@ -283,7 +355,7 @@ def per_segment_unravelling(state, schedule, noise, rng, n_traj):
         stepped = ladder.level(0) @ psi
         crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_target)
         for c in crossed:
-            stepped[..., c:c + 1], r_target[c], jumps = opensys._bisect_jumps(
+            stepped[..., c:c + 1], r_target[c], jumps = bisect_jumps(
                 psi[..., c:c + 1], r_target[c], ladder, jump_ops, rng)
             jump_counts[c] += jumps
         psi = stepped
@@ -325,6 +397,37 @@ def test_period_screening_matches_per_segment_unravelling(case):
         assert ens.mean_jumps == 0.0
     else:
         assert ens.mean_jumps > 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.floats(1.0, 50.0), n_th=st.floats(0.0, 1.0), eta=st.floats(0.0, 0.2),
+       d=st.integers(3, 6), durations=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_root_find_matches_dyadic_ladder(q, n_th, eta, d, durations, seed):
+    segs = []
+    for i, t in enumerate(durations):
+        segs.append(pulses.FreeEvolution(t) if i % 2 == 0 else pulses.WaitingPeriod(t))
+        segs.append(pulses.QubitRotation("xy"[i % 2], 0.3 * (i + 1)))
+    sched = pulses.PulseSchedule(tuple(segs))
+    noise = NoiseParams(Q=q, N_th=n_th, eta=eta)
+    st_in = _random_density(d, seed)
+    ens = opensys.jump_unravelling(st_in, sched, noise, np.random.default_rng(seed), 50)
+    counts, _ = per_segment_unravelling(st_in, sched, noise, np.random.default_rng(seed), 50)
+    assert np.array_equal(ens.jump_counts, counts)
+
+
+def test_ill_conditioned_no_jump_eigenbasis_is_refused():
+    # strong damping at a large coupling: K nearly defective, cond(V) ~ 1e9
+    noise = NoiseParams(Q=0.5, eta=3.0)
+    st = opensys._thermal_with_ancilla(0.5, 40)
+    sched = pulses.PulseSchedule((pulses.FreeEvolution(0.1),))
+    with pytest.raises(ValueError, match=r"cond .* Q = 0\.5, eta = 3\.0, cutoff 40"):
+        opensys.jump_unravelling(st, sched, noise, np.random.default_rng(0), 10)
+    with pytest.raises(ValueError, match="cond"):
+        opensys.short_time_jump_probability(st, noise, 1e-3)
+    # waiting segments alone have a diagonal K and pass
+    wait = pulses.PulseSchedule((pulses.WaitingPeriod(0.1),))
+    opensys.jump_unravelling(st, wait, noise, np.random.default_rng(0), 10)
 
 
 @pytest.mark.parametrize("n_traj", [2.5, True, "3", None])
