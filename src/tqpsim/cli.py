@@ -3,11 +3,14 @@ seeds, and CSV/JSON outputs.
 
 Subcommands: entropy-sweep, fidelity-sweep, algebra-check, msuqc-demo,
 ns-check.  Options: --config PATH (JSON), --seed U64, --out PATH,
---cutoff INT, --threads INT; flags override config-file values.  The thread
-count is resolved flag > TQPSIM_THREADS environment variable > library
-default, and is applied to the BLAS thread pools before numpy is imported;
-called in a process that has already loaded numpy, `main` leaves the
-thread variables alone and notes a differing request on stderr.
+--cutoff INT, --threads INT; flags override config-file values.  One table,
+`_COMMANDS`, gives each subcommand's runner, largest --cutoff, and every config
+key's default and rule (JSON type and range, bounded so that no accepted
+config outgrows MEMORY_BUDGET_MB); besides it, only the n_min/n_max/n_step
+grid, the bath's limits and --cutoff are checked.  The thread count (flag >
+TQPSIM_THREADS > library default) is applied to the BLAS thread pools before
+numpy is imported; once numpy is loaded `main` leaves them alone and notes a
+differing request on stderr.
 
 Exit codes: 0 success, 1 acceptance-check failure, 2 usage error.  Outputs
 embed the tool version, the fully resolved configuration, the seed, cutoffs
@@ -30,100 +33,75 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-_DEFAULTS = {
-    "entropy-sweep": {
-        "n_min": 0.1, "n_max": 2.0, "n_step": 0.1,
-        "agreement_tol": 1e-6,
-    },
-    "fidelity-sweep": {
-        "n_min": 0.2, "n_max": 4.0, "n_step": 0.2,
-        "repetitions": [50, 100, 200],
-        "noise": "ideal-sequence",
-        "bath": None,  # {"Q": ..., "N_th": ..., "nu": ...} switches the master equation on
-        "ordering_slack": 0.0,
-        "monotonic_slack": 1e-3,
-    },
-    "algebra-check": {
-        "cutoffs": [6, 12, 20],
-        "residual_tol": 1e-10,
-        "n_random_states": 20,
-    },
-    "msuqc-demo": {
-        "n_circuits": 20,
-        "qubit_counts": [1, 2],
-        "mean_excitations": [0.5, 1.0, 2.0],
-        "max_steps": 3,
-        "equivalence_tol": 1e-6,
-    },
-    "ns-check": {
-        "max_total": 8,
-        "phases": [0.3, 0.7, math.pi / 2, math.pi],
-        "squeezes": [0.05, 0.1, 0.2],
-        "commutator_tol": 1e-8,
-        "negative_control_min": 0.1,
-        "min_singular_value": 1e-3,
-    },
-}
+MEMORY_BUDGET_MB = 1024  # peak RSS of any accepted config at one BLAS thread
+GRID_POINTS_MAX = 2000  # points of the n_min .. n_max grid in steps of n_step
+LIST_ITEMS_MAX = 100
+# a bath runs the master equation, whose propagators hold d^4 entries
+BATH_N_MAX, BATH_REPETITIONS_MAX, BATH_CUTOFF_MAX = 2.0, 200, 40
 
 
 class UsageError(Exception):
     pass
 
 
-def _matches_default(value, default) -> bool:
-    """True if `value` has the JSON type of `default`: ints pass for floats,
-    lists are checked element-wise, and a None default accepts an object."""
-    if default is None:
-        return value is None or isinstance(value, dict)
-    if isinstance(value, bool):  # no default is a bool, and bool passes as int
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_matches_default(v, default[0]) for v in value)
-    return isinstance(value, type(default))
+def _number(lo, hi=sys.float_info.max, integer=False, above=False) -> tuple:
+    """Rule (text, test): a JSON number (whole if `integer`), lo <= (< if `above`) x <= hi.
+    NaN, infinities and overflowing literals fail it."""
+    types = (int,) if integer else (int, float)
+    return (f"{'an integer' if integer else 'a number'} {'>' if above else '>='} {lo:g}"
+            + (f" and <= {hi:g}" if hi < sys.float_info.max else ""),
+            lambda v: type(v) in types and (lo < v if above else lo <= v) and v <= hi)
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text} in config")
-    return value
+def _list(item: tuple) -> tuple:
+    return (f"a list of 1 to {LIST_ITEMS_MAX} items, each {item[0]}",
+            lambda v: type(v) is list and 0 < len(v) <= LIST_ITEMS_MAX and all(map(item[1], v)))
+
+
+def _bath(**fields: tuple) -> tuple:
+    """null, or an object with Q and any of the other `fields`."""
+    return ("null or an object with Q and any of: "
+            + ", ".join(f"{key} {rule[0]}" for key, rule in fields.items()),
+            lambda v: v is None or (type(v) is dict and "Q" in v and set(v) <= set(fields)
+                                    and all(fields[key][1](x) for key, x in v.items())))
+
+
+_TOL = _number(0)  # tolerances, slacks and thresholds
+_NOISES = ("ideal-sequence", "exact-gate")
 
 
 def _resolve_config(command: str, args) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    _, cutoff_max, table = _COMMANDS[command]
+    cfg = {key: default for key, (default, _) in table.items()}
     if args.config is not None:
         try:
-            with open(args.config) as fh:  # NaN, +-Infinity and overflowing floats refused
-                loaded = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-        except (OSError, ValueError) as exc:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError(f"config {args.config} must hold a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
-        for key, value in loaded.items():
-            if not _matches_default(value, cfg[key]):
-                raise UsageError(f"config key {key!r}: {value!r} does not match the type "
-                                 f"of its default {cfg[key]!r}")
-            if value == []:
-                raise UsageError(f"config key {key!r} must not be an empty list")
-            if (key.endswith(("_tol", "_slack")) or key == "min_singular_value") and value < 0:
-                raise UsageError(f"config key {key!r} must not be negative, got {value!r}")
         cfg.update(loaded)
-    # a zero count or an empty grid would check nothing and still exit 0
-    for key in ("n_step", "n_circuits", "max_steps", "n_random_states"):
-        if cfg.get(key, 1) <= 0:
-            raise UsageError(f"{key} must be positive")
-    if any(r <= 0 for r in cfg.get("repetitions", ())):
-        raise UsageError("repetitions must be positive")
-    if cfg.get("n_max", 0.0) < cfg.get("n_min", 0.0):
-        raise UsageError(f"n_max {cfg['n_max']} is below n_min {cfg['n_min']}")
-    if args.cutoff is not None and args.cutoff < 2:  # 0 would silently mean "no override"
-        raise UsageError(f"--cutoff must be at least 2, got {args.cutoff}")
+    for key, (_, (what, test)) in table.items():
+        if not test(cfg[key]):
+            raise UsageError(f"config key {key!r} must be {what}, got {cfg[key]!r}")
+    if "n_step" in cfg:  # the grid climbs from n_min and ends at n_max, up to rounding
+        lo, hi, step = cfg["n_min"], cfg["n_max"], cfg["n_step"]
+        if not 0 <= (hi - lo) / step <= GRID_POINTS_MAX - 1 or _grid(lo, hi, step)[-1] > hi + 1e-9:
+            raise UsageError(f"n_min {lo} to n_max {hi} in steps of n_step {step} must make "
+                             f"a grid of 1 to {GRID_POINTS_MAX} points ending at n_max")
+    if cfg.get("bath") is not None and (
+            cfg["noise"] != _NOISES[0] or cfg["n_max"] > BATH_N_MAX
+            or max(cfg["repetitions"]) > BATH_REPETITIONS_MAX
+            or (args.cutoff or 0) > BATH_CUTOFF_MAX):
+        raise UsageError(f"bath switches the master equation on; it takes noise {_NOISES[0]!r}, "
+                         f"n_max <= {BATH_N_MAX}, repetitions <= {BATH_REPETITIONS_MAX} "
+                         f"and --cutoff <= {BATH_CUTOFF_MAX}")
+    if args.cutoff is not None and not 2 <= args.cutoff <= cutoff_max:
+        raise UsageError(f"--cutoff must be 2 to {cutoff_max} for {command}, got {args.cutoff}")
     cfg["seed"] = args.seed
     cfg["cutoff_override"] = args.cutoff
     return cfg
@@ -191,16 +169,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     grid = _grid(cfg["n_min"], cfg["n_max"], cfg["n_step"])
     reps_list = list(cfg["repetitions"])
     configs = [(r, pulses.eta_for_repetitions(r)) for r in reps_list]
-    noise, bath = cfg["noise"], cfg["bath"]
-    if bath is not None:
-        if noise != _DEFAULTS["fidelity-sweep"]["noise"]:
-            raise ValueError("bath switches the master equation on; it cannot be "
-                             f"combined with noise {noise!r}")
-        if "Q" not in bath or not set(bath) <= {"Q", "N_th", "nu"} or not all(
-                _matches_default(v, 0.0) for v in bath.values()):
-            raise ValueError("bath must map Q and optionally N_th and nu to numbers "
-                             f"(eta follows the repetition count), got {bath!r}")
-        noise = opensys.NoiseParams(**bath)
+    noise = cfg["noise"] if cfg["bath"] is None else opensys.NoiseParams(**cfg["bath"])
     rows = []
     curves: dict[int, list[float]] = {r: [] for r in reps_list}
     for reps, eta in configs:
@@ -350,12 +319,42 @@ def _cmd_ns_check(cfg: dict, out: str) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+# command: (runner, largest --cutoff, {key: (default, rule)}); the README lists
+# the peak memory measured at each upper bound
 _COMMANDS = {
-    "entropy-sweep": _cmd_entropy_sweep,
-    "fidelity-sweep": _cmd_fidelity_sweep,
-    "algebra-check": _cmd_algebra_check,
-    "msuqc-demo": _cmd_msuqc_demo,
-    "ns-check": _cmd_ns_check,
+    "entropy-sweep": (_cmd_entropy_sweep, 500, {
+        "n_min": (0.1, _number(0, 20)), "n_max": (2.0, _number(0, 20)),
+        "n_step": (0.1, _number(0, above=True)),
+        "agreement_tol": (1e-6, _TOL),
+    }),
+    "fidelity-sweep": (_cmd_fidelity_sweep, 200, {
+        "n_min": (0.2, _number(0, 10)), "n_max": (4.0, _number(0, 10)),
+        "n_step": (0.2, _number(0, above=True)),
+        "repetitions": ([50, 100, 200], _list(_number(1, 10 ** 6, integer=True))),
+        "noise": (_NOISES[0], (" or ".join(map(repr, _NOISES)), lambda v: v in _NOISES)),
+        "bath": (None, _bath(Q=_number(1), N_th=_number(0, 100), nu=_number(1e-6, 1e6))),
+        "ordering_slack": (0.0, _TOL), "monotonic_slack": (1e-3, _TOL),
+    }),
+    "algebra-check": (_cmd_algebra_check, 32, {
+        "cutoffs": ([6, 12, 20], _list(_number(2, 32, integer=True))),
+        "residual_tol": (1e-10, _TOL),
+        "n_random_states": (20, _number(1, 1000, integer=True)),
+    }),
+    "msuqc-demo": (_cmd_msuqc_demo, 48, {
+        "n_circuits": (20, _number(1, 1000, integer=True)),
+        "qubit_counts": ([1, 2], _list(_number(1, 10, integer=True))),
+        "mean_excitations": ([0.5, 1.0, 2.0], _list(_number(0, 2))),
+        "max_steps": (3, _number(1, 3, integer=True)),
+        "equivalence_tol": (1e-6, _TOL),
+    }),
+    "ns-check": (_cmd_ns_check, 40, {
+        "max_total": (8, _number(0, 40, integer=True)),
+        "phases": ([0.3, 0.7, math.pi / 2, math.pi], _list(_number(-2 * math.pi, 2 * math.pi))),
+        "squeezes": ([0.05, 0.1, 0.2], _list(_number(-0.3, 0.3))),
+        "commutator_tol": (1e-8, _TOL),
+        "negative_control_min": (0.1, _TOL),
+        "min_singular_value": (1e-3, _TOL),
+    }),
 }
 
 
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](cfg, args.out)
+        return _COMMANDS[args.command][0](cfg, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

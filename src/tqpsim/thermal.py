@@ -65,10 +65,10 @@ def boltzmann_ratio(mean_excitation: float) -> float:
 
 def required_cutoff(mean_excitation: float, tail_tol: float = 1e-8, start: int = 20) -> int:
     """Smallest cutoff >= `start` whose geometric tail q^d is below `tail_tol`."""
+    if not tail_tol > 0:  # q^d never drops below 0
+        raise ValueError(f"tail tolerance must be positive, got {tail_tol}")
     d = max(int(start), 2)
     q = boltzmann_ratio(mean_excitation)
-    if q == 0.0:
-        return d
     while q ** d >= tail_tol:
         d += 1
     return d
@@ -77,10 +77,6 @@ def required_cutoff(mean_excitation: float, tail_tol: float = 1e-8, start: int =
 def thermal_weights(mean_excitation: float, cutoff: int) -> np.ndarray:
     """Unnormalized (1-q) q^n for n < cutoff; q = n/(n+1)."""
     q = boltzmann_ratio(mean_excitation)
-    if q == 0.0:
-        w = np.zeros(cutoff)
-        w[0] = 1.0
-        return w
     return (1.0 - q) * q ** np.arange(cutoff)
 
 
@@ -138,10 +134,7 @@ def even_odd_weights(mean_excitation: float, cutoff: int, parity_sign: int) -> n
     w = np.zeros(cutoff)
     offset = 0 if parity_sign == +1 else 1
     ns = np.arange(offset, cutoff, 2)
-    w[ns] = (1.0 - q * q) * q ** (ns - offset) if q > 0 else 0.0
-    if q == 0.0:
-        w[:] = 0.0
-        w[offset] = 1.0
+    w[ns] = (1.0 - q * q) * q ** (ns - offset)
     return w / w.sum()
 
 

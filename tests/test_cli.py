@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqpsim import cli, thermal
 
@@ -153,13 +157,31 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("fidelity-sweep", {"monotonic_slack": math.nan}),
     ("msuqc-demo", {"equivalence_tol": math.nan}),
     ("algebra-check", {"residual_tol": -1.0}),
+    # sizes beyond the memory budget
+    ("algebra-check", {"cutoffs": [120]}),
+    ("ns-check", {"max_total": 400}),
+    ("msuqc-demo", {"mean_excitations": [1000.0], "n_circuits": 1}),
+    ("fidelity-sweep", {"n_min": 20.0, "n_max": 20.0, "repetitions": [50], "bath": {"Q": 1e4}}),
+    ("entropy-sweep", {"n_step": 1e-9}),
+    ("fidelity-sweep", {"n_min": 0.5, "n_max": 0.5, "repetitions": [10 ** 30],
+                        "bath": {"Q": 1e4}}),
+    ("msuqc-demo", {"qubit_counts": [1000000000], "n_circuits": 1}),
+    ("msuqc-demo", {"max_steps": 1000000000, "qubit_counts": [1], "n_circuits": 1}),
+    # a ZeroDivisionError, NaN results, and a grid point beyond n_max
+    ("fidelity-sweep", {"n_min": 0.5, "n_max": 0.5, "repetitions": [50],
+                        "bath": {"Q": 1e4, "nu": 0.0}}),
+    ("fidelity-sweep", {"n_min": 0.5, "n_max": 0.5, "repetitions": [50], "bath": {"Q": 1e-300}}),
+    ("ns-check", {"phases": [1e308]}),
+    ("entropy-sweep", {"n_min": 0.0, "n_max": 1.0, "n_step": 0.6}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert any(key in err for key in config)  # the message names the offending key
     assert not out.exists()
 
 
@@ -247,3 +269,75 @@ def test_threads_flag_after_numpy_loaded_changes_nothing(tmp_path, capsys, monke
     assert run(["entropy-sweep", "--out", str(out), "--threads", "1"]) == 0
     assert "note:" not in capsys.readouterr().err
     assert dict(os.environ) == env_before
+
+
+# In-range values kept small, so that one run takes milliseconds: a key's
+# draw is kept only if its table rule accepts it.
+_SMALL = {
+    # grid points on quarters, so that most grids end at n_max
+    "n_min": st.sampled_from([0, 0.25, 0.5]) | st.floats(0, 0.6),
+    "n_max": st.sampled_from([0, 0.25, 0.5]) | st.floats(0, 0.6),
+    "n_step": st.sampled_from([0.25, 0.5]) | st.floats(0.25, 1),
+    "repetitions": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "noise": st.sampled_from(["ideal-sequence", "exact-gate"]),
+    "bath": st.none() | st.fixed_dictionaries(
+        {"Q": st.floats(1, 1e6)}, optional={"N_th": st.floats(0, 2), "nu": st.floats(0.5, 2)}),
+    "cutoffs": st.lists(st.integers(2, 8), min_size=1, max_size=2),
+    "n_random_states": st.integers(1, 3),
+    "n_circuits": st.integers(1, 2),
+    "qubit_counts": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    "mean_excitations": st.lists(st.floats(0, 1), min_size=1, max_size=2),
+    "max_steps": st.integers(1, 2),
+    "max_total": st.integers(0, 4),
+    "phases": st.lists(st.floats(-7, 7), min_size=1, max_size=2),
+    "squeezes": st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=2),
+}
+_TOLERANCE = st.floats(0, 1)  # every other key is a tolerance, slack or threshold
+_ARBITRARY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _command_and_config(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    table = cli._COMMANDS[command][2]
+    config = {}
+    for key, (_, (_, test)) in table.items():  # tolerances may keep their defaults
+        if key in _SMALL or draw(st.booleans()):
+            config[key] = draw(_SMALL.get(key, _TOLERANCE).filter(test))
+    if draw(st.booleans()):  # one key, any JSON: wrong types, out of range, huge, NaN
+        config[draw(st.sampled_from(sorted(table)))] = draw(_ARBITRARY_JSON)
+    cutoff = draw(st.none() | st.integers(2, 8) | st.integers())
+    return command, config, [] if cutoff is None else ["--cutoff", str(cutoff)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_command_and_config())
+def test_any_config_exits_cleanly(case):
+    command, config, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run([command, "--config", str(cfg), "--out", str(out), "--seed", "1"] + flags)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        if code == 2:
+            assert len(errors) == 1 and not out.exists() and not cli.sidecar_path(out).exists()
+        else:
+            assert code in (0, 1) and not errors and out.exists()
+
+
+def test_readme_documents_every_config_key_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert f"{cli.MEMORY_BUDGET_MB} MB" in section
+    for command, (_, cutoff_max, table) in cli._COMMANDS.items():
+        assert f"| `{command}` | `--cutoff` | none | an integer >= 2 and <= {cutoff_max} |" \
+            in section
+        for key, (default, (what, _)) in table.items():
+            assert f"| `{command}` | `{key}` | `{json.dumps(default)}` | {what} |" in section

@@ -34,6 +34,13 @@ def test_thermal_state_cutoff_too_small():
         thermal.thermal_state(ThermalSpec(2.0, cutoff=8))
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1e-8, math.nan])
+def test_required_cutoff_refuses_a_tail_tolerance_it_cannot_reach(tail_tol):
+    for n in (0.0, 1.0):  # q^d falls to 0 but never below it
+        with pytest.raises(ValueError, match="tail tolerance"):
+            thermal.required_cutoff(n, tail_tol)
+
+
 @pytest.mark.parametrize("n", [-1.0, -1e-9, math.inf])
 def test_invalid_mean_excitation_is_rejected(n):
     for build in (thermal.boltzmann_ratio, thermal.required_cutoff, ThermalSpec,
