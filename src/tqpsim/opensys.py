@@ -491,6 +491,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config` (its own eta is ignored).
+    A branch probability that is not finite or leaves [-1e-9, 1 + 1e-9], as
+    when the master equation diverges, raises ValueError.
     """
     reps, eta = config
     if cutoff is None:
@@ -513,6 +515,9 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     else:
         raise ValueError(f"unknown noise mode {noise!r}")
     p_plus, p_minus, t_plus, t_minus = _parity_branch_factors(rho, d)
+    if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in (p_plus, p_minus)):  # NaN fails too
+        raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} are not "
+                         f"probabilities: the run diverged (noise {noise!r}, cutoff {d})")
     return FidelityPoint(
         mean_excitation=n_mean,
         fidelity=t_plus * t_minus / 4.0,
@@ -545,26 +550,47 @@ def epsilon_tqp(noise: NoiseParams, n_mean: float, eta: float | None = None) -> 
     return rate * 9 * math.pi / (64 * eta ** 2 * noise.Q)
 
 
+def expected_jump_count(noise: NoiseParams, n0: float, duration: float) -> float:
+    """Expected quantum-jump count of the damped mode over time T = `duration`
+    from mean excitation n0:
+
+        kappa [(2N + 1)(N T + (n0 - N)(1 - e^{-kappa T}) / kappa) + N T],
+
+    with kappa = nu/Q and N = N_th.  The jump rate is kappa [(2N + 1) <n> + N]
+    and <n> relaxes as N + (n0 - N) e^{-kappa t}, so the count is exact up to
+    the O(eta^2) displacement of the coupled mode.  As kappa T -> 0 it tends to
+    kappa T (2 N n0 + N + n0): `epsilon_tqp` when T = 9 pi/(64 eta^2 nu).
+    """
+    kappa, n_th = noise.nu / noise.Q, noise.N_th
+    relaxing = -math.expm1(-kappa * duration) / kappa  # integral of e^{-kappa t} over T
+    return kappa * ((2 * n_th + 1) * (n_th * duration + (n0 - n_th) * relaxing)
+                    + n_th * duration)
+
+
 def epsilon_tqp_trajectory_check(noise: NoiseParams, n_mean: float,
                                  rng: np.random.Generator, n_traj: int = 2000,
                                  cutoff: int | None = None) -> tuple[float, float]:
-    """(closed form, trajectory-integrated jump count) over the implied duration.
+    """(expected jump count, trajectory-integrated jump count) of the engineered
+    schedule over the implied duration.
 
-    Runs the engineered schedule for the sequence count covering
-    9 pi/(64 eta^2 nu) and counts quantum jumps; the closed form is the
-    expected count to first order.
+    Runs the schedule for the sequence count covering 9 pi/(64 eta^2 nu)
+    (`pulses.coupling_implied_sequences`, rounded to whole sequences) and
+    counts quantum jumps.  The reference is `expected_jump_count` over that
+    schedule's own duration from the initial state's mean excitation, bath
+    heating included; its first-order limit over the implied duration is
+    `epsilon_tqp`.
     """
     eta = noise.eta
     if eta <= 0:
         raise ValueError("noise parameters need a positive eta")
-    closed = epsilon_tqp(noise, n_mean)
     reps = pulses.coupling_implied_sequences(eta)
     if cutoff is None:
         cutoff = required_cutoff(n_mean, 1e-6, 10) + 6
     state = _thermal_with_ancilla(n_mean, cutoff)
     sched = pulses.build_h2_sequence(noise.hybrid_params(), reps)
+    n0 = float(state.mode_populations(0) @ np.arange(cutoff))
     ens = jump_unravelling(state, sched, noise, rng, n_traj)
-    return closed, ens.mean_jumps
+    return expected_jump_count(noise, n0, sched.total_time), ens.mean_jumps
 
 
 # ---------------------------------------------------------------------------

@@ -238,7 +238,7 @@ def test_criterion_7_open_system_consistency():
     ok = short_ok and eps_ok and traj_ok
     _report(7, "open-system consistency", ok,
             f"short-dt jump prob rel err {abs(sim - closed_p) / closed_p:.2e} <= 5%; "
-            f"error estimate {closed_eps:.3f} vs trajectories {traj_eps:.3f} "
+            f"expected jump count {closed_eps:.3f} vs trajectories {traj_eps:.3f} "
             f"(ratio {traj_eps / closed_eps:.2f}, within 20%); "
             f"ensemble vs master trace distance {dist:.4f} <= {bound:.4f}",
             elapsed, 1200.0)

@@ -65,6 +65,103 @@ def test_algebra_check_passes(tmp_path):
     assert worst <= 1e-10
 
 
+def dense_algebra_residuals(d, rng, n_random_states):
+    """algebra-check's residuals at cutoff `d` by dense (2 d^2) x (2 d^2)
+    products of the hybrid operators: the cross-check of its structural route."""
+    from tqpsim import fock
+
+    lay = fock.SpaceLayout(1, (d, d))
+    eye = np.eye(lay.total_dim)
+    P = fock.parity(lay, 1)
+    S = fock.two_mode_swap(lay, 0, 1)
+    C = fock.controlled_parity(lay, 1)
+    B = fock.beam_splitter_5050(lay, 0, 1)
+    N = fock.number(lay, 0) + fock.number(lay, 1)
+    checks = {
+        "parity_squared": np.abs((P @ P).matrix - eye).max(),
+        "swap_squared": np.abs((S @ S).matrix - eye).max(),
+        "controlled_parity_squared": np.abs((C @ C).matrix - eye).max(),
+        "beam_splitter_unitary": np.abs((B.adjoint() @ B).matrix - eye).max(),
+        "beam_splitter_number_conservation": np.abs((B @ N - N @ B).matrix).max(),
+        "swap_number_conservation": np.abs((S @ N - N @ S).matrix).max(),
+    }
+    m, n = 1, 2
+    if 2 * m + 1 < d and 2 * n < d:
+        anticomm = (S @ P + P @ S).matrix
+        worst = 0.0
+        for _ in range(n_random_states):
+            c0, c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v = c0 * fock.HybridState.basis(lay, (0,), (2 * m + 1, 2 * n)).data \
+                + c1 * fock.HybridState.basis(lay, (0,), (2 * n, 2 * m + 1)).data
+            v /= np.linalg.norm(v)
+            worst = max(worst, float(np.linalg.norm(anticomm @ v)))
+        checks["pauli_anticommutator_on_pair"] = worst
+    return {k: float(v) for k, v in checks.items()}
+
+
+@pytest.mark.parametrize("seed", [None, 2, 11])
+def test_algebra_check_matches_dense_products(tmp_path, monkeypatch, seed):
+    from tqpsim import fock
+
+    def no_product(self, other):
+        raise AssertionError("algebra-check multiplied two hybrid operators")
+
+    monkeypatch.setattr(fock.TruncatedOperator, "__matmul__", no_product)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoffs": [6, 12]}))
+    out = tmp_path / "algebra.json"
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    assert run(["algebra-check", "--config", str(cfg), "--out", str(out)] + seed_args) == 0
+    monkeypatch.undo()
+    rng = np.random.default_rng(0 if seed is None else seed)
+    for result in json.loads(out.read_text())["results"]:
+        dense = dense_algebra_residuals(result["cutoff"], rng, 20)
+        structural = result["residuals"]
+        assert list(structural) == sorted(dense)  # write_json sorts keys
+        for name, value in dense.items():
+            assert abs(structural[name] - value) <= 1e-15, name
+            assert (structural[name] == 0.0) == (value == 0.0), name
+
+
+@pytest.mark.parametrize("entry", ["off-sector", "diagonal"])
+@pytest.mark.parametrize("constructor", ["parity", "two_mode_swap", "controlled_parity",
+                                         "beam_splitter_5050", "number"])
+def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, constructor, entry):
+    # one entry of one operator moved by 1e-6: off the sector structure, |0; 1, 0> to
+    # |1; 1, 0> (same total excitation, other ancilla level), or on the diagonal at |0; 1, 0>
+    from tqpsim import fock
+
+    original = getattr(fock, constructor)
+
+    def perturbed(layout, *args):
+        op = original(layout, *args)
+        mat = op.matrix.copy()
+        row = layout.basis_index((0,), (1, 0))
+        col = layout.basis_index((1,), (1, 0)) if entry == "off-sector" else row
+        mat[row, col] += 1e-6
+        return fock.TruncatedOperator(layout, mat)
+
+    monkeypatch.setattr(fock, constructor, perturbed)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cutoffs": [6]}))
+    out = tmp_path / "algebra.json"
+    assert run(["algebra-check", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    assert max(doc["results"][0]["residuals"].values()) > 1e-7
+
+
+def test_algebra_check_imports_no_sparse_module(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = str(tmp_path / "a.json")
+    code = ("import sys; from tqpsim import cli; "
+            f"code = cli.main(['algebra-check', '--cutoff', '6', '--out', {out!r}]); "
+            "sys.exit(code or 3 * ('scipy.sparse' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_fidelity_sweep_small_grid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_min": 0.5, "n_max": 2.0, "n_step": 0.5,

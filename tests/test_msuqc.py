@@ -104,6 +104,16 @@ def test_pure_agrees_with_oracle_random_circuits():
             assert abs(r.probability - a) < 1e-8
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pure_matches_oracle_on_random_angles_and_basis_pairs(k):
+    rng = np.random.default_rng(200 + k)
+    for _ in range(5):
+        circ = msuqc.random_circuit(rng, k, int(rng.integers(1, 4)))
+        pairs = [tuple(int(x) for x in rng.integers(0, 4, 2)) for _ in range(k)]
+        assert abs(msuqc.run_pure(circ, pairs).probability
+                   - msuqc.qubit_space_oracle(circ)) <= 1e-10
+
+
 def test_basis_relabeling_invariance():
     rng = np.random.default_rng(5)
     circ = msuqc.random_circuit(rng, 1, 2)

@@ -565,6 +565,49 @@ def test_epsilon_closed_form_values_and_scaling():
         opensys.epsilon_tqp(NoiseParams(Q=1e6, N_th=1.0, eta=0.016), 1.0)
 
 
+def test_expected_jump_count_first_order_limit():
+    # kappa T -> 0 over the implied duration 9 pi/(64 eta^2 nu): the closed form
+    noise = NoiseParams(Q=1e12, N_th=100.0, eta=0.016)
+    implied = 9 * math.pi / (64 * 0.016 ** 2)
+    exact = opensys.expected_jump_count(noise, 1.0, implied)
+    assert exact == pytest.approx(opensys.epsilon_tqp(noise, 1.0), rel=1e-7)
+    # a cold bath only drains the initial excitation
+    cold = NoiseParams(Q=10.0, eta=0.016)
+    assert opensys.expected_jump_count(cold, 1.5, 20.0) == pytest.approx(
+        1.5 * -math.expm1(-2.0), rel=1e-14)
+
+
+def test_trajectory_check_follows_the_exact_count_at_large_kappa_t():
+    # kappa T = 4 over four sequences: the mode relaxes towards N_th during the
+    # run, so the first-order closed form overshoots by many standard errors
+    eta = math.sqrt(1 / 512)
+    duration = 4 * 18 * math.pi
+    noise = NoiseParams(Q=duration / 4.0, N_th=0.5, eta=eta)
+    n_traj, cutoff = 400, 14
+    expected, traj = opensys.epsilon_tqp_trajectory_check(
+        noise, 1.0, np.random.default_rng(5), n_traj=n_traj, cutoff=cutoff)
+    # the same run again, for the spread of the jump counts
+    ens = opensys.jump_unravelling(opensys._thermal_with_ancilla(1.0, cutoff),
+                                   pulses.build_h2_sequence(noise.hybrid_params(), 4),
+                                   noise, np.random.default_rng(5), n_traj)
+    assert ens.mean_jumps == traj
+    stderr = ens.jump_counts.std() / math.sqrt(n_traj)
+    assert abs(traj - expected) <= 3 * stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # N_th is not >> <n> here
+        first_order = opensys.epsilon_tqp(noise, 1.0)
+    assert abs(traj - first_order) > 6 * stderr
+
+
+@pytest.mark.parametrize("q, n_th", [(1e-300, 0.0), (1.0, 1e12)])
+def test_fidelity_point_refuses_a_diverged_master_equation(q, n_th):
+    # the first runs to NaN, the second to p+ = 1.005 at this cutoff
+    # (3.7e272 at cutoff 20); neither may report a fidelity
+    with pytest.raises(ValueError, match=r"Q=.*N_th=.*cutoff 6"):
+        opensys.fidelity_point(0.5, (1, pulses.eta_for_repetitions(50)),
+                               noise=NoiseParams(Q=q, N_th=n_th), cutoff=6)
+
+
 def test_cooling_rate_zeros_and_optimum_scaling():
     noise = NoiseParams(Q=1e6, N_th=100.0, eta=0.016, Gamma_dc=0.01, Gamma_dp=100.0)
     assert opensys.cooling_rate(noise, 0.0, 1.0) == 0.0
