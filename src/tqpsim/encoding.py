@@ -1,4 +1,5 @@
-"""Logical operators and gates for the two-qumode parity encoding.
+"""The ancilla-mediated logical gates and parity measurement of the
+two-qumode parity encoding.
 
 A logical qubit lives on a pair of qumodes holding one odd- and one
 even-parity state.  Logical Z is the Fock parity of the pair's second mode;
@@ -10,7 +11,13 @@ conjugation turns the parity into the swap):
 
     C R_X(theta) C          -> exp(i theta Z_L)   on the mode factor
     B^dag C R_X(theta) C B  -> exp(i theta X_L)
-    C_l C_k R_X(theta) C_k C_l -> exp(i theta Z_L Z_L)
+
+Both circuits are written once, in :func:`pair_block_gate`, on a mode pair
+held by blocks of fixed total excitation (every gate conserves it), and
+``msuqc`` runs its circuits through that function.  The dense hybrid
+matrices of the same gates, and of the two-pair entangler
+C_l C_k R_X(theta) C_k C_l -> exp(i theta Z_L Z_L), are the tests'
+cross-check and live with them.
 
 The ancilla returns to |+> exactly after each gate, so one ancilla serves
 every gate and the nondemolition parity measurement; no function here takes
@@ -25,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import HybridState, SpaceLayout, TruncatedOperator
+from .fock import HybridState
 
 ANCILLA_RETURN_TOL = 1e-10
-INVOLUTION_TOL = 1e-10
 BRANCH_FLOOR = 1e-12
 
 
@@ -40,116 +46,40 @@ class BranchError(ValueError):
     """Measurement forced onto a numerically empty branch."""
 
 
-@dataclass(frozen=True)
-class LogicalQubitRef:
-    """Logical qubit k on modes (2k, 2k+1) of a layout; the two modes must
-    share one cutoff."""
-
-    index: int
-
-    def mode_pair(self) -> tuple[int, int]:
-        return (2 * self.index, 2 * self.index + 1)
-
-
-def _check_pair(layout: SpaceLayout, ref: LogicalQubitRef) -> tuple[int, int]:
-    ma, mb = ref.mode_pair()
-    da = layout.dims[layout.mode_axis(ma)]
-    db = layout.dims[layout.mode_axis(mb)]
-    if da != db:
-        raise fock.LayoutError("logical qubit modes must share one cutoff")
-    return ma, mb
-
-
-def logical_Z(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
-    """Fock parity of the pair's second mode, embedded in the layout."""
-    _, mb = _check_pair(layout, ref)
-    return fock.parity(layout, mb)
-
-
-def logical_X(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
-    """Two-mode swap of the pair, embedded in the layout."""
-    ma, mb = _check_pair(layout, ref)
-    return fock.two_mode_swap(layout, ma, mb)
-
-
-def pair_parity(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
-    """Product of both modes' parities; -1 on every encoded state."""
-    ma, mb = _check_pair(layout, ref)
-    return fock.parity(layout, ma) @ fock.parity(layout, mb)
-
-
-def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> TruncatedOperator:
-    """cos(theta) I + i sin(theta) O for an involution O (O^2 = I).
-
-    This is the closed form every ancilla-mediated gate is checked against.
-    """
-    dev = np.abs((op @ op).matrix - np.eye(op.layout.total_dim)).max()
-    if dev > INVOLUTION_TOL:
-        raise ValueError(f"operator is not an involution: ||O^2 - I||_max = {dev:.3e}")
-    mat = math.cos(theta) * np.eye(op.layout.total_dim) + 1j * math.sin(theta) * op.matrix
-    return TruncatedOperator(op.layout, mat, copy=False)
-
-
 # ---------------------------------------------------------------------------
 # ancilla-mediated gates
 # ---------------------------------------------------------------------------
 
 
-def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
-    """C R_X(theta) C: exp(i theta Z_L) on the modes, ancilla |+> -> |+>."""
-    _, mb = _check_pair(layout, ref)
-    C = fock.controlled_parity(layout, mb)
-    R = fock.qubit_rotation(layout, "x", theta)
-    return C @ R @ C
+def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
+                    cp: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """exp(i theta Z_L) (`axis` "z") or exp(i theta X_L) (`axis` "x") on one
+    mode pair, by its literal ancilla circuit: C R_X(theta) C, between B and
+    B^dag for X.
 
-
-def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
-    """B^dag C R_X(theta) C B: exp(i theta X_L) on the modes."""
-    ma, mb = _check_pair(layout, ref)
-    B = fock.beam_splitter_5050(layout, ma, mb)
-    C = fock.controlled_parity(layout, mb)
-    R = fock.qubit_rotation(layout, "x", theta)
-    return B.adjoint() @ C @ R @ C @ B
-
-
-def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef,
-             theta: float) -> TruncatedOperator:
-    """C_l C_k R_X(theta) C_k C_l: exp(i theta Z_L (x) Z_L) across two pairs."""
-    _, mbk = _check_pair(layout, ref_k)
-    _, mbl = _check_pair(layout, ref_l)
-    Ck = fock.controlled_parity(layout, mbk)
-    Cl = fock.controlled_parity(layout, mbl)
-    R = fock.qubit_rotation(layout, "x", theta)
-    return Cl @ Ck @ R @ Ck @ Cl
-
-
-def _from_plus_block(gate: TruncatedOperator, bra: np.ndarray) -> np.ndarray:
-    """<bra|_A gate |+>_A, an operator on the mode factor."""
-    gate.layout.require_ancilla()
-    rest = gate.layout.total_dim // 2
-    return np.einsum("a,aibj,b->ij", bra.conj(), gate.matrix.reshape(2, rest, 2, rest),
-                     fock.KET_PLUS)
-
-
-def mode_factor_of_gate(gate: TruncatedOperator) -> np.ndarray:
-    """<+|_A gate |+>_A: the induced map on the non-ancilla factor.
-
-    Valid when the gate preserves |+> on the ancilla; the complementary
-    block <-|gate|+> measures the ancilla leakage.
+    The pair is held by total-excitation block.  `state` has shape
+    (T, 2, n, c): block, ancilla Z level, state within the block and column.
+    `bs` holds the 50:50 beam splitter's blocks, shaped (T, 1, n, n), and
+    `cp` the controlled-parity diagonal, shaped (T, 2, n, 1).  Blocks are
+    zero padded to n states and c columns; `columns`, shaped (T, c), marks
+    the columns that hold a state.  Returns the new state.  Raises
+    ``fock.StateError`` if any such column's ancilla weight on |->, relative
+    to the column's norm, exceeds ``ANCILLA_RETURN_TOL``.
     """
-    return _from_plus_block(gate, fock.KET_PLUS)
-
-
-def ancilla_leakage(gate: TruncatedOperator) -> float:
-    """Spectral norm of <-|gate|+>; zero when the ancilla returns to |+> exactly."""
-    return float(np.linalg.norm(_from_plus_block(gate, fock.KET_MINUS), 2))
-
-
-def variant_conjugate(v: TruncatedOperator, op: TruncatedOperator) -> TruncatedOperator:
-    """V O V^dag: transports an operator to a unitarily transformed encoding."""
-    if v.layout != op.layout:
-        raise fock.LayoutError("variant unitary and operator live on different layouts")
-    return v @ op @ v.adjoint()
+    if axis not in ("z", "x"):
+        raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
+    if axis == "x":
+        state = bs @ state
+    rx = fock.qubit_rotation_matrix("x", theta)
+    state = cp * np.einsum("ab,tbnc->tanc", rx, cp * state)
+    if axis == "x":
+        state = bs.conj().transpose(0, 1, 3, 2) @ state
+    w_minus = (np.abs(state[:, 0] - state[:, 1]) ** 2).sum(axis=1) / 2
+    w_tot = (np.abs(state) ** 2).sum(axis=(1, 2))
+    leak = float(np.max(w_minus[columns] / w_tot[columns]))
+    if leak > ANCILLA_RETURN_TOL:
+        raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,6 @@ def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
     return TruncatedOperator(op.layout, _expm(op.matrix), copy=False)
 
 
-def compose(*ops: TruncatedOperator) -> TruncatedOperator:
-    """Product op_0 @ op_1 @ ... (rightmost factor acts first on states)."""
-    if not ops:
-        raise ValueError("compose needs at least one operator")
-    out = ops[0]
-    for op in ops[1:]:
-        out = out @ op
-    return out
-
-
 # ---------------------------------------------------------------------------
 # embedding helpers
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ routes compute that probability:
 * ``run_mixed`` and ``run_pure`` share one engine.  The diagonal initial
   state (the thermal mixture, or one basis pair as a one-hot mixture)
   evolves through the literal ancilla circuits, one mode pair's
-  total-excitation block at a time.
+  total-excitation block at a time.  Z and X rotations run
+  ``encoding.pair_block_gate``, the one definition of those circuits.
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
 The test suite keeps a third, dense route at tiny cutoffs as a cross-check
-of both runs: full gate unitaries conjugating the whole density matrix.
+of both runs: its dense hybrid gate unitaries (``tests/dense_reference.py``)
+conjugate the whole density matrix.
 
 Circuit convention: steps are applied in list order; within one step the
 entangling rotations act first, then the X rotations, then the Z rotations
@@ -31,12 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
+from . import encoding, fock
 from .fock import SpaceLayout
 from .thermal import ThermalSpec, even_odd_weights, required_cutoff
 
 CIRCUIT_FORMAT_VERSION = 1
-ANCILLA_RETURN_TOL = 1e-10
 SUPPORT_LEAK_TOL = 1e-9
 DEFAULT_CUTOFF_ONE_QUBIT = 20
 DEFAULT_CUTOFF_TWO_QUBIT = 8
@@ -250,7 +251,8 @@ class _PairBlocks:
     state is an array of shape (T, 2, n, c): occupied block, ancilla, state
     within the block (ordered by i) and mixture column, zero padded to the
     largest block n and the largest column count c.  The ancilla starts in
-    |+> on every column.
+    |+> on every column.  ``bs``, ``cp`` and ``columns`` are the block
+    operators and column mask that ``encoding.pair_block_gate`` takes.
     """
 
     def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int):
@@ -284,23 +286,6 @@ class _PairBlocks:
         # weight of the blocks the truncated beam splitter does not treat ideally
         self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
 
-    def single_pair_gate(self, v, gate):
-        """The literal ancilla circuit of a Z or X rotation, on every block:
-        CP Rx CP, between B and B^dag for X; the ancilla must return to |+>."""
-        kind, _, ang = gate
-        if kind == "x":
-            v = self.bs @ v
-        rx = fock.qubit_rotation_matrix("x", ang)
-        v = self.cp * np.einsum("ab,tbnc->tanc", rx, self.cp * v)
-        if kind == "x":
-            v = self.bs.conj().transpose(0, 1, 3, 2) @ v
-        w_minus = (np.abs(v[:, 0] - v[:, 1]) ** 2).sum(axis=1) / 2
-        w_tot = (np.abs(v) ** 2).sum(axis=(1, 2))
-        leak = float(np.max(w_minus[self.columns] / w_tot[self.columns]))
-        if leak > ANCILLA_RETURN_TOL:
-            raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
-        return v
-
     def gram(self, states, mask) -> np.ndarray:
         """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for a mask M
         diagonal in the block states, shaped (T, 1, n, 1)."""
@@ -314,14 +299,15 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],
                   masks: list[list[np.ndarray]]) -> tuple[list[float], float]:
     """Evolve logical qubit p's initial mixture ``pairs[p]`` through the circuit.
 
-    Z and X rotations run the literal ancilla circuits on one pair's blocks,
-    and the ancilla's return to |+> is asserted after every gate.  An
-    entangler exp(i gamma P_a P_b) splits every branch into cos(gamma) I and
-    i sin(gamma) P_a P_b, so the state is a sum of pair-product branches and
-    the expectation of a product of per-pair diagonal masks factorizes over
-    pairs.  ``masks[o][p]`` is pair p's mask in observable o.  Returns the
-    expectation of every observable and the truncation tail: the joint weight
-    of the blocks where any pair's total excitation reaches the cutoff.
+    Z and X rotations run the literal ancilla circuits on one pair's blocks
+    (``encoding.pair_block_gate``), and the ancilla's return to |+> is
+    asserted after every gate.  An entangler exp(i gamma P_a P_b) splits
+    every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
+    a sum of pair-product branches and the expectation of a product of
+    per-pair diagonal masks factorizes over pairs.  ``masks[o][p]`` is pair
+    p's mask in observable o.  Returns the expectation of every observable
+    and the truncation tail: the joint weight of the blocks where any pair's
+    total excitation reaches the cutoff.
     """
     n_entanglers = sum(len(s.gamma) for s in circuit.steps)
     if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
@@ -342,8 +328,10 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],
             index = np.concatenate([index, flipped])
             coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
         else:
-            p = gate[1]
-            states[p] = [pairs[p].single_pair_gate(v, gate) for v in states[p]]
+            axis, p, ang = gate
+            pair = pairs[p]
+            states[p] = [encoding.pair_block_gate(v, axis, ang, pair.bs, pair.cp, pair.columns)
+                         for v in states[p]]
     values = []
     for observable in masks:
         terms = np.outer(coeffs.conj(), coeffs)

@@ -16,8 +16,8 @@ operator on the whole (ancilla, mode) space), then walks just the columns
 whose norm crossed their threshold through the period's per-segment
 propagators, finding each jump time by a Newton root find in the eigenbasis
 of the segment's no-jump generator, with the same random draws as a walk of
-every column.  `lindblad_rhs`, the printed right-hand side on the whole
-space, is kept as the independent reference the tests integrate.
+every column.  The printed right-hand side on the whole space is the
+independent reference the tests integrate; it lives with them.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -38,12 +38,14 @@ import numpy as np
 from scipy.linalg import expm as _expm
 
 from . import fock, pulses
-from .fock import HybridState, SpaceLayout, TruncatedOperator
+from .fock import HybridState, SpaceLayout
 from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
                      QubitRotation, WaitingPeriod)
 from .thermal import required_cutoff, thermal_weights
 
 DEGENERATE_BRANCH_FLOOR = 1e-9
+# largest |p+ + p- - 1| a master-equation fidelity point accepts
+BRANCH_TRACE_TOL = 1e-9
 # largest condition number of a no-jump eigenvector matrix V the trajectories accept
 EIGENBASIS_COND_LIMIT = 1e6
 
@@ -105,7 +107,7 @@ class FidelityPoint:
 
 
 # ---------------------------------------------------------------------------
-# the damped hybrid model and the Lindblad right-hand side
+# the damped hybrid model
 # ---------------------------------------------------------------------------
 
 
@@ -140,29 +142,6 @@ class _DampedModeModel:
         """The 2 x 2 ancilla rotation of `seg`."""
         self.layout.require_ancilla()
         return fock.qubit_rotation_matrix(seg.axis, seg.angle)
-
-
-def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
-                 noise: NoiseParams) -> np.ndarray:
-    """The printed master-equation right-hand side, evaluated once.
-
-    Accepts a density-matrix state (or a raw density matrix) and the system
-    Hamiltonian; returns d(rho)/dt as an array.  The trace of the result is
-    zero to numerical precision.
-    """
-    if isinstance(state, HybridState):
-        if state.is_pure:
-            raise fock.StateError("master-equation right-hand side needs a density matrix")
-        layout, rho = state.layout, state.data
-    else:
-        layout, rho = h.layout, np.asarray(state, dtype=complex)
-    _check_layout(layout)
-    a = fock.annihilation(layout, 0).matrix
-    out = -1j * (h.matrix @ rho - rho @ h.matrix)
-    for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T)):
-        op_dag_op = op.conj().T @ op
-        out += rate * (op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +471,12 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config` (its own eta is ignored).
     A branch probability that is not finite or leaves [-1e-9, 1 + 1e-9], as
-    when the master equation diverges, raises ValueError.
+    when the master equation diverges, raises ValueError.  So does a
+    master-equation run whose p+ + p- misses 1 by more than
+    ``BRANCH_TRACE_TOL``: it lost trace while keeping each probability in
+    range.  The closed routes conjugate by a unitary, so their sum misses 1
+    only by the rounding of that unitary, which grows with the repetition
+    count (about 2e-9 at 10^6 repetitions); it is not checked.
     """
     reps, eta = config
     if cutoff is None:
@@ -518,6 +502,10 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in (p_plus, p_minus)):  # NaN fails too
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} are not "
                          f"probabilities: the run diverged (noise {noise!r}, cutoff {d})")
+    if isinstance(noise, NoiseParams) and abs(p_plus + p_minus - 1.0) > BRANCH_TRACE_TOL:
+        raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} sum to "
+                         f"{p_plus + p_minus}, not 1: the run lost trace (noise {noise!r}, "
+                         f"cutoff {d})")
     return FidelityPoint(
         mean_excitation=n_mean,
         fidelity=t_plus * t_minus / 4.0,

@@ -1,4 +1,10 @@
-"""Thermal, parity-projected, and two-mode parity-encoded initial states.
+"""Thermal and parity-projected initial states, held by their closed-form
+Fock-basis weights, and the cutoffs that bound their truncation tails.
+
+The weights of the parity-projected branches (`even_odd_weights`) are what
+the circuit runs start from.  The dense thermal density matrix and its
+projection by the parity operator, which those weights reproduce, are the
+tests' cross-check and live with them.
 
 Also the entropy bookkeeping: von Neumann entropies in bits, the closed-form
 entropy of the parity-encoded pair state, the triviality crossover in the
@@ -15,16 +21,7 @@ import numpy as np
 from . import fock
 from .fock import HybridState, SpaceLayout
 
-PROJECTION_FLOOR = 1e-12
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
-
-
-class CutoffError(ValueError):
-    """Requested cutoff too small for the requested Boltzmann tail."""
-
-
-class ProjectionError(ValueError):
-    """Projection onto a numerically empty branch."""
 
 
 @dataclass(frozen=True)
@@ -49,11 +46,6 @@ class ThermalSpec:
     def boltzmann_ratio(self) -> float:
         """exp(-beta) = n/(n+1)."""
         return boltzmann_ratio(self.mean_excitation)
-
-    def resolved_cutoff(self) -> int:
-        if self.cutoff is not None:
-            return self.cutoff
-        return required_cutoff(self.mean_excitation, self.tail_tol)
 
 
 def boltzmann_ratio(mean_excitation: float) -> float:
@@ -80,50 +72,6 @@ def thermal_weights(mean_excitation: float, cutoff: int) -> np.ndarray:
     return (1.0 - q) * q ** np.arange(cutoff)
 
 
-def thermal_state(spec: ThermalSpec) -> HybridState:
-    """Truncated single-mode thermal density matrix, trace-renormalized.
-
-    Raises CutoffError if the exact geometric tail beyond the cutoff is not
-    below ``spec.tail_tol``.
-    """
-    d = spec.resolved_cutoff()
-    q = spec.boltzmann_ratio
-    tail = q ** d
-    if tail >= spec.tail_tol:
-        raise CutoffError(
-            f"cutoff {d} leaves Boltzmann tail {tail:.3e} >= {spec.tail_tol:.1e} "
-            f"at mean excitation {spec.mean_excitation}")
-    w = thermal_weights(spec.mean_excitation, d)
-    w = w / w.sum()
-    layout = SpaceLayout(0, (d,))
-    return HybridState.density(layout, np.diag(w.astype(complex)))
-
-
-def parity_project(state: HybridState, mode: int, parity_sign: int) -> tuple[HybridState, float]:
-    """Project one mode onto even (+1) or odd (-1) Fock parity.
-
-    Returns the renormalized post-projection state and the outcome
-    probability Tr(Pi rho Pi) / Tr(rho) with Pi = (I +- P)/2.
-    """
-    if parity_sign not in (+1, -1):
-        raise ValueError("parity_sign must be +1 or -1")
-    layout = state.layout
-    P = fock.parity(layout, mode)
-    eye = np.eye(layout.total_dim)
-    proj = (eye + parity_sign * P.matrix) / 2.0
-    if state.is_pure:
-        vec = proj @ state.data
-        p = float(np.vdot(vec, vec).real) / state.trace()
-        if p < PROJECTION_FLOOR:
-            raise ProjectionError(f"branch probability {p:.3e} below {PROJECTION_FLOOR:.0e}")
-        return HybridState.pure(layout, vec / math.sqrt(p * state.trace())), p
-    mat = proj @ state.data @ proj
-    p = float(np.trace(mat).real) / state.trace()
-    if p < PROJECTION_FLOOR:
-        raise ProjectionError(f"branch probability {p:.3e} below {PROJECTION_FLOOR:.0e}")
-    return HybridState.density(layout, mat / (p * state.trace())), p
-
-
 def even_odd_weights(mean_excitation: float, cutoff: int, parity_sign: int) -> np.ndarray:
     """Closed-form diagonal of the parity-projected thermal state.
 
@@ -136,26 +84,6 @@ def even_odd_weights(mean_excitation: float, cutoff: int, parity_sign: int) -> n
     ns = np.arange(offset, cutoff, 2)
     w[ns] = (1.0 - q * q) * q ** (ns - offset)
     return w / w.sum()
-
-
-def tqp_initial_state(spec: ThermalSpec) -> HybridState:
-    """Two-mode logical-zero state: odd-projected thermal (x) even-projected thermal.
-
-    Built from the closed-form geometric branch weights, which coincide with
-    projecting the truncated thermal state (and stay well defined at zero
-    temperature, where the pair is |1><1| (x) |0><0|).  The two-mode parity
-    expectation is -1 exactly and the second-mode parity expectation (the
-    logical Z readout) is +1 exactly.
-    """
-    d = spec.resolved_cutoff()
-    q = spec.boltzmann_ratio
-    if q ** d >= spec.tail_tol:
-        raise CutoffError(
-            f"cutoff {d} leaves Boltzmann tail {q ** d:.3e} >= {spec.tail_tol:.1e}")
-    w_odd = even_odd_weights(spec.mean_excitation, d, -1)
-    w_even = even_odd_weights(spec.mean_excitation, d, +1)
-    layout = SpaceLayout(0, (d, d))
-    return HybridState.density(layout, np.diag(np.kron(w_odd, w_even).astype(complex)))
 
 
 def von_neumann_entropy(state: HybridState) -> float:

@@ -14,8 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from tqpsim import cli, encoding, fock, msuqc, nsverify, opensys, pulses, thermal
-from tqpsim.encoding import LogicalQubitRef
 from tqpsim.fock import HybridState, SpaceLayout
 from tqpsim.thermal import ThermalSpec
 
@@ -85,29 +85,31 @@ def test_criterion_2_gate_equivalence():
     rng = np.random.default_rng(2)
     gate_tol, anc_tol = 1e-9, 1e-10
     worst_gate, worst_anc = 0.0, 0.0
-    ref = LogicalQubitRef(0)
     for _ in range(30):
         theta = float(rng.uniform(-math.pi, math.pi))
         m = int(rng.integers(0, 3))   # 2m+1 <= 5
         n = int(rng.integers(0, 3))   # 2n   <= 5 (readout-mode label 2n <= 4)
         d = 2 * m + 1 + 2 * n + 1 + 1  # beam-splitter spreading headroom
         d = max(d, 6)
-        lay = SpaceLayout(1, (d, d))
-        sub = SpaceLayout(0, (d, d))
-        totals = (np.arange(d)[:, None] + np.arange(d)[None, :]).ravel()
-        keep = np.flatnonzero(totals <= d - 1)
-
-        uz = encoding.gate_UZ(lay, ref, theta)
-        oz = encoding.exponential_hermitian_unitary(fock.parity(sub, 1), theta)
-        worst_gate = max(worst_gate,
-                         np.abs(encoding.mode_factor_of_gate(uz) - oz.matrix).max())
-        worst_anc = max(worst_anc, encoding.ancilla_leakage(uz))
-
-        ux = encoding.gate_UX(lay, ref, theta)
-        ox = encoding.exponential_hermitian_unitary(fock.two_mode_swap(sub, 0, 1), theta)
-        diff = encoding.mode_factor_of_gate(ux) - ox.matrix
-        worst_gate = max(worst_gate, np.abs(diff[np.ix_(keep, keep)]).max())
-        worst_anc = max(worst_anc, encoding.ancilla_leakage(ux))
+        # the Z and X gates as circuits run them: the block gate on every
+        # total-excitation block t of the pair, applied to |+> (x) (identity
+        # columns); the gate is block diagonal, so <+|G|+> and <-|G|+> are
+        # compared block by block
+        pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+        first = pair.first[:, 0, :, 0]  # first-mode Fock number, -1 on padding
+        inside = (first[:, :, None] >= 0) & (first[:, None, :] >= 0)
+        t = np.arange(2 * d - 1)[:, None, None]
+        eye = np.eye(first.shape[1])
+        parity = eye * pair.parity[:, 0, :, 0][:, None, :]
+        swap = (first[:, :, None] + first[:, None, :] == t).astype(float)
+        for axis, op, keep in (("z", parity, inside), ("x", swap, inside & (t <= d - 1))):
+            g = encoding.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
+                                         pair.columns)
+            plus = (g[:, 0] + g[:, 1]) / math.sqrt(2)
+            minus = (g[:, 0] - g[:, 1]) / math.sqrt(2)
+            oracle = math.cos(theta) * eye + 1j * math.sin(theta) * op
+            worst_gate = max(worst_gate, np.abs(plus - oracle)[keep].max())
+            worst_anc = max(worst_anc, np.linalg.norm(minus, 2, axis=(1, 2)).max())
 
         # the entangler touches only the two readout modes and the ancilla;
         # spectator modes factor out exactly, so the check lives on one pair
@@ -117,11 +119,11 @@ def test_criterion_2_gate_equivalence():
             @ fock.qubit_rotation(lay2, "x", theta) \
             @ fock.controlled_parity(lay2, 1) @ fock.controlled_parity(lay2, 0)
         sub2 = SpaceLayout(0, (6, 6))
-        ozz = encoding.exponential_hermitian_unitary(
+        ozz = dense.exponential_hermitian_unitary(
             fock.parity(sub2, 0) @ fock.parity(sub2, 1), theta)
         worst_gate = max(worst_gate,
-                         np.abs(encoding.mode_factor_of_gate(czz) - ozz.matrix).max())
-        worst_anc = max(worst_anc, encoding.ancilla_leakage(czz))
+                         np.abs(dense.mode_factor_of_gate(czz) - ozz.matrix).max())
+        worst_anc = max(worst_anc, dense.ancilla_leakage(czz))
     elapsed = time.monotonic() - t0
     ok = worst_gate <= gate_tol and worst_anc ** 2 <= anc_tol
     _report(2, "gate equivalence", ok,

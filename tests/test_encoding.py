@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tqpsim import encoding, fock, thermal
-from tqpsim.encoding import LogicalQubitRef
+import dense_reference as dense
+from dense_reference import LogicalQubitRef
+from tqpsim import encoding, fock, msuqc, thermal
 from tqpsim.fock import HybridState, SpaceLayout
 
 
@@ -14,8 +15,8 @@ REF = LogicalQubitRef(0)
 
 def test_logical_operators_on_basis_states():
     lay = SpaceLayout(0, (6, 6))
-    z_l = encoding.logical_Z(lay, REF)
-    x_l = encoding.logical_X(lay, REF)
+    z_l = dense.logical_Z(lay, REF)
+    x_l = dense.logical_X(lay, REF)
     psi0 = HybridState.basis(lay, (), (1, 0))   # odd (x) even
     psi1 = HybridState.basis(lay, (), (0, 1))
     assert np.abs(psi0.apply(z_l).data - psi0.data).max() == 0.0
@@ -25,8 +26,8 @@ def test_logical_operators_on_basis_states():
 
 def test_pauli_anticommutator_on_random_pair_states():
     lay = SpaceLayout(0, (8, 8))
-    z_l = encoding.logical_Z(lay, REF)
-    x_l = encoding.logical_X(lay, REF)
+    z_l = dense.logical_Z(lay, REF)
+    x_l = dense.logical_X(lay, REF)
     anti = (x_l @ z_l + z_l @ x_l).matrix
     m, n = 1, 2
     v0 = HybridState.basis(lay, (), (2 * m + 1, 2 * n)).data
@@ -41,15 +42,15 @@ def test_pauli_anticommutator_on_random_pair_states():
 
 def test_gate_identity_at_zero_angle():
     lay = SpaceLayout(1, (6, 6))
-    for gate in (encoding.gate_UZ(lay, REF, 0.0), encoding.gate_UX(lay, REF, 0.0)):
+    for gate in (dense.gate_UZ(lay, REF, 0.0), dense.gate_UX(lay, REF, 0.0)):
         assert np.abs(gate.matrix - np.eye(lay.total_dim)).max() < 1e-14
 
 
 def test_gate_uz_phases_against_direct_exponential():
     lay = SpaceLayout(1, (8, 8))
     theta = math.pi / 2
-    gate = encoding.gate_UZ(lay, REF, theta)
-    mode_map = encoding.mode_factor_of_gate(gate)
+    gate = dense.gate_UZ(lay, REF, theta)
+    mode_map = dense.mode_factor_of_gate(gate)
     sub = SpaceLayout(0, (8, 8))
     oracle = expm(1j * theta * fock.parity(sub, 1).matrix)
     assert np.abs(mode_map - oracle).max() < 1e-10
@@ -68,46 +69,75 @@ def test_gate_ux_matches_swap_exponential_oracle():
     totals = (np.arange(6)[:, None] + np.arange(6)[None, :]).ravel()
     keep = np.flatnonzero(totals <= 5)
     for theta in rng.uniform(-math.pi, math.pi, 10):
-        gate = encoding.gate_UX(lay, REF, theta)
-        mode_map = encoding.mode_factor_of_gate(gate)
-        oracle = encoding.exponential_hermitian_unitary(s, theta).matrix
+        gate = dense.gate_UX(lay, REF, theta)
+        mode_map = dense.mode_factor_of_gate(gate)
+        oracle = dense.exponential_hermitian_unitary(s, theta).matrix
         err = np.abs((mode_map - oracle)[np.ix_(keep, keep)]).max()
         assert err < 1e-9
-        assert encoding.ancilla_leakage(gate) < 1e-10
+        assert dense.ancilla_leakage(gate) < 1e-10
 
 
 def test_gate_uzz_matches_pair_parity_oracle():
     lay = SpaceLayout(1, (5, 5, 5, 5))
-    gate = encoding.gate_UZZ(lay, LogicalQubitRef(0), LogicalQubitRef(1), 0.9)
+    gate = dense.gate_UZZ(lay, LogicalQubitRef(0), LogicalQubitRef(1), 0.9)
     sub = SpaceLayout(0, (5, 5, 5, 5))
     o = fock.parity(sub, 1) @ fock.parity(sub, 3)
-    oracle = encoding.exponential_hermitian_unitary(o, 0.9)
-    assert np.abs(encoding.mode_factor_of_gate(gate) - oracle.matrix).max() < 1e-12
-    assert encoding.ancilla_leakage(gate) < 1e-12
+    oracle = dense.exponential_hermitian_unitary(o, 0.9)
+    assert np.abs(dense.mode_factor_of_gate(gate) - oracle.matrix).max() < 1e-12
+    assert dense.ancilla_leakage(gate) < 1e-12
+
+
+def test_block_gate_matches_dense_reference_gate():
+    # the gate that circuits run, on every total-excitation block of the pair
+    # (the truncated blocks t >= d included), against the dense hybrid gate
+    # applied to |+> (x) |i, j> for every pair state
+    rng = np.random.default_rng(16)
+    for d in (5, 8, 12):
+        lay = SpaceLayout(1, (d, d))
+        pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+        blocks = fock.pair_excitation_blocks(d)
+        assert pair.bs.shape[0] == len(blocks) == 2 * d - 1
+        for theta in rng.uniform(-math.pi, math.pi, 10):
+            for axis, dense_gate in (("z", dense.gate_UZ), ("x", dense.gate_UX)):
+                out = encoding.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
+                                               pair.columns)
+                u = dense_gate(lay, REF, theta).matrix.reshape(2, d * d, 2, d * d)
+                want = np.einsum("axby,b->axy", u, fock.KET_PLUS)
+                got = np.zeros_like(want)
+                for t, idx in enumerate(blocks):
+                    m = idx.size
+                    got[:, idx[:, None], idx] = out[t, :, :m, :m]
+                assert np.abs(got - want).max() <= 1e-12
+
+
+def test_block_gate_refuses_an_unknown_axis():
+    pair = msuqc._PairBlocks(np.ones(4), np.ones(4), 4)
+    with pytest.raises(ValueError, match="axis"):
+        encoding.pair_block_gate(pair.initial, "y", 0.3, pair.bs, pair.cp, pair.columns)
 
 
 def test_exponential_hermitian_unitary_closed_form():
     lay = SpaceLayout(0, (6,))
     p = fock.parity(lay, 0)
-    assert np.abs(encoding.exponential_hermitian_unitary(p, math.pi / 2).matrix
+    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi / 2).matrix
                   - 1j * p.matrix).max() < 1e-15
-    assert np.abs(encoding.exponential_hermitian_unitary(p, math.pi).matrix
+    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi).matrix
                   + np.eye(6)).max() < 1e-14
     lay2 = SpaceLayout(0, (6, 6))
     pp = fock.parity(lay2, 0) @ fock.parity(lay2, 1)
-    closed = encoding.exponential_hermitian_unitary(pp, 0.3).matrix
+    closed = dense.exponential_hermitian_unitary(pp, 0.3).matrix
     pade = expm(0.3j * pp.matrix)
     assert np.abs(closed - pade).max() < 1e-12
     a = fock.annihilation(lay, 0)
     with pytest.raises(ValueError):
-        encoding.exponential_hermitian_unitary(a, 0.5)
+        dense.exponential_hermitian_unitary(a, 0.5)
 
 
 def test_total_pair_parity_conserved_by_gates():
     lay = SpaceLayout(1, (6, 6))
-    pp = encoding.pair_parity(lay, REF)
+    pp = dense.pair_parity(lay, REF)
     rng = np.random.default_rng(8)
-    for gate in (encoding.gate_UZ(lay, REF, 0.8), encoding.gate_UX(lay, REF, -1.1),
+    for gate in (dense.gate_UZ(lay, REF, 0.8), dense.gate_UX(lay, REF, -1.1),
                  fock.beam_splitter_5050(lay, 0, 1)):
         comm = gate.matrix @ pp.matrix - pp.matrix @ gate.matrix
         assert np.abs(comm).max() < 1e-10
@@ -172,17 +202,17 @@ def test_parity_measurement_requires_plus_ancilla():
 def test_variant_conjugate_identity_and_beam_splitter():
     lay = SpaceLayout(1, (6, 6))
     c = fock.controlled_parity(lay, 1)
-    assert np.abs(encoding.variant_conjugate(fock.identity(lay), c).matrix
-                  - c.matrix).max() == 0.0
+    ident = fock.identity(lay)
+    assert np.abs((ident @ c @ ident.adjoint()).matrix - c.matrix).max() == 0.0
     v = fock.beam_splitter_5050(lay, 0, 1)
-    cv = encoding.variant_conjugate(v, c)
+    cv = v @ c @ v.adjoint()
     rx = fock.qubit_rotation(lay, "x", 0.6)
     gate = cv @ rx @ cv
-    mode_map = encoding.mode_factor_of_gate(gate)
+    mode_map = dense.mode_factor_of_gate(gate)
     # conjugated circuit implements e^{i theta V (I (x) P) V^dag}
     sub = SpaceLayout(0, (6, 6))
     vb = fock.beam_splitter_5050(sub, 0, 1)
-    conj = encoding.variant_conjugate(vb, fock.parity(sub, 1))
+    conj = vb @ fock.parity(sub, 1) @ vb.adjoint()
     oracle = expm(0.6j * conj.matrix)
     totals = (np.arange(6)[:, None] + np.arange(6)[None, :]).ravel()
     keep = np.flatnonzero(totals <= 5)
@@ -207,8 +237,8 @@ def test_variant_conjugation_preserves_pauli_algebra():
             phase = np.diag(np.kron(np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8)),
                                     np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8))))
             v = v @ fock.TruncatedOperator(sub, phase)
-        zv = encoding.variant_conjugate(v, z_l)
-        xv = encoding.variant_conjugate(v, x_l)
+        zv = v @ z_l @ v.adjoint()
+        xv = v @ x_l @ v.adjoint()
         anti = (zv @ xv + xv @ zv).matrix
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi = v.matrix @ (c[0] * v0 + c[1] * v1)

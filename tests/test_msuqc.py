@@ -7,7 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqpsim import encoding, fock, msuqc, thermal
+import dense_reference as dense
+from tqpsim import fock, msuqc, thermal
 from tqpsim.fock import SpaceLayout
 from tqpsim.msuqc import CircuitStep, LogicalCircuit
 from tqpsim.thermal import ThermalSpec
@@ -24,18 +25,18 @@ def dense_mixed_probability(circuit, pair_weights, cutoff):
     rho = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
     for w in pair_weights:
         rho = np.kron(rho, np.diag(w))
-    refs = [encoding.LogicalQubitRef(i) for i in range(k)]
+    refs = [dense.LogicalQubitRef(i) for i in range(k)]
     for gate in msuqc.step_gates(circuit):
         if gate[0] == "z":
-            u = encoding.gate_UZ(layout, refs[gate[1]], gate[2])
+            u = dense.gate_UZ(layout, refs[gate[1]], gate[2])
         elif gate[0] == "x":
-            u = encoding.gate_UX(layout, refs[gate[1]], gate[2])
+            u = dense.gate_UX(layout, refs[gate[1]], gate[2])
         else:
-            u = encoding.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
+            u = dense.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
         rho = u.matrix @ rho @ u.matrix.conj().T
     readout = np.eye(layout.total_dim)
     for ref in refs:
-        readout = readout @ (np.eye(layout.total_dim) + encoding.logical_Z(layout, ref).matrix) / 2
+        readout = readout @ (np.eye(layout.total_dim) + dense.logical_Z(layout, ref).matrix) / 2
     return float(np.trace(readout @ rho).real)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from tqpsim import encoding, fock, nsverify
 from tqpsim.fock import HybridState, SpaceLayout
 
@@ -123,7 +124,7 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     # parity-measurement statistics unchanged
     d = 12
     lay = SpaceLayout(1, (d, d))
-    ref = encoding.LogicalQubitRef(0)
+    ref = dense.LogicalQubitRef(0)
     rng = np.random.default_rng(33)
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v0 = HybridState.basis(lay, (0,), (1, 2)).data
@@ -134,7 +135,7 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     psi /= np.linalg.norm(psi)
     state = HybridState.pure(lay, psi)
 
-    gate = encoding.gate_UZ(lay, ref, 0.6)
+    gate = dense.gate_UZ(lay, ref, 0.6)
     sub = SpaceLayout(0, (d, d))
     noise2 = nsverify.collective_noise("phase", 0.7, sub)
     noise_full = fock.tensor_embed(noise2, lay, mode_map=(0, 1))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
+import dense_reference as dense
 from tqpsim import fock, opensys, pulses, thermal
 from tqpsim.fock import HybridState, SpaceLayout
 from tqpsim.opensys import NoiseParams
@@ -52,7 +53,7 @@ def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
         step = seg.duration / nsteps
 
         def rhs(r, h_seg=h[type(seg)]):
-            return opensys.lindblad_rhs(r, h_seg, noise)
+            return dense.lindblad_rhs(r, h_seg, noise)
 
         for _ in range(nsteps):
             k1 = rhs(rho)
@@ -89,9 +90,9 @@ def test_rhs_trace_free_and_closed_system_limit():
     rho = m @ m.conj().T
     rho /= np.trace(rho)
     state = HybridState.density(lay, rho)
-    deriv = opensys.lindblad_rhs(state, h, NoiseParams(Q=50.0, N_th=1.3, eta=0.02))
+    deriv = dense.lindblad_rhs(state, h, NoiseParams(Q=50.0, N_th=1.3, eta=0.02))
     assert abs(np.trace(deriv)) < 1e-12
-    deriv_closed = opensys.lindblad_rhs(state, h, NoiseParams(Q=1e300, eta=0.02))
+    deriv_closed = dense.lindblad_rhs(state, h, NoiseParams(Q=1e300, eta=0.02))
     comm = -1j * (h.matrix @ rho - rho @ h.matrix)
     assert np.abs(deriv_closed - comm).max() < 1e-12
 
@@ -102,7 +103,7 @@ def test_rhs_decay_rate_of_single_excitation():
     lay = SpaceLayout(1, (d,))
     st = _plus_fock_density(1, d)
     h0 = fock.TruncatedOperator(lay, np.zeros((2 * d, 2 * d)))
-    deriv = opensys.lindblad_rhs(st, h0, NoiseParams(Q=25.0))
+    deriv = dense.lindblad_rhs(st, h0, NoiseParams(Q=25.0))
     nvec = np.kron(np.ones(2), np.arange(d))
     assert float((np.diag(deriv).real * nvec).sum()) == pytest.approx(-1 / 25.0, abs=1e-12)
 
@@ -499,8 +500,8 @@ def test_mode_only_layout_is_the_ancilla_zero_block():
     h_mode = fock.TruncatedOperator(SpaceLayout(0, (d,)),
                                     pulses.level_hamiltonians(1.0, 0.03, d)[0])
     h = pulses.hamiltonian(hparams(0.03), d)
-    deriv = opensys.lindblad_rhs(mode_only, h_mode, noise)
-    assert np.abs(deriv - opensys.lindblad_rhs(with_ancilla, h, noise)[:d, :d]).max() <= 1e-14
+    deriv = dense.lindblad_rhs(mode_only, h_mode, noise)
+    assert np.abs(deriv - dense.lindblad_rhs(with_ancilla, h, noise)[:d, :d]).max() <= 1e-14
     rotated = sched + pulses.PulseSchedule((pulses.QubitRotation("x", 0.3),))
     with pytest.raises(fock.LayoutError):
         opensys.evolve_master(mode_only, rotated, noise)
@@ -608,6 +609,14 @@ def test_fidelity_point_refuses_a_diverged_master_equation(q, n_th):
                                noise=NoiseParams(Q=q, N_th=n_th), cutoff=6)
 
 
+def test_fidelity_point_refuses_a_master_equation_that_lost_trace():
+    # each branch probability stays in [0, 1] (p+ = p- = 0.436), but their
+    # sum is 0.872: the run may not report a fidelity
+    with pytest.raises(ValueError, match=r"lost trace .*Q=1\.0.*N_th=1000000000000\.0.*cutoff 4"):
+        opensys.fidelity_point(0.5, (50, pulses.eta_for_repetitions(50)),
+                               noise=NoiseParams(Q=1.0, N_th=1e12), cutoff=4)
+
+
 def test_cooling_rate_zeros_and_optimum_scaling():
     noise = NoiseParams(Q=1e6, N_th=100.0, eta=0.016, Gamma_dc=0.01, Gamma_dp=100.0)
     assert opensys.cooling_rate(noise, 0.0, 1.0) == 0.0
@@ -639,4 +648,4 @@ def test_pure_state_rhs_rejected():
     st = fock.plus_state_with_modes(lay, (0,))
     h = pulses.hamiltonian(hparams(0.0), 6)
     with pytest.raises(fock.StateError):
-        opensys.lindblad_rhs(st, h, NoiseParams(Q=10.0))
+        dense.lindblad_rhs(st, h, NoiseParams(Q=10.0))

