@@ -117,8 +117,8 @@ def _resolve_config(command: str, args) -> dict:
 
 def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
     import numpy
-    import scipy
 
+    scipy = sys.modules.get("scipy")  # the scipy this run loaded (a bath run), if any
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
         "tool": "tqpsim",
@@ -126,7 +126,7 @@ def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
         "command": command,
         "config": {k: v for k, v in cfg.items()},
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(scipy, "__version__", None),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS + ("TQPSIM_THREADS",)},
     }

@@ -17,9 +17,10 @@ Conventions
   ``B |1,0> = (|1,0> - |0,1>)/sqrt(2)`` and ``B |0,1> = (|1,0> +
   |0,1>)/sqrt(2)`` (frozen by a golden test).
 * Operators are dense numpy arrays; target dimensions stay dense-feasible by
-  design and sparsity is a non-goal.  Number-conserving generators are
-  exponentiated block-by-block in total excitation, which equals the full
-  matrix exponential of the truncated generator to machine precision.
+  design and sparsity is a non-goal.  Every exponential has an anti-Hermitian
+  generator G and is one numpy ``eigh`` of iG (`unitary_exponential`; no
+  scipy), taken block by block in total excitation when G conserves number,
+  which equals the full exponential to machine precision.
 * Applying a truncated displacement does not renormalize the state; the
   truncation tail is recorded so callers can assert it stays under budget.
 """
@@ -28,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 
 class LayoutError(ValueError):
@@ -163,9 +164,11 @@ class TruncatedOperator:
         return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
 
-def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
-    """Matrix exponential via scipy's scaled-and-squared Pade method."""
-    return TruncatedOperator(op.layout, _expm(op.matrix), copy=False)
+def unitary_exponential(gen: np.ndarray) -> np.ndarray:
+    """exp(G) for an anti-Hermitian G, or a stack of them on the last two axes:
+    V e^{-iW} V^dag from the eigendecomposition iG = V W V^dag."""
+    w, v = np.linalg.eigh(1j * np.asarray(gen))
+    return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +176,10 @@ def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
 # ---------------------------------------------------------------------------
 
 
-def _kron_chain(factors) -> np.ndarray:
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-
-
 def _embed_single(layout: SpaceLayout, axis: int, small: np.ndarray) -> np.ndarray:
     factors = [np.eye(d, dtype=complex) for d in layout.dims]
     factors[axis] = small
-    return _kron_chain(factors)
+    return reduce(np.kron, factors)
 
 
 def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> np.ndarray:
@@ -199,11 +195,13 @@ def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
                  mode_map: tuple[int, ...]) -> TruncatedOperator:
     """Embed an operator from a mode-only sub-layout into `layout`, identity
     elsewhere.  ``mode_map[j]`` is the target mode in `layout` of mode j of
-    ``op.layout``.
+    ``op.layout``.  An identity embed returns `op` itself, with no copy.
     """
     sub = op.layout
     if sub.qubit_count or len(mode_map) != sub.n_modes:
         raise LayoutError("the sub-layout must be mode-only and mode_map must cover it")
+    if layout == sub and tuple(mode_map) == tuple(range(sub.n_modes)):
+        return op
     axes = [layout.mode_axis(m) for m in mode_map]
     if len(set(axes)) != len(axes):
         raise LayoutError("target axes must be distinct")
@@ -300,8 +298,7 @@ def _beam_splitter_block(d: int, idx: np.ndarray) -> np.ndarray:
     """
     i, j = np.divmod(idx[:-1], d)
     sub = (np.pi / 4) * (np.sqrt(i + 1.0) * np.sqrt(j))
-    gen = np.diag(sub, k=-1) - np.diag(sub, k=1)
-    return _expm(gen.astype(complex))
+    return unitary_exponential(np.diag(sub, k=-1) - np.diag(sub, k=1))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +342,7 @@ def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOpe
     ax = layout.mode_axis(mode)
     d = layout.dims[ax]
     a = _destroy_matrix(d)
-    small = _expm(alpha * a.conj().T - np.conj(alpha) * a)
+    small = unitary_exponential(alpha * a.conj().T - np.conj(alpha) * a)
     return TruncatedOperator(layout, _embed_single(layout, ax, small), copy=False)
 
 
@@ -380,12 +377,10 @@ def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOpe
     da, db = layout.dims[layout.mode_axis(mode_a)], layout.dims[layout.mode_axis(mode_b)]
     if da != db:
         raise LayoutError("swap modes must share one cutoff")
-    sub = SpaceLayout(0, (da, db))
-    perm = np.zeros((da * db, da * db), dtype=complex)
-    for m in range(da):
-        for n in range(db):
-            perm[n * db + m, m * db + n] = 1.0
-    return tensor_embed(TruncatedOperator(sub, perm, copy=False), layout,
+    m, n = np.divmod(np.arange(da * da), da)
+    perm = np.zeros((da * da, da * da), dtype=complex)
+    perm[n * da + m, m * da + n] = 1.0
+    return tensor_embed(TruncatedOperator(SpaceLayout(0, (da, da)), perm, copy=False), layout,
                         mode_map=(mode_a, mode_b))
 
 

@@ -288,11 +288,13 @@ class _PairBlocks:
 
     def gram(self, states, mask) -> np.ndarray:
         """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for a mask M
-        diagonal in the block states, shaped (T, 1, n, 1)."""
+        diagonal in the block states, shaped (T, 1, n, 1); summed block by block."""
         weighted = mask * self.weight[:, None, None, :]
-        stack = np.stack(states)
-        n = len(states)
-        return stack.reshape(n, -1).conj() @ (stack * weighted).reshape(n, -1).T
+        g = np.zeros((len(states), len(states)), dtype=complex)
+        for b, w in enumerate(weighted):
+            block = np.stack([v[b] for v in states])
+            g += block.reshape(len(states), -1).conj() @ (block * w).reshape(len(states), -1).T
+        return g
 
 
 def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],

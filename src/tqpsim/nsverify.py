@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from . import fock
 from .fock import SpaceLayout, TruncatedOperator
@@ -55,7 +54,7 @@ def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> Trunca
 
         def single(d):
             a = fock._destroy_matrix(d)
-            return _expm(parameter * (a @ a - a.conj().T @ a.conj().T))
+            return fock.unitary_exponential(parameter * (a @ a - a.conj().T @ a.conj().T))
     else:
         raise ValueError("kind must be 'phase' or 'squeeze'")
     mat = np.kron(single(d0), single(d1))

@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from . import fock, pulses
 from .fock import HybridState, SpaceLayout
@@ -166,6 +165,8 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
     block is set to the adjoint of the evolved (q, q') block.  Instantaneous
     rotations are exact 2 x 2 conjugations on the ancilla axes.
     """
+    from scipy.linalg import expm  # Lindblad generators are not normal: no eigh, so scipy here
+
     model = _DampedModeModel(state.layout, noise)
     levels, d, a, eye = model.levels, model.d, model.a, np.eye(model.d)
     # row-major vec(A X B) = (A kron B^T) vec(X)
@@ -186,7 +187,7 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
                 if key not in props:
                     k = model.k[type(seg)]
                     gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
-                    props[key] = _expm(seg.duration * gen)
+                    props[key] = expm(seg.duration * gen)
                 rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
                     rho[q2, :, q, :] = rho[q, :, q2, :].conj().T

@@ -31,7 +31,9 @@ alone.  `simulate_schedule` therefore holds the unitary as a (2, d, 2d)
 array, rows split by ancilla level: a free evolution multiplies the two
 closed-form level blocks into it in one batched product, a rotation applies
 its 2 x 2 matrix to the level axis, and a bare waiting period scales every
-level by the same diagonal phase.  No 2d x 2d segment matrix is built.
+level by the same diagonal phase.  No 2d x 2d segment matrix is built.  A free
+evolution's level blocks are D(alpha) and D(alpha)^dag = D(-alpha) from one
+`fock.unitary_exponential`, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import fock
 from .fock import SpaceLayout, TruncatedOperator
@@ -181,23 +182,26 @@ def level_hamiltonians(nu: float, eta: float, cutoff: int) -> np.ndarray:
     return np.stack([n + x, n - x])
 
 
+def _on_levels(blocks: np.ndarray) -> TruncatedOperator:
+    """(ancilla, mode) operator with the (2, d, d) `blocks` on its Z levels, level 0 first."""
+    d = blocks.shape[-1]
+    mat = np.zeros((2, d, 2, d), dtype=complex)
+    mat[[0, 1], :, [0, 1]] = blocks
+    return TruncatedOperator(_hybrid_layout(d), mat.reshape(2 * d, 2 * d), copy=False)
+
+
 def hamiltonian(params: HybridHamiltonianParams, cutoff: int) -> TruncatedOperator:
     """H = nu a^dag a + nu eta Z (a + a^dag) on (ancilla, mode)."""
-    blocks = level_hamiltonians(params.nu, params.eta, cutoff)
-    return TruncatedOperator(_hybrid_layout(cutoff), block_diag(*blocks), copy=False)
+    return _on_levels(level_hamiltonians(params.nu, params.eta, cutoff))
 
 
 def _free_blocks(params: HybridHamiltonianParams, t: float, cutoff: int) -> np.ndarray:
     """[U_+(t), U_-(t)]: exp(-i t H) as one d x d block per ancilla Z level."""
     nu, eta = params.nu, params.eta
     phase = np.exp(1j * eta ** 2 * (nu * t - math.sin(nu * t)))
-    rot = np.diag(np.exp(-1j * nu * t * np.arange(cutoff)))
-    sub = SpaceLayout(0, (cutoff,))
-    blocks = []
-    for sign in (+1, -1):
-        alpha = -sign * eta * (np.exp(1j * nu * t) - 1.0)
-        blocks.append(phase * rot @ fock.displacement(sub, 0, alpha).matrix)
-    return np.stack(blocks)
+    rot = phase * np.exp(-1j * nu * t * np.arange(cutoff))[:, None]
+    disp = fock.displacement(SpaceLayout(0, (cutoff,)), 0, -eta * (np.exp(1j * nu * t) - 1.0))
+    return rot * np.stack([disp.matrix, disp.matrix.conj().T])
 
 
 def exact_free_propagator(params: HybridHamiltonianParams, t: float,
@@ -209,8 +213,7 @@ def exact_free_propagator(params: HybridHamiltonianParams, t: float,
 
     The branch for qubit |0> (Z = +1) is U_+.
     """
-    blocks = _free_blocks(params, t, cutoff)
-    return TruncatedOperator(_hybrid_layout(cutoff), block_diag(*blocks), copy=False)
+    return _on_levels(_free_blocks(params, t, cutoff))
 
 
 def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:

@@ -54,12 +54,13 @@ def dense_schedule_unitary():
     """``pulses.simulate_schedule`` with every free evolution a dense matrix
     exponential of the truncated Hamiltonian, in place of the closed-form
     propagator: the cross-check of the schedule unitary."""
-    from tqpsim import fock, pulses
+    import dense_reference as dense
+    from tqpsim import pulses
 
     def unitary(schedule, params, cutoff):
         h = pulses.hamiltonian(params, cutoff)
         return _dense_segment_product(
-            schedule, params, cutoff, lambda t: fock.matrix_exponential((-1j * t) * h).matrix)
+            schedule, params, cutoff, lambda t: dense.matrix_exponential((-1j * t) * h).matrix)
     return unitary
 
 

@@ -11,7 +11,9 @@ the same physics, for small cutoffs only:
   induce on the mode factor and their ancilla leakage;
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
-* the printed Lindblad right-hand side on the whole (ancilla, mode) space.
+* the printed Lindblad right-hand side on the whole (ancilla, mode) space;
+* scipy's Pade matrix exponential, the cross-check of the package's eigh
+  exponential `fock.unitary_exponential`.
 
 Test modules import it after ``conftest.py`` has pinned the BLAS threads.
 """
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from tqpsim import fock, thermal
 from tqpsim.fock import HybridState, SpaceLayout, TruncatedOperator
@@ -30,6 +33,11 @@ from tqpsim.thermal import ThermalSpec
 
 INVOLUTION_TOL = 1e-10
 PROJECTION_FLOOR = 1e-12
+
+
+def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
+    """Matrix exponential via scipy's scaled-and-squared Pade method."""
+    return TruncatedOperator(op.layout, expm(op.matrix), copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tqpsim import cli, thermal
+from tqpsim._io import sidecar_path
 
 
 def run(args):
@@ -151,15 +152,52 @@ def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, cons
     assert max(doc["results"][0]["residuals"].values()) > 1e-7
 
 
-def test_algebra_check_imports_no_sparse_module(tmp_path):
+def _fresh_run(command: str, config: dict, tmp_path) -> tuple[int, list[str], dict]:
+    """Run one subcommand in a fresh process: its exit code, the scipy
+    modules it loaded, and its metadata."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = str(tmp_path / "a.json")
-    code = ("import sys; from tqpsim import cli; "
-            f"code = cli.main(['algebra-check', '--cutoff', '6', '--out', {out!r}]); "
-            "sys.exit(code or 3 * ('scipy.sparse' in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / ("out.csv" if command.endswith("-sweep") else "out.json")
+    code = ("import json, sys; from tqpsim import cli; "
+            f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    meta = sidecar_path(out) if out.suffix == ".csv" else out
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1]), json.loads(meta.read_text())
+
+
+# small configs that reach every route of their command; none needs scipy
+CLOSED_SYSTEM_RUNS = {
+    "entropy-sweep": {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5},
+    "algebra-check": {"cutoffs": [6]},
+    "ns-check": {"max_total": 2, "phases": [0.3], "squeezes": [0.05]},
+    "fidelity-sweep": {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5, "repetitions": [50]},
+    "msuqc-demo": {"n_circuits": 2, "max_steps": 1, "mean_excitations": [0.5]},
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_SYSTEM_RUNS)
+def test_closed_system_commands_load_no_scipy(command, tmp_path):
+    code, loaded, meta = _fresh_run(command, CLOSED_SYSTEM_RUNS[command], tmp_path)
+    assert code == 0
+    assert loaded == []
+    assert meta["scipy"] is None
+
+
+def test_bath_fidelity_sweep_loads_scipy_and_records_its_version(tmp_path):
+    import scipy
+
+    code, loaded, meta = _fresh_run("fidelity-sweep", {
+        "n_min": 0.5, "n_max": 0.5, "repetitions": [50], "bath": {"Q": 1e4, "N_th": 0.5}},
+        tmp_path)
+    assert code == 0
+    assert "scipy.linalg" in loaded
+    assert meta["scipy"] == scipy.__version__
 
 
 def test_fidelity_sweep_small_grid(tmp_path):

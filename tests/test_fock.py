@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from tqpsim import fock
+import dense_reference as dense
+from tqpsim import fock, nsverify
 from tqpsim.fock import HybridState, SpaceLayout
 
 
@@ -61,7 +62,7 @@ def test_parity_definition_and_exponential_form():
     assert p.is_hermitian() and p.is_unitary()
     assert np.abs((p @ p).matrix - np.eye(12)).max() == 0.0
     n = fock.number(lay, 0)
-    from_exp = fock.matrix_exponential(1j * math.pi * n)
+    from_exp = dense.matrix_exponential(1j * math.pi * n)
     assert np.abs(from_exp.matrix - p.matrix).max() < 1e-10
 
 
@@ -131,6 +132,39 @@ def test_beam_splitter_matches_generator_exponential(cutoff):
     assert np.abs(fock.beam_splitter_5050(lay, 0, 1).matrix - expm(gen)).max() < 1e-12
 
 
+def test_unitary_exponential_matches_scipy_expm():
+    # every eigh exponential the package takes, against scipy's Pade expm
+    # (complex input: scipy's real-input expm is 4e-13 off on the truncated blocks)
+    d = 48
+    a = fock._destroy_matrix(d)
+    gen = (math.pi / 4) * (np.kron(a.T, a) - np.kron(a, a.T))  # a_b a_a^dag - a_b^dag a_a
+    for idx in fock.pair_excitation_blocks(d):
+        block = gen[np.ix_(idx, idx)]
+        assert np.abs(fock._beam_splitter_block(d, idx) - expm(block)).max() <= 1e-13
+    for d in (48, 200):
+        a = fock._destroy_matrix(d)
+        disp = fock.displacement(SpaceLayout(0, (d,)), 0, 1.3).matrix
+        assert np.abs(disp - expm(1.3 * (a.conj().T - a))).max() <= 1e-13
+    d = 24
+    a = fock._destroy_matrix(d)
+    single = expm(0.3 * (a @ a - a.conj().T @ a.conj().T))
+    squeeze = nsverify.collective_noise("squeeze", 0.3, SpaceLayout(0, (d, d))).matrix
+    assert np.abs(squeeze - np.kron(single, single)).max() <= 1e-13
+    # a stack is exponentiated element by element
+    gens = np.stack([1.3 * (a.conj().T - a), 0.3 * (a @ a - a.conj().T @ a.conj().T)])
+    stacked = fock.unitary_exponential(gens)
+    assert all(np.abs(u - expm(g)).max() <= 1e-13 for u, g in zip(stacked, gens))
+
+
+def test_identity_embed_returns_the_operator():
+    lay = SpaceLayout(0, (5, 5))
+    op = fock.beam_splitter_5050(lay, 0, 1)
+    assert fock.tensor_embed(op, lay, (0, 1)) is op
+    swapped = fock.tensor_embed(op, lay, (1, 0))
+    s = fock.two_mode_swap(lay, 0, 1).matrix
+    assert np.abs(swapped.matrix - s @ op.matrix @ s).max() < 1e-15
+
+
 def test_pair_excitation_blocks_partition_the_pair_space():
     d = 5
     blocks = fock.pair_excitation_blocks(d)
@@ -188,7 +222,7 @@ def test_controlled_parity_blocks_and_projection_identity():
 def test_compose_adjoint_exponential_algebra():
     lay = SpaceLayout(0, (6,))
     zero = fock.TruncatedOperator(lay, np.zeros((6, 6)))
-    assert np.abs(fock.matrix_exponential(zero).matrix - np.eye(6)).max() == 0.0
+    assert np.abs(dense.matrix_exponential(zero).matrix - np.eye(6)).max() == 0.0
     rng = np.random.default_rng(0)
     a = fock.TruncatedOperator(lay, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     b = fock.TruncatedOperator(lay, rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +215,23 @@ def test_mixed_truncation_tail_is_broken_block_weight():
     assert 0.0 < res.truncation_tail < 2 * pair_weight_tol
 
 
+def test_gram_block_by_block_equals_one_stacked_product():
+    d, n_mean = 16, 1.0
+    pair = msuqc._PairBlocks(thermal.even_odd_weights(n_mean, d, -1),
+                             thermal.even_odd_weights(n_mean, d, +1), d)
+    rng = np.random.default_rng(3)
+    states = [pair.initial, pair.parity * pair.initial]
+    for _ in range(3):
+        v = (rng.standard_normal(pair.initial.shape)
+             + 1j * rng.standard_normal(pair.initial.shape)) * pair.columns[:, None, None, :]
+        states.append(v / np.linalg.norm(v))
+    stack = np.stack(states)
+    weighted = pair.readout_mask * pair.weight[:, None, None, :]
+    one_product = stack.reshape(len(states), -1).conj() @ (stack * weighted).reshape(
+        len(states), -1).T
+    assert np.abs(pair.gram(states, pair.readout_mask) - one_product).max() <= 1e-15
+
+
 def test_mixed_ancilla_return_check_raises(monkeypatch):
     # a controlled "parity" with a phase i on the |1> block is no involution,
     # so CP Rx CP leaves the ancilla off |+>
@@ -231,14 +247,18 @@ def test_mixed_ancilla_return_check_raises(monkeypatch):
 
 
 def test_pure_support_check_raises(monkeypatch):
-    # the square root of the beam splitter still conserves number but is not
-    # 50:50, so an X rotation leaves the basis-pair subspace
-    real = fock.beam_splitter_5050
+    # the half-angle beam splitter, exp(G / 2) on every total-excitation block,
+    # still conserves number but is not 50:50, so an X rotation leaves the
+    # basis-pair subspace
+    real = fock._beam_splitter_block
 
-    def half(*args):
-        op = real(*args)
-        return fock.TruncatedOperator(op.layout, scipy.linalg.sqrtm(op.matrix), copy=False)
-    monkeypatch.setattr(fock, "beam_splitter_5050", half)
+    def half(d, idx):
+        i, j = np.divmod(idx[:-1], d)
+        sub = (math.pi / 8) * (np.sqrt(i + 1.0) * np.sqrt(j))
+        return fock.unitary_exponential(np.diag(sub, k=-1) - np.diag(sub, k=1))
+    idx = fock.pair_excitation_blocks(6)[5]
+    assert np.abs(half(6, idx) @ half(6, idx) - real(6, idx)).max() < 1e-14  # a square root
+    monkeypatch.setattr(fock, "_beam_splitter_block", half)
     with pytest.raises(fock.StateError, match="left the encoded basis-pair subspace"):
         msuqc.run_pure(single_qubit(theta=0.3), [(1, 0)])
 
