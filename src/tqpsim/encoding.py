@@ -119,7 +119,10 @@ def _measure_branches(state: HybridState, mode: int) -> list[ParityMeasurement]:
     """
     layout = state.layout
     _check_ancilla_plus(state)
-    work = state.apply(fock.controlled_parity(layout, mode)).data
+    ax = layout.mode_axis(mode)
+    c = fock.apply_diag_local(np.ones(layout.total_dim), layout.dims,
+                              fock.controlled_parity_diag(layout.dims[ax]), (0, ax))
+    work = c * state.data if state.is_pure else c[:, None] * state.data * c
     rest = layout.total_dim // 2
     total = state.trace()
     plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())

@@ -1,9 +1,9 @@
 """Exact linear operators on truncated Fock spaces and hybrid qubit-qumode spaces.
 
 Every other module builds on the primitives here: a layout describing the
-tensor structure (the shared ancilla, if any, then qumodes), dense operators
-on that layout, and states (pure vectors or density matrices) with explicit
-truncation-tail bookkeeping.
+tensor structure (the shared ancilla, if any, then qumodes), operators, and
+states (pure vectors or density matrices) with explicit truncation-tail
+bookkeeping.
 
 Conventions
 -----------
@@ -16,11 +16,12 @@ Conventions
   a_b^dag a_a))``.  With this generator the single-photon action is
   ``B |1,0> = (|1,0> - |0,1>)/sqrt(2)`` and ``B |0,1> = (|1,0> +
   |0,1>)/sqrt(2)`` (frozen by a golden test).
-* Operators are dense numpy arrays; target dimensions stay dense-feasible by
-  design and sparsity is a non-goal.  Every exponential has an anti-Hermitian
-  generator G and is one numpy ``eigh`` of iG (`unitary_exponential`; no
-  scipy), taken block by block in total excitation when G conserves number,
-  which equals the full exponential to machine precision.
+* Mode-pair gates conserve total excitation: the beam splitter is held as
+  its blocks, the swap as a permutation, parities and number as diagonals.
+  Every exponential has an anti-Hermitian generator G and is one numpy
+  ``eigh`` of iG (`unitary_exponential`; no scipy), taken block by block in
+  total excitation when G conserves number, which equals the full
+  exponential to machine precision.
 * Applying a truncated displacement does not renormalize the state; the
   truncation tail is recorded so callers can assert it stays under budget.
 """
@@ -182,43 +183,20 @@ def _embed_single(layout: SpaceLayout, axis: int, small: np.ndarray) -> np.ndarr
     return reduce(np.kron, factors)
 
 
-def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> np.ndarray:
-    """Diagonal operator assembled from per-axis diagonal factors."""
-    diag = np.ones(1)
-    for ax, d in enumerate(layout.dims):
-        factor = axis_diags.get(ax, np.ones(d))
-        diag = np.kron(diag, factor)
-    return np.diag(diag.astype(complex))
-
-
-def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
-                 mode_map: tuple[int, ...]) -> TruncatedOperator:
-    """Embed an operator from a mode-only sub-layout into `layout`, identity
-    elsewhere.  ``mode_map[j]`` is the target mode in `layout` of mode j of
-    ``op.layout``.  An identity embed returns `op` itself, with no copy.
-    """
-    sub = op.layout
-    if sub.qubit_count or len(mode_map) != sub.n_modes:
-        raise LayoutError("the sub-layout must be mode-only and mode_map must cover it")
-    if layout == sub and tuple(mode_map) == tuple(range(sub.n_modes)):
-        return op
-    axes = [layout.mode_axis(m) for m in mode_map]
-    if len(set(axes)) != len(axes):
-        raise LayoutError("target axes must be distinct")
-    for sub_dim, ax in zip(sub.dims, axes):
-        if layout.dims[ax] != sub_dim:
-            raise LayoutError("sub-layout dimension does not match target axis")
-    rest = [ax for ax in range(len(layout.dims)) if ax not in axes]
-    rest_dim = int(np.prod([layout.dims[ax] for ax in rest], dtype=np.int64)) if rest else 1
-    big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
-    # permute (sub axes..., rest axes...) -> layout order, on rows and columns
-    tensor_dims = list(sub.dims) + [layout.dims[ax] for ax in rest]
-    n = len(layout.dims)
-    big = big.reshape(tensor_dims + tensor_dims)
-    src_order = axes + rest  # position p of the kron tensor holds layout axis src_order[p]
-    perm = [src_order.index(ax) for ax in range(n)]
-    big = big.transpose(perm + [p + n for p in perm]).reshape(layout.total_dim, layout.total_dim)
-    return TruncatedOperator(layout, big, copy=False)
+def _on_axes(array: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], act) -> np.ndarray:
+    """`act` on the (product of ``dims[axes]``, rest) matrix view of a flat
+    state or batch of shape ``(total_dim,)`` or ``(total_dim, batch)``."""
+    batched = array.ndim == 2
+    batch = array.shape[1] if batched else 1
+    n = len(dims)
+    axes = tuple(axes)
+    front = list(axes) + [ax for ax in range(n) if ax not in axes] + [n]
+    work = array.reshape(tuple(dims) + (batch,)).transpose(front)
+    sub_shape = [dims[ax] for ax in axes]
+    rest_shape = list(work.shape[len(axes):])
+    work = act(work.reshape(int(np.prod(sub_shape, dtype=np.int64)), -1))
+    out = work.reshape(sub_shape + rest_shape).transpose(np.argsort(front)).reshape(-1, batch)
+    return out if batched else out[:, 0]
 
 
 def apply_local(array: np.ndarray, dims: tuple[int, ...], matrix: np.ndarray,
@@ -229,39 +207,13 @@ def apply_local(array: np.ndarray, dims: tuple[int, ...], matrix: np.ndarray,
     square over the product of ``dims[axes]``.  Returns a new array of the
     same shape.  This contracts without materializing the embedded operator.
     """
-    batched = array.ndim == 2
-    batch = array.shape[1] if batched else 1
-    work = array.reshape(tuple(dims) + (batch,))
-    n = len(dims)
-    axes = tuple(axes)
-    front = list(axes) + [ax for ax in range(n) if ax not in axes] + [n]
-    work = work.transpose(front)
-    sub_dim = int(np.prod([dims[ax] for ax in axes], dtype=np.int64))
-    rest_shape = work.shape[len(axes):]
-    work = matrix @ work.reshape(sub_dim, -1)
-    work = work.reshape([dims[ax] for ax in axes] + list(rest_shape))
-    inv = np.argsort(front)
-    work = work.transpose(inv)
-    out = work.reshape(-1, batch)
-    return out if batched else out[:, 0]
+    return _on_axes(array, dims, axes, lambda work: matrix @ work)
 
 
 def apply_diag_local(array: np.ndarray, dims: tuple[int, ...], diag: np.ndarray,
                      axes: tuple[int, ...]) -> np.ndarray:
     """Apply a diagonal operator (joint diagonal over `axes`) to a flat state/batch."""
-    batched = array.ndim == 2
-    batch = array.shape[1] if batched else 1
-    n = len(dims)
-    work = array.reshape(tuple(dims) + (batch,))
-    front = list(axes) + [ax for ax in range(n) if ax not in axes] + [n]
-    work = work.transpose(front)
-    sub_dim = int(np.prod([dims[ax] for ax in axes], dtype=np.int64))
-    rest = work.shape[len(axes):]
-    work = work.reshape(sub_dim, -1) * diag[:, None]
-    work = work.reshape([dims[ax] for ax in axes] + list(rest))
-    work = work.transpose(np.argsort(front))
-    out = work.reshape(-1, batch)
-    return out if batched else out[:, 0]
+    return _on_axes(array, dims, axes, lambda work: work * diag[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +225,14 @@ def _destroy_matrix(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
 
 
-def _parity_diag(d: int) -> np.ndarray:
+def parity_diag(d: int) -> np.ndarray:
+    """Diagonal of the Fock parity sum_n (-1)^n |n><n| = exp(i pi a^dag a)."""
     return (-1.0) ** np.arange(d)
+
+
+def pair_number(d: int) -> np.ndarray:
+    """Diagonal of a mode pair's total number: i + j at the flat index i * d + j."""
+    return np.add.outer(np.arange(d, dtype=float), np.arange(d, dtype=float)).ravel()
 
 
 def pair_excitation_blocks(d: int) -> list[np.ndarray]:
@@ -306,29 +264,11 @@ def _beam_splitter_block(d: int, idx: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def identity(layout: SpaceLayout) -> TruncatedOperator:
-    return TruncatedOperator(layout, np.eye(layout.total_dim, dtype=complex), copy=False)
-
-
 def annihilation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
     """Ladder-down operator with <n-1|a|n> = sqrt(n), embedded in the layout."""
     ax = layout.mode_axis(mode)
     return TruncatedOperator(layout, _embed_single(layout, ax, _destroy_matrix(layout.dims[ax])),
                              copy=False)
-
-
-def number(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    ax = layout.mode_axis(mode)
-    d = layout.dims[ax]
-    return TruncatedOperator(
-        layout, _embed_diagonal(layout, {ax: np.arange(d, dtype=float)}), copy=False)
-
-
-def parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    """Fock parity sum_n (-1)^n |n><n| = exp(i pi a^dag a); squares to I exactly."""
-    ax = layout.mode_axis(mode)
-    return TruncatedOperator(
-        layout, _embed_diagonal(layout, {ax: _parity_diag(layout.dims[ax])}), copy=False)
 
 
 def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOperator:
@@ -346,73 +286,38 @@ def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOpe
     return TruncatedOperator(layout, _embed_single(layout, ax, small), copy=False)
 
 
-def beam_splitter_5050(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
-    """50:50 beam splitter exp(pi/4 (a_b a_a^dag - a_b^dag a_a)).
+def beam_splitter_5050(cutoff: int) -> list[np.ndarray]:
+    """50:50 beam splitter exp(pi/4 (a_b a_a^dag - a_b^dag a_a)) on a mode pair,
+    as its blocks: entry t acts on ``pair_excitation_blocks(cutoff)[t]``.
 
-    Block diagonal in total excitation; exactly unitary within every block,
-    and identical to the ideal beam splitter on blocks whose total fits under
-    both cutoffs.  Golden sign convention: B|1,0> = (|1,0> - |0,1>)/sqrt(2).
+    Exactly unitary within every block, and identical to the ideal beam
+    splitter on blocks whose total fits under the cutoff (t < cutoff).
+    Golden sign convention: B|1,0> = (|1,0> - |0,1>)/sqrt(2).
     """
-    if mode_a == mode_b:
-        raise LayoutError("beam splitter needs two distinct modes")
-    da, db = layout.dims[layout.mode_axis(mode_a)], layout.dims[layout.mode_axis(mode_b)]
-    if da != db:
-        raise LayoutError("beam splitter modes must share one cutoff")
-    sub = SpaceLayout(0, (da, da))
-    mat = np.zeros((sub.total_dim, sub.total_dim), dtype=complex)
-    for idx in pair_excitation_blocks(da):
-        mat[np.ix_(idx, idx)] = _beam_splitter_block(da, idx)
-    small = TruncatedOperator(sub, mat, copy=False)
-    return tensor_embed(small, layout, mode_map=(mode_a, mode_b))
+    return [_beam_splitter_block(cutoff, idx) for idx in pair_excitation_blocks(cutoff)]
 
 
-def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
-    """Permutation |m>|n> <-> |n>|m>; Hermitian, unitary, squares to I exactly.
+def two_mode_swap(cutoff: int) -> np.ndarray:
+    """Permutation |m>|n> <-> |n>|m> of a mode pair, as the flat-index involution
+    s with (S psi)[k] = psi[s[k]]; S is Hermitian, unitary, squares to I exactly.
 
     Conjugation sends the first mode's ladder operator to the second's:
     S a_a S^dag = a_b.
     """
-    if mode_a == mode_b:
-        raise LayoutError("swap needs two distinct modes")
-    da, db = layout.dims[layout.mode_axis(mode_a)], layout.dims[layout.mode_axis(mode_b)]
-    if da != db:
-        raise LayoutError("swap modes must share one cutoff")
-    m, n = np.divmod(np.arange(da * da), da)
-    perm = np.zeros((da * da, da * da), dtype=complex)
-    perm[n * da + m, m * da + n] = 1.0
-    return tensor_embed(TruncatedOperator(SpaceLayout(0, (da, da)), perm, copy=False), layout,
-                        mode_map=(mode_a, mode_b))
+    m, n = np.divmod(np.arange(cutoff * cutoff), cutoff)
+    return n * cutoff + m
 
 
-def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    """exp(i pi/2 (I - Z) a^dag a): identity on the ancilla |0> block, Fock parity on |1>.
-
-    Diagonal sign matrix, so it squares to the identity exactly.
-    """
-    layout.require_ancilla()
-    ax = layout.mode_axis(mode)
-    off = _embed_diagonal(layout, {0: np.array([1.0, 0.0])})
-    on = _embed_diagonal(layout, {0: np.array([0.0, 1.0]), ax: _parity_diag(layout.dims[ax])})
-    return TruncatedOperator(layout, off + on, copy=False)
-
-
-def controlled_parity_diag(layout: SpaceLayout, mode: int) -> np.ndarray:
-    """Joint diagonal of the controlled-parity over (ancilla, mode) axes, for streaming."""
-    d = layout.dims[layout.mode_axis(mode)]
-    return np.concatenate([np.ones(d), _parity_diag(d)])
+def controlled_parity_diag(d: int) -> np.ndarray:
+    """Diagonal of exp(i pi/2 (I - Z) a^dag a) over the (ancilla, mode) axes:
+    ones on the ancilla |0> block, the Fock parity on |1>; squares to 1 exactly."""
+    return np.concatenate([np.ones(d), parity_diag(d)])
 
 
 def qubit_rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """exp(i angle sigma) on the ancilla alone: cos(angle) I + i sin(angle) sigma."""
     sig = _PAULI[axis.lower()]
     return math.cos(angle) * np.eye(2, dtype=complex) + 1j * math.sin(angle) * sig
-
-
-def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> TruncatedOperator:
-    """exp(i angle sigma) on the ancilla, embedded in the layout."""
-    layout.require_ancilla()
-    small = qubit_rotation_matrix(axis, angle)
-    return TruncatedOperator(layout, np.kron(small, np.eye(layout.total_dim // 2)), copy=False)
 
 
 # ---------------------------------------------------------------------------

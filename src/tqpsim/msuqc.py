@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoding, fock
-from .fock import SpaceLayout
 from .thermal import ThermalSpec, even_odd_weights, required_cutoff
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -252,7 +251,8 @@ class _PairBlocks:
     within the block (ordered by i) and mixture column, zero padded to the
     largest block n and the largest column count c.  The ancilla starts in
     |+> on every column.  ``bs``, ``cp`` and ``columns`` are the block
-    operators and column mask that ``encoding.pair_block_gate`` takes.
+    operators and column mask that ``encoding.pair_block_gate`` takes, read
+    from `fock`'s beam-splitter blocks and controlled-parity diagonal.
     """
 
     def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int):
@@ -263,19 +263,19 @@ class _PairBlocks:
         nb = len(blocks)
         n = max(idx.size for _, idx in blocks)
         c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
-        bs_full = fock.beam_splitter_5050(SpaceLayout(0, (d, d)), 0, 1).matrix
-        cp_full = fock.controlled_parity_diag(SpaceLayout(1, (d,)), 0).reshape(2, d)
+        bs = fock.beam_splitter_5050(d)
+        cp = fock.controlled_parity_diag(d).reshape(2, d)
         self.bs = np.zeros((nb, 1, n, n), dtype=complex)
         self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
         self.first = np.full((nb, 1, n, 1), -1)  # first-mode Fock number, -1 on padding
         self.parity = np.zeros((nb, 1, n, 1))  # second-mode Fock parity
         self.weight = np.zeros((nb, c))
         self.initial = np.zeros((nb, 2, n, c), dtype=complex)
-        for b, (_, idx) in enumerate(blocks):
+        for b, (t, idx) in enumerate(blocks):
             m = idx.size
             i, j = np.divmod(idx, d)
-            self.bs[b, 0, :m, :m] = bs_full[np.ix_(idx, idx)]
-            self.cp[b, :, :m, 0] = cp_full[:, j]
+            self.bs[b, 0, :m, :m] = bs[t]
+            self.cp[b, :, :m, 0] = cp[:, j]
             self.first[b, 0, :m, 0] = i
             self.parity[b, 0, :m, 0] = (-1.0) ** j
             occupied = np.flatnonzero(w_pair[idx] > 0.0)

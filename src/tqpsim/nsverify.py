@@ -37,7 +37,8 @@ def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> Trunca
     """Two-mode collective channel acting identically on both modes.
 
     kind "phase": exp(i phi N) on each mode (exactly unitary, diagonal);
-    kind "squeeze": exp(xi (a^2 - a^dag^2)) on each mode.  The squeeze
+    kind "squeeze": exp(xi (a^2 - a^dag^2)) on each mode, real and exactly
+    zero between even and odd levels.  The squeeze
     generator is anti-Hermitian, so the truncated exponential is unitary,
     but it is only faithful on number-bounded subspaces; |xi| <= 0.3 is
     enforced and callers should confine test states to n <= d/3.
@@ -53,12 +54,29 @@ def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> Trunca
             raise ValueError(f"|xi| <= {SQUEEZE_PARAM_MAX} keeps truncation effects bounded")
 
         def single(d):
-            a = fock._destroy_matrix(d)
-            return fock.unitary_exponential(parameter * (a @ a - a.conj().T @ a.conj().T))
+            # the generator is real and keeps Fock parity: exponentiate each parity
+            # block and keep the real part (the imaginary part is rounding), so the
+            # two modes' factors commute exactly under the swap
+            a = fock._destroy_matrix(d).real
+            gen = parameter * (a @ a - a.T @ a.T)
+            u = np.zeros((d, d))
+            for idx in (np.arange(0, d, 2), np.arange(1, d, 2)):
+                u[np.ix_(idx, idx)] = fock.unitary_exponential(gen[np.ix_(idx, idx)]).real
+            return u
     else:
         raise ValueError("kind must be 'phase' or 'squeeze'")
     mat = np.kron(single(d0), single(d1))
     return TruncatedOperator(layout, mat, copy=False)
+
+
+def encoded_logicals(layout: SpaceLayout) -> dict[str, TruncatedOperator]:
+    """Dense logical Z (second-mode parity) and X (swap) on a two-mode layout
+    with one cutoff, from `fock`'s parity diagonal and swap permutation."""
+    d = layout.mode_cutoffs[0]
+    z_like = np.diag(np.tile(fock.parity_diag(d), d).astype(complex))
+    x_like = np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)]
+    return {"second_mode_parity": TruncatedOperator(layout, z_like, copy=False),
+            "swap": TruncatedOperator(layout, x_like, copy=False)}
 
 
 def commutation_check(noise_op: TruncatedOperator, logical_op: TruncatedOperator,
@@ -196,12 +214,11 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
             smallest_singular_value=float(svals.min()),
             eigvec_candidates_found=found))
     comms = {}
-    z_like = fock.parity(layout, 1)
-    x_like = fock.two_mode_swap(layout, 0, 1)
+    logicals = encoded_logicals(layout)
     for kind, par in (("phase", 0.7), ("squeeze", 0.2)):
         e = collective_noise(kind, par, layout)
-        comms[f"{kind}_vs_second_mode_parity"] = commutation_check(e, z_like)
-        comms[f"{kind}_vs_swap"] = commutation_check(e, x_like)
+        for name, op in logicals.items():
+            comms[f"{kind}_vs_{name}"] = commutation_check(e, op)
     a1 = fock.annihilation(layout, 1)
     quad = a1 + a1.adjoint()
     neg = commutation_check(collective_noise("phase", 0.7, layout), quad)

@@ -487,8 +487,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
     if noise == "exact-gate":
-        gate = fock.controlled_parity(state.layout, 0)
-        rho = gate.matrix @ state.data @ gate.matrix.conj().T
+        c = fock.controlled_parity_diag(d)  # the layout is (ancilla, mode)
+        rho = c[:, None] * state.data * c
     elif noise == "ideal-sequence":
         gate = pulses.engineered_controlled_parity(params, d, reps)
         rho = gate.matrix @ state.data @ gate.matrix.conj().T

@@ -30,6 +30,7 @@ def pytest_configure(config):
 def _dense_segment_product(schedule, params, cutoff, free_matrix):
     """The schedule unitary as a product of dense 2d x 2d segment matrices in
     time order; `free_matrix(t)` gives a free evolution's matrix."""
+    import dense_reference as dense
     import numpy as np
     from tqpsim import fock, pulses
 
@@ -38,7 +39,7 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
     u = np.eye(lay.total_dim, dtype=complex)
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, pulses.QubitRotation):
-            mat = fock.qubit_rotation(lay, seg.axis, seg.angle).matrix
+            mat = dense.qubit_rotation(lay, seg.axis, seg.angle).matrix
         elif isinstance(seg, pulses.FreeEvolution):
             if seg.duration not in free:
                 free[seg.duration] = free_matrix(seg.duration)

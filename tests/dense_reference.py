@@ -6,6 +6,10 @@ weights (`thermal.even_odd_weights`) and integrates the master equation
 through per-block propagators.  This module holds the direct, dense forms of
 the same physics, for small cutoffs only:
 
+* the parity, number, controlled parity, swap, beam splitter and ancilla
+  rotation as full matrices on a layout, rebuilt from the structured forms
+  that `fock` gives the package (diagonals, a permutation, blocks of one
+  total excitation) and embedded with identities elsewhere (`tensor_embed`);
 * the logical operators and the ancilla-mediated gates as full hybrid
   matrices on a layout (`gate_UZ`, `gate_UX`, `gate_UZZ`), with the maps they
   induce on the mode factor and their ancilla leakage;
@@ -41,6 +45,107 @@ def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
+# dense operators on a layout, from the package's structured forms
+# ---------------------------------------------------------------------------
+
+
+def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> TruncatedOperator:
+    """Diagonal operator assembled from per-axis diagonal factors."""
+    diag = np.ones(1)
+    for ax, d in enumerate(layout.dims):
+        diag = np.kron(diag, axis_diags.get(ax, np.ones(d)))
+    return TruncatedOperator(layout, np.diag(diag.astype(complex)), copy=False)
+
+
+def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
+                 mode_map: tuple[int, ...]) -> TruncatedOperator:
+    """Embed an operator from a mode-only sub-layout into `layout`, identity
+    elsewhere.  ``mode_map[j]`` is the target mode in `layout` of mode j of
+    ``op.layout``.  An identity embed returns `op` itself.
+    """
+    sub = op.layout
+    if sub.qubit_count or len(mode_map) != sub.n_modes:
+        raise fock.LayoutError("the sub-layout must be mode-only and mode_map must cover it")
+    if layout == sub and tuple(mode_map) == tuple(range(sub.n_modes)):
+        return op
+    axes = [layout.mode_axis(m) for m in mode_map]
+    if len(set(axes)) != len(axes):
+        raise fock.LayoutError("target axes must be distinct")
+    for sub_dim, ax in zip(sub.dims, axes):
+        if layout.dims[ax] != sub_dim:
+            raise fock.LayoutError("sub-layout dimension does not match target axis")
+    rest = [ax for ax in range(len(layout.dims)) if ax not in axes]
+    rest_dim = int(np.prod([layout.dims[ax] for ax in rest], dtype=np.int64)) if rest else 1
+    big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
+    # permute (sub axes..., rest axes...) -> layout order, on rows and columns
+    tensor_dims = list(sub.dims) + [layout.dims[ax] for ax in rest]
+    n = len(layout.dims)
+    big = big.reshape(tensor_dims + tensor_dims)
+    src_order = axes + rest  # position p of the kron tensor holds layout axis src_order[p]
+    perm = [src_order.index(ax) for ax in range(n)]
+    big = big.transpose(perm + [p + n for p in perm]).reshape(layout.total_dim, layout.total_dim)
+    return TruncatedOperator(layout, big, copy=False)
+
+
+def identity(layout: SpaceLayout) -> TruncatedOperator:
+    return TruncatedOperator(layout, np.eye(layout.total_dim, dtype=complex), copy=False)
+
+
+def number(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    ax = layout.mode_axis(mode)
+    return _embed_diagonal(layout, {ax: np.arange(layout.dims[ax], dtype=float)})
+
+
+def parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    ax = layout.mode_axis(mode)
+    return _embed_diagonal(layout, {ax: fock.parity_diag(layout.dims[ax])})
+
+
+def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    """exp(i pi/2 (I - Z) a^dag a) from `fock.controlled_parity_diag`."""
+    layout.require_ancilla()
+    ax = layout.mode_axis(mode)
+    shape = [2] + [1] * layout.n_modes
+    shape[ax] = layout.dims[ax]
+    diag = np.broadcast_to(fock.controlled_parity_diag(shape[ax]).reshape(shape), layout.dims)
+    return TruncatedOperator(layout, np.diag(diag.ravel().astype(complex)), copy=False)
+
+
+def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> TruncatedOperator:
+    """exp(i angle sigma) on the ancilla, embedded in the layout."""
+    layout.require_ancilla()
+    small = fock.qubit_rotation_matrix(axis, angle)
+    return TruncatedOperator(layout, np.kron(small, np.eye(layout.total_dim // 2)), copy=False)
+
+
+def _pair_cutoff(layout: SpaceLayout, mode_a: int, mode_b: int) -> int:
+    if mode_a == mode_b:
+        raise fock.LayoutError("a pair operator needs two distinct modes")
+    da, db = layout.dims[layout.mode_axis(mode_a)], layout.dims[layout.mode_axis(mode_b)]
+    if da != db:
+        raise fock.LayoutError("pair operator modes must share one cutoff")
+    return da
+
+
+def beam_splitter_5050(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
+    """`fock.beam_splitter_5050`'s blocks written into a dense pair matrix."""
+    d = _pair_cutoff(layout, mode_a, mode_b)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for idx, block in zip(fock.pair_excitation_blocks(d), fock.beam_splitter_5050(d)):
+        mat[np.ix_(idx, idx)] = block
+    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d, d)), mat, copy=False), layout,
+                        (mode_a, mode_b))
+
+
+def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
+    """The permutation matrix of `fock.two_mode_swap`."""
+    d = _pair_cutoff(layout, mode_a, mode_b)
+    mat = np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)]
+    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d, d)), mat, copy=False), layout,
+                        (mode_a, mode_b))
+
+
+# ---------------------------------------------------------------------------
 # logical operators and dense ancilla-mediated gates
 # ---------------------------------------------------------------------------
 
@@ -68,19 +173,19 @@ def _check_pair(layout: SpaceLayout, ref: LogicalQubitRef) -> tuple[int, int]:
 def logical_Z(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
     """Fock parity of the pair's second mode, embedded in the layout."""
     _, mb = _check_pair(layout, ref)
-    return fock.parity(layout, mb)
+    return parity(layout, mb)
 
 
 def logical_X(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
     """Two-mode swap of the pair, embedded in the layout."""
     ma, mb = _check_pair(layout, ref)
-    return fock.two_mode_swap(layout, ma, mb)
+    return two_mode_swap(layout, ma, mb)
 
 
 def pair_parity(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
     """Product of both modes' parities; -1 on every encoded state."""
     ma, mb = _check_pair(layout, ref)
-    return fock.parity(layout, ma) @ fock.parity(layout, mb)
+    return parity(layout, ma) @ parity(layout, mb)
 
 
 def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> TruncatedOperator:
@@ -98,17 +203,17 @@ def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> Trunca
 def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
     """C R_X(theta) C: exp(i theta Z_L) on the modes, ancilla |+> -> |+>."""
     _, mb = _check_pair(layout, ref)
-    C = fock.controlled_parity(layout, mb)
-    R = fock.qubit_rotation(layout, "x", theta)
+    C = controlled_parity(layout, mb)
+    R = qubit_rotation(layout, "x", theta)
     return C @ R @ C
 
 
 def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
     """B^dag C R_X(theta) C B: exp(i theta X_L) on the modes."""
     ma, mb = _check_pair(layout, ref)
-    B = fock.beam_splitter_5050(layout, ma, mb)
-    C = fock.controlled_parity(layout, mb)
-    R = fock.qubit_rotation(layout, "x", theta)
+    B = beam_splitter_5050(layout, ma, mb)
+    C = controlled_parity(layout, mb)
+    R = qubit_rotation(layout, "x", theta)
     return B.adjoint() @ C @ R @ C @ B
 
 
@@ -117,9 +222,9 @@ def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef
     """C_l C_k R_X(theta) C_k C_l: exp(i theta Z_L (x) Z_L) across two pairs."""
     _, mbk = _check_pair(layout, ref_k)
     _, mbl = _check_pair(layout, ref_l)
-    Ck = fock.controlled_parity(layout, mbk)
-    Cl = fock.controlled_parity(layout, mbl)
-    R = fock.qubit_rotation(layout, "x", theta)
+    Ck = controlled_parity(layout, mbk)
+    Cl = controlled_parity(layout, mbl)
+    R = qubit_rotation(layout, "x", theta)
     return Cl @ Ck @ R @ Ck @ Cl
 
 
@@ -193,7 +298,7 @@ def parity_project(state: HybridState, mode: int, parity_sign: int) -> tuple[Hyb
     if parity_sign not in (+1, -1):
         raise ValueError("parity_sign must be +1 or -1")
     layout = state.layout
-    P = fock.parity(layout, mode)
+    P = parity(layout, mode)
     eye = np.eye(layout.total_dim)
     proj = (eye + parity_sign * P.matrix) / 2.0
     if state.is_pure:

@@ -43,11 +43,11 @@ def test_criterion_1_algebra_suite():
     for d in (6, 12, 20):
         lay = SpaceLayout(1, (d, d))
         eye = np.eye(lay.total_dim)
-        p = fock.parity(lay, 1)
-        s = fock.two_mode_swap(lay, 0, 1)
-        c = fock.controlled_parity(lay, 1)
-        b = fock.beam_splitter_5050(lay, 0, 1)
-        n = fock.number(lay, 0) + fock.number(lay, 1)
+        p = dense.parity(lay, 1)
+        s = dense.two_mode_swap(lay, 0, 1)
+        c = dense.controlled_parity(lay, 1)
+        b = dense.beam_splitter_5050(lay, 0, 1)
+        n = dense.number(lay, 0) + dense.number(lay, 1)
         worst = max(worst,
                     np.abs((p @ p).matrix - eye).max(),
                     np.abs((s @ s).matrix - eye).max(),
@@ -71,7 +71,7 @@ def test_criterion_1_algebra_suite():
                             np.linalg.norm(anti @ v0),
                             np.linalg.norm(anti @ v1))
         # number-parity conservation of the involved unitaries
-        pp = (fock.parity(lay, 0) @ p).matrix
+        pp = (dense.parity(lay, 0) @ p).matrix
         for u in (b, s, c):
             worst = max(worst, np.abs(u.matrix @ pp - pp @ u.matrix).max())
     elapsed = time.monotonic() - t0
@@ -115,12 +115,12 @@ def test_criterion_2_gate_equivalence():
         # spectator modes factor out exactly, so the check lives on one pair
         # of readout modes
         lay2 = SpaceLayout(1, (6, 6))
-        czz = fock.controlled_parity(lay2, 0) @ fock.controlled_parity(lay2, 1) \
-            @ fock.qubit_rotation(lay2, "x", theta) \
-            @ fock.controlled_parity(lay2, 1) @ fock.controlled_parity(lay2, 0)
+        czz = dense.controlled_parity(lay2, 0) @ dense.controlled_parity(lay2, 1) \
+            @ dense.qubit_rotation(lay2, "x", theta) \
+            @ dense.controlled_parity(lay2, 1) @ dense.controlled_parity(lay2, 0)
         sub2 = SpaceLayout(0, (6, 6))
         ozz = dense.exponential_hermitian_unitary(
-            fock.parity(sub2, 0) @ fock.parity(sub2, 1), theta)
+            dense.parity(sub2, 0) @ dense.parity(sub2, 1), theta)
         worst_gate = max(worst_gate,
                          np.abs(dense.mode_factor_of_gate(czz) - ozz.matrix).max())
         worst_anc = max(worst_anc, dense.ancilla_leakage(czz))
@@ -249,8 +249,8 @@ def test_criterion_7_open_system_consistency():
 def test_criterion_8_noiseless_subsystem():
     t0 = time.monotonic()
     lay = SpaceLayout(0, (24, 24))
-    z_like = fock.parity(lay, 1)
-    x_like = fock.two_mode_swap(lay, 0, 1)
+    z_like = dense.parity(lay, 1)
+    x_like = dense.two_mode_swap(lay, 0, 1)
     worst_comm = 0.0
     for phi in (0.3, 0.7, math.pi / 2, math.pi):
         e = nsverify.collective_noise("phase", phi, lay)

@@ -68,16 +68,18 @@ def test_algebra_check_passes(tmp_path):
 
 def dense_algebra_residuals(d, rng, n_random_states):
     """algebra-check's residuals at cutoff `d` by dense (2 d^2) x (2 d^2)
-    products of the hybrid operators: the cross-check of its structural route."""
+    products of the hybrid operators, rebuilt from the same structured forms:
+    the cross-check of its structural route."""
+    import dense_reference as dense
     from tqpsim import fock
 
     lay = fock.SpaceLayout(1, (d, d))
     eye = np.eye(lay.total_dim)
-    P = fock.parity(lay, 1)
-    S = fock.two_mode_swap(lay, 0, 1)
-    C = fock.controlled_parity(lay, 1)
-    B = fock.beam_splitter_5050(lay, 0, 1)
-    N = fock.number(lay, 0) + fock.number(lay, 1)
+    P = dense.parity(lay, 1)
+    S = dense.two_mode_swap(lay, 0, 1)
+    C = dense.controlled_parity(lay, 1)
+    B = dense.beam_splitter_5050(lay, 0, 1)
+    N = dense.number(lay, 0) + dense.number(lay, 1)
     checks = {
         "parity_squared": np.abs((P @ P).matrix - eye).max(),
         "swap_squared": np.abs((S @ S).matrix - eye).max(),
@@ -124,25 +126,34 @@ def test_algebra_check_matches_dense_products(tmp_path, monkeypatch, seed):
             assert (structural[name] == 0.0) == (value == 0.0), name
 
 
-@pytest.mark.parametrize("entry", ["off-sector", "diagonal"])
-@pytest.mark.parametrize("constructor", ["parity", "two_mode_swap", "controlled_parity",
-                                         "beam_splitter_5050", "number"])
-def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, constructor, entry):
-    # one entry of one operator moved by 1e-6: off the sector structure, |0; 1, 0> to
-    # |1; 1, 0> (same total excitation, other ancilla level), or on the diagonal at |0; 1, 0>
+def _shift(v, k):
+    v = v.copy()
+    v[k] += 1e-6
+    return v
+
+
+# each structured form with its entry at |1, 0> moved: level 0 of the parity
+# diagonals, |1, 0> of the total number, the beam splitter's t = 1 block on the
+# diagonal at |1, 0>, and the swap sending |1, 0> to itself (its 1 moved onto
+# the diagonal)
+PERTURBED = {
+    "parity-diagonal": ("parity_diag", lambda v, d: _shift(v, 0)),
+    "two_mode_swap-diagonal": ("two_mode_swap",
+                               lambda v, d: np.where(np.arange(v.size) == d, d, v)),
+    "controlled_parity-diagonal": ("controlled_parity_diag", lambda v, d: _shift(v, 0)),
+    "beam_splitter_5050-diagonal": ("beam_splitter_5050",
+                                    lambda v, d: v[:1] + [_shift(v[1], (1, 1))] + v[2:]),
+    "number-diagonal": ("pair_number", lambda v, d: _shift(v, d)),
+}
+
+
+@pytest.mark.parametrize("case", PERTURBED)
+def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, case):
     from tqpsim import fock
 
-    original = getattr(fock, constructor)
-
-    def perturbed(layout, *args):
-        op = original(layout, *args)
-        mat = op.matrix.copy()
-        row = layout.basis_index((0,), (1, 0))
-        col = layout.basis_index((1,), (1, 0)) if entry == "off-sector" else row
-        mat[row, col] += 1e-6
-        return fock.TruncatedOperator(layout, mat)
-
-    monkeypatch.setattr(fock, constructor, perturbed)
+    form, move = PERTURBED[case]
+    original = getattr(fock, form)
+    monkeypatch.setattr(fock, form, lambda d: move(original(d), d))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cutoffs": [6]}))
     out = tmp_path / "algebra.json"
@@ -152,23 +163,28 @@ def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, cons
     assert max(doc["results"][0]["residuals"].values()) > 1e-7
 
 
-def _fresh_run(command: str, config: dict, tmp_path) -> tuple[int, list[str], dict]:
+def _fresh_run(command: str, config: dict, tmp_path) -> tuple[int, list[str], dict, float]:
     """Run one subcommand in a fresh process: its exit code, the scipy
-    modules it loaded, and its metadata."""
+    modules it loaded, its metadata and the process's peak RSS in MB.  The peak
+    is VmHWM, the high-water mark of the process's own memory map: ru_maxrss
+    also holds the RSS of the parent process it was forked from."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / ("out.csv" if command.endswith("-sweep") else "out.json")
-    code = ("import json, sys; from tqpsim import cli; "
+    code = ("import json, re, sys; from tqpsim import cli; "
             f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
+            "status = open('/proc/self/status').read(); "
+            "print(int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1)) / 1024); "
             "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     meta = sidecar_path(out) if out.suffix == ".csv" else out
-    return proc.returncode, json.loads(proc.stdout.splitlines()[-1]), json.loads(meta.read_text())
+    *_, loaded, peak_mb = proc.stdout.splitlines()
+    return proc.returncode, json.loads(loaded), json.loads(meta.read_text()), float(peak_mb)
 
 
 # small configs that reach every route of their command; none needs scipy
@@ -183,7 +199,7 @@ CLOSED_SYSTEM_RUNS = {
 
 @pytest.mark.parametrize("command", CLOSED_SYSTEM_RUNS)
 def test_closed_system_commands_load_no_scipy(command, tmp_path):
-    code, loaded, meta = _fresh_run(command, CLOSED_SYSTEM_RUNS[command], tmp_path)
+    code, loaded, meta, _ = _fresh_run(command, CLOSED_SYSTEM_RUNS[command], tmp_path)
     assert code == 0
     assert loaded == []
     assert meta["scipy"] is None
@@ -192,12 +208,19 @@ def test_closed_system_commands_load_no_scipy(command, tmp_path):
 def test_bath_fidelity_sweep_loads_scipy_and_records_its_version(tmp_path):
     import scipy
 
-    code, loaded, meta = _fresh_run("fidelity-sweep", {
+    code, loaded, meta, _ = _fresh_run("fidelity-sweep", {
         "n_min": 0.5, "n_max": 0.5, "repetitions": [50], "bath": {"Q": 1e4, "N_th": 0.5}},
         tmp_path)
     assert code == 0
     assert "scipy.linalg" in loaded
     assert meta["scipy"] == scipy.__version__
+
+
+def test_algebra_check_allocates_only_blocks(tmp_path):
+    # the dense hybrid operators at d = 32 held 67 MB each and peaked near 500 MB
+    code, _, meta, peak_mb = _fresh_run("algebra-check", {"cutoffs": [32]}, tmp_path)
+    assert code == 0 and meta["passed"] is True
+    assert peak_mb < 150
 
 
 def test_fidelity_sweep_small_grid(tmp_path):
@@ -308,6 +331,9 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("fidelity-sweep", {"n_min": 0.5, "n_max": 0.5, "repetitions": [50], "bath": {"Q": 1e-300}}),
     ("ns-check", {"phases": [1e308]}),
     ("entropy-sweep", {"n_min": 0.0, "n_max": 1.0, "n_step": 0.6}),
+    # a bath whose master equation loses more trace than BRANCH_TRACE_TOL at run time
+    ("fidelity-sweep", {"n_min": 2.0, "n_max": 2.0, "repetitions": [200],
+                        "bath": {"Q": 1, "N_th": 100}}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

@@ -52,7 +52,7 @@ def test_gate_uz_phases_against_direct_exponential():
     gate = dense.gate_UZ(lay, REF, theta)
     mode_map = dense.mode_factor_of_gate(gate)
     sub = SpaceLayout(0, (8, 8))
-    oracle = expm(1j * theta * fock.parity(sub, 1).matrix)
+    oracle = expm(1j * theta * dense.parity(sub, 1).matrix)
     assert np.abs(mode_map - oracle).max() < 1e-10
     # |odd>|even> picks up e^{i theta}, the swapped state e^{-i theta}
     i_oe = sub.basis_index((), (1, 0))
@@ -64,7 +64,7 @@ def test_gate_uz_phases_against_direct_exponential():
 def test_gate_ux_matches_swap_exponential_oracle():
     lay = SpaceLayout(1, (6, 6))
     sub = SpaceLayout(0, (6, 6))
-    s = fock.two_mode_swap(sub, 0, 1)
+    s = dense.two_mode_swap(sub, 0, 1)
     rng = np.random.default_rng(4)
     totals = (np.arange(6)[:, None] + np.arange(6)[None, :]).ravel()
     keep = np.flatnonzero(totals <= 5)
@@ -81,7 +81,7 @@ def test_gate_uzz_matches_pair_parity_oracle():
     lay = SpaceLayout(1, (5, 5, 5, 5))
     gate = dense.gate_UZZ(lay, LogicalQubitRef(0), LogicalQubitRef(1), 0.9)
     sub = SpaceLayout(0, (5, 5, 5, 5))
-    o = fock.parity(sub, 1) @ fock.parity(sub, 3)
+    o = dense.parity(sub, 1) @ dense.parity(sub, 3)
     oracle = dense.exponential_hermitian_unitary(o, 0.9)
     assert np.abs(dense.mode_factor_of_gate(gate) - oracle.matrix).max() < 1e-12
     assert dense.ancilla_leakage(gate) < 1e-12
@@ -118,13 +118,13 @@ def test_block_gate_refuses_an_unknown_axis():
 
 def test_exponential_hermitian_unitary_closed_form():
     lay = SpaceLayout(0, (6,))
-    p = fock.parity(lay, 0)
+    p = dense.parity(lay, 0)
     assert np.abs(dense.exponential_hermitian_unitary(p, math.pi / 2).matrix
                   - 1j * p.matrix).max() < 1e-15
     assert np.abs(dense.exponential_hermitian_unitary(p, math.pi).matrix
                   + np.eye(6)).max() < 1e-14
     lay2 = SpaceLayout(0, (6, 6))
-    pp = fock.parity(lay2, 0) @ fock.parity(lay2, 1)
+    pp = dense.parity(lay2, 0) @ dense.parity(lay2, 1)
     closed = dense.exponential_hermitian_unitary(pp, 0.3).matrix
     pade = expm(0.3j * pp.matrix)
     assert np.abs(closed - pade).max() < 1e-12
@@ -138,7 +138,7 @@ def test_total_pair_parity_conserved_by_gates():
     pp = dense.pair_parity(lay, REF)
     rng = np.random.default_rng(8)
     for gate in (dense.gate_UZ(lay, REF, 0.8), dense.gate_UX(lay, REF, -1.1),
-                 fock.beam_splitter_5050(lay, 0, 1)):
+                 dense.beam_splitter_5050(lay, 0, 1)):
         comm = gate.matrix @ pp.matrix - pp.matrix @ gate.matrix
         assert np.abs(comm).max() < 1e-10
 
@@ -201,18 +201,18 @@ def test_parity_measurement_requires_plus_ancilla():
 
 def test_variant_conjugate_identity_and_beam_splitter():
     lay = SpaceLayout(1, (6, 6))
-    c = fock.controlled_parity(lay, 1)
-    ident = fock.identity(lay)
+    c = dense.controlled_parity(lay, 1)
+    ident = dense.identity(lay)
     assert np.abs((ident @ c @ ident.adjoint()).matrix - c.matrix).max() == 0.0
-    v = fock.beam_splitter_5050(lay, 0, 1)
+    v = dense.beam_splitter_5050(lay, 0, 1)
     cv = v @ c @ v.adjoint()
-    rx = fock.qubit_rotation(lay, "x", 0.6)
+    rx = dense.qubit_rotation(lay, "x", 0.6)
     gate = cv @ rx @ cv
     mode_map = dense.mode_factor_of_gate(gate)
     # conjugated circuit implements e^{i theta V (I (x) P) V^dag}
     sub = SpaceLayout(0, (6, 6))
-    vb = fock.beam_splitter_5050(sub, 0, 1)
-    conj = vb @ fock.parity(sub, 1) @ vb.adjoint()
+    vb = dense.beam_splitter_5050(sub, 0, 1)
+    conj = vb @ dense.parity(sub, 1) @ vb.adjoint()
     oracle = expm(0.6j * conj.matrix)
     totals = (np.arange(6)[:, None] + np.arange(6)[None, :]).ravel()
     keep = np.flatnonzero(totals <= 5)
@@ -223,17 +223,17 @@ def test_variant_conjugation_preserves_pauli_algebra():
     # the logical algebra holds on encoded states; conjugation transports it
     # to the transformed basis V|odd>|even>
     sub = SpaceLayout(0, (8, 8))
-    z_l = fock.parity(sub, 1)
-    x_l = fock.two_mode_swap(sub, 0, 1)
+    z_l = dense.parity(sub, 1)
+    x_l = dense.two_mode_swap(sub, 0, 1)
     rng = np.random.default_rng(21)
     v0 = HybridState.basis(sub, (), (1, 2)).data
     v1 = HybridState.basis(sub, (), (2, 1)).data
     for _ in range(10):
         # random parity-structured two-mode unitary: beam splitters and
         # phase shifts keep truncation exact on fitting blocks
-        v = fock.identity(sub)
+        v = dense.identity(sub)
         for _ in range(rng.integers(1, 4)):
-            v = v @ fock.beam_splitter_5050(sub, 0, 1)
+            v = v @ dense.beam_splitter_5050(sub, 0, 1)
             phase = np.diag(np.kron(np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8)),
                                     np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8))))
             v = v @ fock.TruncatedOperator(sub, phase)

@@ -25,8 +25,8 @@ def test_layout_validation():
 
 def test_ancilla_operators_need_an_ancilla():
     modes_only = SpaceLayout(0, (4,))
-    for build in (lambda: fock.controlled_parity(modes_only, 0),
-                  lambda: fock.qubit_rotation(modes_only, "x", 0.3),
+    for build in (lambda: dense.controlled_parity(modes_only, 0),
+                  lambda: dense.qubit_rotation(modes_only, "x", 0.3),
                   lambda: fock.plus_state_with_modes(modes_only, (1,)),
                   lambda: HybridState.basis(modes_only, (), (1,)).reduced_qubit()):
         with pytest.raises(fock.LayoutError):
@@ -57,11 +57,11 @@ def test_annihilation_vacuum_and_ladder_coefficient():
 
 def test_parity_definition_and_exponential_form():
     lay = SpaceLayout(0, (12,))
-    p = fock.parity(lay, 0)
+    p = dense.parity(lay, 0)
     assert p.matrix[0, 0] == 1.0 and p.matrix[1, 1] == -1.0
     assert p.is_hermitian() and p.is_unitary()
     assert np.abs((p @ p).matrix - np.eye(12)).max() == 0.0
-    n = fock.number(lay, 0)
+    n = dense.number(lay, 0)
     from_exp = dense.matrix_exponential(1j * math.pi * n)
     assert np.abs(from_exp.matrix - p.matrix).max() < 1e-10
 
@@ -77,7 +77,7 @@ def test_parity_thermal_expectation_geometric_sum():
     lay = SpaceLayout(0, (d,))
     w = (1 - q) * q ** np.arange(d)
     rho = HybridState.density(lay, np.diag(w / w.sum()).astype(complex))
-    val = rho.expectation(fock.parity(lay, 0)).real
+    val = rho.expectation(dense.parity(lay, 0)).real
     assert val == pytest.approx(series, abs=1e-10)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-9)  # 1/(2<n>+1)
 
@@ -107,7 +107,7 @@ def test_displacement_coherent_overlap_series_oracle():
 
 def test_beam_splitter_vacuum_golden_sign_and_number_conservation():
     lay = SpaceLayout(0, (8, 8))
-    b = fock.beam_splitter_5050(lay, 0, 1)
+    b = dense.beam_splitter_5050(lay, 0, 1)
     vac = HybridState.basis(lay, (), (0, 0))
     assert np.abs(vac.apply(b).data - vac.data).max() < 1e-14
     # golden test freezing the sign convention of the printed generator
@@ -116,10 +116,10 @@ def test_beam_splitter_vacuum_golden_sign_and_number_conservation():
     i01 = lay.basis_index((), (0, 1))
     assert out.data[i10] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert out.data[i01] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
-    n_tot = fock.number(lay, 0) + fock.number(lay, 1)
+    n_tot = dense.number(lay, 0) + dense.number(lay, 1)
     assert np.abs((b @ n_tot - n_tot @ b).matrix).max() < 1e-12
     with pytest.raises(fock.LayoutError):
-        fock.beam_splitter_5050(lay, 0, 0)
+        dense.beam_splitter_5050(lay, 0, 0)
 
 
 @pytest.mark.parametrize("cutoff", [7, 16])
@@ -129,7 +129,7 @@ def test_beam_splitter_matches_generator_exponential(cutoff):
     a0 = fock.annihilation(lay, 0).matrix
     a1 = fock.annihilation(lay, 1).matrix
     gen = (math.pi / 4) * (a1 @ a0.conj().T - a1.conj().T @ a0)
-    assert np.abs(fock.beam_splitter_5050(lay, 0, 1).matrix - expm(gen)).max() < 1e-12
+    assert np.abs(dense.beam_splitter_5050(lay, 0, 1).matrix - expm(gen)).max() < 1e-12
 
 
 def test_unitary_exponential_matches_scipy_expm():
@@ -158,10 +158,10 @@ def test_unitary_exponential_matches_scipy_expm():
 
 def test_identity_embed_returns_the_operator():
     lay = SpaceLayout(0, (5, 5))
-    op = fock.beam_splitter_5050(lay, 0, 1)
-    assert fock.tensor_embed(op, lay, (0, 1)) is op
-    swapped = fock.tensor_embed(op, lay, (1, 0))
-    s = fock.two_mode_swap(lay, 0, 1).matrix
+    op = dense.beam_splitter_5050(lay, 0, 1)
+    assert dense.tensor_embed(op, lay, (0, 1)) is op
+    swapped = dense.tensor_embed(op, lay, (1, 0))
+    s = dense.two_mode_swap(lay, 0, 1).matrix
     assert np.abs(swapped.matrix - s @ op.matrix @ s).max() < 1e-15
 
 
@@ -176,9 +176,21 @@ def test_pair_excitation_blocks_partition_the_pair_space():
         assert idx.size == min(t, 2 * d - 2 - t) + 1
 
 
+def test_pair_forms_keep_to_the_excitation_blocks():
+    d = 6
+    blocks = fock.pair_excitation_blocks(d)
+    assert [b.shape for b in fock.beam_splitter_5050(d)] == [(i.size, i.size) for i in blocks]
+    swap = fock.two_mode_swap(d)
+    assert np.array_equal(swap[swap], np.arange(d * d))  # an involution
+    total = fock.pair_number(d)
+    assert np.array_equal(total[swap], total)
+    for t, idx in enumerate(blocks):
+        assert np.all(total[idx] == t)
+
+
 def test_two_mode_swap_action_and_conjugation():
     lay = SpaceLayout(0, (7, 7))
-    s = fock.two_mode_swap(lay, 0, 1)
+    s = dense.two_mode_swap(lay, 0, 1)
     out = HybridState.basis(lay, (), (2, 5)).apply(s)
     assert abs(out.data[lay.basis_index((), (5, 2))] - 1.0) == 0.0
     assert np.abs((s @ s).matrix - np.eye(49)).max() == 0.0
@@ -189,7 +201,7 @@ def test_two_mode_swap_action_and_conjugation():
 
 def test_swap_commutes_with_collective_phase():
     lay = SpaceLayout(0, (10, 10))
-    s = fock.two_mode_swap(lay, 0, 1)
+    s = dense.two_mode_swap(lay, 0, 1)
     phi = 0.7
     e = np.diag(np.kron(np.exp(1j * phi * np.arange(10)),
                         np.exp(1j * phi * np.arange(10))))
@@ -199,7 +211,7 @@ def test_swap_commutes_with_collective_phase():
 
 def test_controlled_parity_blocks_and_projection_identity():
     lay = SpaceLayout(1, (16,))
-    c = fock.controlled_parity(lay, 0)
+    c = dense.controlled_parity(lay, 0)
     for n in (0, 3, 7):
         st = HybridState.basis(lay, (0,), (n,))
         assert np.abs(st.apply(c).data - st.data).max() == 0.0
@@ -230,18 +242,18 @@ def test_compose_adjoint_exponential_algebra():
     rhs = (b.adjoint() @ a.adjoint()).matrix
     assert np.abs(lhs - rhs).max() < 1e-12
     with pytest.raises(fock.LayoutError):
-        a @ fock.identity(SpaceLayout(0, (7,)))
+        a @ dense.identity(SpaceLayout(0, (7,)))
 
 
 def test_constructed_unitaries_meet_tolerance():
     lay = SpaceLayout(1, (12, 12))
     ops = [
-        fock.parity(lay, 0),
-        fock.two_mode_swap(lay, 0, 1),
-        fock.controlled_parity(lay, 1),
-        fock.beam_splitter_5050(lay, 0, 1),
+        dense.parity(lay, 0),
+        dense.two_mode_swap(lay, 0, 1),
+        dense.controlled_parity(lay, 1),
+        dense.beam_splitter_5050(lay, 0, 1),
         fock.displacement(lay, 0, 0.5),
-        fock.qubit_rotation(lay, "x", 0.8),
+        dense.qubit_rotation(lay, "x", 0.8),
     ]
     for op in ops:
         assert op.is_unitary(1e-10)
@@ -249,7 +261,7 @@ def test_constructed_unitaries_meet_tolerance():
 
 def test_operator_immutability_and_flag_cache():
     lay = SpaceLayout(0, (4,))
-    p = fock.parity(lay, 0)
+    p = dense.parity(lay, 0)
     with pytest.raises(AttributeError):
         p.matrix = np.eye(4)
     with pytest.raises(ValueError):
@@ -260,13 +272,13 @@ def test_operator_immutability_and_flag_cache():
 def test_tensor_embed_nonadjacent_axes():
     big = SpaceLayout(1, (3, 4, 3))
     sub = SpaceLayout(0, (3, 3))
-    s = fock.two_mode_swap(sub, 0, 1)
-    emb = fock.tensor_embed(s, big, mode_map=(2, 0))
+    s = dense.two_mode_swap(sub, 0, 1)
+    emb = dense.tensor_embed(s, big, mode_map=(2, 0))
     st = HybridState.basis(big, (1,), (1, 2, 0))
     out = st.apply(emb)
     assert abs(out.data[big.basis_index((1,), (0, 2, 1))] - 1.0) < 1e-14
     with pytest.raises(fock.LayoutError):
-        fock.tensor_embed(s, big, mode_map=(0, 1))  # dimension mismatch
+        dense.tensor_embed(s, big, mode_map=(0, 1))  # dimension mismatch
 
 
 def test_apply_local_matches_embedded_operator():
@@ -274,7 +286,7 @@ def test_apply_local_matches_embedded_operator():
     big = SpaceLayout(1, (4, 5))
     sub = SpaceLayout(0, (5,))
     d = fock.displacement(sub, 0, 0.2)
-    emb = fock.tensor_embed(d, big, mode_map=(1,))
+    emb = dense.tensor_embed(d, big, mode_map=(1,))
     psi = rng.standard_normal(big.total_dim) + 1j * rng.standard_normal(big.total_dim)
     direct = emb.matrix @ psi
     local = fock.apply_local(psi, big.dims, d.matrix, (2,))

@@ -232,6 +232,22 @@ def test_gram_block_by_block_equals_one_stacked_product():
     assert np.abs(pair.gram(states, pair.readout_mask) - one_product).max() <= 1e-15
 
 
+def test_pair_blocks_allocate_no_pair_space_operator():
+    # a dense d^2 x d^2 beam splitter at d = 48 would hold d^4 * 16 B = 85 MB
+    import tracemalloc
+
+    d, n_mean = 48, 2.0
+    w_odd = thermal.even_odd_weights(n_mean, d, -1)
+    w_even = thermal.even_odd_weights(n_mean, d, +1)
+    tracemalloc.start()
+    try:
+        msuqc._PairBlocks(w_odd, w_even, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d ** 4 * 16 / 10
+
+
 def test_mixed_ancilla_return_check_raises(monkeypatch):
     # a controlled "parity" with a phase i on the |1> block is no involution,
     # so CP Rx CP leaves the ancilla off |+>

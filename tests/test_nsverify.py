@@ -19,7 +19,7 @@ def test_zero_parameter_channels_are_identity():
 
 def test_phase_channel_at_pi_is_double_parity():
     e = nsverify.collective_noise("phase", math.pi, LAY)
-    pp = fock.parity(LAY, 0) @ fock.parity(LAY, 1)
+    pp = dense.parity(LAY, 0) @ dense.parity(LAY, 1)
     assert np.abs(e.matrix - pp.matrix).max() < 1e-12
 
 
@@ -27,7 +27,7 @@ def test_commutation_check_needs_one_cutoff():
     lay = SpaceLayout(0, (6, 8))
     e = nsverify.collective_noise("phase", 0.7, lay)
     with pytest.raises(fock.LayoutError):
-        nsverify.commutation_check(e, fock.parity(lay, 1))
+        nsverify.commutation_check(e, dense.parity(lay, 1))
 
 
 @pytest.mark.parametrize("kind,par", [("phase", 0.7), ("squeeze", 0.2)])
@@ -37,7 +37,7 @@ def test_commutation_check_matches_full_product(kind, par):
     d = LAY.mode_cutoffs[0]
     e = nsverify.collective_noise(kind, par, LAY)
     a1 = fock.annihilation(LAY, 1)
-    for op in (fock.parity(LAY, 1), fock.two_mode_swap(LAY, 0, 1), a1 + a1.adjoint()):
+    for op in (dense.parity(LAY, 1), dense.two_mode_swap(LAY, 0, 1), a1 + a1.adjoint()):
         full = e.matrix @ op.matrix - op.matrix @ e.matrix
         for max_total in (0, None, 2 * d - 2):
             top = d // 3 if max_total is None else max_total
@@ -49,7 +49,7 @@ def test_commutation_check_matches_full_product(kind, par):
 def test_commutation_check_needs_a_non_negative_bound():
     e = nsverify.collective_noise("phase", 0.7, LAY)
     with pytest.raises(ValueError, match="max_total"):
-        nsverify.commutation_check(e, fock.parity(LAY, 1), max_total=-1)
+        nsverify.commutation_check(e, dense.parity(LAY, 1), max_total=-1)
 
 
 def test_channels_invert_and_squeeze_bound():
@@ -67,8 +67,8 @@ def test_channels_invert_and_squeeze_bound():
     ("squeeze", (0.05, 0.1, 0.2)),
 ])
 def test_all_listed_commutators_vanish(kind, values):
-    z_like = fock.parity(LAY, 1)
-    x_like = fock.two_mode_swap(LAY, 0, 1)
+    z_like = dense.parity(LAY, 1)
+    x_like = dense.two_mode_swap(LAY, 0, 1)
     for par in values:
         e = nsverify.collective_noise(kind, par, LAY)
         assert nsverify.commutation_check(e, z_like) <= 1e-8
@@ -138,7 +138,7 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     gate = dense.gate_UZ(lay, ref, 0.6)
     sub = SpaceLayout(0, (d, d))
     noise2 = nsverify.collective_noise("phase", 0.7, sub)
-    noise_full = fock.tensor_embed(noise2, lay, mode_map=(0, 1))
+    noise_full = dense.tensor_embed(noise2, lay, mode_map=(0, 1))
 
     before = state.apply(noise_full).apply(gate)
     after = state.apply(gate).apply(noise_full)

@@ -46,7 +46,7 @@ def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
     rho = state.to_density().data
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, pulses.QubitRotation):
-            r = fock.qubit_rotation(state.layout, seg.axis, seg.angle).matrix
+            r = dense.qubit_rotation(state.layout, seg.axis, seg.angle).matrix
             rho = r @ rho @ r.conj().T
             continue
         nsteps = max(1, math.ceil(seg.duration / dt))
@@ -274,7 +274,7 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
         psi[start] = 1.0
         for seg in sched.expand_waiting().segments:
             if isinstance(seg, pulses.QubitRotation):
-                psi = fock.qubit_rotation(st.layout, seg.axis, seg.angle).matrix @ psi
+                psi = dense.qubit_rotation(st.layout, seg.axis, seg.angle).matrix @ psi
             else:
                 psi = expm(-1j * seg.duration * h[type(seg)]) @ psi
         ref += np.outer(psi, psi.conj()) / n_traj

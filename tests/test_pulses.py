@@ -197,7 +197,7 @@ def test_engineered_controlled_parity_matches_dense_route(dense_segment_product)
     reps, eta = pulses.measurement_configs()[2]  # R = 200
     p, d = params(eta), 66
     one = dense_segment_product(pulses.build_h2_sequence(p, 1), p, d)
-    corr = fock.qubit_rotation(one.layout, "z", 32.0 * reps * eta ** 2)
+    corr = dense.qubit_rotation(one.layout, "z", 32.0 * reps * eta ** 2)
     ref = corr.matrix @ np.linalg.matrix_power(one.matrix, reps)
     got = pulses.engineered_controlled_parity(p, d, reps).matrix
     assert np.abs(got - ref).max() <= 1e-12

@@ -26,7 +26,7 @@ def test_thermal_state_geometric_probabilities():
 def test_thermal_state_mean_excitation_defining_property():
     for n_mean in (0.5, 1.0, 2.0, 4.0):
         st = dense.thermal_state(ThermalSpec(n_mean, tail_tol=1e-12))
-        n_op = fock.number(st.layout, 0)
+        n_op = dense.number(st.layout, 0)
         assert st.expectation(n_op).real == pytest.approx(n_mean, abs=1e-8)
 
 
@@ -62,7 +62,7 @@ def test_parity_project_vacuum_and_thermal():
     th = dense.thermal_state(ThermalSpec(1.0))
     post, p = dense.parity_project(th, 0, +1)
     assert p == pytest.approx(2.0 / 3.0, abs=1e-8)  # (1 + 1/(2<n>+1)) / 2
-    par = fock.parity(post.layout, 0)
+    par = dense.parity(post.layout, 0)
     assert post.expectation(par).real == pytest.approx(1.0, abs=1e-14)
 
 
@@ -97,12 +97,14 @@ def test_tqp_initial_state_zero_temperature_and_parities():
     pops = pair0.populations().reshape(pair0.layout.dims)
     assert pops[1, 0] == pytest.approx(1.0)
     pair = dense.tqp_initial_state(ThermalSpec(2.0))
-    lay = pair.layout
-    z_l = fock.parity(lay, 1)
-    p_first = fock.parity(lay, 0)
-    assert pair.expectation(z_l).real == pytest.approx(1.0, abs=1e-13)
-    assert pair.expectation(p_first).real == pytest.approx(-1.0, abs=1e-13)
-    assert pair.expectation(p_first @ z_l).real == pytest.approx(-1.0, abs=1e-13)
+    # the parities are diagonal, so their expectations are populations . diagonal
+    pops = pair.populations()
+    d0, d1 = pair.layout.mode_cutoffs
+    z_l = np.tile(fock.parity_diag(d1), d0)
+    p_first = np.repeat(fock.parity_diag(d0), d1)
+    assert pops @ z_l == pytest.approx(1.0, abs=1e-13)
+    assert pops @ p_first == pytest.approx(-1.0, abs=1e-13)
+    assert pops @ (p_first * z_l) == pytest.approx(-1.0, abs=1e-13)
 
 
 def test_von_neumann_entropy_reference_values():
