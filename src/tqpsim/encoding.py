@@ -21,7 +21,9 @@ cross-check and live with them.
 
 The ancilla returns to |+> exactly after each gate, so one ancilla serves
 every gate and the nondemolition parity measurement; no function here takes
-an ancilla index.
+an ancilla index.  The measurement's X-basis readout of the ancilla
+(`x_basis_branches`) is the only one in the package: every
+``opensys.fidelity_point`` route reads its branches through it.
 """
 
 from __future__ import annotations
@@ -110,31 +112,47 @@ def _check_ancilla_plus(state: HybridState) -> None:
         raise AncillaError(f"ancilla |+> fidelity deficit {1.0 - fid:.3e} exceeds tolerance")
 
 
-def _measure_branches(state: HybridState, mode: int) -> list[ParityMeasurement]:
-    """Controlled parity, then an X-basis readout of the ancilla.
-
-    With the ancilla's Z components psi_q (rho_qq') after the controlled
-    parity, the + (even) and - (odd) branches are (psi_0 +- psi_1)/sqrt(2),
-    or (rho_00 + rho_11 +- (rho_01 + rho_10))/2 for a density matrix.
-    """
+def apply_controlled_parity(state: HybridState, mode: int) -> np.ndarray:
+    """The data of C|psi> or C rho C, for the controlled parity C on the
+    ancilla and `mode`; C is diagonal, so this is an entry-wise product."""
     layout = state.layout
-    _check_ancilla_plus(state)
     ax = layout.mode_axis(mode)
     c = fock.apply_diag_local(np.ones(layout.total_dim), layout.dims,
                               fock.controlled_parity_diag(layout.dims[ax]), (0, ax))
-    work = c * state.data if state.is_pure else c[:, None] * state.data * c
-    rest = layout.total_dim // 2
+    return c * state.data if state.is_pure else c[:, None] * state.data * c
+
+
+def x_basis_branches(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalised + and - branches of an X-basis readout of the ancilla
+    (axis 0) on a flat pure state or a density matrix.
+
+    With the ancilla's Z components psi_q (blocks rho_qq'), the branches are
+    (psi_0 +- psi_1)/sqrt(2), or (rho_00 + rho_11 +- (rho_01 + rho_10))/2 on
+    the rest of the space.  Their norms (traces) are the branch probabilities.
+    """
+    rest = data.shape[0] // 2
+    if data.ndim == 1:
+        psi = data.reshape(2, rest)
+        return (psi[0] + psi[1]) / math.sqrt(2), (psi[0] - psi[1]) / math.sqrt(2)
+    rho = data.reshape(2, rest, 2, rest)
+    diag, off = rho[0, :, 0] + rho[1, :, 1], rho[0, :, 1] + rho[1, :, 0]
+    return (diag + off) / 2.0, (diag - off) / 2.0
+
+
+def parity_measurement_branches(state: HybridState,
+                                mode: int) -> tuple[ParityMeasurement, ParityMeasurement]:
+    """Deterministic mode: both measurement branches with their probabilities,
+    even first.  Controlled parity, then an X-basis readout of the ancilla
+    (:func:`x_basis_branches`); the + branch is the even one."""
+    layout = state.layout
+    _check_ancilla_plus(state)
     total = state.trace()
     plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
     out = []
-    for sign in (+1, -1):
+    for sign, branch in zip((+1, -1), x_basis_branches(apply_controlled_parity(state, mode))):
         if state.is_pure:
-            psi = work.reshape(2, rest)
-            branch = (psi[0] + sign * psi[1]) / math.sqrt(2)
             p = float((np.abs(branch) ** 2).sum()) / total
         else:
-            rho = work.reshape(2, rest, 2, rest)
-            branch = (rho[0, :, 0] + rho[1, :, 1] + sign * (rho[0, :, 1] + rho[1, :, 0])) / 2.0
             p = float(np.trace(branch).real) / total
         if p < BRANCH_FLOOR:
             post = None
@@ -143,14 +161,7 @@ def _measure_branches(state: HybridState, mode: int) -> list[ParityMeasurement]:
         else:
             post = HybridState.density(layout, np.kron(plus_dm, branch / (p * total)))
         out.append(ParityMeasurement(sign, p, post))
-    return out
-
-
-def parity_measurement_branches(state: HybridState,
-                                mode: int) -> tuple[ParityMeasurement, ParityMeasurement]:
-    """Deterministic mode: both measurement branches with their probabilities."""
-    even, odd = _measure_branches(state, mode)
-    return even, odd
+    return tuple(out)
 
 
 def parity_measurement(state: HybridState, mode: int,
@@ -160,7 +171,7 @@ def parity_measurement(state: HybridState, mode: int,
     Nondemolition: measuring the returned state again gives the same outcome
     with probability one (up to numerical tolerance).
     """
-    even, odd = _measure_branches(state, mode)
+    even, odd = parity_measurement_branches(state, mode)
     pick = even if rng.random() < even.probability else odd
     if pick.state is None:
         raise BranchError(

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -173,14 +172,8 @@ def unitary_exponential(gen: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# embedding helpers
+# local application on tensor axes
 # ---------------------------------------------------------------------------
-
-
-def _embed_single(layout: SpaceLayout, axis: int, small: np.ndarray) -> np.ndarray:
-    factors = [np.eye(d, dtype=complex) for d in layout.dims]
-    factors[axis] = small
-    return reduce(np.kron, factors)
 
 
 def _on_axes(array: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], act) -> np.ndarray:
@@ -221,8 +214,21 @@ def apply_diag_local(array: np.ndarray, dims: tuple[int, ...], diag: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _destroy_matrix(d: int) -> np.ndarray:
+def annihilation(d: int) -> np.ndarray:
+    """Ladder-down operator on one mode, d x d, with <n-1|a|n> = sqrt(n)."""
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
+
+
+def displacement(d: int, alpha: complex) -> np.ndarray:
+    """exp(alpha a^dag - alpha* a) on one mode, d x d.
+
+    The truncated generator is anti-Hermitian, so the result is unitary on
+    the truncated space; its action is only faithful on states whose support
+    keeps |alpha|^2 well below the cutoff.  Callers check the truncation
+    tail rather than renormalizing.
+    """
+    a = annihilation(d)
+    return unitary_exponential(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def parity_diag(d: int) -> np.ndarray:
@@ -262,28 +268,6 @@ def _beam_splitter_block(d: int, idx: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operator constructors
 # ---------------------------------------------------------------------------
-
-
-def annihilation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    """Ladder-down operator with <n-1|a|n> = sqrt(n), embedded in the layout."""
-    ax = layout.mode_axis(mode)
-    return TruncatedOperator(layout, _embed_single(layout, ax, _destroy_matrix(layout.dims[ax])),
-                             copy=False)
-
-
-def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOperator:
-    """exp(alpha a^dag - alpha* a) on the truncated space.
-
-    The truncated generator is anti-Hermitian, so the result is unitary on
-    the truncated space; its action is only faithful on states whose support
-    keeps |alpha|^2 well below the cutoff.  States are not renormalized after
-    application; check the truncation tail instead.
-    """
-    ax = layout.mode_axis(mode)
-    d = layout.dims[ax]
-    a = _destroy_matrix(d)
-    small = unitary_exponential(alpha * a.conj().T - np.conj(alpha) * a)
-    return TruncatedOperator(layout, _embed_single(layout, ax, small), copy=False)
 
 
 def beam_splitter_5050(cutoff: int) -> list[np.ndarray]:

@@ -177,45 +177,31 @@ class ComputationResult:
 # abstract qubit-space reference
 # ---------------------------------------------------------------------------
 
-_PX = np.array([[0, 1], [1, 0]], dtype=complex)
-_PZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def qubit_space_oracle(circuit: LogicalCircuit) -> float:
-    """Ground truth in the abstract 2^K logical space with 2x2 Pauli algebra."""
+    """Ground truth in the abstract 2^K logical space.
+
+    The state is a (2,) * K tensor, qubit q on axis q, and each gate
+    exp(i angle P) = cos(angle) I + i sin(angle) P applies its Pauli string P
+    by its action: Z_q is a +-1 sign along axis q and X_q flips axis q.
+    """
     k = circuit.qubit_count
     if k > 10:
         raise DimensionBudgetError("oracle supports at most 10 logical qubits")
-    dim = 2 ** k
-
-    def embed(mat, qubit):
-        out = np.array([[1.0 + 0j]])
-        for i in range(k):
-            out = np.kron(out, mat if i == qubit else np.eye(2))
-        return out
-
-    def embed2(mat_a, qa, mat_b, qb):
-        out = np.array([[1.0 + 0j]])
-        for i in range(k):
-            f = mat_a if i == qa else (mat_b if i == qb else np.eye(2))
-            out = np.kron(out, f)
-        return out
-
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    eye = np.eye(dim)
+    z = [np.array([1.0, -1.0]).reshape((2,) + (1,) * (k - 1 - q)) for q in range(k)]
+    psi = np.zeros((2,) * k, dtype=complex)
+    psi[(0,) * k] = 1.0
     for gate in step_gates(circuit):
         if gate[0] == "zz":
             _, ka, kb, ang = gate
-            op = embed2(_PZ, ka, _PZ, kb)
+            flipped = z[ka] * z[kb] * psi
         elif gate[0] == "x":
             _, ka, ang = gate
-            op = embed(_PX, ka)
+            flipped = np.flip(psi, axis=ka)
         else:
             _, ka, ang = gate
-            op = embed(_PZ, ka)
-        psi = (math.cos(ang) * eye + 1j * math.sin(ang) * op) @ psi
-    return float(abs(psi[0]) ** 2)
+            flipped = z[ka] * psi
+        psi = math.cos(ang) * psi + 1j * math.sin(ang) * flipped
+    return float(abs(psi[(0,) * k]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +219,11 @@ def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e
     horizon = 4 * d + 64
     w_odd = even_odd_weights(mean_excitation, horizon, -1)
     w_even = even_odd_weights(mean_excitation, horizon, +1)
-    while True:
-        totals = np.add.outer(np.arange(horizon), np.arange(horizon))
-        joint = np.outer(w_odd, w_even)
-        broken = float(joint[totals >= d].sum())
-        if broken < pair_weight_tol:
-            return d
-        d += 1
+    # joint weight per total excitation t, then of every total >= t (0 past the last)
+    per_total = np.bincount(np.add.outer(np.arange(horizon), np.arange(horizon)).ravel(),
+                            weights=np.outer(w_odd, w_even).ravel())
+    broken = np.append(np.cumsum(per_total[::-1])[::-1], 0.0)
+    return d + int(np.flatnonzero(broken[d:] < pair_weight_tol)[0])
 
 
 class _PairBlocks:

@@ -57,7 +57,7 @@ def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> Trunca
             # the generator is real and keeps Fock parity: exponentiate each parity
             # block and keep the real part (the imaginary part is rounding), so the
             # two modes' factors commute exactly under the swap
-            a = fock._destroy_matrix(d).real
+            a = fock.annihilation(d).real
             gen = parameter * (a @ a - a.T @ a.T)
             u = np.zeros((d, d))
             for idx in (np.arange(0, d, 2), np.arange(1, d, 2)):
@@ -163,9 +163,10 @@ class DfsReport:
             fh.write("\n")
 
 
-def _squeeze_generator_pair(layout: SpaceLayout) -> np.ndarray:
-    a1 = fock.annihilation(layout, 0).matrix
-    a2 = fock.annihilation(layout, 1).matrix
+def _squeeze_generator_pair(cutoff: int) -> np.ndarray:
+    """a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a mode pair with one cutoff."""
+    a, eye = fock.annihilation(cutoff), np.eye(cutoff)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
     return (a1 @ a1 - a1.conj().T @ a1.conj().T
             + a2 @ a2 - a2.conj().T @ a2.conj().T)
 
@@ -189,7 +190,7 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     if rng is None:
         rng = np.random.default_rng(0)
     layout = SpaceLayout(0, (cutoff, cutoff))
-    gen = _squeeze_generator_pair(layout)
+    gen = _squeeze_generator_pair(cutoff)
     blocks = fock.pair_excitation_blocks(cutoff)
     sectors = []
     for m in range(0, max_total + 1):
@@ -219,8 +220,8 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         e = collective_noise(kind, par, layout)
         for name, op in logicals.items():
             comms[f"{kind}_vs_{name}"] = commutation_check(e, op)
-    a1 = fock.annihilation(layout, 1)
-    quad = a1 + a1.adjoint()
+    a = fock.annihilation(cutoff)
+    quad = TruncatedOperator(layout, np.kron(np.eye(cutoff), a + a.conj().T), copy=False)
     neg = commutation_check(collective_noise("phase", 0.7, layout), quad)
     return DfsReport(max_total=max_total, cutoff=cutoff,
                      sv_threshold=NULLSPACE_RELATIVE_THRESHOLD,

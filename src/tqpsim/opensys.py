@@ -36,14 +36,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fock, pulses
+from . import encoding, fock, pulses
 from .fock import HybridState, SpaceLayout
 from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
                      QubitRotation, WaitingPeriod)
 from .thermal import required_cutoff, thermal_weights
 
 DEGENERATE_BRANCH_FLOOR = 1e-9
-# largest |p+ + p- - 1| a master-equation fidelity point accepts
+# largest |p+ + p- - 1| a fidelity point accepts
 BRANCH_TRACE_TOL = 1e-9
 # largest condition number of a no-jump eigenvector matrix V the trajectories accept
 EIGENBASIS_COND_LIMIT = 1e6
@@ -110,11 +110,6 @@ class FidelityPoint:
 # ---------------------------------------------------------------------------
 
 
-def _check_layout(layout: SpaceLayout) -> None:
-    if layout.n_modes != 1:
-        raise fock.LayoutError("open-system model expects one mode")
-
-
 class _DampedModeModel:
     """The damped hybrid model on a one-mode layout, per ancilla level.
 
@@ -126,12 +121,13 @@ class _DampedModeModel:
     """
 
     def __init__(self, layout: SpaceLayout, noise: NoiseParams):
-        _check_layout(layout)
+        if layout.n_modes != 1:
+            raise fock.LayoutError("open-system model expects one mode")
         self.layout = layout
         self.noise = noise
         self.d = layout.mode_cutoffs[0]
         self.levels = 2 ** layout.qubit_count
-        self.a = fock.annihilation(SpaceLayout(0, (self.d,)), 0).matrix
+        self.a = fock.annihilation(self.d)
         ad = self.a.conj().T
         decay = -0.5j * (noise.rate_down * ad @ self.a + noise.rate_up * self.a @ ad)
         self.k = {seg: pulses.level_hamiltonians(noise.nu, eta, self.d)[:self.levels] + decay
@@ -435,26 +431,6 @@ def _thermal_with_ancilla(n_mean: float, cutoff: int) -> HybridState:
     return HybridState.density(layout, np.kron(plus_dm, np.diag(w.astype(complex))))
 
 
-def _parity_branch_factors(rho: np.ndarray, d: int) -> tuple[float, float, float, float]:
-    """Measure the ancilla in the X basis; return p+, p-, and the parity
-    traces Tr(rho_+ (I+P)) and Tr(rho_- (I-P)) over normalized branches.
-
-    In the ancilla's Z blocks rho_qq' the branches are
-    <+-|rho|+-> = (rho_00 + rho_11 +- (rho_01 + rho_10)) / 2; only their
-    Fock populations enter.
-    """
-    pops = np.einsum("pnqn->pqn", rho.reshape(2, d, 2, d)).real
-    parity = (-1.0) ** np.arange(d)
-    probs, traces = [], []
-    for sign in (+1, -1):
-        branch = (pops[0, 0] + pops[1, 1] + sign * (pops[0, 1] + pops[1, 0])) / 2.0
-        p = float(branch.sum())
-        probs.append(p)
-        traces.append(1.0 + sign * float(branch @ parity) / p
-                      if p >= DEGENERATE_BRANCH_FLOOR else 2.0)
-    return probs[0], probs[1], traces[0], traces[1]
-
-
 def fidelity_cutoff(n_mean: float, tail_tol: float = 1e-6, headroom: int = 4) -> int:
     """Tail-controlled cutoff for one fidelity point (reported per point)."""
     return required_cutoff(n_mean, tail_tol, 10) + headroom
@@ -471,13 +447,11 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config` (its own eta is ignored).
+    Every route reads the ancilla out through ``encoding.x_basis_branches``.
     A branch probability that is not finite or leaves [-1e-9, 1 + 1e-9], as
-    when the master equation diverges, raises ValueError.  So does a
-    master-equation run whose p+ + p- misses 1 by more than
-    ``BRANCH_TRACE_TOL``: it lost trace while keeping each probability in
-    range.  The closed routes conjugate by a unitary, so their sum misses 1
-    only by the rounding of that unitary, which grows with the repetition
-    count (about 2e-9 at 10^6 repetitions); it is not checked.
+    when the master equation diverges, raises ValueError.  So does a run
+    whose p+ + p- misses 1 by more than ``BRANCH_TRACE_TOL``: it lost trace
+    while keeping each probability in range.
     """
     reps, eta = config
     if cutoff is None:
@@ -487,23 +461,30 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
     if noise == "exact-gate":
-        c = fock.controlled_parity_diag(d)  # the layout is (ancilla, mode)
-        rho = c[:, None] * state.data * c
+        rho = encoding.apply_controlled_parity(state, 0)
     elif noise == "ideal-sequence":
         gate = pulses.engineered_controlled_parity(params, d, reps)
-        rho = gate.matrix @ state.data @ gate.matrix.conj().T
+        rho = gate @ state.data @ gate.conj().T
     elif isinstance(noise, NoiseParams):
-        # the engineered gate's frame correction exp(i chi/2 Z), chi = 64 R eta^2
-        frame = PulseSchedule((QubitRotation("z", 32.0 * reps * eta ** 2),))
-        sched = pulses.build_h2_sequence(params, reps) + frame
+        sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
+            (pulses.frame_correction(eta, reps),))
         rho = evolve_master(state, sched, replace(noise, eta=eta)).data
     else:
         raise ValueError(f"unknown noise mode {noise!r}")
-    p_plus, p_minus, t_plus, t_minus = _parity_branch_factors(rho, d)
+    parity = fock.parity_diag(d)
+    probs, traces = [], []
+    for sign, branch in zip((+1, -1), encoding.x_basis_branches(rho)):
+        pops = branch.diagonal().real  # only the Fock populations enter
+        p = float(pops.sum())
+        probs.append(p)
+        # Tr(rho_s (I + s P)) over the normalized branch s
+        traces.append(1.0 + sign * float(pops @ parity) / p
+                      if p >= DEGENERATE_BRANCH_FLOOR else 2.0)
+    (p_plus, p_minus), (t_plus, t_minus) = probs, traces
     if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in (p_plus, p_minus)):  # NaN fails too
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} are not "
                          f"probabilities: the run diverged (noise {noise!r}, cutoff {d})")
-    if isinstance(noise, NoiseParams) and abs(p_plus + p_minus - 1.0) > BRANCH_TRACE_TOL:
+    if abs(p_plus + p_minus - 1.0) > BRANCH_TRACE_TOL:
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} sum to "
                          f"{p_plus + p_minus}, not 1: the run lost trace (noise {noise!r}, "
                          f"cutoff {d})")

@@ -33,7 +33,8 @@ closed-form level blocks into it in one batched product, a rotation applies
 its 2 x 2 matrix to the level axis, and a bare waiting period scales every
 level by the same diagonal phase.  No 2d x 2d segment matrix is built.  A free
 evolution's level blocks are D(alpha) and D(alpha)^dag = D(-alpha) from one
-`fock.unitary_exponential`, so the module needs numpy alone.
+`fock.unitary_exponential`, so the module needs numpy alone.  Every
+operator the module returns is a plain 2d x 2d array, ancilla level major.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import SpaceLayout, TruncatedOperator
 
 SEQUENCE_PERIODS = 18.0  # one engineered sequence lasts 18 pi / nu
 
@@ -170,27 +170,23 @@ class PulseSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _hybrid_layout(cutoff: int) -> SpaceLayout:
-    return SpaceLayout(1, (cutoff,))
-
-
 def level_hamiltonians(nu: float, eta: float, cutoff: int) -> np.ndarray:
     """[H_+, H_-], H_pm = nu a^dag a +- nu eta (a + a^dag) on the mode: H is
     one d x d block per ancilla Z level, level 0 (qubit |0>, Z = +1) first."""
-    a = fock.annihilation(SpaceLayout(0, (cutoff,)), 0).matrix
+    a = fock.annihilation(cutoff)
     n, x = nu * np.diag(np.arange(cutoff)), nu * eta * (a + a.conj().T)
     return np.stack([n + x, n - x])
 
 
-def _on_levels(blocks: np.ndarray) -> TruncatedOperator:
-    """(ancilla, mode) operator with the (2, d, d) `blocks` on its Z levels, level 0 first."""
+def _on_levels(blocks: np.ndarray) -> np.ndarray:
+    """(ancilla, mode) matrix with the (2, d, d) `blocks` on its Z levels, level 0 first."""
     d = blocks.shape[-1]
     mat = np.zeros((2, d, 2, d), dtype=complex)
     mat[[0, 1], :, [0, 1]] = blocks
-    return TruncatedOperator(_hybrid_layout(d), mat.reshape(2 * d, 2 * d), copy=False)
+    return mat.reshape(2 * d, 2 * d)
 
 
-def hamiltonian(params: HybridHamiltonianParams, cutoff: int) -> TruncatedOperator:
+def hamiltonian(params: HybridHamiltonianParams, cutoff: int) -> np.ndarray:
     """H = nu a^dag a + nu eta Z (a + a^dag) on (ancilla, mode)."""
     return _on_levels(level_hamiltonians(params.nu, params.eta, cutoff))
 
@@ -200,12 +196,12 @@ def _free_blocks(params: HybridHamiltonianParams, t: float, cutoff: int) -> np.n
     nu, eta = params.nu, params.eta
     phase = np.exp(1j * eta ** 2 * (nu * t - math.sin(nu * t)))
     rot = phase * np.exp(-1j * nu * t * np.arange(cutoff))[:, None]
-    disp = fock.displacement(SpaceLayout(0, (cutoff,)), 0, -eta * (np.exp(1j * nu * t) - 1.0))
-    return rot * np.stack([disp.matrix, disp.matrix.conj().T])
+    disp = fock.displacement(cutoff, -eta * (np.exp(1j * nu * t) - 1.0))
+    return rot * np.stack([disp, disp.conj().T])
 
 
 def exact_free_propagator(params: HybridHamiltonianParams, t: float,
-                          cutoff: int) -> TruncatedOperator:
+                          cutoff: int) -> np.ndarray:
     """Closed-form exp(-i t H), block per qubit branch:
 
         U_pm(t) = e^{i eta^2 (nu t - sin nu t)} e^{-i nu t a^dag a}
@@ -216,11 +212,9 @@ def exact_free_propagator(params: HybridHamiltonianParams, t: float,
     return _on_levels(_free_blocks(params, t, cutoff))
 
 
-def bare_rotation(nu: float, t: float, cutoff: int) -> TruncatedOperator:
+def bare_rotation(nu: float, t: float, cutoff: int) -> np.ndarray:
     """exp(-i nu t a^dag a) on (ancilla, mode): the ideal waiting evolution."""
-    lay = _hybrid_layout(cutoff)
-    diag = np.kron(np.ones(2), np.exp(-1j * nu * t * np.arange(cutoff)))
-    return TruncatedOperator(lay, np.diag(diag), copy=False)
+    return np.diag(np.kron(np.ones(2), np.exp(-1j * nu * t * np.arange(cutoff))))
 
 
 def _on_ancilla(r: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -230,7 +224,7 @@ def _on_ancilla(r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
-                      cutoff: int) -> TruncatedOperator:
+                      cutoff: int) -> np.ndarray:
     """Unitary of the whole schedule on (ancilla, mode), segments in time order.
 
     The unitary is held as a (2, d, 2d) array, its rows split by ancilla Z
@@ -252,7 +246,7 @@ def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
             u = free_cache[seg.duration] @ u
         else:
             u = np.exp(-1j * params.nu * seg.duration * np.arange(d))[:, None] * u
-    return TruncatedOperator(_hybrid_layout(d), u.reshape(2 * d, 2 * d), copy=False)
+    return u.reshape(2 * d, 2 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +254,19 @@ def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
 # ---------------------------------------------------------------------------
 
 
-def _displacement_group() -> tuple[Segment, ...]:
-    """Four conjugated free evolutions + one waiting quarter period (4.5 pi/nu)."""
-    pi = math.pi
-    return (
-        QubitRotation("x", -pi / 4), FreeEvolution(pi), QubitRotation("x", pi / 4),
-        QubitRotation("y", -pi / 4), FreeEvolution(pi), QubitRotation("y", pi / 4),
-        QubitRotation("x", pi / 4), FreeEvolution(pi), QubitRotation("x", -pi / 4),
-        QubitRotation("y", pi / 4), FreeEvolution(pi), QubitRotation("y", -pi / 4),
-        WaitingPeriod(pi / 2),
-    )
+def _displacement_group(params: HybridHamiltonianParams,
+                        flip_interval: float | None = None) -> PulseSchedule:
+    """Four conjugated free evolutions + one waiting quarter period (4.5 pi/nu);
+    `flip_interval` is in units of 1/nu.  One sequence is four groups."""
+    pi, scale = math.pi, 1.0 / params.nu
+    free = FreeEvolution(pi * scale)
+    return PulseSchedule((
+        QubitRotation("x", -pi / 4), free, QubitRotation("x", pi / 4),
+        QubitRotation("y", -pi / 4), free, QubitRotation("y", pi / 4),
+        QubitRotation("x", pi / 4), free, QubitRotation("x", -pi / 4),
+        QubitRotation("y", pi / 4), free, QubitRotation("y", -pi / 4),
+        WaitingPeriod(pi / 2 * scale, None if flip_interval is None else flip_interval * scale),
+    ))
 
 
 def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
@@ -282,19 +279,7 @@ def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
     scales every duration by 1/nu.
     """
     _check_repetitions(repetitions)
-    group = _displacement_group()
-    if flip_interval is not None:
-        group = tuple(WaitingPeriod(s.duration, flip_interval)
-                      if isinstance(s, WaitingPeriod) else s for s in group)
-    if params.nu != 1.0:
-        scale = 1.0 / params.nu
-        group = tuple(
-            FreeEvolution(s.duration * scale) if isinstance(s, FreeEvolution)
-            else (WaitingPeriod(s.duration * scale,
-                                None if s.flip_interval is None else s.flip_interval * scale)
-                  if isinstance(s, WaitingPeriod) else s)
-            for s in group)
-    return PulseSchedule(group * 4).repeated(repetitions)
+    return _displacement_group(params, flip_interval).repeated(4 * repetitions)
 
 
 def _check_repetitions(repetitions) -> None:
@@ -304,26 +289,29 @@ def _check_repetitions(repetitions) -> None:
 
 
 def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
-                     repetitions: int = 1) -> TruncatedOperator:
-    """Unitary of `repetitions` engineered sequences (fast matrix-power path)."""
+                     repetitions: int = 1) -> np.ndarray:
+    """Unitary of `repetitions` engineered sequences: the displacement
+    group's unitary raised to the power 4R by repeated squaring.
+
+    The power's departure from unitarity grows linearly with R; one
+    Newton-Schulz step U (3I - U^dag U) / 2 squares it, so the result is
+    unitary to rounding at any repetition count.
+    """
     _check_repetitions(repetitions)
-    one = simulate_schedule(build_h2_sequence(params, 1), params, cutoff)
-    mat = np.linalg.matrix_power(one.matrix, repetitions)
-    return TruncatedOperator(one.layout, mat, copy=False)
+    group = simulate_schedule(_displacement_group(params), params, cutoff)
+    u = np.linalg.matrix_power(group, 4 * repetitions)
+    return u @ (3.0 * np.eye(2 * cutoff) - u.conj().T @ u) / 2.0
 
 
 def dispersive_target(params: HybridHamiltonianParams, cutoff: int,
-                      repetitions: int = 1) -> TruncatedOperator:
+                      repetitions: int = 1) -> np.ndarray:
     """exp(-i 64 R eta^2 Z (a^dag a + 1/2)): the ideal engineered unitary."""
-    lay = _hybrid_layout(cutoff)
     chi = 64.0 * repetitions * params.eta ** 2
     ns = np.arange(cutoff) + 0.5
-    diag = np.concatenate([np.exp(-1j * chi * ns), np.exp(1j * chi * ns)])
-    return TruncatedOperator(lay, np.diag(diag), copy=False)
+    return np.diag(np.concatenate([np.exp(-1j * chi * ns), np.exp(1j * chi * ns)]))
 
 
-def gauged_distance(u: TruncatedOperator | np.ndarray, v: TruncatedOperator | np.ndarray,
-                    n_max: int | None = None) -> float:
+def gauged_distance(u: np.ndarray, v: np.ndarray, n_max: int | None = None) -> float:
     """Largest entry-wise distance between two (ancilla, mode) unitaries up to
     a global phase.
 
@@ -331,13 +319,11 @@ def gauged_distance(u: TruncatedOperator | np.ndarray, v: TruncatedOperator | np
     cutoff minus 6, excluding truncation-edge artifacts); the phase gauge
     maximizes |Tr(U^dag V)|.
     """
-    um = u.matrix if isinstance(u, TruncatedOperator) else u
-    vm = v.matrix if isinstance(v, TruncatedOperator) else v
-    d = um.shape[0] // 2
+    d = u.shape[0] // 2
     if n_max is None:
         n_max = max(d - 6, 1)
     keep = [q * d + n for q in range(2) for n in range(min(n_max + 1, d))]
-    us, vs = um[np.ix_(keep, keep)], vm[np.ix_(keep, keep)]
+    us, vs = u[np.ix_(keep, keep)], v[np.ix_(keep, keep)]
     tr = np.trace(us.conj().T @ vs)
     phase = tr / abs(tr) if abs(tr) > 1e-300 else 1.0
     return float(np.abs(us * phase - vs).max())
@@ -406,22 +392,26 @@ def measurement_configs() -> tuple[tuple[int, float], ...]:
     return tuple((r, eta_for_repetitions(r)) for r in (50, 100, 200))
 
 
-def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
-                                 repetitions: int | None = None) -> TruncatedOperator:
-    """Controlled-parity built from engineered sequences.
+def frame_correction(eta: float, repetitions: int) -> QubitRotation:
+    """The engineered gate's ancilla correction exp(i chi/2 Z), chi = 64 R eta^2.
 
-    Applies the deterministic single-qubit Z correction exp(i chi/2 Z) that
-    compensates the constant half-excitation phase (chi = 128 R eta^2 / 2 per
-    branch).  The residual mode-frame rotation exp(-i chi N) relative to the
-    exact controlled parity commutes with every parity readout and with
-    diagonal inputs, and is left in place.
+    It compensates the constant half-excitation phase of `repetitions`
+    sequences (chi = 128 R eta^2 / 2 per branch).  The residual mode-frame
+    rotation exp(-i chi N) relative to the exact controlled parity commutes
+    with every parity readout and with diagonal inputs, and is left in place.
     """
+    return QubitRotation("z", 64.0 * repetitions * eta ** 2 / 2.0)
+
+
+def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
+                                 repetitions: int | None = None) -> np.ndarray:
+    """Controlled-parity built from engineered sequences, followed by
+    :func:`frame_correction`."""
     if repetitions is None:
         repetitions = repetitions_for_controlled_parity(params.eta)
     u = sequence_unitary(params, cutoff, repetitions)
-    chi = 64.0 * repetitions * params.eta ** 2
-    corr = fock.qubit_rotation_matrix("z", chi / 2.0)
-    return TruncatedOperator(u.layout, _on_ancilla(corr, u.matrix), copy=False)
+    corr = frame_correction(params.eta, repetitions)
+    return _on_ancilla(fock.qubit_rotation_matrix(corr.axis, corr.angle), u)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import HybridState, SpaceLayout
+from .fock import HybridState
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
@@ -97,6 +97,11 @@ def von_neumann_entropy(state: HybridState) -> float:
     lam = np.linalg.eigvalsh(state.data)
     if lam.min() < -1e-10:
         raise fock.StateError(f"density matrix eigenvalue {lam.min():.3e} below -1e-10")
+    return _spectrum_entropy_bits(lam)
+
+
+def _spectrum_entropy_bits(lam: np.ndarray) -> float:
+    """-sum lambda log2 lambda over the entries of `lam` above 1e-14."""
     lam = lam[lam > ENTROPY_EIGENVALUE_FLOOR]
     return float(-(lam * np.log2(lam)).sum())
 
@@ -151,6 +156,7 @@ class EntropyReport:
     a unit label, not computed.  `s_tqp_spectral` is the eigenvalue entropy
     of the constructed pair state (sum of the two projected single-mode
     entropies; exact for a tensor product) and must track the closed form.
+    Each branch is diagonal, so its eigenvalues are its Fock weights.
     """
 
     mean_excitation: float
@@ -170,12 +176,9 @@ def entropy_report(spec: ThermalSpec) -> EntropyReport:
     # spectral side at a tighter tail than preparation, so the closed-form
     # agreement is comfortably truncation-limited rather than marginal
     d = spec.cutoff if spec.cutoff is not None else required_cutoff(n, spec.tail_tol * 1e-2)
-    one_mode = SpaceLayout(0, (d,))
     s_spec = 0.0
     for sign in (-1, +1):
-        w = even_odd_weights(n, d, sign)
-        branch = HybridState.density(one_mode, np.diag(w.astype(complex)))
-        s_spec += von_neumann_entropy(branch)
+        s_spec += _spectrum_entropy_bits(even_odd_weights(n, d, sign))
     return EntropyReport(
         mean_excitation=n,
         s_thermal=s_th,

@@ -45,9 +45,9 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
                 free[seg.duration] = free_matrix(seg.duration)
             mat = free[seg.duration]
         else:
-            mat = pulses.bare_rotation(params.nu, seg.duration, cutoff).matrix
+            mat = pulses.bare_rotation(params.nu, seg.duration, cutoff)
         u = mat @ u
-    return fock.TruncatedOperator(lay, u, copy=False)
+    return u
 
 
 @pytest.fixture
@@ -61,7 +61,7 @@ def dense_schedule_unitary():
     def unitary(schedule, params, cutoff):
         h = pulses.hamiltonian(params, cutoff)
         return _dense_segment_product(
-            schedule, params, cutoff, lambda t: dense.matrix_exponential((-1j * t) * h).matrix)
+            schedule, params, cutoff, lambda t: dense.matrix_exponential((-1j * t) * h))
     return unitary
 
 
@@ -75,5 +75,5 @@ def dense_segment_product():
     def unitary(schedule, params, cutoff):
         return _dense_segment_product(
             schedule, params, cutoff,
-            lambda t: pulses.exact_free_propagator(params, t, cutoff).matrix)
+            lambda t: pulses.exact_free_propagator(params, t, cutoff))
     return unitary

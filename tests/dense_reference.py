@@ -17,7 +17,9 @@ the same physics, for small cutoffs only:
   operator, and the two-mode encoded initial state;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
 * scipy's Pade matrix exponential, the cross-check of the package's eigh
-  exponential `fock.unitary_exponential`.
+  exponential `fock.unitary_exponential`;
+* the abstract 2^K qubit-space oracle as dense Kronecker products, the
+  cross-check of `msuqc.qubit_space_oracle`.
 
 Test modules import it after ``conftest.py`` has pinned the BLAS threads.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from tqpsim import fock, thermal
+from tqpsim import fock, msuqc, thermal
 from tqpsim.fock import HybridState, SpaceLayout, TruncatedOperator
 from tqpsim.opensys import NoiseParams
 from tqpsim.thermal import ThermalSpec
@@ -39,9 +41,12 @@ INVOLUTION_TOL = 1e-10
 PROJECTION_FLOOR = 1e-12
 
 
-def matrix_exponential(op: TruncatedOperator) -> TruncatedOperator:
-    """Matrix exponential via scipy's scaled-and-squared Pade method."""
-    return TruncatedOperator(op.layout, expm(op.matrix), copy=False)
+def matrix_exponential(op: TruncatedOperator | np.ndarray) -> TruncatedOperator | np.ndarray:
+    """Matrix exponential via scipy's scaled-and-squared Pade method, of an
+    operator on a layout or of a plain matrix."""
+    if isinstance(op, TruncatedOperator):
+        return TruncatedOperator(op.layout, expm(op.matrix), copy=False)
+    return expm(op)
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +90,24 @@ def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
     perm = [src_order.index(ax) for ax in range(n)]
     big = big.transpose(perm + [p + n for p in perm]).reshape(layout.total_dim, layout.total_dim)
     return TruncatedOperator(layout, big, copy=False)
+
+
+def single_mode(layout: SpaceLayout, mode: int, small: np.ndarray) -> TruncatedOperator:
+    """A d x d matrix on one mode of `layout`, identity elsewhere."""
+    d = layout.dims[layout.mode_axis(mode)]
+    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d,)), small, copy=False), layout,
+                        (mode,))
+
+
+def annihilation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    """`fock.annihilation` on one mode of `layout`."""
+    return single_mode(layout, mode, fock.annihilation(layout.dims[layout.mode_axis(mode)]))
+
+
+def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOperator:
+    """`fock.displacement` on one mode of `layout`."""
+    return single_mode(layout, mode,
+                       fock.displacement(layout.dims[layout.mode_axis(mode)], alpha))
 
 
 def identity(layout: SpaceLayout) -> TruncatedOperator:
@@ -355,9 +378,42 @@ def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
         layout, rho = h.layout, np.asarray(state, dtype=complex)
     if layout.n_modes != 1:
         raise fock.LayoutError("open-system model expects one mode")
-    a = fock.annihilation(layout, 0).matrix
+    a = annihilation(layout, 0).matrix
     out = -1j * (h.matrix @ rho - rho @ h.matrix)
     for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T)):
         op_dag_op = op.conj().T @ op
         out += rate * (op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the abstract qubit-space oracle by dense Kronecker products
+# ---------------------------------------------------------------------------
+
+_PX = np.array([[0, 1], [1, 0]], dtype=complex)
+_PZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def qubit_space_oracle(circuit) -> float:
+    """Probability of |0...0> after the circuit, each gate exp(i angle P) a
+    dense 2^K x 2^K matrix with its Pauli string P a Kronecker product."""
+    k = circuit.qubit_count
+
+    def embed(factors: dict) -> np.ndarray:
+        out = np.array([[1.0 + 0j]])
+        for i in range(k):
+            out = np.kron(out, factors.get(i, np.eye(2)))
+        return out
+
+    psi = np.zeros(2 ** k, dtype=complex)
+    psi[0] = 1.0
+    eye = np.eye(2 ** k)
+    for gate in msuqc.step_gates(circuit):
+        if gate[0] == "zz":
+            _, ka, kb, ang = gate
+            op = embed({ka: _PZ, kb: _PZ})
+        else:
+            axis, ka, ang = gate
+            op = embed({ka: _PX if axis == "x" else _PZ})
+        psi = (math.cos(ang) * eye + 1j * math.sin(ang) * op) @ psi
+    return float(abs(psi[0]) ** 2)

@@ -128,7 +128,7 @@ def test_exponential_hermitian_unitary_closed_form():
     closed = dense.exponential_hermitian_unitary(pp, 0.3).matrix
     pade = expm(0.3j * pp.matrix)
     assert np.abs(closed - pade).max() < 1e-12
-    a = fock.annihilation(lay, 0)
+    a = dense.annihilation(lay, 0)
     with pytest.raises(ValueError):
         dense.exponential_hermitian_unitary(a, 0.5)
 
@@ -158,6 +158,25 @@ def test_parity_measurement_vacuum_and_superposition():
     assert odd.probability == pytest.approx(0.5, abs=1e-12)
     assert even.state.mode_populations(0)[0] == pytest.approx(1.0, abs=1e-12)
     assert odd.state.mode_populations(0)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_x_basis_branches_match_ancilla_projectors(seed):
+    # (I +- X)/2 on the ancilla sends rho to |+-><+-| (x) branch, psi to |+-> (x) branch
+    rng = np.random.default_rng(seed)
+    rest = 12
+    m = rng.standard_normal((2 * rest, 2 * rest)) + 1j * rng.standard_normal((2 * rest, 2 * rest))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho)
+    psi = m[:, 0] / np.linalg.norm(m[:, 0])
+    x = np.array([[0, 1], [1, 0]])
+    for proj, ket, branch, vec in zip(((np.eye(2) + x) / 2, (np.eye(2) - x) / 2),
+                                      (fock.KET_PLUS, fock.KET_MINUS),
+                                      encoding.x_basis_branches(rho),
+                                      encoding.x_basis_branches(psi)):
+        full = np.kron(proj, np.eye(rest))
+        assert np.abs(full @ rho @ full - np.kron(proj, branch)).max() <= 1e-15
+        assert np.abs(full @ psi - np.kron(ket, vec)).max() <= 1e-15
 
 
 def test_parity_measurement_thermal_branch_statistics():

@@ -35,7 +35,7 @@ def test_ancilla_operators_need_an_ancilla():
 
 def test_annihilation_lowest_dimension():
     lay = SpaceLayout(0, (2,))
-    a = fock.annihilation(lay, 0)
+    a = dense.annihilation(lay, 0)
     assert np.allclose(a.matrix, [[0, 1], [0, 0]])
     one = HybridState.basis(lay, (), (1,))
     out = one.apply(a)
@@ -46,13 +46,13 @@ def test_annihilation_vacuum_and_ladder_coefficient():
     for d in (2, 5, 9):
         lay = SpaceLayout(0, (d,))
         vac = HybridState.basis(lay, (), (0,))
-        assert np.linalg.norm(vac.apply(fock.annihilation(lay, 0)).data) == 0.0
+        assert np.linalg.norm(vac.apply(dense.annihilation(lay, 0)).data) == 0.0
     lay = SpaceLayout(0, (6,))
-    a = fock.annihilation(lay, 0)
+    a = dense.annihilation(lay, 0)
     # ladder coefficient oracle: <n-1|a|n> = sqrt(n)
     assert a.matrix[2, 3] == pytest.approx(math.sqrt(3), abs=1e-15)
     with pytest.raises(fock.LayoutError):
-        fock.annihilation(lay, 1)
+        dense.annihilation(lay, 1)
 
 
 def test_parity_definition_and_exponential_form():
@@ -84,10 +84,10 @@ def test_parity_thermal_expectation_geometric_sum():
 
 def test_displacement_zero_and_inverse_pair():
     lay = SpaceLayout(0, (14,))
-    d0 = fock.displacement(lay, 0, 0.0)
+    d0 = dense.displacement(lay, 0, 0.0)
     assert np.abs(d0.matrix - np.eye(14)).max() < 1e-14
-    d = fock.displacement(lay, 0, 0.4 + 0.2j)
-    dinv = fock.displacement(lay, 0, -(0.4 + 0.2j))
+    d = dense.displacement(lay, 0, 0.4 + 0.2j)
+    dinv = dense.displacement(lay, 0, -(0.4 + 0.2j))
     assert np.abs((d @ dinv).matrix - np.eye(14)).max() < 1e-10
     assert d.is_unitary(1e-10)
 
@@ -101,7 +101,7 @@ def test_displacement_coherent_overlap_series_oracle():
         series += term
         term *= x / k
     lay = SpaceLayout(0, (20,))
-    d = fock.displacement(lay, 0, alpha)
+    d = dense.displacement(lay, 0, alpha)
     assert abs(d.matrix[0, 0] - series) < 1e-8
 
 
@@ -126,8 +126,8 @@ def test_beam_splitter_vacuum_golden_sign_and_number_conservation():
 def test_beam_splitter_matches_generator_exponential(cutoff):
     # block-wise construction equals the dense matrix exponential
     lay = SpaceLayout(0, (cutoff, cutoff))
-    a0 = fock.annihilation(lay, 0).matrix
-    a1 = fock.annihilation(lay, 1).matrix
+    a0 = dense.annihilation(lay, 0).matrix
+    a1 = dense.annihilation(lay, 1).matrix
     gen = (math.pi / 4) * (a1 @ a0.conj().T - a1.conj().T @ a0)
     assert np.abs(dense.beam_splitter_5050(lay, 0, 1).matrix - expm(gen)).max() < 1e-12
 
@@ -136,17 +136,17 @@ def test_unitary_exponential_matches_scipy_expm():
     # every eigh exponential the package takes, against scipy's Pade expm
     # (complex input: scipy's real-input expm is 4e-13 off on the truncated blocks)
     d = 48
-    a = fock._destroy_matrix(d)
+    a = fock.annihilation(d)
     gen = (math.pi / 4) * (np.kron(a.T, a) - np.kron(a, a.T))  # a_b a_a^dag - a_b^dag a_a
     for idx in fock.pair_excitation_blocks(d):
         block = gen[np.ix_(idx, idx)]
         assert np.abs(fock._beam_splitter_block(d, idx) - expm(block)).max() <= 1e-13
     for d in (48, 200):
-        a = fock._destroy_matrix(d)
-        disp = fock.displacement(SpaceLayout(0, (d,)), 0, 1.3).matrix
+        a = fock.annihilation(d)
+        disp = fock.displacement(d, 1.3)
         assert np.abs(disp - expm(1.3 * (a.conj().T - a))).max() <= 1e-13
     d = 24
-    a = fock._destroy_matrix(d)
+    a = fock.annihilation(d)
     single = expm(0.3 * (a @ a - a.conj().T @ a.conj().T))
     squeeze = nsverify.collective_noise("squeeze", 0.3, SpaceLayout(0, (d, d))).matrix
     assert np.abs(squeeze - np.kron(single, single)).max() <= 1e-13
@@ -194,8 +194,8 @@ def test_two_mode_swap_action_and_conjugation():
     out = HybridState.basis(lay, (), (2, 5)).apply(s)
     assert abs(out.data[lay.basis_index((), (5, 2))] - 1.0) == 0.0
     assert np.abs((s @ s).matrix - np.eye(49)).max() == 0.0
-    a0 = fock.annihilation(lay, 0)
-    a1 = fock.annihilation(lay, 1)
+    a0 = dense.annihilation(lay, 0)
+    a1 = dense.annihilation(lay, 1)
     assert np.abs((s @ a0 @ s.adjoint()).matrix - a1.matrix).max() < 1e-12
 
 
@@ -252,7 +252,7 @@ def test_constructed_unitaries_meet_tolerance():
         dense.two_mode_swap(lay, 0, 1),
         dense.controlled_parity(lay, 1),
         dense.beam_splitter_5050(lay, 0, 1),
-        fock.displacement(lay, 0, 0.5),
+        dense.displacement(lay, 0, 0.5),
         dense.qubit_rotation(lay, "x", 0.8),
     ]
     for op in ops:
@@ -285,7 +285,7 @@ def test_apply_local_matches_embedded_operator():
     rng = np.random.default_rng(11)
     big = SpaceLayout(1, (4, 5))
     sub = SpaceLayout(0, (5,))
-    d = fock.displacement(sub, 0, 0.2)
+    d = dense.displacement(sub, 0, 0.2)
     emb = dense.tensor_embed(d, big, mode_map=(1,))
     psi = rng.standard_normal(big.total_dim) + 1j * rng.standard_normal(big.total_dim)
     direct = emb.matrix @ psi
@@ -304,7 +304,7 @@ def test_state_invariants_and_tail_accounting():
     st0.validate()
     # a large displacement pushes weight into the cutoff; the state is not
     # silently renormalized and the tail is recorded
-    pushed = st0.apply(fock.displacement(lay, 0, 2.2))
+    pushed = st0.apply(dense.displacement(lay, 0, 2.2))
     assert pushed.truncation_tail > 1e-4
     bad = HybridState.density(lay, np.diag(np.linspace(1, 2, 10)).astype(complex))
     with pytest.raises(fock.StateError):

@@ -287,6 +287,18 @@ def test_equivalence_cutoff_grows_with_temperature():
     assert q ** d_two < 1e-8
 
 
+def test_equivalence_cutoffs_on_a_grid():
+    grid = np.linspace(0.0, 2.0, 21)
+    assert [msuqc.mixed_equivalence_cutoff(float(n)) for n in grid] == [
+        8, 8, 11, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36, 38, 40, 42, 44, 46, 48]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_oracle_matches_dense_kronecker_products(k):
+    circ = msuqc.random_circuit(np.random.default_rng(100 + k), k, 2)
+    assert abs(msuqc.qubit_space_oracle(circ) - dense.qubit_space_oracle(circ)) <= 1e-14
+
+
 def test_circuit_validation_and_budget():
     with pytest.raises(msuqc.CircuitFormatError):
         LogicalCircuit(1, (CircuitStep((0.1, 0.2), (0.3,), ()),))

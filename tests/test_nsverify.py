@@ -36,7 +36,7 @@ def test_commutation_check_matches_full_product(kind, par):
     # commutator restricted afterwards is the cross-check
     d = LAY.mode_cutoffs[0]
     e = nsverify.collective_noise(kind, par, LAY)
-    a1 = fock.annihilation(LAY, 1)
+    a1 = dense.annihilation(LAY, 1)
     for op in (dense.parity(LAY, 1), dense.two_mode_swap(LAY, 0, 1), a1 + a1.adjoint()):
         full = e.matrix @ op.matrix - op.matrix @ e.matrix
         for max_total in (0, None, 2 * d - 2):
@@ -77,7 +77,7 @@ def test_all_listed_commutators_vanish(kind, values):
 
 def test_negative_control_commutator_is_large():
     e = nsverify.collective_noise("phase", 0.7, LAY)
-    a1 = fock.annihilation(LAY, 1)
+    a1 = dense.annihilation(LAY, 1)
     quad = a1 + a1.adjoint()
     assert nsverify.commutation_check(e, quad) > 0.1
 
@@ -85,7 +85,7 @@ def test_negative_control_commutator_is_large():
 def test_dfs_sector_zero_image_structure():
     # the squeeze generator sends |0,0> to -sqrt(2)(|2,0> + |0,2>)
     lay = SpaceLayout(0, (5, 5))
-    gen = nsverify._squeeze_generator_pair(lay)
+    gen = nsverify._squeeze_generator_pair(5)
     img = gen @ HybridState.basis(lay, (), (0, 0)).data
     i20 = lay.basis_index((), (2, 0))
     i02 = lay.basis_index((), (0, 2))
