@@ -18,6 +18,8 @@ Conventions
   |0,1>)/sqrt(2)`` (frozen by a golden test).
 * Mode-pair gates conserve total excitation: the beam splitter is held as
   its blocks, the swap as a permutation, parities and number as diagonals.
+  The beam splitter's blocks are built once per cutoff and kept, read-only,
+  in a small cache of the most recent cutoffs.
   Every exponential has an anti-Hermitian generator G and is one numpy
   ``eigh`` of iG (`unitary_exponential`; no scipy), taken block by block in
   total excitation when G conserves number, which equals the full
@@ -28,6 +30,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -270,6 +273,14 @@ def _beam_splitter_block(d: int, idx: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _beam_splitter_blocks(cutoff: int) -> tuple[np.ndarray, ...]:
+    blocks = tuple(_beam_splitter_block(cutoff, idx) for idx in pair_excitation_blocks(cutoff))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
+
+
 def beam_splitter_5050(cutoff: int) -> list[np.ndarray]:
     """50:50 beam splitter exp(pi/4 (a_b a_a^dag - a_b^dag a_a)) on a mode pair,
     as its blocks: entry t acts on ``pair_excitation_blocks(cutoff)[t]``.
@@ -277,8 +288,14 @@ def beam_splitter_5050(cutoff: int) -> list[np.ndarray]:
     Exactly unitary within every block, and identical to the ideal beam
     splitter on blocks whose total fits under the cutoff (t < cutoff).
     Golden sign convention: B|1,0> = (|1,0> - |0,1>)/sqrt(2).
+
+    The blocks of the last few cutoffs are cached and read-only; each call
+    returns a new list of them.  A cutoff that is not an integer >= 1 is a
+    ValueError.
     """
-    return [_beam_splitter_block(cutoff, idx) for idx in pair_excitation_blocks(cutoff)]
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    return list(_beam_splitter_blocks(int(cutoff)))
 
 
 def two_mode_swap(cutoff: int) -> np.ndarray:

@@ -9,8 +9,12 @@ routes compute that probability:
 * ``run_mixed`` and ``run_pure`` share one engine.  The diagonal initial
   state (the thermal mixture, or one basis pair as a one-hot mixture)
   evolves through the literal ancilla circuits, one mode pair's
-  total-excitation block at a time.  Z and X rotations run
-  ``encoding.pair_block_gate``, the one definition of those circuits.
+  total-excitation block at a time.  A pair's blocks are held as a few
+  stacks of blocks of similar size (size classes), zero padded within each
+  stack, so the padding stays within 1.3 times the blocks' own entries.
+  Z and X rotations run ``encoding.pair_block_gate``, the one definition of
+  those circuits, on each stack.  The beam splitter's blocks come from
+  ``fock.beam_splitter_5050``, which builds them once per cutoff.
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
@@ -227,27 +231,35 @@ def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e
 
 
 class _PairBlocks:
-    """One mode pair's mixture columns, stacked by total excitation t.
+    """One stack of a mode pair's mixture columns, held by total excitation t.
 
     Every pair gate conserves t = i + j, so a column that starts on the Fock
-    state |i, j> of the diagonal initial mixture stays in block t.  A pair
-    state is an array of shape (T, 2, n, c): occupied block, ancilla, state
-    within the block (ordered by i) and mixture column, zero padded to the
-    largest block n and the largest column count c.  The ancilla starts in
-    |+> on every column.  ``bs``, ``cp`` and ``columns`` are the block
-    operators and column mask that ``encoding.pair_block_gate`` takes, read
-    from `fock`'s beam-splitter blocks and controlled-parity diagonal.
+    state |i, j> of the diagonal initial mixture stays in block t.  A stack's
+    state is an array of shape (T, 2, n, c): block, ancilla, state within the
+    block (ordered by i) and mixture column, zero padded to the stack's
+    largest block n and largest column count c.  The ancilla starts in |+> on
+    every column.  ``bs``, ``cp`` and ``columns`` are the block operators and
+    column mask that ``encoding.pair_block_gate`` takes, read from `fock`'s
+    beam-splitter blocks and controlled-parity diagonal.
+
+    By default the stack holds every occupied block in order of t; `totals`
+    picks the blocks instead, and `bs` passes in ``fock.beam_splitter_5050``
+    when it is already at hand.  Circuits hold a pair as the size-class
+    stacks of :func:`_pair_stacks`, which pad far less than one stack.
     """
 
-    def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int):
+    def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int, *,
+                 totals: np.ndarray | None = None, bs: list[np.ndarray] | None = None):
         d = cutoff
         w_pair = np.outer(w_odd, w_even).ravel()
-        blocks = [(t, idx) for t, idx in enumerate(fock.pair_excitation_blocks(d))
-                  if (w_pair[idx] > 0.0).any()]
+        all_blocks = fock.pair_excitation_blocks(d)
+        if totals is None:
+            totals = [t for t, idx in enumerate(all_blocks) if (w_pair[idx] > 0.0).any()]
+        blocks = [(t, all_blocks[t]) for t in totals]
         nb = len(blocks)
         n = max(idx.size for _, idx in blocks)
         c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
-        bs = fock.beam_splitter_5050(d)
+        bs = fock.beam_splitter_5050(d) if bs is None else bs
         cp = fock.controlled_parity_diag(d).reshape(2, d)
         self.bs = np.zeros((nb, 1, n, n), dtype=complex)
         self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
@@ -281,27 +293,66 @@ class _PairBlocks:
         return g
 
 
-def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],
-                  masks: list[list[np.ndarray]]) -> tuple[list[float], float]:
-    """Evolve logical qubit p's initial mixture ``pairs[p]`` through the circuit.
+STACK_PADDING = 1.3  # padded entries of a pair's stacks, at most, per entry its blocks hold
 
-    Z and X rotations run the literal ancilla circuits on one pair's blocks
-    (``encoding.pair_block_gate``), and the ancilla's return to |+> is
+
+def _pair_stacks(w_odd: np.ndarray, w_even: np.ndarray, cutoff: int) -> list[_PairBlocks]:
+    """A mode pair's occupied blocks as size-class stacks of :class:`_PairBlocks`.
+
+    One stack pads every block to the largest block size and column count:
+    at d = 48 and <n> = 2 it holds 2.9 times the entries of the blocks.  The
+    blocks are sorted by (size, column count) and cut into the fewest runs
+    whose padded entries total at most ``STACK_PADDING`` times the blocks'
+    own, the cuts placed by dynamic programming to pad least.  The stacks
+    share one read of ``fock.beam_splitter_5050``.
+    """
+    d = cutoff
+    w_pair = np.outer(w_odd, w_even).ravel()
+    blocks = sorted((idx.size, np.count_nonzero(w_pair[idx]), t)
+                    for t, idx in enumerate(fock.pair_excitation_blocks(d))
+                    if (w_pair[idx] > 0.0).any())
+    n, c, totals = (np.array(x) for x in zip(*blocks))
+    nb = len(blocks)
+    # padded[a, b]: the entries of one stack of the sorted blocks a .. b-1
+    padded = np.full((nb + 1, nb + 1), np.inf)
+    for a in range(nb):
+        padded[a, a + 1:] = np.arange(1, nb - a + 1) * n[a:] * np.maximum.accumulate(c[a:])
+    least, starts = padded[0], []  # least[b]: fewest padded entries of blocks 0 .. b-1
+    while least[nb] > STACK_PADDING * (n * c).sum():
+        candidates = least[:, None] + padded  # one more stack, starting at block a
+        starts.append(candidates.argmin(axis=0))
+        least = candidates.min(axis=0)
+    cuts = [nb]
+    for start in reversed(starts):
+        cuts.append(int(start[cuts[-1]]))
+    cuts = [0] + cuts[::-1]
+    bs = fock.beam_splitter_5050(d)
+    return [_PairBlocks(w_odd, w_even, d, totals=totals[a:b], bs=bs)
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
+                  masks: list[list[list[np.ndarray]]]) -> tuple[list[float], float]:
+    """Evolve logical qubit p's initial mixture, the stacks ``pairs[p]``,
+    through the circuit.
+
+    Z and X rotations run the literal ancilla circuits on each stack of one
+    pair (``encoding.pair_block_gate``), and the ancilla's return to |+> is
     asserted after every gate.  An entangler exp(i gamma P_a P_b) splits
     every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
     a sum of pair-product branches and the expectation of a product of
-    per-pair diagonal masks factorizes over pairs.  ``masks[o][p]`` is pair
-    p's mask in observable o.  Returns the expectation of every observable
-    and the truncation tail: the joint weight of the blocks where any pair's
-    total excitation reaches the cutoff.
+    per-pair diagonal masks factorizes over pairs.  ``masks[o][p]`` lists
+    pair p's mask in observable o, one per stack.  Returns the expectation of
+    every observable and the truncation tail: the joint weight of the blocks
+    where any pair's total excitation reaches the cutoff.
     """
     n_entanglers = sum(len(s.gamma) for s in circuit.steps)
     if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
         raise DimensionBudgetError(
             f"{n_entanglers} entanglers exceed the budget of {MAX_MIXED_BRANCHES} branches")
-    # states[p] lists the distinct states of pair p; a branch is a coefficient
-    # and the index of its state in every pair's list
-    states = [[pair.initial] for pair in pairs]
+    # states[p][s] lists the distinct states of stack s of pair p; a branch is
+    # a coefficient and the index of its state in every pair's lists
+    states = [[[stack.initial] for stack in stacks] for stacks in pairs]
     coeffs = np.ones(1, dtype=complex)
     index = np.zeros((1, len(pairs)), dtype=int)
     for gate in step_gates(circuit):
@@ -309,22 +360,25 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[_PairBlocks],
             _, ka, kb, ang = gate
             flipped = index.copy()
             for p in (ka, kb):
-                flipped[:, p] += len(states[p])
-                states[p] = states[p] + [pairs[p].parity * v for v in states[p]]
+                flipped[:, p] += len(states[p][0])
+                states[p] = [vs + [stack.parity * v for v in vs]
+                             for stack, vs in zip(pairs[p], states[p])]
             index = np.concatenate([index, flipped])
             coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
         else:
             axis, p, ang = gate
-            pair = pairs[p]
-            states[p] = [encoding.pair_block_gate(v, axis, ang, pair.bs, pair.cp, pair.columns)
-                         for v in states[p]]
+            states[p] = [[encoding.pair_block_gate(v, axis, ang, stack.bs, stack.cp,
+                                                   stack.columns) for v in vs]
+                         for stack, vs in zip(pairs[p], states[p])]
     values = []
     for observable in masks:
         terms = np.outer(coeffs.conj(), coeffs)
-        for p, (pair, mask) in enumerate(zip(pairs, observable)):
-            terms = terms * pair.gram(states[p], mask)[np.ix_(index[:, p], index[:, p])]
+        for p, (stacks, mask) in enumerate(zip(pairs, observable)):
+            gram = sum(stack.gram(vs, m) for stack, vs, m in zip(stacks, states[p], mask))
+            terms = terms * gram[np.ix_(index[:, p], index[:, p])]
         values.append(float(terms.sum().real))
-    return values, 1.0 - math.prod(1.0 - pair.broken_weight for pair in pairs)
+    broken = [sum(stack.broken_weight for stack in stacks) for stacks in pairs]
+    return values, 1.0 - math.prod(1.0 - w for w in broken)
 
 
 def _check_basis_indices(basis_indices, qubit_count, cutoff):
@@ -348,9 +402,10 @@ def run_pure(circuit: LogicalCircuit, basis_indices,
 
     Logical qubit p starts in |2m+1, 2n> for its basis pair (m, n), with the
     ancilla in |+>.  That state is a one-hot diagonal mixture, so it runs on
-    the engine of :func:`run_mixed` with one :class:`_PairBlocks` per qubit,
-    and the ancilla's return to |+> is asserted after every gate.  The result
-    is the expectation of the product of (I + Z_L)/2 readout projectors.
+    the engine of :func:`run_mixed` with the stacks of :func:`_pair_stacks`
+    per qubit (one block, so one stack), and the ancilla's return to |+> is
+    asserted after every gate.  The result is the expectation of the product
+    of (I + Z_L)/2 readout projectors.
 
     Every pair's total excitation 2m+1+2n must lie below the cutoff, where
     the truncated beam splitter is ideal (else ``DimensionBudgetError``); the
@@ -364,11 +419,11 @@ def run_pure(circuit: LogicalCircuit, basis_indices,
         cutoff = max(cutoff, max(2 * m + 1 + 2 * n + 1 for (m, n) in basis_indices))
     basis_indices = _check_basis_indices(basis_indices, k, cutoff)
     one_hot = np.eye(cutoff)
-    pairs = [_PairBlocks(one_hot[2 * m + 1], one_hot[2 * n], cutoff) for (m, n) in basis_indices]
-    support = [np.isin(pair.first, (2 * m + 1, 2 * n)).astype(float)
-               for pair, (m, n) in zip(pairs, basis_indices)]
-    (a, pop_in), tail = _run_on_pairs(
-        circuit, pairs, [[pair.readout_mask for pair in pairs], support])
+    pairs = [_pair_stacks(one_hot[2 * m + 1], one_hot[2 * n], cutoff) for (m, n) in basis_indices]
+    readout = [[stack.readout_mask for stack in stacks] for stacks in pairs]
+    support = [[np.isin(stack.first, (2 * m + 1, 2 * n)).astype(float) for stack in stacks]
+               for stacks, (m, n) in zip(pairs, basis_indices)]
+    (a, pop_in), tail = _run_on_pairs(circuit, pairs, [readout, support])
     leak = 1.0 - pop_in
     if leak > SUPPORT_LEAK_TOL:
         raise fock.StateError(f"population {leak:.3e} left the encoded basis-pair subspace")
@@ -382,15 +437,18 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
 
     The initial state is diagonal in the Fock basis and every gate conserves
     each pair's total excitation, so each pair's mixture columns are evolved
-    inside their own total-excitation block (:class:`_PairBlocks`), the
-    truncated blocks with t >= cutoff included; every pair shares one
-    :class:`_PairBlocks`.  Z and X rotations run the literal ancilla circuits
-    on those blocks and the ancilla's return to |+> is asserted after every
-    gate; entanglers split pair-product branches (:func:`_run_on_pairs`).
-    Any number of logical qubits is accepted up to ``MAX_MIXED_BRANCHES``
-    branches (2 to the number of entanglers).  The evaluation is
-    deterministic, with no Monte-Carlo sampling.  Readout is the product of
-    second-mode parity projectors, never an individual-Fock-state projector.
+    inside their own total-excitation block, the truncated blocks with
+    t >= cutoff included.  The blocks are held as size-class stacks
+    (:func:`_pair_stacks`), which pad at most 1.3 times the blocks' own
+    entries, and every pair shares one list of them, built from one call of
+    ``fock.beam_splitter_5050`` (cached per cutoff).  Z and X rotations run
+    the literal ancilla circuits on each stack and the ancilla's return to
+    |+> is asserted after every gate; entanglers split pair-product branches
+    (:func:`_run_on_pairs`).  Any number of logical qubits is accepted up to
+    ``MAX_MIXED_BRANCHES`` branches (2 to the number of entanglers).  The
+    evaluation is deterministic, with no Monte-Carlo sampling.  Readout is the
+    product of second-mode parity projectors, never an individual-Fock-state
+    projector.
 
     ``truncation_tail`` is the joint mixture weight of the blocks where any
     pair's total excitation reaches the cutoff; there the truncated beam
@@ -413,7 +471,8 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
             f"cutoff {cutoff} leaves thermal tail {q ** cutoff:.2e} >= {spec.tail_tol:.0e}")
     w_odd = even_odd_weights(spec.mean_excitation, cutoff, -1)
     w_even = even_odd_weights(spec.mean_excitation, cutoff, +1)
-    pair = _PairBlocks(w_odd, w_even, cutoff)
-    (a,), tail = _run_on_pairs(circuit, [pair] * k, [[pair.readout_mask] * k])
+    stacks = _pair_stacks(w_odd, w_even, cutoff)
+    (a,), tail = _run_on_pairs(circuit, [stacks] * k,
+                               [[[stack.readout_mask for stack in stacks]] * k])
     return ComputationResult(a, "mixed", k, cutoff, mean_excitation=spec.mean_excitation,
                              truncation_tail=tail)

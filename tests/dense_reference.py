@@ -124,14 +124,20 @@ def parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
     return _embed_diagonal(layout, {ax: fock.parity_diag(layout.dims[ax])})
 
 
-def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
-    """exp(i pi/2 (I - Z) a^dag a) from `fock.controlled_parity_diag`."""
+def _controlled_parity_diag(layout: SpaceLayout, mode: int) -> np.ndarray:
+    """The diagonal of :func:`controlled_parity` over the whole layout."""
     layout.require_ancilla()
     ax = layout.mode_axis(mode)
     shape = [2] + [1] * layout.n_modes
     shape[ax] = layout.dims[ax]
-    diag = np.broadcast_to(fock.controlled_parity_diag(shape[ax]).reshape(shape), layout.dims)
-    return TruncatedOperator(layout, np.diag(diag.ravel().astype(complex)), copy=False)
+    return np.broadcast_to(fock.controlled_parity_diag(shape[ax]).reshape(shape),
+                           layout.dims).ravel()
+
+
+def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+    """exp(i pi/2 (I - Z) a^dag a) from `fock.controlled_parity_diag`."""
+    diag = _controlled_parity_diag(layout, mode)
+    return TruncatedOperator(layout, np.diag(diag.astype(complex)), copy=False)
 
 
 def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> TruncatedOperator:
@@ -223,21 +229,24 @@ def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> Trunca
     return TruncatedOperator(op.layout, mat, copy=False)
 
 
+def _conjugated_rotation(layout: SpaceLayout, c: np.ndarray, theta: float) -> TruncatedOperator:
+    """C R_X(theta) C for the diagonal C with diagonal `c`, entry by entry."""
+    R = qubit_rotation(layout, "x", theta).matrix
+    return TruncatedOperator(layout, c[:, None] * R * c[None, :], copy=False)
+
+
 def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
     """C R_X(theta) C: exp(i theta Z_L) on the modes, ancilla |+> -> |+>."""
     _, mb = _check_pair(layout, ref)
-    C = controlled_parity(layout, mb)
-    R = qubit_rotation(layout, "x", theta)
-    return C @ R @ C
+    return _conjugated_rotation(layout, _controlled_parity_diag(layout, mb), theta)
 
 
 def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
     """B^dag C R_X(theta) C B: exp(i theta X_L) on the modes."""
     ma, mb = _check_pair(layout, ref)
     B = beam_splitter_5050(layout, ma, mb)
-    C = controlled_parity(layout, mb)
-    R = qubit_rotation(layout, "x", theta)
-    return B.adjoint() @ C @ R @ C @ B
+    return B.adjoint() @ _conjugated_rotation(layout, _controlled_parity_diag(layout, mb),
+                                              theta) @ B
 
 
 def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef,
@@ -245,10 +254,8 @@ def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef
     """C_l C_k R_X(theta) C_k C_l: exp(i theta Z_L (x) Z_L) across two pairs."""
     _, mbk = _check_pair(layout, ref_k)
     _, mbl = _check_pair(layout, ref_l)
-    Ck = controlled_parity(layout, mbk)
-    Cl = controlled_parity(layout, mbl)
-    R = qubit_rotation(layout, "x", theta)
-    return Cl @ Ck @ R @ Ck @ Cl
+    c = _controlled_parity_diag(layout, mbl) * _controlled_parity_diag(layout, mbk)
+    return _conjugated_rotation(layout, c, theta)
 
 
 def _from_plus_block(gate: TruncatedOperator, bra: np.ndarray) -> np.ndarray:

@@ -163,11 +163,13 @@ def test_algebra_check_fails_on_a_perturbed_operator(tmp_path, monkeypatch, case
     assert max(doc["results"][0]["residuals"].values()) > 1e-7
 
 
-def _fresh_run(command: str, config: dict, tmp_path) -> tuple[int, list[str], dict, float]:
-    """Run one subcommand in a fresh process: its exit code, the scipy
-    modules it loaded, its metadata and the process's peak RSS in MB.  The peak
-    is VmHWM, the high-water mark of the process's own memory map: ru_maxrss
-    also holds the RSS of the parent process it was forked from."""
+def _fresh_run(command: str, config: dict, tmp_path,
+               *flags: str) -> tuple[int, list[str], dict, float]:
+    """Run one subcommand in a fresh process, with extra command-line `flags`:
+    its exit code, the scipy modules it loaded, its metadata and the
+    process's peak RSS in MB.  The peak is VmHWM, the high-water mark of the
+    process's own memory map: ru_maxrss also holds the RSS of the parent
+    process it was forked from."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -175,7 +177,8 @@ def _fresh_run(command: str, config: dict, tmp_path) -> tuple[int, list[str], di
     cfg.write_text(json.dumps(config))
     out = tmp_path / ("out.csv" if command.endswith("-sweep") else "out.json")
     code = ("import json, re, sys; from tqpsim import cli; "
-            f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]); "
+            f"code = cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}, "
+            f"*{list(flags)!r}]); "
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
             "status = open('/proc/self/status').read(); "
             "print(int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1)) / 1024); "
@@ -221,6 +224,16 @@ def test_algebra_check_allocates_only_blocks(tmp_path):
     code, _, meta, peak_mb = _fresh_run("algebra-check", {"cutoffs": [32]}, tmp_path)
     assert code == 0 and meta["passed"] is True
     assert peak_mb < 150
+
+
+def test_msuqc_demo_at_the_max_steps_row_stays_small(tmp_path):
+    # four qubits at n = 2 (d = 48) and up to three steps: one stack per pair
+    # padded its blocks to 2.9 times their entries and peaked at 389 MB
+    code, _, meta, peak_mb = _fresh_run(
+        "msuqc-demo", {"qubit_counts": [4], "mean_excitations": [2.0], "max_steps": 3,
+                       "n_circuits": 4}, tmp_path, "--seed", "7")
+    assert code == 0 and meta["passed"] is True
+    assert peak_mb < 300
 
 
 def test_fidelity_sweep_small_grid(tmp_path):

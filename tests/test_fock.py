@@ -188,6 +188,28 @@ def test_pair_forms_keep_to_the_excitation_blocks():
         assert np.all(total[idx] == t)
 
 
+def test_beam_splitter_blocks_are_built_once_per_cutoff_and_read_only():
+    d = 9
+    first, second = fock.beam_splitter_5050(d), fock.beam_splitter_5050(d)
+    assert first is not second and len(first) == 2 * d - 1
+    assert all(a is b for a, b in zip(first, second))
+    assert all(a is b for a, b in zip(first, fock.beam_splitter_5050(np.int64(d))))
+    for block, idx in zip(first, fock.pair_excitation_blocks(d)):
+        assert np.array_equal(block, fock._beam_splitter_block(d, idx))
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+    first.clear()  # each call's list is the caller's own
+    assert len(fock.beam_splitter_5050(d)) == 2 * d - 1
+
+
+@pytest.mark.parametrize("cutoff", [0, -1, True, False, 2.0, "3", None])
+def test_beam_splitter_refuses_a_cutoff_that_is_no_positive_integer(cutoff):
+    before = fock._beam_splitter_blocks.cache_info()
+    with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+        fock.beam_splitter_5050(cutoff)
+    assert fock._beam_splitter_blocks.cache_info() == before  # never looked up
+
+
 def test_two_mode_swap_action_and_conjugation():
     lay = SpaceLayout(0, (7, 7))
     s = dense.two_mode_swap(lay, 0, 1)

@@ -33,10 +33,11 @@ def dense_mixed_probability(circuit, pair_weights, cutoff):
         else:
             u = dense.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
         rho = u.matrix @ rho @ u.matrix.conj().T
-    readout = np.eye(layout.total_dim)
+    # the readout projectors are diagonal: Tr(readout rho) = diag(readout) . diag(rho)
+    readout = np.ones(layout.total_dim)
     for ref in refs:
-        readout = readout @ (np.eye(layout.total_dim) + dense.logical_Z(layout, ref).matrix) / 2
-    return float(np.trace(readout @ rho).real)
+        readout = readout * (1.0 + np.diagonal(dense.logical_Z(layout, ref).matrix).real) / 2
+    return float(readout @ np.diagonal(rho).real)
 
 
 def thermal_pairs(spec, k, cutoff):
@@ -216,20 +217,46 @@ def test_mixed_truncation_tail_is_broken_block_weight():
 
 
 def test_gram_block_by_block_equals_one_stacked_product():
+    # a pair's gram is summed over its size-class stacks, each block by block
     d, n_mean = 16, 1.0
-    pair = msuqc._PairBlocks(thermal.even_odd_weights(n_mean, d, -1),
-                             thermal.even_odd_weights(n_mean, d, +1), d)
+    stacks = msuqc._pair_stacks(thermal.even_odd_weights(n_mean, d, -1),
+                                thermal.even_odd_weights(n_mean, d, +1), d)
+    assert len(stacks) > 1
     rng = np.random.default_rng(3)
-    states = [pair.initial, pair.parity * pair.initial]
+    states = [[stack.initial, stack.parity * stack.initial] for stack in stacks]
     for _ in range(3):
-        v = (rng.standard_normal(pair.initial.shape)
-             + 1j * rng.standard_normal(pair.initial.shape)) * pair.columns[:, None, None, :]
-        states.append(v / np.linalg.norm(v))
-    stack = np.stack(states)
-    weighted = pair.readout_mask * pair.weight[:, None, None, :]
-    one_product = stack.reshape(len(states), -1).conj() @ (stack * weighted).reshape(
-        len(states), -1).T
-    assert np.abs(pair.gram(states, pair.readout_mask) - one_product).max() <= 1e-15
+        for stack, vs in zip(stacks, states):
+            v = (rng.standard_normal(stack.initial.shape)
+                 + 1j * rng.standard_normal(stack.initial.shape)) * stack.columns[:, None, None, :]
+            vs.append(v / np.linalg.norm(v))
+    n_states = len(states[0])
+    flat = np.concatenate([np.stack(vs).reshape(n_states, -1) for vs in states], axis=1)
+    weighted = np.concatenate([
+        np.broadcast_to(stack.readout_mask * stack.weight[:, None, None, :],
+                        stack.initial.shape).ravel() for stack in stacks])
+    one_product = flat.conj() @ (flat * weighted).T
+    summed = sum(stack.gram(vs, stack.readout_mask) for stack, vs in zip(stacks, states))
+    assert np.abs(summed - one_product).max() <= 1e-15
+
+
+def test_size_class_stacks_hold_the_blocks_with_little_padding():
+    # d = 48, <n> = 2: one stack pads to 2.9 times the entries of the blocks
+    d, n_mean = 48, 2.0
+    w_odd = thermal.even_odd_weights(n_mean, d, -1)
+    w_even = thermal.even_odd_weights(n_mean, d, +1)
+    single = msuqc._PairBlocks(w_odd, w_even, d)
+    stacks = msuqc._pair_stacks(w_odd, w_even, d)
+    real = 2 * int(np.sum((single.first[:, 0, :, 0] >= 0).sum(axis=1)
+                          * single.columns.sum(axis=1)))
+    assert real == 36896 and single.initial.size == 108288
+    assert sum(stack.initial.size for stack in stacks) <= 1.5 * real
+    # the stacks hold every block of the single stack once, with its columns
+    def blocks(pair):  # each block's first-mode Fock numbers and column weights
+        return sorted((tuple(i[i >= 0]), tuple(w[w > 0]))
+                      for i, w in zip(pair.first[:, 0, :, 0], pair.weight))
+    assert sorted(b for stack in stacks for b in blocks(stack)) == blocks(single)
+    assert sum(stack.broken_weight for stack in stacks) == pytest.approx(single.broken_weight,
+                                                                        rel=1e-12)
 
 
 def test_pair_blocks_allocate_no_pair_space_operator():
@@ -265,16 +292,18 @@ def test_mixed_ancilla_return_check_raises(monkeypatch):
 def test_pure_support_check_raises(monkeypatch):
     # the half-angle beam splitter, exp(G / 2) on every total-excitation block,
     # still conserves number but is not 50:50, so an X rotation leaves the
-    # basis-pair subspace
-    real = fock._beam_splitter_block
-
-    def half(d, idx):
+    # basis-pair subspace; it replaces the function msuqc calls, so the
+    # per-cutoff cache of the real blocks is neither bypassed nor filled
+    def half_block(d, idx):
         i, j = np.divmod(idx[:-1], d)
         sub = (math.pi / 8) * (np.sqrt(i + 1.0) * np.sqrt(j))
         return fock.unitary_exponential(np.diag(sub, k=-1) - np.diag(sub, k=1))
-    idx = fock.pair_excitation_blocks(6)[5]
-    assert np.abs(half(6, idx) @ half(6, idx) - real(6, idx)).max() < 1e-14  # a square root
-    monkeypatch.setattr(fock, "_beam_splitter_block", half)
+
+    def half(d):
+        return [half_block(d, idx) for idx in fock.pair_excitation_blocks(d)]
+    real = fock.beam_splitter_5050(6)[5]
+    assert np.abs(half(6)[5] @ half(6)[5] - real).max() < 1e-14  # a square root
+    monkeypatch.setattr(fock, "beam_splitter_5050", half)
     with pytest.raises(fock.StateError, match="left the encoded basis-pair subspace"):
         msuqc.run_pure(single_qubit(theta=0.3), [(1, 0)])
 
