@@ -72,8 +72,15 @@ def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
         raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
     if axis == "x":
         state = bs @ state
-    rx = fock.qubit_rotation_matrix("x", theta)
-    state = cp * np.einsum("ab,tbnc->tanc", rx, cp * state)
+    # R_X(theta) = cos(theta) I + i sin(theta) X on the ancilla axis, where X swaps
+    # its two slices; in place on this function's own arrays, and no copy of the
+    # state outlives the rotation
+    controlled = cp * state
+    state = math.cos(theta) * controlled
+    controlled *= 1j * math.sin(theta)
+    state += controlled[:, ::-1]
+    state *= cp
+    del controlled
     if axis == "x":
         state = bs.conj().transpose(0, 1, 3, 2) @ state
     w_minus = (np.abs(state[:, 0] - state[:, 1]) ** 2).sum(axis=1) / 2

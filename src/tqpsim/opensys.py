@@ -11,13 +11,15 @@ ancilla level.  Two solvers are provided: the master equation through exact
 per-block segment propagators (each (q, q') block of rho evolves on its
 own), and a Monte-Carlo wavefunction unravelling that carries all
 trajectories as columns of one array.  The unravelling screens every column
-with one composed no-jump propagator per period of the schedule (its only
-operator on the whole (ancilla, mode) space), then walks just the columns
-whose norm crossed their threshold through the period's per-segment
-propagators, finding each jump time by a Newton root find in the eigenbasis
-of the segment's no-jump generator, with the same random draws as a walk of
-every column.  The printed right-hand side on the whole space is the
-independent reference the tests integrate; it lives with them.
+with composed no-jump propagators, the only operators on the whole (ancilla,
+mode) space: one per block of about sqrt(P) of the schedule's P periods, and
+one per period for the columns a block screen flags.  It walks just the
+columns whose norm crossed their threshold in a period through that
+period's per-segment propagators, finding each jump time by a Newton root
+find in the eigenbasis of the segment's no-jump generator and reading the
+jump's weights off the same Fock populations, with the same random draws as
+a walk of every column.  The printed right-hand side on the whole space is
+the independent reference the tests integrate; it lives with them.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -183,7 +185,8 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
                 if key not in props:
                     k = model.k[type(seg)]
                     gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
-                    props[key] = expm(seg.duration * gen)
+                    gen *= seg.duration  # in place: one d^2 x d^2 array less beside expm's
+                    props[key] = expm(gen)
                 rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
                     rho[q2, :, q, :] = rho[q, :, q2, :].conj().T
@@ -217,12 +220,15 @@ class JumpEnsemble:
 
 
 class _SegmentPropagators:
-    """No-jump propagators of one timed segment type from one eigenbasis.
+    """No-jump propagators of one timed segment type from one eigenbasis, and
+    the jumps that interrupt them.
 
     The (levels, d, d) no-jump generator, one d x d block per ancilla level,
     is diagonalised once, K = V diag(lam) V^-1, so the propagator over any
     tau is V exp(-i lam tau) V^-1.  A V whose condition number exceeds
-    EIGENBASIS_COND_LIMIT (K near defective) is refused.
+    EIGENBASIS_COND_LIMIT (K near defective) is refused.  The jump operators
+    a and a^dag act on the mode alone; their weights are read off a column's
+    Fock populations (`jump_weights`).
     """
 
     def __init__(self, model: _DampedModeModel, seg_type: type):
@@ -234,39 +240,64 @@ class _SegmentPropagators:
                              f"{EIGENBASIS_COND_LIMIT:g}) at Q = {model.noise.Q!r}, "
                              f"eta = {model.noise.eta!r}, cutoff {model.d}")
         self.v_inv = np.linalg.inv(self.v)
-        # the diagonal of r_down a^dag a + r_up a a^dag, the truncation's top entry included
-        self.jump_rates = -2.0 * k[0].diagonal().imag
+        self._lam_col = self.lam[..., None]
+        # rows on |psi|^2 flattened over (level, Fock number): the norm, and its
+        # decay rate, the diagonal of r_down a^dag a + r_up a a^dag (the
+        # truncation's top entry included)
+        self._norm_and_decay = np.tile(np.stack([np.ones(model.d), -2.0 * k[0].diagonal().imag]),
+                                       model.levels)
+        self.jump_ops = (model.a, model.a.conj().T)
+        n = np.arange(model.d, dtype=float)
+        # a^dag |d-1> = 0 after truncation: the top level carries no a^dag weight
+        self._jump_weight_rows = np.tile(np.stack([model.noise.rate_down * n,
+                                                   model.noise.rate_up * np.append(n[1:], 0.0)]),
+                                         model.levels)
 
     def step(self, tau: float) -> np.ndarray:
         """The (levels, d, d) propagator over `tau`; it acts on (levels, d, n) columns."""
         return (self.v * np.exp(-1j * tau * self.lam)[:, None, :]) @ self.v_inv
 
-    def jumps_across(self, psi: np.ndarray, r_target: float, duration: float, jump_ops,
+    def jump_weights(self, squares: np.ndarray) -> np.ndarray:
+        """(r_down |a psi|^2, r_up |a^dag psi|^2) of a column psi from `squares`,
+        its |psi|^2 flattened over (level, Fock number): the squares weighted
+        by n and by n + 1 (0 on the top level)."""
+        return self._jump_weight_rows @ squares
+
+    def _eigen_scaled(self, psi: np.ndarray) -> np.ndarray:
+        """V with each eigenvector scaled by psi's coefficient on it: its product
+        with exp(-i lam tau) is the no-jump column at tau."""
+        return self.v * (self.v_inv @ psi).transpose(0, 2, 1)
+
+    def jumps_across(self, psi: np.ndarray, r_target: float, duration: float,
                      rng: np.random.Generator):
         """Carry one (levels, d, 1) column across a segment of `duration` whose
         full step fell below its norm threshold; returns (psi, r_target, jumps).
 
         A jump time, the root of f(tau) = |V exp(-i lam tau) V^-1 psi|^2 -
         r_target, is bracketed to tol = duration 2^-40 by Newton steps on the
-        exact slope -<psi(tau)|diag(jump_rates)|psi(tau)>, bisecting when a
-        step leaves the bracket (a step under tol/2 ends the search from the
-        left end, or is carried tol/4 past the root from the right end).  The
-        jump, applied at the left end (f >= 0), draws one operator and one new
+        exact slope -<psi(tau)|diag(r_down n + r_up (n + 1))|psi(tau)>,
+        bisecting when a step leaves the bracket (a step under tol/2 ends the
+        search from the left end, or is carried tol/4 past the root from the
+        right end).  Each iterate's |psi(tau)|^2 gives both f and the slope,
+        and that of the left end (f >= 0), where the jump is applied, gives
+        the two jump weights (`jump_weights`).  The jump draws one uniform for
+        the operator (`_pick_jump`, the draw of ``rng.choice``) and one new
         threshold; the rest of the segment is searched again only if its end
         point crosses that threshold.
         """
         jumps, remaining, tol = 0, duration, duration * 2.0 ** -40
+        scaled = self._eigen_scaled(psi)
         while True:
-            c = self.v_inv @ psi
             lo, hi, tau, at_tau = 0.0, remaining, 0.0, psi
-            while True:  # on exit psi is the column at lo
-                pops = (np.abs(at_tau) ** 2).sum(axis=(0, 2))
-                f, slope = float(pops.sum()) - r_target, -float(self.jump_rates @ pops)
+            while True:  # on exit psi is the column at lo and lo_squares its |psi|^2
+                squares = np.abs(at_tau.reshape(-1)) ** 2
+                norm2, decay = (self._norm_and_decay @ squares).tolist()
+                f = norm2 - r_target
                 if f >= 0.0:
-                    lo, psi = tau, at_tau
+                    lo, psi, lo_squares = tau, at_tau, squares
                 else:
                     hi = tau
-                step = -f / slope if slope < 0.0 else math.inf
+                step = f / decay if decay > 0.0 else math.inf
                 if hi - lo <= tol or (f >= 0.0 and step < 0.5 * tol):
                     break
                 if abs(step) < 0.5 * tol:
@@ -274,18 +305,25 @@ class _SegmentPropagators:
                 if not lo < tau + step < hi:
                     step = 0.5 * (lo + hi) - tau
                 tau += step
-                at_tau = self.v @ (np.exp(-1j * tau * self.lam)[..., None] * c)
-            norms = np.array([rate * float(np.vdot(op @ psi, op @ psi).real)
-                              for rate, op in jump_ops])
-            pick = rng.choice(len(jump_ops), p=norms / norms.sum())
-            jumped = jump_ops[pick][1] @ psi
-            psi = jumped / np.linalg.norm(jumped)
+                at_tau = scaled @ np.exp(-1j * tau * self._lam_col)
+            jumped = self.jump_ops[_pick_jump(self.jump_weights(lo_squares), rng)] @ psi
+            psi = jumped / math.sqrt(np.vdot(jumped, jumped).real)
             r_target = rng.random()
             jumps += 1
             remaining -= lo
-            end = self.v @ (np.exp(-1j * remaining * self.lam)[..., None] * (self.v_inv @ psi))
-            if float(np.vdot(end, end).real) >= r_target:
+            scaled = self._eigen_scaled(psi)
+            end = scaled @ np.exp(-1j * remaining * self._lam_col)
+            if np.vdot(end, end).real >= r_target:
                 return end, r_target, jumps
+
+
+def _pick_jump(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """0 (a) or 1 (a^dag) with probabilities proportional to `weights`, from
+    one uniform: the draw, and the normalised threshold p_a / (p_a + p_adag),
+    of ``rng.choice(2, p=weights / weights.sum())``."""
+    w_down, w_up = weights.tolist()
+    p_down, p_up = w_down / (w_down + w_up), w_up / (w_down + w_up)
+    return 0 if rng.random() < p_down / (p_down + p_up) else 1
 
 
 def _decompose_for_trajectories(state: HybridState):
@@ -304,6 +342,15 @@ def _decompose_for_trajectories(state: HybridState):
     lam, vec = np.linalg.eigh(rho)
     keep = np.flatnonzero(lam > 1e-12)
     return lam[keep] / lam[keep].sum(), vec[:, keep]
+
+
+def _column_norms(cols: np.ndarray) -> np.ndarray:
+    """Squared norm of each column (last index) of a C-contiguous complex
+    array, with no temporary of the array's size: the sum of squares of its
+    real and imaginary parts, read as float pairs."""
+    parts = cols.reshape(math.prod(cols.shape[:-1]), cols.shape[-1]).view(np.float64)
+    squares = np.einsum("ij,ij->j", parts, parts)
+    return squares[0::2] + squares[1::2]
 
 
 def _schedule_period(segs: tuple) -> int:
@@ -327,18 +374,27 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
     All trajectories are columns of one (levels, d, n_traj) array.  The
     schedule (zero-duration segments dropped) is cut into repeats of its
     shortest repeating prefix, the period (the whole schedule when nothing
-    repeats); the period's composed no-jump propagator, one
-    (levels d) x (levels d) matrix, screens every column at once.  The
-    no-jump norm never grows (d|psi|^2/dt = -<r_down a^dag a + r_up a a^dag>
-    <= 0, rotations are unitary), so a column that ends a period at or above
-    its random threshold crossed it nowhere inside.  Only the other columns
-    are walked through the period segment by segment: each timed segment's
-    full-length propagator, one d x d block per ancilla level, then the
-    Newton jump-time root find (`_SegmentPropagators.jumps_across`) in column
-    order for the columns that fell below their threshold.  The random draws
-    therefore come in the order a segment-by-segment walk of every column
-    makes them.  Raises ValueError when a no-jump generator is too close to
-    defective for its eigenbasis (see EIGENBASIS_COND_LIMIT).
+    repeats).  The no-jump norm never grows (d|psi|^2/dt =
+    -<r_down a^dag a + r_up a a^dag> <= 0, rotations are unitary), so a
+    column that ends a stretch of the schedule at or above its random
+    threshold crossed it nowhere inside.  The screen has two levels, both
+    composed no-jump propagators, each one (levels d) x (levels d) matrix:
+    the period's, and its power for a block of B = floor(sqrt(P)) periods of
+    the schedule's P, taken from the schedule alone so that neither the P/B
+    block screens of every column nor the B period screens of a flagged
+    column dominate.  A column whose block-screened norm stays at or above
+    its threshold takes the block product.  Only the others go through the
+    block period by period, as does every column through a block of one
+    period or the short last block: a column whose period-screened norm
+    falls below its threshold is walked through the period segment by
+    segment, each timed segment's full-length propagator, one d x d block
+    per ancilla level, then the Newton jump-time root find
+    (`_SegmentPropagators.jumps_across`) in column order for the columns
+    that fell below their threshold.  Only a walked column draws, and a
+    column the screens skip has no crossing to draw for, so the draws come
+    in the order a segment-by-segment walk of every column makes them.
+    Raises ValueError when a no-jump generator is too close to defective for
+    its eigenbasis (see EIGENBASIS_COND_LIMIT).
     """
     if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral):
         raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
@@ -358,39 +414,58 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
         return steps[seg] @ cols
 
     period = _schedule_period(segs)
+    n_periods = len(segs) // period
     dim = model.levels * model.d
     window = np.eye(dim, dtype=complex).reshape(model.levels, model.d, dim)
     for seg in segs[:period]:
         window = no_jump_step(seg, window)
     window = window.reshape(dim, dim)
+    block = max(math.isqrt(n_periods), 1)
+    block_window = np.linalg.matrix_power(window, block)
 
-    jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
+    def screen(prop, cols, r_cols):
+        """(prop @ cols, the indices of the columns whose screened norm is below
+        their threshold, those columns of `cols`)."""
+        screened = (prop @ cols.reshape(dim, -1)).reshape(cols.shape)
+        # the margin keeps rounding in the composed product from hiding a crossing
+        walk = np.flatnonzero(_column_norms(screened) < r_cols * (1.0 + 1e-12))
+        return screened, walk, cols[..., walk]
+
     weights, columns = _decompose_for_trajectories(state)
     psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
-    psi = psi.reshape(model.levels, model.d, n_traj)
+    psi = np.ascontiguousarray(psi.reshape(model.levels, model.d, n_traj))
     r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
 
-    for start in range(0, len(segs), period):
-        screened = (window @ psi.reshape(dim, n_traj)).reshape(psi.shape)
-        # the margin keeps rounding in the composed product from hiding a crossing
-        walk = np.flatnonzero((np.abs(screened) ** 2).sum(axis=(0, 1))
-                              < r_target * (1.0 + 1e-12))
-        cols, r_walk = psi[..., walk], r_target[walk]
-        for seg in segs[start:start + period]:
-            stepped = no_jump_step(seg, cols)
-            if not isinstance(seg, QubitRotation):
-                crossed = np.flatnonzero((np.abs(stepped) ** 2).sum(axis=(0, 1)) < r_walk)
-                for c in crossed:
-                    stepped[..., c:c + 1], r_walk[c], jumps = props[type(seg)].jumps_across(
-                        cols[..., c:c + 1], r_walk[c], seg.duration, jump_ops, rng)
-                    jump_counts[walk[c]] += jumps
-            cols = stepped
-        screened[..., walk] = cols
-        r_target[walk] = r_walk
-        psi = screened
-    psi = psi.reshape(-1, n_traj)
-    psi = psi / np.linalg.norm(psi, axis=0)
+    everything = np.arange(n_traj)
+    for first in range(0, n_periods, block):
+        count = min(block, n_periods - first)
+        if count == block > 1:  # a whole block: only the columns its screen flags walk it
+            psi, ids, cols = screen(block_window, psi, r_target)
+            r_cols = r_target[ids]
+        else:  # one period, or the short last block: every column walks it
+            # (psi lets go of the columns, so no stale copy of them stays alive)
+            ids, r_cols, cols, psi = everything, r_target, psi, None
+        for _ in range(count):
+            cols, walk, sub = screen(window, cols, r_cols)
+            r_sub = r_cols[walk]
+            for seg in segs[:period]:
+                stepped = no_jump_step(seg, sub)
+                if not isinstance(seg, QubitRotation):
+                    for c in np.flatnonzero(_column_norms(stepped) < r_sub):
+                        stepped[..., c:c + 1], r_sub[c], jumps = props[type(seg)].jumps_across(
+                            sub[..., c:c + 1], float(r_sub[c]), seg.duration, rng)
+                        jump_counts[ids[walk[c]]] += jumps
+                sub = stepped
+            cols[..., walk] = sub
+            r_cols[walk] = r_sub
+        if psi is None:
+            psi = cols
+        else:
+            psi[..., ids] = cols
+            r_target[ids] = r_cols
+    psi = psi.reshape(dim, n_traj)
+    psi /= np.sqrt(_column_norms(psi))
     return JumpEnsemble(HybridState.density(state.layout, psi @ psi.conj().T / n_traj),
                         jump_counts, n_traj)
 
@@ -410,7 +485,7 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
     weights, cols = _decompose_for_trajectories(state)
     cols = cols.reshape(model.levels, model.d, -1)
     evolved = _SegmentPropagators(model, FreeEvolution).step(dt) @ cols
-    survive = (np.abs(evolved) ** 2).sum(axis=(0, 1))
+    survive = _column_norms(evolved)
     simulated = float(np.dot(weights, 1.0 - survive))
     pops = (np.abs(cols) ** 2).sum(axis=0)
     n_mean = float(np.dot(weights, np.arange(model.d) @ pops))

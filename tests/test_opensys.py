@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -383,11 +384,16 @@ def _unravelling_cases():
             pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6), pulses.FreeEvolution(0.9))),
             NoiseParams(Q=20.0, N_th=0.7, eta=0.03)),
         "empty": (_diagonal_density(6), pulses.PulseSchedule(()), noisy),
+        # 124 periods, so blocks of 11 with a short last block of 3; most
+        # columns pass whole blocks without a jump
+        "hot-bath-blocks": (opensys._thermal_with_ancilla(1.0, 10),
+                            pulses.build_h2_sequence(hparams(0.016), 31),
+                            NoiseParams(Q=1e6, N_th=100.0, eta=0.016)),
     }
 
 
 @pytest.mark.parametrize("case", ["engineered", "no-repeat", "several-jumps", "mode-only",
-                                  "empty"])
+                                  "empty", "hot-bath-blocks"])
 def test_period_screening_matches_per_segment_unravelling(case):
     st, sched, noise = _unravelling_cases()[case]
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(17), 200)
@@ -398,6 +404,30 @@ def test_period_screening_matches_per_segment_unravelling(case):
         assert ens.mean_jumps == 0.0
     else:
         assert ens.mean_jumps > 0.0
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_jump_weights_and_pick_match_operator_norms_and_rng_choice(d):
+    # weights from |psi|^2 against rate |O psi|^2 with the truncated operators
+    # (a^dag |d-1> = 0), and the one-uniform pick against rng.choice
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    rng = np.random.default_rng(d)
+    for n_th in (0.0, 0.8):
+        noise = NoiseParams(Q=7.0, N_th=n_th, eta=0.05)
+        props = opensys._SegmentPropagators(
+            opensys._DampedModeModel(SpaceLayout(1, (d,)), noise), pulses.FreeEvolution)
+        for trial in range(100):
+            psi = rng.standard_normal((2, d, 1)) + 1j * rng.standard_normal((2, d, 1))
+            psi[:, -1] *= 4.0 * rng.random()  # anything from none to most on the top level
+            if trial == 0:
+                psi[:, :-1] = 0.0  # the top level alone: no a^dag weight at all
+            weights = props.jump_weights(np.abs(psi.reshape(-1)) ** 2)
+            expected = [rate * np.vdot(op @ psi, op @ psi).real
+                        for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T))]
+            np.testing.assert_allclose(weights, expected, rtol=1e-14, atol=0.0)
+            chooser = copy.deepcopy(rng)
+            assert opensys._pick_jump(weights, rng) == chooser.choice(2, p=weights / weights.sum())
+            assert rng.bit_generator.state == chooser.bit_generator.state
 
 
 @settings(max_examples=25, deadline=None)
