@@ -299,24 +299,24 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
 def _cmd_ns_check(cfg: dict, out: str) -> int:
     import numpy as np
 
-    from . import fock, nsverify
+    from . import nsverify
 
     rng = np.random.default_rng(cfg["seed"] if cfg["seed"] is not None else 0)
     cutoff = cfg["cutoff_override"] or 24
-    lay = fock.SpaceLayout(0, (cutoff, cutoff))
-    logicals = nsverify.encoded_logicals(lay)
+    logicals = nsverify.encoded_logicals(cutoff)
     residuals = []
     ok = True
     for kind, values in (("phase", cfg["phases"]), ("squeeze", cfg["squeezes"])):
         for par in values:
-            e = nsverify.collective_noise(kind, par, lay)
+            e = nsverify.collective_noise(kind, par, cutoff)
             for name, op in logicals.items():
                 r = nsverify.commutation_check(e, op)
                 residuals.append({"kind": kind, "parameter": par,
                                   "logical_operator": name, "residual": r})
                 if r > cfg["commutator_tol"]:
                     ok = False
-    report = nsverify.dfs_nonexistence(cfg["max_total"], rng=rng)
+    # --cutoff sets the scan's cutoff too; without it the scan takes max_total + 3
+    report = nsverify.dfs_nonexistence(cfg["max_total"], cutoff=cfg["cutoff_override"], rng=rng)
     if not report.all_null_dims_zero:
         ok = False
     if min(s.smallest_singular_value for s in report.sectors) < cfg["min_singular_value"]:

@@ -5,7 +5,7 @@ A logical qubit lives on a pair of qumodes holding one odd- and one
 even-parity state.  Logical Z is the Fock parity of the pair's second mode;
 logical X is the two-mode swap.  Arbitrary-angle exponentials of these
 involutions are realized with the single shared auxiliary qubit (the
-ancilla, tensor axis 0 of every hybrid layout) prepared in |+>, conjugating
+ancilla, tensor axis 0 of every hybrid state array) prepared in |+>, conjugating
 an ancilla X rotation by controlled-parity operations (beam-splitter
 conjugation turns the parity into the swap):
 
@@ -21,31 +21,23 @@ cross-check and live with them.
 
 The ancilla returns to |+> exactly after each gate, so one ancilla serves
 every gate and the nondemolition parity measurement; no function here takes
-an ancilla index.  The measurement's X-basis readout of the ancilla
-(`x_basis_branches`) is the only one in the package: every
-``opensys.fidelity_point`` route reads its branches through it.
+an ancilla index.  The measurement of one mode's parity is
+`apply_controlled_parity` on the ``(2, d)`` or ``(2, d, 2, d)`` array of the
+ancilla and that mode, then the X-basis readout of the ancilla,
+`x_basis_branches`, whose + branch is the even one.  That readout is the only
+one in the package: every ``opensys.fidelity_point`` route reads its
+branches through it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .fock import HybridState
 
 ANCILLA_RETURN_TOL = 1e-10
-BRANCH_FLOOR = 1e-12
-
-
-class AncillaError(ValueError):
-    """Auxiliary qubit not in |+> to tolerance."""
-
-
-class BranchError(ValueError):
-    """Measurement forced onto a numerically empty branch."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,37 +88,17 @@ def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParityMeasurement:
-    """One branch of the ancilla-mediated parity measurement.
-
-    `sign` +1 marks the even branch.  `state` is the full post-measurement
-    state with the ancilla deterministically reset to |+> so it can be
-    reused; the mode factor has definite parity.  `state` is None for a
-    branch whose probability is numerically zero.
-    """
-
-    sign: int
-    probability: float
-    state: HybridState | None
-
-
-def _check_ancilla_plus(state: HybridState) -> None:
-    red = state.reduced_qubit()
-    tr = float(np.trace(red).real)
-    fid = float((fock.KET_PLUS.conj() @ red @ fock.KET_PLUS).real) / tr
-    if 1.0 - fid > ANCILLA_RETURN_TOL:
-        raise AncillaError(f"ancilla |+> fidelity deficit {1.0 - fid:.3e} exceeds tolerance")
-
-
-def apply_controlled_parity(state: HybridState, mode: int) -> np.ndarray:
-    """The data of C|psi> or C rho C, for the controlled parity C on the
-    ancilla and `mode`; C is diagonal, so this is an entry-wise product."""
-    layout = state.layout
-    ax = layout.mode_axis(mode)
-    c = fock.apply_diag_local(np.ones(layout.total_dim), layout.dims,
-                              fock.controlled_parity_diag(layout.dims[ax]), (0, ax))
-    return c * state.data if state.is_pure else c[:, None] * state.data * c
+def apply_controlled_parity(state: np.ndarray) -> np.ndarray:
+    """C|psi> or C rho C for the controlled parity C on the ancilla and one
+    mode: a ``(2, d)`` pure state or a ``(2, d, 2, d)`` density array, with the
+    same shape returned.  C is diagonal, so this is an entry-wise product.
+    Any other shape raises ``fock.LayoutError``."""
+    d = state.shape[1] if state.ndim in (2, 4) else 0
+    if state.shape not in ((2, d), (2, d, 2, d)):
+        raise fock.LayoutError(f"controlled parity acts on a (2, d) or (2, d, 2, d) array, "
+                               f"got shape {state.shape}")
+    c = fock.controlled_parity_diag(d).reshape(2, d)
+    return c * state if state.ndim == 2 else c[:, :, None, None] * state * c
 
 
 def x_basis_branches(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,44 +116,3 @@ def x_basis_branches(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = data.reshape(2, rest, 2, rest)
     diag, off = rho[0, :, 0] + rho[1, :, 1], rho[0, :, 1] + rho[1, :, 0]
     return (diag + off) / 2.0, (diag - off) / 2.0
-
-
-def parity_measurement_branches(state: HybridState,
-                                mode: int) -> tuple[ParityMeasurement, ParityMeasurement]:
-    """Deterministic mode: both measurement branches with their probabilities,
-    even first.  Controlled parity, then an X-basis readout of the ancilla
-    (:func:`x_basis_branches`); the + branch is the even one."""
-    layout = state.layout
-    _check_ancilla_plus(state)
-    total = state.trace()
-    plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    out = []
-    for sign, branch in zip((+1, -1), x_basis_branches(apply_controlled_parity(state, mode))):
-        if state.is_pure:
-            p = float((np.abs(branch) ** 2).sum()) / total
-        else:
-            p = float(np.trace(branch).real) / total
-        if p < BRANCH_FLOOR:
-            post = None
-        elif state.is_pure:
-            post = HybridState.pure(layout, np.kron(fock.KET_PLUS, branch / math.sqrt(p * total)))
-        else:
-            post = HybridState.density(layout, np.kron(plus_dm, branch / (p * total)))
-        out.append(ParityMeasurement(sign, p, post))
-    return tuple(out)
-
-
-def parity_measurement(state: HybridState, mode: int,
-                       rng: np.random.Generator) -> ParityMeasurement:
-    """Sample one parity-measurement outcome with the supplied generator.
-
-    Nondemolition: measuring the returned state again gives the same outcome
-    with probability one (up to numerical tolerance).
-    """
-    even, odd = parity_measurement_branches(state, mode)
-    pick = even if rng.random() < even.probability else odd
-    if pick.state is None:
-        raise BranchError(
-            f"sampled branch {pick.sign:+d} has probability {pick.probability:.3e} "
-            f"below {BRANCH_FLOOR:.0e}")
-    return pick

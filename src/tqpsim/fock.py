@@ -1,16 +1,17 @@
-"""Exact linear operators on truncated Fock spaces and hybrid qubit-qumode spaces.
+"""Exact operators on truncated Fock spaces and on the hybrid ancilla-qumode space.
 
-Every other module builds on the primitives here: a layout describing the
-tensor structure (the shared ancilla, if any, then qumodes), operators, and
-states (pure vectors or density matrices) with explicit truncation-tail
-bookkeeping.
+Every other module builds on the primitives here, all plain numpy arrays:
+a single-mode operator is a d x d matrix, a mode pair's gate takes the form
+its conservation law allows, and a state's axes are its tensor factors.
 
 Conventions
 -----------
-* A layout holds at most one qubit: the single auxiliary qubit (ancilla)
-  that every gate and the parity measurement share.  When present it is
-  tensor axis 0, a 2-dim factor; the qumodes follow in index order.  So an
-  (ancilla, rest) split is always ``reshape(2, rest, ...)``.
+* A hybrid space holds at most one qubit: the single auxiliary qubit
+  (ancilla) that every gate and the parity measurement share.  When present
+  it is tensor axis 0, a 2-dim factor; the qumodes follow in index order,
+  mode i holding |0> .. |d_i - 1>.  So a flat array splits as
+  ``reshape(2, rest, ...)``, and an (ancilla, mode) state is a ``(2, d)``
+  vector or a ``(2, d, 2, d)`` density array.
 * Ancilla basis: ``|0>`` is the +1 eigenstate of the Pauli Z operator.
 * The 50:50 beam splitter between modes (a, b) is ``exp(pi/4 (a_b a_a^dag -
   a_b^dag a_a))``.  With this generator the single-photon action is
@@ -25,20 +26,25 @@ Conventions
   total excitation when G conserves number, which equals the full
   exponential to machine precision.
 * Applying a truncated displacement does not renormalize the state; the
-  truncation tail is recorded so callers can assert it stays under budget.
+  weight left on the top Fock level is the truncation tail, which the
+  result that owns the state reports (``msuqc.ComputationResult``,
+  ``opensys.FidelityPoint``).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class LayoutError(ValueError):
-    """Operator/state layout mismatch or invalid axis index."""
+    """An array whose shape does not fit the tensor structure it is used on."""
+
+
+class StateError(ValueError):
+    """A state that fails an invariant, such as an ancilla that did not return."""
 
 
 _PAULI = {
@@ -48,123 +54,6 @@ _PAULI = {
 }
 
 KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Tensor structure of a hybrid space: the ancilla at axis 0, then qumodes.
-
-    Parameters
-    ----------
-    qubit_count : 1 for a layout with the shared ancilla (axis 0, dimension
-        2), 0 for a mode-only layout; any other value raises LayoutError.
-    mode_cutoffs : per-mode Fock dimension d_i; mode i holds |0>..|d_i - 1>.
-    """
-
-    qubit_count: int
-    mode_cutoffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode_cutoffs", tuple(int(d) for d in self.mode_cutoffs))
-        if self.qubit_count not in (0, 1):
-            raise LayoutError(f"qubit_count must be 0 or 1 (the shared ancilla), "
-                              f"got {self.qubit_count}")
-        if any(d < 2 for d in self.mode_cutoffs):
-            raise LayoutError("every mode cutoff must be >= 2")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_cutoffs)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (2,) * self.qubit_count + self.mode_cutoffs
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
-
-    def mode_axis(self, mode: int) -> int:
-        if not 0 <= mode < self.n_modes:
-            raise LayoutError(f"mode index {mode} out of range [0, {self.n_modes})")
-        return self.qubit_count + mode
-
-    def require_ancilla(self) -> None:
-        if self.qubit_count != 1:
-            raise LayoutError("layout has no ancilla")
-
-    def basis_index(self, qubits: tuple[int, ...] = (), modes: tuple[int, ...] = ()) -> int:
-        """Flat index of the product basis state |ancilla>|modes...>; `qubits`
-        is the ancilla label, (0,) or (1,), or () on a mode-only layout."""
-        if len(qubits) != self.qubit_count or len(modes) != self.n_modes:
-            raise LayoutError("basis labels must cover every qubit and mode")
-        labels = tuple(qubits) + tuple(modes)
-        for lab, dim in zip(labels, self.dims):
-            if not 0 <= lab < dim:
-                raise LayoutError(f"basis label {lab} outside dimension {dim}")
-        return int(np.ravel_multi_index(labels, self.dims))
-
-
-class TruncatedOperator:
-    """Dense complex operator on a :class:`SpaceLayout`.
-
-    Instances are immutable.
-    """
-
-    __slots__ = ("layout", "matrix")
-
-    def __init__(self, layout: SpaceLayout, matrix: np.ndarray, copy: bool = True):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (layout.total_dim, layout.total_dim):
-            raise LayoutError(
-                f"matrix shape {matrix.shape} does not match layout dimension {layout.total_dim}"
-            )
-        if copy:
-            matrix = matrix.copy()
-        matrix.setflags(write=False)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedOperator is immutable")
-
-    # -- algebra -----------------------------------------------------------
-
-    def _require_same_layout(self, other: "TruncatedOperator"):
-        if self.layout != other.layout:
-            raise LayoutError("operators live on different layouts")
-
-    def __matmul__(self, other):
-        if isinstance(other, TruncatedOperator):
-            self._require_same_layout(other)
-            return TruncatedOperator(self.layout, self.matrix @ other.matrix, copy=False)
-        return self.matrix @ other
-
-    def __add__(self, other: "TruncatedOperator"):
-        self._require_same_layout(other)
-        return TruncatedOperator(self.layout, self.matrix + other.matrix, copy=False)
-
-    def __sub__(self, other: "TruncatedOperator"):
-        self._require_same_layout(other)
-        return TruncatedOperator(self.layout, self.matrix - other.matrix, copy=False)
-
-    def __mul__(self, scalar):
-        return TruncatedOperator(self.layout, self.matrix * complex(scalar), copy=False)
-
-    __rmul__ = __mul__
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.layout, self.matrix.conj().T, copy=False)
-
-    # -- flags ---------------------------------------------------------------
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        dev = np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.layout.total_dim)).max()
-        return bool(dev <= tol)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
 
 
 def unitary_exponential(gen: np.ndarray) -> np.ndarray:
@@ -195,6 +84,8 @@ def _on_axes(array: np.ndarray, dims: tuple[int, ...], axes: tuple[int, ...], ac
     return out if batched else out[:, 0]
 
 
+# `perfbench/tracing.py` wraps `apply_local` and `apply_diag_local` by name,
+# so both stay while the benchmark traces them, though no module here calls them.
 def apply_local(array: np.ndarray, dims: tuple[int, ...], matrix: np.ndarray,
                 axes: tuple[int, ...]) -> np.ndarray:
     """Apply `matrix` to the given tensor axes of a flat state (or batch).
@@ -319,149 +210,3 @@ def qubit_rotation_matrix(axis: str, angle: float) -> np.ndarray:
     """exp(i angle sigma) on the ancilla alone: cos(angle) I + i sin(angle) sigma."""
     sig = _PAULI[axis.lower()]
     return math.cos(angle) * np.eye(2, dtype=complex) + 1j * math.sin(angle) * sig
-
-
-# ---------------------------------------------------------------------------
-# states
-# ---------------------------------------------------------------------------
-
-
-class StateError(ValueError):
-    """Invalid state construction or failed state invariant."""
-
-
-class HybridState:
-    """Pure vector or density matrix over (ancilla) x (qumodes).
-
-    The truncation tail - total probability weight sitting on the top Fock
-    level of any mode - is recorded at construction and after every
-    :meth:`apply`; it is never silently discarded.
-    """
-
-    __slots__ = ("layout", "data", "kind", "truncation_tail")
-
-    def __init__(self, layout: SpaceLayout, data: np.ndarray, kind: str, copy: bool = True):
-        if kind not in ("pure", "density"):
-            raise StateError("kind must be 'pure' or 'density'")
-        data = np.asarray(data, dtype=complex)
-        dim = layout.total_dim
-        want = (dim,) if kind == "pure" else (dim, dim)
-        if data.shape != want:
-            raise StateError(f"state shape {data.shape} does not match layout ({want})")
-        if copy:
-            data = data.copy()
-        self.layout = layout
-        self.data = data
-        self.kind = kind
-        self.truncation_tail = self._compute_tail()
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def pure(cls, layout: SpaceLayout, vector: np.ndarray) -> "HybridState":
-        return cls(layout, vector, "pure")
-
-    @classmethod
-    def density(cls, layout: SpaceLayout, matrix: np.ndarray) -> "HybridState":
-        return cls(layout, matrix, "density")
-
-    @classmethod
-    def basis(cls, layout: SpaceLayout, qubits: tuple[int, ...] = (),
-              modes: tuple[int, ...] = ()) -> "HybridState":
-        vec = np.zeros(layout.total_dim, dtype=complex)
-        vec[layout.basis_index(qubits, modes)] = 1.0
-        return cls(layout, vec, "pure", copy=False)
-
-    # -- core ----------------------------------------------------------------
-
-    @property
-    def is_pure(self) -> bool:
-        return self.kind == "pure"
-
-    def trace(self) -> float:
-        if self.is_pure:
-            return float(np.vdot(self.data, self.data).real)
-        return float(np.trace(self.data).real)
-
-    def to_density(self) -> "HybridState":
-        if self.is_pure:
-            return HybridState(self.layout, np.outer(self.data, self.data.conj()),
-                               "density", copy=False)
-        return self
-
-    def expectation(self, op: TruncatedOperator) -> complex:
-        if op.layout != self.layout:
-            raise LayoutError("operator layout does not match state")
-        if self.is_pure:
-            return complex(np.vdot(self.data, op.matrix @ self.data))
-        return complex(np.einsum("ij,ji->", op.matrix, self.data))
-
-    def apply(self, op: TruncatedOperator) -> "HybridState":
-        """U|psi> or U rho U^dag.  No renormalization; tail is re-recorded."""
-        if op.layout != self.layout:
-            raise LayoutError("operator layout does not match state")
-        if self.is_pure:
-            return HybridState(self.layout, op.matrix @ self.data, "pure", copy=False)
-        return HybridState(self.layout, op.matrix @ self.data @ op.matrix.conj().T,
-                           "density", copy=False)
-
-    def normalized(self) -> "HybridState":
-        t = self.trace()
-        if t <= 0:
-            raise StateError("cannot normalize a null state")
-        scale = 1.0 / math.sqrt(t) if self.is_pure else 1.0 / t
-        return HybridState(self.layout, self.data * scale, self.kind, copy=False)
-
-    def populations(self) -> np.ndarray:
-        """Diagonal probabilities in the product basis."""
-        if self.is_pure:
-            return np.abs(self.data) ** 2
-        return np.real(np.diag(self.data)).copy()
-
-    def mode_populations(self, mode: int) -> np.ndarray:
-        ax = self.layout.mode_axis(mode)
-        p = self.populations().reshape(self.layout.dims)
-        other = tuple(i for i in range(len(self.layout.dims)) if i != ax)
-        return p.sum(axis=other)
-
-    def reduced_qubit(self) -> np.ndarray:
-        """2x2 reduced density matrix of the ancilla."""
-        self.layout.require_ancilla()
-        rest = self.layout.total_dim // 2
-        if self.is_pure:
-            psi = self.data.reshape(2, rest)
-            return psi @ psi.conj().T
-        return np.trace(self.data.reshape(2, rest, 2, rest), axis1=1, axis2=3)
-
-    def _compute_tail(self) -> float:
-        dims = self.layout.dims
-        if self.layout.n_modes == 0:
-            return 0.0
-        p = self.populations().reshape(dims)
-        tail = 0.0
-        for mode in range(self.layout.n_modes):
-            ax = self.layout.mode_axis(mode)
-            sl = [slice(None)] * len(dims)
-            sl[ax] = dims[ax] - 1
-            tail += float(p[tuple(sl)].sum())
-        return tail
-
-    def validate(self, trace_tol: float = 1e-8, herm_tol: float = 1e-12,
-                 psd_floor: float = -1e-10) -> None:
-        """Check the state invariants; raise StateError on violation."""
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise StateError(f"trace {self.trace()} deviates from 1 beyond {trace_tol}")
-        if not self.is_pure:
-            if np.abs(self.data - self.data.conj().T).max() > herm_tol:
-                raise StateError("density matrix is not Hermitian to tolerance")
-            lo = float(np.linalg.eigvalsh(self.data).min())
-            if lo < psd_floor:
-                raise StateError(f"density matrix eigenvalue {lo} below floor {psd_floor}")
-
-
-def plus_state_with_modes(layout: SpaceLayout, modes: tuple[int, ...]) -> HybridState:
-    """|+> on the ancilla tensor a Fock product state on the modes."""
-    layout.require_ancilla()
-    v0 = HybridState.basis(layout, (0,), tuple(modes)).data
-    v1 = HybridState.basis(layout, (1,), tuple(modes)).data
-    return HybridState(layout, (v0 + v1) / math.sqrt(2), "pure", copy=False)

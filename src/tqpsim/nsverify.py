@@ -7,7 +7,9 @@ encoded logical operators (second-mode parity and two-mode swap), so the
 encoding rides out these channels; the commutators are evaluated on
 excitation-bounded subspaces where truncation is harmless, together with a
 mandatory non-commuting negative control so a broken check cannot pass
-silently.
+silently.  Every operator is a plain d^2 x d^2 matrix on a mode pair with
+one cutoff d (flat index i d + j for |i, j>), and the cutoff is the only
+other input.
 
 By contrast, no pure two-mode state can be a decoherence-free subspace of
 both channels: such a state would have to be a simultaneous eigenstate of
@@ -27,14 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fock
-from .fock import SpaceLayout, TruncatedOperator
 
 SQUEEZE_PARAM_MAX = 0.3
 NULLSPACE_RELATIVE_THRESHOLD = 1e-8
 
 
-def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> TruncatedOperator:
-    """Two-mode collective channel acting identically on both modes.
+def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
+    """Two-mode collective channel acting identically on both modes of a pair
+    with one cutoff: a cutoff^2 x cutoff^2 matrix, flat index i * cutoff + j
+    for |i, j>.
 
     kind "phase": exp(i phi N) on each mode (exactly unitary, diagonal);
     kind "squeeze": exp(xi (a^2 - a^dag^2)) on each mode, real and exactly
@@ -43,64 +46,55 @@ def collective_noise(kind: str, parameter: float, layout: SpaceLayout) -> Trunca
     but it is only faithful on number-bounded subspaces; |xi| <= 0.3 is
     enforced and callers should confine test states to n <= d/3.
     """
-    if layout.n_modes != 2 or layout.qubit_count != 0:
-        raise fock.LayoutError("collective noise lives on a two-mode layout")
-    d0, d1 = layout.mode_cutoffs
+    d = cutoff
     if kind == "phase":
-        def single(d):
-            return np.diag(np.exp(1j * parameter * np.arange(d)))
+        single = np.diag(np.exp(1j * parameter * np.arange(d)))
     elif kind == "squeeze":
         if abs(parameter) > SQUEEZE_PARAM_MAX:
             raise ValueError(f"|xi| <= {SQUEEZE_PARAM_MAX} keeps truncation effects bounded")
-
-        def single(d):
-            # the generator is real and keeps Fock parity: exponentiate each parity
-            # block and keep the real part (the imaginary part is rounding), so the
-            # two modes' factors commute exactly under the swap
-            a = fock.annihilation(d).real
-            gen = parameter * (a @ a - a.T @ a.T)
-            u = np.zeros((d, d))
-            for idx in (np.arange(0, d, 2), np.arange(1, d, 2)):
-                u[np.ix_(idx, idx)] = fock.unitary_exponential(gen[np.ix_(idx, idx)]).real
-            return u
+        # the generator is real and keeps Fock parity: exponentiate each parity
+        # block and keep the real part (the imaginary part is rounding), so the
+        # two modes' factors commute exactly under the swap
+        a = fock.annihilation(d).real
+        gen = parameter * (a @ a - a.T @ a.T)
+        single = np.zeros((d, d))
+        for idx in (np.arange(0, d, 2), np.arange(1, d, 2)):
+            single[np.ix_(idx, idx)] = fock.unitary_exponential(gen[np.ix_(idx, idx)]).real
     else:
         raise ValueError("kind must be 'phase' or 'squeeze'")
-    mat = np.kron(single(d0), single(d1))
-    return TruncatedOperator(layout, mat, copy=False)
+    return np.kron(single, single).astype(complex, copy=False)
 
 
-def encoded_logicals(layout: SpaceLayout) -> dict[str, TruncatedOperator]:
-    """Dense logical Z (second-mode parity) and X (swap) on a two-mode layout
-    with one cutoff, from `fock`'s parity diagonal and swap permutation."""
-    d = layout.mode_cutoffs[0]
+def encoded_logicals(cutoff: int) -> dict[str, np.ndarray]:
+    """Dense logical Z (second-mode parity) and X (swap) on a mode pair with
+    one cutoff, from `fock`'s parity diagonal and swap permutation."""
+    d = cutoff
     z_like = np.diag(np.tile(fock.parity_diag(d), d).astype(complex))
     x_like = np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)]
-    return {"second_mode_parity": TruncatedOperator(layout, z_like, copy=False),
-            "swap": TruncatedOperator(layout, x_like, copy=False)}
+    return {"second_mode_parity": z_like, "swap": x_like}
 
 
-def commutation_check(noise_op: TruncatedOperator, logical_op: TruncatedOperator,
+def commutation_check(noise: np.ndarray, logical: np.ndarray,
                       max_total: int | None = None) -> float:
     """Max-abs matrix element of [E, L] between states with bounded total excitation.
 
-    The restriction (default: total excitation <= d/3) removes
-    truncation-edge artifacts of the squeeze exponential; the claim being
-    checked is algebraic and survives the restriction.  Only the kept rows
-    and columns are computed, E[keep] L[:, keep] - L[keep] E[:, keep]: k^2 D
-    work for k kept states of the D-dimensional pair space, not D^3.  Both
-    modes must share one cutoff d.
+    Both operators act on one mode pair with one cutoff d, as d^2 x d^2
+    matrices; any other shape raises ``fock.LayoutError``.  The restriction
+    (default: total excitation <= d/3) removes truncation-edge artifacts of
+    the squeeze exponential; the claim being checked is algebraic and
+    survives the restriction.  Only the kept rows and columns are computed,
+    E[keep] L[:, keep] - L[keep] E[:, keep]: k^2 D work for k kept states of
+    the D-dimensional pair space, not D^3.
     """
-    if noise_op.layout != logical_op.layout:
-        raise fock.LayoutError("operators live on different layouts")
-    d, d1 = noise_op.layout.mode_cutoffs
-    if d != d1:
-        raise fock.LayoutError("commutation check needs modes that share one cutoff")
+    d = math.isqrt(noise.shape[0]) if noise.ndim == 2 else 0
+    if d < 1 or not (noise.shape == logical.shape == (d * d, d * d)):
+        raise fock.LayoutError(f"commutation check needs two d^2 x d^2 matrices of one "
+                               f"cutoff d, got shapes {noise.shape} and {logical.shape}")
     if max_total is None:
         max_total = d // 3
     if max_total < 0:
         raise ValueError(f"max_total must be non-negative, got {max_total}")
     keep = np.concatenate(fock.pair_excitation_blocks(d)[:max_total + 1])
-    noise, logical = noise_op.matrix, logical_op.matrix
     comm = noise[keep] @ logical[:, keep] - logical[keep] @ noise[:, keep]
     return float(np.abs(comm).max())
 
@@ -189,7 +183,6 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         raise ValueError("cutoff must exceed max_total + 2 for exact sector images")
     if rng is None:
         rng = np.random.default_rng(0)
-    layout = SpaceLayout(0, (cutoff, cutoff))
     gen = _squeeze_generator_pair(cutoff)
     blocks = fock.pair_excitation_blocks(cutoff)
     sectors = []
@@ -206,8 +199,10 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
             c = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
             c /= np.linalg.norm(c)
             img = restricted @ c
-            ev = np.vdot(_lift(idx, c, layout.total_dim), img)
-            residual = np.linalg.norm(img - ev * _lift(idx, c, layout.total_dim))
+            lifted = np.zeros(cutoff * cutoff, dtype=complex)
+            lifted[idx] = c
+            ev = np.vdot(lifted, img)
+            residual = np.linalg.norm(img - ev * lifted)
             if residual < 1e-6:
                 found += 1
         sectors.append(SectorNullReport(
@@ -215,20 +210,14 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
             smallest_singular_value=float(svals.min()),
             eigvec_candidates_found=found))
     comms = {}
-    logicals = encoded_logicals(layout)
+    logicals = encoded_logicals(cutoff)
     for kind, par in (("phase", 0.7), ("squeeze", 0.2)):
-        e = collective_noise(kind, par, layout)
+        e = collective_noise(kind, par, cutoff)
         for name, op in logicals.items():
             comms[f"{kind}_vs_{name}"] = commutation_check(e, op)
     a = fock.annihilation(cutoff)
-    quad = TruncatedOperator(layout, np.kron(np.eye(cutoff), a + a.conj().T), copy=False)
-    neg = commutation_check(collective_noise("phase", 0.7, layout), quad)
+    quad = np.kron(np.eye(cutoff), a + a.conj().T)
+    neg = commutation_check(collective_noise("phase", 0.7, cutoff), quad)
     return DfsReport(max_total=max_total, cutoff=cutoff,
                      sv_threshold=NULLSPACE_RELATIVE_THRESHOLD,
                      sectors=tuple(sectors), commutators=comms, negative_control=neg)
-
-
-def _lift(idx: np.ndarray, coeffs: np.ndarray, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[idx] = coeffs
-    return v

@@ -4,7 +4,11 @@ The mode couples to a hot background through the standard damping dissipators
 
     rho' = -i [H, rho] + (nu/Q)(N_th + 1) D{a} rho + (nu/Q) N_th D{a^dag} rho
 
-with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  The Hamiltonian is
+with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  A state is a plain array:
+(levels, d) for a pure state, (levels, d, levels, d) for a density matrix,
+with levels 2 when the ancilla is present (axis 0) and 1 for the mode alone;
+every function reads levels and d from the shape, and any other shape is a
+``fock.LayoutError``.  The Hamiltonian is
 diagonal in the ancilla's Z basis (`pulses.level_hamiltonians`) and the jumps
 act on the mode alone, so every segment propagator is one d x d block per
 ancilla level.  Two solvers are provided: the master equation through exact
@@ -31,6 +35,7 @@ regime.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -39,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import encoding, fock, pulses
-from .fock import HybridState, SpaceLayout
 from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
                      QubitRotation, WaitingPeriod)
 from .thermal import required_cutoff, thermal_weights
@@ -95,6 +99,9 @@ class FidelityPoint:
     normalized post-measurement branches; a branch with probability below
     1e-9 contributes a factor 1 (an empty branch carries no infidelity
     evidence).  `baseline` is the thermal ground-state fidelity 1/(n+1).
+    `truncation_tail` is the output state's population on the top Fock
+    level |cutoff - 1>, both branches together: the weight the truncation
+    may have distorted.
     """
 
     mean_excitation: float
@@ -105,6 +112,7 @@ class FidelityPoint:
     p_minus: float
     baseline: float
     cutoff: int
+    truncation_tail: float
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +120,27 @@ class FidelityPoint:
 # ---------------------------------------------------------------------------
 
 
+def _levels_and_cutoff(state: np.ndarray) -> tuple[int, int]:
+    """(levels, d) of a state array; see the module docstring."""
+    levels, d = state.shape[:2] if state.ndim in (2, 4) else (0, 0)
+    if levels not in (1, 2) or d < 1 or state.shape not in ((levels, d), (levels, d) * 2):
+        raise fock.LayoutError(f"an open-system state is a (levels, d) or (levels, d, levels, d) "
+                               f"array with levels 1 or 2, got shape {state.shape}")
+    return levels, d
+
+
 class _DampedModeModel:
-    """The damped hybrid model on a one-mode layout, per ancilla level.
+    """The damped hybrid model of one mode with cutoff d, per ancilla level.
 
     `k[FreeEvolution]` and `k[WaitingPeriod]` are (levels, d, d) stacks of the
     no-jump generator K = H - i/2 [r_down a^dag a + r_up a a^dag] of a timed
     segment, one block per ancilla Z level (the coupling is off while
-    waiting); without an ancilla the mode sees the Z = +1 level.  `a` acts on
-    the mode alone.
+    waiting); with levels 1 (no ancilla) the mode sees the Z = +1 level.
+    `a` acts on the mode alone.
     """
 
-    def __init__(self, layout: SpaceLayout, noise: NoiseParams):
-        if layout.n_modes != 1:
-            raise fock.LayoutError("open-system model expects one mode")
-        self.layout = layout
-        self.noise = noise
-        self.d = layout.mode_cutoffs[0]
-        self.levels = 2 ** layout.qubit_count
+    def __init__(self, levels: int, d: int, noise: NoiseParams):
+        self.noise, self.levels, self.d = noise, levels, d
         self.a = fock.annihilation(self.d)
         ad = self.a.conj().T
         decay = -0.5j * (noise.rate_down * ad @ self.a + noise.rate_up * self.a @ ad)
@@ -136,8 +148,9 @@ class _DampedModeModel:
                   for seg, eta in ((FreeEvolution, noise.eta), (WaitingPeriod, 0.0))}
 
     def rotation(self, seg: QubitRotation) -> np.ndarray:
-        """The 2 x 2 ancilla rotation of `seg`."""
-        self.layout.require_ancilla()
+        """The 2 x 2 ancilla rotation of `seg`; LayoutError without an ancilla."""
+        if self.levels != 2:
+            raise fock.LayoutError("an ancilla rotation needs a state with an ancilla")
         return fock.qubit_rotation_matrix(seg.axis, seg.angle)
 
 
@@ -146,14 +159,14 @@ class _DampedModeModel:
 # ---------------------------------------------------------------------------
 
 
-def evolve_master(state: HybridState, schedule: PulseSchedule,
-                  noise: NoiseParams) -> HybridState:
+def evolve_master(state: np.ndarray, schedule: PulseSchedule,
+                  noise: NoiseParams) -> np.ndarray:
     """Evolve a state through a pulse schedule under the master equation.
 
-    Exact up to rounding.  The lab-frame Hamiltonian is diagonal in the
-    ancilla's Z basis and the jump operators act on the mode alone, so rho is
-    held as a (levels, d, levels, d) array and each (q, q') block evolves on
-    its own under a d^2 x d^2 Liouvillian:
+    Returns the (levels, d, levels, d) density array.  Exact up to rounding.
+    The lab-frame Hamiltonian is diagonal in the ancilla's Z basis and the
+    jump operators act on the mode alone, so each (q, q') block of rho
+    evolves on its own under a d^2 x d^2 Liouvillian:
 
         d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
                        + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a.
@@ -165,11 +178,13 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
     """
     from scipy.linalg import expm  # Lindblad generators are not normal: no eigh, so scipy here
 
-    model = _DampedModeModel(state.layout, noise)
-    levels, d, a, eye = model.levels, model.d, model.a, np.eye(model.d)
+    levels, d = _levels_and_cutoff(state)
+    model = _DampedModeModel(levels, d, noise)
+    a, eye = model.a, np.eye(d)
     # row-major vec(A X B) = (A kron B^T) vec(X)
     jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
-    rho = state.to_density().data.reshape(levels, d, levels, d).copy()
+    rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
+                   dtype=complex)
     props: dict[tuple[FreeEvolution | WaitingPeriod, int, int], np.ndarray] = {}
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, QubitRotation):
@@ -190,17 +205,16 @@ def evolve_master(state: HybridState, schedule: PulseSchedule,
                 rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
                     rho[q2, :, q, :] = rho[q, :, q2, :].conj().T
-    return HybridState.density(state.layout, rho.reshape(levels * d, levels * d))
+    return rho
 
 
-def trace_distance_matrices(rho: np.ndarray, sigma: np.ndarray) -> float:
-    diff = rho - sigma
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the trace norm of rho - sigma, for two density arrays over one
+    space, each a square matrix or a (levels, d, levels, d) array."""
+    dim = math.isqrt(np.size(rho))
+    diff = np.reshape(rho, (dim, dim)) - np.reshape(sigma, (dim, dim))
     diff = (diff + diff.conj().T) / 2.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def trace_distance(a: HybridState, b: HybridState) -> float:
-    return trace_distance_matrices(a.to_density().data, b.to_density().data)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +224,23 @@ def trace_distance(a: HybridState, b: HybridState) -> float:
 
 @dataclass
 class JumpEnsemble:
-    mean_state: HybridState
+    """Trajectory end states, normalised, as the columns of one (levels d) x
+    n_trajectories array; `shape` is one state's (levels, d)."""
+
+    columns: np.ndarray
+    shape: tuple[int, int]
     jump_counts: np.ndarray
     n_trajectories: int
 
     @property
     def mean_jumps(self) -> float:
         return float(self.jump_counts.mean())
+
+    @functools.cached_property
+    def mean_state(self) -> np.ndarray:
+        """The ensemble mean as a (levels, d, levels, d) array, built on first read."""
+        psi = self.columns
+        return (psi @ psi.conj().T / self.n_trajectories).reshape(self.shape * 2)
 
 
 class _SegmentPropagators:
@@ -326,12 +350,15 @@ def _pick_jump(weights: np.ndarray, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p_down / (p_down + p_up) else 1
 
 
-def _decompose_for_trajectories(state: HybridState):
-    """Mixture weights and pure-state columns for the unravelling input."""
-    if state.is_pure:
-        v = state.data / math.sqrt(state.trace())
+def _decompose_for_trajectories(state: np.ndarray):
+    """Mixture weights and pure-state columns of a state array, over the flat
+    (level, Fock number) index."""
+    levels, d = _levels_and_cutoff(state)
+    if state.ndim == 2:
+        v = state.reshape(-1).astype(complex)
+        v /= math.sqrt(np.vdot(v, v).real)
         return np.array([1.0]), v[:, None]
-    rho = state.data
+    rho = state.reshape(levels * d, levels * d)
     off = rho - np.diag(np.diag(rho))
     if np.abs(off).max() < 1e-12:
         w = np.real(np.diag(rho)).copy()
@@ -361,7 +388,7 @@ def _schedule_period(segs: tuple) -> int:
                 max(n, 1))
 
 
-def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoiseParams,
+def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoiseParams,
                      rng: np.random.Generator, n_traj: int) -> JumpEnsemble:
     """Monte-Carlo wavefunction unravelling of the master equation.
 
@@ -400,7 +427,7 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
         raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    model = _DampedModeModel(state.layout, noise)
+    model = _DampedModeModel(*_levels_and_cutoff(state), noise)
     segs = tuple(seg for seg in schedule.expand_waiting().segments
                  if isinstance(seg, QubitRotation) or seg.duration > 0)
     rotations = {seg: model.rotation(seg) for seg in set(segs) if isinstance(seg, QubitRotation)}
@@ -466,11 +493,10 @@ def jump_unravelling(state: HybridState, schedule: PulseSchedule, noise: NoisePa
             r_target[ids] = r_cols
     psi = psi.reshape(dim, n_traj)
     psi /= np.sqrt(_column_norms(psi))
-    return JumpEnsemble(HybridState.density(state.layout, psi @ psi.conj().T / n_traj),
-                        jump_counts, n_traj)
+    return JumpEnsemble(psi, (model.levels, model.d), jump_counts, n_traj)
 
 
-def short_time_jump_probability(state: HybridState, noise: NoiseParams,
+def short_time_jump_probability(state: np.ndarray, noise: NoiseParams,
                                 dt: float) -> tuple[float, float]:
     """(simulated, closed-form) jump probability over one short interval dt.
 
@@ -481,7 +507,7 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    model = _DampedModeModel(state.layout, noise)
+    model = _DampedModeModel(*_levels_and_cutoff(state), noise)
     weights, cols = _decompose_for_trajectories(state)
     cols = cols.reshape(model.levels, model.d, -1)
     evolved = _SegmentPropagators(model, FreeEvolution).step(dt) @ cols
@@ -498,12 +524,13 @@ def short_time_jump_probability(state: HybridState, noise: NoiseParams,
 # ---------------------------------------------------------------------------
 
 
-def _thermal_with_ancilla(n_mean: float, cutoff: int) -> HybridState:
-    layout = SpaceLayout(1, (cutoff,))
+def _thermal_with_ancilla(n_mean: float, cutoff: int) -> np.ndarray:
+    """|+><+| on the ancilla times the truncated, renormalised thermal state
+    of one mode: a (2, cutoff, 2, cutoff) density array."""
     w = thermal_weights(n_mean, cutoff)
     w = w / w.sum()
     plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    return HybridState.density(layout, np.kron(plus_dm, np.diag(w.astype(complex))))
+    return np.kron(plus_dm, np.diag(w.astype(complex))).reshape(2, cutoff, 2, cutoff)
 
 
 def fidelity_cutoff(n_mean: float, tail_tol: float = 1e-6, headroom: int = 4) -> int:
@@ -536,16 +563,18 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
     if noise == "exact-gate":
-        rho = encoding.apply_controlled_parity(state, 0)
+        rho = encoding.apply_controlled_parity(state)
     elif noise == "ideal-sequence":
         gate = pulses.engineered_controlled_parity(params, d, reps)
-        rho = gate @ state.data @ gate.conj().T
+        rho = gate @ state.reshape(2 * d, 2 * d) @ gate.conj().T
     elif isinstance(noise, NoiseParams):
         sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
             (pulses.frame_correction(eta, reps),))
-        rho = evolve_master(state, sched, replace(noise, eta=eta)).data
+        rho = evolve_master(state, sched, replace(noise, eta=eta))
     else:
         raise ValueError(f"unknown noise mode {noise!r}")
+    rho = rho.reshape(2 * d, 2 * d)
+    tail = float(rho.diagonal().real.reshape(2, d)[:, -1].sum())
     parity = fock.parity_diag(d)
     probs, traces = [], []
     for sign, branch in zip((+1, -1), encoding.x_basis_branches(rho)):
@@ -569,7 +598,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
         repetitions=reps, eta=eta,
         p_plus=p_plus, p_minus=p_minus,
         baseline=1.0 / (n_mean + 1.0),
-        cutoff=d)
+        cutoff=d, truncation_tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +662,7 @@ def epsilon_tqp_trajectory_check(noise: NoiseParams, n_mean: float,
         cutoff = required_cutoff(n_mean, 1e-6, 10) + 6
     state = _thermal_with_ancilla(n_mean, cutoff)
     sched = pulses.build_h2_sequence(noise.hybrid_params(), reps)
-    n0 = float(state.mode_populations(0) @ np.arange(cutoff))
+    n0 = float(np.einsum("qaqa->a", state).real @ np.arange(cutoff))
     ens = jump_unravelling(state, sched, noise, rng, n_traj)
     return expected_jump_count(noise, n0, sched.total_time), ens.mean_jumps
 

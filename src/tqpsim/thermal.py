@@ -6,9 +6,12 @@ the circuit runs start from.  The dense thermal density matrix and its
 projection by the parity operator, which those weights reproduce, are the
 tests' cross-check and live with them.
 
-Also the entropy bookkeeping: von Neumann entropies in bits, the closed-form
-entropy of the parity-encoded pair state, the triviality crossover in the
-mean excitation, and erasure (Landauer) costs in units of k_B T ln 2.
+Also the entropy bookkeeping: the closed-form entropy of the parity-encoded
+pair state in bits, checked against the spectral entropy of its Fock weights
+(each branch is diagonal, so its weights are its eigenvalues), the
+triviality crossover in the mean excitation, and erasure (Landauer) costs in
+units of k_B T ln 2.  Every state here is a plain weight vector over one
+mode's Fock levels |0> .. |d - 1>.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import fock
-from .fock import HybridState
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
@@ -84,20 +84,6 @@ def even_odd_weights(mean_excitation: float, cutoff: int, parity_sign: int) -> n
     ns = np.arange(offset, cutoff, 2)
     w[ns] = (1.0 - q * q) * q ** (ns - offset)
     return w / w.sum()
-
-
-def von_neumann_entropy(state: HybridState) -> float:
-    """Entropy in bits: -sum lambda log2 lambda over eigenvalues above 1e-14.
-
-    A pure state has entropy zero by definition.  Raises on eigenvalues that
-    are negative beyond tolerance.
-    """
-    if state.is_pure:
-        return 0.0
-    lam = np.linalg.eigvalsh(state.data)
-    if lam.min() < -1e-10:
-        raise fock.StateError(f"density matrix eigenvalue {lam.min():.3e} below -1e-10")
-    return _spectrum_entropy_bits(lam)
 
 
 def _spectrum_entropy_bits(lam: np.ndarray) -> float:

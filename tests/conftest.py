@@ -32,14 +32,14 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
     time order; `free_matrix(t)` gives a free evolution's matrix."""
     import dense_reference as dense
     import numpy as np
-    from tqpsim import fock, pulses
+    from tqpsim import pulses
 
-    lay = fock.SpaceLayout(1, (cutoff,))
+    lay = dense.SpaceLayout(1, (cutoff,))
     free: dict[float, np.ndarray] = {}
     u = np.eye(lay.total_dim, dtype=complex)
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, pulses.QubitRotation):
-            mat = dense.qubit_rotation(lay, seg.axis, seg.angle).matrix
+            mat = dense.qubit_rotation(lay, seg.axis, seg.angle)
         elif isinstance(seg, pulses.FreeEvolution):
             if seg.duration not in free:
                 free[seg.duration] = free_matrix(seg.duration)

@@ -4,7 +4,10 @@ The package runs every logical gate on a mode pair's total-excitation blocks
 (`encoding.pair_block_gate`), starts circuits from closed-form parity-branch
 weights (`thermal.even_odd_weights`) and integrates the master equation
 through per-block propagators.  This module holds the direct, dense forms of
-the same physics, for small cutoffs only:
+the same physics, for small cutoffs only.  Every operator and state here is
+a plain numpy array over the flat index of a :class:`SpaceLayout`, this
+module's own description of the tensor order (the shared ancilla, if any,
+at axis 0, then the qumodes):
 
 * the parity, number, controlled parity, swap, beam splitter and ancilla
   rotation as full matrices on a layout, rebuilt from the structured forms
@@ -13,6 +16,7 @@ the same physics, for small cutoffs only:
 * the logical operators and the ancilla-mediated gates as full hybrid
   matrices on a layout (`gate_UZ`, `gate_UX`, `gate_UZZ`), with the maps they
   induce on the mode factor and their ancilla leakage;
+* product basis vectors (`basis`);
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
@@ -33,20 +37,61 @@ import numpy as np
 from scipy.linalg import expm
 
 from tqpsim import fock, msuqc, thermal
-from tqpsim.fock import HybridState, SpaceLayout, TruncatedOperator
 from tqpsim.opensys import NoiseParams
 from tqpsim.thermal import ThermalSpec
 
 INVOLUTION_TOL = 1e-10
 PROJECTION_FLOOR = 1e-12
+KET_MINUS = np.array([1, -1], dtype=complex) / math.sqrt(2)
 
 
-def matrix_exponential(op: TruncatedOperator | np.ndarray) -> TruncatedOperator | np.ndarray:
-    """Matrix exponential via scipy's scaled-and-squared Pade method, of an
-    operator on a layout or of a plain matrix."""
-    if isinstance(op, TruncatedOperator):
-        return TruncatedOperator(op.layout, expm(op.matrix), copy=False)
+def matrix_exponential(op: np.ndarray) -> np.ndarray:
+    """Matrix exponential via scipy's scaled-and-squared Pade method."""
     return expm(op)
+
+
+@dataclass(frozen=True)
+class SpaceLayout:
+    """Tensor order of a dense hybrid space: `qubit_count` (0, or 1 for the
+    shared ancilla at axis 0, dimension 2), then one axis per mode, mode i
+    holding |0> .. |mode_cutoffs[i] - 1>."""
+
+    qubit_count: int
+    mode_cutoffs: tuple[int, ...]
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.mode_cutoffs)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (2,) * self.qubit_count + tuple(self.mode_cutoffs)
+
+    @property
+    def total_dim(self) -> int:
+        return math.prod(self.dims)
+
+    def mode_axis(self, mode: int) -> int:
+        if not 0 <= mode < self.n_modes:
+            raise fock.LayoutError(f"mode index {mode} out of range [0, {self.n_modes})")
+        return self.qubit_count + mode
+
+    def require_ancilla(self) -> None:
+        if self.qubit_count != 1:
+            raise fock.LayoutError("layout has no ancilla")
+
+    def basis_index(self, qubits: tuple[int, ...] = (), modes: tuple[int, ...] = ()) -> int:
+        """Flat index of the product basis state |ancilla>|modes...>; `qubits`
+        is the ancilla label, (0,) or (1,), or () on a mode-only layout."""
+        return int(np.ravel_multi_index(tuple(qubits) + tuple(modes), self.dims))
+
+
+def basis(layout: SpaceLayout, qubits: tuple[int, ...] = (),
+          modes: tuple[int, ...] = ()) -> np.ndarray:
+    """The product basis vector |ancilla>|modes...> on `layout`."""
+    vec = np.zeros(layout.total_dim, dtype=complex)
+    vec[layout.basis_index(qubits, modes)] = 1.0
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -54,72 +99,67 @@ def matrix_exponential(op: TruncatedOperator | np.ndarray) -> TruncatedOperator 
 # ---------------------------------------------------------------------------
 
 
-def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> TruncatedOperator:
+def _embed_diagonal(layout: SpaceLayout, axis_diags: dict[int, np.ndarray]) -> np.ndarray:
     """Diagonal operator assembled from per-axis diagonal factors."""
     diag = np.ones(1)
     for ax, d in enumerate(layout.dims):
         diag = np.kron(diag, axis_diags.get(ax, np.ones(d)))
-    return TruncatedOperator(layout, np.diag(diag.astype(complex)), copy=False)
+    return np.diag(diag.astype(complex))
 
 
-def tensor_embed(op: TruncatedOperator, layout: SpaceLayout,
-                 mode_map: tuple[int, ...]) -> TruncatedOperator:
-    """Embed an operator from a mode-only sub-layout into `layout`, identity
-    elsewhere.  ``mode_map[j]`` is the target mode in `layout` of mode j of
-    ``op.layout``.  An identity embed returns `op` itself.
+def tensor_embed(op: np.ndarray, layout: SpaceLayout,
+                 mode_map: tuple[int, ...]) -> np.ndarray:
+    """Embed an operator on modes ``mode_map`` of `layout` (in that order)
+    into the whole layout, identity elsewhere.  An identity embed (every
+    mode in order, no ancilla) returns `op` itself.
     """
-    sub = op.layout
-    if sub.qubit_count or len(mode_map) != sub.n_modes:
-        raise fock.LayoutError("the sub-layout must be mode-only and mode_map must cover it")
-    if layout == sub and tuple(mode_map) == tuple(range(sub.n_modes)):
-        return op
     axes = [layout.mode_axis(m) for m in mode_map]
     if len(set(axes)) != len(axes):
         raise fock.LayoutError("target axes must be distinct")
-    for sub_dim, ax in zip(sub.dims, axes):
-        if layout.dims[ax] != sub_dim:
-            raise fock.LayoutError("sub-layout dimension does not match target axis")
+    sub_dims = [layout.dims[ax] for ax in axes]
+    if op.shape != (math.prod(sub_dims),) * 2:
+        raise fock.LayoutError("operator dimension does not match the target axes")
+    if axes == list(range(len(layout.dims))):
+        return op
     rest = [ax for ax in range(len(layout.dims)) if ax not in axes]
-    rest_dim = int(np.prod([layout.dims[ax] for ax in rest], dtype=np.int64)) if rest else 1
-    big = np.kron(op.matrix, np.eye(rest_dim, dtype=complex))
+    rest_dim = math.prod(layout.dims[ax] for ax in rest)
+    big = np.kron(op, np.eye(rest_dim, dtype=complex))
     # permute (sub axes..., rest axes...) -> layout order, on rows and columns
-    tensor_dims = list(sub.dims) + [layout.dims[ax] for ax in rest]
+    tensor_dims = sub_dims + [layout.dims[ax] for ax in rest]
     n = len(layout.dims)
     big = big.reshape(tensor_dims + tensor_dims)
     src_order = axes + rest  # position p of the kron tensor holds layout axis src_order[p]
     perm = [src_order.index(ax) for ax in range(n)]
-    big = big.transpose(perm + [p + n for p in perm]).reshape(layout.total_dim, layout.total_dim)
-    return TruncatedOperator(layout, big, copy=False)
+    return big.transpose(perm + [p + n for p in perm]).reshape(layout.total_dim,
+                                                               layout.total_dim)
 
 
-def single_mode(layout: SpaceLayout, mode: int, small: np.ndarray) -> TruncatedOperator:
+def single_mode(layout: SpaceLayout, mode: int, small: np.ndarray) -> np.ndarray:
     """A d x d matrix on one mode of `layout`, identity elsewhere."""
-    d = layout.dims[layout.mode_axis(mode)]
-    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d,)), small, copy=False), layout,
-                        (mode,))
+    return tensor_embed(small, layout, (mode,))
 
 
-def annihilation(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+def annihilation(layout: SpaceLayout, mode: int) -> np.ndarray:
     """`fock.annihilation` on one mode of `layout`."""
     return single_mode(layout, mode, fock.annihilation(layout.dims[layout.mode_axis(mode)]))
 
 
-def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> TruncatedOperator:
+def displacement(layout: SpaceLayout, mode: int, alpha: complex) -> np.ndarray:
     """`fock.displacement` on one mode of `layout`."""
     return single_mode(layout, mode,
                        fock.displacement(layout.dims[layout.mode_axis(mode)], alpha))
 
 
-def identity(layout: SpaceLayout) -> TruncatedOperator:
-    return TruncatedOperator(layout, np.eye(layout.total_dim, dtype=complex), copy=False)
+def identity(layout: SpaceLayout) -> np.ndarray:
+    return np.eye(layout.total_dim, dtype=complex)
 
 
-def number(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+def number(layout: SpaceLayout, mode: int) -> np.ndarray:
     ax = layout.mode_axis(mode)
     return _embed_diagonal(layout, {ax: np.arange(layout.dims[ax], dtype=float)})
 
 
-def parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+def parity(layout: SpaceLayout, mode: int) -> np.ndarray:
     ax = layout.mode_axis(mode)
     return _embed_diagonal(layout, {ax: fock.parity_diag(layout.dims[ax])})
 
@@ -134,17 +174,16 @@ def _controlled_parity_diag(layout: SpaceLayout, mode: int) -> np.ndarray:
                            layout.dims).ravel()
 
 
-def controlled_parity(layout: SpaceLayout, mode: int) -> TruncatedOperator:
+def controlled_parity(layout: SpaceLayout, mode: int) -> np.ndarray:
     """exp(i pi/2 (I - Z) a^dag a) from `fock.controlled_parity_diag`."""
-    diag = _controlled_parity_diag(layout, mode)
-    return TruncatedOperator(layout, np.diag(diag.astype(complex)), copy=False)
+    return np.diag(_controlled_parity_diag(layout, mode).astype(complex))
 
 
-def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> TruncatedOperator:
+def qubit_rotation(layout: SpaceLayout, axis: str, angle: float) -> np.ndarray:
     """exp(i angle sigma) on the ancilla, embedded in the layout."""
     layout.require_ancilla()
     small = fock.qubit_rotation_matrix(axis, angle)
-    return TruncatedOperator(layout, np.kron(small, np.eye(layout.total_dim // 2)), copy=False)
+    return np.kron(small, np.eye(layout.total_dim // 2))
 
 
 def _pair_cutoff(layout: SpaceLayout, mode_a: int, mode_b: int) -> int:
@@ -156,21 +195,19 @@ def _pair_cutoff(layout: SpaceLayout, mode_a: int, mode_b: int) -> int:
     return da
 
 
-def beam_splitter_5050(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
+def beam_splitter_5050(layout: SpaceLayout, mode_a: int, mode_b: int) -> np.ndarray:
     """`fock.beam_splitter_5050`'s blocks written into a dense pair matrix."""
     d = _pair_cutoff(layout, mode_a, mode_b)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for idx, block in zip(fock.pair_excitation_blocks(d), fock.beam_splitter_5050(d)):
         mat[np.ix_(idx, idx)] = block
-    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d, d)), mat, copy=False), layout,
-                        (mode_a, mode_b))
+    return tensor_embed(mat, layout, (mode_a, mode_b))
 
 
-def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> TruncatedOperator:
+def two_mode_swap(layout: SpaceLayout, mode_a: int, mode_b: int) -> np.ndarray:
     """The permutation matrix of `fock.two_mode_swap`."""
     d = _pair_cutoff(layout, mode_a, mode_b)
-    mat = np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)]
-    return tensor_embed(TruncatedOperator(SpaceLayout(0, (d, d)), mat, copy=False), layout,
+    return tensor_embed(np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)], layout,
                         (mode_a, mode_b))
 
 
@@ -192,65 +229,61 @@ class LogicalQubitRef:
 
 def _check_pair(layout: SpaceLayout, ref: LogicalQubitRef) -> tuple[int, int]:
     ma, mb = ref.mode_pair()
-    da = layout.dims[layout.mode_axis(ma)]
-    db = layout.dims[layout.mode_axis(mb)]
-    if da != db:
-        raise fock.LayoutError("logical qubit modes must share one cutoff")
+    _pair_cutoff(layout, ma, mb)
     return ma, mb
 
 
-def logical_Z(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
+def logical_Z(layout: SpaceLayout, ref: LogicalQubitRef) -> np.ndarray:
     """Fock parity of the pair's second mode, embedded in the layout."""
     _, mb = _check_pair(layout, ref)
     return parity(layout, mb)
 
 
-def logical_X(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
+def logical_X(layout: SpaceLayout, ref: LogicalQubitRef) -> np.ndarray:
     """Two-mode swap of the pair, embedded in the layout."""
     ma, mb = _check_pair(layout, ref)
     return two_mode_swap(layout, ma, mb)
 
 
-def pair_parity(layout: SpaceLayout, ref: LogicalQubitRef) -> TruncatedOperator:
+def pair_parity(layout: SpaceLayout, ref: LogicalQubitRef) -> np.ndarray:
     """Product of both modes' parities; -1 on every encoded state."""
     ma, mb = _check_pair(layout, ref)
     return parity(layout, ma) @ parity(layout, mb)
 
 
-def exponential_hermitian_unitary(op: TruncatedOperator, theta: float) -> TruncatedOperator:
+def exponential_hermitian_unitary(op: np.ndarray, theta: float) -> np.ndarray:
     """cos(theta) I + i sin(theta) O for an involution O (O^2 = I).
 
     This is the closed form every ancilla-mediated gate is checked against.
     """
-    dev = np.abs((op @ op).matrix - np.eye(op.layout.total_dim)).max()
+    eye = np.eye(op.shape[0])
+    dev = np.abs(op @ op - eye).max()
     if dev > INVOLUTION_TOL:
         raise ValueError(f"operator is not an involution: ||O^2 - I||_max = {dev:.3e}")
-    mat = math.cos(theta) * np.eye(op.layout.total_dim) + 1j * math.sin(theta) * op.matrix
-    return TruncatedOperator(op.layout, mat, copy=False)
+    return math.cos(theta) * eye + 1j * math.sin(theta) * op
 
 
-def _conjugated_rotation(layout: SpaceLayout, c: np.ndarray, theta: float) -> TruncatedOperator:
+def _conjugated_rotation(layout: SpaceLayout, c: np.ndarray, theta: float) -> np.ndarray:
     """C R_X(theta) C for the diagonal C with diagonal `c`, entry by entry."""
-    R = qubit_rotation(layout, "x", theta).matrix
-    return TruncatedOperator(layout, c[:, None] * R * c[None, :], copy=False)
+    return c[:, None] * qubit_rotation(layout, "x", theta) * c[None, :]
 
 
-def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
+def gate_UZ(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> np.ndarray:
     """C R_X(theta) C: exp(i theta Z_L) on the modes, ancilla |+> -> |+>."""
     _, mb = _check_pair(layout, ref)
     return _conjugated_rotation(layout, _controlled_parity_diag(layout, mb), theta)
 
 
-def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> TruncatedOperator:
+def gate_UX(layout: SpaceLayout, ref: LogicalQubitRef, theta: float) -> np.ndarray:
     """B^dag C R_X(theta) C B: exp(i theta X_L) on the modes."""
     ma, mb = _check_pair(layout, ref)
     B = beam_splitter_5050(layout, ma, mb)
-    return B.adjoint() @ _conjugated_rotation(layout, _controlled_parity_diag(layout, mb),
-                                              theta) @ B
+    return B.conj().T @ _conjugated_rotation(layout, _controlled_parity_diag(layout, mb),
+                                             theta) @ B
 
 
 def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef,
-             theta: float) -> TruncatedOperator:
+             theta: float) -> np.ndarray:
     """C_l C_k R_X(theta) C_k C_l: exp(i theta Z_L (x) Z_L) across two pairs."""
     _, mbk = _check_pair(layout, ref_k)
     _, mbl = _check_pair(layout, ref_l)
@@ -258,15 +291,15 @@ def gate_UZZ(layout: SpaceLayout, ref_k: LogicalQubitRef, ref_l: LogicalQubitRef
     return _conjugated_rotation(layout, c, theta)
 
 
-def _from_plus_block(gate: TruncatedOperator, bra: np.ndarray) -> np.ndarray:
-    """<bra|_A gate |+>_A, an operator on the mode factor."""
-    gate.layout.require_ancilla()
-    rest = gate.layout.total_dim // 2
-    return np.einsum("a,aibj,b->ij", bra.conj(), gate.matrix.reshape(2, rest, 2, rest),
+def _from_plus_block(gate: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """<bra|_A gate |+>_A, an operator on the mode factor of a gate whose
+    ancilla is axis 0."""
+    rest = gate.shape[0] // 2
+    return np.einsum("a,aibj,b->ij", bra.conj(), gate.reshape(2, rest, 2, rest),
                      fock.KET_PLUS)
 
 
-def mode_factor_of_gate(gate: TruncatedOperator) -> np.ndarray:
+def mode_factor_of_gate(gate: np.ndarray) -> np.ndarray:
     """<+|_A gate |+>_A: the induced map on the non-ancilla factor.
 
     Valid when the gate preserves |+> on the ancilla; the complementary
@@ -275,9 +308,9 @@ def mode_factor_of_gate(gate: TruncatedOperator) -> np.ndarray:
     return _from_plus_block(gate, fock.KET_PLUS)
 
 
-def ancilla_leakage(gate: TruncatedOperator) -> float:
+def ancilla_leakage(gate: np.ndarray) -> float:
     """Spectral norm of <-|gate|+>; zero when the ancilla returns to |+> exactly."""
-    return float(np.linalg.norm(_from_plus_block(gate, fock.KET_MINUS), 2))
+    return float(np.linalg.norm(_from_plus_block(gate, KET_MINUS), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +333,8 @@ def resolved_cutoff(spec: ThermalSpec) -> int:
     return thermal.required_cutoff(spec.mean_excitation, spec.tail_tol)
 
 
-def thermal_state(spec: ThermalSpec) -> HybridState:
-    """Truncated single-mode thermal density matrix, trace-renormalized.
+def thermal_state(spec: ThermalSpec) -> np.ndarray:
+    """Truncated single-mode thermal density matrix, d x d, trace-renormalized.
 
     Raises CutoffError if the exact geometric tail beyond the cutoff is not
     below ``spec.tail_tol``.
@@ -315,37 +348,33 @@ def thermal_state(spec: ThermalSpec) -> HybridState:
             f"at mean excitation {spec.mean_excitation}")
     w = thermal.thermal_weights(spec.mean_excitation, d)
     w = w / w.sum()
-    layout = SpaceLayout(0, (d,))
-    return HybridState.density(layout, np.diag(w.astype(complex)))
+    return np.diag(w.astype(complex))
 
 
-def parity_project(state: HybridState, mode: int, parity_sign: int) -> tuple[HybridState, float]:
-    """Project one mode onto even (+1) or odd (-1) Fock parity.
+def parity_project(layout: SpaceLayout, state: np.ndarray, mode: int,
+                   parity_sign: int) -> tuple[np.ndarray, float]:
+    """Project one mode of a state on `layout`, a vector or a density matrix,
+    onto even (+1) or odd (-1) Fock parity.
 
     Returns the renormalized post-projection state and the outcome
     probability Tr(Pi rho Pi) / Tr(rho) with Pi = (I +- P)/2.
     """
     if parity_sign not in (+1, -1):
         raise ValueError("parity_sign must be +1 or -1")
-    layout = state.layout
-    P = parity(layout, mode)
-    eye = np.eye(layout.total_dim)
-    proj = (eye + parity_sign * P.matrix) / 2.0
-    if state.is_pure:
-        vec = proj @ state.data
-        p = float(np.vdot(vec, vec).real) / state.trace()
-        if p < PROJECTION_FLOOR:
-            raise ProjectionError(f"branch probability {p:.3e} below {PROJECTION_FLOOR:.0e}")
-        return HybridState.pure(layout, vec / math.sqrt(p * state.trace())), p
-    mat = proj @ state.data @ proj
-    p = float(np.trace(mat).real) / state.trace()
+    proj = (np.eye(layout.total_dim) + parity_sign * parity(layout, mode)) / 2.0
+    pure = state.ndim == 1
+    out = proj @ state if pure else proj @ state @ proj
+    weight = (lambda x: np.vdot(x, x).real) if pure else (lambda x: np.trace(x).real)
+    total = weight(state)
+    p = float(weight(out)) / total
     if p < PROJECTION_FLOOR:
         raise ProjectionError(f"branch probability {p:.3e} below {PROJECTION_FLOOR:.0e}")
-    return HybridState.density(layout, mat / (p * state.trace())), p
+    return out / (math.sqrt(p * total) if pure else p * total), p
 
 
-def tqp_initial_state(spec: ThermalSpec) -> HybridState:
-    """Two-mode logical-zero state: odd-projected thermal (x) even-projected thermal.
+def tqp_initial_state(spec: ThermalSpec) -> np.ndarray:
+    """Two-mode logical-zero state, a d^2 x d^2 density matrix: odd-projected
+    thermal (x) even-projected thermal.
 
     Built from the closed-form geometric branch weights, which coincide with
     projecting the truncated thermal state (and stay well defined at zero
@@ -360,8 +389,7 @@ def tqp_initial_state(spec: ThermalSpec) -> HybridState:
             f"cutoff {d} leaves Boltzmann tail {q ** d:.3e} >= {spec.tail_tol:.1e}")
     w_odd = thermal.even_odd_weights(spec.mean_excitation, d, -1)
     w_even = thermal.even_odd_weights(spec.mean_excitation, d, +1)
-    layout = SpaceLayout(0, (d, d))
-    return HybridState.density(layout, np.diag(np.kron(w_odd, w_even).astype(complex)))
+    return np.diag(np.kron(w_odd, w_even).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -369,28 +397,25 @@ def tqp_initial_state(spec: ThermalSpec) -> HybridState:
 # ---------------------------------------------------------------------------
 
 
-def lindblad_rhs(state: HybridState | np.ndarray, h: TruncatedOperator,
-                 noise: NoiseParams) -> np.ndarray:
+def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseParams) -> np.ndarray:
     """The printed master-equation right-hand side, evaluated once.
 
-    Accepts a density-matrix state (or a raw density matrix) and the system
-    Hamiltonian; returns d(rho)/dt as an array.  The trace of the result is
-    zero to numerical precision.
+    `rho` is a (levels, d, levels, d) density array, as ``opensys`` holds
+    it, and `h` the (levels d) x (levels d) system Hamiltonian; returns
+    d(rho)/dt in the shape of `rho`.  The trace of the result is zero to
+    numerical precision.  A pure (levels, d) state raises
+    ``fock.StateError``.
     """
-    if isinstance(state, HybridState):
-        if state.is_pure:
-            raise fock.StateError("master-equation right-hand side needs a density matrix")
-        layout, rho = state.layout, state.data
-    else:
-        layout, rho = h.layout, np.asarray(state, dtype=complex)
-    if layout.n_modes != 1:
-        raise fock.LayoutError("open-system model expects one mode")
-    a = annihilation(layout, 0).matrix
-    out = -1j * (h.matrix @ rho - rho @ h.matrix)
+    if rho.ndim != 4:
+        raise fock.StateError("master-equation right-hand side needs a density array")
+    levels, d = rho.shape[:2]
+    mat = rho.reshape(levels * d, levels * d)
+    a = annihilation(SpaceLayout(levels - 1, (d,)), 0)
+    out = -1j * (h @ mat - mat @ h)
     for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T)):
         op_dag_op = op.conj().T @ op
-        out += rate * (op @ rho @ op.conj().T - 0.5 * (op_dag_op @ rho + rho @ op_dag_op))
-    return out
+        out += rate * (op @ mat @ op.conj().T - 0.5 * (op_dag_op @ mat + mat @ op_dag_op))
+    return out.reshape(rho.shape)
 
 
 # ---------------------------------------------------------------------------

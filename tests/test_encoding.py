@@ -5,9 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 import dense_reference as dense
-from dense_reference import LogicalQubitRef
+from dense_reference import LogicalQubitRef, SpaceLayout
 from tqpsim import encoding, fock, msuqc, thermal
-from tqpsim.fock import HybridState, SpaceLayout
 
 
 REF = LogicalQubitRef(0)
@@ -17,21 +16,21 @@ def test_logical_operators_on_basis_states():
     lay = SpaceLayout(0, (6, 6))
     z_l = dense.logical_Z(lay, REF)
     x_l = dense.logical_X(lay, REF)
-    psi0 = HybridState.basis(lay, (), (1, 0))   # odd (x) even
-    psi1 = HybridState.basis(lay, (), (0, 1))
-    assert np.abs(psi0.apply(z_l).data - psi0.data).max() == 0.0
-    assert np.abs(psi1.apply(z_l).data + psi1.data).max() == 0.0
-    assert np.abs(psi0.apply(x_l).data - psi1.data).max() == 0.0
+    psi0 = dense.basis(lay, (), (1, 0))   # odd (x) even
+    psi1 = dense.basis(lay, (), (0, 1))
+    assert np.abs(z_l @ psi0 - psi0).max() == 0.0
+    assert np.abs(z_l @ psi1 + psi1).max() == 0.0
+    assert np.abs(x_l @ psi0 - psi1).max() == 0.0
 
 
 def test_pauli_anticommutator_on_random_pair_states():
     lay = SpaceLayout(0, (8, 8))
     z_l = dense.logical_Z(lay, REF)
     x_l = dense.logical_X(lay, REF)
-    anti = (x_l @ z_l + z_l @ x_l).matrix
+    anti = x_l @ z_l + z_l @ x_l
     m, n = 1, 2
-    v0 = HybridState.basis(lay, (), (2 * m + 1, 2 * n)).data
-    v1 = HybridState.basis(lay, (), (2 * n, 2 * m + 1)).data
+    v0 = dense.basis(lay, (), (2 * m + 1, 2 * n))
+    v1 = dense.basis(lay, (), (2 * n, 2 * m + 1))
     rng = np.random.default_rng(9)
     for _ in range(20):
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -43,7 +42,7 @@ def test_pauli_anticommutator_on_random_pair_states():
 def test_gate_identity_at_zero_angle():
     lay = SpaceLayout(1, (6, 6))
     for gate in (dense.gate_UZ(lay, REF, 0.0), dense.gate_UX(lay, REF, 0.0)):
-        assert np.abs(gate.matrix - np.eye(lay.total_dim)).max() < 1e-14
+        assert np.abs(gate - np.eye(lay.total_dim)).max() < 1e-14
 
 
 def test_gate_uz_phases_against_direct_exponential():
@@ -52,7 +51,7 @@ def test_gate_uz_phases_against_direct_exponential():
     gate = dense.gate_UZ(lay, REF, theta)
     mode_map = dense.mode_factor_of_gate(gate)
     sub = SpaceLayout(0, (8, 8))
-    oracle = expm(1j * theta * dense.parity(sub, 1).matrix)
+    oracle = expm(1j * theta * dense.parity(sub, 1))
     assert np.abs(mode_map - oracle).max() < 1e-10
     # |odd>|even> picks up e^{i theta}, the swapped state e^{-i theta}
     i_oe = sub.basis_index((), (1, 0))
@@ -71,7 +70,7 @@ def test_gate_ux_matches_swap_exponential_oracle():
     for theta in rng.uniform(-math.pi, math.pi, 10):
         gate = dense.gate_UX(lay, REF, theta)
         mode_map = dense.mode_factor_of_gate(gate)
-        oracle = dense.exponential_hermitian_unitary(s, theta).matrix
+        oracle = dense.exponential_hermitian_unitary(s, theta)
         err = np.abs((mode_map - oracle)[np.ix_(keep, keep)]).max()
         assert err < 1e-9
         assert dense.ancilla_leakage(gate) < 1e-10
@@ -83,7 +82,7 @@ def test_gate_uzz_matches_pair_parity_oracle():
     sub = SpaceLayout(0, (5, 5, 5, 5))
     o = dense.parity(sub, 1) @ dense.parity(sub, 3)
     oracle = dense.exponential_hermitian_unitary(o, 0.9)
-    assert np.abs(dense.mode_factor_of_gate(gate) - oracle.matrix).max() < 1e-12
+    assert np.abs(dense.mode_factor_of_gate(gate) - oracle).max() < 1e-12
     assert dense.ancilla_leakage(gate) < 1e-12
 
 
@@ -101,7 +100,7 @@ def test_block_gate_matches_dense_reference_gate():
             for axis, dense_gate in (("z", dense.gate_UZ), ("x", dense.gate_UX)):
                 out = encoding.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
                                                pair.columns)
-                u = dense_gate(lay, REF, theta).matrix.reshape(2, d * d, 2, d * d)
+                u = dense_gate(lay, REF, theta).reshape(2, d * d, 2, d * d)
                 want = np.einsum("axby,b->axy", u, fock.KET_PLUS)
                 got = np.zeros_like(want)
                 for t, idx in enumerate(blocks):
@@ -119,14 +118,14 @@ def test_block_gate_refuses_an_unknown_axis():
 def test_exponential_hermitian_unitary_closed_form():
     lay = SpaceLayout(0, (6,))
     p = dense.parity(lay, 0)
-    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi / 2).matrix
-                  - 1j * p.matrix).max() < 1e-15
-    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi).matrix
+    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi / 2)
+                  - 1j * p).max() < 1e-15
+    assert np.abs(dense.exponential_hermitian_unitary(p, math.pi)
                   + np.eye(6)).max() < 1e-14
     lay2 = SpaceLayout(0, (6, 6))
     pp = dense.parity(lay2, 0) @ dense.parity(lay2, 1)
-    closed = dense.exponential_hermitian_unitary(pp, 0.3).matrix
-    pade = expm(0.3j * pp.matrix)
+    closed = dense.exponential_hermitian_unitary(pp, 0.3)
+    pade = expm(0.3j * pp)
     assert np.abs(closed - pade).max() < 1e-12
     a = dense.annihilation(lay, 0)
     with pytest.raises(ValueError):
@@ -139,25 +138,39 @@ def test_total_pair_parity_conserved_by_gates():
     rng = np.random.default_rng(8)
     for gate in (dense.gate_UZ(lay, REF, 0.8), dense.gate_UX(lay, REF, -1.1),
                  dense.beam_splitter_5050(lay, 0, 1)):
-        comm = gate.matrix @ pp.matrix - pp.matrix @ gate.matrix
+        comm = gate @ pp - pp @ gate
         assert np.abs(comm).max() < 1e-10
 
 
+def _parity_readout(state):
+    """The production parity measurement of the mode of a (2, d) or
+    (2, d, 2, d) state: the controlled parity, then the ancilla's X-basis
+    readout.  Returns (probability, mode populations) of the + (even) and -
+    (odd) branches, the populations normalised."""
+    d = state.shape[1]
+    flat = encoding.apply_controlled_parity(state).reshape((2 * d,) * (state.ndim // 2))
+    out = []
+    for branch in encoding.x_basis_branches(flat):
+        pops = np.abs(branch) ** 2 if branch.ndim == 1 else branch.diagonal().real
+        out.append((float(pops.sum()), pops / max(pops.sum(), 1e-300)))
+    return out
+
+
 def test_parity_measurement_vacuum_and_superposition():
-    lay = SpaceLayout(1, (6,))
-    vac = fock.plus_state_with_modes(lay, (0,))
-    even, odd = encoding.parity_measurement_branches(vac, 0)
-    assert even.probability == pytest.approx(1.0, abs=1e-12)
-    assert odd.state is None
-    sup = HybridState.pure(lay, (HybridState.basis(lay, (0,), (0,)).data
-                                 + HybridState.basis(lay, (0,), (1,)).data
-                                 + HybridState.basis(lay, (1,), (0,)).data
-                                 + HybridState.basis(lay, (1,), (1,)).data) / 2.0)
-    even, odd = encoding.parity_measurement_branches(sup, 0)
-    assert even.probability == pytest.approx(0.5, abs=1e-12)
-    assert odd.probability == pytest.approx(0.5, abs=1e-12)
-    assert even.state.mode_populations(0)[0] == pytest.approx(1.0, abs=1e-12)
-    assert odd.state.mode_populations(0)[1] == pytest.approx(1.0, abs=1e-12)
+    d = 6
+    vac = np.zeros((2, d), dtype=complex)
+    vac[:, 0] = fock.KET_PLUS
+    (p_even, pops), (p_odd, _) = _parity_readout(vac)
+    assert p_even == pytest.approx(1.0, abs=1e-12)
+    assert p_odd < 1e-12
+    assert pops[0] == pytest.approx(1.0, abs=1e-12)
+    sup = np.zeros((2, d), dtype=complex)
+    sup[:, :2] = 0.5  # |+> (x) (|0> + |1>) / sqrt(2)
+    (p_even, even), (p_odd, odd) = _parity_readout(sup)
+    assert p_even == pytest.approx(0.5, abs=1e-12)
+    assert p_odd == pytest.approx(0.5, abs=1e-12)
+    assert even[0] == pytest.approx(1.0, abs=1e-12)
+    assert odd[1] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -171,7 +184,7 @@ def test_x_basis_branches_match_ancilla_projectors(seed):
     psi = m[:, 0] / np.linalg.norm(m[:, 0])
     x = np.array([[0, 1], [1, 0]])
     for proj, ket, branch, vec in zip(((np.eye(2) + x) / 2, (np.eye(2) - x) / 2),
-                                      (fock.KET_PLUS, fock.KET_MINUS),
+                                      (fock.KET_PLUS, dense.KET_MINUS),
                                       encoding.x_basis_branches(rho),
                                       encoding.x_basis_branches(psi)):
         full = np.kron(proj, np.eye(rest))
@@ -183,56 +196,49 @@ def test_parity_measurement_thermal_branch_statistics():
     d = 30
     w = thermal.thermal_weights(1.0, d)
     w /= w.sum()
-    lay = SpaceLayout(1, (d,))
     plus_dm = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    st = HybridState.density(lay, np.kron(plus_dm, np.diag(w.astype(complex))))
-    even, odd = encoding.parity_measurement_branches(st, 0)
-    assert even.probability == pytest.approx(2.0 / 3.0, abs=1e-8)
-    assert np.abs(even.state.mode_populations(0)
-                  - thermal.even_odd_weights(1.0, d, +1)).max() < 1e-10
-    assert np.abs(odd.state.mode_populations(0)
-                  - thermal.even_odd_weights(1.0, d, -1)).max() < 1e-10
+    st = np.kron(plus_dm, np.diag(w.astype(complex))).reshape(2, d, 2, d)
+    (p_even, even), (_, odd) = _parity_readout(st)
+    assert p_even == pytest.approx(2.0 / 3.0, abs=1e-8)
+    assert np.abs(even - thermal.even_odd_weights(1.0, d, +1)).max() < 1e-10
+    assert np.abs(odd - thermal.even_odd_weights(1.0, d, -1)).max() < 1e-10
 
 
-def test_parity_measurement_nondemolition_and_sampling():
-    lay = SpaceLayout(1, (8,))
-    st = HybridState.pure(lay, (HybridState.basis(lay, (0,), (2,)).data
-                                + HybridState.basis(lay, (0,), (3,)).data
-                                + HybridState.basis(lay, (1,), (2,)).data
-                                + HybridState.basis(lay, (1,), (3,)).data) / 2.0)
-    rng = np.random.default_rng(17)
-    first = encoding.parity_measurement(st, 0, rng)
-    again = encoding.parity_measurement(first.state, 0, rng)
-    assert again.sign == first.sign
-    assert again.probability == pytest.approx(1.0, abs=1e-10)
-    # identical seeds reproduce the outcome
-    r1 = encoding.parity_measurement(st, 0, np.random.default_rng(123))
-    r2 = encoding.parity_measurement(st, 0, np.random.default_rng(123))
-    assert r1.sign == r2.sign
+def test_parity_measurement_nondemolition():
+    # the + branch of |+> (x) (|2> + |3>) / sqrt(2), its ancilla re-prepared in
+    # |+>, is measured again: it lands on + with no weight on -
+    d = 8
+    st = np.zeros((2, d), dtype=complex)
+    st[:, 2:4] = 0.5
+    flat = encoding.apply_controlled_parity(st).reshape(-1)
+    plus, _ = encoding.x_basis_branches(flat)
+    again = np.multiply.outer(fock.KET_PLUS, plus / np.linalg.norm(plus))
+    (p_plus, _), (p_minus, _) = _parity_readout(again)
+    assert p_plus == pytest.approx(1.0, abs=1e-12)
+    assert p_minus <= 1e-12
 
 
-def test_parity_measurement_requires_plus_ancilla():
-    lay = SpaceLayout(1, (6,))
-    bad = HybridState.basis(lay, (1,), (0,))
-    with pytest.raises(encoding.AncillaError):
-        encoding.parity_measurement_branches(bad, 0)
+def test_controlled_parity_refuses_other_shapes():
+    for shape in ((12,), (3, 4), (2, 4, 2, 5), (2, 4, 2)):
+        with pytest.raises(fock.LayoutError):
+            encoding.apply_controlled_parity(np.zeros(shape, dtype=complex))
 
 
 def test_variant_conjugate_identity_and_beam_splitter():
     lay = SpaceLayout(1, (6, 6))
     c = dense.controlled_parity(lay, 1)
     ident = dense.identity(lay)
-    assert np.abs((ident @ c @ ident.adjoint()).matrix - c.matrix).max() == 0.0
+    assert np.abs(ident @ c @ ident.conj().T - c).max() == 0.0
     v = dense.beam_splitter_5050(lay, 0, 1)
-    cv = v @ c @ v.adjoint()
+    cv = v @ c @ v.conj().T
     rx = dense.qubit_rotation(lay, "x", 0.6)
     gate = cv @ rx @ cv
     mode_map = dense.mode_factor_of_gate(gate)
     # conjugated circuit implements e^{i theta V (I (x) P) V^dag}
     sub = SpaceLayout(0, (6, 6))
     vb = dense.beam_splitter_5050(sub, 0, 1)
-    conj = vb @ dense.parity(sub, 1) @ vb.adjoint()
-    oracle = expm(0.6j * conj.matrix)
+    conj = vb @ dense.parity(sub, 1) @ vb.conj().T
+    oracle = expm(0.6j * conj)
     totals = (np.arange(6)[:, None] + np.arange(6)[None, :]).ravel()
     keep = np.flatnonzero(totals <= 5)
     assert np.abs((mode_map - oracle)[np.ix_(keep, keep)]).max() < 1e-9
@@ -245,8 +251,8 @@ def test_variant_conjugation_preserves_pauli_algebra():
     z_l = dense.parity(sub, 1)
     x_l = dense.two_mode_swap(sub, 0, 1)
     rng = np.random.default_rng(21)
-    v0 = HybridState.basis(sub, (), (1, 2)).data
-    v1 = HybridState.basis(sub, (), (2, 1)).data
+    v0 = dense.basis(sub, (), (1, 2))
+    v1 = dense.basis(sub, (), (2, 1))
     for _ in range(10):
         # random parity-structured two-mode unitary: beam splitters and
         # phase shifts keep truncation exact on fitting blocks
@@ -255,15 +261,15 @@ def test_variant_conjugation_preserves_pauli_algebra():
             v = v @ dense.beam_splitter_5050(sub, 0, 1)
             phase = np.diag(np.kron(np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8)),
                                     np.exp(1j * rng.uniform(0, 2 * np.pi) * np.arange(8))))
-            v = v @ fock.TruncatedOperator(sub, phase)
-        zv = v @ z_l @ v.adjoint()
-        xv = v @ x_l @ v.adjoint()
-        anti = (zv @ xv + xv @ zv).matrix
+            v = v @ phase
+        zv = v @ z_l @ v.conj().T
+        xv = v @ x_l @ v.conj().T
+        anti = zv @ xv + xv @ zv
         c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = v.matrix @ (c[0] * v0 + c[1] * v1)
+        psi = v @ (c[0] * v0 + c[1] * v1)
         psi /= np.linalg.norm(psi)
         assert np.linalg.norm(anti @ psi) < 1e-9
-        assert np.linalg.norm((zv @ zv).matrix @ psi - psi) < 1e-9
+        assert np.linalg.norm(zv @ zv @ psi - psi) < 1e-9
         # transformed Z still labels the transformed basis states
-        assert np.vdot(v.matrix @ v0, zv.matrix @ (v.matrix @ v0)).real == pytest.approx(1.0, abs=1e-9)
-        assert np.vdot(v.matrix @ v1, zv.matrix @ (v.matrix @ v1)).real == pytest.approx(-1.0, abs=1e-9)
+        assert np.vdot(v @ v0, zv @ (v @ v0)).real == pytest.approx(1.0, abs=1e-9)
+        assert np.vdot(v @ v1, zv @ (v @ v1)).real == pytest.approx(-1.0, abs=1e-9)

@@ -7,23 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
+from dense_reference import SpaceLayout
 from tqpsim import fock, msuqc, thermal
-from tqpsim.fock import SpaceLayout
 from tqpsim.msuqc import CircuitStep, LogicalCircuit
 from tqpsim.thermal import ThermalSpec
 
 
 def dense_mixed_probability(circuit, pair_weights, cutoff):
-    """Cross-check of run_mixed and run_pure: the full density matrix of the
-    ancilla and all modes, conjugated by the full gate unitaries.  Pair k
-    starts in the diagonal state ``pair_weights[k]`` over |i, j> (flat index
-    i * cutoff + j).  Tiny cutoffs only."""
+    """Cross-check of run_mixed and run_pure: the full state of the ancilla
+    and all modes, carried through the full gate unitaries.  Pair k starts
+    in the diagonal state ``pair_weights[k]`` over |i, j> (flat index
+    i * cutoff + j).  The density matrix is held as its mixture columns
+    sqrt(w) |+> (x) |basis state>, one per nonzero weight w of the product
+    state, so rho = cols cols^dag and each gate is one product with the
+    columns.  Tiny cutoffs only."""
     k = circuit.qubit_count
     layout = SpaceLayout(1, (cutoff,) * (2 * k))
     assert layout.total_dim <= 3000
-    rho = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    for w in pair_weights:
-        rho = np.kron(rho, np.diag(w))
+    w = np.ones(1)
+    for pw in pair_weights:
+        w = np.kron(w, pw)
+    keep = np.flatnonzero(w)
+    cols = np.zeros((2, w.size, keep.size), dtype=complex)
+    cols[:, keep, np.arange(keep.size)] = np.multiply.outer(fock.KET_PLUS, np.sqrt(w[keep]))
+    cols = cols.reshape(layout.total_dim, keep.size)
     refs = [dense.LogicalQubitRef(i) for i in range(k)]
     for gate in msuqc.step_gates(circuit):
         if gate[0] == "z":
@@ -32,12 +39,12 @@ def dense_mixed_probability(circuit, pair_weights, cutoff):
             u = dense.gate_UX(layout, refs[gate[1]], gate[2])
         else:
             u = dense.gate_UZZ(layout, refs[gate[1]], refs[gate[2]], gate[3])
-        rho = u.matrix @ rho @ u.matrix.conj().T
+        cols = u @ cols
     # the readout projectors are diagonal: Tr(readout rho) = diag(readout) . diag(rho)
     readout = np.ones(layout.total_dim)
     for ref in refs:
-        readout = readout * (1.0 + np.diagonal(dense.logical_Z(layout, ref).matrix).real) / 2
-    return float(readout @ np.diagonal(rho).real)
+        readout = readout * (1.0 + np.diagonal(dense.logical_Z(layout, ref)).real) / 2
+    return float(readout @ (np.abs(cols) ** 2).sum(axis=1))
 
 
 def thermal_pairs(spec, k, cutoff):

@@ -4,41 +4,50 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from dense_reference import SpaceLayout
 from tqpsim import encoding, fock, nsverify
-from tqpsim.fock import HybridState, SpaceLayout
 
 
-LAY = SpaceLayout(0, (24, 24))
+D = 24
+LAY = SpaceLayout(0, (D, D))
 
 
 def test_zero_parameter_channels_are_identity():
     for kind in ("phase", "squeeze"):
-        e = nsverify.collective_noise(kind, 0.0, LAY)
-        assert np.abs(e.matrix - np.eye(LAY.total_dim)).max() < 1e-14
+        e = nsverify.collective_noise(kind, 0.0, D)
+        assert np.abs(e - np.eye(LAY.total_dim)).max() < 1e-14
 
 
 def test_phase_channel_at_pi_is_double_parity():
-    e = nsverify.collective_noise("phase", math.pi, LAY)
+    e = nsverify.collective_noise("phase", math.pi, D)
     pp = dense.parity(LAY, 0) @ dense.parity(LAY, 1)
-    assert np.abs(e.matrix - pp.matrix).max() < 1e-12
+    assert np.abs(e - pp).max() < 1e-12
 
 
 def test_commutation_check_needs_one_cutoff():
+    # an operator on modes of cutoffs 6 and 8 is 48 x 48: not square over d^2
     lay = SpaceLayout(0, (6, 8))
-    e = nsverify.collective_noise("phase", 0.7, lay)
+    p = dense.parity(lay, 1)
     with pytest.raises(fock.LayoutError):
-        nsverify.commutation_check(e, dense.parity(lay, 1))
+        nsverify.commutation_check(p, p)
+    # nor may the two operators act on pairs of different cutoffs
+    e = nsverify.collective_noise("phase", 0.7, 6)
+    with pytest.raises(fock.LayoutError):
+        nsverify.commutation_check(e, nsverify.encoded_logicals(7)["swap"])
+    for shape in ((36,), (36, 35), (35, 35)):
+        with pytest.raises(fock.LayoutError):
+            nsverify.commutation_check(np.zeros(shape), np.zeros(shape))
 
 
 @pytest.mark.parametrize("kind,par", [("phase", 0.7), ("squeeze", 0.2)])
 def test_commutation_check_matches_full_product(kind, par):
     # only the kept rows and columns are multiplied; the full-product
     # commutator restricted afterwards is the cross-check
-    d = LAY.mode_cutoffs[0]
-    e = nsverify.collective_noise(kind, par, LAY)
+    d = D
+    e = nsverify.collective_noise(kind, par, D)
     a1 = dense.annihilation(LAY, 1)
-    for op in (dense.parity(LAY, 1), dense.two_mode_swap(LAY, 0, 1), a1 + a1.adjoint()):
-        full = e.matrix @ op.matrix - op.matrix @ e.matrix
+    for op in (dense.parity(LAY, 1), dense.two_mode_swap(LAY, 0, 1), a1 + a1.conj().T):
+        full = e @ op - op @ e
         for max_total in (0, None, 2 * d - 2):
             top = d // 3 if max_total is None else max_total
             keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
@@ -47,19 +56,19 @@ def test_commutation_check_matches_full_product(kind, par):
 
 
 def test_commutation_check_needs_a_non_negative_bound():
-    e = nsverify.collective_noise("phase", 0.7, LAY)
+    e = nsverify.collective_noise("phase", 0.7, D)
     with pytest.raises(ValueError, match="max_total"):
         nsverify.commutation_check(e, dense.parity(LAY, 1), max_total=-1)
 
 
 def test_channels_invert_and_squeeze_bound():
-    e = nsverify.collective_noise("phase", 0.7, LAY)
-    einv = nsverify.collective_noise("phase", -0.7, LAY)
-    assert np.abs((e @ einv).matrix - np.eye(LAY.total_dim)).max() < 1e-12
+    e = nsverify.collective_noise("phase", 0.7, D)
+    einv = nsverify.collective_noise("phase", -0.7, D)
+    assert np.abs(e @ einv - np.eye(LAY.total_dim)).max() < 1e-12
     with pytest.raises(ValueError):
-        nsverify.collective_noise("squeeze", 0.5, LAY)
+        nsverify.collective_noise("squeeze", 0.5, D)
     with pytest.raises(ValueError):
-        nsverify.collective_noise("amplitude", 0.1, LAY)
+        nsverify.collective_noise("amplitude", 0.1, D)
 
 
 @pytest.mark.parametrize("kind,values", [
@@ -70,15 +79,15 @@ def test_all_listed_commutators_vanish(kind, values):
     z_like = dense.parity(LAY, 1)
     x_like = dense.two_mode_swap(LAY, 0, 1)
     for par in values:
-        e = nsverify.collective_noise(kind, par, LAY)
+        e = nsverify.collective_noise(kind, par, D)
         assert nsverify.commutation_check(e, z_like) <= 1e-8
         assert nsverify.commutation_check(e, x_like) <= 1e-8
 
 
 def test_negative_control_commutator_is_large():
-    e = nsverify.collective_noise("phase", 0.7, LAY)
+    e = nsverify.collective_noise("phase", 0.7, D)
     a1 = dense.annihilation(LAY, 1)
-    quad = a1 + a1.adjoint()
+    quad = a1 + a1.conj().T
     assert nsverify.commutation_check(e, quad) > 0.1
 
 
@@ -86,7 +95,7 @@ def test_dfs_sector_zero_image_structure():
     # the squeeze generator sends |0,0> to -sqrt(2)(|2,0> + |0,2>)
     lay = SpaceLayout(0, (5, 5))
     gen = nsverify._squeeze_generator_pair(5)
-    img = gen @ HybridState.basis(lay, (), (0, 0)).data
+    img = gen @ dense.basis(lay, (), (0, 0))
     i20 = lay.basis_index((), (2, 0))
     i02 = lay.basis_index((), (0, 2))
     assert img[i20] == pytest.approx(-math.sqrt(2), abs=1e-14)
@@ -127,22 +136,25 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     ref = dense.LogicalQubitRef(0)
     rng = np.random.default_rng(33)
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v0 = HybridState.basis(lay, (0,), (1, 2)).data
-    v0b = HybridState.basis(lay, (1,), (1, 2)).data
-    v1 = HybridState.basis(lay, (0,), (2, 1)).data
-    v1b = HybridState.basis(lay, (1,), (2, 1)).data
+    v0 = dense.basis(lay, (0,), (1, 2))
+    v0b = dense.basis(lay, (1,), (1, 2))
+    v1 = dense.basis(lay, (0,), (2, 1))
+    v1b = dense.basis(lay, (1,), (2, 1))
     psi = (c[0] * (v0 + v0b) + c[1] * (v1 + v1b)) / math.sqrt(2)
     psi /= np.linalg.norm(psi)
-    state = HybridState.pure(lay, psi)
 
     gate = dense.gate_UZ(lay, ref, 0.6)
-    sub = SpaceLayout(0, (d, d))
-    noise2 = nsverify.collective_noise("phase", 0.7, sub)
+    noise2 = nsverify.collective_noise("phase", 0.7, d)
     noise_full = dense.tensor_embed(noise2, lay, mode_map=(0, 1))
 
-    before = state.apply(noise_full).apply(gate)
-    after = state.apply(gate).apply(noise_full)
-    pb = encoding.parity_measurement_branches(before, 1)
-    pa = encoding.parity_measurement_branches(after, 1)
-    assert pb[0].probability == pytest.approx(pa[0].probability, abs=1e-8)
-    assert pb[1].probability == pytest.approx(pa[1].probability, abs=1e-8)
+    c_second = dense.controlled_parity(lay, 1)
+
+    def readout(state):
+        """Branch probabilities of the second mode's parity measurement: the
+        controlled parity, then the ancilla's X-basis readout."""
+        return [float(np.linalg.norm(b) ** 2) for b in encoding.x_basis_branches(c_second @ state)]
+
+    pb = readout(gate @ (noise_full @ psi))
+    pa = readout(noise_full @ (gate @ psi))
+    assert pb[0] == pytest.approx(pa[0], abs=1e-8)
+    assert pb[1] == pytest.approx(pa[1], abs=1e-8)

@@ -11,24 +11,43 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 import dense_reference as dense
+from dense_reference import SpaceLayout
 from tqpsim import fock, opensys, pulses, thermal
-from tqpsim.fock import HybridState, SpaceLayout
 from tqpsim.opensys import NoiseParams
 
 
-def _plus_fock_density(n_mode: int, cutoff: int) -> HybridState:
-    lay = SpaceLayout(1, (cutoff,))
-    rho_mode = np.zeros((cutoff, cutoff), dtype=complex)
-    rho_mode[n_mode, n_mode] = 1.0
+def _plus_fock(n_mode: int, cutoff: int) -> np.ndarray:
+    """|+> (x) |n_mode>, a (2, cutoff) pure state."""
+    psi = np.zeros((2, cutoff), dtype=complex)
+    psi[:, n_mode] = fock.KET_PLUS
+    return psi
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    return np.multiply.outer(psi, psi.conj())
+
+
+def _plus_fock_density(n_mode: int, cutoff: int) -> np.ndarray:
+    return _density(_plus_fock(n_mode, cutoff))
+
+
+def _flat(rho: np.ndarray) -> np.ndarray:
+    """A (levels, d, levels, d) density array as a (levels d) x (levels d) matrix."""
+    return rho.reshape(rho.shape[0] * rho.shape[1], -1)
+
+
+def _plus_thermal(n_mean: float, d: int) -> np.ndarray:
+    w = thermal.thermal_weights(n_mean, d)
+    w /= w.sum()
     plus = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    return HybridState.density(lay, np.kron(plus, rho_mode))
+    return np.kron(plus, np.diag(w.astype(complex))).reshape(2, d, 2, d)
 
 
 def _random_density(d, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
     rho = m @ m.conj().T
-    return HybridState.density(SpaceLayout(1, (d,)), rho / np.trace(rho))
+    return (rho / np.trace(rho)).reshape(2, d, 2, d)
 
 
 def hparams(eta, nu=1.0):
@@ -37,18 +56,18 @@ def hparams(eta, nu=1.0):
         return pulses.HybridHamiltonianParams(eta=eta, nu=nu)
 
 
-def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
-                  noise: NoiseParams, dt: float) -> HybridState:
+def rk4_reference(rho: np.ndarray, schedule: pulses.PulseSchedule,
+                  noise: NoiseParams, dt: float) -> np.ndarray:
     """Plain lab-frame fixed-step RK4 on `lindblad_rhs`, the independent
-    cross-check of the exact segment propagators in `evolve_master`."""
-    d = state.layout.mode_cutoffs[0]
-    h = {seg: fock.TruncatedOperator(state.layout, pulses.hamiltonian(hparams(eta, noise.nu), d))
+    cross-check of the exact segment propagators in `evolve_master`, on a
+    (2, d, 2, d) density array."""
+    d = rho.shape[1]
+    h = {seg: pulses.hamiltonian(hparams(eta, noise.nu), d)
          for seg, eta in ((pulses.FreeEvolution, noise.eta), (pulses.WaitingPeriod, 0.0))}
-    rho = state.to_density().data
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, pulses.QubitRotation):
-            r = dense.qubit_rotation(state.layout, seg.axis, seg.angle).matrix
-            rho = r @ rho @ r.conj().T
+            r = dense.qubit_rotation(SpaceLayout(1, (d,)), seg.axis, seg.angle)
+            rho = (r @ _flat(rho) @ r.conj().T).reshape(rho.shape)
             continue
         nsteps = max(1, math.ceil(seg.duration / dt))
         step = seg.duration / nsteps
@@ -62,7 +81,7 @@ def rk4_reference(state: HybridState, schedule: pulses.PulseSchedule,
             k3 = rhs(rho + (step / 2) * k2)
             k4 = rhs(rho + step * k3)
             rho = rho + (step / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return HybridState.density(state.layout, rho)
+    return rho
 
 
 def test_noise_params_validation():
@@ -84,27 +103,24 @@ def test_noise_params_must_be_finite(field, value):
 
 def test_rhs_trace_free_and_closed_system_limit():
     d = 10
-    lay = SpaceLayout(1, (d,))
-    h = fock.TruncatedOperator(lay, pulses.hamiltonian(hparams(0.02), d))
+    h = pulses.hamiltonian(hparams(0.02), d)
     rng = np.random.default_rng(0)
     m = rng.standard_normal((2 * d, 2 * d)) + 1j * rng.standard_normal((2 * d, 2 * d))
     rho = m @ m.conj().T
     rho /= np.trace(rho)
-    state = HybridState.density(lay, rho)
-    deriv = dense.lindblad_rhs(state, h, NoiseParams(Q=50.0, N_th=1.3, eta=0.02))
+    state = rho.reshape(2, d, 2, d)
+    deriv = _flat(dense.lindblad_rhs(state, h, NoiseParams(Q=50.0, N_th=1.3, eta=0.02)))
     assert abs(np.trace(deriv)) < 1e-12
-    deriv_closed = dense.lindblad_rhs(state, h, NoiseParams(Q=1e300, eta=0.02))
-    comm = -1j * (h.matrix @ rho - rho @ h.matrix)
+    deriv_closed = _flat(dense.lindblad_rhs(state, h, NoiseParams(Q=1e300, eta=0.02)))
+    comm = -1j * (h @ rho - rho @ h)
     assert np.abs(deriv_closed - comm).max() < 1e-12
 
 
 def test_rhs_decay_rate_of_single_excitation():
     # H = 0, N_th = 0, rho = |1><1|: d<n>/dt = -nu/Q
     d = 8
-    lay = SpaceLayout(1, (d,))
     st = _plus_fock_density(1, d)
-    h0 = fock.TruncatedOperator(lay, np.zeros((2 * d, 2 * d)))
-    deriv = dense.lindblad_rhs(st, h0, NoiseParams(Q=25.0))
+    deriv = _flat(dense.lindblad_rhs(st, np.zeros((2 * d, 2 * d)), NoiseParams(Q=25.0)))
     nvec = np.kron(np.ones(2), np.arange(d))
     assert float((np.diag(deriv).real * nvec).sum()) == pytest.approx(-1 / 25.0, abs=1e-12)
 
@@ -113,18 +129,18 @@ def test_master_equation_thermalizes_to_bath_occupation():
     noise = NoiseParams(Q=5.0, N_th=0.5)
     d = 14
     sched = pulses.PulseSchedule((pulses.WaitingPeriod(20 * noise.Q / noise.nu),))
-    out = opensys.evolve_master(_plus_fock_density(0, d), sched, noise)
+    out = _flat(opensys.evolve_master(_plus_fock_density(0, d), sched, noise))
     nvec = np.kron(np.ones(2), np.arange(d))
-    n_final = float((np.diag(out.data).real * nvec).sum())
+    n_final = float((np.diag(out).real * nvec).sum())
     assert n_final == pytest.approx(0.5, abs=1e-3)
-    assert out.trace() == pytest.approx(1.0, abs=1e-8)
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_evolve_master_zero_schedule_and_frames_agree():
     noise = NoiseParams(Q=40.0, N_th=0.3, eta=0.03)
     st = _plus_fock_density(1, 10)
     out = opensys.evolve_master(st, pulses.PulseSchedule(()), noise)
-    assert np.abs(out.data - st.data).max() < 1e-14
+    assert np.abs(out - st).max() < 1e-14
     sched = pulses.PulseSchedule((pulses.FreeEvolution(1.7),
                                   pulses.QubitRotation("x", 0.4),
                                   pulses.WaitingPeriod(0.9)))
@@ -145,8 +161,8 @@ def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
     for i, t in enumerate(durations):
         segs.append(pulses.FreeEvolution(t) if i % 2 == 0 else pulses.WaitingPeriod(t))
         segs.append(pulses.QubitRotation("xy"[i % 2], 0.3 * (i + 1)))
-    out = opensys.evolve_master(st_in, pulses.PulseSchedule(tuple(segs)),
-                                NoiseParams(Q=q, N_th=n_th, eta=eta)).data
+    out = _flat(opensys.evolve_master(st_in, pulses.PulseSchedule(tuple(segs)),
+                                      NoiseParams(Q=q, N_th=n_th, eta=eta)))
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.abs(out - out.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
@@ -157,37 +173,32 @@ def test_closed_system_master_matches_unitary(dense_schedule_unitary):
     sched = pulses.build_h2_sequence(p, 1)
     noise = NoiseParams(Q=1e300, eta=0.03)
     d = 16
-    lay = SpaceLayout(1, (d,))
-    w = thermal.thermal_weights(0.5, d)
-    w /= w.sum()
-    plus = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    st = HybridState.density(lay, np.kron(plus, np.diag(w.astype(complex))))
-    evolved = opensys.evolve_master(st, sched, noise)
+    st = _plus_thermal(0.5, d)
+    evolved = _flat(opensys.evolve_master(st, sched, noise))
     u = pulses.simulate_schedule(sched, p, d)
-    ref = u @ st.data @ u.conj().T
-    assert opensys.trace_distance_matrices(evolved.data, ref) < 1e-6
+    ref = u @ _flat(st) @ u.conj().T
+    assert opensys.trace_distance(evolved, ref) < 1e-6
     u_dense = dense_schedule_unitary(sched, p, d)
-    ref_dense = u_dense @ st.data @ u_dense.conj().T
-    assert opensys.trace_distance_matrices(evolved.data, ref_dense) < 1e-12
-    assert evolved.trace() == pytest.approx(1.0, abs=1e-8)
-    herm = np.abs(evolved.data - evolved.data.conj().T).max()
+    ref_dense = u_dense @ _flat(st) @ u_dense.conj().T
+    assert opensys.trace_distance(evolved, ref_dense) < 1e-12
+    assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-8)
+    herm = np.abs(evolved - evolved.conj().T).max()
     assert herm < 1e-10
-    assert np.linalg.eigvalsh(evolved.data).min() > -1e-8
+    assert np.linalg.eigvalsh(evolved).min() > -1e-8
 
 
 def test_jump_unravelling_noiseless_is_deterministic():
     p = hparams(0.03)
     sched = pulses.build_h2_sequence(p, 1)
     d = 12
-    lay = SpaceLayout(1, (d,))
-    v = fock.plus_state_with_modes(lay, (1,))
+    v = _plus_fock(1, d)
     noise = NoiseParams(Q=1e300, eta=0.03)
     ens = opensys.jump_unravelling(v, sched, noise, np.random.default_rng(1), 2)
     assert ens.mean_jumps == 0.0
     u = pulses.simulate_schedule(sched, p, d)
-    ref = u @ np.outer(v.data, v.data.conj()) @ u.conj().T
+    ref = u @ _flat(_density(v)) @ u.conj().T
     # closed-form vs exponential propagators differ near the cutoff edge
-    assert opensys.trace_distance_matrices(ens.mean_state.data, ref) < 1e-7
+    assert opensys.trace_distance(ens.mean_state, ref) < 1e-7
 
 
 def test_short_time_jump_probability_closed_form():
@@ -204,12 +215,12 @@ def test_short_time_jump_probability_matches_expm_reference():
     d = 12
     st = opensys._thermal_with_ancilla(1.0, d)
     noise = NoiseParams(Q=50.0, N_th=0.7, eta=0.05)
-    a = dense.annihilation(st.layout, 0).matrix
+    a = dense.annihilation(SpaceLayout(1, (d,)), 0)
     k = pulses.hamiltonian(hparams(noise.eta), d) - 0.5j * (
         noise.rate_down * a.conj().T @ a + noise.rate_up * a @ a.conj().T)
     for dt in (1e-3, 0.7, 5.0):
         u = expm(-1j * dt * k)
-        reference = 1.0 - np.trace(u @ st.data @ u.conj().T).real
+        reference = 1.0 - np.trace(u @ _flat(st) @ u.conj().T).real
         sim, _ = opensys.short_time_jump_probability(st, noise, dt)
         assert abs(sim - reference) <= 1e-12
 
@@ -224,11 +235,7 @@ def test_short_time_jump_probability_needs_a_finite_positive_interval(dt):
 def test_trajectories_converge_to_master_small_case():
     noise = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
     d = 12
-    lay = SpaceLayout(1, (d,))
-    w = thermal.thermal_weights(0.5, d)
-    w /= w.sum()
-    plus = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
-    st = HybridState.density(lay, np.kron(plus, np.diag(w.astype(complex))))
+    st = _plus_thermal(0.5, d)
     sched = pulses.build_h2_sequence(hparams(0.03), 1)
     master = opensys.evolve_master(st, sched, noise)
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(42), 600)
@@ -239,7 +246,7 @@ def test_trajectories_converge_to_master_small_case():
 def _diagonal_density(d):
     """Fock-diagonal input (the unravelling samples its diagonal directly)."""
     w = np.kron([0.7, 0.3], thermal.thermal_weights(0.5, d))
-    return HybridState.density(SpaceLayout(1, (d,)), np.diag(w / w.sum()).astype(complex))
+    return np.diag(w / w.sum()).astype(complex).reshape(2, d, 2, d)
 
 
 def _noisy_unravelling_case(d=8):
@@ -253,7 +260,7 @@ def test_jump_unravelling_seeded_runs_are_identical():
             for _ in range(2))
     assert a.mean_jumps > 0.0
     assert np.array_equal(a.jump_counts, b.jump_counts)
-    assert np.array_equal(a.mean_state.data, b.mean_state.data)
+    assert np.array_equal(a.mean_state, b.mean_state)
 
 
 def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
@@ -267,7 +274,7 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
     h = {pulses.FreeEvolution: pulses.hamiltonian(hparams(0.03), d),
          pulses.WaitingPeriod: pulses.hamiltonian(hparams(0.0), d)}
     # the unravelling's first draw picks every start column of the diagonal input
-    weights = np.real(np.diag(st.data))
+    weights = np.real(np.diag(_flat(st)))
     starts = np.random.default_rng(seed).choice(weights.size, size=n_traj, p=weights)
     ref = np.zeros((2 * d, 2 * d), dtype=complex)
     for start in starts:
@@ -275,11 +282,11 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
         psi[start] = 1.0
         for seg in sched.expand_waiting().segments:
             if isinstance(seg, pulses.QubitRotation):
-                psi = dense.qubit_rotation(st.layout, seg.axis, seg.angle).matrix @ psi
+                psi = dense.qubit_rotation(SpaceLayout(1, (d,)), seg.axis, seg.angle) @ psi
             else:
                 psi = expm(-1j * seg.duration * h[type(seg)]) @ psi
         ref += np.outer(psi, psi.conj()) / n_traj
-    assert np.abs(ens.mean_state.data - ref).max() <= 1e-12
+    assert np.abs(_flat(ens.mean_state) - ref).max() <= 1e-12
 
 
 JUMP_BISECTION_LEVELS = 40
@@ -335,7 +342,7 @@ def per_segment_unravelling(state, schedule, noise, rng, n_traj):
     columns bisected on a dyadic ladder in column order: the cross-check of
     the period screening and the eigenbasis root find in `jump_unravelling`,
     which must make the same random draws."""
-    model = opensys._DampedModeModel(state.layout, noise)
+    model = opensys._DampedModeModel(*opensys._levels_and_cutoff(state), noise)
     segs = schedule.expand_waiting().segments
     props = {seg: DyadicLadder(model.k[type(seg)], seg.duration)
              for seg in set(segs)
@@ -371,7 +378,7 @@ def _unravelling_cases():
         pulses.FreeEvolution(1.1), pulses.QubitRotation("x", 0.4), pulses.FreeEvolution(0.0),
         pulses.WaitingPeriod(0.7), pulses.QubitRotation("y", -0.3), pulses.FreeEvolution(0.5)))
     w = thermal.thermal_weights(0.5, 8)
-    mode_only = HybridState.density(SpaceLayout(0, (8,)), np.diag(w / w.sum()).astype(complex))
+    mode_only = np.diag(w / w.sum()).astype(complex).reshape(1, 8, 1, 8)
     noisy = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
     return {
         "engineered": (_diagonal_density(8), pulses.build_h2_sequence(hparams(0.03), 2), noisy),
@@ -399,7 +406,7 @@ def test_period_screening_matches_per_segment_unravelling(case):
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(17), 200)
     counts, mean = per_segment_unravelling(st, sched, noise, np.random.default_rng(17), 200)
     assert np.array_equal(ens.jump_counts, counts)
-    assert np.abs(ens.mean_state.data - mean).max() <= 1e-12
+    assert np.abs(_flat(ens.mean_state) - mean).max() <= 1e-12
     if case == "empty":
         assert ens.mean_jumps == 0.0
     else:
@@ -415,7 +422,7 @@ def test_jump_weights_and_pick_match_operator_norms_and_rng_choice(d):
     for n_th in (0.0, 0.8):
         noise = NoiseParams(Q=7.0, N_th=n_th, eta=0.05)
         props = opensys._SegmentPropagators(
-            opensys._DampedModeModel(SpaceLayout(1, (d,)), noise), pulses.FreeEvolution)
+            opensys._DampedModeModel(2, d, noise), pulses.FreeEvolution)
         for trial in range(100):
             psi = rng.standard_normal((2, d, 1)) + 1j * rng.standard_normal((2, d, 1))
             psi[:, -1] *= 4.0 * rng.random()  # anything from none to most on the top level
@@ -477,7 +484,7 @@ def test_jump_unravelling_matches_master_for_each_input_kind(kind):
     d, n_traj = 8, 600
     noise, sched, st = _noisy_unravelling_case(d)
     if kind == "pure":
-        st = fock.plus_state_with_modes(SpaceLayout(1, (d,)), (1,))
+        st = _plus_fock(1, d)
     elif kind == "non-diagonal":  # sampled from its eigenbasis
         st = _random_density(d, 11)
     master = opensys.evolve_master(st, sched, noise)
@@ -498,11 +505,11 @@ def test_jump_unravelling_several_jumps_in_one_segment():
     assert ens.mean_jumps > 2.0
     assert opensys.trace_distance(master, ens.mean_state) <= 3 / math.sqrt(n_traj)
     # the mean count is the master equation's jump rate integrated over the segment
-    a = dense.annihilation(st.layout, 0).matrix
+    a = dense.annihilation(SpaceLayout(1, (d,)), 0)
     rate_op = noise.rate_down * a.conj().T @ a + noise.rate_up * a @ a.conj().T
     times = np.linspace(0.0, 4.0, 21)
-    rates = [np.trace(rate_op @ opensys.evolve_master(
-        st, pulses.PulseSchedule((pulses.FreeEvolution(t),)), noise).data).real
+    rates = [np.trace(rate_op @ _flat(opensys.evolve_master(
+        st, pulses.PulseSchedule((pulses.FreeEvolution(t),)), noise))).real
         for t in times]
     expected = simpson(rates, x=times)
     stderr = ens.jump_counts.std() / math.sqrt(n_traj)
@@ -516,27 +523,46 @@ def test_mode_only_layout_is_the_ancilla_zero_block():
     noise = NoiseParams(Q=20.0, N_th=0.7, eta=0.03)
     sched = pulses.PulseSchedule((pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6),
                                   pulses.FreeEvolution(0.9)))
-    block = _random_density(d, 21).data[:d, :d]
+    block = _random_density(d, 21)[0, :, 0, :]
     rho = block / np.trace(block)
-    mode_only = HybridState.density(SpaceLayout(0, (d,)), rho)
+    mode_only = rho.reshape(1, d, 1, d)
     zero = np.diag([1.0, 0.0]).astype(complex)
-    with_ancilla = HybridState.density(SpaceLayout(1, (d,)), np.kron(zero, rho))
-    master = opensys.evolve_master(mode_only, sched, noise).data
-    reference = opensys.evolve_master(with_ancilla, sched, noise).data
-    assert np.abs(master - reference[:d, :d]).max() <= 1e-14
+    with_ancilla = np.kron(zero, rho).reshape(2, d, 2, d)
+    master = opensys.evolve_master(mode_only, sched, noise)
+    reference = opensys.evolve_master(with_ancilla, sched, noise)
+    assert np.abs(master[0, :, 0] - reference[0, :, 0]).max() <= 1e-14
+    # a pure mode-only state and its density evolve alike
+    pure = np.linalg.eigh(rho)[1][:, -1].reshape(1, d)
+    from_pure = opensys.evolve_master(pure, sched, noise)
+    from_density = opensys.evolve_master(_density(pure), sched, noise)
+    assert np.abs(from_pure - from_density).max() <= 1e-12
     ens = opensys.jump_unravelling(mode_only, sched, noise, np.random.default_rng(3), n_traj)
     assert ens.mean_jumps > 0.0
-    assert opensys.trace_distance_matrices(ens.mean_state.data, master) <= 3 / math.sqrt(n_traj)
-    h_mode = fock.TruncatedOperator(SpaceLayout(0, (d,)),
-                                    pulses.level_hamiltonians(1.0, 0.03, d)[0])
-    h = fock.TruncatedOperator(SpaceLayout(1, (d,)), pulses.hamiltonian(hparams(0.03), d))
+    assert opensys.trace_distance(ens.mean_state, master) <= 3 / math.sqrt(n_traj)
+    h_mode = pulses.level_hamiltonians(1.0, 0.03, d)[0]
+    h = pulses.hamiltonian(hparams(0.03), d)
     deriv = dense.lindblad_rhs(mode_only, h_mode, noise)
-    assert np.abs(deriv - dense.lindblad_rhs(with_ancilla, h, noise)[:d, :d]).max() <= 1e-14
+    assert np.abs(deriv[0, :, 0] - dense.lindblad_rhs(with_ancilla, h, noise)[0, :, 0]).max() \
+        <= 1e-14
     rotated = sched + pulses.PulseSchedule((pulses.QubitRotation("x", 0.3),))
     with pytest.raises(fock.LayoutError):
         opensys.evolve_master(mode_only, rotated, noise)
     with pytest.raises(fock.LayoutError):
         opensys.jump_unravelling(mode_only, rotated, noise, np.random.default_rng(0), 2)
+
+
+@pytest.mark.parametrize("shape", [(16,), (3, 8), (2, 8, 2), (2, 8, 2, 7), (2, 8, 1, 8),
+                                   (3, 8, 3, 8), (0, 8), (2, 0, 2, 0)])
+def test_open_system_state_shape_is_checked(shape):
+    # a state is (levels, d) or (levels, d, levels, d) with levels 1 or 2
+    noise, sched, _ = _noisy_unravelling_case(4)
+    state = np.zeros(shape, dtype=complex)
+    for run in (lambda: opensys.evolve_master(state, sched, noise),
+                lambda: opensys.jump_unravelling(state, sched, noise, np.random.default_rng(0), 2),
+                lambda: opensys.short_time_jump_probability(state, noise, 1e-3)):
+        with pytest.raises(fock.LayoutError, match="levels"):
+            run()
+    assert issubclass(fock.LayoutError, ValueError)  # the CLI's usage-error path
 
 
 @pytest.mark.parametrize("n_traj", [0, -1])
@@ -557,6 +583,20 @@ def test_fidelity_exact_gate_is_one():
         assert pt.fidelity == pytest.approx(1.0, abs=1e-10)
         assert pt.p_plus + pt.p_minus == pytest.approx(1.0, abs=1e-8)
         assert pt.baseline == pytest.approx(1 / (n_mean + 1))
+
+
+def test_fidelity_point_reports_the_truncation_tail():
+    # the exact gate is diagonal, so the tail is the thermal input's top-level weight
+    config = (50, pulses.eta_for_repetitions(50))
+    exact = opensys.fidelity_point(4.0, config, noise="exact-gate", cutoff=12)
+    w = thermal.thermal_weights(4.0, 12)
+    assert exact.truncation_tail == pytest.approx(w[-1] / w.sum(), rel=1e-14)
+    # the engineered gate at <n> = 4: negligible at the default cutoff, not at 12
+    default = opensys.fidelity_point(4.0, config)
+    assert default.cutoff == 66
+    assert default.truncation_tail == pytest.approx(4.7546e-7, rel=1e-4)
+    small = opensys.fidelity_point(4.0, config, cutoff=12)
+    assert small.truncation_tail == pytest.approx(1.8794e-2, rel=1e-4)
 
 
 def test_fidelity_point_takes_coupling_from_config():
@@ -683,8 +723,7 @@ def test_cooling_optimum_is_the_closed_form_maximum(eta, gdc, gdp):
 
 
 def test_pure_state_rhs_rejected():
-    lay = SpaceLayout(1, (6,))
-    st = fock.plus_state_with_modes(lay, (0,))
-    h = fock.TruncatedOperator(lay, pulses.hamiltonian(hparams(0.0), 6))
+    st = _plus_fock(0, 6)
+    h = pulses.hamiltonian(hparams(0.0), 6)
     with pytest.raises(fock.StateError):
         dense.lindblad_rhs(st, h, NoiseParams(Q=10.0))

@@ -196,11 +196,11 @@ def test_engineered_controlled_parity_matches_dense_route(dense_segment_product)
     reps, eta = pulses.measurement_configs()[2]  # R = 200
     p, d = params(eta), 66
     one = dense_segment_product(pulses.build_h2_sequence(p, 1), p, d)
-    corr = dense.qubit_rotation(fock.SpaceLayout(1, (d,)), "z", 32.0 * reps * eta ** 2)
+    corr = dense.qubit_rotation(dense.SpaceLayout(1, (d,)), "z", 32.0 * reps * eta ** 2)
     # the power of the one-sequence matrix's unitary polar factor, by SVD: a raw
     # power would carry R times the product's rounding away from unitarity
     w, _, vh = np.linalg.svd(one)
-    ref = corr.matrix @ np.linalg.matrix_power(w @ vh, reps)
+    ref = corr @ np.linalg.matrix_power(w @ vh, reps)
     got = pulses.engineered_controlled_parity(p, d, reps)
     assert np.abs(got - ref).max() <= 1e-12
 
