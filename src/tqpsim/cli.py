@@ -178,6 +178,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     noise = cfg["noise"] if cfg["bath"] is None else opensys.NoiseParams(**cfg["bath"])
     rows = []
     curves: dict[int, list[float]] = {r: [] for r in reps_list}
+    max_tail = 0.0
     for reps, eta in configs:
         for n in grid:
             pt = opensys.fidelity_point(n, (reps, eta), noise=noise,
@@ -186,6 +187,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
                          pt.p_plus, pt.p_minus, pt.baseline, pt.cutoff,
                          cfg["seed"] if cfg["seed"] is not None else 0))
             curves[reps].append(pt.fidelity)
+            max_tail = max(max_tail, pt.truncation_tail)
     ok = True
     ordered = sorted(reps_list)
     for lo, hi in zip(ordered, ordered[1:]):
@@ -204,6 +206,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     write_json(sidecar_path(out), _metadata("fidelity-sweep", cfg, {
         "checks_passed": ok,
         "configs": [{"repetitions": r, "eta": e} for r, e in configs],
+        "max_truncation_tail": max_tail,
         "rows": len(rows),
     }))
     return EXIT_OK if ok else EXIT_CHECK_FAILED

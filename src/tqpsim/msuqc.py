@@ -8,19 +8,23 @@ routes compute that probability:
 
 * ``run_mixed`` and ``run_pure`` share one engine.  The diagonal initial
   state (the thermal mixture, or one basis pair as a one-hot mixture)
-  evolves through the literal ancilla circuits, one mode pair's
-  total-excitation block at a time.  A pair's blocks are held as a few
-  stacks of blocks of similar size (size classes), zero padded within each
-  stack, so the padding stays within 1.3 times the blocks' own entries.
-  Z and X rotations run ``encoding.pair_block_gate``, the one definition of
-  those circuits, on each stack.  The beam splitter's blocks come from
-  ``fock.beam_splitter_5050``, which builds them once per cutoff.
+  evolves one mode pair's total-excitation block at a time.  A pair's
+  blocks are held as a few stacks of blocks of similar size (size classes),
+  zero padded within each stack, so the padding stays within 1.3 times the
+  blocks' own entries.  A Z or X rotation is cos(theta) + i sin(theta) L on
+  each stack, for L = Z_L, the second-mode parity, or X_L = B^dag P B from
+  the beam splitter's blocks (``fock.beam_splitter_5050``, once per cutoff).
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
-The test suite keeps a third, dense route at tiny cutoffs as a cross-check
-of both runs: its dense hybrid gate unitaries (``tests/dense_reference.py``)
-conjugate the whole density matrix.
+The hybrid interaction realises a rotation as C R_X(theta) C on the shared
+ancilla in |+> (between B and B^dag for X).  The controlled parity C holds
+the parity P, which is +-1, on ancilla |1>, so C^2 = I (``algebra-check``)
+and the circuit maps |+> (x) psi to |+> (x) (cos(theta) + i sin(theta) P) psi
+exactly: the engine carries no ancilla.  The literal circuit, with its
+ancilla-return check, is the tests' cross-check (``tests/dense_reference.py``),
+pinned against the engine's gate on every block; so is a dense route at tiny
+cutoffs, whose hybrid gate unitaries conjugate the whole density matrix.
 
 Circuit convention: steps are applied in list order; within one step the
 entangling rotations act first, then the X rotations, then the Z rotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import encoding, fock
+from . import fock
 from .thermal import ThermalSpec, even_odd_weights, required_cutoff
 
 CIRCUIT_FORMAT_VERSION = 1
@@ -58,6 +62,13 @@ class DimensionBudgetError(ValueError):
 def _is_number(value) -> bool:
     """A JSON number (bool is an int subclass, but not a JSON number)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked_int(name: str, value, least: int) -> int:
+    """`value`, an integer >= `least` (numpy's too, not bool), as an int; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,10 @@ def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e
     """Cutoff for mixed runs: thermal tail below `tail_tol` and joint weight of
     pair states with total excitation >= d below `pair_weight_tol` (those are
     the blocks where the truncated beam splitter deviates from the ideal one).
+    Both tolerances must be positive (else ``ValueError``).
     """
+    if not pair_weight_tol > 0:  # the joint weight never drops below 0
+        raise ValueError(f"pair weight tolerance must be positive, got {pair_weight_tol!r}")
     d = required_cutoff(mean_excitation, tail_tol, start)
     horizon = 4 * d + 64
     w_odd = even_odd_weights(mean_excitation, horizon, -1)
@@ -235,12 +249,12 @@ class _PairBlocks:
 
     Every pair gate conserves t = i + j, so a column that starts on the Fock
     state |i, j> of the diagonal initial mixture stays in block t.  A stack's
-    state is an array of shape (T, 2, n, c): block, ancilla, state within the
-    block (ordered by i) and mixture column, zero padded to the stack's
-    largest block n and largest column count c.  The ancilla starts in |+> on
-    every column.  ``bs``, ``cp`` and ``columns`` are the block operators and
-    column mask that ``encoding.pair_block_gate`` takes, read from `fock`'s
-    beam-splitter blocks and controlled-parity diagonal.
+    state is an array of shape (T, n, c): block, state within the block
+    (ordered by i) and mixture column, zero padded to the stack's largest
+    block n and largest column count c.  The logical Paulis are held per
+    block: Z_L as the second-mode parity diagonal ``parity`` and X_L as
+    ``x_logical`` = B^dag P B, read from `fock`'s beam-splitter blocks
+    (the truncated blocks t >= d included).
 
     By default the stack holds every occupied block in order of t; `totals`
     picks the blocks instead, and `bs` passes in ``fock.beam_splitter_5050``
@@ -260,32 +274,36 @@ class _PairBlocks:
         n = max(idx.size for _, idx in blocks)
         c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
         bs = fock.beam_splitter_5050(d) if bs is None else bs
-        cp = fock.controlled_parity_diag(d).reshape(2, d)
-        self.bs = np.zeros((nb, 1, n, n), dtype=complex)
-        self.cp = np.zeros((nb, 2, n, 1), dtype=complex)
-        self.first = np.full((nb, 1, n, 1), -1)  # first-mode Fock number, -1 on padding
-        self.parity = np.zeros((nb, 1, n, 1))  # second-mode Fock parity
+        self.x_logical = np.zeros((nb, n, n), dtype=complex)
+        self.first = np.full((nb, n, 1), -1)  # first-mode Fock number, -1 on padding
+        self.parity = np.zeros((nb, n, 1))  # second-mode Fock parity
         self.weight = np.zeros((nb, c))
-        self.initial = np.zeros((nb, 2, n, c), dtype=complex)
+        self.initial = np.zeros((nb, n, c), dtype=complex)
         for b, (t, idx) in enumerate(blocks):
             m = idx.size
             i, j = np.divmod(idx, d)
-            self.bs[b, 0, :m, :m] = bs[t]
-            self.cp[b, :, :m, 0] = cp[:, j]
-            self.first[b, 0, :m, 0] = i
-            self.parity[b, 0, :m, 0] = (-1.0) ** j
+            self.first[b, :m, 0] = i
+            self.parity[b, :m, 0] = (-1.0) ** j
+            self.x_logical[b, :m, :m] = bs[t].conj().T @ (self.parity[b, :m] * bs[t])
             occupied = np.flatnonzero(w_pair[idx] > 0.0)
             self.weight[b, :occupied.size] = w_pair[idx[occupied]]
-            self.initial[b, :, occupied, np.arange(occupied.size)] = 1 / math.sqrt(2)
-        self.columns = self.weight > 0.0
+            self.initial[b, occupied, np.arange(occupied.size)] = 1.0
         self.readout_mask = (1.0 + self.parity) / 2  # (I + Z_L)/2
         # weight of the blocks the truncated beam splitter does not treat ideally
         self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
 
+    def rotate(self, state: np.ndarray, axis: str, theta: float) -> np.ndarray:
+        """exp(i theta L) state = cos(theta) state + i sin(theta) L state, for
+        L = Z_L (`axis` "z") or X_L (`axis` "x")."""
+        flipped = self.parity * state if axis == "z" else self.x_logical @ state
+        flipped *= 1j * math.sin(theta)
+        flipped += math.cos(theta) * state
+        return flipped
+
     def gram(self, states, mask) -> np.ndarray:
         """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for a mask M
-        diagonal in the block states, shaped (T, 1, n, 1); summed block by block."""
-        weighted = mask * self.weight[:, None, None, :]
+        diagonal in the block states, shaped (T, n, 1); summed block by block."""
+        weighted = mask * self.weight[:, None, :]
         g = np.zeros((len(states), len(states)), dtype=complex)
         for b, w in enumerate(weighted):
             block = np.stack([v[b] for v in states])
@@ -336,9 +354,8 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
     """Evolve logical qubit p's initial mixture, the stacks ``pairs[p]``,
     through the circuit.
 
-    Z and X rotations run the literal ancilla circuits on each stack of one
-    pair (``encoding.pair_block_gate``), and the ancilla's return to |+> is
-    asserted after every gate.  An entangler exp(i gamma P_a P_b) splits
+    Z and X rotations are :meth:`_PairBlocks.rotate` on each stack of one
+    pair.  An entangler exp(i gamma P_a P_b) splits
     every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
     a sum of pair-product branches and the expectation of a product of
     per-pair diagonal masks factorizes over pairs.  ``masks[o][p]`` lists
@@ -367,8 +384,7 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
             coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
         else:
             axis, p, ang = gate
-            states[p] = [[encoding.pair_block_gate(v, axis, ang, stack.bs, stack.cp,
-                                                   stack.columns) for v in vs]
+            states[p] = [[stack.rotate(v, axis, ang) for v in vs]
                          for stack, vs in zip(pairs[p], states[p])]
     values = []
     for observable in masks:
@@ -381,43 +397,37 @@ def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
     return values, 1.0 - math.prod(1.0 - w for w in broken)
 
 
-def _check_basis_indices(basis_indices, qubit_count, cutoff):
-    if len(basis_indices) != qubit_count:
-        raise ValueError("need one (m, n) basis pair per logical qubit")
-    out = []
-    for (m, n) in basis_indices:
-        if m < 0 or n < 0:
-            raise ValueError("basis indices must be non-negative")
-        if 2 * m + 1 + 2 * n >= cutoff:
-            raise DimensionBudgetError(
-                f"basis pair ({m}, {n}) has total excitation {2 * m + 1 + 2 * n}, "
-                f"not below cutoff {cutoff}")
-        out.append((int(m), int(n)))
-    return tuple(out)
-
-
 def run_pure(circuit: LogicalCircuit, basis_indices,
              cutoff: int | None = None) -> ComputationResult:
     """Run the circuit on one pure basis-pair product state.
 
-    Logical qubit p starts in |2m+1, 2n> for its basis pair (m, n), with the
-    ancilla in |+>.  That state is a one-hot diagonal mixture, so it runs on
-    the engine of :func:`run_mixed` with the stacks of :func:`_pair_stacks`
-    per qubit (one block, so one stack), and the ancilla's return to |+> is
-    asserted after every gate.  The result is the expectation of the product
-    of (I + Z_L)/2 readout projectors.
+    Logical qubit p starts in |2m+1, 2n> for its basis pair (m, n).  That
+    state is a one-hot diagonal mixture, so it runs on the engine of
+    :func:`run_mixed` with the stacks of :func:`_pair_stacks` per qubit (one
+    block, so one stack).  The result is the expectation of the product of
+    (I + Z_L)/2 readout projectors.
 
-    Every pair's total excitation 2m+1+2n must lie below the cutoff, where
+    Basis indices that are not integers >= 0, or a cutoff not >= 2, are a
+    ValueError.  Every pair's total excitation 2m+1+2n must lie below the cutoff, where
     the truncated beam splitter is ideal (else ``DimensionBudgetError``); the
     default cutoff is raised to fit.  ``StateError`` is raised if more than
     ``SUPPORT_LEAK_TOL`` of the population leaves the product of the encoded
     basis-pair subspaces {|2m+1, 2n>, |2n, 2m+1>}.
     """
     k = circuit.qubit_count
+    if len(basis_indices) != k:
+        raise ValueError("need one (m, n) basis pair per logical qubit")
+    basis_indices = tuple((_checked_int("basis index", m, 0), _checked_int("basis index", n, 0))
+                          for (m, n) in basis_indices)
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = max(cutoff, max(2 * m + 1 + 2 * n + 1 for (m, n) in basis_indices))
-    basis_indices = _check_basis_indices(basis_indices, k, cutoff)
+    cutoff = _checked_int("cutoff", cutoff, 2)
+    for (m, n) in basis_indices:
+        if 2 * m + 1 + 2 * n >= cutoff:
+            raise DimensionBudgetError(
+                f"basis pair ({m}, {n}) has total excitation {2 * m + 1 + 2 * n}, "
+                f"not below cutoff {cutoff}")
     one_hot = np.eye(cutoff)
     pairs = [_pair_stacks(one_hot[2 * m + 1], one_hot[2 * n], cutoff) for (m, n) in basis_indices]
     readout = [[stack.readout_mask for stack in stacks] for stacks in pairs]
@@ -441,10 +451,9 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     t >= cutoff included.  The blocks are held as size-class stacks
     (:func:`_pair_stacks`), which pad at most 1.3 times the blocks' own
     entries, and every pair shares one list of them, built from one call of
-    ``fock.beam_splitter_5050`` (cached per cutoff).  Z and X rotations run
-    the literal ancilla circuits on each stack and the ancilla's return to
-    |+> is asserted after every gate; entanglers split pair-product branches
-    (:func:`_run_on_pairs`).  Any number of logical qubits is accepted up to
+    ``fock.beam_splitter_5050`` (cached per cutoff).  Z and X rotations apply
+    the logical Paulis on each stack and entanglers split pair-product
+    branches (:func:`_run_on_pairs`).  Any number of logical qubits is accepted up to
     ``MAX_MIXED_BRANCHES`` branches (2 to the number of entanglers).  The
     evaluation is deterministic, with no Monte-Carlo sampling.  Readout is the
     product of second-mode parity projectors, never an individual-Fock-state
@@ -455,7 +464,7 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     splitter differs from the ideal one.  The cutoff is ``cutoff``, else
     ``spec.cutoff``, else the smallest one above the default whose thermal
     tail is below ``spec.tail_tol``; a ``cutoff`` that differs from a set
-    ``spec.cutoff`` is a ValueError.
+    ``spec.cutoff``, or one that is not an integer >= 2, is a ValueError.
     """
     k = circuit.qubit_count
     if spec.cutoff is not None:
@@ -465,6 +474,7 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     elif cutoff is None:
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
+    cutoff = _checked_int("cutoff", cutoff, 2)
     q = spec.boltzmann_ratio
     if q ** cutoff >= spec.tail_tol:
         raise DimensionBudgetError(

@@ -157,12 +157,19 @@ class DfsReport:
             fh.write("\n")
 
 
-def _squeeze_generator_pair(cutoff: int) -> np.ndarray:
-    """a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a mode pair with one cutoff."""
-    a, eye = fock.annihilation(cutoff), np.eye(cutoff)
-    a1, a2 = np.kron(a, eye), np.kron(eye, a)
-    return (a1 @ a1 - a1.conj().T @ a1.conj().T
-            + a2 @ a2 - a2.conj().T @ a2.conj().T)
+def _squeeze_generator_columns(cutoff: int, idx: np.ndarray) -> np.ndarray:
+    """Columns `idx` (flat indices i * cutoff + j) of the collective squeeze
+    generator a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a mode pair with one
+    cutoff: column (i, j) is sq[:, i] (x) e_j + e_i (x) sq[:, j] for the
+    one-mode sq = a^2 - a^dag^2, a cutoff^2 x idx.size array."""
+    a = fock.annihilation(cutoff)
+    sq = a @ a - a.conj().T @ a.conj().T
+    i, j = np.divmod(idx, cutoff)
+    k = np.arange(idx.size)
+    cols = np.zeros((cutoff, cutoff, idx.size), dtype=sq.dtype)
+    cols[:, j, k] = sq[:, i]
+    cols[i, :, k] += sq[:, j].T
+    return cols.reshape(cutoff * cutoff, idx.size)
 
 
 def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
@@ -173,7 +180,9 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     into the sectors M +- 2; a simultaneous eigenstate of both collective
     channels would be a null vector of that map.  Reports null dimensions
     (SVD, relative threshold 1e-8) and a random-combination eigenvector
-    search, plus the encoded-operator commutators for contrast.
+    search, plus the encoded-operator commutators for contrast.  Only the
+    generator's columns of the scanned sectors are built, each from the
+    one-mode a^2 - a^dag^2.
     """
     if max_total < 0:
         raise ValueError(f"max_total must be non-negative, got {max_total}")
@@ -183,12 +192,11 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         raise ValueError("cutoff must exceed max_total + 2 for exact sector images")
     if rng is None:
         rng = np.random.default_rng(0)
-    gen = _squeeze_generator_pair(cutoff)
     blocks = fock.pair_excitation_blocks(cutoff)
     sectors = []
     for m in range(0, max_total + 1):
         idx = blocks[m]
-        restricted = gen[:, idx]
+        restricted = _squeeze_generator_columns(cutoff, idx)
         svals = np.linalg.svd(restricted, compute_uv=False)
         thresh = NULLSPACE_RELATIVE_THRESHOLD * svals.max()
         null_dim = int((svals < thresh).sum())

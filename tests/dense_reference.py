@@ -1,11 +1,13 @@
 """Dense references that the tests check the package's routes against.
 
-The package runs every logical gate on a mode pair's total-excitation blocks
-(`encoding.pair_block_gate`), starts circuits from closed-form parity-branch
-weights (`thermal.even_odd_weights`) and integrates the master equation
-through per-block propagators.  This module holds the direct, dense forms of
-the same physics, for small cutoffs only.  Every operator and state here is
-a plain numpy array over the flat index of a :class:`SpaceLayout`, this
+The package runs every logical gate as cos(theta) + i sin(theta) L for the
+logical Pauli L on a mode pair's total-excitation blocks, with no ancilla
+(`msuqc._PairBlocks.rotate`), starts circuits from closed-form parity-branch
+weights (`thermal.even_odd_weights`), integrates the master equation through
+per-block propagators and scans the squeeze generator's null space sector by
+sector.  This module holds the literal and dense forms of the same physics,
+for small cutoffs where they are dense.  Every dense operator and state here
+is a plain numpy array over the flat index of a :class:`SpaceLayout`, this
 module's own description of the tensor order (the shared ancilla, if any,
 at axis 0, then the qumodes):
 
@@ -16,6 +18,13 @@ at axis 0, then the qumodes):
 * the logical operators and the ancilla-mediated gates as full hybrid
   matrices on a layout (`gate_UZ`, `gate_UX`, `gate_UZZ`), with the maps they
   induce on the mode factor and their ancilla leakage;
+* the literal ancilla circuit C R_X(theta) C (between B and B^dag for X) on
+  every block of a mode pair, with the ancilla axis and the check that the
+  ancilla returns to |+> (`literal_pair_blocks`, `pair_block_gate`): the
+  cross-check of the package's gate, which holds since C^2 = I;
+* the collective squeeze generator of a mode pair as one dense matrix
+  (`squeeze_generator_pair`), the cross-check of the columns
+  `nsverify.dfs_nonexistence` builds per sector;
 * product basis vectors (`basis`);
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
@@ -311,6 +320,103 @@ def mode_factor_of_gate(gate: np.ndarray) -> np.ndarray:
 def ancilla_leakage(gate: np.ndarray) -> float:
     """Spectral norm of <-|gate|+>; zero when the ancilla returns to |+> exactly."""
     return float(np.linalg.norm(_from_plus_block(gate, KET_MINUS), 2))
+
+
+def squeeze_generator_pair(cutoff: int) -> np.ndarray:
+    """a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a mode pair with one cutoff, as
+    the whole cutoff^2 x cutoff^2 matrix of products of Kronecker embeddings."""
+    a, eye = fock.annihilation(cutoff), np.eye(cutoff)
+    a1, a2 = np.kron(a, eye), np.kron(eye, a)
+    return (a1 @ a1 - a1.conj().T @ a1.conj().T
+            + a2 @ a2 - a2.conj().T @ a2.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# the literal ancilla circuit on a mode pair's total-excitation blocks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LiteralPairBlocks:
+    """Every total-excitation block t = 0 .. 2d - 2 of a mode pair, zero padded
+    to d states, in the order and padding of ``msuqc._PairBlocks`` with unit
+    weights, plus the ancilla: `bs` holds the beam splitter's blocks
+    (T, 1, d, d), `cp` the controlled-parity diagonal (T, 2, d, 1), `first`
+    the first-mode Fock number (-1 on padding) and `parity` the second-mode
+    parity (0 on padding), both (T, 1, d, 1); `initial` is |+> (x) one column
+    per block state (T, 2, d, d) and `columns` (T, d) marks the columns that
+    hold one."""
+
+    bs: np.ndarray
+    cp: np.ndarray
+    first: np.ndarray
+    parity: np.ndarray
+    initial: np.ndarray
+    columns: np.ndarray
+
+
+def literal_pair_blocks(cutoff: int) -> LiteralPairBlocks:
+    """The operands of :func:`pair_block_gate` on every block of a mode pair,
+    read from `fock`'s beam-splitter blocks and controlled-parity diagonal."""
+    d = cutoff
+    blocks = fock.pair_excitation_blocks(d)
+    nb = len(blocks)
+    bs = np.zeros((nb, 1, d, d), dtype=complex)
+    cp = np.zeros((nb, 2, d, 1), dtype=complex)
+    first = np.full((nb, 1, d, 1), -1)
+    parity = np.zeros((nb, 1, d, 1))
+    initial = np.zeros((nb, 2, d, d), dtype=complex)
+    controlled = fock.controlled_parity_diag(d).reshape(2, d)
+    for b, (idx, block) in enumerate(zip(blocks, fock.beam_splitter_5050(d))):
+        m = idx.size
+        i, j = np.divmod(idx, d)
+        bs[b, 0, :m, :m] = block
+        cp[b, :, :m, 0] = controlled[:, j]
+        first[b, 0, :m, 0] = i
+        parity[b, 0, :m, 0] = (-1.0) ** j
+        initial[b, :, np.arange(m), np.arange(m)] = 1 / math.sqrt(2)
+    return LiteralPairBlocks(bs, cp, first, parity, initial, first[:, 0, :, 0] >= 0)
+
+
+ANCILLA_RETURN_TOL = 1e-10
+
+
+def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
+                    cp: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """exp(i theta Z_L) (`axis` "z") or exp(i theta X_L) (`axis` "x") on one
+    mode pair, by its literal ancilla circuit: C R_X(theta) C, between B and
+    B^dag for X.  The cross-check of the package's gate,
+    ``msuqc._PairBlocks.rotate``, which applies cos(theta) + i sin(theta) L
+    to the mode pair alone.
+
+    The pair is held by total-excitation block.  `state` has shape
+    (T, 2, n, c): block, ancilla Z level, state within the block and column.
+    `bs` holds the 50:50 beam splitter's blocks, shaped (T, 1, n, n), and
+    `cp` the controlled-parity diagonal, shaped (T, 2, n, 1).  Blocks are
+    zero padded to n states and c columns; `columns`, shaped (T, c), marks
+    the columns that hold a state.  Returns the new state.  Raises
+    ``fock.StateError`` if any such column's ancilla weight on |->, relative
+    to the column's norm, exceeds ``ANCILLA_RETURN_TOL``.
+    """
+    if axis not in ("z", "x"):
+        raise ValueError(f"axis must be 'z' or 'x', got {axis!r}")
+    if axis == "x":
+        state = bs @ state
+    # R_X(theta) = cos(theta) I + i sin(theta) X on the ancilla axis, where X swaps
+    # its two slices
+    controlled = cp * state
+    state = math.cos(theta) * controlled
+    controlled *= 1j * math.sin(theta)
+    state += controlled[:, ::-1]
+    state *= cp
+    if axis == "x":
+        state = bs.conj().transpose(0, 1, 3, 2) @ state
+    w_minus = (np.abs(state[:, 0] - state[:, 1]) ** 2).sum(axis=1) / 2
+    w_tot = (np.abs(state) ** 2).sum(axis=(1, 2))
+    leak = float(np.max(w_minus[columns] / w_tot[columns]))
+    if leak > ANCILLA_RETURN_TOL:
+        raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
+    return state
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 import dense_reference as dense
 from dense_reference import SpaceLayout
-from tqpsim import cli, encoding, fock, msuqc, nsverify, opensys, pulses, thermal
+from tqpsim import cli, fock, msuqc, nsverify, opensys, pulses, thermal
 from tqpsim.thermal import ThermalSpec
 
 
@@ -91,11 +91,11 @@ def test_criterion_2_gate_equivalence():
         n = int(rng.integers(0, 3))   # 2n   <= 5 (readout-mode label 2n <= 4)
         d = 2 * m + 1 + 2 * n + 1 + 1  # beam-splitter spreading headroom
         d = max(d, 6)
-        # the Z and X gates as circuits run them: the block gate on every
-        # total-excitation block t of the pair, applied to |+> (x) (identity
-        # columns); the gate is block diagonal, so <+|G|+> and <-|G|+> are
-        # compared block by block
-        pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+        # the literal Z and X circuits (pinned against the engine's gate in
+        # test_msuqc): the block circuit on every total-excitation block t of
+        # the pair, applied to |+> (x) (identity columns); the gate is block
+        # diagonal, so <+|G|+> and <-|G|+> are compared block by block
+        pair = dense.literal_pair_blocks(d)
         first = pair.first[:, 0, :, 0]  # first-mode Fock number, -1 on padding
         inside = (first[:, :, None] >= 0) & (first[:, None, :] >= 0)
         t = np.arange(2 * d - 1)[:, None, None]
@@ -103,8 +103,8 @@ def test_criterion_2_gate_equivalence():
         parity = eye * pair.parity[:, 0, :, 0][:, None, :]
         swap = (first[:, :, None] + first[:, None, :] == t).astype(float)
         for axis, op, keep in (("z", parity, inside), ("x", swap, inside & (t <= d - 1))):
-            g = encoding.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
-                                         pair.columns)
+            g = dense.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
+                                      pair.columns)
             plus = (g[:, 0] + g[:, 1]) / math.sqrt(2)
             minus = (g[:, 0] - g[:, 1]) / math.sqrt(2)
             oracle = math.cos(theta) * eye + 1j * math.sin(theta) * op

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import dense_reference as dense
 from dense_reference import LogicalQubitRef, SpaceLayout
-from tqpsim import encoding, fock, msuqc, thermal
+from tqpsim import encoding, fock, thermal
 
 
 REF = LogicalQubitRef(0)
@@ -87,19 +87,19 @@ def test_gate_uzz_matches_pair_parity_oracle():
 
 
 def test_block_gate_matches_dense_reference_gate():
-    # the gate that circuits run, on every total-excitation block of the pair
-    # (the truncated blocks t >= d included), against the dense hybrid gate
-    # applied to |+> (x) |i, j> for every pair state
+    # the literal circuit on every total-excitation block of the pair (the
+    # truncated blocks t >= d included) against the dense hybrid gate applied
+    # to |+> (x) |i, j> for every pair state
     rng = np.random.default_rng(16)
     for d in (5, 8, 12):
         lay = SpaceLayout(1, (d, d))
-        pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+        pair = dense.literal_pair_blocks(d)
         blocks = fock.pair_excitation_blocks(d)
         assert pair.bs.shape[0] == len(blocks) == 2 * d - 1
         for theta in rng.uniform(-math.pi, math.pi, 10):
             for axis, dense_gate in (("z", dense.gate_UZ), ("x", dense.gate_UX)):
-                out = encoding.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
-                                               pair.columns)
+                out = dense.pair_block_gate(pair.initial, axis, theta, pair.bs, pair.cp,
+                                            pair.columns)
                 u = dense_gate(lay, REF, theta).reshape(2, d * d, 2, d * d)
                 want = np.einsum("axby,b->axy", u, fock.KET_PLUS)
                 got = np.zeros_like(want)
@@ -110,9 +110,9 @@ def test_block_gate_matches_dense_reference_gate():
 
 
 def test_block_gate_refuses_an_unknown_axis():
-    pair = msuqc._PairBlocks(np.ones(4), np.ones(4), 4)
+    pair = dense.literal_pair_blocks(4)
     with pytest.raises(ValueError, match="axis"):
-        encoding.pair_block_gate(pair.initial, "y", 0.3, pair.bs, pair.cp, pair.columns)
+        dense.pair_block_gate(pair.initial, "y", 0.3, pair.bs, pair.cp, pair.columns)
 
 
 def test_exponential_hermitian_unitary_closed_form():

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,12 +236,12 @@ def test_gram_block_by_block_equals_one_stacked_product():
     for _ in range(3):
         for stack, vs in zip(stacks, states):
             v = (rng.standard_normal(stack.initial.shape)
-                 + 1j * rng.standard_normal(stack.initial.shape)) * stack.columns[:, None, None, :]
+                 + 1j * rng.standard_normal(stack.initial.shape)) * (stack.weight > 0)[:, None, :]
             vs.append(v / np.linalg.norm(v))
     n_states = len(states[0])
     flat = np.concatenate([np.stack(vs).reshape(n_states, -1) for vs in states], axis=1)
     weighted = np.concatenate([
-        np.broadcast_to(stack.readout_mask * stack.weight[:, None, None, :],
+        np.broadcast_to(stack.readout_mask * stack.weight[:, None, :],
                         stack.initial.shape).ravel() for stack in stacks])
     one_product = flat.conj() @ (flat * weighted).T
     summed = sum(stack.gram(vs, stack.readout_mask) for stack, vs in zip(stacks, states))
@@ -253,14 +255,14 @@ def test_size_class_stacks_hold_the_blocks_with_little_padding():
     w_even = thermal.even_odd_weights(n_mean, d, +1)
     single = msuqc._PairBlocks(w_odd, w_even, d)
     stacks = msuqc._pair_stacks(w_odd, w_even, d)
-    real = 2 * int(np.sum((single.first[:, 0, :, 0] >= 0).sum(axis=1)
-                          * single.columns.sum(axis=1)))
-    assert real == 36896 and single.initial.size == 108288
+    real = int(np.sum((single.first[:, :, 0] >= 0).sum(axis=1)
+                      * (single.weight > 0).sum(axis=1)))
+    assert real == 18448 and single.initial.size == 54144
     assert sum(stack.initial.size for stack in stacks) <= 1.5 * real
     # the stacks hold every block of the single stack once, with its columns
     def blocks(pair):  # each block's first-mode Fock numbers and column weights
         return sorted((tuple(i[i >= 0]), tuple(w[w > 0]))
-                      for i, w in zip(pair.first[:, 0, :, 0], pair.weight))
+                      for i, w in zip(pair.first[:, :, 0], pair.weight))
     assert sorted(b for stack in stacks for b in blocks(stack)) == blocks(single)
     assert sum(stack.broken_weight for stack in stacks) == pytest.approx(single.broken_weight,
                                                                         rel=1e-12)
@@ -282,6 +284,26 @@ def test_pair_blocks_allocate_no_pair_space_operator():
     assert peak < d ** 4 * 16 / 10
 
 
+@pytest.mark.parametrize("d", [3, 10, 21, 48])
+def test_literal_circuit_matches_the_engine_gate_on_every_block(d):
+    # the engine applies cos(theta) + i sin(theta) L to the mode pair alone; the
+    # literal circuit C R_X(theta) C (between B and B^dag for X) on |+> (x) each
+    # state of every block, the truncated blocks t >= d included, must return the
+    # ancilla to |+> and leave the same mode factor
+    pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+    literal = dense.literal_pair_blocks(d)
+    assert pair.initial.shape == (2 * d - 1, d, d)
+    assert np.array_equal(pair.first[:, :, 0], literal.first[:, 0, :, 0])
+    for theta in np.random.default_rng(d).uniform(-math.pi, math.pi, 3):
+        for axis in ("z", "x"):
+            g = dense.pair_block_gate(literal.initial, axis, theta, literal.bs, literal.cp,
+                                      literal.columns)
+            plus = (g[:, 0] + g[:, 1]) / math.sqrt(2)
+            minus = (g[:, 0] - g[:, 1]) / math.sqrt(2)
+            assert (np.abs(minus) ** 2).sum(axis=1).max() <= 1e-10
+            assert np.abs(plus - pair.rotate(pair.initial, axis, theta)).max() <= 1e-12
+
+
 def test_mixed_ancilla_return_check_raises(monkeypatch):
     # a controlled "parity" with a phase i on the |1> block is no involution,
     # so CP Rx CP leaves the ancilla off |+>
@@ -292,8 +314,9 @@ def test_mixed_ancilla_return_check_raises(monkeypatch):
         diag[diag.size // 2:] *= 1j
         return diag
     monkeypatch.setattr(fock, "controlled_parity_diag", broken)
+    pair = dense.literal_pair_blocks(14)
     with pytest.raises(fock.StateError, match="ancilla failed to return"):
-        msuqc.run_mixed(single_qubit(phi=0.7), ThermalSpec(0.3), cutoff=14)
+        dense.pair_block_gate(pair.initial, "z", 0.7, pair.bs, pair.cp, pair.columns)
 
 
 def test_pure_support_check_raises(monkeypatch):
@@ -352,6 +375,38 @@ def test_circuit_validation_and_budget():
     many_entanglers = msuqc.random_circuit(np.random.default_rng(0), 6, 3)  # 15 entanglers
     with pytest.raises(msuqc.DimensionBudgetError):
         msuqc.run_mixed(many_entanglers, ThermalSpec(0.0), cutoff=8)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda c: msuqc.run_mixed(c, ThermalSpec(0.0), cutoff=1), "1"),
+    (lambda c: msuqc.run_mixed(c, ThermalSpec(0.0, cutoff=1)), "1"),
+    (lambda c: msuqc.run_mixed(c, ThermalSpec(0.5), cutoff=True), "True"),
+    (lambda c: msuqc.run_mixed(c, ThermalSpec(0.5), cutoff=12.0), "12.0"),
+    (lambda c: msuqc.run_pure(c, [(0.5, 0)]), "0.5"),
+    (lambda c: msuqc.run_pure(c, [(True, 0)]), "True"),
+    (lambda c: msuqc.run_pure(c, [(0, -1)]), "-1"),
+    (lambda c: msuqc.run_pure(c, [(0, 0)], cutoff=2.5), "2.5"),
+    (lambda c: msuqc.run_pure(c, [(0, 0)], cutoff=False), "False"),
+    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, pair_weight_tol=0), "0"),
+    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, pair_weight_tol=math.nan), "nan"),
+    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, tail_tol=-1e-8), "-1e-08"),
+])
+def test_engine_entry_points_reject_bad_arguments(call, value):
+    # each is a ValueError naming the value, raised before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
+            call(single_qubit(theta=0.3))
+
+
+def test_engine_entry_points_take_numpy_integers():
+    circ = single_qubit(phi=0.2, theta=0.3)
+    want = msuqc.qubit_space_oracle(circ)
+    assert abs(msuqc.run_mixed(circ, ThermalSpec(0.5), cutoff=np.int64(20)).probability
+               - want) < 1e-9
+    res = msuqc.run_pure(circ, [(np.int32(1), np.int64(0))], cutoff=np.int64(6))
+    assert res.cutoff == 6 and type(res.cutoff) is int and res.basis_indices == ((1, 0),)
+    assert abs(res.probability - want) < 1e-9
 
 
 def test_wire_format_round_trip_and_rejection(tmp_path):
