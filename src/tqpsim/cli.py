@@ -116,7 +116,7 @@ def _resolve_config(command: str, args) -> dict:
 def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
     import numpy
 
-    scipy = sys.modules.get("scipy")  # the scipy this run loaded (a bath run), if any
+    scipy = sys.modules.get("scipy")  # no tqpsim module imports it; a caller may have
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta = {
         "tool": "tqpsim",

@@ -21,10 +21,12 @@ Conventions
   its blocks, the swap as a permutation, parities and number as diagonals.
   The beam splitter's blocks are built once per cutoff and kept, read-only,
   in a small cache of the most recent cutoffs.
-  Every exponential has an anti-Hermitian generator G and is one numpy
-  ``eigh`` of iG (`unitary_exponential`; no scipy), taken block by block in
-  total excitation when G conserves number, which equals the full
-  exponential to machine precision.
+* Every exponential is computed with numpy alone.  An anti-Hermitian
+  generator G is exponentiated by one ``eigh`` of iG (`unitary_exponential`),
+  taken block by block in total excitation when G conserves number, which
+  equals the full exponential to machine precision.  A non-normal generator
+  (the master equation's Liouvillian) goes through [13/13] Pade with scaling
+  and squaring (`pade_exponential`).
 * Applying a truncated displacement does not renormalize the state; the
   weight left on the top Fock level is the truncation tail, which the
   result that owns the state reports (``msuqc.ComputationResult``,
@@ -56,11 +58,55 @@ _PAULI = {
 KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
 
 
+def checked_int(name: str, value, least: int) -> int:
+    """`value`, an integer >= `least` (numpy's too, not bool), as an int; else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def unitary_exponential(gen: np.ndarray) -> np.ndarray:
     """exp(G) for an anti-Hermitian G, or a stack of them on the last two axes:
     V e^{-iW} V^dag from the eigendecomposition iG = V W V^dag."""
     w, v = np.linalg.eigh(1j * np.asarray(gen))
     return (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+# numerator coefficients b_0 .. b_13 of the [13/13] Pade approximant of exp, over b_0 so
+# that exp(0) = I exactly, and the largest 1-norm at which its backward error stays
+# below the unit roundoff (Higham 2005)
+_PADE_13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+PADE_THETA_13 = 5.371920351148152
+
+
+def pade_exponential(gen: np.ndarray) -> np.ndarray:
+    """exp(G) for any square G, by [13/13] Pade with scaling and squaring
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): A = G / 2^s with
+    ||A||_1 <= PADE_THETA_13, then r(A) = (V - U)^-1 (V + U) squared s times,
+    U odd and V even in A.  A non-square or non-finite G is a ValueError."""
+    a = np.asarray(gen, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"the exponential needs a square matrix, got shape {a.shape}")
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("the exponential needs a finite matrix")
+    s = math.ceil(math.log2(norm / PADE_THETA_13)) if norm > PADE_THETA_13 else 0
+    if s:
+        a = a * 0.5 ** s
+    b, eye = _PADE_13, np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +230,7 @@ def beam_splitter_5050(cutoff: int) -> list[np.ndarray]:
     returns a new list of them.  A cutoff that is not an integer >= 1 is a
     ValueError.
     """
-    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
-    return list(_beam_splitter_blocks(int(cutoff)))
+    return list(_beam_splitter_blocks(checked_int("cutoff", cutoff, 1)))
 
 
 def two_mode_swap(cutoff: int) -> np.ndarray:

@@ -64,13 +64,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _checked_int(name: str, value, least: int) -> int:
-    """`value`, an integer >= `least` (numpy's too, not bool), as an int; else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class CircuitStep:
     """One computational step: per-qubit Z angles, X angles, and K-1 nearest-
@@ -417,12 +410,12 @@ def run_pure(circuit: LogicalCircuit, basis_indices,
     k = circuit.qubit_count
     if len(basis_indices) != k:
         raise ValueError("need one (m, n) basis pair per logical qubit")
-    basis_indices = tuple((_checked_int("basis index", m, 0), _checked_int("basis index", n, 0))
-                          for (m, n) in basis_indices)
+    basis_indices = tuple((fock.checked_int("basis index", m, 0),
+                           fock.checked_int("basis index", n, 0)) for (m, n) in basis_indices)
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = max(cutoff, max(2 * m + 1 + 2 * n + 1 for (m, n) in basis_indices))
-    cutoff = _checked_int("cutoff", cutoff, 2)
+    cutoff = fock.checked_int("cutoff", cutoff, 2)
     for (m, n) in basis_indices:
         if 2 * m + 1 + 2 * n >= cutoff:
             raise DimensionBudgetError(
@@ -474,7 +467,7 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     elif cutoff is None:
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
-    cutoff = _checked_int("cutoff", cutoff, 2)
+    cutoff = fock.checked_int("cutoff", cutoff, 2)
     q = spec.boltzmann_ratio
     if q ** cutoff >= spec.tail_tol:
         raise DimensionBudgetError(

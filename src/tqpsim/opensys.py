@@ -8,22 +8,23 @@ with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  A state is a plain array:
 (levels, d) for a pure state, (levels, d, levels, d) for a density matrix,
 with levels 2 when the ancilla is present (axis 0) and 1 for the mode alone;
 every function reads levels and d from the shape, and any other shape is a
-``fock.LayoutError``.  The Hamiltonian is
-diagonal in the ancilla's Z basis (`pulses.level_hamiltonians`) and the jumps
-act on the mode alone, so every segment propagator is one d x d block per
-ancilla level.  Two solvers are provided: the master equation through exact
-per-block segment propagators (each (q, q') block of rho evolves on its
-own), and a Monte-Carlo wavefunction unravelling that carries all
+``fock.LayoutError``.  The Hamiltonian is diagonal in the ancilla's Z basis
+(`pulses.level_hamiltonians`) and the jumps act on the mode alone, so every
+segment propagator is one d x d block per ancilla level.  Two solvers are
+provided: the master equation through exact per-block segment propagators
+(each (q, q') block of rho evolves on its own, under the scaled and squared
+Pade exponential of its d^2 x d^2 Liouvillian, `fock.pade_exponential`,
+numpy alone), and a Monte-Carlo wavefunction unravelling that carries all
 trajectories as columns of one array.  The unravelling screens every column
 with composed no-jump propagators, the only operators on the whole (ancilla,
 mode) space: one per block of about sqrt(P) of the schedule's P periods, and
 one per period for the columns a block screen flags.  It walks just the
-columns whose norm crossed their threshold in a period through that
-period's per-segment propagators, finding each jump time by a Newton root
-find in the eigenbasis of the segment's no-jump generator and reading the
-jump's weights off the same Fock populations, with the same random draws as
-a walk of every column.  The printed right-hand side on the whole space is
-the independent reference the tests integrate; it lives with them.
+columns whose norm crossed their threshold in a period through that period's
+per-segment propagators, finding each jump time by a Newton root find in the
+eigenbasis of the segment's no-jump generator and reading the jump's weights
+off the same Fock populations, with the same random draws as a walk of every
+column.  The printed right-hand side on the whole space is the independent
+reference the tests integrate; it lives with them.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -171,13 +172,13 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
         d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
                        + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a.
 
-    Its exponential is built once per (segment, q <= q') and reused (one per
-    waiting segment, whose uncoupled blocks share a generator); the (q', q)
-    block is set to the adjoint of the evolved (q, q') block.  Instantaneous
-    rotations are exact 2 x 2 conjugations on the ancilla axes.
+    The Liouvillian is not normal, so no eigh: its exponential is the scaled
+    and squared Pade `fock.pade_exponential`, built once per (segment,
+    q <= q') and reused (one per waiting segment, whose uncoupled blocks
+    share a generator); the (q', q) block is set to the adjoint of the
+    evolved (q, q') block.  Instantaneous rotations are exact 2 x 2
+    conjugations on the ancilla axes.
     """
-    from scipy.linalg import expm  # Lindblad generators are not normal: no eigh, so scipy here
-
     levels, d = _levels_and_cutoff(state)
     model = _DampedModeModel(levels, d, noise)
     a, eye = model.a, np.eye(d)
@@ -200,8 +201,8 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
                 if key not in props:
                     k = model.k[type(seg)]
                     gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
-                    gen *= seg.duration  # in place: one d^2 x d^2 array less beside expm's
-                    props[key] = expm(gen)
+                    gen *= seg.duration  # in place: one d^2 x d^2 array less
+                    props[key] = fock.pade_exponential(gen)
                 rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
                     rho[q2, :, q, :] = rho[q, :, q2, :].conj().T

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import checked_int
+
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
 
 
@@ -30,7 +32,9 @@ class ThermalSpec:
 
     ``exp(-beta) = n/(n+1)`` for mean excitation n; n = 0 is the pure vacuum
     (beta = +inf).  If `cutoff` is None it is raised from the default until
-    the Boltzmann tail beyond the cutoff drops below `tail_tol`.
+    the Boltzmann tail beyond the cutoff drops below `tail_tol`.  A cutoff
+    that is not None or an integer >= 2 (both parities need a level), or a
+    `tail_tol` that is not finite and positive, is a ValueError.
     """
 
     mean_excitation: float
@@ -39,8 +43,10 @@ class ThermalSpec:
 
     def __post_init__(self):
         boltzmann_ratio(self.mean_excitation)  # rejects n < 0
-        if self.tail_tol <= 0:
-            raise ValueError("tail tolerance must be positive")
+        if self.cutoff is not None:
+            checked_int("cutoff", self.cutoff, 2)
+        if not 0 < self.tail_tol < math.inf:  # NaN fails every comparison
+            raise ValueError(f"tail tolerance must be finite and positive, got {self.tail_tol!r}")
 
     @property
     def boltzmann_ratio(self) -> float:

@@ -29,8 +29,9 @@ at axis 0, then the qumodes):
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
-* scipy's Pade matrix exponential, the cross-check of the package's eigh
-  exponential `fock.unitary_exponential`;
+* scipy's Pade matrix exponential, the cross-check of both of the
+  package's exponentials: the eigh `fock.unitary_exponential` and the
+  numpy Pade `fock.pade_exponential`;
 * the abstract 2^K qubit-space oracle as dense Kronecker products, the
   cross-check of `msuqc.qubit_space_oracle`.
 

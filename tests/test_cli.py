@@ -182,33 +182,26 @@ def _fresh_run(command: str, config: dict, tmp_path,
     return proc.returncode, json.loads(loaded), json.loads(meta.read_text()), float(peak_mb)
 
 
-# small configs that reach every route of their command; none needs scipy
-CLOSED_SYSTEM_RUNS = {
-    "entropy-sweep": {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5},
-    "algebra-check": {"cutoffs": [6]},
-    "ns-check": {"max_total": 2, "phases": [0.3], "squeezes": [0.05]},
-    "fidelity-sweep": {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5, "repetitions": [50]},
-    "msuqc-demo": {"n_circuits": 2, "max_steps": 1, "mean_excitations": [0.5]},
+# small configs that reach every route of every command, the master equation of a
+# bath included; none needs scipy
+EVERY_COMMAND_RUNS = {
+    "entropy-sweep": ("entropy-sweep", {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5}),
+    "algebra-check": ("algebra-check", {"cutoffs": [6]}),
+    "ns-check": ("ns-check", {"max_total": 2, "phases": [0.3], "squeezes": [0.05]}),
+    "fidelity-sweep": ("fidelity-sweep",
+                       {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5, "repetitions": [50]}),
+    "fidelity-sweep-bath": ("fidelity-sweep", {"n_min": 0.5, "n_max": 0.5, "repetitions": [50],
+                                               "bath": {"Q": 1e4, "N_th": 0.5}}),
+    "msuqc-demo": ("msuqc-demo", {"n_circuits": 2, "max_steps": 1, "mean_excitations": [0.5]}),
 }
 
 
-@pytest.mark.parametrize("command", CLOSED_SYSTEM_RUNS)
-def test_closed_system_commands_load_no_scipy(command, tmp_path):
-    code, loaded, meta, _ = _fresh_run(command, CLOSED_SYSTEM_RUNS[command], tmp_path)
+@pytest.mark.parametrize("run_id", EVERY_COMMAND_RUNS)
+def test_every_command_loads_no_scipy(run_id, tmp_path):
+    code, loaded, meta, _ = _fresh_run(*EVERY_COMMAND_RUNS[run_id], tmp_path)
     assert code == 0
     assert loaded == []
     assert meta["scipy"] is None
-
-
-def test_bath_fidelity_sweep_loads_scipy_and_records_its_version(tmp_path):
-    import scipy
-
-    code, loaded, meta, _ = _fresh_run("fidelity-sweep", {
-        "n_min": 0.5, "n_max": 0.5, "repetitions": [50], "bath": {"Q": 1e4, "N_th": 0.5}},
-        tmp_path)
-    assert code == 0
-    assert "scipy.linalg" in loaded
-    assert meta["scipy"] == scipy.__version__
 
 
 def test_algebra_check_allocates_only_blocks(tmp_path):
@@ -387,6 +380,19 @@ def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, mon
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
     assert os.environ.get("OMP_NUM_THREADS") == threads_before
+
+
+def test_entropy_sweep_cutoff_below_two_is_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "e.csv"
+    assert run(["entropy-sweep", "--out", str(out), "--cutoff", "1"]) == 2
+    assert "--cutoff must be 2 to 500 for entropy-sweep, got 1" in capsys.readouterr().err
+    # behind the --cutoff rule ThermalSpec refuses the value itself, and main exits 2
+    resolve = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config",
+                        lambda command, args: {**resolve(command, args), "cutoff_override": 1})
+    assert run(["entropy-sweep", "--out", str(out)]) == 2
+    assert "error: cutoff must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ns_check(tmp_path):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.linalg import expm
 
 import dense_reference as dense
 from dense_reference import SpaceLayout
-from tqpsim import fock, nsverify
+from tqpsim import fock, nsverify, opensys, pulses
 
 
 def _is_unitary(u, tol=1e-10):
@@ -140,6 +141,47 @@ def test_unitary_exponential_matches_scipy_expm():
     gens = np.stack([1.3 * (a.conj().T - a), 0.3 * (a @ a - a.conj().T @ a.conj().T)])
     stacked = fock.unitary_exponential(gens)
     assert all(np.abs(u - expm(g)).max() <= 1e-13 for u, g in zip(stacked, gens))
+
+
+@pytest.mark.parametrize("d", [4, 12, 24])
+def test_pade_exponential_matches_scipy_expm_on_every_master_equation_block(d, monkeypatch):
+    # one H2 sequence builds four blocks per run: the coupled free evolution at
+    # (q, q') = (0, 0), (0, 1), (1, 1) and the uncoupled wait, which all levels share
+    pade, seen = fock.pade_exponential, []
+
+    def recorded(gen):
+        seen.append((gen.copy(), pade(gen)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(fock, "pade_exponential", recorded)
+    eta = pulses.eta_for_repetitions(50)
+    sched = pulses.build_h2_sequence(pulses.HybridHamiltonianParams(eta=eta), 1)
+    for q in (100.0, 300.0, 1e4, 1e6):
+        opensys.evolve_master(opensys._thermal_with_ancilla(0.5, d), sched,
+                              opensys.NoiseParams(Q=q, N_th=0.5, eta=eta))
+    assert len(seen) == 4 * 4
+    for gen, exp in seen:
+        assert np.abs(exp - expm(gen)).max() <= 1e-12
+
+
+def test_pade_exponential_edge_cases():
+    for n in (1, 5):
+        zero = np.zeros((n, n))
+        assert np.array_equal(fock.pade_exponential(zero), np.eye(n))
+    for z in (0.3 + 2j, -7.0 + 1j, 12.5 - 3j, -40.0, 30j):  # exp's relative condition is |z|
+        assert abs(fock.pade_exponential([[z]])[0, 0] - cmath.exp(z)) \
+            <= 2e-15 * max(1.0, abs(z)) * abs(cmath.exp(z))
+    # a 1-norm of exactly PADE_THETA_13, the largest taken unscaled, and one ulp above it
+    theta = fock.PADE_THETA_13
+    for top in (theta, np.nextafter(theta, math.inf)):
+        gen = np.array([[top, 1.0 - 2.0j], [0.0, -2.0]])
+        assert np.abs(gen).sum(axis=0).max() == top
+        exp = expm(gen.astype(complex))
+        assert np.abs(fock.pade_exponential(gen) - exp).max() <= 1e-14 * np.abs(exp).max()
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)),
+                np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf]])):
+        with pytest.raises(ValueError):
+            fock.pade_exponential(bad)
 
 
 def test_identity_embed_returns_the_operator():

@@ -1,7 +1,11 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,13 +683,27 @@ def test_trajectory_check_follows_the_exact_count_at_large_kappa_t():
     assert abs(traj - first_order) > 6 * stderr
 
 
-@pytest.mark.parametrize("q, n_th", [(1e-300, 0.0), (1.0, 1e12)])
+@pytest.mark.parametrize("q, n_th", [(1e-300, 1.0), (1.0, 1e12)])
 def test_fidelity_point_refuses_a_diverged_master_equation(q, n_th):
-    # the first runs to NaN, the second to p+ = 1.005 at this cutoff
-    # (3.7e272 at cutoff 20); neither may report a fidelity
-    with pytest.raises(ValueError, match=r"Q=.*N_th=.*cutoff 6"):
-        opensys.fidelity_point(0.5, (1, pulses.eta_for_repetitions(50)),
-                               noise=NoiseParams(Q=q, N_th=n_th), cutoff=6)
+    # the first overflows to NaN in the exponential's squarings, which numpy
+    # reports; the second loses trace (p+ + p- = 0.948 at this cutoff); neither
+    # may report a fidelity
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"Q=.*N_th=.*cutoff 6"):
+            opensys.fidelity_point(0.5, (1, pulses.eta_for_repetitions(50)),
+                                   noise=NoiseParams(Q=q, N_th=n_th), cutoff=6)
+    assert any(issubclass(w.category, RuntimeWarning) for w in caught) == (q == 1e-300)
+
+
+def test_fidelity_point_stays_finite_deep_in_the_overdamped_regime():
+    # a cold bath at Q = 1e-300 gives the Q = 1e-10 point, where scipy's expm
+    # agrees; scipy's expm runs to NaN here at Q = 1e-50, 1e-100 and 1e-300
+    config = (1, pulses.eta_for_repetitions(50))
+    deep, shallow = (opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=q), cutoff=6)
+                     for q in (1e-300, 1e-10))
+    assert abs(deep.p_plus - shallow.p_plus) <= 1e-12
+    assert abs(deep.p_minus - shallow.p_minus) <= 1e-12
 
 
 def test_fidelity_point_refuses_a_master_equation_that_lost_trace():
@@ -694,6 +712,30 @@ def test_fidelity_point_refuses_a_master_equation_that_lost_trace():
     with pytest.raises(ValueError, match=r"lost trace .*Q=1\.0.*N_th=1000000000000\.0.*cutoff 4"):
         opensys.fidelity_point(0.5, (50, pulses.eta_for_repetitions(50)),
                                noise=NoiseParams(Q=1.0, N_th=1e12), cutoff=4)
+
+
+def test_open_system_solvers_load_no_scipy():
+    # in a fresh process: this one has loaded scipy for the cross-checks
+    env = dict(os.environ)
+    src = str(Path(opensys.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """if True:
+        import sys
+        import numpy as np
+        from tqpsim import opensys, pulses
+        eta = pulses.eta_for_repetitions(50)
+        noise = opensys.NoiseParams(Q=300.0, N_th=0.5, eta=eta)
+        state = opensys._thermal_with_ancilla(0.5, 6)
+        sched = pulses.build_h2_sequence(noise.hybrid_params(), 1)
+        opensys.evolve_master(state, sched, noise)
+        opensys.jump_unravelling(state, sched, noise, np.random.default_rng(0), 20)
+        opensys.fidelity_point(0.5, (50, eta), noise=noise, cutoff=6)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cooling_rate_zeros_and_optimum_scaling():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,27 @@ def test_invalid_mean_excitation_is_rejected(n):
                   lambda n: thermal.even_odd_weights(n, 10, +1)):
         with pytest.raises(ValueError, match="mean excitation"):
             build(n)
+
+
+@pytest.mark.parametrize("kwargs, value", [
+    ({"cutoff": 1}, "1"), ({"cutoff": 0}, "0"), ({"cutoff": -3}, "-3"),
+    ({"cutoff": True}, "True"), ({"cutoff": 2.5}, "2.5"), ({"cutoff": 12.0}, "12.0"),
+    ({"cutoff": "12"}, "'12'"),
+    ({"tail_tol": 0.0}, "0.0"), ({"tail_tol": -1e-8}, "-1e-08"),
+    ({"tail_tol": math.nan}, "nan"), ({"tail_tol": math.inf}, "inf"),
+])
+def test_thermal_spec_refuses_a_bad_cutoff_or_tail_tolerance(kwargs, value):
+    # a ValueError naming the value, before any numpy warning: at cutoff 1 the
+    # odd branch is empty and even_odd_weights divides 0 by 0
+    with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
+        ThermalSpec(0.5, **kwargs)
+
+
+def test_thermal_spec_takes_numpy_integer_cutoffs():
+    for cutoff in (np.int32(2), np.int64(40)):
+        rep = thermal.entropy_report(ThermalSpec(0.5, cutoff=cutoff))
+        assert rep == thermal.entropy_report(ThermalSpec(0.5, cutoff=int(cutoff)))
+    assert abs(rep.s_tqp_spectral - rep.s_tqp) < 1e-6
 
 
 def test_parity_project_vacuum_and_thermal():
