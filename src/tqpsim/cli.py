@@ -16,7 +16,9 @@ algebra-check reads every residual off the forms `fock` gives circuits
 (diagonals, a permutation, blocks of one total excitation) and builds no
 matrix on the whole space: squares and B^dag B per block, commutators with
 the total number per block or permutation entry, and the Pauli
-anticommutator on the random pair states as S(Pv) + P(Sv).
+anticommutator on the random pair states as S(Pv) + P(Sv).  ns-check reads
+its commutators off each channel's single-mode factor, the parity logical's
+single-mode matrix and the swap's involution, with no pair matrix either.
 
 Exit codes: 0 success, 1 acceptance-check failure, 2 usage error.  Outputs
 embed the tool version, the fully resolved configuration, the seed, cutoffs
@@ -364,8 +366,8 @@ _COMMANDS = {
         "max_steps": (3, _number(1, 4, integer=True)),
         "equivalence_tol": (1e-6, _TOL),
     }),
-    "ns-check": (_cmd_ns_check, 40, {
-        "max_total": (8, _number(0, 40, integer=True)),
+    "ns-check": (_cmd_ns_check, 103, {
+        "max_total": (8, _number(0, 100, integer=True)),
         "phases": ([0.3, 0.7, math.pi / 2, math.pi], _list(_number(-2 * math.pi, 2 * math.pi))),
         "squeezes": ([0.05, 0.1, 0.2], _list(_number(-0.3, 0.3))),
         "commutator_tol": (1e-8, _TOL),

@@ -7,9 +7,12 @@ encoded logical operators (second-mode parity and two-mode swap), so the
 encoding rides out these channels; the commutators are evaluated on
 excitation-bounded subspaces where truncation is harmless, together with a
 mandatory non-commuting negative control so a broken check cannot pass
-silently.  Every operator is a plain d^2 x d^2 matrix on a mode pair with
-one cutoff d (flat index i d + j for |i, j>), and the cutoff is the only
-other input.
+silently.  A mode pair has one cutoff d (flat index i d + j for |i, j>), and
+no d^2 x d^2 matrix is built: a channel E (x) E is held as its single-mode
+factor E, a logical I (x) B as B, the swap S as `fock.two_mode_swap`'s
+involution, and the commutator entry between kept states (i, j) and (i', j')
+is E[i, i'] [E, B][j, j'] with I (x) B, E[i, j'] E[j, i'] - E[j, i'] E[i, j']
+with S.
 
 By contrast, no pure two-mode state can be a decoherence-free subspace of
 both channels: such a state would have to be a simultaneous eigenstate of
@@ -23,8 +26,7 @@ cover M up to `max_total`).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,16 +37,15 @@ NULLSPACE_RELATIVE_THRESHOLD = 1e-8
 
 
 def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
-    """Two-mode collective channel acting identically on both modes of a pair
-    with one cutoff: a cutoff^2 x cutoff^2 matrix, flat index i * cutoff + j
-    for |i, j>.
+    """Single-mode factor E, a complex cutoff x cutoff matrix, of the
+    collective channel E (x) E on a mode pair with one cutoff.
 
-    kind "phase": exp(i phi N) on each mode (exactly unitary, diagonal);
-    kind "squeeze": exp(xi (a^2 - a^dag^2)) on each mode, real and exactly
-    zero between even and odd levels.  The squeeze
-    generator is anti-Hermitian, so the truncated exponential is unitary,
-    but it is only faithful on number-bounded subspaces; |xi| <= 0.3 is
-    enforced and callers should confine test states to n <= d/3.
+    kind "phase": exp(i phi N) (exactly unitary, diagonal);
+    kind "squeeze": exp(xi (a^2 - a^dag^2)), real and exactly zero between
+    even and odd levels.  The squeeze generator is anti-Hermitian, so the
+    truncated exponential is unitary, but it is only faithful on
+    number-bounded subspaces; |xi| <= 0.3 is enforced and callers should
+    confine test states to n <= d/3.
     """
     d = cutoff
     if kind == "phase":
@@ -54,7 +55,7 @@ def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
             raise ValueError(f"|xi| <= {SQUEEZE_PARAM_MAX} keeps truncation effects bounded")
         # the generator is real and keeps Fock parity: exponentiate each parity
         # block and keep the real part (the imaginary part is rounding), so the
-        # two modes' factors commute exactly under the swap
+        # two products of each swap residual entry agree exactly
         a = fock.annihilation(d).real
         gen = parameter * (a @ a - a.T @ a.T)
         single = np.zeros((d, d))
@@ -62,40 +63,44 @@ def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
             single[np.ix_(idx, idx)] = fock.unitary_exponential(gen[np.ix_(idx, idx)]).real
     else:
         raise ValueError("kind must be 'phase' or 'squeeze'")
-    return np.kron(single, single).astype(complex, copy=False)
+    return single.astype(complex, copy=False)
 
 
 def encoded_logicals(cutoff: int) -> dict[str, np.ndarray]:
-    """Dense logical Z (second-mode parity) and X (swap) on a mode pair with
-    one cutoff, from `fock`'s parity diagonal and swap permutation."""
-    d = cutoff
-    z_like = np.diag(np.tile(fock.parity_diag(d), d).astype(complex))
-    x_like = np.eye(d * d, dtype=complex)[fock.two_mode_swap(d)]
-    return {"second_mode_parity": z_like, "swap": x_like}
+    """Logical Z (second-mode parity) as the B of I (x) B and X as the swap's
+    involution, on a mode pair with one cutoff (`commutation_check`'s forms)."""
+    return {"second_mode_parity": np.diag(fock.parity_diag(cutoff)),
+            "swap": fock.two_mode_swap(cutoff)}
 
 
 def commutation_check(noise: np.ndarray, logical: np.ndarray,
                       max_total: int | None = None) -> float:
-    """Max-abs matrix element of [E, L] between states with bounded total excitation.
+    """Max-abs matrix element of [E (x) E, L] between states with bounded total excitation.
 
-    Both operators act on one mode pair with one cutoff d, as d^2 x d^2
-    matrices; any other shape raises ``fock.LayoutError``.  The restriction
-    (default: total excitation <= d/3) removes truncation-edge artifacts of
-    the squeeze exponential; the claim being checked is algebraic and
-    survives the restriction.  Only the kept rows and columns are computed,
-    E[keep] L[:, keep] - L[keep] E[:, keep]: k^2 D work for k kept states of
-    the D-dimensional pair space, not D^3.
+    `noise` is the d x d factor E; `logical` is the d x d B of L = I (x) B or
+    the d^2-entry involution s of S = I[s] (`fock.two_mode_swap`); any other
+    shape raises ``fock.LayoutError``.  The restriction (default: total
+    excitation <= d/3) removes truncation-edge artifacts of the squeeze
+    exponential; the claim being checked is algebraic and survives it.  The
+    k^2 entries between k kept states are read off the factors.
     """
-    d = math.isqrt(noise.shape[0]) if noise.ndim == 2 else 0
-    if d < 1 or not (noise.shape == logical.shape == (d * d, d * d)):
-        raise fock.LayoutError(f"commutation check needs two d^2 x d^2 matrices of one "
-                               f"cutoff d, got shapes {noise.shape} and {logical.shape}")
+    d = noise.shape[0] if noise.ndim == 2 else 0
+    if d < 1 or noise.shape != (d, d) or logical.shape not in ((d, d), (d * d,)):
+        raise fock.LayoutError(f"commutation check needs a d x d factor and a d x d or d^2 "
+                               f"logical of one cutoff d, got {noise.shape} and {logical.shape}")
     if max_total is None:
         max_total = d // 3
     if max_total < 0:
         raise ValueError(f"max_total must be non-negative, got {max_total}")
     keep = np.concatenate(fock.pair_excitation_blocks(d)[:max_total + 1])
-    comm = noise[keep] @ logical[:, keep] - logical[keep] @ noise[:, keep]
+    i, j = np.divmod(keep, d)
+    if logical.ndim == 2:
+        comm = noise[np.ix_(i, i)] * (noise @ logical - logical @ noise)[np.ix_(j, j)]
+    else:
+        # (E (x) E) S holds (E (x) E)[r, s[c]] and S (E (x) E) holds (E (x) E)[s[r], c]
+        si, sj = np.divmod(logical[keep], d)
+        comm = noise[np.ix_(i, si)] * noise[np.ix_(j, sj)] \
+            - noise[np.ix_(si, i)] * noise[np.ix_(sj, j)]
     return float(np.abs(comm).max())
 
 
@@ -137,13 +142,7 @@ class DfsReport:
             "max_total_excitation": self.max_total,
             "cutoff": self.cutoff,
             "singular_value_threshold": self.sv_threshold,
-            "sectors": [{
-                "total_excitation": s.total_excitation,
-                "subspace_dim": s.subspace_dim,
-                "null_dim": s.null_dim,
-                "smallest_singular_value": s.smallest_singular_value,
-                "eigvec_candidates_found": s.eigvec_candidates_found,
-            } for s in self.sectors],
+            "sectors": [asdict(s) for s in self.sectors],
             "all_null_dims_zero": self.all_null_dims_zero,
             "encoded_operator_commutators": self.commutators,
             "negative_control_commutator": self.negative_control,
@@ -192,27 +191,20 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         raise ValueError("cutoff must exceed max_total + 2 for exact sector images")
     if rng is None:
         rng = np.random.default_rng(0)
-    blocks = fock.pair_excitation_blocks(cutoff)
     sectors = []
-    for m in range(0, max_total + 1):
-        idx = blocks[m]
+    for m, idx in enumerate(fock.pair_excitation_blocks(cutoff)[:max_total + 1]):
         restricted = _squeeze_generator_columns(cutoff, idx)
         svals = np.linalg.svd(restricted, compute_uv=False)
-        thresh = NULLSPACE_RELATIVE_THRESHOLD * svals.max()
-        null_dim = int((svals < thresh).sum())
+        null_dim = int((svals < NULLSPACE_RELATIVE_THRESHOLD * svals.max()).sum())
         # random-combination search: no unit vector in the sector may be an
         # eigenvector of the generator (its image must leave the sector)
-        found = 0
-        for _ in range(25):
-            c = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-            c /= np.linalg.norm(c)
-            img = restricted @ c
-            lifted = np.zeros(cutoff * cutoff, dtype=complex)
-            lifted[idx] = c
-            ev = np.vdot(lifted, img)
-            residual = np.linalg.norm(img - ev * lifted)
-            if residual < 1e-6:
-                found += 1
+        # 25 unit vectors as columns, drawn as 25 successive (real, imaginary) pairs
+        draws = rng.standard_normal((25, 2, idx.size))
+        c = (draws[:, 0] + 1j * draws[:, 1]).T
+        c /= np.linalg.norm(c, axis=0)
+        img = restricted @ c
+        img[idx] -= (c.conj() * img[idx]).sum(axis=0) * c  # minus <c|G|c> c
+        found = int((np.linalg.norm(img, axis=0) < 1e-6).sum())
         sectors.append(SectorNullReport(
             total_excitation=m, subspace_dim=idx.size, null_dim=null_dim,
             smallest_singular_value=float(svals.min()),
@@ -224,8 +216,7 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         for name, op in logicals.items():
             comms[f"{kind}_vs_{name}"] = commutation_check(e, op)
     a = fock.annihilation(cutoff)
-    quad = np.kron(np.eye(cutoff), a + a.conj().T)
-    neg = commutation_check(collective_noise("phase", 0.7, cutoff), quad)
+    neg = commutation_check(collective_noise("phase", 0.7, cutoff), a + a.conj().T)
     return DfsReport(max_total=max_total, cutoff=cutoff,
                      sv_threshold=NULLSPACE_RELATIVE_THRESHOLD,
                      sectors=tuple(sectors), commutators=comms, negative_control=neg)

@@ -177,13 +177,15 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
     q <= q') and reused (one per waiting segment, whose uncoupled blocks
     share a generator); the (q', q) block is set to the adjoint of the
     evolved (q, q') block.  Instantaneous rotations are exact 2 x 2
-    conjugations on the ancilla axes.
+    conjugations on the ancilla axes.  A generator whose entries or 1-norm
+    overflow is a ValueError naming the noise and the cutoff.
     """
     levels, d = _levels_and_cutoff(state)
-    model = _DampedModeModel(levels, d, noise)
-    a, eye = model.a, np.eye(d)
-    # row-major vec(A X B) = (A kron B^T) vec(X)
-    jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        model = _DampedModeModel(levels, d, noise)
+        a, eye = model.a, np.eye(d)
+        # row-major vec(A X B) = (A kron B^T) vec(X)
+        jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
     rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
                    dtype=complex)
     props: dict[tuple[FreeEvolution | WaitingPeriod, int, int], np.ndarray] = {}
@@ -200,8 +202,13 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
                 key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
                 if key not in props:
                     k = model.k[type(seg)]
-                    gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
-                    gen *= seg.duration  # in place: one d^2 x d^2 array less
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
+                        gen *= seg.duration  # in place: one d^2 x d^2 array less
+                        norm = np.abs(gen).sum(axis=0).max()
+                    if not math.isfinite(norm):  # NaN too: an entry or the 1-norm overflowed
+                        raise ValueError(f"the master equation's generator is not finite "
+                                         f"(noise {noise!r}, cutoff {d})")
                     props[key] = fock.pade_exponential(gen)
                 rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
                 if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint

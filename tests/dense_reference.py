@@ -25,6 +25,10 @@ at axis 0, then the qumodes):
 * the collective squeeze generator of a mode pair as one dense matrix
   (`squeeze_generator_pair`), the cross-check of the columns
   `nsverify.dfs_nonexistence` builds per sector;
+* the collective noise channel E (x) E as the Kronecker product of its
+  single-mode factor (`collective_channel`) and the kept-sector commutator
+  on whole d^2 x d^2 matrices (`commutation_check`): the cross-check of
+  `nsverify.commutation_check`, which reads each entry off the factors;
 * product basis vectors (`basis`);
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
@@ -330,6 +334,23 @@ def squeeze_generator_pair(cutoff: int) -> np.ndarray:
     a1, a2 = np.kron(a, eye), np.kron(eye, a)
     return (a1 @ a1 - a1.conj().T @ a1.conj().T
             + a2 @ a2 - a2.conj().T @ a2.conj().T)
+
+
+def collective_channel(single: np.ndarray) -> np.ndarray:
+    """E (x) E on a mode pair from its single-mode factor E (flat index i d + j)."""
+    return np.kron(single, single)
+
+
+def commutation_check(noise: np.ndarray, logical: np.ndarray,
+                      max_total: int | None = None) -> float:
+    """Max-abs entry of [E, L] between the pair states of total excitation <=
+    `max_total` (default d // 3), for two d^2 x d^2 matrices of one cutoff d:
+    E[keep] L[:, keep] - L[keep] E[:, keep]."""
+    d = math.isqrt(len(noise))
+    assert noise.shape == logical.shape == (d * d, d * d)
+    top = d // 3 if max_total is None else max_total
+    keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
+    return float(np.abs(noise[keep] @ logical[:, keep] - logical[keep] @ noise[:, keep]).max())
 
 
 # ---------------------------------------------------------------------------

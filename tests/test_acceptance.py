@@ -248,9 +248,8 @@ def test_criterion_7_open_system_consistency():
 
 def test_criterion_8_noiseless_subsystem():
     t0 = time.monotonic()
-    lay = SpaceLayout(0, (24, 24))
-    z_like = dense.parity(lay, 1)
-    x_like = dense.two_mode_swap(lay, 0, 1)
+    z_like = np.diag(fock.parity_diag(24))
+    x_like = fock.two_mode_swap(24)
     worst_comm = 0.0
     for phi in (0.3, 0.7, math.pi / 2, math.pi):
         e = nsverify.collective_noise("phase", phi, 24)

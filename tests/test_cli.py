@@ -211,6 +211,14 @@ def test_algebra_check_allocates_only_blocks(tmp_path):
     assert peak_mb < 150
 
 
+def test_ns_check_at_the_max_total_bound_builds_no_pair_matrix(tmp_path):
+    # the dense channels and logicals on the d^2-dimensional pair space peaked at
+    # 323 MB at max_total 40; at max_total 100 (d = 103) one of them alone is 1.8 GB
+    code, _, meta, peak_mb = _fresh_run("ns-check", {"max_total": 100}, tmp_path)
+    assert code == 0 and meta["passed"] is True
+    assert peak_mb < 150
+
+
 def test_msuqc_demo_at_the_max_steps_row_stays_small(tmp_path):
     # four qubits at n = 2 (d = 48) and up to three steps: one stack per pair
     # padded its blocks to 2.9 times their entries and peaked at 389 MB; the
@@ -350,6 +358,7 @@ def test_msuqc_demo_three_qubits(tmp_path):
     # a bath whose master equation loses more trace than BRANCH_TRACE_TOL at run time
     ("fidelity-sweep", {"n_min": 2.0, "n_max": 2.0, "repetitions": [200],
                         "bath": {"Q": 1, "N_th": 100}}),
+    ("ns-check", {"max_total": 101}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"

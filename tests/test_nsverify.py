@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,56 +15,71 @@ LAY = SpaceLayout(0, (D, D))
 
 def test_zero_parameter_channels_are_identity():
     for kind in ("phase", "squeeze"):
-        e = nsverify.collective_noise(kind, 0.0, D)
+        e = dense.collective_channel(nsverify.collective_noise(kind, 0.0, D))
         assert np.abs(e - np.eye(LAY.total_dim)).max() < 1e-14
 
 
 def test_phase_channel_at_pi_is_double_parity():
-    e = nsverify.collective_noise("phase", math.pi, D)
+    e = dense.collective_channel(nsverify.collective_noise("phase", math.pi, D))
     pp = dense.parity(LAY, 0) @ dense.parity(LAY, 1)
     assert np.abs(e - pp).max() < 1e-12
 
 
+def test_encoded_logicals_are_the_dense_logicals():
+    logicals = nsverify.encoded_logicals(D)
+    assert np.array_equal(np.kron(np.eye(D), logicals["second_mode_parity"]),
+                          dense.parity(LAY, 1))
+    assert np.array_equal(np.eye(D * D)[logicals["swap"]], dense.two_mode_swap(LAY, 0, 1))
+
+
 def test_commutation_check_needs_one_cutoff():
-    # an operator on modes of cutoffs 6 and 8 is 48 x 48: not square over d^2
-    lay = SpaceLayout(0, (6, 8))
-    p = dense.parity(lay, 1)
+    # a non-square factor
+    p = np.diag(fock.parity_diag(6))
     with pytest.raises(fock.LayoutError):
-        nsverify.commutation_check(p, p)
-    # nor may the two operators act on pairs of different cutoffs
+        nsverify.commutation_check(np.zeros((6, 8)), p)
+    # nor may the factor and the logical belong to pairs of different cutoffs
     e = nsverify.collective_noise("phase", 0.7, 6)
-    with pytest.raises(fock.LayoutError):
-        nsverify.commutation_check(e, nsverify.encoded_logicals(7)["swap"])
-    for shape in ((36,), (36, 35), (35, 35)):
+    for logical in nsverify.encoded_logicals(7).values():
         with pytest.raises(fock.LayoutError):
-            nsverify.commutation_check(np.zeros(shape), np.zeros(shape))
+            nsverify.commutation_check(e, logical)
+    for shape in ((36,), (36, 35), (6, 6, 6)):
+        with pytest.raises(fock.LayoutError):
+            nsverify.commutation_check(np.zeros(shape), p)
+    with pytest.raises(fock.LayoutError):
+        nsverify.commutation_check(e, np.zeros((36, 36)))
 
 
 @pytest.mark.parametrize("kind,par", [("phase", 0.7), ("squeeze", 0.2)])
 def test_commutation_check_matches_full_product(kind, par):
-    # only the kept rows and columns are multiplied; the full-product
-    # commutator restricted afterwards is the cross-check
+    # the entries read off the factors against the kept rows and columns of the
+    # d^2 x d^2 matrices, and both against the full product restricted afterwards
     d = D
-    e = nsverify.collective_noise(kind, par, D)
+    single = nsverify.collective_noise(kind, par, D)
+    e = dense.collective_channel(single)
+    a = fock.annihilation(d)
     a1 = dense.annihilation(LAY, 1)
-    for op in (dense.parity(LAY, 1), dense.two_mode_swap(LAY, 0, 1), a1 + a1.conj().T):
-        full = e @ op - op @ e
+    for op, full_op in ((np.diag(fock.parity_diag(d)), dense.parity(LAY, 1)),
+                        (fock.two_mode_swap(d), dense.two_mode_swap(LAY, 0, 1)),
+                        (a + a.conj().T, a1 + a1.conj().T)):
+        full = e @ full_op - full_op @ e
         for max_total in (0, None, 2 * d - 2):
             top = d // 3 if max_total is None else max_total
             keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
             ref = np.abs(full[np.ix_(keep, keep)]).max()
-            assert abs(nsverify.commutation_check(e, op, max_total) - ref) <= 1e-15
+            factored = nsverify.commutation_check(single, op, max_total)
+            assert abs(factored - dense.commutation_check(e, full_op, max_total)) <= 1e-15
+            assert abs(factored - ref) <= 1e-15
 
 
 def test_commutation_check_needs_a_non_negative_bound():
     e = nsverify.collective_noise("phase", 0.7, D)
     with pytest.raises(ValueError, match="max_total"):
-        nsverify.commutation_check(e, dense.parity(LAY, 1), max_total=-1)
+        nsverify.commutation_check(e, np.diag(fock.parity_diag(D)), max_total=-1)
 
 
 def test_channels_invert_and_squeeze_bound():
-    e = nsverify.collective_noise("phase", 0.7, D)
-    einv = nsverify.collective_noise("phase", -0.7, D)
+    e = dense.collective_channel(nsverify.collective_noise("phase", 0.7, D))
+    einv = dense.collective_channel(nsverify.collective_noise("phase", -0.7, D))
     assert np.abs(e @ einv - np.eye(LAY.total_dim)).max() < 1e-12
     with pytest.raises(ValueError):
         nsverify.collective_noise("squeeze", 0.5, D)
@@ -76,8 +92,8 @@ def test_channels_invert_and_squeeze_bound():
     ("squeeze", (0.05, 0.1, 0.2)),
 ])
 def test_all_listed_commutators_vanish(kind, values):
-    z_like = dense.parity(LAY, 1)
-    x_like = dense.two_mode_swap(LAY, 0, 1)
+    z_like = np.diag(fock.parity_diag(D))
+    x_like = fock.two_mode_swap(D)
     for par in values:
         e = nsverify.collective_noise(kind, par, D)
         assert nsverify.commutation_check(e, z_like) <= 1e-8
@@ -86,8 +102,8 @@ def test_all_listed_commutators_vanish(kind, values):
 
 def test_negative_control_commutator_is_large():
     e = nsverify.collective_noise("phase", 0.7, D)
-    a1 = dense.annihilation(LAY, 1)
-    quad = a1 + a1.conj().T
+    a = fock.annihilation(D)
+    quad = a + a.conj().T
     assert nsverify.commutation_check(e, quad) > 0.1
 
 
@@ -136,6 +152,20 @@ def test_dfs_report_serializes(tmp_path):
         nsverify.dfs_nonexistence(8, cutoff=9)
 
 
+def test_dfs_nonexistence_builds_no_pair_matrix():
+    # the dense channels, logicals and negative control at d = 43 held 30 MB each
+    # and peaked at 283 MB; one d^2 x d^2 complex matrix is d^4 * 16 B
+    d = 40 + 3
+    tracemalloc.start()
+    try:
+        rep = nsverify.dfs_nonexistence(40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.cutoff == d and rep.all_null_dims_zero
+    assert peak < d ** 4 * 16 / 10
+
+
 def test_noise_acts_trivially_on_encoded_subsystem():
     # collective phase noise before or after a logical-Z rotation leaves the
     # parity-measurement statistics unchanged
@@ -152,7 +182,8 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     psi /= np.linalg.norm(psi)
 
     gate = dense.gate_UZ(lay, ref, 0.6)
-    noise2 = nsverify.collective_noise("phase", 0.7, d)
+    e = nsverify.collective_noise("phase", 0.7, d)
+    noise2 = np.kron(e, e)
     noise_full = dense.tensor_embed(noise2, lay, mode_map=(0, 1))
 
     c_second = dense.controlled_parity(lay, 1)

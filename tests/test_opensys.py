@@ -611,6 +611,15 @@ def test_fidelity_point_takes_coupling_from_config():
     assert closed_bath.fidelity == pytest.approx(ideal.fidelity, abs=1e-6)
 
 
+def test_fidelity_point_refuses_an_overflowing_generator_naming_noise_and_cutoff():
+    # rates of 1e307 overflow the Liouvillian's 1-norm: refused before any warning
+    noise = NoiseParams(Q=1e-307)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(noise NoiseParams\(Q=1e-307.*cutoff 6\)"):
+            opensys.fidelity_point(0.5, (1, pulses.eta_for_repetitions(50)), noise=noise, cutoff=6)
+
+
 @pytest.mark.parametrize("n_mean", [0.2, 4.0])
 def test_closed_fidelity_point_keeps_trace_at_the_largest_repetition_count(n_mean):
     # 10^6 sequences, the most the CLI accepts: the engineered gate's power
