@@ -359,11 +359,11 @@ _COMMANDS = {
         "residual_tol": (1e-10, _TOL),
         "n_random_states": (20, _number(1, 1000, integer=True)),
     }),
-    "msuqc-demo": (_cmd_msuqc_demo, 48, {
+    "msuqc-demo": (_cmd_msuqc_demo, 86, {
         "n_circuits": (20, _number(1, 1000, integer=True)),
         "qubit_counts": ([1, 2], _list(_number(1, 10, integer=True))),
-        "mean_excitations": ([0.5, 1.0, 2.0], _list(_number(0, 2))),
-        "max_steps": (3, _number(1, 4, integer=True)),
+        "mean_excitations": ([0.5, 1.0, 2.0], _list(_number(0, 4))),
+        "max_steps": (3, _number(1, 5, integer=True)),
         "equivalence_tol": (1e-6, _TOL),
     }),
     "ns-check": (_cmd_ns_check, 103, {

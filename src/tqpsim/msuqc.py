@@ -11,9 +11,10 @@ routes compute that probability:
   evolves one mode pair's total-excitation block at a time.  A pair's
   blocks are held as a few stacks of blocks of similar size (size classes),
   zero padded within each stack, so the padding stays within 1.3 times the
-  blocks' own entries.  A Z or X rotation is cos(theta) + i sin(theta) L on
-  each stack, for L = Z_L, the second-mode parity, or X_L = B^dag P B from
-  the beam splitter's blocks (``fock.beam_splitter_5050``, once per cutoff).
+  blocks' own entries.  A step's rotations are one product per block, of
+  cos + i sin of Z_L, the second-mode parity, and of X_L = B^dag P B
+  (``fock.beam_splitter_5050``); entanglers make the circuit a sum over Z_L
+  paths, contracted as a chain over the pairs (:func:`_run_on_pairs`).
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
@@ -48,7 +49,7 @@ CIRCUIT_FORMAT_VERSION = 1
 SUPPORT_LEAK_TOL = 1e-9
 DEFAULT_CUTOFF_ONE_QUBIT = 20
 DEFAULT_CUTOFF_TWO_QUBIT = 8
-MAX_MIXED_BRANCHES = 1024
+MAX_PAIR_STATES = 1024  # branch states per pair, 2^(steps-1) when K >= 2
 
 
 class CircuitFormatError(ValueError):
@@ -281,26 +282,31 @@ class _PairBlocks:
             occupied = np.flatnonzero(w_pair[idx] > 0.0)
             self.weight[b, :occupied.size] = w_pair[idx[occupied]]
             self.initial[b, occupied, np.arange(occupied.size)] = 1.0
-        self.readout_mask = (1.0 + self.parity) / 2  # (I + Z_L)/2
+        self.projectors = np.stack([1.0 + self.parity, 1.0 - self.parity]) / 2  # (I +- Z_L)/2
         # weight of the blocks the truncated beam splitter does not treat ideally
         self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
 
-    def rotate(self, state: np.ndarray, axis: str, theta: float) -> np.ndarray:
-        """exp(i theta L) state = cos(theta) state + i sin(theta) L state, for
-        L = Z_L (`axis` "z") or X_L (`axis` "x")."""
-        flipped = self.parity * state if axis == "z" else self.x_logical @ state
-        flipped *= 1j * math.sin(theta)
-        flipped += math.cos(theta) * state
-        return flipped
+    def step(self, states: np.ndarray, theta: float, phi: float) -> np.ndarray:
+        """exp(i phi Z_L) exp(i theta X_L) states, for states shaped
+        (..., T, n, c): one step's X then Z rotation, one product per block."""
+        m = 1j * math.sin(theta) * self.x_logical
+        m += math.cos(theta) * np.eye(m.shape[1])
+        m *= math.cos(phi) + 1j * math.sin(phi) * self.parity
+        return m @ states
 
-    def gram(self, states, mask) -> np.ndarray:
-        """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for a mask M
-        diagonal in the block states, shaped (T, n, 1); summed block by block."""
+    def split(self, states: np.ndarray) -> np.ndarray:
+        """The Z_L branches of `states` (branch, T, n, c): Pi_+ states, then
+        Pi_- states, along the branch axis, Pi_+- = (1 +- Z_L)/2."""
+        return (self.projectors[:, None] * states).reshape(-1, *states.shape[1:])
+
+    def gram(self, states: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """G[s, r] = sum over columns of weight * <v_s| M |v_r>, for states v
+        (branch, T, n, c) and a diagonal mask M, shaped (T, n, 1); by block."""
         weighted = mask * self.weight[:, None, :]
+        flat = (len(states), -1)
         g = np.zeros((len(states), len(states)), dtype=complex)
         for b, w in enumerate(weighted):
-            block = np.stack([v[b] for v in states])
-            g += block.reshape(len(states), -1).conj() @ (block * w).reshape(len(states), -1).T
+            g += states[:, b].reshape(flat).conj() @ (states[:, b] * w).reshape(flat).T
         return g
 
 
@@ -345,49 +351,41 @@ def _pair_stacks(w_odd: np.ndarray, w_even: np.ndarray, cutoff: int) -> list[_Pa
 def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
                   masks: list[list[list[np.ndarray]]]) -> tuple[list[float], float]:
     """Evolve logical qubit p's initial mixture, the stacks ``pairs[p]``,
-    through the circuit.
+    through the circuit as a sum over Z_L paths, one pair at a time.
 
-    Z and X rotations are :meth:`_PairBlocks.rotate` on each stack of one
-    pair.  An entangler exp(i gamma P_a P_b) splits
-    every branch into cos(gamma) I and i sin(gamma) P_a P_b, so the state is
-    a sum of pair-product branches and the expectation of a product of
-    per-pair diagonal masks factorizes over pairs.  ``masks[o][p]`` lists
-    pair p's mask in observable o, one per stack.  Returns the expectation of
-    every observable and the truncation tail: the joint weight of the blocks
-    where any pair's total excitation reaches the cutoff.
+    exp(i gamma Z_a Z_b) = sum over z_a, z_b = +-1 of exp(i gamma z_a z_b)
+    Pi_{z_a} (x) Pi_{z_b}, Pi_+- = (1 +- Z_L)/2, and a step's entanglers act
+    before its rotations R_s, so pair p's branch states are R_S Pi_{z_S} ...
+    R_2 Pi_{z_2} R_1 v_0, the latest outcome the most significant index.
+    Step 1 does not branch: every initial column has second-mode parity +1
+    (logical |0>), so its entanglers are a global phase, and with K >= 2 a
+    pair holds 2^(steps-1) states.  The expectation of a product of per-pair
+    diagonal masks (``masks[o][p]``, one per stack) is a chain of the
+    pairs' grams G_p (Vidal, PRL 91, 147902 (2003)): U = G_0, then
+    U <- (E^dag U E) * G_{p+1} entry by entry, the sum of U, with link p's E
+    the Kronecker product over steps 2.. of e^{i gamma z z'}.  Returns every
+    observable's expectation and the truncation tail: the joint weight of
+    the blocks where any pair's total excitation reaches the cutoff.
     """
-    n_entanglers = sum(len(s.gamma) for s in circuit.steps)
-    if 2 ** n_entanglers > MAX_MIXED_BRANCHES:
-        raise DimensionBudgetError(
-            f"{n_entanglers} entanglers exceed the budget of {MAX_MIXED_BRANCHES} branches")
-    # states[p][s] lists the distinct states of stack s of pair p; a branch is
-    # a coefficient and the index of its state in every pair's lists
-    states = [[[stack.initial] for stack in stacks] for stacks in pairs]
-    coeffs = np.ones(1, dtype=complex)
-    index = np.zeros((1, len(pairs)), dtype=int)
-    for gate in step_gates(circuit):
-        if gate[0] == "zz":
-            _, ka, kb, ang = gate
-            flipped = index.copy()
-            for p in (ka, kb):
-                flipped[:, p] += len(states[p][0])
-                states[p] = [vs + [stack.parity * v for v in vs]
-                             for stack, vs in zip(pairs[p], states[p])]
-            index = np.concatenate([index, flipped])
-            coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
-        else:
-            axis, p, ang = gate
-            states[p] = [[stack.rotate(v, axis, ang) for v in vs]
-                         for stack, vs in zip(pairs[p], states[p])]
-    values = []
-    for observable in masks:
-        terms = np.outer(coeffs.conj(), coeffs)
-        for p, (stacks, mask) in enumerate(zip(pairs, observable)):
-            gram = sum(stack.gram(vs, m) for stack, vs, m in zip(stacks, states[p], mask))
-            terms = terms * gram[np.ix_(index[:, p], index[:, p])]
-        values.append(float(terms.sum().real))
+    branching = circuit.qubit_count > 1
+    if branching and 2 ** (len(circuit.steps) - 1) > MAX_PAIR_STATES:
+        raise DimensionBudgetError(f"{len(circuit.steps)} steps exceed the budget of "
+                                   f"{MAX_PAIR_STATES} states per pair")
+    links = [np.ones((1, 1))] * (circuit.qubit_count - 1)
+    for step in circuit.steps[1:]:
+        links = [np.kron(np.exp(1j * g * np.array([[1, -1], [-1, 1]])), e)
+                 for g, e in zip(step.gamma, links)]
+    for p, stacks in enumerate(pairs):
+        states = [stack.initial[None] for stack in stacks]
+        for s, step in enumerate(circuit.steps):
+            if s and branching:
+                states = [stack.split(v) for stack, v in zip(stacks, states)]
+            states = [stack.step(v, step.theta[p], step.phi[p]) for stack, v in zip(stacks, states)]
+        grams = np.array([sum(stack.gram(v, m) for stack, v, m in zip(stacks, states, obs[p]))
+                          for obs in masks])
+        u = grams if p == 0 else (links[p - 1].conj().T @ u @ links[p - 1]) * grams
     broken = [sum(stack.broken_weight for stack in stacks) for stacks in pairs]
-    return values, 1.0 - math.prod(1.0 - w for w in broken)
+    return [float(v.real) for v in u.sum(axis=(1, 2))], 1.0 - math.prod(1.0 - w for w in broken)
 
 
 def run_pure(circuit: LogicalCircuit, basis_indices,
@@ -423,7 +421,7 @@ def run_pure(circuit: LogicalCircuit, basis_indices,
                 f"not below cutoff {cutoff}")
     one_hot = np.eye(cutoff)
     pairs = [_pair_stacks(one_hot[2 * m + 1], one_hot[2 * n], cutoff) for (m, n) in basis_indices]
-    readout = [[stack.readout_mask for stack in stacks] for stacks in pairs]
+    readout = [[stack.projectors[0] for stack in stacks] for stacks in pairs]
     support = [[np.isin(stack.first, (2 * m + 1, 2 * n)).astype(float) for stack in stacks]
                for stacks, (m, n) in zip(pairs, basis_indices)]
     (a, pop_in), tail = _run_on_pairs(circuit, pairs, [readout, support])
@@ -444,13 +442,14 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     t >= cutoff included.  The blocks are held as size-class stacks
     (:func:`_pair_stacks`), which pad at most 1.3 times the blocks' own
     entries, and every pair shares one list of them, built from one call of
-    ``fock.beam_splitter_5050`` (cached per cutoff).  Z and X rotations apply
-    the logical Paulis on each stack and entanglers split pair-product
-    branches (:func:`_run_on_pairs`).  Any number of logical qubits is accepted up to
-    ``MAX_MIXED_BRANCHES`` branches (2 to the number of entanglers).  The
-    evaluation is deterministic, with no Monte-Carlo sampling.  Readout is the
-    product of second-mode parity projectors, never an individual-Fock-state
-    projector.
+    ``fock.beam_splitter_5050`` (cached per cutoff).  The circuit runs as a
+    sum over Z_L paths, a pair holding 2^(steps-1) branch states since step
+    1 meets logical |0> on every pair, contracted as a chain of the pairs'
+    grams (:func:`_run_on_pairs`).  Any number of logical qubits is
+    accepted; with K >= 2 the steps are bounded by ``MAX_PAIR_STATES``
+    (else ``DimensionBudgetError``).  The evaluation is deterministic.
+    Readout is the product of second-mode parity projectors, never an
+    individual-Fock-state projector.
 
     ``truncation_tail`` is the joint mixture weight of the blocks where any
     pair's total excitation reaches the cutoff; there the truncated beam
@@ -476,6 +475,6 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     w_even = even_odd_weights(spec.mean_excitation, cutoff, +1)
     stacks = _pair_stacks(w_odd, w_even, cutoff)
     (a,), tail = _run_on_pairs(circuit, [stacks] * k,
-                               [[[stack.readout_mask for stack in stacks]] * k])
+                               [[[stack.projectors[0] for stack in stacks]] * k])
     return ComputationResult(a, "mixed", k, cutoff, mean_excitation=spec.mean_excitation,
                              truncation_tail=tail)

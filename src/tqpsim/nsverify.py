@@ -156,19 +156,16 @@ class DfsReport:
             fh.write("\n")
 
 
-def _squeeze_generator_columns(cutoff: int, idx: np.ndarray) -> np.ndarray:
-    """Columns `idx` (flat indices i * cutoff + j) of the collective squeeze
-    generator a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a mode pair with one
-    cutoff: column (i, j) is sq[:, i] (x) e_j + e_i (x) sq[:, j] for the
-    one-mode sq = a^2 - a^dag^2, a cutoff^2 x idx.size array."""
+def _squeeze_generator_columns(cutoff: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows `rows` of columns `idx` (flat indices i * cutoff + j) of the
+    collective squeeze generator a_1^2 - a_1^dag^2 + a_2^2 - a_2^dag^2 on a
+    mode pair with one cutoff, a rows.size x idx.size array: column (i, j) is
+    sq[:, i] (x) e_j + e_i (x) sq[:, j] for the one-mode sq = a^2 - a^dag^2."""
     a = fock.annihilation(cutoff)
     sq = a @ a - a.conj().T @ a.conj().T
+    ri, rj = (x[:, None] for x in np.divmod(rows, cutoff))
     i, j = np.divmod(idx, cutoff)
-    k = np.arange(idx.size)
-    cols = np.zeros((cutoff, cutoff, idx.size), dtype=sq.dtype)
-    cols[:, j, k] = sq[:, i]
-    cols[i, :, k] += sq[:, j].T
-    return cols.reshape(cutoff * cutoff, idx.size)
+    return sq[ri, i] * (rj == j) + (ri == i) * sq[rj, j]
 
 
 def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
@@ -180,8 +177,8 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     channels would be a null vector of that map.  Reports null dimensions
     (SVD, relative threshold 1e-8) and a random-combination eigenvector
     search, plus the encoded-operator commutators for contrast.  Only the
-    generator's columns of the scanned sectors are built, each from the
-    one-mode a^2 - a^dag^2.
+    generator's entries from each scanned sector into sectors M and M +- 2
+    are built, each from the one-mode a^2 - a^dag^2.
     """
     if max_total < 0:
         raise ValueError(f"max_total must be non-negative, got {max_total}")
@@ -192,8 +189,11 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     if rng is None:
         rng = np.random.default_rng(0)
     sectors = []
-    for m, idx in enumerate(fock.pair_excitation_blocks(cutoff)[:max_total + 1]):
-        restricted = _squeeze_generator_columns(cutoff, idx)
+    blocks = fock.pair_excitation_blocks(cutoff)
+    for m, idx in enumerate(blocks[:max_total + 1]):
+        # sector m's image lies in sectors m +- 2; its own rows (zero) come first
+        rows = np.concatenate([idx] + [blocks[t] for t in (m - 2, m + 2) if t >= 0])
+        restricted = _squeeze_generator_columns(cutoff, idx, rows)
         svals = np.linalg.svd(restricted, compute_uv=False)
         null_dim = int((svals < NULLSPACE_RELATIVE_THRESHOLD * svals.max()).sum())
         # random-combination search: no unit vector in the sector may be an
@@ -203,7 +203,7 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
         c = (draws[:, 0] + 1j * draws[:, 1]).T
         c /= np.linalg.norm(c, axis=0)
         img = restricted @ c
-        img[idx] -= (c.conj() * img[idx]).sum(axis=0) * c  # minus <c|G|c> c
+        img[:idx.size] -= (c.conj() * img[:idx.size]).sum(axis=0) * c  # minus <c|G|c> c
         found = int((np.linalg.norm(img, axis=0) < 1e-6).sum())
         sectors.append(SectorNullReport(
             total_excitation=m, subspace_dim=idx.size, null_dim=null_dim,

@@ -2,11 +2,12 @@
 
 The package runs every logical gate as cos(theta) + i sin(theta) L for the
 logical Pauli L on a mode pair's total-excitation blocks, with no ancilla
-(`msuqc._PairBlocks.rotate`), starts circuits from closed-form parity-branch
-weights (`thermal.even_odd_weights`), integrates the master equation through
-per-block propagators and scans the squeeze generator's null space sector by
-sector.  This module holds the literal and dense forms of the same physics,
-for small cutoffs where they are dense.  Every dense operator and state here
+(`msuqc._PairBlocks.step`), runs circuits as a sum over Z_L paths, starts
+circuits from closed-form parity-branch weights (`thermal.even_odd_weights`),
+integrates the master equation through per-block propagators and scans the
+squeeze generator's null space sector by sector.  This module holds the
+literal and dense forms of the same physics, for small cutoffs where they
+are dense.  Every dense operator and state here
 is a plain numpy array over the flat index of a :class:`SpaceLayout`, this
 module's own description of the tensor order (the shared ancilla, if any,
 at axis 0, then the qumodes):
@@ -22,6 +23,9 @@ at axis 0, then the qumodes):
   every block of a mode pair, with the ancilla axis and the check that the
   ancilla returns to |+> (`literal_pair_blocks`, `pair_block_gate`): the
   cross-check of the package's gate, which holds since C^2 = I;
+* the joint enumeration of every entangler branch of a circuit, 2^e
+  branches for e entanglers (`joint_branch_run`): the cross-check of the
+  engine's sum over Z_L paths;
 * the collective squeeze generator of a mode pair as one dense matrix
   (`squeeze_generator_pair`), the cross-check of the columns
   `nsverify.dfs_nonexistence` builds per sector;
@@ -408,7 +412,7 @@ def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
     """exp(i theta Z_L) (`axis` "z") or exp(i theta X_L) (`axis` "x") on one
     mode pair, by its literal ancilla circuit: C R_X(theta) C, between B and
     B^dag for X.  The cross-check of the package's gate,
-    ``msuqc._PairBlocks.rotate``, which applies cos(theta) + i sin(theta) L
+    ``msuqc._PairBlocks.step``, which applies cos(theta) + i sin(theta) L
     to the mode pair alone.
 
     The pair is held by total-excitation block.  `state` has shape
@@ -439,6 +443,54 @@ def pair_block_gate(state: np.ndarray, axis: str, theta: float, bs: np.ndarray,
     if leak > ANCILLA_RETURN_TOL:
         raise fock.StateError(f"ancilla failed to return to |+>: weight {leak:.3e}")
     return state
+
+
+# ---------------------------------------------------------------------------
+# the joint branch enumeration of a circuit's entanglers
+# ---------------------------------------------------------------------------
+
+
+def joint_branch_run(circuit, pairs, masks) -> tuple[list[float], float]:
+    """``msuqc._run_on_pairs`` by enumerating every entangler branch jointly,
+    with no budget: the cross-check of the engine's Z_L path sum, taking the
+    same arguments and returning the same values.
+
+    An entangler exp(i gamma P_a P_b) splits every branch into cos(gamma) I
+    and i sin(gamma) P_a P_b, so the state is a sum of 2^e pair-product
+    branches for e entanglers and the expectation of a product of per-pair
+    diagonal masks factorizes over pairs: a 2^e x 2^e matrix of coefficient
+    products times each pair's gram, gathered at the branches' state indices.
+    A rotation is ``_PairBlocks.step`` with the other angle 0.
+    """
+    # states[p][s] lists the distinct states of stack s of pair p; a branch is
+    # a coefficient and the index of its state in every pair's lists
+    states = [[[stack.initial] for stack in stacks] for stacks in pairs]
+    coeffs = np.ones(1, dtype=complex)
+    index = np.zeros((1, len(pairs)), dtype=int)
+    for gate in msuqc.step_gates(circuit):
+        if gate[0] == "zz":
+            _, ka, kb, ang = gate
+            flipped = index.copy()
+            for p in (ka, kb):
+                flipped[:, p] += len(states[p][0])
+                states[p] = [vs + [stack.parity * v for v in vs]
+                             for stack, vs in zip(pairs[p], states[p])]
+            index = np.concatenate([index, flipped])
+            coeffs = np.concatenate([math.cos(ang) * coeffs, 1j * math.sin(ang) * coeffs])
+        else:
+            axis, p, ang = gate
+            angles = (ang, 0.0) if axis == "x" else (0.0, ang)
+            states[p] = [[stack.step(v, *angles) for v in vs]
+                         for stack, vs in zip(pairs[p], states[p])]
+    values = []
+    for observable in masks:
+        terms = np.outer(coeffs.conj(), coeffs)
+        for p, (stacks, mask) in enumerate(zip(pairs, observable)):
+            gram = sum(stack.gram(np.stack(vs), m) for stack, vs, m in zip(stacks, states[p], mask))
+            terms = terms * gram[np.ix_(index[:, p], index[:, p])]
+        values.append(float(terms.sum().real))
+    broken = [sum(stack.broken_weight for stack in stacks) for stacks in pairs]
+    return values, 1.0 - math.prod(1.0 - w for w in broken)
 
 
 # ---------------------------------------------------------------------------

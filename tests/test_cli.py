@@ -230,6 +230,17 @@ def test_msuqc_demo_at_the_max_steps_row_stays_small(tmp_path):
     assert peak_mb < 160
 
 
+def test_msuqc_demo_at_four_steps_keeps_few_states_per_pair(tmp_path):
+    # three qubits at n = 2 (d = 48), up to four steps: enumerating every
+    # entangler branch held 2^8 states of the middle pair and peaked at 231 MB;
+    # the Z_L path sum holds 2^3 states per pair
+    code, _, meta, peak_mb = _fresh_run(
+        "msuqc-demo", {"qubit_counts": [3], "mean_excitations": [2.0], "max_steps": 4,
+                       "n_circuits": 4}, tmp_path, "--seed", "0")
+    assert code == 0 and meta["passed"] is True
+    assert peak_mb < 100
+
+
 def test_fidelity_sweep_small_grid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_min": 0.5, "n_max": 2.0, "n_step": 0.5,
@@ -307,6 +318,15 @@ def test_msuqc_demo_three_qubits(tmp_path):
     assert 0.0 < record["truncation_tail"] < 1e-6
 
 
+def test_msuqc_demo_ten_qubits(tmp_path):
+    # at seed 0 the circuits draw 3 and 2 steps, 27 and 18 entanglers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"qubit_counts": [10], "n_circuits": 2}))
+    out = tmp_path / "demo.json"
+    assert run(["msuqc-demo", "--config", str(cfg), "--out", str(out), "--seed", "0"]) == 0
+    assert [len(r["circuit"]["steps"]) for r in json.loads(out.read_text())["runs"]] == [3, 2]
+
+
 @pytest.mark.parametrize("command, config", [
     ("entropy-sweep", {"n_step": 0}),
     ("entropy-sweep", {"n_min": "a"}),
@@ -359,6 +379,8 @@ def test_msuqc_demo_three_qubits(tmp_path):
     ("fidelity-sweep", {"n_min": 2.0, "n_max": 2.0, "repetitions": [200],
                         "bath": {"Q": 1, "N_th": 100}}),
     ("ns-check", {"max_total": 101}),
+    ("msuqc-demo", {"max_steps": 6}),
+    ("msuqc-demo", {"mean_excitations": [4.5]}),
 ])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "bad.json"
@@ -376,6 +398,7 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     ("algebra-check", {}, ["--cutoff", "0"], None),
     ("entropy-sweep", {}, ["--threads", "-2"], None),
     ("entropy-sweep", {}, [], "abc"),
+    ("msuqc-demo", {}, ["--cutoff", "87"], None),
 ])
 def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            command, config, flags, env):

@@ -2,10 +2,11 @@ import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as dense
@@ -225,6 +226,66 @@ def test_mixed_truncation_tail_is_broken_block_weight():
     assert 0.0 < res.truncation_tail < 2 * pair_weight_tol
 
 
+def _circuit_run(n_mean, cutoff, bases):
+    """run_pure on `bases` at `cutoff`, or run_mixed at `n_mean` when `bases`
+    is None (any cutoff accepted)."""
+    if bases is None:
+        return lambda circ: msuqc.run_mixed(circ, ThermalSpec(n_mean, tail_tol=1.0), cutoff=cutoff)
+    return lambda circ: msuqc.run_pure(circ, bases, cutoff=cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), n_steps=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1),
+       n_mean=st.floats(0.0, 1.0), cutoff=st.integers(4, 12), pure=st.booleans())
+@example(k=2, n_steps=4, seed=1, n_mean=0.5, cutoff=8, pure=False)
+@example(k=3, n_steps=3, seed=2, n_mean=1.0, cutoff=10, pure=True)
+@example(k=4, n_steps=3, seed=3, n_mean=0.3, cutoff=6, pure=False)
+def test_path_sum_matches_joint_branch_enumeration(k, n_steps, seed, n_mean, cutoff, pure):
+    # the joint enumeration holds 2^e x 2^e branch terms for e entanglers: at most 2^9
+    assume((k - 1) * n_steps <= 9)
+    rng = np.random.default_rng(seed)
+    circ = msuqc.random_circuit(rng, k, n_steps)
+    bases = None
+    if pure:  # each pair's total excitation 2m + 1 + 2n below the cutoff
+        ms = [int(rng.integers(0, (cutoff - 2) // 2 + 1)) for _ in range(k)]
+        bases = [(m, int(rng.integers(0, (cutoff - 2 - 2 * m) // 2 + 1))) for m in ms]
+    run = _circuit_run(n_mean, cutoff, bases)
+    res = run(circ)
+    with mock.patch.object(msuqc, "_run_on_pairs", dense.joint_branch_run):
+        ref = run(circ)
+    assert abs(res.probability - ref.probability) <= 1e-12
+    assert res.truncation_tail == ref.truncation_tail
+
+
+@pytest.mark.parametrize("n_steps", [3, 4])
+def test_ten_qubit_circuits_match_the_oracle(n_steps):
+    # 27 and 36 entanglers; the pairs hold 4 and 8 branch states
+    circ = msuqc.random_circuit(np.random.default_rng(0), 10, n_steps)
+    res = msuqc.run_mixed(circ, ThermalSpec(2.0), cutoff=msuqc.mixed_equivalence_cutoff(2.0))
+    assert abs(res.probability - msuqc.qubit_space_oracle(circ)) <= min(
+        1e-6, res.truncation_tail + 1e-12)
+
+
+def test_every_input_column_is_logical_zero():
+    # why step 1 does not branch: Z_L v_0 = v_0 exactly on every stack the
+    # engine is handed, the truncated blocks t >= d included
+    handed = []
+    real = msuqc._run_on_pairs
+
+    def record(circuit, pairs, masks):
+        handed.extend(stack for stacks in pairs for stack in stacks)
+        return real(circuit, pairs, masks)
+    circ = msuqc.random_circuit(np.random.default_rng(8), 2, 2)
+    with mock.patch.object(msuqc, "_run_on_pairs", record):
+        for n_mean, cutoff in ((0.0, 8), (0.4, 5), (1.0, 11), (2.0, 48)):
+            _circuit_run(n_mean, cutoff, None)(circ)
+        for bases, cutoff in (([(0, 0), (1, 2)], None), ([(3, 0), (0, 3)], 9)):
+            _circuit_run(None, cutoff, bases)(circ)
+    assert len(handed) > 8
+    for stack in handed:
+        assert np.array_equal(stack.parity * stack.initial, stack.initial)
+
+
 def test_gram_block_by_block_equals_one_stacked_product():
     # a pair's gram is summed over its size-class stacks, each block by block
     d, n_mean = 16, 1.0
@@ -241,10 +302,10 @@ def test_gram_block_by_block_equals_one_stacked_product():
     n_states = len(states[0])
     flat = np.concatenate([np.stack(vs).reshape(n_states, -1) for vs in states], axis=1)
     weighted = np.concatenate([
-        np.broadcast_to(stack.readout_mask * stack.weight[:, None, :],
+        np.broadcast_to(stack.projectors[0] * stack.weight[:, None, :],
                         stack.initial.shape).ravel() for stack in stacks])
     one_product = flat.conj() @ (flat * weighted).T
-    summed = sum(stack.gram(vs, stack.readout_mask) for stack, vs in zip(stacks, states))
+    summed = sum(stack.gram(np.stack(vs), stack.projectors[0]) for stack, vs in zip(stacks, states))
     assert np.abs(summed - one_product).max() <= 1e-15
 
 
@@ -301,7 +362,8 @@ def test_literal_circuit_matches_the_engine_gate_on_every_block(d):
             plus = (g[:, 0] + g[:, 1]) / math.sqrt(2)
             minus = (g[:, 0] - g[:, 1]) / math.sqrt(2)
             assert (np.abs(minus) ** 2).sum(axis=1).max() <= 1e-10
-            assert np.abs(plus - pair.rotate(pair.initial, axis, theta)).max() <= 1e-12
+            angles = (theta, 0.0) if axis == "x" else (0.0, theta)
+            assert np.abs(plus - pair.step(pair.initial, *angles)).max() <= 1e-12
 
 
 def test_mixed_ancilla_return_check_raises(monkeypatch):
@@ -372,9 +434,17 @@ def test_circuit_validation_and_budget():
     with pytest.raises(msuqc.DimensionBudgetError):
         msuqc.run_mixed(msuqc.random_circuit(np.random.default_rng(0), 2, 1),
                         ThermalSpec(1.0), cutoff=8)
-    many_entanglers = msuqc.random_circuit(np.random.default_rng(0), 6, 3)  # 15 entanglers
+    # 15 entanglers, 2^15 joint branches, but 2^2 states per pair
+    many_entanglers = msuqc.random_circuit(np.random.default_rng(0), 6, 3)
+    res = msuqc.run_mixed(many_entanglers, ThermalSpec(0.0), cutoff=8)
+    assert abs(res.probability - msuqc.qubit_space_oracle(many_entanglers)) <= 1e-12
+    # one qubit never branches; two qubits at 12 steps hold 2^11 states per pair
+    one_qubit = msuqc.random_circuit(np.random.default_rng(0), 1, 12)
+    assert abs(msuqc.run_mixed(one_qubit, ThermalSpec(0.0), cutoff=8).probability
+               - msuqc.qubit_space_oracle(one_qubit)) <= 1e-12
     with pytest.raises(msuqc.DimensionBudgetError):
-        msuqc.run_mixed(many_entanglers, ThermalSpec(0.0), cutoff=8)
+        msuqc.run_mixed(msuqc.random_circuit(np.random.default_rng(0), 2, 12),
+                        ThermalSpec(0.0), cutoff=8)
 
 
 @pytest.mark.parametrize("call, value", [

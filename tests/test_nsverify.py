@@ -110,7 +110,8 @@ def test_negative_control_commutator_is_large():
 def test_dfs_sector_zero_image_structure():
     # the squeeze generator sends |0,0> to -sqrt(2)(|2,0> + |0,2>)
     lay = SpaceLayout(0, (5, 5))
-    img = nsverify._squeeze_generator_columns(5, np.array([lay.basis_index((), (0, 0))]))[:, 0]
+    img = nsverify._squeeze_generator_columns(5, np.array([lay.basis_index((), (0, 0))]),
+                                              np.arange(25))[:, 0]
     i20 = lay.basis_index((), (2, 0))
     i02 = lay.basis_index((), (0, 2))
     assert img[i20] == pytest.approx(-math.sqrt(2), abs=1e-14)
@@ -121,10 +122,18 @@ def test_dfs_sector_zero_image_structure():
 @pytest.mark.parametrize("d", range(3, 21))
 def test_squeeze_generator_columns_match_the_dense_generator(d):
     full = dense.squeeze_generator_pair(d)
-    for idx in fock.pair_excitation_blocks(d):
-        assert np.abs(nsverify._squeeze_generator_columns(d, idx) - full[:, idx]).max() <= 1e-15
-    cols = nsverify._squeeze_generator_columns(d, np.arange(d * d)[::-1])
-    assert np.abs(cols - full[:, ::-1]).max() <= 1e-15
+    every = np.arange(d * d)
+    blocks = fock.pair_excitation_blocks(d)
+    for m, idx in enumerate(blocks):
+        assert np.abs(nsverify._squeeze_generator_columns(d, idx, every)
+                      - full[:, idx]).max() <= 1e-15
+        # the rows the scan keeps: sector m itself and the sectors m +- 2
+        rows = np.concatenate([idx] + [blocks[t] for t in (m - 2, m + 2) if 0 <= t < len(blocks)])
+        assert np.abs(nsverify._squeeze_generator_columns(d, idx, rows)
+                      - full[np.ix_(rows, idx)]).max() <= 1e-15
+        assert not np.delete(full[:, idx], rows, axis=0).any()
+    cols = nsverify._squeeze_generator_columns(d, every[::-1], every[::-1])
+    assert np.abs(cols - full[::-1, ::-1]).max() <= 1e-15
 
 
 def test_dfs_nonexistence_report():
