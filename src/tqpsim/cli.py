@@ -29,10 +29,12 @@ byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from . import __version__
 from ._io import format_value, sidecar_path, write_csv, write_json
@@ -120,6 +122,7 @@ def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
 
     scipy = sys.modules.get("scipy")  # no tqpsim module imports it; a caller may have
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    query = _blas_thread_query()
     meta = {
         "tool": "tqpsim",
         "version": __version__,
@@ -129,10 +132,31 @@ def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
         "scipy": getattr(scipy, "__version__", None),
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS + ("TQPSIM_THREADS",)},
+        "blas_threads": None if query is None else query(),
     }
     if extra:
         meta.update(extra)
     return meta
+
+
+@functools.cache
+def _blas_thread_query():
+    """The thread-count query of the OpenBLAS bundled with numpy, through
+    ctypes; None where that library or its query is missing.  Looked up once:
+    it reports the pool's size at each call."""
+    import ctypes
+
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            query = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        query.argtypes, query.restype = [], ctypes.c_int
+        return query
+    return None
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -274,10 +298,18 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
 
     from . import msuqc, thermal
 
+    n_means = list(cfg["mean_excitations"])
+    if cfg["cutoff_override"]:  # run_mixed's tail rule, checked before any circuit runs
+        for n_mean in n_means:
+            spec = thermal.ThermalSpec(n_mean)
+            tail = spec.boltzmann_ratio ** cfg["cutoff_override"]
+            if tail >= spec.tail_tol:
+                raise ValueError(f"--cutoff {cfg['cutoff_override']} is too small for mean "
+                                 f"excitation {n_mean}: its thermal tail {tail:.2e} is not "
+                                 f"below {spec.tail_tol:.0e}")
     rng = np.random.default_rng(cfg["seed"] if cfg["seed"] is not None else 0)
     records = []
     worst = 0.0
-    n_means = list(cfg["mean_excitations"])
     qubit_counts = list(cfg["qubit_counts"])
     for i in range(cfg["n_circuits"]):
         k = qubit_counts[i % len(qubit_counts)]

@@ -20,9 +20,9 @@ cross-check and live with them.
 The measurement of one mode's parity is `apply_controlled_parity` on the
 ``(2, d)`` or ``(2, d, 2, d)`` array of the ancilla and that mode, then the
 X-basis readout of the ancilla, `x_basis_branches`, whose + branch is the
-even one; no function here takes an ancilla index.  That readout is the
-only one in the package: every ``opensys.fidelity_point`` route reads its
-branches through it.
+even one; no function here takes an ancilla index.  The density-matrix
+routes of ``opensys.fidelity_point`` read their branches through it; its
+ideal-sequence route reads the same populations off the gate's columns.
 """
 
 from __future__ import annotations

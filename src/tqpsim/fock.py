@@ -21,6 +21,9 @@ Conventions
   its blocks, the swap as a permutation, parities and number as diagonals.
   The beam splitter's blocks are built once per cutoff and kept, read-only,
   in a small cache of the most recent cutoffs.
+* The hybrid parity Z (x) exp(i pi a^dag a) splits an (ancilla, mode) space
+  into two sectors of d states each (`parity_sectors`); the engineered
+  pulse sequence is block diagonal in them.
 * Every exponential is computed with numpy alone.  An anti-Hermitian
   generator G is exponentiated by one ``eigh`` of iG (`unitary_exponential`),
   taken block by block in total excitation when G conserves number, which
@@ -248,6 +251,15 @@ def controlled_parity_diag(d: int) -> np.ndarray:
     """Diagonal of exp(i pi/2 (I - Z) a^dag a) over the (ancilla, mode) axes:
     ones on the ancilla |0> block, the Fock parity on |1>; squares to 1 exactly."""
     return np.concatenate([np.ones(d), parity_diag(d)])
+
+
+def parity_sectors(d: int) -> np.ndarray:
+    """Flat (ancilla level, mode) indices q d + n of the +1 and -1 eigenspaces
+    of the hybrid parity Z (x) exp(i pi a^dag a), as a (2, d) array, each row
+    ordered by n: the +1 sector holds |0, even n> and |1, odd n>, the -1
+    sector |1, even n> and |0, odd n>."""
+    n = np.arange(d)
+    return np.stack([n % 2, 1 - n % 2]) * d + n
 
 
 def qubit_rotation_matrix(axis: str, angle: float) -> np.ndarray:

@@ -557,7 +557,15 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config` (its own eta is ignored).
-    Every route reads the ancilla out through ``encoding.x_basis_branches``.
+    The ancilla starts in |+>, the mode thermal with weights w_k.  The
+    ideal-sequence route never forms the state: the gate is block diagonal
+    in the two sectors of Z (x) exp(i pi a^dag a) (`pulses.sequence_unitary`),
+    and branch +-'s population of Fock level n is sum_k w_k |<+-, n|G|+, k>|^2,
+    read off the gate's |+, k> columns in O(d^2).  The other two routes
+    evolve the density matrix and read it out through
+    ``encoding.x_basis_branches``.  All three share the rest: the branch
+    probabilities, the parity traces, and the truncation tail, the top Fock
+    level's population summed over both branches.
     A branch probability that is not finite or leaves [-1e-9, 1 + 1e-9], as
     when the master equation diverges, raises ValueError.  So does a run
     whose p+ + p- misses 1 by more than ``BRANCH_TRACE_TOL``: it lost trace
@@ -567,31 +575,33 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     if cutoff is None:
         cutoff = fidelity_cutoff(n_mean)
     d = cutoff
-    state = _thermal_with_ancilla(n_mean, d)
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
-    if noise == "exact-gate":
-        rho = encoding.apply_controlled_parity(state)
-    elif noise == "ideal-sequence":
-        gate = pulses.engineered_controlled_parity(params, d, reps)
-        rho = gate @ state.reshape(2 * d, 2 * d) @ gate.conj().T
-    elif isinstance(noise, NoiseParams):
-        sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
-            (pulses.frame_correction(eta, reps),))
-        rho = evolve_master(state, sched, replace(noise, eta=eta))
+    if noise == "ideal-sequence":
+        w = thermal_weights(n_mean, d)
+        # gate[q, n, q', k]; its |+, k> column, read out in the X basis, has
+        # amplitude (c_0 +- c_1) / 2 on branch +-, c_q = gate[q, :, 0, k] + gate[q, :, 1, k]
+        cols = pulses.engineered_controlled_parity(params, d, reps).reshape(2, d, 2, d).sum(axis=2)
+        amps = np.stack([cols[0] + cols[1], cols[0] - cols[1]]) / 2.0
+        pops = (amps.real ** 2 + amps.imag ** 2) @ (w / w.sum())
     else:
-        raise ValueError(f"unknown noise mode {noise!r}")
-    rho = rho.reshape(2 * d, 2 * d)
-    tail = float(rho.diagonal().real.reshape(2, d)[:, -1].sum())
-    parity = fock.parity_diag(d)
-    probs, traces = [], []
-    for sign, branch in zip((+1, -1), encoding.x_basis_branches(rho)):
-        pops = branch.diagonal().real  # only the Fock populations enter
-        p = float(pops.sum())
-        probs.append(p)
-        # Tr(rho_s (I + s P)) over the normalized branch s
-        traces.append(1.0 + sign * float(pops @ parity) / p
-                      if p >= DEGENERATE_BRANCH_FLOOR else 2.0)
+        state = _thermal_with_ancilla(n_mean, d)
+        if noise == "exact-gate":
+            rho = encoding.apply_controlled_parity(state)
+        elif isinstance(noise, NoiseParams):
+            sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
+                (pulses.frame_correction(eta, reps),))
+            rho = evolve_master(state, sched, replace(noise, eta=eta))
+        else:
+            raise ValueError(f"unknown noise mode {noise!r}")
+        # only the Fock populations of each branch enter
+        pops = np.stack([b.diagonal().real
+                         for b in encoding.x_basis_branches(rho.reshape(2 * d, 2 * d))])
+    probs = [float(p) for p in pops.sum(axis=1)]
+    # Tr(rho_s (I + s P)) over the normalized branch s
+    traces = [1.0 + sign * float(pop @ fock.parity_diag(d)) / p
+              if p >= DEGENERATE_BRANCH_FLOOR else 2.0
+              for sign, pop, p in zip((+1, -1), pops, probs)]
     (p_plus, p_minus), (t_plus, t_minus) = probs, traces
     if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in (p_plus, p_minus)):  # NaN fails too
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} are not "
@@ -606,7 +616,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
         repetitions=reps, eta=eta,
         p_plus=p_plus, p_minus=p_minus,
         baseline=1.0 / (n_mean + 1.0),
-        cutoff=d, truncation_tail=tail)
+        cutoff=d, truncation_tail=float(pops[:, -1].sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,18 @@ closed-form level blocks into it in one batched product, a rotation applies
 its 2 x 2 matrix to the level axis, and a bare waiting period scales every
 level by the same diagonal phase.  No 2d x 2d segment matrix is built.  A free
 evolution's level blocks are D(alpha) and D(alpha)^dag = D(-alpha) from one
-`fock.unitary_exponential`, so the module needs numpy alone.  Every
-operator the module returns is a plain 2d x 2d array, ancilla level major.
+`fock.unitary_exponential`, so the module needs numpy alone.
+
+The engineered sequence has a finer split.  It commutes with the hybrid
+parity Z (x) exp(i pi a^dag a), the parity of the quantum Rabi model (Braak,
+PRL 107, 100401 (2011)): each conjugated free evolution couples the mode
+through R Z R^dag, one of +-X and +-Y, which anticommutes with Z, by
+a + a^dag, which anticommutes with the mode parity; the waits and the frame
+correction are diagonal.  So `sequence_unitary` builds the displacement
+group's two d x d sector blocks (`fock.parity_sectors`) in closed form and
+powers them, not one 2d x 2d matrix; `simulate_schedule` stays the general
+route and cross-checks it.  Every operator the module returns is a plain
+2d x 2d array, ancilla level major.
 """
 
 from __future__ import annotations
@@ -254,19 +264,45 @@ def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
 # ---------------------------------------------------------------------------
 
 
+# the ancilla rotation after each of the displacement group's four free
+# evolutions; the rotation before it is its inverse
+_GROUP_TURNS = (("x", math.pi / 4), ("y", math.pi / 4), ("x", -math.pi / 4), ("y", -math.pi / 4))
+
+
 def _displacement_group(params: HybridHamiltonianParams,
                         flip_interval: float | None = None) -> PulseSchedule:
     """Four conjugated free evolutions + one waiting quarter period (4.5 pi/nu);
     `flip_interval` is in units of 1/nu.  One sequence is four groups."""
     pi, scale = math.pi, 1.0 / params.nu
     free = FreeEvolution(pi * scale)
-    return PulseSchedule((
-        QubitRotation("x", -pi / 4), free, QubitRotation("x", pi / 4),
-        QubitRotation("y", -pi / 4), free, QubitRotation("y", pi / 4),
-        QubitRotation("x", pi / 4), free, QubitRotation("x", -pi / 4),
-        QubitRotation("y", pi / 4), free, QubitRotation("y", -pi / 4),
-        WaitingPeriod(pi / 2 * scale, None if flip_interval is None else flip_interval * scale),
-    ))
+    segs = [seg for axis, angle in _GROUP_TURNS
+            for seg in (QubitRotation(axis, -angle), free, QubitRotation(axis, angle))]
+    return PulseSchedule(tuple(segs) + (
+        WaitingPeriod(pi / 2 * scale, None if flip_interval is None else flip_interval * scale),))
+
+
+def _group_sector_blocks(params: HybridHamiltonianParams, cutoff: int) -> np.ndarray:
+    """The displacement group's unitary as its two d x d blocks on the parity
+    sectors of `fock.parity_sectors`, in closed form.
+
+    A free evolution is E + O Z with E and O the even- and odd-(n' - n) parts
+    of U_+, since the parity P sends a + a^dag to its negative and so
+    U_- = P U_+ P.  Conjugated by a turn r it is E + O sigma', sigma' = r Z r^dag
+    one of +-X, +-Y; in sector s, whose state at Fock number n sits on
+    ancilla level q_s(n), its entry (n', n) is U_+[n', n] where n' - n is even
+    (q_s(n') = q_s(n)) and U_+[n', n] sigma'[q_s(n'), q_s(n)] where it is odd.
+    The quarter-period wait is the phase exp(-i pi n / 2) on both levels.
+    """
+    d = cutoff
+    u_plus = _free_blocks(params, math.pi / params.nu, d)[0]
+    levels = fock.parity_sectors(d) // d  # q_s(n), shape (2, d)
+    odd = np.subtract.outer(np.arange(d), np.arange(d)) % 2 == 1
+    group = np.eye(d, dtype=complex)
+    for axis, angle in _GROUP_TURNS:
+        r = fock.qubit_rotation_matrix(axis, angle)
+        sigma = (r * [1, -1]) @ r.conj().T  # r Z r^dag
+        group = np.where(odd, sigma[levels[:, :, None], levels[:, None, :]], 1) * u_plus @ group
+    return np.exp(-0.5j * math.pi * np.arange(d))[:, None] * group
 
 
 def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
@@ -293,14 +329,25 @@ def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
     """Unitary of `repetitions` engineered sequences: the displacement
     group's unitary raised to the power 4R by repeated squaring.
 
+    The group commutes with the hybrid parity Z (x) exp(i pi a^dag a): each
+    conjugated free evolution couples the mode through +-X or +-Y, which
+    anticommutes with Z, by a + a^dag, which anticommutes with the mode
+    parity, and the wait is diagonal.  So the power is taken on the two d x d
+    sector blocks (`_group_sector_blocks`) and scattered into the 2d x 2d
+    result, whose entries between the sectors are exactly 0.
+
     The power's departure from unitarity grows linearly with R; one
-    Newton-Schulz step U (3I - U^dag U) / 2 squares it, so the result is
-    unitary to rounding at any repetition count.
+    Newton-Schulz step U (3I - U^dag U) / 2 per block squares it, so the
+    result is unitary to rounding at any repetition count.
     """
     _check_repetitions(repetitions)
-    group = simulate_schedule(_displacement_group(params), params, cutoff)
-    u = np.linalg.matrix_power(group, 4 * repetitions)
-    return u @ (3.0 * np.eye(2 * cutoff) - u.conj().T @ u) / 2.0
+    d = cutoff
+    u = np.linalg.matrix_power(_group_sector_blocks(params, d), 4 * repetitions)
+    u = u @ (3.0 * np.eye(d) - u.conj().swapaxes(1, 2) @ u) / 2.0
+    idx = fock.parity_sectors(d)
+    out = np.zeros((2 * d, 2 * d), dtype=complex)
+    out[idx[:, :, None], idx[:, None, :]] = u
+    return out
 
 
 def dispersive_target(params: HybridHamiltonianParams, cutoff: int,

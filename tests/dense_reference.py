@@ -36,6 +36,9 @@ at axis 0, then the qumodes):
 * product basis vectors (`basis`);
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
+* the parity readout of a gate by dense conjugation of |+><+| (x) the
+  thermal state (`dense_gate_readout`): the cross-check of
+  `opensys.fidelity_point`'s readout off the gate's |+, k> columns;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
 * scipy's Pade matrix exponential, the cross-check of both of the
   package's exponentials: the eigh `fock.unitary_exponential` and the
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from tqpsim import fock, msuqc, thermal
+from tqpsim import encoding, fock, msuqc, opensys, thermal
 from tqpsim.opensys import NoiseParams
 from tqpsim.thermal import ThermalSpec
 
@@ -570,6 +573,30 @@ def tqp_initial_state(spec: ThermalSpec) -> np.ndarray:
     w_odd = thermal.even_odd_weights(spec.mean_excitation, d, -1)
     w_even = thermal.even_odd_weights(spec.mean_excitation, d, +1)
     return np.diag(np.kron(w_odd, w_even).astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# the dense readout of the engineered parity measurement
+# ---------------------------------------------------------------------------
+
+
+def dense_gate_readout(gate: np.ndarray, n_mean: float) -> tuple[float, float, float, float]:
+    """(p+, p-, fidelity, truncation tail) of the parity measurement by a 2d x 2d
+    (ancilla, mode) gate on |+><+| (x) the renormalised thermal state: the state
+    conjugated by the gate as one dense product and read out through
+    ``encoding.x_basis_branches``.  The cross-check of the column readout of
+    `opensys.fidelity_point`'s ideal-sequence route."""
+    d = gate.shape[0] // 2
+    rho = gate @ opensys._thermal_with_ancilla(n_mean, d).reshape(2 * d, 2 * d) @ gate.conj().T
+    tail = float(rho.diagonal().real.reshape(2, d)[:, -1].sum())
+    probs, traces = [], []
+    for sign, branch in zip((+1, -1), encoding.x_basis_branches(rho)):
+        pops = branch.diagonal().real
+        p = float(pops.sum())
+        probs.append(p)
+        traces.append(1.0 + sign * float(pops @ fock.parity_diag(d)) / p
+                      if p >= opensys.DEGENERATE_BRANCH_FLOOR else 2.0)
+    return probs[0], probs[1], traces[0] * traces[1] / 4.0, tail
 
 
 # ---------------------------------------------------------------------------

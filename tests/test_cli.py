@@ -241,6 +241,44 @@ def test_msuqc_demo_at_four_steps_keeps_few_states_per_pair(tmp_path):
     assert peak_mb < 100
 
 
+def test_fidelity_sweep_at_the_cutoff_bound_stays_small(tmp_path):
+    # d = 200 at n = 10 for the three default repetition counts: the 2d x 2d
+    # unitary's power and the dense conjugated state peaked at 48 MB; the sector
+    # blocks and the column readout at 39 MB
+    code, _, meta, peak_mb = _fresh_run(
+        "fidelity-sweep", {"n_min": 10, "n_max": 10}, tmp_path, "--cutoff", "200")
+    assert code == 0 and meta["checks_passed"] is True
+    assert peak_mb < 100
+
+
+def test_sidecar_records_the_blas_pool_size(tmp_path, monkeypatch):
+    # with no thread variable set, only --threads 1 pins the fresh process's pool
+    monkeypatch.delenv("TQPSIM_THREADS", raising=False)
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    code, _, meta, _ = _fresh_run("entropy-sweep", {"n_min": 0.5, "n_max": 0.5}, tmp_path,
+                                  "--threads", "1")
+    assert code == 0
+    assert meta["blas_threads"] == 1
+
+
+def test_sidecar_records_null_blas_threads_without_the_bundled_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    libs = tmp_path / "numpy.libs"
+    out = tmp_path / "e.csv"
+    try:
+        cli._blas_thread_query.cache_clear()
+        assert cli._blas_thread_query() is None  # no numpy.libs beside numpy
+        libs.mkdir()
+        (libs / "libscipy_openblas64_.so").write_bytes(b"not a library")
+        cli._blas_thread_query.cache_clear()
+        assert cli._blas_thread_query() is None  # an OpenBLAS that does not load
+        assert run(["entropy-sweep", "--out", str(out)]) == 0
+        assert json.loads(sidecar_path(out).read_text())["blas_threads"] is None
+    finally:
+        cli._blas_thread_query.cache_clear()
+
+
 def test_fidelity_sweep_small_grid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_min": 0.5, "n_max": 2.0, "n_step": 0.5,
@@ -399,6 +437,7 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     ("entropy-sweep", {}, ["--threads", "-2"], None),
     ("entropy-sweep", {}, [], "abc"),
     ("msuqc-demo", {}, ["--cutoff", "87"], None),
+    ("msuqc-demo", {"n_circuits": 3}, ["--cutoff", "20"], None),
 ])
 def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            command, config, flags, env):
@@ -412,6 +451,19 @@ def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, mon
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
     assert os.environ.get("OMP_NUM_THREADS") == threads_before
+
+
+def test_msuqc_demo_refuses_a_small_cutoff_before_any_circuit(tmp_path, capsys, monkeypatch):
+    # --cutoff 20 leaves <n> = 0.5 a tail of 2.9e-10 and <n> = 1 one of 9.5e-7
+    from tqpsim import msuqc
+
+    runs = []
+    monkeypatch.setattr(msuqc, "run_mixed", lambda *a, **k: runs.append(a))
+    out = tmp_path / "m.json"
+    assert run(["msuqc-demo", "--out", str(out), "--cutoff", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cutoff 20 is too small for mean excitation 1.0")
+    assert runs == [] and not out.exists()
 
 
 def test_entropy_sweep_cutoff_below_two_is_usage_error(tmp_path, capsys, monkeypatch):

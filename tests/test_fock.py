@@ -204,6 +204,16 @@ def test_pair_excitation_blocks_partition_the_pair_space():
         assert idx.size == min(t, 2 * d - 2 - t) + 1
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_parity_sectors_partition_the_hybrid_space(d):
+    idx = fock.parity_sectors(d)
+    assert idx.shape == (2, d)
+    assert sorted(idx.ravel().tolist()) == list(range(2 * d))
+    assert np.array_equal(idx % d, np.tile(np.arange(d), (2, 1)))  # each row ordered by n
+    hybrid_parity = np.kron([1, -1], fock.parity_diag(d))  # Z (x) exp(i pi a^dag a)
+    assert np.array_equal(hybrid_parity[idx], np.array([[1] * d, [-1] * d]))
+
+
 def test_pair_forms_keep_to_the_excitation_blocks():
     d = 6
     blocks = fock.pair_excitation_blocks(d)

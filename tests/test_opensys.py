@@ -778,3 +778,18 @@ def test_pure_state_rhs_rejected():
     h = pulses.hamiltonian(hparams(0.0), 6)
     with pytest.raises(fock.StateError):
         dense.lindblad_rhs(st, h, NoiseParams(Q=10.0))
+
+
+@pytest.mark.filterwarnings("ignore:eta = .* is large for the engineered sequence:UserWarning")
+@pytest.mark.parametrize("reps", [1, 50, 200, 10 ** 6])
+@pytest.mark.parametrize("n_mean", [0.0, 0.2, 1.0, 4.0, 10.0])
+def test_column_readout_matches_dense_conjugation(n_mean, reps):
+    # the ideal-sequence route reads p+-, the fidelity and the tail off the
+    # gate's |+, k> columns; the same gate on the dense thermal state agrees
+    config = (reps, pulses.eta_for_repetitions(reps))
+    pt = opensys.fidelity_point(n_mean, config)
+    gate = pulses.engineered_controlled_parity(
+        pulses.HybridHamiltonianParams(eta=config[1]), pt.cutoff, reps)
+    ref = dense.dense_gate_readout(gate, n_mean)
+    got = (pt.p_plus, pt.p_minus, pt.fidelity, pt.truncation_tail)
+    assert np.abs(np.subtract(got, ref)).max() <= 1e-12

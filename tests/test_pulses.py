@@ -205,6 +205,33 @@ def test_engineered_controlled_parity_matches_dense_route(dense_segment_product)
     assert np.abs(got - ref).max() <= 1e-12
 
 
+def _between_sectors(u: np.ndarray) -> np.ndarray:
+    """The entries of a 2d x 2d (ancilla, mode) matrix that join the two
+    sectors of the hybrid parity Z (x) exp(i pi a^dag a)."""
+    idx = fock.parity_sectors(len(u) // 2)
+    off = np.ones(u.shape, dtype=bool)
+    off[idx[:, :, None], idx[:, None, :]] = False
+    return u[off]
+
+
+@pytest.mark.parametrize("d", [3, 14, 66])
+def test_displacement_group_splits_into_parity_sectors(d):
+    # the segment by segment group joins the sectors by rounding alone, and its
+    # sector blocks are the closed-form ones sequence_unitary powers
+    idx = fock.parity_sectors(d)
+    for p in [params(eta) for _, eta in pulses.measurement_configs()] + [params(0.03, nu=2.0)]:
+        group = pulses.simulate_schedule(pulses._displacement_group(p), p, d)
+        assert np.abs(_between_sectors(group)).max() <= 1e-14
+        blocks = group[idx[:, :, None], idx[:, None, :]]
+        assert np.abs(pulses._group_sector_blocks(p, d) - blocks).max() <= 1e-13
+
+
+def test_engineered_controlled_parity_is_zero_between_parity_sectors():
+    for reps, eta in pulses.measurement_configs():
+        u = pulses.engineered_controlled_parity(params(eta), 24, reps)
+        assert not _between_sectors(u).any()
+
+
 @pytest.mark.parametrize("reps", [0, -1, 2.5, True, "3"])
 def test_repetitions_must_be_a_positive_integer(reps):
     p = params(0.03)
