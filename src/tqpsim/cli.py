@@ -46,8 +46,8 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 MEMORY_BUDGET_MB = 1024  # peak RSS of any accepted config at one BLAS thread
 GRID_POINTS_MAX = 2000  # points of the n_min .. n_max grid in steps of n_step
 LIST_ITEMS_MAX = 100
-# a bath runs the master equation, whose propagators hold d^4 entries
-BATH_N_MAX, BATH_REPETITIONS_MAX, BATH_CUTOFF_MAX = 2.0, 200, 40
+# a bath walks every segment of the schedule at O(d^3): the default grid takes minutes
+BATH_N_MAX, BATH_REPETITIONS_MAX, BATH_CUTOFF_MAX = 4.0, 200, 66
 
 
 class UsageError(Exception):
@@ -204,7 +204,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     noise = cfg["noise"] if cfg["bath"] is None else opensys.NoiseParams(**cfg["bath"])
     rows = []
     curves: dict[int, list[float]] = {r: [] for r in reps_list}
-    max_tail = 0.0
+    max_tail = max_defect = 0.0
     for reps, eta in configs:
         for n in grid:
             pt = opensys.fidelity_point(n, (reps, eta), noise=noise,
@@ -214,6 +214,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
                          cfg["seed"] if cfg["seed"] is not None else 0))
             curves[reps].append(pt.fidelity)
             max_tail = max(max_tail, pt.truncation_tail)
+            max_defect = max(max_defect, pt.trace_defect)
     ok = True
     ordered = sorted(reps_list)
     for lo, hi in zip(ordered, ordered[1:]):
@@ -232,6 +233,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
     write_json(sidecar_path(out), _metadata("fidelity-sweep", cfg, {
         "checks_passed": ok,
         "configs": [{"repetitions": r, "eta": e} for r, e in configs],
+        "max_trace_defect": max_defect,
         "max_truncation_tail": max_tail,
         "rows": len(rows),
     }))

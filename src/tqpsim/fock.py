@@ -24,11 +24,12 @@ Conventions
 * The hybrid parity Z (x) exp(i pi a^dag a) splits an (ancilla, mode) space
   into two sectors of d states each (`parity_sectors`); the engineered
   pulse sequence is block diagonal in them.
-* Every exponential is computed with numpy alone.  An anti-Hermitian
-  generator G is exponentiated by one ``eigh`` of iG (`unitary_exponential`),
-  taken block by block in total excitation when G conserves number, which
-  equals the full exponential to machine precision.  A non-normal generator
-  (the master equation's Liouvillian) goes through [13/13] Pade with scaling
+* Every exponential is computed with numpy alone, and both take a stack of
+  matrices on the last two axes.  An anti-Hermitian generator G is
+  exponentiated by one ``eigh`` of iG (`unitary_exponential`), taken block
+  by block in total excitation when G conserves number, which equals the
+  full exponential to machine precision.  A non-normal generator (the
+  master equation's waiting channel) goes through [13/13] Pade with scaling
   and squaring (`pade_exponential`).
 * Applying a truncated displacement does not renormalize the state; the
   weight left on the top Fock level is the truncation tail, which the
@@ -86,20 +87,24 @@ PADE_THETA_13 = 5.371920351148152
 
 
 def pade_exponential(gen: np.ndarray) -> np.ndarray:
-    """exp(G) for any square G, by [13/13] Pade with scaling and squaring
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)): A = G / 2^s with
-    ||A||_1 <= PADE_THETA_13, then r(A) = (V - U)^-1 (V + U) squared s times,
-    U odd and V even in A.  A non-square or non-finite G is a ValueError."""
+    """exp(G) for any square G, or a stack of them on the last two axes, by
+    [13/13] Pade with scaling and squaring (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)): A = G / 2^s with ||A||_1 <= PADE_THETA_13, then
+    r(A) = (V - U)^-1 (V + U) squared s times, U odd and V even in A.  Each
+    matrix of a stack takes its own s, so it gets what it would alone.  An
+    array that is not a (stack of) square matrices, or is not finite, is a
+    ValueError."""
     a = np.asarray(gen, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"the exponential needs a square matrix, got shape {a.shape}")
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"the exponential needs square matrices, got shape {a.shape}")
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.isfinite(norms).all():
         raise ValueError("the exponential needs a finite matrix")
-    s = math.ceil(math.log2(norm / PADE_THETA_13)) if norm > PADE_THETA_13 else 0
-    if s:
-        a = a * 0.5 ** s
-    b, eye = _PADE_13, np.eye(len(a))
+    s = np.array([math.ceil(math.log2(norm / PADE_THETA_13)) if norm > PADE_THETA_13 else 0
+                  for norm in norms.ravel().tolist()], dtype=int).reshape(norms.shape)
+    if s.any():
+        a = a * np.ldexp(1.0, -s)[..., None, None]
+    b, eye = _PADE_13, np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -107,8 +112,12 @@ def pade_exponential(gen: np.ndarray) -> np.ndarray:
              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for done in range(s.max(initial=0)):
+        if s.min() > done:
+            r = r @ r
+        else:  # only the matrices that still need a squaring take it
+            more = s > done
+            r[more] = r[more] @ r[more]
     return r
 
 

@@ -11,20 +11,24 @@ every function reads levels and d from the shape, and any other shape is a
 ``fock.LayoutError``.  The Hamiltonian is diagonal in the ancilla's Z basis
 (`pulses.level_hamiltonians`) and the jumps act on the mode alone, so every
 segment propagator is one d x d block per ancilla level.  Two solvers are
-provided: the master equation through exact per-block segment propagators
-(each (q, q') block of rho evolves on its own, under the scaled and squared
-Pade exponential of its d^2 x d^2 Liouvillian, `fock.pade_exponential`,
-numpy alone), and a Monte-Carlo wavefunction unravelling that carries all
-trajectories as columns of one array.  The unravelling screens every column
-with composed no-jump propagators, the only operators on the whole (ancilla,
-mode) space: one per block of about sqrt(P) of the schedule's P periods, and
-one per period for the columns a block screen flags.  It walks just the
-columns whose norm crossed their threshold in a period through that period's
-per-segment propagators, finding each jump time by a Newton root find in the
-eigenbasis of the segment's no-jump generator and reading the jump's weights
-off the same Fock populations, with the same random draws as a walk of every
-column.  The printed right-hand side on the whole space is the independent
-reference the tests integrate; it lives with them.
+provided: the master equation, each (q, q') block of rho evolving on its
+own through factors of d x d matrices (`evolve_master`: a waiting segment
+is the damped mode's channel, which keeps each diagonal of a block; a free
+segment wraps that channel in conditional displacements and dephases the
+ancilla coherence, the polaron solution of the damped driven oscillator;
+numpy alone, no d^2 x d^2 array), and a Monte-Carlo wavefunction
+unravelling that carries all trajectories as columns of one array.  The
+unravelling screens every column with composed no-jump propagators, the
+only operators on the whole (ancilla, mode) space: one per block of about
+sqrt(P) of the schedule's P periods, and one per period for the columns a
+block screen flags.  It walks just the columns whose norm crossed their
+threshold in a period through that period's per-segment propagators,
+finding each jump time by a Newton root find in the eigenbasis of the
+segment's no-jump generator and reading the jump's weights off the same
+Fock populations, with the same random draws as a walk of every column.
+The printed right-hand side on the whole space, and the exponential of each
+block's whole Liouvillian, are the independent references the tests check
+against; they live with them.
 
 On top of these sit the measurement-fidelity curves for the engineered
 controlled-parity (closed-system by default: the dominant error there is the
@@ -102,7 +106,8 @@ class FidelityPoint:
     evidence).  `baseline` is the thermal ground-state fidelity 1/(n+1).
     `truncation_tail` is the output state's population on the top Fock
     level |cutoff - 1>, both branches together: the weight the truncation
-    may have distorted.
+    may have distorted.  `trace_defect` is |p_plus + p_minus - 1|, which a
+    point keeps within ``BRANCH_TRACE_TOL``.
     """
 
     mean_excitation: float
@@ -114,6 +119,7 @@ class FidelityPoint:
     baseline: float
     cutoff: int
     truncation_tail: float
+    trace_defect: float
 
 
 # ---------------------------------------------------------------------------
@@ -160,59 +166,205 @@ class _DampedModeModel:
 # ---------------------------------------------------------------------------
 
 
+def _phi1(w: complex) -> complex:
+    """phi_1(w) = (e^w - 1)/w; expm1 keeps it accurate for small w."""
+    return np.expm1(w) / w if w else 1.0
+
+
+def _phi1_slope(x: complex, y: complex) -> complex:
+    """(phi_1(x) - phi_1(y))/(x - y), the divided difference of exp at 0, x
+    and y: by its Taylor series sum_n h_n/(n + 2)!, h_n = x^n + x^(n-1) y +
+    ... + y^n, where |x|, |y| < 1; in closed form elsewhere."""
+    if max(abs(x), abs(y)) < 1.0:
+        total, h_n = 0.0, 1.0
+        for n in range(18):
+            total += h_n / math.factorial(n + 2)
+            h_n = x * h_n + y ** (n + 1)
+        return total
+    return (_phi1(x) - _phi1(y)) / (x - y)
+
+
+def _free_factors(noise: NoiseParams, tau: float) -> tuple[complex, complex, float]:
+    """(alpha, beta, ln c) of a free segment of duration `tau` on ancilla
+    level 0; level 1 takes -alpha and -beta.  See `evolve_master`."""
+    g, kappa, n_th = noise.eta * noise.nu, noise.nu / noise.Q, noise.N_th
+    if g == 0.0:  # no coupling: the segment is a wait
+        return 0j, 0j, 0.0
+    # a numpy scalar: an overflow gives inf, which the caller refuses, not OverflowError
+    mu = np.complex128(complex(kappa / 2.0, noise.nu))
+    relax = _phi1(-kappa * tau)
+    b_conj = 1j * tau * _phi1_slope(-mu * tau, -kappa * tau) / relax
+    a_conj = 1j * tau * _phi1(-mu.conjugate() * tau) - b_conj * np.exp(-mu.conjugate() * tau)
+    # the integral of |P|^2 over the segment, P(t) = (1 - e^(-mu t))/mu
+    spread = tau * (1.0 - 2.0 * _phi1(-mu * tau).real + relax) / abs(mu) / abs(mu)
+    log_c = -2.0 * (2.0 * n_th + 1.0) * g * g * (
+        kappa * spread + np.expm1(-kappa * tau) * abs(b_conj) ** 2)
+    return g * np.conj(a_conj), g * np.conj(b_conj), float(log_c)
+
+
+class _DiagonalChannel:
+    """The waiting channel of the damped mode, Phi_t = exp(t L0), on d x d blocks.
+
+    L0 X = -i nu [a^dag a, X] + r_down (a X a^dag - {a^dag a, X}/2)
+    + r_up (a^dag X a - {a a^dag, X}/2) maps each diagonal j - i of X onto
+    itself, coupling X[i, j] to X[i + 1, j + 1] and X[i - 1, j - 1] only.  So
+    row k of the (d, d) layout `slots` holds the entries (p, (p + k) mod d),
+    p = 0 .. d - 1, as flat indices into the block: diagonal k followed by
+    diagonal k - d, which together hold d entries.  `generator` is L0 on each
+    row, a (d, d, d) stack of tridiagonal matrices with no hop across the
+    seam between the two diagonals, so each is block diagonal and its
+    exponential is exactly that of its two diagonals.
+    """
+
+    def __init__(self, d: int, noise: NoiseParams):
+        i = np.broadcast_to(np.arange(d), (d, d))
+        j = (i + np.arange(d)[:, None]) % d
+        self.d, self.slots = d, i * d + j
+        up = np.where(i < d - 1, i + 1.0, 0.0) + np.where(j < d - 1, j + 1.0, 0.0)  # a a^dag
+        rd, ru = noise.rate_down, noise.rate_up
+        # X[i + 1, j + 1] sits next along the row unless j + 1 leaves the block
+        hop = np.where(j[:, :-1] < d - 1, np.sqrt((i[:, :-1] + 1.0) * (j[:, :-1] + 1.0)), 0.0)
+        p = np.arange(d)
+        self.generator = np.zeros((d, d, d), dtype=complex)
+        self.generator[:, p, p] = -1j * noise.nu * (i - j) - 0.5 * (rd * (i + j) + ru * up)
+        self.generator[:, p[:-1], p[1:]] = rd * hop  # r_down a X a^dag reads X[i + 1, j + 1]
+        self.generator[:, p[1:], p[:-1]] = ru * hop  # r_up a^dag X a reads X[i - 1, j - 1]
+
+    def apply(self, prop: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """A (d, d, d) propagator stack on (n, d, d) blocks: gather the rows,
+        one batched product, scatter them back."""
+        n, d = len(blocks), self.d
+        flat = blocks.reshape(n, d * d).T
+        out = np.empty_like(flat)
+        out[self.slots] = prop @ flat[self.slots]
+        return out.T.reshape(n, d, d)
+
+
 def evolve_master(state: np.ndarray, schedule: PulseSchedule,
                   noise: NoiseParams) -> np.ndarray:
     """Evolve a state through a pulse schedule under the master equation.
 
-    Returns the (levels, d, levels, d) density array.  Exact up to rounding.
-    The lab-frame Hamiltonian is diagonal in the ancilla's Z basis and the
-    jump operators act on the mode alone, so each (q, q') block of rho
-    evolves on its own under a d^2 x d^2 Liouvillian:
+    Returns the (levels, d, levels, d) density array.  The lab-frame
+    Hamiltonian is diagonal in the ancilla's Z basis and the jump operators
+    act on the mode alone, so each (q, q') block X of rho evolves on its own:
 
-        d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
-                       + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a.
+        X' = L0 X - i g_q (a + a^dag) X + i g_q' X (a + a^dag),
 
-    The Liouvillian is not normal, so no eigh: its exponential is the scaled
-    and squared Pade `fock.pade_exponential`, built once per (segment,
-    q <= q') and reused (one per waiting segment, whose uncoupled blocks
-    share a generator); the (q', q) block is set to the adjoint of the
-    evolved (q, q') block.  Instantaneous rotations are exact 2 x 2
-    conjugations on the ancilla axes.  A generator whose entries or 1-norm
-    overflow is a ValueError naming the noise and the cutoff.
+    with L0 the waiting generator (`_DiagonalChannel`) and g_q = s_q eta nu,
+    s_q = +1 on ancilla level 0 (Z = +1) and -1 on level 1; while waiting the
+    coupling is off.  Only the blocks with q <= q' are evolved, all at once;
+    each (q', q) block is set to the adjoint of the evolved (q, q') block.
+    Instantaneous rotations are exact 2 x 2 conjugations on the ancilla axes.
+
+    Waiting segments.  L0 keeps the diagonal i - j of |i><j| (phase
+    covariance), so Phi_tau = exp(tau L0) is 2d - 1 tridiagonal blocks, held
+    in pairs as d blocks of d x d; those of every timed duration are
+    exponentiated in one stacked `fock.pade_exponential`.  This is exact on
+    the truncated model.
+
+    Free segments: conditional displacements around the waiting channel,
+
+        X -> c_qq' D(alpha_q) Phi_tau(D(beta_q) X D(beta_q')^dag) D(alpha_q')^dag,
+
+    alpha_q = s_q eta nu a, beta_q = s_q eta nu b, c_qq = 1, c_01 = c.  With
+    mu = i nu + kappa/2 (kappa = nu/Q), P(t) = (1 - e^(-mu t))/mu (level q's
+    mean field from vacuum is -i g_q P(t)), phi_1(w) = (e^w - 1)/w and
+    e[0, x, y] = (phi_1(x) - phi_1(y))/(x - y):
+
+        b^* = i tau e[0, -mu tau, -kappa tau] / phi_1(-kappa tau),
+        a^* = i tau phi_1(-mu^* tau) - b^* e^(-mu^* tau),
+        ln c = -2 (2 N_th + 1) eta^2 nu^2 (kappa int_0^tau |P|^2 - |b|^2 (1 - e^(-kappa tau))).
+
+    Derivation (the polaron, or conditional-displacement, solution of the
+    damped driven oscillator: Gambetta et al., PRA 77, 012112 (2008)).  On
+    S = (a., a^dag., .a, .a^dag), the left and right products, the coupling
+    is v.S with v = (-i g_q, -i g_q, i g_q', i g_q'); commutators of such
+    terms are scalars, [u.S, w.S] = (u1 w2 - u2 w1) - (u3 w4 - u4 w3); and
+    ad L0 maps u.S to (M u).S with
+
+        M = [[i nu + c, 0, r_down, 0], [0, -(i nu + c), 0, -r_up],
+             [-r_up, 0, i nu - c, 0], [0, r_down, 0, -(i nu - c)]],
+
+    c = (r_down + r_up)/2, eigenvalues +-i nu +- kappa/2.  So exp(tau L) =
+    exp(l.S + sigma) exp(tau L0) with l = M^-1 (e^(tau M) - 1) v, and since
+    exp(tau L0) e^(u.S) = e^((e^(tau M) u).S) exp(tau L0), the form above
+    holds when l = u(alpha_q, alpha_q') + e^(tau M) u(beta_q, beta_q'), u(x,
+    y) = (-x^*, x, y^*, -y) being D(x) X D(y)^dag.  That is two equations,
+    a^* + b^* e^(lam tau) = i (e^(lam tau) - 1)/lam at lam = i nu +- kappa/2,
+    solved above as divided differences (they merge as kappa -> 0, where the
+    split of the mean field between alpha and beta becomes free).  The
+    scalar is linear in 2 N_th + 1; at N_th = 0 the vacuum's blocks stay
+    coherent-state dyads, whose coefficient decays by kappa |p_0 - p_1|^2/2 =
+    2 kappa g^2 |P|^2, less the overlap <beta_1|beta_0>^(1 - e^(-kappa tau))
+    that Phi_tau applies itself.  Every coefficient is bounded at any Q:
+    |b| <= tau, |a| <= 2 tau and -8 (2 N_th + 1) eta^2 nu tau <= ln c <= 0.
+
+    The form is exact on the untruncated model.  Truncated, the two
+    displacements are unitary d x d exponentials (one `fock.unitary_exponential`
+    stack for all free durations; level 1 takes their adjoints), Phi_tau is
+    the truncated waiting channel and 0 < c <= 1, so each segment is a
+    conditional unitary, an ancilla dephasing, id (x) Phi_tau and a
+    conditional unitary: trace preserving and completely positive at any
+    cutoff.  It differs from the exponential of the truncated Liouvillian at
+    the top levels; the tests hold that route as the cross-check.  No
+    d^2 x d^2 array is formed: the set-up is O(d^4) and a segment O(d^3).
+
+    A rate, free-segment coefficient or waiting-block generator that is not
+    finite (its entries or 1-norm overflow) is a ValueError naming the noise
+    and the cutoff, raised before any exponential is taken.
     """
     levels, d = _levels_and_cutoff(state)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         model = _DampedModeModel(levels, d, noise)
-        a, eye = model.a, np.eye(d)
-        # row-major vec(A X B) = (A kron B^T) vec(X)
-        jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
     rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
                    dtype=complex)
-    props: dict[tuple[FreeEvolution | WaitingPeriod, int, int], np.ndarray] = {}
-    for seg in schedule.expand_waiting().segments:
+    segs = schedule.expand_waiting().segments
+    taus = sorted({seg.duration for seg in segs
+                   if not isinstance(seg, QubitRotation) and seg.duration > 0.0})
+    free_taus = sorted({seg.duration for seg in segs
+                        if isinstance(seg, FreeEvolution) and seg.duration > 0.0})
+    left, right = np.triu_indices(levels)
+    off = left != right
+    refusal = f"the master equation's generator is not finite (noise {noise!r}, cutoff {d})"
+    props, free = {}, {}
+    if taus:
+        if not math.isfinite(noise.rate_down):  # the largest rate
+            raise ValueError(refusal)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            channel = _DiagonalChannel(d, noise)
+            gens = channel.generator * np.array(taus)[:, None, None, None]
+            factors = np.array([_free_factors(noise, tau) for tau in free_taus]).reshape(-1, 3)
+            finite = np.isfinite(np.abs(gens).sum(axis=-2)).all() and np.isfinite(factors).all()
+        if not finite:  # NaN too: an entry or the 1-norm overflowed
+            raise ValueError(refusal)
+        props = dict(zip(taus, fock.pade_exponential(gens)))
+        a = model.a
+        # D(x) = exp(x a^dag - x^* a) for alpha and beta of each free duration
+        amps = factors[:, :2, None, None]
+        shifts = fock.unitary_exponential(amps * a.T - amps.conj() * a)
+        for tau, (_, _, log_c), shift in zip(free_taus, factors, shifts):
+            # per ancilla level: D(alpha_q), D(beta_q); level 1's are the adjoints
+            level = np.stack([shift, shift.conj().swapaxes(-1, -2)])[:levels]
+            scale = np.where(off, math.exp(log_c.real), 1.0)[:, None, None]
+            free[tau] = (scale, level[left, 0], level[right, 0].conj().swapaxes(-1, -2),
+                         level[left, 1], level[right, 1].conj().swapaxes(-1, -2))
+    for seg in segs:
         if isinstance(seg, QubitRotation):
             r = model.rotation(seg)
             rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())
             continue
         if seg.duration == 0.0:
             continue
-        for q in range(levels):
-            for q2 in range(q, levels):
-                # while waiting the coupling is off and every block shares one generator
-                key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
-                if key not in props:
-                    k = model.k[type(seg)]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        gen = -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
-                        gen *= seg.duration  # in place: one d^2 x d^2 array less
-                        norm = np.abs(gen).sum(axis=0).max()
-                    if not math.isfinite(norm):  # NaN too: an entry or the 1-norm overflowed
-                        raise ValueError(f"the master equation's generator is not finite "
-                                         f"(noise {noise!r}, cutoff {d})")
-                    props[key] = fock.pade_exponential(gen)
-                rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
-                if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
-                    rho[q2, :, q, :] = rho[q, :, q2, :].conj().T
+        blocks = rho[left, :, right, :]
+        if isinstance(seg, FreeEvolution):
+            scale, e_left, e_right, f_left, f_right = free[seg.duration]
+            inner = channel.apply(props[seg.duration], f_left @ blocks @ f_right)
+            blocks = scale * (e_left @ inner @ e_right)
+        else:
+            blocks = channel.apply(props[seg.duration], blocks)
+        rho[left, :, right, :] = blocks
+        # rho is Hermitian: each (q', q) block is the adjoint of its (q, q') block
+        rho[right[off], :, left[off], :] = blocks[off].conj().swapaxes(-1, -2)
     return rho
 
 
@@ -606,7 +758,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in (p_plus, p_minus)):  # NaN fails too
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} are not "
                          f"probabilities: the run diverged (noise {noise!r}, cutoff {d})")
-    if abs(p_plus + p_minus - 1.0) > BRANCH_TRACE_TOL:
+    trace_defect = abs(p_plus + p_minus - 1.0)
+    if trace_defect > BRANCH_TRACE_TOL:
         raise ValueError(f"branch probabilities p+ = {p_plus}, p- = {p_minus} sum to "
                          f"{p_plus + p_minus}, not 1: the run lost trace (noise {noise!r}, "
                          f"cutoff {d})")
@@ -616,7 +769,7 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
         repetitions=reps, eta=eta,
         p_plus=p_plus, p_minus=p_minus,
         baseline=1.0 / (n_mean + 1.0),
-        cutoff=d, truncation_tail=float(pops[:, -1].sum()))
+        cutoff=d, truncation_tail=float(pops[:, -1].sum()), trace_defect=trace_defect)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ at axis 0, then the qumodes):
   thermal state (`dense_gate_readout`): the cross-check of
   `opensys.fidelity_point`'s readout off the gate's |+, k> columns;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
+* each (q, q') block's whole d^2 x d^2 Liouvillian (`block_liouvillian`)
+  and the master equation through its Pade exponential per segment
+  (`block_pade_master`): the cross-check of `opensys.evolve_master`, which
+  factors each segment through the damped mode's Gaussian structure;
 * scipy's Pade matrix exponential, the cross-check of both of the
   package's exponentials: the eigh `fock.unitary_exponential` and the
   numpy Pade `fock.pade_exponential`;
@@ -59,6 +63,7 @@ from scipy.linalg import expm
 
 from tqpsim import encoding, fock, msuqc, opensys, thermal
 from tqpsim.opensys import NoiseParams
+from tqpsim.pulses import FreeEvolution, QubitRotation
 from tqpsim.thermal import ThermalSpec
 
 INVOLUTION_TOL = 1e-10
@@ -623,6 +628,69 @@ def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseParams) -> np.ndarr
         op_dag_op = op.conj().T @ op
         out += rate * (op @ mat @ op.conj().T - 0.5 * (op_dag_op @ mat + mat @ op_dag_op))
     return out.reshape(rho.shape)
+
+
+def block_liouvillian(noise: NoiseParams, seg_type: type, q: int, q2: int,
+                      d: int) -> np.ndarray:
+    """The d^2 x d^2 generator of the (q, q') block of rho in a timed segment
+    of type `seg_type` (unit duration), on the row-major vec of the block:
+
+        d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
+                       + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a,
+
+    with K the segment's no-jump generator (`opensys._DampedModeModel`)."""
+    model = opensys._DampedModeModel(2, d, noise)
+    a, eye, k = model.a, np.eye(d), model.k[seg_type]
+    # row-major vec(A X B) = (A kron B^T) vec(X)
+    jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
+    return -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
+
+
+def block_pade_master(state: np.ndarray, schedule, noise: NoiseParams) -> np.ndarray:
+    """The master equation through the exponential of each block's whole
+    Liouvillian (`block_liouvillian`): the cross-check of
+    `opensys.evolve_master`'s factored route.
+
+    Returns the (levels, d, levels, d) density array.  Exact on the truncated
+    model up to rounding.  Each block's Liouvillian times the segment's
+    duration is exponentiated by the scaled and squared Pade
+    `fock.pade_exponential`, built once per (segment, q <= q') and reused
+    (one per waiting segment, whose uncoupled blocks share a generator); the
+    (q', q) block is set to the adjoint of the evolved (q, q') block.
+    Instantaneous rotations are exact 2 x 2 conjugations on the ancilla
+    axes.  A generator whose entries or 1-norm overflow is a ValueError
+    naming the noise and the cutoff.
+    """
+    levels, d = opensys._levels_and_cutoff(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        model = opensys._DampedModeModel(levels, d, noise)
+    rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
+                   dtype=complex)
+    props = {}
+    for seg in schedule.expand_waiting().segments:
+        if isinstance(seg, QubitRotation):
+            r = model.rotation(seg)
+            rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())
+            continue
+        if seg.duration == 0.0:
+            continue
+        for q in range(levels):
+            for q2 in range(q, levels):
+                # while waiting the coupling is off and every block shares one generator
+                key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
+                if key not in props:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        gen = block_liouvillian(noise, type(seg), *key[1:], d)
+                        gen *= seg.duration  # in place: one d^2 x d^2 array less
+                        norm = np.abs(gen).sum(axis=0).max()
+                    if not math.isfinite(norm):  # NaN too: an entry or the 1-norm overflowed
+                        raise ValueError(f"the master equation's generator is not finite "
+                                         f"(noise {noise!r}, cutoff {d})")
+                    props[key] = fock.pade_exponential(gen)
+                rho[q, :, q2, :] = (props[key] @ rho[q, :, q2, :].reshape(-1)).reshape(d, d)
+                if q2 != q:  # rho is Hermitian: the (q', q) block is the adjoint
+                    rho[q2, :, q, :] = rho[q, :, q2, :].conj().T
+    return rho
 
 
 # ---------------------------------------------------------------------------

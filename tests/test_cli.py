@@ -331,6 +331,15 @@ def test_fidelity_sweep_with_bath(tmp_path):
     assert run(["fidelity-sweep", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
     (row,) = out.read_text().strip().splitlines()[1:]
     assert 0.5 < float(row.split(",")[3]) <= 1.0
+    # the sidecar keeps the point's trace defect, the CSV does not
+    from tqpsim import opensys, pulses
+
+    pt = opensys.fidelity_point(0.5, (50, pulses.eta_for_repetitions(50)),
+                                noise=opensys.NoiseParams(Q=1e4, N_th=0.5))
+    meta = json.loads((tmp_path / "fid.csv.meta.json").read_text())
+    assert meta["max_trace_defect"] == pt.trace_defect == abs(pt.p_plus + pt.p_minus - 1.0)
+    assert pt.trace_defect <= opensys.BRANCH_TRACE_TOL
+    assert "defect" not in out.read_text().splitlines()[0]
 
 
 def test_msuqc_demo_small(tmp_path):

@@ -145,23 +145,24 @@ def test_unitary_exponential_matches_scipy_expm():
 
 @pytest.mark.parametrize("d", [4, 12, 24])
 def test_pade_exponential_matches_scipy_expm_on_every_master_equation_block(d, monkeypatch):
-    # one H2 sequence builds four blocks per run: the coupled free evolution at
-    # (q, q') = (0, 0), (0, 1), (1, 1) and the uncoupled wait, which all levels share
-    pade, seen = fock.pade_exponential, []
-
-    def recorded(gen):
-        seen.append((gen.copy(), pade(gen)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(fock, "pade_exponential", recorded)
+    # one H2 sequence takes two stacked exponentials per run: the Pade of the
+    # waiting channel's d blocks at its two durations (the free evolution's and
+    # the wait's), and the eigh of the free evolution's two displacements
+    seen = []
+    for name in ("pade_exponential", "unitary_exponential"):
+        def recorded(gen, exponential=getattr(fock, name)):
+            seen.append((np.array(gen), exponential(gen)))
+            return seen[-1][1]
+        monkeypatch.setattr(fock, name, recorded)
     eta = pulses.eta_for_repetitions(50)
     sched = pulses.build_h2_sequence(pulses.HybridHamiltonianParams(eta=eta), 1)
     for q in (100.0, 300.0, 1e4, 1e6):
         opensys.evolve_master(opensys._thermal_with_ancilla(0.5, d), sched,
                               opensys.NoiseParams(Q=q, N_th=0.5, eta=eta))
-    assert len(seen) == 4 * 4
-    for gen, exp in seen:
-        assert np.abs(exp - expm(gen)).max() <= 1e-12
+    assert [gen.shape for gen, _ in seen] == [(2, d, d, d), (1, 2, d, d)] * 4
+    for gens, exps in seen:
+        for gen, exp in zip(gens.reshape(-1, d, d), exps.reshape(-1, d, d)):
+            assert np.abs(exp - expm(gen)).max() <= 1e-12
 
 
 def test_pade_exponential_edge_cases():
@@ -178,10 +179,20 @@ def test_pade_exponential_edge_cases():
         assert np.abs(gen).sum(axis=0).max() == top
         exp = expm(gen.astype(complex))
         assert np.abs(fock.pade_exponential(gen) - exp).max() <= 1e-14 * np.abs(exp).max()
-    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2)),
-                np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf]])):
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 3)), np.ones(()),
+                np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf]]),
+                np.stack([np.eye(2), np.full((2, 2), np.inf)])):
         with pytest.raises(ValueError):
             fock.pade_exponential(bad)
+    # a stack on the last two axes: each matrix as alone, with its own scaling
+    rng = np.random.default_rng(7)
+    stack = (rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))) \
+        * np.array([0.0, 0.1, 1.0, 4.0, 30.0, 300.0])[:, None, None].reshape(2, 3, 1, 1)
+    exps = fock.pade_exponential(stack)
+    assert exps.shape == stack.shape
+    for gen, exp in zip(stack.reshape(-1, 4, 4), exps.reshape(-1, 4, 4)):
+        alone = fock.pade_exponential(gen)
+        assert np.abs(exp - alone).max() <= 1e-15 * np.abs(alone).max()
 
 
 def test_identity_embed_returns_the_operator():

@@ -172,6 +172,26 @@ def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
     assert np.linalg.eigvalsh((out + out.conj().T) / 2).min() >= -1e-10
 
 
+def _low_density(d, levels_kept, seed):
+    """A random (2, d, 2, d) density supported on the lowest `levels_kept` Fock levels."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((2, d, 2, d), dtype=complex)
+    shape = (2, levels_kept, 2, levels_kept)
+    m[:, :levels_kept, :, :levels_kept] = (rng.standard_normal(shape)
+                                           + 1j * rng.standard_normal(shape))
+    m = _flat(m)
+    rho = m @ m.conj().T
+    return (rho / np.trace(rho)).reshape(2, d, 2, d)
+
+
+def _plus_thermal_weights(n_mean, d):
+    """|+><+| (x) the thermal weights of levels 0 .. d - 1, not renormalised, so
+    that two cutoffs share their common entries."""
+    plus = np.outer(fock.KET_PLUS, fock.KET_PLUS.conj())
+    return np.kron(plus, np.diag(thermal.thermal_weights(n_mean, d).astype(complex))).reshape(
+        2, d, 2, d)
+
+
 def test_closed_system_master_matches_unitary(dense_schedule_unitary):
     p = hparams(0.03)
     sched = pulses.build_h2_sequence(p, 1)
@@ -182,13 +202,141 @@ def test_closed_system_master_matches_unitary(dense_schedule_unitary):
     u = pulses.simulate_schedule(sched, p, d)
     ref = u @ _flat(st) @ u.conj().T
     assert opensys.trace_distance(evolved, ref) < 1e-6
-    u_dense = dense_schedule_unitary(sched, p, d)
-    ref_dense = u_dense @ _flat(st) @ u_dense.conj().T
-    assert opensys.trace_distance(evolved, ref_dense) < 1e-12
+    # the master equation and the dense unitary truncate the model differently
+    # (5.8e-8 apart on this input): they agree on a state far below the cutoff,
+    # and the master equation at d and at d + 8 agrees on the lowest levels
+    wide = 30
+    low = _low_density(wide, wide // 3, 5)
+    u_dense = dense_schedule_unitary(sched, p, wide)
+    assert opensys.trace_distance(opensys.evolve_master(low, sched, noise),
+                                  u_dense @ _flat(low) @ u_dense.conj().T) < 1e-12
+    small, large = (opensys.evolve_master(_plus_thermal_weights(0.5, n), sched, noise)
+                    for n in (d, d + 8))
+    kept = d - 8
+    assert opensys.trace_distance(small[:, :kept, :, :kept], large[:, :kept, :, :kept]) < 1e-12
     assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-8)
     herm = np.abs(evolved - evolved.conj().T).max()
     assert herm < 1e-10
     assert np.linalg.eigvalsh(evolved).min() > -1e-8
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_waiting_segments_match_the_block_liouvillian(levels):
+    # the waiting channel is exact on the truncated model: any input, any rates
+    for d in (1, 2, 5, 9):
+        rho = _random_density(d, 100 + d)
+        if levels == 1:
+            rho = rho[:1, :, :1, :] / np.trace(_flat(rho[:1, :, :1, :]))
+        for q, n_th in ((0.5, 3.0), (5.0, 0.5), (300.0, 0.0), (1e300, 2.0)):
+            for tau in (0.3, math.pi / 2, 7.0):
+                sched = pulses.PulseSchedule((pulses.WaitingPeriod(tau),))
+                noise = NoiseParams(Q=q, N_th=n_th, eta=0.05)
+                got = opensys.evolve_master(rho, sched, noise)
+                assert np.abs(got - dense.block_pade_master(rho, sched, noise)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [5.0, 300.0, 1e4, 1e300])
+@pytest.mark.parametrize("d", [6, 20, 40])
+def test_free_blocks_match_the_block_liouvillian_on_low_levels(d, q):
+    # one free evolution of the sequence's length on a state supported on levels
+    # <= d/3, against the exponential of each block's truncated Liouvillian
+    # applied to it.  The routes truncate differently: the factored one takes
+    # [a, a^dag] = 1 in its displacements, which the cutoff breaks by
+    # d |d-1><d-1|.  Where the state stays below the top level they agree to
+    # rounding; where it reaches it (d = 6, and the heated state at d = 20,
+    # Q = 5) the gap is bounded by d (g tau)^2 times the top level's amplitude
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+    noise = NoiseParams(Q=q, N_th=0.5, eta=pulses.eta_for_repetitions(50))
+    rho = _low_density(d, d // 3 + 1, d)
+    seg = pulses.FreeEvolution(math.pi)
+    got = opensys.evolve_master(rho, pulses.PulseSchedule((seg,)), noise)
+    top = float(np.einsum("qaqa->a", got).real[-1])
+    if d == 6 or (d, q) == (20, 5.0):
+        bound = d * (noise.eta * noise.nu * seg.duration) ** 2 * math.sqrt(top)
+    else:
+        assert top < 1e-14
+        bound = 1e-12
+    for level, level2 in ((0, 0), (0, 1), (1, 1)):
+        gen = dense.block_liouvillian(noise, pulses.FreeEvolution, level, level2, d)
+        ref = expm_multiply(csr_matrix(gen * seg.duration),
+                            rho[level, :, level2, :].reshape(-1)).reshape(d, d)
+        assert np.abs(got[level, :, level2, :] - ref).max() <= bound
+        assert np.abs(got[level2, :, level, :] - ref.conj().T).max() <= bound
+
+
+@pytest.mark.parametrize("d", [8, 12, 16, 20])
+def test_thermal_input_matches_the_block_liouvillian_within_the_truncation_tail(d):
+    # the ensemble benchmark's input and schedule: the two routes differ by
+    # less than the weight the output keeps on the top level
+    noise = NoiseParams(Q=300.0, N_th=0.5, eta=pulses.eta_for_repetitions(50))
+    sched = pulses.build_h2_sequence(noise.hybrid_params(), 1)
+    rho = opensys._thermal_with_ancilla(0.5, d)
+    got = opensys.evolve_master(rho, sched, noise)
+    ref = dense.block_pade_master(rho, sched, noise)
+    tail = float(np.einsum("qaqa->a", got).real[-1])
+    assert opensys.trace_distance(got, ref) <= tail
+    flat = _flat(got)
+    assert abs(np.trace(flat) - 1.0) <= 1e-12
+    assert np.abs(flat - flat.conj().T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [12, 20])
+def test_cutoffs_d_and_d_plus_8_agree_on_the_lowest_levels(d):
+    # the first d - 8 levels at cutoffs d and d + 8 agree to within the
+    # thermal weight of level d - 1
+    noise = NoiseParams(Q=300.0, N_th=0.5, eta=pulses.eta_for_repetitions(50))
+    sched = pulses.build_h2_sequence(noise.hybrid_params(), 1)
+    small, large = (opensys.evolve_master(_plus_thermal_weights(0.5, n), sched, noise)
+                    for n in (d, d + 8))
+    kept = d - 8
+    assert opensys.trace_distance(small[:, :kept, :, :kept], large[:, :kept, :, :kept]) \
+        <= thermal.thermal_weights(0.5, d)[-1]
+
+
+def test_free_segment_coefficients_are_bounded_and_solve_the_one_sided_form():
+    # alpha, beta and ln c of every free segment are finite and bounded at any
+    # Q; where exp(tau M) stays small (its entries grow as 4 N_th e^(kappa
+    # tau/2)) they solve exp(tau L) = exp(l.S + sigma) exp(tau L0),
+    # l = tau phi_1(tau M) v, sigma = tau^2/2 [v, phi_2(tau M) v]
+    eta, nu = 0.0222, 1.3
+    g = eta * nu
+
+    def bracket(u, w):  # [u.S, w.S]
+        return u[0] * w[1] - u[1] * w[0] - u[2] * w[3] + u[3] * w[2]
+
+    for n_th in (0.0, 0.5, 100.0):
+        for tau in (math.pi / 2, math.pi, 5.0):
+            for q in np.logspace(-300, 300, 61):
+                noise = NoiseParams(Q=q, N_th=n_th, eta=eta, nu=nu)
+                alpha, beta, log_c = opensys._free_factors(noise, tau)
+                assert np.isfinite([alpha, beta, log_c]).all()
+                assert abs(beta) <= g * tau * (1 + 1e-12)
+                assert abs(alpha) <= 2 * g * tau * (1 + 1e-12)
+                assert -8 * (2 * n_th + 1) * g * eta * tau <= log_c <= 0.0
+                if nu / q * tau > 5.0 or n_th > 1.0:
+                    continue
+                rd, ru, c = noise.rate_down, noise.rate_up, (noise.rate_down + noise.rate_up) / 2
+                m = np.array([[1j * nu + c, 0, rd, 0], [0, -(1j * nu + c), 0, -ru],
+                              [-ru, 0, 1j * nu - c, 0], [0, rd, 0, -(1j * nu - c)]])
+                aug = np.zeros((12, 12), dtype=complex)
+                aug[:4, :4], aug[:4, 4:8], aug[4:8, 8:] = m, np.eye(4), np.eye(4)
+                ex = expm(tau * aug)
+                grow, phi1, phi2 = ex[:4, :4], ex[:4, 4:8], ex[:4, 8:]
+                for s, s2, scalar in ((1, 1, 0.0), (1, -1, log_c), (-1, -1, 0.0)):
+                    v = np.array([-1j * s * g, -1j * s * g, 1j * s2 * g, 1j * s2 * g])
+                    # D(x) X D(y)^dag is exp(u.S) with u = (-x^*, x, y^*, -y)
+                    u_out = np.array([-np.conj(s * alpha), s * alpha,
+                                      np.conj(s2 * alpha), -s2 * alpha])
+                    u_in = np.array([-np.conj(s * beta), s * beta, np.conj(s2 * beta), -s2 * beta])
+                    # relative to the largest of the terms that cancel
+                    terms = [np.abs(u_out), np.abs(grow) @ np.abs(u_in), np.abs(phi1) @ np.abs(v)]
+                    assert np.abs(u_out + grow @ u_in - phi1 @ v).max() <= 1e-12 * np.max(terms)
+                    sigma = 0.5 * bracket(v, phi2 @ v)
+                    terms = [np.abs(v) @ np.abs(phi2) @ np.abs(v),
+                             np.abs(u_out) @ np.abs(grow) @ np.abs(u_in)]
+                    assert abs(sigma - 0.5 * bracket(u_out, grow @ u_in) - scalar) \
+                        <= 1e-12 * max(terms)
 
 
 def test_jump_unravelling_noiseless_is_deterministic():
@@ -626,7 +774,7 @@ def test_closed_fidelity_point_keeps_trace_at_the_largest_repetition_count(n_mea
     # stays unitary to rounding, so the closed route passes the trace check
     reps = 10 ** 6
     pt = opensys.fidelity_point(n_mean, (reps, pulses.eta_for_repetitions(reps)))
-    assert abs(pt.p_plus + pt.p_minus - 1.0) <= opensys.BRANCH_TRACE_TOL
+    assert pt.trace_defect == abs(pt.p_plus + pt.p_minus - 1.0) <= opensys.BRANCH_TRACE_TOL
 
 
 def test_fidelity_config_ordering_at_reference_point():
@@ -695,7 +843,7 @@ def test_trajectory_check_follows_the_exact_count_at_large_kappa_t():
 @pytest.mark.parametrize("q, n_th", [(1e-300, 1.0), (1.0, 1e12)])
 def test_fidelity_point_refuses_a_diverged_master_equation(q, n_th):
     # the first overflows to NaN in the exponential's squarings, which numpy
-    # reports; the second loses trace (p+ + p- = 0.948 at this cutoff); neither
+    # reports; the second loses trace (p+ + p- = 0.929 at this cutoff); neither
     # may report a fidelity
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -706,18 +854,54 @@ def test_fidelity_point_refuses_a_diverged_master_equation(q, n_th):
 
 
 def test_fidelity_point_stays_finite_deep_in_the_overdamped_regime():
-    # a cold bath at Q = 1e-300 gives the Q = 1e-10 point, where scipy's expm
-    # agrees; scipy's expm runs to NaN here at Q = 1e-50, 1e-100 and 1e-300
-    config = (1, pulses.eta_for_repetitions(50))
-    deep, shallow = (opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=q), cutoff=6)
-                     for q in (1e-300, 1e-10))
-    assert abs(deep.p_plus - shallow.p_plus) <= 1e-12
-    assert abs(deep.p_minus - shallow.p_minus) <= 1e-12
+    # at kappa = nu/Q >> nu the mode follows the bath at once and only
+    # dephases the ancilla during each free segment (motional narrowing), at
+    # the rate 8 g^2 (2 N_th + 1) Q/nu / (1 + 4 Q^2), g = eta nu, N_th = 0: an
+    # ancilla alone, rotated as scheduled, is the independent reference.  At
+    # Q = 1e-10 this moves p+ by 5e-12 from Q = 1e-300; at Q = 1e-6 by 4.9e-8
+    reps, eta = 1, pulses.eta_for_repetitions(50)
+    sched = pulses.build_h2_sequence(pulses.HybridHamiltonianParams(eta=eta), reps) + \
+        pulses.PulseSchedule((pulses.frame_correction(eta, reps),))
+    for q in (1e-300, 1e-10, 1e-6):
+        pt = opensys.fidelity_point(0.5, (reps, eta), noise=NoiseParams(Q=q), cutoff=6)
+        rate = 8.0 * eta ** 2 * q / (1.0 + 4.0 * q ** 2)
+        anc = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
+        for seg in sched.segments:
+            if isinstance(seg, pulses.QubitRotation):
+                r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
+                anc = r @ anc @ r.conj().T
+            elif isinstance(seg, pulses.FreeEvolution):
+                coherence = math.exp(-rate * seg.duration)
+                anc = anc * np.array([[1.0, coherence], [coherence, 1.0]])
+        p_plus = 0.5 * (anc[0, 0] + anc[1, 1] + anc[0, 1] + anc[1, 0]).real
+        assert abs(pt.p_plus - p_plus) <= 1e-13
+        assert abs(pt.p_minus - (1.0 - p_plus)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [1e-6, 1e-10])
+def test_free_segment_matches_a_high_precision_exponential_deep_in_the_overdamped_regime(q):
+    # a 40-digit exponential of the coherence block's truncated Liouvillian:
+    # the factored route agrees to rounding (1.8e-15), where the
+    # double-precision Pade of the same Liouvillian is 2.9e-10 off at Q = 1e-6
+    import mpmath
+    d = 4
+    noise = NoiseParams(Q=q, eta=pulses.eta_for_repetitions(50))
+    x0 = np.random.default_rng(3).standard_normal((d, d)) * (1.0 + 0.5j)
+    rho = np.zeros((2, d, 2, d), dtype=complex)
+    rho[0, :, 1, :], rho[1, :, 0, :] = x0, x0.conj().T
+    seg = pulses.FreeEvolution(math.pi)
+    got = opensys.evolve_master(rho, pulses.PulseSchedule((seg,)), noise)[0, :, 1, :]
+    with mpmath.workdps(40):
+        gen = mpmath.matrix((dense.block_liouvillian(noise, pulses.FreeEvolution, 0, 1, d)
+                             * seg.duration).tolist())
+        exact = mpmath.expm(gen) * mpmath.matrix(x0.reshape(-1).tolist())
+    exact = np.array(exact.tolist(), dtype=complex).reshape(d, d)
+    assert np.abs(got - exact).max() <= 1e-13
 
 
 def test_fidelity_point_refuses_a_master_equation_that_lost_trace():
-    # each branch probability stays in [0, 1] (p+ = p- = 0.436), but their
-    # sum is 0.872: the run may not report a fidelity
+    # each branch probability stays in [0, 1] (p+ = p- = 0.566), but their
+    # sum is 1.131: the run may not report a fidelity
     with pytest.raises(ValueError, match=r"lost trace .*Q=1\.0.*N_th=1000000000000\.0.*cutoff 4"):
         opensys.fidelity_point(0.5, (50, pulses.eta_for_repetitions(50)),
                                noise=NoiseParams(Q=1.0, N_th=1e12), cutoff=4)
@@ -745,6 +929,32 @@ def test_open_system_solvers_load_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_bath_fidelity_point_stays_small_in_a_fresh_process():
+    # n = 2 at 200 sequences (d = 39): the per-block d^2 x d^2 Pade
+    # propagators peaked at 634 MB there at 50 sequences
+    env = dict(os.environ)
+    src = str(Path(opensys.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # VmHWM is the high-water mark of the process's own memory map (ru_maxrss
+    # also holds the RSS of the parent it was forked from)
+    script = """if True:
+        import re, sys
+        from tqpsim import opensys, pulses
+        pt = opensys.fidelity_point(2.0, (200, pulses.eta_for_repetitions(200)),
+                                    noise=opensys.NoiseParams(Q=1e4, N_th=0.5))
+        status = open("/proc/self/status").read()
+        print(pt.cutoff, re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1),
+              any(m.split(".")[0] == "scipy" for m in sys.modules))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    cutoff, peak_kb, scipy_loaded = proc.stdout.split()
+    assert cutoff == "39"
+    assert int(peak_kb) / 1024 < 150
+    assert scipy_loaded == "False"
 
 
 def test_cooling_rate_zeros_and_optimum_scaling():
