@@ -22,10 +22,13 @@ unravelling screens every column with composed no-jump propagators, the
 only operators on the whole (ancilla, mode) space: one per block of about
 sqrt(P) of the schedule's P periods, and one per period for the columns a
 block screen flags.  It walks just the columns whose norm crossed their
-threshold in a period through that period's per-segment propagators,
-finding each jump time by a Newton root find in the eigenbasis of the
-segment's no-jump generator and reading the jump's weights off the same
-Fock populations, with the same random draws as a walk of every column.
+threshold in a period through that period's per-segment propagators.  All
+the columns that cross in one segment have their jump times found together,
+one Newton root find in the eigenbasis of the segment's no-jump generator
+whose numerics cover the whole stack while each column keeps its own
+bracket and stopping test; the jump's weights are read off the same Fock
+populations, and the random draws are those of a walk of every column, one
+column at a time.
 The printed right-hand side on the whole space, and the exponential of each
 block's whole Liouvillian, are the independent references the tests check
 against; they live with them.
@@ -41,6 +44,7 @@ regime.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import warnings
@@ -167,8 +171,13 @@ class _DampedModeModel:
 
 
 def _phi1(w: complex) -> complex:
-    """phi_1(w) = (e^w - 1)/w; expm1 keeps it accurate for small w."""
-    return np.expm1(w) / w if w else 1.0
+    """phi_1(w) = (e^w - 1)/w; expm1 keeps it accurate for small w.  Below
+    |w| = 1e-5 the Taylor head 1 + w/2 + w^2/6 (relative error about
+    |w|^3/24) stands in: numpy divides a subnormal complex w by itself to
+    inf + nan j, not 1."""
+    if abs(w) < 1e-5:
+        return 1.0 + w / 2.0 + w * w / 6.0
+    return np.expm1(w) / w
 
 
 def _phi1_slope(x: complex, y: complex) -> complex:
@@ -254,7 +263,8 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
     s_q = +1 on ancilla level 0 (Z = +1) and -1 on level 1; while waiting the
     coupling is off.  Only the blocks with q <= q' are evolved, all at once;
     each (q', q) block is set to the adjoint of the evolved (q, q') block.
-    Instantaneous rotations are exact 2 x 2 conjugations on the ancilla axes.
+    Instantaneous rotations are exact 2 x 2 conjugations on the ancilla axes,
+    one per run of adjacent rotations (by their product).
 
     Waiting segments.  L0 keeps the diagonal i - j of |i><j| (phase
     covariance), so Phi_tau = exp(tau L0) is 2d - 1 tridiagonal blocks, held
@@ -318,11 +328,12 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
         model = _DampedModeModel(levels, d, noise)
     rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
                    dtype=complex)
-    segs = schedule.expand_waiting().segments
-    taus = sorted({seg.duration for seg in segs
-                   if not isinstance(seg, QubitRotation) and seg.duration > 0.0})
-    free_taus = sorted({seg.duration for seg in segs
-                        if isinstance(seg, FreeEvolution) and seg.duration > 0.0})
+    # a zero-duration segment is the identity: without it the rotations around it fuse
+    segs = [seg for seg in schedule.expand_waiting().segments
+            if isinstance(seg, QubitRotation) or seg.duration > 0.0]
+    rotations = {seg: model.rotation(seg) for seg in set(segs) if isinstance(seg, QubitRotation)}
+    taus = sorted({seg.duration for seg in segs if not isinstance(seg, QubitRotation)})
+    free_taus = sorted({seg.duration for seg in segs if isinstance(seg, FreeEvolution)})
     left, right = np.triu_indices(levels)
     off = left != right
     refusal = f"the master equation's generator is not finite (noise {noise!r}, cutoff {d})"
@@ -348,23 +359,22 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
             scale = np.where(off, math.exp(log_c.real), 1.0)[:, None, None]
             free[tau] = (scale, level[left, 0], level[right, 0].conj().swapaxes(-1, -2),
                          level[left, 1], level[right, 1].conj().swapaxes(-1, -2))
-    for seg in segs:
-        if isinstance(seg, QubitRotation):
-            r = model.rotation(seg)
+    for rotating, run in itertools.groupby(segs, key=lambda seg: seg in rotations):
+        if rotating:  # one conjugation per run of adjacent rotations
+            r = functools.reduce(np.matmul, [rotations[seg] for seg in reversed(list(run))])
             rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())
             continue
-        if seg.duration == 0.0:
-            continue
-        blocks = rho[left, :, right, :]
-        if isinstance(seg, FreeEvolution):
-            scale, e_left, e_right, f_left, f_right = free[seg.duration]
-            inner = channel.apply(props[seg.duration], f_left @ blocks @ f_right)
-            blocks = scale * (e_left @ inner @ e_right)
-        else:
-            blocks = channel.apply(props[seg.duration], blocks)
-        rho[left, :, right, :] = blocks
-        # rho is Hermitian: each (q', q) block is the adjoint of its (q, q') block
-        rho[right[off], :, left[off], :] = blocks[off].conj().swapaxes(-1, -2)
+        for seg in run:
+            blocks = rho[left, :, right, :]
+            if isinstance(seg, FreeEvolution):
+                scale, e_left, e_right, f_left, f_right = free[seg.duration]
+                inner = channel.apply(props[seg.duration], f_left @ blocks @ f_right)
+                blocks = scale * (e_left @ inner @ e_right)
+            else:
+                blocks = channel.apply(props[seg.duration], blocks)
+            rho[left, :, right, :] = blocks
+            # rho is Hermitian: each (q', q) block is the adjoint of its (q, q') block
+            rho[right[off], :, left[off], :] = blocks[off].conj().swapaxes(-1, -2)
     return rho
 
 
@@ -424,18 +434,21 @@ class _SegmentPropagators:
                              f"{EIGENBASIS_COND_LIMIT:g}) at Q = {model.noise.Q!r}, "
                              f"eta = {model.noise.eta!r}, cutoff {model.d}")
         self.v_inv = np.linalg.inv(self.v)
-        self._lam_col = self.lam[..., None]
-        # rows on |psi|^2 flattened over (level, Fock number): the norm, and its
-        # decay rate, the diagonal of r_down a^dag a + r_up a a^dag (the
-        # truncation's top entry included)
-        self._norm_and_decay = np.tile(np.stack([np.ones(model.d), -2.0 * k[0].diagonal().imag]),
-                                       model.levels)
-        self.jump_ops = (model.a, model.a.conj().T)
+        self._phase = -1j * self.lam[..., None]  # times tau, the exponent of each eigenvector
+        self.jump_ops = np.stack([model.a, model.a.conj().T])
+        # V^-1 a and V^-1 a^dag per level: the eigen-coefficients of a jumped column
+        self._jumped_coefficients = (self.v_inv @ self.jump_ops[:, None])[:, None]
         n = np.arange(model.d, dtype=float)
-        # a^dag |d-1> = 0 after truncation: the top level carries no a^dag weight
-        self._jump_weight_rows = np.tile(np.stack([model.noise.rate_down * n,
-                                                   model.noise.rate_up * np.append(n[1:], 0.0)]),
-                                         model.levels)
+        n_up = np.append(n[1:], 0.0)  # a^dag |d-1> = 0 after truncation
+        # rows on the squares of a column's real and imaginary parts, flattened
+        # over (level, Fock number, part): its norm, the norm's decay rate (the
+        # diagonal of r_down a^dag a + r_up a a^dag, the truncation's top entry
+        # included), the two jump weights r_down |a psi|^2 and r_up |a^dag psi|^2,
+        # and |a psi|^2 and |a^dag psi|^2
+        rates = model.noise.rate_down, model.noise.rate_up
+        reads = np.stack([np.ones(model.d), -2.0 * k[0].diagonal().imag,
+                          rates[0] * n, rates[1] * n_up, n, n_up], axis=1)
+        self._reads = np.repeat(np.tile(reads, (model.levels, 1)), 2, axis=0)
 
     def step(self, tau: float) -> np.ndarray:
         """The (levels, d, d) propagator over `tau`; it acts on (levels, d, n) columns."""
@@ -444,68 +457,124 @@ class _SegmentPropagators:
     def jump_weights(self, squares: np.ndarray) -> np.ndarray:
         """(r_down |a psi|^2, r_up |a^dag psi|^2) of a column psi from `squares`,
         its |psi|^2 flattened over (level, Fock number): the squares weighted
-        by n and by n + 1 (0 on the top level)."""
-        return self._jump_weight_rows @ squares
+        by n and by n + 1 (0 on the top level), the weight rows of `_read`."""
+        return squares @ self._reads[::2, 2:4]
 
-    def _eigen_scaled(self, psi: np.ndarray) -> np.ndarray:
-        """V with each eigenvector scaled by psi's coefficient on it: its product
-        with exp(-i lam tau) is the no-jump column at tau."""
-        return self.v * (self.v_inv @ psi).transpose(0, 2, 1)
+    def _read(self, cols: np.ndarray) -> list:
+        """[norm^2, decay rate, r_down |a psi|^2, r_up |a^dag psi|^2, |a psi|^2,
+        |a^dag psi|^2] of each column psi of an (n, levels, d, 1) stack, as
+        Python floats.  One product per column, so a column's reads do not
+        depend on the others in the stack."""
+        parts = np.square(cols.view(np.float64)).reshape(len(cols), 1, -1)
+        return (parts @ self._reads)[:, 0].tolist()
 
-    def jumps_across(self, psi: np.ndarray, r_target: float, duration: float,
+    def _jump_candidates(self, psi: np.ndarray, r_target: list, remaining: list,
+                         tol: float) -> list:
+        """Find the first jump time of each column of a (levels, d, k) stack
+        within its `remaining` time (see `jumps_across`) and form both of its
+        candidate jumps.
+
+        Returns, per column, (its reads at the jump time, its column there,
+        the time left after the jump, both candidate jumps carried over that
+        time as a (2, levels, d, 1) stack, unnormalised, and their squared
+        norms).  Each Newton iterate is one evaluation of the whole stack; the
+        control is per column, in floats, and a column whose bracket is
+        closed keeps its last iterate until every bracket is.  Every product
+        is per column, so a column's result does not depend on the others.
+        """
+        k = len(r_target)
+        at = psi.transpose(2, 0, 1)[..., None]  # (k, levels, d, 1): each column at tau = 0
+        coefficients = self.v_inv @ at  # on the eigenvectors of K
+        los, his, taus = [0.0] * k, list(remaining), [0.0] * k  # each column's bracket, iterate
+        found = [None] * k  # per column: (lo, its column there, its reads there)
+        # the iterates again, as a complex (k, 1, 1, 1) array: their product
+        # with the exponents then needs no cast
+        iterates = np.zeros(k, dtype=complex)
+        iterate_cols = iterates.reshape(k, 1, 1, 1)
+        searching = range(k)
+        while True:
+            reads, still_open = self._read(at), []
+            for c in searching:
+                read, lo, hi, tau = reads[c], los[c], his[c], taus[c]
+                f = read[0] - r_target[c]
+                if f >= 0.0:
+                    lo, found[c] = tau, (tau, at[c:c + 1], read)
+                else:
+                    hi = tau
+                step = f / read[1] if read[1] > 0.0 else math.inf
+                if hi - lo <= tol or (f >= 0.0 and step < 0.5 * tol):
+                    continue
+                if abs(step) < 0.5 * tol:
+                    step -= 0.25 * tol
+                if not lo < tau + step < hi:
+                    step = 0.5 * (lo + hi) - tau
+                los[c], his[c], taus[c] = lo, hi, tau + step
+                iterates[c] = tau + step
+                still_open.append(c)
+            if not still_open:
+                break
+            searching = still_open
+            at = self.v @ (coefficients * np.exp(iterate_cols * self._phase))
+        t_lo, lo_cols, lo_reads = zip(*found)
+        at_lo = np.concatenate(lo_cols)
+        left = [t - t0 for t, t0 in zip(remaining, t_lo)]
+        ends = self.v @ ((self._jumped_coefficients @ at_lo)
+                         * np.exp(np.array(left, dtype=complex).reshape(k, 1, 1, 1) * self._phase))
+        end_norms = self._read(ends.reshape(2 * k, *ends.shape[2:]))
+        return [(lo_reads[c], at_lo[c], left[c], ends[:, c],
+                 (end_norms[c][0], end_norms[k + c][0])) for c in range(k)]
+
+    def jumps_across(self, psi: np.ndarray, r_target: np.ndarray, duration: float,
                      rng: np.random.Generator):
-        """Carry one (levels, d, 1) column across a segment of `duration` whose
-        full step fell below its norm threshold; returns (psi, r_target, jumps).
+        """Carry a (levels, d, k) stack of columns across a segment of
+        `duration` whose full step took each below its norm threshold
+        `r_target[c]`; returns (the stack at the segment's end, the columns'
+        new thresholds, their jump counts), the last two as lists.
 
         A jump time, the root of f(tau) = |V exp(-i lam tau) V^-1 psi|^2 -
         r_target, is bracketed to tol = duration 2^-40 by Newton steps on the
         exact slope -<psi(tau)|diag(r_down n + r_up (n + 1))|psi(tau)>,
         bisecting when a step leaves the bracket (a step under tol/2 ends the
         search from the left end, or is carried tol/4 past the root from the
-        right end).  Each iterate's |psi(tau)|^2 gives both f and the slope,
-        and that of the left end (f >= 0), where the jump is applied, gives
-        the two jump weights (`jump_weights`).  The jump draws one uniform for
+        right end).  Each iterate's populations give f, the slope and, at the
+        left end (f >= 0), where the jump is applied, the two jump weights
+        (`jump_weights`).  Every column is searched at once, and both of its
+        candidate jumps, a psi and a^dag psi, are carried to the segment's end
+        before any draw.  Then, column by column, a jump draws one uniform for
         the operator (`_pick_jump`, the draw of ``rng.choice``) and one new
-        threshold; the rest of the segment is searched again only if its end
-        point crosses that threshold.
+        threshold; a column whose chosen end point crosses that threshold is
+        searched again over the rest of the segment, as a stack of one, and
+        finishes its draws before the next column draws.  So the draws are
+        those of one column at a time.  The jumped columns are renormalised
+        together at the end.
         """
-        jumps, remaining, tol = 0, duration, duration * 2.0 ** -40
-        scaled = self._eigen_scaled(psi)
-        while True:
-            lo, hi, tau, at_tau = 0.0, remaining, 0.0, psi
-            while True:  # on exit psi is the column at lo and lo_squares its |psi|^2
-                squares = np.abs(at_tau.reshape(-1)) ** 2
-                norm2, decay = (self._norm_and_decay @ squares).tolist()
-                f = norm2 - r_target
-                if f >= 0.0:
-                    lo, psi, lo_squares = tau, at_tau, squares
-                else:
-                    hi = tau
-                step = f / decay if decay > 0.0 else math.inf
-                if hi - lo <= tol or (f >= 0.0 and step < 0.5 * tol):
+        tol = duration * 2.0 ** -40
+        thresholds, jumps, ends, scales = [], [], [], []
+        for candidate in self._jump_candidates(psi, r_target.tolist(),
+                                               [duration] * psi.shape[-1], tol):
+            count = 0
+            while True:
+                reads, at_lo, left, end, end_norms = candidate
+                pick = _pick_jump(reads[2:4], rng)
+                r_new = rng.random()
+                count += 1
+                norm2 = reads[4 + pick]  # of the jumped column
+                if end_norms[pick] / norm2 >= r_new:
                     break
-                if abs(step) < 0.5 * tol:
-                    step -= 0.25 * tol
-                if not lo < tau + step < hi:
-                    step = 0.5 * (lo + hi) - tau
-                tau += step
-                at_tau = scaled @ np.exp(-1j * tau * self._lam_col)
-            jumped = self.jump_ops[_pick_jump(self.jump_weights(lo_squares), rng)] @ psi
-            psi = jumped / math.sqrt(np.vdot(jumped, jumped).real)
-            r_target = rng.random()
-            jumps += 1
-            remaining -= lo
-            scaled = self._eigen_scaled(psi)
-            end = scaled @ np.exp(-1j * remaining * self._lam_col)
-            if np.vdot(end, end).real >= r_target:
-                return end, r_target, jumps
+                jumped = self.jump_ops[pick] @ at_lo / math.sqrt(norm2)
+                (candidate,) = self._jump_candidates(jumped, [r_new], [left], tol)
+            thresholds.append(r_new)
+            jumps.append(count)
+            ends.append(end[pick])
+            scales.append(1.0 / math.sqrt(norm2))
+        return np.concatenate(ends, axis=-1) * scales, thresholds, jumps
 
 
-def _pick_jump(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """0 (a) or 1 (a^dag) with probabilities proportional to `weights`, from
-    one uniform: the draw, and the normalised threshold p_a / (p_a + p_adag),
-    of ``rng.choice(2, p=weights / weights.sum())``."""
-    w_down, w_up = weights.tolist()
+def _pick_jump(weights, rng: np.random.Generator) -> int:
+    """0 (a) or 1 (a^dag) with probabilities proportional to the two
+    `weights`, from one uniform: the draw, and the normalised threshold
+    p_a / (p_a + p_adag), of ``rng.choice(2, p=weights / weights.sum())``."""
+    w_down, w_up = weights
     p_down, p_up = w_down / (w_down + w_up), w_up / (w_down + w_up)
     return 0 if rng.random() < p_down / (p_down + p_up) else 1
 
@@ -575,11 +644,12 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
     period or the short last block: a column whose period-screened norm
     falls below its threshold is walked through the period segment by
     segment, each timed segment's full-length propagator, one d x d block
-    per ancilla level, then the Newton jump-time root find
-    (`_SegmentPropagators.jumps_across`) in column order for the columns
-    that fell below their threshold.  Only a walked column draws, and a
-    column the screens skip has no crossing to draw for, so the draws come
-    in the order a segment-by-segment walk of every column makes them.
+    per ancilla level.  The columns that fall below their threshold in a
+    segment go, as one stack, through the Newton jump-time root find
+    (`_SegmentPropagators.jumps_across`), which draws for them in column
+    order.  Only a walked column draws, and a column the screens skip has no
+    crossing to draw for, so the draws come in the order a
+    segment-by-segment walk of every column makes them.
     Raises ValueError when a no-jump generator is too close to defective for
     its eigenbasis (see EIGENBASIS_COND_LIMIT).
     """
@@ -639,10 +709,12 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
             for seg in segs[:period]:
                 stepped = no_jump_step(seg, sub)
                 if not isinstance(seg, QubitRotation):
-                    for c in np.flatnonzero(_column_norms(stepped) < r_sub):
-                        stepped[..., c:c + 1], r_sub[c], jumps = props[type(seg)].jumps_across(
-                            sub[..., c:c + 1], float(r_sub[c]), seg.duration, rng)
-                        jump_counts[ids[walk[c]]] += jumps
+                    crossed = np.flatnonzero(_column_norms(stepped) < r_sub)
+                    if crossed.size:
+                        seg_props = props[type(seg)]
+                        stepped[..., crossed], r_sub[crossed], jumps = seg_props.jumps_across(
+                            sub[..., crossed], r_sub[crossed], seg.duration, rng)
+                        jump_counts[ids[walk[crossed]]] += jumps
                 sub = stepped
             cols[..., walk] = sub
             r_cols[walk] = r_sub

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
@@ -158,6 +158,9 @@ def test_evolve_master_zero_schedule_and_frames_agree():
        d=st.sampled_from([3, 4, 5]), durations=st.lists(st.floats(0.0, 5.0), min_size=1,
                                                         max_size=4),
        seed=st.integers(0, 2 ** 32 - 1))
+# free segments shorter than the smallest normal double
+@example(q=1.0, n_th=0.0, eta=0.125, d=3, durations=[2.225073858507203e-309], seed=0)
+@example(q=1.0, n_th=0.0, eta=0.125, d=3, durations=[2.2250738585e-313], seed=0)
 def test_evolve_master_keeps_trace_hermiticity_and_positivity(q, n_th, eta, d,
                                                               durations, seed):
     st_in = _random_density(d, seed)
@@ -337,6 +340,15 @@ def test_free_segment_coefficients_are_bounded_and_solve_the_one_sided_form():
                              np.abs(u_out) @ np.abs(grow) @ np.abs(u_in)]
                     assert abs(sigma - 0.5 * bracket(u_out, grow @ u_in) - scalar) \
                         <= 1e-12 * max(terms)
+
+
+@pytest.mark.parametrize("tau", [5e-324, 1e-310, 2.2e-309, 1e-300])
+def test_free_factors_stay_finite_on_subnormal_durations(tau):
+    # -mu tau is a complex subnormal (or nearly): the segment is the identity
+    noise = NoiseParams(Q=1.0, N_th=0.0, eta=0.125)
+    alpha, beta, log_c = opensys._free_factors(noise, tau)
+    assert np.isfinite([alpha, beta, log_c]).all()
+    assert log_c == 0.0
 
 
 def test_jump_unravelling_noiseless_is_deterministic():
@@ -548,13 +560,30 @@ def _unravelling_cases():
         "hot-bath-blocks": (opensys._thermal_with_ancilla(1.0, 10),
                             pulses.build_h2_sequence(hparams(0.016), 31),
                             NoiseParams(Q=1e6, N_th=100.0, eta=0.016)),
+        # about 0.8 jumps per trajectory and unit time: tens of columns cross
+        # in every segment, and some of them twice
+        "crowded": (opensys._thermal_with_ancilla(1.0, 10),
+                    pulses.PulseSchedule((pulses.FreeEvolution(0.8),
+                                          pulses.QubitRotation("x", 0.5),
+                                          pulses.WaitingPeriod(0.6),
+                                          pulses.QubitRotation("y", 0.3)) * 2),
+                    NoiseParams(Q=5.0, N_th=1.0, eta=0.08)),
     }
 
 
 @pytest.mark.parametrize("case", ["engineered", "no-repeat", "several-jumps", "mode-only",
-                                  "empty", "hot-bath-blocks"])
-def test_period_screening_matches_per_segment_unravelling(case):
+                                  "empty", "hot-bath-blocks", "crowded"])
+def test_period_screening_matches_per_segment_unravelling(case, monkeypatch):
     st, sched, noise = _unravelling_cases()[case]
+    searches = []  # (columns searched together, their jump counts) per segment
+    search = opensys._SegmentPropagators.jumps_across
+
+    def recorded(self, psi, r_target, duration, rng):
+        out = search(self, psi, r_target, duration, rng)
+        searches.append((psi.shape[-1], max(out[2])))
+        return out
+
+    monkeypatch.setattr(opensys._SegmentPropagators, "jumps_across", recorded)
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(17), 200)
     counts, mean = per_segment_unravelling(st, sched, noise, np.random.default_rng(17), 200)
     assert np.array_equal(ens.jump_counts, counts)
@@ -563,6 +592,34 @@ def test_period_screening_matches_per_segment_unravelling(case):
         assert ens.mean_jumps == 0.0
     else:
         assert ens.mean_jumps > 0.0
+    if case == "crowded":
+        assert min(k for k, _ in searches) >= 20
+        assert max(jumps for _, jumps in searches) >= 2
+
+
+def test_stacked_jump_search_matches_one_column_at_a_time():
+    # k columns searched together end where k searches of one column each
+    # end, with the same thresholds, jump counts and draws
+    d, k, duration = 6, 16, 2.0
+    noise = NoiseParams(Q=2.0, N_th=0.8, eta=0.1)
+    props = opensys._SegmentPropagators(opensys._DampedModeModel(2, d, noise),
+                                        pulses.FreeEvolution)
+    rng = np.random.default_rng(23)
+    psi = rng.standard_normal((2, d, k)) + 1j * rng.standard_normal((2, d, k))
+    psi /= np.linalg.norm(psi.reshape(-1, k), axis=0)
+    end_norms = np.linalg.norm((props.step(duration) @ psi).reshape(-1, k), axis=0) ** 2
+    r_target = end_norms + rng.random(k) * (1.0 - end_norms)  # every full step crosses
+    stacked, single = np.random.default_rng(5), np.random.default_rng(5)
+    out, thresholds, jumps = props.jumps_across(psi, r_target, duration, stacked)
+    assert out.shape == psi.shape
+    for c in range(k):
+        one, (threshold,), (count,) = props.jumps_across(psi[..., c:c + 1], r_target[c:c + 1],
+                                                         duration, single)
+        assert np.abs(one[..., 0] - out[..., c]).max() <= 1e-12
+        assert threshold == thresholds[c]
+        assert count == jumps[c]
+    assert stacked.bit_generator.state == single.bit_generator.state
+    assert max(jumps) >= 2  # some column crossed again inside the segment
 
 
 @pytest.mark.parametrize("d", [3, 8])
