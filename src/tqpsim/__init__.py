@@ -10,8 +10,7 @@ threading before numpy loads.
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("fock", "thermal", "encoding", "msuqc", "pulses", "opensys",
-               "nsverify", "cli")
+_SUBMODULES = ("fock", "thermal", "msuqc", "pulses", "opensys", "nsverify", "cli")
 
 
 def __getattr__(name):

@@ -7,7 +7,7 @@ ns-check.  Options: --config PATH (JSON), --seed U64, --out PATH,
 `_COMMANDS`, gives each subcommand's runner, largest --cutoff, and every config
 key's default and rule (JSON type and range, bounded so that no accepted
 config outgrows MEMORY_BUDGET_MB); besides it, only the n_min/n_max/n_step
-grid, the bath's limits and --cutoff are checked.  The thread count (flag >
+grid, the bath's limits, --cutoff and --seed are checked.  The thread count (flag >
 TQPSIM_THREADS > library default) is applied to the BLAS thread pools before
 numpy is imported; once numpy is loaded `main` leaves them alone and notes a
 differing request on stderr.
@@ -112,6 +112,8 @@ def _resolve_config(command: str, args) -> dict:
                          f"and --cutoff <= {BATH_CUTOFF_MAX}")
     if args.cutoff is not None and not 2 <= args.cutoff <= cutoff_max:
         raise UsageError(f"--cutoff must be 2 to {cutoff_max} for {command}, got {args.cutoff}")
+    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+        raise UsageError(f"--seed must be 0 to 2^64 - 1, got {args.seed}")
     cfg["seed"] = args.seed
     cfg["cutoff_override"] = args.cutoff
     return cfg

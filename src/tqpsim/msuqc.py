@@ -19,10 +19,14 @@ routes compute that probability:
   space.
 
 The hybrid interaction realises a rotation as C R_X(theta) C on the shared
-ancilla in |+> (between B and B^dag for X).  The controlled parity C holds
-the parity P, which is +-1, on ancilla |1>, so C^2 = I (``algebra-check``)
-and the circuit maps |+> (x) psi to |+> (x) (cos(theta) + i sin(theta) P) psi
-exactly: the engine carries no ancilla.  The literal circuit, with its
+ancilla in |+> (between B and B^dag for X; the two-pair entangler is
+C_l C_k R_X(gamma) C_k C_l -> exp(i gamma Z_L Z_L)).  The controlled parity
+C holds the parity P, which is +-1, on ancilla |1>, so C^2 = I
+(``algebra-check``) and the circuit maps |+> (x) psi to
+|+> (x) (cos(theta) + i sin(theta) P) psi exactly: the engine carries no
+ancilla.  C alone, followed by the ancilla's X-basis readout, is the
+nondemolition measurement of one mode's parity, its + branch the even one
+(``opensys.fidelity_point``).  The literal circuit, with its
 ancilla-return check, is the tests' cross-check (``tests/dense_reference.py``),
 pinned against the engine's gate on every block; so is a dense route at tiny
 cutoffs, whose hybrid gate unitaries conjugate the whole density matrix.
@@ -36,7 +40,6 @@ wire format is ``{"version": 1, "qubits": K, "steps": [{"phi": [...K],
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -134,16 +137,6 @@ class LogicalCircuit:
                                          "of numbers")
             steps.append(CircuitStep(*(tuple(float(x) for x in a) for a in angles)))
         return cls(qubits, tuple(steps))
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "LogicalCircuit":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def random_circuit(rng: np.random.Generator, qubit_count: int, n_steps: int) -> LogicalCircuit:

@@ -25,7 +25,6 @@ cover M up to `max_total`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -149,11 +148,6 @@ class DfsReport:
             "note": ("sectors above max_total_excitation are covered by the "
                      "induction argument, not numerically"),
         }
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def _squeeze_generator_columns(cutoff: int, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -39,6 +39,17 @@ quartic excitation-dependent term of the pulse sequence, not bath noise),
 the closed-form initialisation-error estimate for the parity encoding, and
 the comparison against dissipative-cooling error in the unresolved-sideband
 regime.
+
+The measured quantity is the nondemolition parity measurement of the
+two-qumode parity encoding: the controlled parity C, which applies the mode
+parity on ancilla |1>, acts on the ancilla in |+> and one mode, and the
+ancilla is read out in the X basis, its + branch the even one.  The same C
+makes the encoding's gates, C R_X(theta) C -> exp(i theta Z_L) on the mode
+pair and B^dag C R_X(theta) C B -> exp(i theta X_L), with the ancilla back
+in |+> after each (``msuqc``).  `fidelity_point` reads the two branches off
+the gate's |+, k> columns on the closed routes and off the diagonals of
+rho's ancilla blocks under a bath; the literal density-matrix route, C rho C
+and then the X-basis branches, is the tests' cross-check.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import encoding, fock, pulses
+from . import fock, pulses
 from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
                      QubitRotation, WaitingPeriod)
 from .thermal import required_cutoff, thermal_weights
@@ -81,9 +92,11 @@ class NoiseParams:
     Gamma_dp: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.Q < math.inf:  # NaN fails every comparison
-            raise ValueError(f"quality factor Q must be finite and positive, got {self.Q!r}")
-        for name in ("nu", "eta", "N_th", "Gamma_dc", "Gamma_dp"):
+        for name in ("Q", "nu"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("eta", "N_th", "Gamma_dc", "Gamma_dp"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)!r}")
@@ -422,7 +435,7 @@ class _SegmentPropagators:
     tau is V exp(-i lam tau) V^-1.  A V whose condition number exceeds
     EIGENBASIS_COND_LIMIT (K near defective) is refused.  The jump operators
     a and a^dag act on the mode alone; their weights are read off a column's
-    Fock populations (`jump_weights`).
+    Fock populations (`_read`).
     """
 
     def __init__(self, model: _DampedModeModel, seg_type: type):
@@ -453,12 +466,6 @@ class _SegmentPropagators:
     def step(self, tau: float) -> np.ndarray:
         """The (levels, d, d) propagator over `tau`; it acts on (levels, d, n) columns."""
         return (self.v * np.exp(-1j * tau * self.lam)[:, None, :]) @ self.v_inv
-
-    def jump_weights(self, squares: np.ndarray) -> np.ndarray:
-        """(r_down |a psi|^2, r_up |a^dag psi|^2) of a column psi from `squares`,
-        its |psi|^2 flattened over (level, Fock number): the squares weighted
-        by n and by n + 1 (0 on the top level), the weight rows of `_read`."""
-        return squares @ self._reads[::2, 2:4]
 
     def _read(self, cols: np.ndarray) -> list:
         """[norm^2, decay rate, r_down |a psi|^2, r_up |a^dag psi|^2, |a psi|^2,
@@ -538,7 +545,7 @@ class _SegmentPropagators:
         search from the left end, or is carried tol/4 past the root from the
         right end).  Each iterate's populations give f, the slope and, at the
         left end (f >= 0), where the jump is applied, the two jump weights
-        (`jump_weights`).  Every column is searched at once, and both of its
+        (`_read`).  Every column is searched at once, and both of its
         candidate jumps, a psi and a^dag psi, are carried to the segment's end
         before any draw.  Then, column by column, a jump draws one uniform for
         the operator (`_pick_jump`, the draw of ``rng.choice``) and one new
@@ -781,15 +788,16 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config` (its own eta is ignored).
-    The ancilla starts in |+>, the mode thermal with weights w_k.  The
-    ideal-sequence route never forms the state: the gate is block diagonal
-    in the two sectors of Z (x) exp(i pi a^dag a) (`pulses.sequence_unitary`),
-    and branch +-'s population of Fock level n is sum_k w_k |<+-, n|G|+, k>|^2,
-    read off the gate's |+, k> columns in O(d^2).  The other two routes
-    evolve the density matrix and read it out through
-    ``encoding.x_basis_branches``.  All three share the rest: the branch
-    probabilities, the parity traces, and the truncation tail, the top Fock
-    level's population summed over both branches.
+    The ancilla starts in |+>, the mode thermal with weights w_k.  The two
+    closed routes never form the state: branch +-'s population of Fock level
+    n is sum_k w_k |<+-, n|G|+, k>|^2, read off the gate G's |+, k> columns
+    in O(d^2).  The engineered gate is block diagonal in the two sectors of
+    Z (x) exp(i pi a^dag a) (`pulses.sequence_unitary`); the exact one is
+    the diagonal `fock.controlled_parity_diag`.  The bath route evolves the
+    density matrix and reads its branches off the diagonals of the ancilla
+    blocks rho_qq'.  All three share the rest: the branch probabilities, the
+    parity traces, and the truncation tail, the top Fock level's population
+    summed over both branches.
     A branch probability that is not finite or leaves [-1e-9, 1 + 1e-9], as
     when the master equation diverges, raises ValueError.  So does a run
     whose p+ + p- misses 1 by more than ``BRANCH_TRACE_TOL``: it lost trace
@@ -801,26 +809,26 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     d = cutoff
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
-    if noise == "ideal-sequence":
+    if noise in ("ideal-sequence", "exact-gate"):
+        gate = (pulses.engineered_controlled_parity(params, d, reps) if noise == "ideal-sequence"
+                else np.diag(fock.controlled_parity_diag(d)))
         w = thermal_weights(n_mean, d)
         # gate[q, n, q', k]; its |+, k> column, read out in the X basis, has
         # amplitude (c_0 +- c_1) / 2 on branch +-, c_q = gate[q, :, 0, k] + gate[q, :, 1, k]
-        cols = pulses.engineered_controlled_parity(params, d, reps).reshape(2, d, 2, d).sum(axis=2)
+        cols = gate.reshape(2, d, 2, d).sum(axis=2)
         amps = np.stack([cols[0] + cols[1], cols[0] - cols[1]]) / 2.0
         pops = (amps.real ** 2 + amps.imag ** 2) @ (w / w.sum())
+    elif isinstance(noise, NoiseParams):
+        sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
+            (pulses.frame_correction(eta, reps),))
+        rho = evolve_master(_thermal_with_ancilla(n_mean, d), sched, replace(noise, eta=eta))
+        # branch +- of the ancilla's X-basis readout is (rho_00 + rho_11 +- (rho_01 + rho_10))/2
+        # on the mode; only its Fock populations, the diagonals, enter
+        blocks = rho.diagonal(axis1=1, axis2=3)  # blocks[q, q'] is the diagonal of rho_qq'
+        diag, off = blocks[0, 0] + blocks[1, 1], blocks[0, 1] + blocks[1, 0]
+        pops = np.stack([((diag + off) / 2.0).real, ((diag - off) / 2.0).real])
     else:
-        state = _thermal_with_ancilla(n_mean, d)
-        if noise == "exact-gate":
-            rho = encoding.apply_controlled_parity(state)
-        elif isinstance(noise, NoiseParams):
-            sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
-                (pulses.frame_correction(eta, reps),))
-            rho = evolve_master(state, sched, replace(noise, eta=eta))
-        else:
-            raise ValueError(f"unknown noise mode {noise!r}")
-        # only the Fock populations of each branch enter
-        pops = np.stack([b.diagonal().real
-                         for b in encoding.x_basis_branches(rho.reshape(2 * d, 2 * d))])
+        raise ValueError(f"unknown noise mode {noise!r}")
     probs = [float(p) for p in pops.sum(axis=1)]
     # Tr(rho_s (I + s P)) over the normalized branch s
     traces = [1.0 + sign * float(pop @ fock.parity_diag(d)) / p

@@ -16,24 +16,20 @@ here are all phase-gauged).
 
 Repetition bookkeeping.  Accumulating a conditional phase of pi per
 excitation - a full controlled-parity - takes R = pi / (128 eta^2)
-sequences, i.e. eta = sqrt(pi / 128 R); the standard configurations pair
-R in {50, 100, 200} with eta in {0.0222, 0.0157, 0.0111}.  The quoted
-effective coupling strength lambda = (32/9) eta^2 nu corresponds instead to
-a controlled-parity duration of pi/(2 lambda) = 9 pi/(64 eta^2 nu); the two
-conventions differ by a factor of pi and both are exposed (`effective_coupling`
-returns the quoted strength; `repetitions_for_controlled_parity` uses the
-phase calibration).  Error estimates built on the quoted coupling use its
-own implied duration, keeping them self-consistent.
+sequences, i.e. eta = sqrt(pi / 128 R) (`eta_for_repetitions`); the
+standard configurations pair R in {50, 100, 200} with eta in {0.0222,
+0.0157, 0.0111}.  The quoted effective coupling strength
+lambda = (32/9) eta^2 nu corresponds instead to a controlled-parity duration
+of pi/(2 lambda) = 9 pi/(64 eta^2 nu); the two conventions differ by a
+factor of pi.  Error estimates built on the quoted coupling use its own
+implied duration (`coupling_implied_sequences`, `opensys.epsilon_tqp`),
+keeping them self-consistent.
 
 Block structure.  H is diagonal in the ancilla's Z basis, one d x d block
 per level (`level_hamiltonians`), and the rotations act on the ancilla
-alone.  `simulate_schedule` therefore holds the unitary as a (2, d, 2d)
-array, rows split by ancilla level: a free evolution multiplies the two
-closed-form level blocks into it in one batched product, a rotation applies
-its 2 x 2 matrix to the level axis, and a bare waiting period scales every
-level by the same diagonal phase.  No 2d x 2d segment matrix is built.  A free
-evolution's level blocks are D(alpha) and D(alpha)^dag = D(-alpha) from one
-`fock.unitary_exponential`, so the module needs numpy alone.
+alone.  A free evolution's level blocks are D(alpha) and
+D(alpha)^dag = D(-alpha) from one `fock.unitary_exponential`, so the module
+needs numpy alone.
 
 The engineered sequence has a finer split.  It commutes with the hybrid
 parity Z (x) exp(i pi a^dag a), the parity of the quantum Rabi model (Braak,
@@ -42,14 +38,14 @@ through R Z R^dag, one of +-X and +-Y, which anticommutes with Z, by
 a + a^dag, which anticommutes with the mode parity; the waits and the frame
 correction are diagonal.  So `sequence_unitary` builds the displacement
 group's two d x d sector blocks (`fock.parity_sectors`) in closed form and
-powers them, not one 2d x 2d matrix; `simulate_schedule` stays the general
-route and cross-checks it.  Every operator the module returns is a plain
-2d x 2d array, ancilla level major.
+powers them, not one 2d x 2d matrix.  The general route, any schedule
+segment by segment on the unitary's rows split by ancilla level, is the
+tests' cross-check of the blocks (``tests/dense_reference.py``).  Every
+operator the module returns is a plain 2d x 2d array, ancilla level major.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -59,25 +55,24 @@ import numpy as np
 
 from . import fock
 
-SEQUENCE_PERIODS = 18.0  # one engineered sequence lasts 18 pi / nu
-
 
 @dataclass(frozen=True)
 class HybridHamiltonianParams:
     """First-order coupling H = nu a^dag a + nu eta Z (a + a^dag).
 
-    eta is dimensionless and must stay in the weak-coupling regime; values
-    above 0.05 trigger a warning, above 0.2 an error.
+    eta is dimensionless and must stay in the weak-coupling regime: a value
+    outside [0, 0.2] (NaN included) is an error, one above 0.05 a warning.
+    nu must be finite and positive.
     """
 
     eta: float
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
-        if self.eta > 0.2:
-            raise ValueError(f"eta = {self.eta} outside the supported weak-coupling range")
+        if not 0 <= self.eta <= 0.2:  # NaN fails every comparison
+            raise ValueError(f"eta must be in the weak-coupling range [0, 0.2], got {self.eta!r}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be finite and positive, got {self.nu!r}")
         if self.eta > 0.05:
             warnings.warn(f"eta = {self.eta} is large for the engineered sequence; "
                           "residuals grow like eta^4", stacklevel=2)
@@ -157,23 +152,6 @@ class PulseSchedule:
                 out.append(seg)
         return PulseSchedule(tuple(out))
 
-    def to_json_dict(self) -> dict:
-        segs = []
-        for seg in self.segments:
-            if isinstance(seg, FreeEvolution):
-                segs.append({"type": "free", "duration": seg.duration})
-            elif isinstance(seg, QubitRotation):
-                segs.append({"type": "rotation", "axis": seg.axis, "angle": seg.angle})
-            else:
-                segs.append({"type": "waiting", "duration": seg.duration,
-                             "flip_interval": seg.flip_interval})
-        return {"segments": segs, "total_time": self.total_time}
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # propagators
@@ -222,41 +200,10 @@ def exact_free_propagator(params: HybridHamiltonianParams, t: float,
     return _on_levels(_free_blocks(params, t, cutoff))
 
 
-def bare_rotation(nu: float, t: float, cutoff: int) -> np.ndarray:
-    """exp(-i nu t a^dag a) on (ancilla, mode): the ideal waiting evolution."""
-    return np.diag(np.kron(np.ones(2), np.exp(-1j * nu * t * np.arange(cutoff))))
-
-
 def _on_ancilla(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The 2 x 2 ancilla matrix `r` applied to the rows of `u`, which are
     split by ancilla level first."""
     return (r @ u.reshape(2, -1)).reshape(u.shape)
-
-
-def simulate_schedule(schedule: PulseSchedule, params: HybridHamiltonianParams,
-                      cutoff: int) -> np.ndarray:
-    """Unitary of the whole schedule on (ancilla, mode), segments in time order.
-
-    The unitary is held as a (2, d, 2d) array, its rows split by ancilla Z
-    level.  Free evolutions apply the closed-form per-level blocks U_pm(t)
-    as one batched product; rotations are ideal and instantaneous, the 2 x 2
-    ancilla matrix acting on the level axis; waiting periods without a flip
-    interval are ideal bare evolutions, a diagonal phase on every level, and
-    with one they are simulated as the explicit flip sequence.
-    """
-    d = cutoff
-    free_cache: dict[float, np.ndarray] = {}
-    u = np.eye(2 * d, dtype=complex).reshape(2, d, 2 * d)
-    for seg in schedule.expand_waiting().segments:
-        if isinstance(seg, QubitRotation):
-            u = _on_ancilla(fock.qubit_rotation_matrix(seg.axis, seg.angle), u)
-        elif isinstance(seg, FreeEvolution):
-            if seg.duration not in free_cache:
-                free_cache[seg.duration] = _free_blocks(params, seg.duration, d)
-            u = free_cache[seg.duration] @ u
-        else:
-            u = np.exp(-1j * params.nu * seg.duration * np.arange(d))[:, None] * u
-    return u.reshape(2 * d, 2 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -389,40 +336,6 @@ def sequence_residual(params: HybridHamiltonianParams, cutoff: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EffectiveCoupling:
-    """Quoted dispersive strength and schedule timing.
-
-    `lam` is the quoted strength (32/9) eta^2 nu, whose implied
-    controlled-parity duration is pi / (2 lam); `total_time` is the actual
-    schedule duration repetitions * 18 pi / nu.  `conditional_phase` is the
-    accumulated phase per excitation between the qubit branches,
-    128 * repetitions * eta^2 (pi for a calibrated controlled-parity).
-    """
-
-    lam: float
-    total_time: float
-    repetitions: int
-    conditional_phase: float
-
-    @property
-    def controlled_parity_time(self) -> float:
-        return math.pi / (2.0 * self.lam)
-
-
-def effective_coupling(params: HybridHamiltonianParams, repetitions: int) -> EffectiveCoupling:
-    lam = (32.0 / 9.0) * params.eta ** 2 * params.nu
-    total = repetitions * SEQUENCE_PERIODS * math.pi / params.nu
-    return EffectiveCoupling(
-        lam=lam, total_time=total, repetitions=repetitions,
-        conditional_phase=128.0 * repetitions * params.eta ** 2)
-
-
-def repetitions_for_controlled_parity(eta: float) -> int:
-    """Sequences needed for a conditional phase of pi per excitation."""
-    return max(1, round(math.pi / (128.0 * eta ** 2)))
-
-
 def eta_for_repetitions(repetitions: int) -> float:
     """Coupling that makes `repetitions` sequences an exact controlled-parity."""
     return math.sqrt(math.pi / (128.0 * repetitions))
@@ -451,29 +364,9 @@ def frame_correction(eta: float, repetitions: int) -> QubitRotation:
 
 
 def engineered_controlled_parity(params: HybridHamiltonianParams, cutoff: int,
-                                 repetitions: int | None = None) -> np.ndarray:
-    """Controlled-parity built from engineered sequences, followed by
-    :func:`frame_correction`."""
-    if repetitions is None:
-        repetitions = repetitions_for_controlled_parity(params.eta)
+                                 repetitions: int) -> np.ndarray:
+    """Controlled-parity built from `repetitions` engineered sequences,
+    followed by :func:`frame_correction`."""
     u = sequence_unitary(params, cutoff, repetitions)
     corr = frame_correction(params.eta, repetitions)
     return _on_ancilla(fock.qubit_rotation_matrix(corr.axis, corr.angle), u)
-
-
-# ---------------------------------------------------------------------------
-# waiting-period cancellation
-# ---------------------------------------------------------------------------
-
-
-def flip_cancellation_residual(params: HybridHamiltonianParams, duration: float,
-                               flip_interval: float, cutoff: int,
-                               n_max: int | None = None) -> float:
-    """Phase-gauged distance of the dynamically cancelled waiting period (the
-    qubit flipped every `flip_interval`) from the bare evolution
-    exp(-i duration nu a^dag a); the error is second order in the flip interval.
-    """
-    sched = PulseSchedule((WaitingPeriod(duration, flip_interval),))
-    approx = simulate_schedule(sched, params, cutoff)
-    ideal = bare_rotation(params.nu, duration, cutoff)
-    return gauged_distance(approx, ideal, n_max=n_max)

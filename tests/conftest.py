@@ -45,14 +45,14 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
                 free[seg.duration] = free_matrix(seg.duration)
             mat = free[seg.duration]
         else:
-            mat = pulses.bare_rotation(params.nu, seg.duration, cutoff)
+            mat = dense.bare_rotation(params.nu, seg.duration, cutoff)
         u = mat @ u
     return u
 
 
 @pytest.fixture
 def dense_schedule_unitary():
-    """``pulses.simulate_schedule`` with every free evolution a dense matrix
+    """``dense_reference.simulate_schedule`` with every free evolution a dense matrix
     exponential of the truncated Hamiltonian, in place of the closed-form
     propagator: the cross-check of the schedule unitary."""
     import dense_reference as dense
@@ -67,7 +67,7 @@ def dense_schedule_unitary():
 
 @pytest.fixture
 def dense_segment_product():
-    """The same closed-form segments as ``pulses.simulate_schedule``, each
+    """The same closed-form segments as ``dense_reference.simulate_schedule``, each
     embedded as a dense 2d x 2d matrix (rotations through ``np.kron``) and
     multiplied in turn: the cross-check of its per-ancilla-level blocks."""
     from tqpsim import pulses

@@ -36,9 +36,16 @@ at axis 0, then the qumodes):
 * product basis vectors (`basis`);
 * the truncated thermal density matrix, its projection by the parity
   operator, and the two-mode encoded initial state;
-* the parity readout of a gate by dense conjugation of |+><+| (x) the
-  thermal state (`dense_gate_readout`): the cross-check of
-  `opensys.fidelity_point`'s readout off the gate's |+, k> columns;
+* the nondemolition parity measurement as the literal controlled parity on
+  a state (`apply_controlled_parity`) and the ancilla's X-basis readout
+  (`x_basis_branches`), and the parity readout of a gate by dense
+  conjugation of |+><+| (x) the thermal state (`dense_gate_readout`): the
+  cross-check of `opensys.fidelity_point`'s readout off the gate's |+, k>
+  columns and off the diagonals of the bath route's ancilla blocks;
+* any pulse schedule's unitary segment by segment (`simulate_schedule`,
+  with the bare wait `bare_rotation` and the flip-cancelled wait's residual
+  `flip_cancellation_residual`): the cross-check of the sector blocks that
+  `pulses.sequence_unitary` powers;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
 * each (q, q') block's whole d^2 x d^2 Liouvillian (`block_liouvillian`)
   and the master equation through its Pade exponential per segment
@@ -61,9 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from tqpsim import encoding, fock, msuqc, opensys, thermal
+from tqpsim import fock, msuqc, opensys, pulses, thermal
 from tqpsim.opensys import NoiseParams
-from tqpsim.pulses import FreeEvolution, QubitRotation
+from tqpsim.pulses import FreeEvolution, PulseSchedule, QubitRotation, WaitingPeriod
 from tqpsim.thermal import ThermalSpec
 
 INVOLUTION_TOL = 1e-10
@@ -581,27 +588,112 @@ def tqp_initial_state(spec: ThermalSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the dense readout of the engineered parity measurement
+# the literal parity measurement and the dense readout of a gate
 # ---------------------------------------------------------------------------
 
 
-def dense_gate_readout(gate: np.ndarray, n_mean: float) -> tuple[float, float, float, float]:
-    """(p+, p-, fidelity, truncation tail) of the parity measurement by a 2d x 2d
-    (ancilla, mode) gate on |+><+| (x) the renormalised thermal state: the state
-    conjugated by the gate as one dense product and read out through
-    ``encoding.x_basis_branches``.  The cross-check of the column readout of
-    `opensys.fidelity_point`'s ideal-sequence route."""
-    d = gate.shape[0] // 2
-    rho = gate @ opensys._thermal_with_ancilla(n_mean, d).reshape(2 * d, 2 * d) @ gate.conj().T
+def apply_controlled_parity(state: np.ndarray) -> np.ndarray:
+    """C|psi> or C rho C for the controlled parity C on the ancilla and one
+    mode: a ``(2, d)`` pure state or a ``(2, d, 2, d)`` density array, with the
+    same shape returned.  C is diagonal, so this is an entry-wise product.
+    Any other shape raises ``fock.LayoutError``."""
+    d = state.shape[1] if state.ndim in (2, 4) else 0
+    if state.shape not in ((2, d), (2, d, 2, d)):
+        raise fock.LayoutError(f"controlled parity acts on a (2, d) or (2, d, 2, d) array, "
+                               f"got shape {state.shape}")
+    c = fock.controlled_parity_diag(d).reshape(2, d)
+    return c * state if state.ndim == 2 else c[:, :, None, None] * state * c
+
+
+def x_basis_branches(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalised + and - branches of an X-basis readout of the ancilla
+    (axis 0) on a flat pure state or a density matrix; the + branch is the
+    even one after `apply_controlled_parity`.
+
+    With the ancilla's Z components psi_q (blocks rho_qq'), the branches are
+    (psi_0 +- psi_1)/sqrt(2), or (rho_00 + rho_11 +- (rho_01 + rho_10))/2 on
+    the rest of the space.  Their norms (traces) are the branch probabilities.
+    """
+    rest = data.shape[0] // 2
+    if data.ndim == 1:
+        psi = data.reshape(2, rest)
+        return (psi[0] + psi[1]) / math.sqrt(2), (psi[0] - psi[1]) / math.sqrt(2)
+    rho = data.reshape(2, rest, 2, rest)
+    diag, off = rho[0, :, 0] + rho[1, :, 1], rho[0, :, 1] + rho[1, :, 0]
+    return (diag + off) / 2.0, (diag - off) / 2.0
+
+
+def branch_readout(rho: np.ndarray) -> tuple[float, float, float, float]:
+    """(p+, p-, fidelity, truncation tail) of a 2d x 2d (ancilla, mode)
+    density matrix after the controlled parity, read out through
+    `x_basis_branches` with `opensys.fidelity_point`'s conventions."""
+    d = rho.shape[0] // 2
     tail = float(rho.diagonal().real.reshape(2, d)[:, -1].sum())
     probs, traces = [], []
-    for sign, branch in zip((+1, -1), encoding.x_basis_branches(rho)):
+    for sign, branch in zip((+1, -1), x_basis_branches(rho)):
         pops = branch.diagonal().real
         p = float(pops.sum())
         probs.append(p)
         traces.append(1.0 + sign * float(pops @ fock.parity_diag(d)) / p
                       if p >= opensys.DEGENERATE_BRANCH_FLOOR else 2.0)
     return probs[0], probs[1], traces[0] * traces[1] / 4.0, tail
+
+
+def dense_gate_readout(gate: np.ndarray, n_mean: float) -> tuple[float, float, float, float]:
+    """`branch_readout` of |+><+| (x) the renormalised thermal state
+    conjugated by a 2d x 2d (ancilla, mode) gate as one dense product.  The
+    cross-check of the column readout of `opensys.fidelity_point`'s closed
+    routes."""
+    d = gate.shape[0] // 2
+    rho = gate @ opensys._thermal_with_ancilla(n_mean, d).reshape(2 * d, 2 * d) @ gate.conj().T
+    return branch_readout(rho)
+
+
+# ---------------------------------------------------------------------------
+# pulse schedules segment by segment
+# ---------------------------------------------------------------------------
+
+
+def bare_rotation(nu: float, t: float, cutoff: int) -> np.ndarray:
+    """exp(-i nu t a^dag a) on (ancilla, mode): the ideal waiting evolution."""
+    return np.diag(np.kron(np.ones(2), np.exp(-1j * nu * t * np.arange(cutoff))))
+
+
+def simulate_schedule(schedule: PulseSchedule, params, cutoff: int) -> np.ndarray:
+    """Unitary of the whole schedule on (ancilla, mode), segments in time
+    order: the cross-check of `pulses.sequence_unitary`'s sector blocks.
+
+    The unitary is held as a (2, d, 2d) array, its rows split by ancilla Z
+    level.  Free evolutions apply the closed-form per-level blocks U_pm(t)
+    as one batched product; rotations are ideal and instantaneous, the 2 x 2
+    ancilla matrix acting on the level axis; waiting periods without a flip
+    interval are ideal bare evolutions, a diagonal phase on every level, and
+    with one they are simulated as the explicit flip sequence.
+    """
+    d = cutoff
+    free_cache: dict[float, np.ndarray] = {}
+    u = np.eye(2 * d, dtype=complex).reshape(2, d, 2 * d)
+    for seg in schedule.expand_waiting().segments:
+        if isinstance(seg, QubitRotation):
+            u = pulses._on_ancilla(fock.qubit_rotation_matrix(seg.axis, seg.angle), u)
+        elif isinstance(seg, FreeEvolution):
+            if seg.duration not in free_cache:
+                free_cache[seg.duration] = pulses._free_blocks(params, seg.duration, d)
+            u = free_cache[seg.duration] @ u
+        else:
+            u = np.exp(-1j * params.nu * seg.duration * np.arange(d))[:, None] * u
+    return u.reshape(2 * d, 2 * d)
+
+
+def flip_cancellation_residual(params, duration: float, flip_interval: float, cutoff: int,
+                               n_max: int | None = None) -> float:
+    """Phase-gauged distance of the dynamically cancelled waiting period (the
+    qubit flipped every `flip_interval`) from the bare evolution
+    exp(-i duration nu a^dag a); the error is second order in the flip interval.
+    """
+    sched = PulseSchedule((WaitingPeriod(duration, flip_interval),))
+    return pulses.gauged_distance(simulate_schedule(sched, params, cutoff),
+                                  bare_rotation(params.nu, duration, cutoff), n_max=n_max)
 
 
 # ---------------------------------------------------------------------------

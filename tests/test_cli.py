@@ -447,6 +447,9 @@ def test_invalid_config_value_is_usage_error(tmp_path, capsys, command, config):
     ("entropy-sweep", {}, [], "abc"),
     ("msuqc-demo", {}, ["--cutoff", "87"], None),
     ("msuqc-demo", {"n_circuits": 3}, ["--cutoff", "20"], None),
+    *[(command, {}, ["--seed", seed], None) for seed in ("-5", str(2 ** 64))
+      for command in ("entropy-sweep", "fidelity-sweep", "algebra-check", "msuqc-demo",
+                      "ns-check")],
 ])
 def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, monkeypatch,
                                                            command, config, flags, env):
@@ -457,7 +460,9 @@ def test_invalid_flag_or_thread_environment_is_usage_error(tmp_path, capsys, mon
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"
     assert run([command, "--config", str(cfg), "--out", str(out)] + flags) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert flags[:1] != ["--seed"] or "--seed" in err  # a bad seed is named as the flag
     assert not out.exists()
     assert os.environ.get("OMP_NUM_THREADS") == threads_before
 

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 import dense_reference as dense
 from dense_reference import LogicalQubitRef, SpaceLayout
-from tqpsim import encoding, fock, thermal
+from tqpsim import fock, thermal
 
 
 REF = LogicalQubitRef(0)
@@ -148,9 +148,9 @@ def _parity_readout(state):
     readout.  Returns (probability, mode populations) of the + (even) and -
     (odd) branches, the populations normalised."""
     d = state.shape[1]
-    flat = encoding.apply_controlled_parity(state).reshape((2 * d,) * (state.ndim // 2))
+    flat = dense.apply_controlled_parity(state).reshape((2 * d,) * (state.ndim // 2))
     out = []
-    for branch in encoding.x_basis_branches(flat):
+    for branch in dense.x_basis_branches(flat):
         pops = np.abs(branch) ** 2 if branch.ndim == 1 else branch.diagonal().real
         out.append((float(pops.sum()), pops / max(pops.sum(), 1e-300)))
     return out
@@ -185,8 +185,8 @@ def test_x_basis_branches_match_ancilla_projectors(seed):
     x = np.array([[0, 1], [1, 0]])
     for proj, ket, branch, vec in zip(((np.eye(2) + x) / 2, (np.eye(2) - x) / 2),
                                       (fock.KET_PLUS, dense.KET_MINUS),
-                                      encoding.x_basis_branches(rho),
-                                      encoding.x_basis_branches(psi)):
+                                      dense.x_basis_branches(rho),
+                                      dense.x_basis_branches(psi)):
         full = np.kron(proj, np.eye(rest))
         assert np.abs(full @ rho @ full - np.kron(proj, branch)).max() <= 1e-15
         assert np.abs(full @ psi - np.kron(ket, vec)).max() <= 1e-15
@@ -210,8 +210,8 @@ def test_parity_measurement_nondemolition():
     d = 8
     st = np.zeros((2, d), dtype=complex)
     st[:, 2:4] = 0.5
-    flat = encoding.apply_controlled_parity(st).reshape(-1)
-    plus, _ = encoding.x_basis_branches(flat)
+    flat = dense.apply_controlled_parity(st).reshape(-1)
+    plus, _ = dense.x_basis_branches(flat)
     again = np.multiply.outer(fock.KET_PLUS, plus / np.linalg.norm(plus))
     (p_plus, _), (p_minus, _) = _parity_readout(again)
     assert p_plus == pytest.approx(1.0, abs=1e-12)
@@ -221,7 +221,7 @@ def test_parity_measurement_nondemolition():
 def test_controlled_parity_refuses_other_shapes():
     for shape in ((12,), (3, 4), (2, 4, 2, 5), (2, 4, 2)):
         with pytest.raises(fock.LayoutError):
-            encoding.apply_controlled_parity(np.zeros(shape, dtype=complex))
+            dense.apply_controlled_parity(np.zeros(shape, dtype=complex))
 
 
 def test_variant_conjugate_identity_and_beam_splitter():

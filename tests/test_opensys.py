@@ -202,7 +202,7 @@ def test_closed_system_master_matches_unitary(dense_schedule_unitary):
     d = 16
     st = _plus_thermal(0.5, d)
     evolved = _flat(opensys.evolve_master(st, sched, noise))
-    u = pulses.simulate_schedule(sched, p, d)
+    u = dense.simulate_schedule(sched, p, d)
     ref = u @ _flat(st) @ u.conj().T
     assert opensys.trace_distance(evolved, ref) < 1e-6
     # the master equation and the dense unitary truncate the model differently
@@ -359,7 +359,7 @@ def test_jump_unravelling_noiseless_is_deterministic():
     noise = NoiseParams(Q=1e300, eta=0.03)
     ens = opensys.jump_unravelling(v, sched, noise, np.random.default_rng(1), 2)
     assert ens.mean_jumps == 0.0
-    u = pulses.simulate_schedule(sched, p, d)
+    u = dense.simulate_schedule(sched, p, d)
     ref = u @ _flat(_density(v)) @ u.conj().T
     # closed-form vs exponential propagators differ near the cutoff edge
     assert opensys.trace_distance(ens.mean_state, ref) < 1e-7
@@ -637,7 +637,7 @@ def test_jump_weights_and_pick_match_operator_norms_and_rng_choice(d):
             psi[:, -1] *= 4.0 * rng.random()  # anything from none to most on the top level
             if trial == 0:
                 psi[:, :-1] = 0.0  # the top level alone: no a^dag weight at all
-            weights = props.jump_weights(np.abs(psi.reshape(-1)) ** 2)
+            weights = np.array(props._read(psi[None])[0][2:4])
             expected = [rate * np.vdot(op @ psi, op @ psi).real
                         for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T))]
             np.testing.assert_allclose(weights, expected, rtol=1e-14, atol=0.0)
@@ -1060,3 +1060,38 @@ def test_column_readout_matches_dense_conjugation(n_mean, reps):
     ref = dense.dense_gate_readout(gate, n_mean)
     got = (pt.p_plus, pt.p_minus, pt.fidelity, pt.truncation_tail)
     assert np.abs(np.subtract(got, ref)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("reps", [50, 100, 200])
+def test_exact_gate_column_readout_matches_the_literal_density_route(reps):
+    # the exact gate's |+, k> columns against C rho C read out through the
+    # ancilla's X-basis branches, on the default fidelity-sweep grid
+    config = (reps, pulses.eta_for_repetitions(reps))
+    for n_mean in [round(0.2 + i * 0.2, 12) for i in range(20)]:
+        pt = opensys.fidelity_point(n_mean, config, noise="exact-gate")
+        d = pt.cutoff
+        rho = dense.apply_controlled_parity(opensys._thermal_with_ancilla(n_mean, d))
+        ref = dense.branch_readout(rho.reshape(2 * d, 2 * d))
+        got = (pt.p_plus, pt.p_minus, pt.fidelity, pt.truncation_tail)
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-15
+
+
+def test_bath_readout_is_the_x_basis_branches_bit_for_bit(monkeypatch):
+    # the bath route reads its branch populations off the diagonals of rho's
+    # ancilla blocks; the X-basis branches of the same rho give the same bits
+    states = []
+    evolve = opensys.evolve_master
+    monkeypatch.setattr(opensys, "evolve_master",
+                        lambda *args: states.append(evolve(*args)) or states[-1])
+    pt = opensys.fidelity_point(0.5, (50, pulses.eta_for_repetitions(50)),
+                                noise=NoiseParams(Q=1e4, N_th=0.5))
+    (rho,) = states
+    d = pt.cutoff
+    # the branches' Fock populations, stacked and reduced as fidelity_point does
+    pops = np.stack([b.diagonal().real for b in dense.x_basis_branches(rho.reshape(2 * d, 2 * d))])
+    probs = [float(p) for p in pops.sum(axis=1)]
+    traces = [1.0 + sign * float(pop @ fock.parity_diag(d)) / p
+              for sign, pop, p in zip((+1, -1), pops, probs)]
+    assert (pt.p_plus, pt.p_minus) == tuple(probs)
+    assert pt.fidelity == traces[0] * traces[1] / 4.0
+    assert pt.truncation_tail == float(pops[:, -1].sum())

@@ -6,6 +6,7 @@ import pytest
 
 import dense_reference as dense
 from tqpsim import fock, pulses
+from tqpsim.opensys import NoiseParams
 from tqpsim.pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
                            QubitRotation, WaitingPeriod)
 
@@ -23,6 +24,19 @@ def test_params_validation():
         HybridHamiltonianParams(eta=0.3)
     with pytest.warns(UserWarning):
         HybridHamiltonianParams(eta=0.1)
+
+
+def test_params_refuse_nan_coupling_and_a_frequency_not_finite_and_positive():
+    # unchecked, each fails deep inside a run: a LinAlgError in sequence_unitary,
+    # a ZeroDivisionError in build_h2_sequence or fidelity_point
+    cases = [(HybridHamiltonianParams, {"eta": math.nan}, "eta"),
+             (HybridHamiltonianParams, {"eta": 0.02, "nu": math.inf}, "nu"),
+             (HybridHamiltonianParams, {"eta": 0.02, "nu": math.nan}, "nu"),
+             (HybridHamiltonianParams, {"eta": 0.02, "nu": 0.0}, "nu"),
+             (NoiseParams, {"Q": 1.0, "nu": 0.0}, "nu")]
+    for cls, kwargs, field in cases:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls(**kwargs)
 
 
 def test_free_propagator_identity_and_full_period():
@@ -86,59 +100,49 @@ def test_sequence_timing():
         pulses.build_h2_sequence(p, 0)
 
 
-def test_effective_coupling_bookkeeping():
-    eta = 0.016
-    p = params(eta)
-    reps = pulses.coupling_implied_sequences(eta)
-    ec = pulses.effective_coupling(p, reps)
-    assert ec.lam == pytest.approx((32.0 / 9.0) * eta ** 2, rel=1e-12)
-    assert ec.total_time == pytest.approx(reps * 18 * math.pi, rel=1e-12)
-    # rounded sequence count reproduces the coupling-implied duration
-    assert ec.total_time == pytest.approx(ec.controlled_parity_time, rel=0.05)
-    assert ec.controlled_parity_time == pytest.approx(9 * math.pi / (64 * eta ** 2), rel=1e-12)
-
-
 def test_standard_configs_match_quoted_pairs():
-    # repetition counts 50/100/200 pair with eta printed as 0.022/0.016/0.011
+    # repetition counts 50/100/200 pair with eta printed as 0.022/0.016/0.011,
+    # each a conditional phase 128 R eta^2 of pi per excitation
     quoted = {50: 0.022, 100: 0.016, 200: 0.011}
     for reps, eta in pulses.measurement_configs():
         assert float(f"{eta:.2g}") == quoted[reps]
-        assert pulses.repetitions_for_controlled_parity(eta) == reps
-        ec = pulses.effective_coupling(params(eta), reps)
-        assert ec.conditional_phase == pytest.approx(math.pi, rel=1e-12)
+        assert 128.0 * reps * eta ** 2 == pytest.approx(math.pi, rel=1e-12)
     # the printed two-digit eta values land within 5% of the quoted counts
     for eta_printed, reps_quoted in ((0.022, 50), (0.016, 100), (0.011, 200)):
-        got = pulses.repetitions_for_controlled_parity(eta_printed)
+        got = round(math.pi / (128.0 * eta_printed ** 2))
         assert abs(got - reps_quoted) / reps_quoted <= 0.05
+
+
+def test_quoted_coupling_sequences_cover_its_implied_duration():
+    # the quoted strength (32/9) eta^2 nu implies a controlled parity of
+    # pi / (2 lambda) = 9 pi / (64 eta^2 nu); whole sequences of 18 pi / nu cover it
+    eta = 0.016
+    sched = pulses.build_h2_sequence(params(eta), pulses.coupling_implied_sequences(eta))
+    assert sched.total_time == pytest.approx(9 * math.pi / (64 * eta ** 2), rel=0.05)
 
 
 def test_waiting_flip_cancellation():
     # eta = 0: nothing to cancel, exact for any interval
-    res0 = pulses.flip_cancellation_residual(params(0.0), math.pi / 2, 0.05, 16, n_max=6)
+    res0 = dense.flip_cancellation_residual(params(0.0), math.pi / 2, 0.05, 16, n_max=6)
     assert res0 < 1e-12
     p = params(0.05)
-    res1 = pulses.flip_cancellation_residual(p, math.pi / 2, 0.01, 20, n_max=6)
+    res1 = dense.flip_cancellation_residual(p, math.pi / 2, 0.01, 20, n_max=6)
     assert res1 <= 1e-3
     # the per-pair error is second order in the interval, but over a quarter
     # period the pairs add as an oscillatory sum: total scales linearly, so
     # quartering the interval wins a factor ~4
-    res2 = pulses.flip_cancellation_residual(p, math.pi / 2, 0.0025, 20, n_max=6)
+    res2 = dense.flip_cancellation_residual(p, math.pi / 2, 0.0025, 20, n_max=6)
     assert res1 / res2 >= 3.0
     # over a full oscillator period the pair errors cancel exactly
-    full = pulses.flip_cancellation_residual(p, 2 * math.pi, 0.01, 20, n_max=6)
+    full = dense.flip_cancellation_residual(p, 2 * math.pi, 0.01, 20, n_max=6)
     assert full < 1e-10
 
 
-def test_schedule_serialization_and_expansion(tmp_path):
+def test_schedule_expansion():
     p = params(0.02)
     sched = pulses.build_h2_sequence(p, 1, flip_interval=0.05)
-    doc = sched.to_json_dict()
-    assert doc["total_time"] == pytest.approx(18 * math.pi)
-    kinds = {s["type"] for s in doc["segments"]}
-    assert kinds == {"free", "rotation", "waiting"}
-    path = tmp_path / "schedule.json"
-    sched.dump(path)
-    assert path.exists()
+    assert sched.total_time == pytest.approx(18 * math.pi)
+    assert {type(s) for s in sched.segments} == {FreeEvolution, QubitRotation, WaitingPeriod}
     expanded = sched.expand_waiting()
     assert not any(isinstance(s, WaitingPeriod) and s.flip_interval is not None
                    for s in expanded.segments)
@@ -163,7 +167,7 @@ def test_simulate_schedule_matches_dense_exponentials(dense_schedule_unitary):
     # the closed-form schedule unitary against dense matrix exponentials
     p = params(0.03)
     sched = pulses.build_h2_sequence(p, 1)
-    u_fast = pulses.simulate_schedule(sched, p, 20)
+    u_fast = dense.simulate_schedule(sched, p, 20)
     u_slow = dense_schedule_unitary(sched, p, 20)
     assert pulses.gauged_distance(u_fast, u_slow, n_max=10) < 1e-8
 
@@ -186,7 +190,7 @@ def _cross_check_case(case):
 def test_simulate_schedule_matches_dense_segment_product(dense_segment_product, case):
     # the per-ancilla-level blocks against the product of dense 2d x 2d segments
     p, d, sched = _cross_check_case(case)
-    u = pulses.simulate_schedule(sched, p, d)
+    u = dense.simulate_schedule(sched, p, d)
     assert np.abs(u - dense_segment_product(sched, p, d)).max() <= 1e-12
     if case == "empty":
         assert np.array_equal(u, np.eye(2 * d))
@@ -220,7 +224,7 @@ def test_displacement_group_splits_into_parity_sectors(d):
     # sector blocks are the closed-form ones sequence_unitary powers
     idx = fock.parity_sectors(d)
     for p in [params(eta) for _, eta in pulses.measurement_configs()] + [params(0.03, nu=2.0)]:
-        group = pulses.simulate_schedule(pulses._displacement_group(p), p, d)
+        group = dense.simulate_schedule(pulses._displacement_group(p), p, d)
         assert np.abs(_between_sectors(group)).max() <= 1e-14
         blocks = group[idx[:, :, None], idx[:, None, :]]
         assert np.abs(pulses._group_sector_blocks(p, d) - blocks).max() <= 1e-13
