@@ -4,10 +4,9 @@ The mode couples to a hot background through the standard damping dissipators
 
     rho' = -i [H, rho] + (nu/Q)(N_th + 1) D{a} rho + (nu/Q) N_th D{a^dag} rho
 
-with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  A state is a plain array:
-(levels, d) for a pure state, (levels, d, levels, d) for a density matrix,
-with levels 2 when the ancilla is present (axis 0) and 1 for the mode alone;
-every function reads levels and d from the shape, and any other shape is a
+with D{O} rho = O rho O^dag - 1/2 {O^dag O, rho}.  A state is a (2, d, 2, d)
+density array, the ancilla on axes 0 and 2 and the mode on axes 1 and 3;
+every solver reads d from the shape, and any other shape is a
 ``fock.LayoutError``.  The Hamiltonian is diagonal in the ancilla's Z basis
 (`pulses.level_hamiltonians`) and the jumps act on the mode alone, so every
 segment propagator is one d x d block per ancilla level.  Two solvers are
@@ -57,15 +56,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fock, pulses
-from .pulses import (FreeEvolution, HybridHamiltonianParams, PulseSchedule,
-                     QubitRotation, WaitingPeriod)
+from .pulses import FreeEvolution, HybridHamiltonianParams, PulseSchedule, QubitRotation
 from .thermal import required_cutoff, thermal_weights
 
 DEGENERATE_BRANCH_FLOOR = 1e-9
@@ -140,42 +137,27 @@ class FidelityPoint:
 
 
 # ---------------------------------------------------------------------------
-# the damped hybrid model
+# states and schedules
 # ---------------------------------------------------------------------------
 
 
-def _levels_and_cutoff(state: np.ndarray) -> tuple[int, int]:
-    """(levels, d) of a state array; see the module docstring."""
-    levels, d = state.shape[:2] if state.ndim in (2, 4) else (0, 0)
-    if levels not in (1, 2) or d < 1 or state.shape not in ((levels, d), (levels, d) * 2):
-        raise fock.LayoutError(f"an open-system state is a (levels, d) or (levels, d, levels, d) "
-                               f"array with levels 1 or 2, got shape {state.shape}")
-    return levels, d
+def _cutoff(state: np.ndarray) -> int:
+    """d of a (2, d, 2, d) density array; any other shape is a LayoutError."""
+    d = state.shape[1] if state.ndim == 4 else 0
+    if d < 1 or state.shape != (2, d, 2, d):
+        raise fock.LayoutError(f"an open-system state is a (2, d, 2, d) density array, "
+                               f"got shape {state.shape}")
+    return d
 
 
-class _DampedModeModel:
-    """The damped hybrid model of one mode with cutoff d, per ancilla level.
-
-    `k[FreeEvolution]` and `k[WaitingPeriod]` are (levels, d, d) stacks of the
-    no-jump generator K = H - i/2 [r_down a^dag a + r_up a a^dag] of a timed
-    segment, one block per ancilla Z level (the coupling is off while
-    waiting); with levels 1 (no ancilla) the mode sees the Z = +1 level.
-    `a` acts on the mode alone.
-    """
-
-    def __init__(self, levels: int, d: int, noise: NoiseParams):
-        self.noise, self.levels, self.d = noise, levels, d
-        self.a = fock.annihilation(self.d)
-        ad = self.a.conj().T
-        decay = -0.5j * (noise.rate_down * ad @ self.a + noise.rate_up * self.a @ ad)
-        self.k = {seg: pulses.level_hamiltonians(noise.nu, eta, self.d)[:self.levels] + decay
-                  for seg, eta in ((FreeEvolution, noise.eta), (WaitingPeriod, 0.0))}
-
-    def rotation(self, seg: QubitRotation) -> np.ndarray:
-        """The 2 x 2 ancilla rotation of `seg`; LayoutError without an ancilla."""
-        if self.levels != 2:
-            raise fock.LayoutError("an ancilla rotation needs a state with an ancilla")
-        return fock.qubit_rotation_matrix(seg.axis, seg.angle)
+def _segments(schedule: PulseSchedule) -> tuple[tuple, dict]:
+    """The schedule's segments with the zero-duration ones dropped (each is
+    the identity; kept, it would stop the rotations around it fusing), and
+    each rotation's 2 x 2 ancilla matrix."""
+    segs = tuple(seg for seg in schedule.expand_waiting().segments
+                 if isinstance(seg, QubitRotation) or seg.duration > 0.0)
+    return segs, {seg: fock.qubit_rotation_matrix(seg.axis, seg.angle)
+                  for seg in set(segs) if isinstance(seg, QubitRotation)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +248,7 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
                   noise: NoiseParams) -> np.ndarray:
     """Evolve a state through a pulse schedule under the master equation.
 
-    Returns the (levels, d, levels, d) density array.  The lab-frame
+    Returns the (2, d, 2, d) density array.  The lab-frame
     Hamiltonian is diagonal in the ancilla's Z basis and the jump operators
     act on the mode alone, so each (q, q') block X of rho evolves on its own:
 
@@ -336,18 +318,12 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
     finite (its entries or 1-norm overflow) is a ValueError naming the noise
     and the cutoff, raised before any exponential is taken.
     """
-    levels, d = _levels_and_cutoff(state)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        model = _DampedModeModel(levels, d, noise)
-    rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
-                   dtype=complex)
-    # a zero-duration segment is the identity: without it the rotations around it fuse
-    segs = [seg for seg in schedule.expand_waiting().segments
-            if isinstance(seg, QubitRotation) or seg.duration > 0.0]
-    rotations = {seg: model.rotation(seg) for seg in set(segs) if isinstance(seg, QubitRotation)}
+    d = _cutoff(state)
+    rho = np.array(state, dtype=complex)
+    segs, rotations = _segments(schedule)
     taus = sorted({seg.duration for seg in segs if not isinstance(seg, QubitRotation)})
     free_taus = sorted({seg.duration for seg in segs if isinstance(seg, FreeEvolution)})
-    left, right = np.triu_indices(levels)
+    left, right = np.triu_indices(2)
     off = left != right
     refusal = f"the master equation's generator is not finite (noise {noise!r}, cutoff {d})"
     props, free = {}, {}
@@ -362,13 +338,13 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
         if not finite:  # NaN too: an entry or the 1-norm overflowed
             raise ValueError(refusal)
         props = dict(zip(taus, fock.pade_exponential(gens)))
-        a = model.a
+        a = fock.annihilation(d)
         # D(x) = exp(x a^dag - x^* a) for alpha and beta of each free duration
         amps = factors[:, :2, None, None]
         shifts = fock.unitary_exponential(amps * a.T - amps.conj() * a)
         for tau, (_, _, log_c), shift in zip(free_taus, factors, shifts):
             # per ancilla level: D(alpha_q), D(beta_q); level 1's are the adjoints
-            level = np.stack([shift, shift.conj().swapaxes(-1, -2)])[:levels]
+            level = np.stack([shift, shift.conj().swapaxes(-1, -2)])
             scale = np.where(off, math.exp(log_c.real), 1.0)[:, None, None]
             free[tau] = (scale, level[left, 0], level[right, 0].conj().swapaxes(-1, -2),
                          level[left, 1], level[right, 1].conj().swapaxes(-1, -2))
@@ -393,7 +369,7 @@ def evolve_master(state: np.ndarray, schedule: PulseSchedule,
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma, for two density arrays over one
-    space, each a square matrix or a (levels, d, levels, d) array."""
+    space, each a square matrix or a (2, d, 2, d) array."""
     dim = math.isqrt(np.size(rho))
     diff = np.reshape(rho, (dim, dim)) - np.reshape(sigma, (dim, dim))
     diff = (diff + diff.conj().T) / 2.0
@@ -407,11 +383,10 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 @dataclass
 class JumpEnsemble:
-    """Trajectory end states, normalised, as the columns of one (levels d) x
-    n_trajectories array; `shape` is one state's (levels, d)."""
+    """Trajectory end states, normalised, as the columns of one 2d x
+    n_trajectories array, each row a flat (ancilla level, Fock number) index."""
 
     columns: np.ndarray
-    shape: tuple[int, int]
     jump_counts: np.ndarray
     n_trajectories: int
 
@@ -421,55 +396,60 @@ class JumpEnsemble:
 
     @functools.cached_property
     def mean_state(self) -> np.ndarray:
-        """The ensemble mean as a (levels, d, levels, d) array, built on first read."""
-        psi = self.columns
-        return (psi @ psi.conj().T / self.n_trajectories).reshape(self.shape * 2)
+        """The ensemble mean as a (2, d, 2, d) array, built on first read."""
+        psi, d = self.columns, len(self.columns) // 2
+        return (psi @ psi.conj().T / self.n_trajectories).reshape(2, d, 2, d)
 
 
 class _SegmentPropagators:
     """No-jump propagators of one timed segment type from one eigenbasis, and
     the jumps that interrupt them.
 
-    The (levels, d, d) no-jump generator, one d x d block per ancilla level,
-    is diagonalised once, K = V diag(lam) V^-1, so the propagator over any
-    tau is V exp(-i lam tau) V^-1.  A V whose condition number exceeds
+    The (2, d, d) no-jump generator of a timed segment, one d x d block per
+    ancilla Z level, K_q = H_q - i/2 (r_down a^dag a + r_up a a^dag) with H_q
+    from `pulses.level_hamiltonians` (the coupling is off while waiting), is
+    diagonalised once, K = V diag(lam) V^-1, so the propagator over any tau
+    is V exp(-i lam tau) V^-1.  A V whose condition number exceeds
     EIGENBASIS_COND_LIMIT (K near defective) is refused.  The jump operators
     a and a^dag act on the mode alone; their weights are read off a column's
     Fock populations (`_read`).
     """
 
-    def __init__(self, model: _DampedModeModel, seg_type: type):
-        k = model.k[seg_type]
+    def __init__(self, noise: NoiseParams, d: int, seg_type: type):
+        a = fock.annihilation(d)
+        ad = a.conj().T
+        decay = -0.5j * (noise.rate_down * ad @ a + noise.rate_up * a @ ad)
+        eta = noise.eta if seg_type is FreeEvolution else 0.0
+        k = pulses.level_hamiltonians(noise.nu, eta, d) + decay
         self.lam, self.v = np.linalg.eig(k)
         cond = float(np.linalg.cond(self.v).max())
         if cond > EIGENBASIS_COND_LIMIT:
             raise ValueError(f"no-jump eigenbasis too ill-conditioned (cond {cond:.3g} > "
-                             f"{EIGENBASIS_COND_LIMIT:g}) at Q = {model.noise.Q!r}, "
-                             f"eta = {model.noise.eta!r}, cutoff {model.d}")
+                             f"{EIGENBASIS_COND_LIMIT:g}) at Q = {noise.Q!r}, "
+                             f"eta = {noise.eta!r}, cutoff {d}")
         self.v_inv = np.linalg.inv(self.v)
         self._phase = -1j * self.lam[..., None]  # times tau, the exponent of each eigenvector
-        self.jump_ops = np.stack([model.a, model.a.conj().T])
+        self.jump_ops = np.stack([a, ad])
         # V^-1 a and V^-1 a^dag per level: the eigen-coefficients of a jumped column
         self._jumped_coefficients = (self.v_inv @ self.jump_ops[:, None])[:, None]
-        n = np.arange(model.d, dtype=float)
+        n = np.arange(d, dtype=float)
         n_up = np.append(n[1:], 0.0)  # a^dag |d-1> = 0 after truncation
         # rows on the squares of a column's real and imaginary parts, flattened
         # over (level, Fock number, part): its norm, the norm's decay rate (the
         # diagonal of r_down a^dag a + r_up a a^dag, the truncation's top entry
         # included), the two jump weights r_down |a psi|^2 and r_up |a^dag psi|^2,
         # and |a psi|^2 and |a^dag psi|^2
-        rates = model.noise.rate_down, model.noise.rate_up
-        reads = np.stack([np.ones(model.d), -2.0 * k[0].diagonal().imag,
-                          rates[0] * n, rates[1] * n_up, n, n_up], axis=1)
-        self._reads = np.repeat(np.tile(reads, (model.levels, 1)), 2, axis=0)
+        reads = np.stack([np.ones(d), -2.0 * k[0].diagonal().imag,
+                          noise.rate_down * n, noise.rate_up * n_up, n, n_up], axis=1)
+        self._reads = np.repeat(np.tile(reads, (2, 1)), 2, axis=0)
 
     def step(self, tau: float) -> np.ndarray:
-        """The (levels, d, d) propagator over `tau`; it acts on (levels, d, n) columns."""
+        """The (2, d, d) propagator over `tau`; it acts on (2, d, n) columns."""
         return (self.v * np.exp(-1j * tau * self.lam)[:, None, :]) @ self.v_inv
 
     def _read(self, cols: np.ndarray) -> list:
         """[norm^2, decay rate, r_down |a psi|^2, r_up |a^dag psi|^2, |a psi|^2,
-        |a^dag psi|^2] of each column psi of an (n, levels, d, 1) stack, as
+        |a^dag psi|^2] of each column psi of an (n, 2, d, 1) stack, as
         Python floats.  One product per column, so a column's reads do not
         depend on the others in the stack."""
         parts = np.square(cols.view(np.float64)).reshape(len(cols), 1, -1)
@@ -477,20 +457,20 @@ class _SegmentPropagators:
 
     def _jump_candidates(self, psi: np.ndarray, r_target: list, remaining: list,
                          tol: float) -> list:
-        """Find the first jump time of each column of a (levels, d, k) stack
+        """Find the first jump time of each column of a (2, d, k) stack
         within its `remaining` time (see `jumps_across`) and form both of its
         candidate jumps.
 
         Returns, per column, (its reads at the jump time, its column there,
         the time left after the jump, both candidate jumps carried over that
-        time as a (2, levels, d, 1) stack, unnormalised, and their squared
+        time as a (2, 2, d, 1) stack, unnormalised, and their squared
         norms).  Each Newton iterate is one evaluation of the whole stack; the
         control is per column, in floats, and a column whose bracket is
         closed keeps its last iterate until every bracket is.  Every product
         is per column, so a column's result does not depend on the others.
         """
         k = len(r_target)
-        at = psi.transpose(2, 0, 1)[..., None]  # (k, levels, d, 1): each column at tau = 0
+        at = psi.transpose(2, 0, 1)[..., None]  # (k, 2, d, 1): each column at tau = 0
         coefficients = self.v_inv @ at  # on the eigenvectors of K
         los, his, taus = [0.0] * k, list(remaining), [0.0] * k  # each column's bracket, iterate
         found = [None] * k  # per column: (lo, its column there, its reads there)
@@ -533,7 +513,7 @@ class _SegmentPropagators:
 
     def jumps_across(self, psi: np.ndarray, r_target: np.ndarray, duration: float,
                      rng: np.random.Generator):
-        """Carry a (levels, d, k) stack of columns across a segment of
+        """Carry a (2, d, k) stack of columns across a segment of
         `duration` whose full step took each below its norm threshold
         `r_target[c]`; returns (the stack at the segment's end, the columns'
         new thresholds, their jump counts), the last two as lists.
@@ -586,23 +566,10 @@ def _pick_jump(weights, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p_down / (p_down + p_up) else 1
 
 
-def _decompose_for_trajectories(state: np.ndarray):
-    """Mixture weights and pure-state columns of a state array, over the flat
-    (level, Fock number) index."""
-    levels, d = _levels_and_cutoff(state)
-    if state.ndim == 2:
-        v = state.reshape(-1).astype(complex)
-        v /= math.sqrt(np.vdot(v, v).real)
-        return np.array([1.0]), v[:, None]
-    rho = state.reshape(levels * d, levels * d)
-    off = rho - np.diag(np.diag(rho))
-    if np.abs(off).max() < 1e-12:
-        w = np.real(np.diag(rho)).copy()
-        keep = np.flatnonzero(w > 1e-14)
-        cols = np.zeros((rho.shape[0], keep.size), dtype=complex)
-        cols[keep, np.arange(keep.size)] = 1.0
-        return w[keep] / w.sum(), cols
-    lam, vec = np.linalg.eigh(rho)
+def _decompose_for_trajectories(rho: np.ndarray, d: int):
+    """Mixture weights and pure-state columns of a (2, d, 2, d) density array,
+    its eigendecomposition over the flat (level, Fock number) index."""
+    lam, vec = np.linalg.eigh(rho.reshape(2 * d, 2 * d))
     keep = np.flatnonzero(lam > 1e-12)
     return lam[keep] / lam[keep].sum(), vec[:, keep]
 
@@ -630,29 +597,29 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
 
     Pure trajectories evolve under the non-Hermitian effective Hamiltonian
     H - i/2 [(nu/Q)(N_th+1) a^dag a + (nu/Q) N_th a a^dag]; jumps apply a or
-    a^dag at the printed rates.  Mixed inputs are sampled from their
-    Fock-basis mixture weights (general inputs from their eigenbasis).  The
-    ensemble mean converges to the master equation at the Monte-Carlo rate.
+    a^dag at the printed rates.  The input density is sampled from its
+    eigenbasis.  The ensemble mean converges to the master equation at the
+    Monte-Carlo rate.
 
-    All trajectories are columns of one (levels, d, n_traj) array.  The
+    All trajectories are columns of one (2, d, n_traj) array.  The
     schedule (zero-duration segments dropped) is cut into repeats of its
     shortest repeating prefix, the period (the whole schedule when nothing
     repeats).  The no-jump norm never grows (d|psi|^2/dt =
     -<r_down a^dag a + r_up a a^dag> <= 0, rotations are unitary), so a
     column that ends a stretch of the schedule at or above its random
     threshold crossed it nowhere inside.  The screen has two levels, both
-    composed no-jump propagators, each one (levels d) x (levels d) matrix:
-    the period's, and its power for a block of B = floor(sqrt(P)) periods of
-    the schedule's P, taken from the schedule alone so that neither the P/B
+    composed no-jump propagators, each one 2d x 2d matrix: the period's,
+    and its power for a block of B = floor(sqrt(P)) periods of the
+    schedule's P, taken from the schedule alone so that neither the P/B
     block screens of every column nor the B period screens of a flagged
-    column dominate.  A column whose block-screened norm stays at or above
-    its threshold takes the block product.  Only the others go through the
-    block period by period, as does every column through a block of one
-    period or the short last block: a column whose period-screened norm
-    falls below its threshold is walked through the period segment by
-    segment, each timed segment's full-length propagator, one d x d block
-    per ancilla level.  The columns that fall below their threshold in a
-    segment go, as one stack, through the Newton jump-time root find
+    column dominate (a short last block takes the power for its own
+    length).  A column whose block-screened norm stays at or above its
+    threshold takes the block product.  Only the others go through the
+    block period by period: a column whose period-screened norm falls below
+    its threshold is walked through the period segment by segment, each
+    timed segment's full-length propagator, one d x d block per ancilla
+    level.  The columns that fall below their threshold in a segment go, as
+    one stack, through the Newton jump-time root find
     (`_SegmentPropagators.jumps_across`), which draws for them in column
     order.  Only a walked column draws, and a column the screens skip has no
     crossing to draw for, so the draws come in the order a
@@ -660,27 +627,22 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
     Raises ValueError when a no-jump generator is too close to defective for
     its eigenbasis (see EIGENBASIS_COND_LIMIT).
     """
-    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral):
-        raise ValueError(f"n_traj must be an integer, got {n_traj!r}")
-    if n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
-    model = _DampedModeModel(*_levels_and_cutoff(state), noise)
-    segs = tuple(seg for seg in schedule.expand_waiting().segments
-                 if isinstance(seg, QubitRotation) or seg.duration > 0)
-    rotations = {seg: model.rotation(seg) for seg in set(segs) if isinstance(seg, QubitRotation)}
-    props = {kind: _SegmentPropagators(model, kind)
+    fock.checked_int("n_traj", n_traj, 1)
+    d = _cutoff(state)
+    segs, rotations = _segments(schedule)
+    props = {kind: _SegmentPropagators(noise, d, kind)
              for kind in {type(seg) for seg in segs} - {QubitRotation}}
     steps = {seg: props[type(seg)].step(seg.duration) for seg in set(segs) - set(rotations)}
 
     def no_jump_step(seg, cols):
         if isinstance(seg, QubitRotation):
-            return (rotations[seg] @ cols.reshape(model.levels, -1)).reshape(cols.shape)
+            return (rotations[seg] @ cols.reshape(2, -1)).reshape(cols.shape)
         return steps[seg] @ cols
 
     period = _schedule_period(segs)
     n_periods = len(segs) // period
-    dim = model.levels * model.d
-    window = np.eye(dim, dtype=complex).reshape(model.levels, model.d, dim)
+    dim = 2 * d
+    window = np.eye(dim, dtype=complex).reshape(2, d, dim)
     for seg in segs[:period]:
         window = no_jump_step(seg, window)
     window = window.reshape(dim, dim)
@@ -695,21 +657,18 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
         walk = np.flatnonzero(_column_norms(screened) < r_cols * (1.0 + 1e-12))
         return screened, walk, cols[..., walk]
 
-    weights, columns = _decompose_for_trajectories(state)
+    weights, columns = _decompose_for_trajectories(state, d)
     psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
-    psi = np.ascontiguousarray(psi.reshape(model.levels, model.d, n_traj))
+    psi = np.ascontiguousarray(psi.reshape(2, d, n_traj))
     r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
 
-    everything = np.arange(n_traj)
     for first in range(0, n_periods, block):
         count = min(block, n_periods - first)
-        if count == block > 1:  # a whole block: only the columns its screen flags walk it
-            psi, ids, cols = screen(block_window, psi, r_target)
-            r_cols = r_target[ids]
-        else:  # one period, or the short last block: every column walks it
-            # (psi lets go of the columns, so no stale copy of them stays alive)
-            ids, r_cols, cols, psi = everything, r_target, psi, None
+        span = block_window if count == block else np.linalg.matrix_power(window, count)
+        # only the columns the block's screen flags walk it
+        psi, ids, cols = screen(span, psi, r_target)
+        r_cols = r_target[ids]
         for _ in range(count):
             cols, walk, sub = screen(window, cols, r_cols)
             r_sub = r_cols[walk]
@@ -725,14 +684,11 @@ def jump_unravelling(state: np.ndarray, schedule: PulseSchedule, noise: NoisePar
                 sub = stepped
             cols[..., walk] = sub
             r_cols[walk] = r_sub
-        if psi is None:
-            psi = cols
-        else:
-            psi[..., ids] = cols
-            r_target[ids] = r_cols
+        psi[..., ids] = cols
+        r_target[ids] = r_cols
     psi = psi.reshape(dim, n_traj)
     psi /= np.sqrt(_column_norms(psi))
-    return JumpEnsemble(psi, (model.levels, model.d), jump_counts, n_traj)
+    return JumpEnsemble(psi, jump_counts, n_traj)
 
 
 def short_time_jump_probability(state: np.ndarray, noise: NoiseParams,
@@ -746,14 +702,14 @@ def short_time_jump_probability(state: np.ndarray, noise: NoiseParams,
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
-    model = _DampedModeModel(*_levels_and_cutoff(state), noise)
-    weights, cols = _decompose_for_trajectories(state)
-    cols = cols.reshape(model.levels, model.d, -1)
-    evolved = _SegmentPropagators(model, FreeEvolution).step(dt) @ cols
+    d = _cutoff(state)
+    weights, cols = _decompose_for_trajectories(state, d)
+    cols = cols.reshape(2, d, -1)
+    evolved = _SegmentPropagators(noise, d, FreeEvolution).step(dt) @ cols
     survive = _column_norms(evolved)
     simulated = float(np.dot(weights, 1.0 - survive))
     pops = (np.abs(cols) ** 2).sum(axis=0)
-    n_mean = float(np.dot(weights, np.arange(model.d) @ pops))
+    n_mean = float(np.dot(weights, np.arange(d) @ pops))
     closed = (2 * noise.N_th * n_mean + noise.N_th + n_mean) * noise.nu / noise.Q * dt
     return simulated, closed
 
@@ -787,7 +743,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     comes from the sequence's high-order excitation-dependent error alone;
     `noise="exact-gate"` uses the exact controlled-parity (fidelity 1, a
     consistency anchor); a NoiseParams adds bath damping via the master
-    equation, with its coupling taken from `config` (its own eta is ignored).
+    equation, with its coupling taken from `config`: the bath's own eta must
+    be 0 or that coupling, else ValueError.
     The ancilla starts in |+>, the mode thermal with weights w_k.  The two
     closed routes never form the state: branch +-'s population of Fock level
     n is sum_k w_k |<+-, n|G|+, k>|^2, read off the gate G's |+, k> columns
@@ -819,6 +776,9 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
         amps = np.stack([cols[0] + cols[1], cols[0] - cols[1]]) / 2.0
         pops = (amps.real ** 2 + amps.imag ** 2) @ (w / w.sum())
     elif isinstance(noise, NoiseParams):
+        if noise.eta not in (0.0, eta):
+            raise ValueError(f"the bath's eta = {noise.eta!r} disagrees with the configured "
+                             f"eta = {eta!r}")
         sched = pulses.build_h2_sequence(params, reps) + PulseSchedule(
             (pulses.frame_correction(eta, reps),))
         rho = evolve_master(_thermal_with_ancilla(n_mean, d), sched, replace(noise, eta=eta))

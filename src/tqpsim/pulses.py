@@ -47,7 +47,6 @@ operator the module returns is a plain 2d x 2d array, ancilla level major.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -261,14 +260,8 @@ def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
     18 pi / nu.  Durations are in units of 1/nu for nu = 1; general nu
     scales every duration by 1/nu.
     """
-    _check_repetitions(repetitions)
+    fock.checked_int("repetitions", repetitions, 1)
     return _displacement_group(params, flip_interval).repeated(4 * repetitions)
-
-
-def _check_repetitions(repetitions) -> None:
-    if isinstance(repetitions, bool) or not isinstance(repetitions, numbers.Integral) \
-            or repetitions < 1:
-        raise ValueError(f"repetitions must be an integer >= 1, got {repetitions!r}")
 
 
 def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
@@ -287,7 +280,7 @@ def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
     Newton-Schulz step U (3I - U^dag U) / 2 per block squares it, so the
     result is unitary to rounding at any repetition count.
     """
-    _check_repetitions(repetitions)
+    fock.checked_int("repetitions", repetitions, 1)
     d = cutoff
     u = np.linalg.matrix_power(_group_sector_blocks(params, d), 4 * repetitions)
     u = u @ (3.0 * np.eye(d) - u.conj().swapaxes(1, 2) @ u) / 2.0

@@ -47,6 +47,9 @@ at axis 0, then the qumodes):
   `flip_cancellation_residual`): the cross-check of the sector blocks that
   `pulses.sequence_unitary` powers;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
+* each timed segment's no-jump generator, built from the printed equation
+  (`no_jump_generator`): the generator the trajectory cross-check steps
+  with, apart from the one `opensys` builds;
 * each (q, q') block's whole d^2 x d^2 Liouvillian (`block_liouvillian`)
   and the master equation through its Pade exponential per segment
   (`block_pade_master`): the cross-check of `opensys.evolve_master`, which
@@ -704,22 +707,32 @@ def flip_cancellation_residual(params, duration: float, flip_interval: float, cu
 def lindblad_rhs(rho: np.ndarray, h: np.ndarray, noise: NoiseParams) -> np.ndarray:
     """The printed master-equation right-hand side, evaluated once.
 
-    `rho` is a (levels, d, levels, d) density array, as ``opensys`` holds
-    it, and `h` the (levels d) x (levels d) system Hamiltonian; returns
-    d(rho)/dt in the shape of `rho`.  The trace of the result is zero to
-    numerical precision.  A pure (levels, d) state raises
-    ``fock.StateError``.
+    `rho` is a (2, d, 2, d) density array, as ``opensys`` holds it, and `h`
+    the 2d x 2d system Hamiltonian; returns d(rho)/dt in the shape of `rho`.
+    The trace of the result is zero to numerical precision.  A pure (2, d)
+    state raises ``fock.StateError``.
     """
     if rho.ndim != 4:
         raise fock.StateError("master-equation right-hand side needs a density array")
-    levels, d = rho.shape[:2]
-    mat = rho.reshape(levels * d, levels * d)
-    a = annihilation(SpaceLayout(levels - 1, (d,)), 0)
+    d = rho.shape[1]
+    mat = rho.reshape(2 * d, 2 * d)
+    a = annihilation(SpaceLayout(1, (d,)), 0)
     out = -1j * (h @ mat - mat @ h)
     for rate, op in ((noise.rate_down, a), (noise.rate_up, a.conj().T)):
         op_dag_op = op.conj().T @ op
         out += rate * (op @ mat @ op.conj().T - 0.5 * (op_dag_op @ mat + mat @ op_dag_op))
     return out.reshape(rho.shape)
+
+
+def no_jump_generator(noise: NoiseParams, seg_type: type, d: int) -> np.ndarray:
+    """The (2, d, d) no-jump generator of a timed segment of type `seg_type`,
+    one d x d block per ancilla Z level, built from the printed master
+    equation: K_q = H_q - i/2 (r_down a^dag a + r_up a a^dag), H_q from
+    `pulses.level_hamiltonians` with the coupling off while waiting."""
+    a = annihilation(SpaceLayout(0, (d,)), 0)
+    eta = noise.eta if seg_type is FreeEvolution else 0.0
+    decay = noise.rate_down * a.conj().T @ a + noise.rate_up * a @ a.conj().T
+    return pulses.level_hamiltonians(noise.nu, eta, d) - 0.5j * decay
 
 
 def block_liouvillian(noise: NoiseParams, seg_type: type, q: int, q2: int,
@@ -730,20 +743,20 @@ def block_liouvillian(noise: NoiseParams, seg_type: type, q: int, q2: int,
         d/dt rho_qq' = -i K_q rho_qq' + i rho_qq' K_q'^dag
                        + r_down a rho_qq' a^dag + r_up a^dag rho_qq' a,
 
-    with K the segment's no-jump generator (`opensys._DampedModeModel`)."""
-    model = opensys._DampedModeModel(2, d, noise)
-    a, eye, k = model.a, np.eye(d), model.k[seg_type]
+    with K the segment's no-jump generator (`no_jump_generator`)."""
+    a, eye = annihilation(SpaceLayout(0, (d,)), 0), np.eye(d)
+    k = no_jump_generator(noise, seg_type, d)
     # row-major vec(A X B) = (A kron B^T) vec(X)
     jumps = noise.rate_down * np.kron(a, a.conj()) + noise.rate_up * np.kron(a.conj().T, a.T)
     return -1j * (np.kron(k[q], eye) - np.kron(eye, k[q2].conj())) + jumps
 
 
-def block_pade_master(state: np.ndarray, schedule, noise: NoiseParams) -> np.ndarray:
+def block_pade_master(rho: np.ndarray, schedule, noise: NoiseParams) -> np.ndarray:
     """The master equation through the exponential of each block's whole
     Liouvillian (`block_liouvillian`): the cross-check of
     `opensys.evolve_master`'s factored route.
 
-    Returns the (levels, d, levels, d) density array.  Exact on the truncated
+    Takes and returns a (2, d, 2, d) density array.  Exact on the truncated
     model up to rounding.  Each block's Liouvillian times the segment's
     duration is exponentiated by the scaled and squared Pade
     `fock.pade_exponential`, built once per (segment, q <= q') and reused
@@ -753,21 +766,18 @@ def block_pade_master(state: np.ndarray, schedule, noise: NoiseParams) -> np.nda
     axes.  A generator whose entries or 1-norm overflow is a ValueError
     naming the noise and the cutoff.
     """
-    levels, d = opensys._levels_and_cutoff(state)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        model = opensys._DampedModeModel(levels, d, noise)
-    rho = np.array(np.multiply.outer(state, state.conj()) if state.ndim == 2 else state,
-                   dtype=complex)
+    d = rho.shape[1]
+    rho = np.array(rho, dtype=complex)
     props = {}
     for seg in schedule.expand_waiting().segments:
         if isinstance(seg, QubitRotation):
-            r = model.rotation(seg)
+            r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
             rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())
             continue
         if seg.duration == 0.0:
             continue
-        for q in range(levels):
-            for q2 in range(q, levels):
+        for q in range(2):
+            for q2 in range(q, 2):
                 # while waiting the coupling is off and every block shares one generator
                 key = (seg, q, q2) if isinstance(seg, FreeEvolution) else (seg, 0, 0)
                 if key not in props:

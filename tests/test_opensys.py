@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -225,11 +226,14 @@ def test_closed_system_master_matches_unitary(dense_schedule_unitary):
 
 @pytest.mark.parametrize("levels", [1, 2])
 def test_waiting_segments_match_the_block_liouvillian(levels):
-    # the waiting channel is exact on the truncated model: any input, any rates
+    # the waiting channel is exact on the truncated model: any input, any
+    # rates, and the ancilla on level 0 alone or on both levels
     for d in (1, 2, 5, 9):
         rho = _random_density(d, 100 + d)
-        if levels == 1:
-            rho = rho[:1, :, :1, :] / np.trace(_flat(rho[:1, :, :1, :]))
+        if levels == 1:  # only the (0, 0) block is populated
+            block = rho[0, :, 0, :] / np.trace(rho[0, :, 0, :])
+            rho = np.zeros_like(rho)
+            rho[0, :, 0, :] = block
         for q, n_th in ((0.5, 3.0), (5.0, 0.5), (300.0, 0.0), (1e300, 2.0)):
             for tau in (0.3, math.pi / 2, 7.0):
                 sched = pulses.PulseSchedule((pulses.WaitingPeriod(tau),))
@@ -357,7 +361,7 @@ def test_jump_unravelling_noiseless_is_deterministic():
     d = 12
     v = _plus_fock(1, d)
     noise = NoiseParams(Q=1e300, eta=0.03)
-    ens = opensys.jump_unravelling(v, sched, noise, np.random.default_rng(1), 2)
+    ens = opensys.jump_unravelling(_density(v), sched, noise, np.random.default_rng(1), 2)
     assert ens.mean_jumps == 0.0
     u = dense.simulate_schedule(sched, p, d)
     ref = u @ _flat(_density(v)) @ u.conj().T
@@ -408,7 +412,7 @@ def test_trajectories_converge_to_master_small_case():
 
 
 def _diagonal_density(d):
-    """Fock-diagonal input (the unravelling samples its diagonal directly)."""
+    """A Fock-diagonal input: 0.7 |0><0| + 0.3 |1><1| beside a thermal mode."""
     w = np.kron([0.7, 0.3], thermal.thermal_weights(0.5, d))
     return np.diag(w / w.sum()).astype(complex).reshape(2, d, 2, d)
 
@@ -427,6 +431,14 @@ def test_jump_unravelling_seeded_runs_are_identical():
     assert np.array_equal(a.mean_state, b.mean_state)
 
 
+def _eigen_mixture(rho):
+    """Weights and columns of a (2, d, 2, d) density's eigenvectors above
+    1e-12: the mixture the unravelling samples its start columns from."""
+    lam, vec = np.linalg.eigh(_flat(rho))
+    keep = np.flatnonzero(lam > 1e-12)
+    return lam[keep] / lam[keep].sum(), vec[:, keep]
+
+
 def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
     # with Q = 1e300 no column crosses its threshold and both routes are exact
     d, n_traj, seed = 8, 40, 3
@@ -437,13 +449,12 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
     assert ens.mean_jumps == 0.0
     h = {pulses.FreeEvolution: pulses.hamiltonian(hparams(0.03), d),
          pulses.WaitingPeriod: pulses.hamiltonian(hparams(0.0), d)}
-    # the unravelling's first draw picks every start column of the diagonal input
-    weights = np.real(np.diag(_flat(st)))
+    # the unravelling's first draw picks every start column of the input's eigenbasis
+    weights, columns = _eigen_mixture(st)
     starts = np.random.default_rng(seed).choice(weights.size, size=n_traj, p=weights)
     ref = np.zeros((2 * d, 2 * d), dtype=complex)
     for start in starts:
-        psi = np.zeros(2 * d, dtype=complex)
-        psi[start] = 1.0
+        psi = columns[:, start]
         for seg in sched.expand_waiting().segments:
             if isinstance(seg, pulses.QubitRotation):
                 psi = dense.qubit_rotation(SpaceLayout(1, (d,)), seg.axis, seg.angle) @ psi
@@ -506,21 +517,22 @@ def per_segment_unravelling(state, schedule, noise, rng, n_traj):
     columns bisected on a dyadic ladder in column order: the cross-check of
     the period screening and the eigenbasis root find in `jump_unravelling`,
     which must make the same random draws."""
-    model = opensys._DampedModeModel(*opensys._levels_and_cutoff(state), noise)
+    d = state.shape[1]
     segs = schedule.expand_waiting().segments
-    props = {seg: DyadicLadder(model.k[type(seg)], seg.duration)
+    props = {seg: DyadicLadder(dense.no_jump_generator(noise, type(seg), d), seg.duration)
              for seg in set(segs)
              if isinstance(seg, (pulses.FreeEvolution, pulses.WaitingPeriod)) and seg.duration > 0}
-    jump_ops = [(noise.rate_down, model.a), (noise.rate_up, model.a.conj().T)]
-    weights, columns = opensys._decompose_for_trajectories(state)
+    a = dense.annihilation(SpaceLayout(0, (d,)), 0)
+    jump_ops = [(noise.rate_down, a), (noise.rate_up, a.conj().T)]
+    weights, columns = _eigen_mixture(state)
     psi = columns[:, rng.choice(weights.size, size=n_traj, p=weights)]
-    psi = psi.reshape(model.levels, model.d, n_traj)
+    psi = psi.reshape(2, d, n_traj)
     r_target = rng.random(n_traj)
     jump_counts = np.zeros(n_traj, dtype=int)
     for seg in segs:
         if isinstance(seg, pulses.QubitRotation):
-            r = model.rotation(seg)
-            psi = (r @ psi.reshape(model.levels, -1)).reshape(psi.shape)
+            r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
+            psi = (r @ psi.reshape(2, -1)).reshape(psi.shape)
             continue
         if seg.duration == 0.0:
             continue
@@ -541,8 +553,6 @@ def _unravelling_cases():
     rotated = pulses.PulseSchedule((
         pulses.FreeEvolution(1.1), pulses.QubitRotation("x", 0.4), pulses.FreeEvolution(0.0),
         pulses.WaitingPeriod(0.7), pulses.QubitRotation("y", -0.3), pulses.FreeEvolution(0.5)))
-    w = thermal.thermal_weights(0.5, 8)
-    mode_only = np.diag(w / w.sum()).astype(complex).reshape(1, 8, 1, 8)
     noisy = NoiseParams(Q=30.0, N_th=0.4, eta=0.03)
     return {
         "engineered": (_diagonal_density(8), pulses.build_h2_sequence(hparams(0.03), 2), noisy),
@@ -551,9 +561,6 @@ def _unravelling_cases():
                           pulses.PulseSchedule((pulses.FreeEvolution(4.0),
                                                 pulses.QubitRotation("x", 0.7))),
                           NoiseParams(Q=2.0, N_th=1.0, eta=0.1)),
-        "mode-only": (mode_only, pulses.PulseSchedule((
-            pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6), pulses.FreeEvolution(0.9))),
-            NoiseParams(Q=20.0, N_th=0.7, eta=0.03)),
         "empty": (_diagonal_density(6), pulses.PulseSchedule(()), noisy),
         # 124 periods, so blocks of 11 with a short last block of 3; most
         # columns pass whole blocks without a jump
@@ -571,8 +578,8 @@ def _unravelling_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["engineered", "no-repeat", "several-jumps", "mode-only",
-                                  "empty", "hot-bath-blocks", "crowded"])
+@pytest.mark.parametrize("case", ["engineered", "no-repeat", "several-jumps", "empty",
+                                  "hot-bath-blocks", "crowded"])
 def test_period_screening_matches_per_segment_unravelling(case, monkeypatch):
     st, sched, noise = _unravelling_cases()[case]
     searches = []  # (columns searched together, their jump counts) per segment
@@ -602,8 +609,7 @@ def test_stacked_jump_search_matches_one_column_at_a_time():
     # end, with the same thresholds, jump counts and draws
     d, k, duration = 6, 16, 2.0
     noise = NoiseParams(Q=2.0, N_th=0.8, eta=0.1)
-    props = opensys._SegmentPropagators(opensys._DampedModeModel(2, d, noise),
-                                        pulses.FreeEvolution)
+    props = opensys._SegmentPropagators(noise, d, pulses.FreeEvolution)
     rng = np.random.default_rng(23)
     psi = rng.standard_normal((2, d, k)) + 1j * rng.standard_normal((2, d, k))
     psi /= np.linalg.norm(psi.reshape(-1, k), axis=0)
@@ -630,8 +636,7 @@ def test_jump_weights_and_pick_match_operator_norms_and_rng_choice(d):
     rng = np.random.default_rng(d)
     for n_th in (0.0, 0.8):
         noise = NoiseParams(Q=7.0, N_th=n_th, eta=0.05)
-        props = opensys._SegmentPropagators(
-            opensys._DampedModeModel(2, d, noise), pulses.FreeEvolution)
+        props = opensys._SegmentPropagators(noise, d, pulses.FreeEvolution)
         for trial in range(100):
             psi = rng.standard_normal((2, d, 1)) + 1j * rng.standard_normal((2, d, 1))
             psi[:, -1] *= 4.0 * rng.random()  # anything from none to most on the top level
@@ -688,13 +693,11 @@ def test_trajectory_count_must_be_an_integer(n_traj):
                                              cutoff=4)
 
 
-@pytest.mark.parametrize("kind", ["pure", "diagonal", "non-diagonal"])
+@pytest.mark.parametrize("kind", ["diagonal", "non-diagonal"])
 def test_jump_unravelling_matches_master_for_each_input_kind(kind):
     d, n_traj = 8, 600
     noise, sched, st = _noisy_unravelling_case(d)
-    if kind == "pure":
-        st = _plus_fock(1, d)
-    elif kind == "non-diagonal":  # sampled from its eigenbasis
+    if kind == "non-diagonal":
         st = _random_density(d, 11)
     master = opensys.evolve_master(st, sched, noise)
     ens = opensys.jump_unravelling(st, sched, noise, np.random.default_rng(9), n_traj)
@@ -725,51 +728,17 @@ def test_jump_unravelling_several_jumps_in_one_segment():
     assert abs(ens.mean_jumps - expected) <= 4 * stderr
 
 
-def test_mode_only_layout_is_the_ancilla_zero_block():
-    # without an ancilla the mode sees the Z = +1 level: every solver must agree
-    # with the (0, 0) block of the same run with the ancilla held in |0><0|
-    d, n_traj = 8, 400
-    noise = NoiseParams(Q=20.0, N_th=0.7, eta=0.03)
-    sched = pulses.PulseSchedule((pulses.FreeEvolution(1.1), pulses.WaitingPeriod(0.6),
-                                  pulses.FreeEvolution(0.9)))
-    block = _random_density(d, 21)[0, :, 0, :]
-    rho = block / np.trace(block)
-    mode_only = rho.reshape(1, d, 1, d)
-    zero = np.diag([1.0, 0.0]).astype(complex)
-    with_ancilla = np.kron(zero, rho).reshape(2, d, 2, d)
-    master = opensys.evolve_master(mode_only, sched, noise)
-    reference = opensys.evolve_master(with_ancilla, sched, noise)
-    assert np.abs(master[0, :, 0] - reference[0, :, 0]).max() <= 1e-14
-    # a pure mode-only state and its density evolve alike
-    pure = np.linalg.eigh(rho)[1][:, -1].reshape(1, d)
-    from_pure = opensys.evolve_master(pure, sched, noise)
-    from_density = opensys.evolve_master(_density(pure), sched, noise)
-    assert np.abs(from_pure - from_density).max() <= 1e-12
-    ens = opensys.jump_unravelling(mode_only, sched, noise, np.random.default_rng(3), n_traj)
-    assert ens.mean_jumps > 0.0
-    assert opensys.trace_distance(ens.mean_state, master) <= 3 / math.sqrt(n_traj)
-    h_mode = pulses.level_hamiltonians(1.0, 0.03, d)[0]
-    h = pulses.hamiltonian(hparams(0.03), d)
-    deriv = dense.lindblad_rhs(mode_only, h_mode, noise)
-    assert np.abs(deriv[0, :, 0] - dense.lindblad_rhs(with_ancilla, h, noise)[0, :, 0]).max() \
-        <= 1e-14
-    rotated = sched + pulses.PulseSchedule((pulses.QubitRotation("x", 0.3),))
-    with pytest.raises(fock.LayoutError):
-        opensys.evolve_master(mode_only, rotated, noise)
-    with pytest.raises(fock.LayoutError):
-        opensys.jump_unravelling(mode_only, rotated, noise, np.random.default_rng(0), 2)
-
-
 @pytest.mark.parametrize("shape", [(16,), (3, 8), (2, 8, 2), (2, 8, 2, 7), (2, 8, 1, 8),
-                                   (3, 8, 3, 8), (0, 8), (2, 0, 2, 0)])
+                                   (3, 8, 3, 8), (0, 8), (2, 0, 2, 0), (2, 8), (1, 8),
+                                   (1, 8, 1, 8)])
 def test_open_system_state_shape_is_checked(shape):
-    # a state is (levels, d) or (levels, d, levels, d) with levels 1 or 2
+    # a state is a (2, d, 2, d) density array: no pure state, no mode alone
     noise, sched, _ = _noisy_unravelling_case(4)
     state = np.zeros(shape, dtype=complex)
     for run in (lambda: opensys.evolve_master(state, sched, noise),
                 lambda: opensys.jump_unravelling(state, sched, noise, np.random.default_rng(0), 2),
                 lambda: opensys.short_time_jump_probability(state, noise, 1e-3)):
-        with pytest.raises(fock.LayoutError, match="levels"):
+        with pytest.raises(fock.LayoutError, match=re.escape("(2, d, 2, d)")):
             run()
     assert issubclass(fock.LayoutError, ValueError)  # the CLI's usage-error path
 
@@ -814,6 +783,19 @@ def test_fidelity_point_takes_coupling_from_config():
     ideal = opensys.fidelity_point(0.5, config)
     closed_bath = opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e300))
     assert closed_bath.fidelity == pytest.approx(ideal.fidelity, abs=1e-6)
+
+
+def test_fidelity_point_refuses_a_bath_whose_eta_disagrees_with_the_config():
+    # a bath's own eta may be 0 or the configured coupling; any other is refused
+    config = (50, pulses.eta_for_repetitions(50))
+    unset = opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e4, N_th=0.5), cutoff=8)
+    same = opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e4, N_th=0.5, eta=config[1]),
+                                  cutoff=8)
+    assert same == unset
+    refusal = rf"eta = 0\.03 disagrees .* eta = {re.escape(repr(config[1]))}"
+    with pytest.raises(ValueError, match=refusal):
+        opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e4, N_th=0.5, eta=0.03),
+                               cutoff=8)
 
 
 def test_fidelity_point_refuses_an_overflowing_generator_naming_noise_and_cutoff():
