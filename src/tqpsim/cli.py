@@ -212,8 +212,7 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
             pt = opensys.fidelity_point(n, (reps, eta), noise=noise,
                                         cutoff=cfg["cutoff_override"])
             rows.append((pt.mean_excitation, pt.eta, pt.repetitions, pt.fidelity,
-                         pt.p_plus, pt.p_minus, pt.baseline, pt.cutoff,
-                         cfg["seed"] if cfg["seed"] is not None else 0))
+                         pt.p_plus, pt.p_minus, pt.baseline, pt.cutoff, cfg["seed"] or 0))
             curves[reps].append(pt.fidelity)
             max_tail = max(max_tail, pt.truncation_tail)
             max_defect = max(max_defect, pt.trace_defect)
@@ -249,7 +248,7 @@ def _cmd_algebra_check(cfg: dict, out: str) -> int:
 
     tol = cfg["residual_tol"]
     cutoffs = [cfg["cutoff_override"]] if cfg["cutoff_override"] else cfg["cutoffs"]
-    rng = np.random.default_rng(cfg["seed"] if cfg["seed"] is not None else 0)
+    rng = np.random.default_rng(cfg["seed"] or 0)
     results = []
     ok = True
     for d in cutoffs:
@@ -305,13 +304,8 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
     n_means = list(cfg["mean_excitations"])
     if cfg["cutoff_override"]:  # run_mixed's tail rule, checked before any circuit runs
         for n_mean in n_means:
-            spec = thermal.ThermalSpec(n_mean)
-            tail = spec.boltzmann_ratio ** cfg["cutoff_override"]
-            if tail >= spec.tail_tol:
-                raise ValueError(f"--cutoff {cfg['cutoff_override']} is too small for mean "
-                                 f"excitation {n_mean}: its thermal tail {tail:.2e} is not "
-                                 f"below {spec.tail_tol:.0e}")
-    rng = np.random.default_rng(cfg["seed"] if cfg["seed"] is not None else 0)
+            msuqc.check_thermal_tail(thermal.ThermalSpec(n_mean), cfg["cutoff_override"])
+    rng = np.random.default_rng(cfg["seed"] or 0)
     records = []
     worst = 0.0
     qubit_counts = list(cfg["qubit_counts"])
@@ -342,7 +336,7 @@ def _cmd_ns_check(cfg: dict, out: str) -> int:
 
     from . import nsverify
 
-    rng = np.random.default_rng(cfg["seed"] if cfg["seed"] is not None else 0)
+    rng = np.random.default_rng(cfg["seed"] or 0)
     cutoff = cfg["cutoff_override"] or 24
     logicals = nsverify.encoded_logicals(cutoff)
     residuals = []

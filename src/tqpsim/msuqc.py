@@ -53,6 +53,7 @@ SUPPORT_LEAK_TOL = 1e-9
 DEFAULT_CUTOFF_ONE_QUBIT = 20
 DEFAULT_CUTOFF_TWO_QUBIT = 8
 MAX_PAIR_STATES = 1024  # branch states per pair, 2^(steps-1) when K >= 2
+PAIR_WEIGHT_TOL = 1e-7  # joint weight a mixed run's cutoff leaves in truncated blocks
 
 
 class CircuitFormatError(ValueError):
@@ -169,10 +170,9 @@ class ComputationResult:
     mode: str
     qubit_count: int
     cutoff: int
+    truncation_tail: float
     basis_indices: tuple[tuple[int, int], ...] | None = None
     mean_excitation: float | None = None
-    seed: int | None = None
-    truncation_tail: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +211,13 @@ def qubit_space_oracle(circuit: LogicalCircuit) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e-7,
-                             tail_tol: float = 1e-8, start: int = 8) -> int:
-    """Cutoff for mixed runs: thermal tail below `tail_tol` and joint weight of
-    pair states with total excitation >= d below `pair_weight_tol` (those are
-    the blocks where the truncated beam splitter deviates from the ideal one).
-    Both tolerances must be positive (else ``ValueError``).
+def mixed_equivalence_cutoff(mean_excitation: float) -> int:
+    """Cutoff for mixed runs: at least 8, thermal tail below 1e-8, and joint
+    weight of pair states with total excitation >= d below ``PAIR_WEIGHT_TOL``
+    (those are the blocks where the truncated beam splitter deviates from the
+    ideal one).
     """
-    if not pair_weight_tol > 0:  # the joint weight never drops below 0
-        raise ValueError(f"pair weight tolerance must be positive, got {pair_weight_tol!r}")
-    d = required_cutoff(mean_excitation, tail_tol, start)
+    d = required_cutoff(mean_excitation, 1e-8, 8)
     horizon = 4 * d + 64
     w_odd = even_odd_weights(mean_excitation, horizon, -1)
     w_even = even_odd_weights(mean_excitation, horizon, +1)
@@ -228,7 +225,17 @@ def mixed_equivalence_cutoff(mean_excitation: float, pair_weight_tol: float = 1e
     per_total = np.bincount(np.add.outer(np.arange(horizon), np.arange(horizon)).ravel(),
                             weights=np.outer(w_odd, w_even).ravel())
     broken = np.append(np.cumsum(per_total[::-1])[::-1], 0.0)
-    return d + int(np.flatnonzero(broken[d:] < pair_weight_tol)[0])
+    return d + int(np.flatnonzero(broken[d:] < PAIR_WEIGHT_TOL)[0])
+
+
+def check_thermal_tail(spec: ThermalSpec, cutoff: int) -> None:
+    """Refuse a cutoff whose thermal tail q^cutoff is not below
+    ``spec.tail_tol`` (``DimensionBudgetError``): the rule of every mixed run."""
+    tail = spec.boltzmann_ratio ** cutoff
+    if tail >= spec.tail_tol:
+        raise DimensionBudgetError(
+            f"cutoff {cutoff} leaves mean excitation {spec.mean_excitation} a thermal tail "
+            f"{tail:.2e}, not below {spec.tail_tol:.0e}")
 
 
 class _PairBlocks:
@@ -243,24 +250,21 @@ class _PairBlocks:
     ``x_logical`` = B^dag P B, read from `fock`'s beam-splitter blocks
     (the truncated blocks t >= d included).
 
-    By default the stack holds every occupied block in order of t; `totals`
-    picks the blocks instead, and `bs` passes in ``fock.beam_splitter_5050``
-    when it is already at hand.  Circuits hold a pair as the size-class
-    stacks of :func:`_pair_stacks`, which pad far less than one stack.
+    The stack holds the occupied blocks `totals`; `bs` is
+    ``fock.beam_splitter_5050`` at the cutoff.  Circuits hold a pair as the
+    size-class stacks of :func:`_pair_stacks`, which pad far less than one
+    stack of every block.
     """
 
     def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int, *,
-                 totals: np.ndarray | None = None, bs: list[np.ndarray] | None = None):
+                 totals: np.ndarray, bs: list[np.ndarray]):
         d = cutoff
         w_pair = np.outer(w_odd, w_even).ravel()
         all_blocks = fock.pair_excitation_blocks(d)
-        if totals is None:
-            totals = [t for t, idx in enumerate(all_blocks) if (w_pair[idx] > 0.0).any()]
         blocks = [(t, all_blocks[t]) for t in totals]
         nb = len(blocks)
         n = max(idx.size for _, idx in blocks)
         c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
-        bs = fock.beam_splitter_5050(d) if bs is None else bs
         self.x_logical = np.zeros((nb, n, n), dtype=complex)
         self.first = np.full((nb, n, 1), -1)  # first-mode Fock number, -1 on padding
         self.parity = np.zeros((nb, n, 1))  # second-mode Fock parity
@@ -421,8 +425,7 @@ def run_pure(circuit: LogicalCircuit, basis_indices,
     leak = 1.0 - pop_in
     if leak > SUPPORT_LEAK_TOL:
         raise fock.StateError(f"population {leak:.3e} left the encoded basis-pair subspace")
-    return ComputationResult(a, "pure", k, cutoff, basis_indices=basis_indices,
-                             truncation_tail=tail)
+    return ComputationResult(a, "pure", k, cutoff, tail, basis_indices=basis_indices)
 
 
 def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
@@ -449,7 +452,9 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     splitter differs from the ideal one.  The cutoff is ``cutoff``, else
     ``spec.cutoff``, else the smallest one above the default whose thermal
     tail is below ``spec.tail_tol``; a ``cutoff`` that differs from a set
-    ``spec.cutoff``, or one that is not an integer >= 2, is a ValueError.
+    ``spec.cutoff``, or one that is not an integer >= 2, is a ValueError,
+    and one whose tail is not below it a ``DimensionBudgetError``
+    (:func:`check_thermal_tail`).
     """
     k = circuit.qubit_count
     if spec.cutoff is not None:
@@ -460,14 +465,10 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
         start = DEFAULT_CUTOFF_ONE_QUBIT if k == 1 else DEFAULT_CUTOFF_TWO_QUBIT
         cutoff = required_cutoff(spec.mean_excitation, spec.tail_tol, start)
     cutoff = fock.checked_int("cutoff", cutoff, 2)
-    q = spec.boltzmann_ratio
-    if q ** cutoff >= spec.tail_tol:
-        raise DimensionBudgetError(
-            f"cutoff {cutoff} leaves thermal tail {q ** cutoff:.2e} >= {spec.tail_tol:.0e}")
+    check_thermal_tail(spec, cutoff)
     w_odd = even_odd_weights(spec.mean_excitation, cutoff, -1)
     w_even = even_odd_weights(spec.mean_excitation, cutoff, +1)
     stacks = _pair_stacks(w_odd, w_even, cutoff)
     (a,), tail = _run_on_pairs(circuit, [stacks] * k,
                                [[[stack.projectors[0] for stack in stacks]] * k])
-    return ComputationResult(a, "mixed", k, cutoff, mean_excitation=spec.mean_excitation,
-                             truncation_tail=tail)
+    return ComputationResult(a, "mixed", k, cutoff, tail, mean_excitation=spec.mean_excitation)

@@ -25,7 +25,7 @@ cover M up to `max_total`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,14 +44,16 @@ def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
     even and odd levels.  The squeeze generator is anti-Hermitian, so the
     truncated exponential is unitary, but it is only faithful on
     number-bounded subspaces; |xi| <= 0.3 is enforced and callers should
-    confine test states to n <= d/3.
+    confine test states to n <= d/3.  A squeeze that is not finite, or a
+    cutoff that is not an integer >= 2, is a ValueError.
     """
-    d = cutoff
+    d = fock.checked_int("cutoff", cutoff, 2)
     if kind == "phase":
         single = np.diag(np.exp(1j * parameter * np.arange(d)))
     elif kind == "squeeze":
-        if abs(parameter) > SQUEEZE_PARAM_MAX:
-            raise ValueError(f"|xi| <= {SQUEEZE_PARAM_MAX} keeps truncation effects bounded")
+        if not abs(parameter) <= SQUEEZE_PARAM_MAX:  # NaN fails too
+            raise ValueError(f"|xi| <= {SQUEEZE_PARAM_MAX} keeps truncation effects bounded, "
+                             f"got {parameter!r}")
         # the generator is real and keeps Fock parity: exponentiate each parity
         # block and keep the real part (the imaginary part is rounding), so the
         # two products of each swap residual entry agree exactly
@@ -72,26 +74,21 @@ def encoded_logicals(cutoff: int) -> dict[str, np.ndarray]:
             "swap": fock.two_mode_swap(cutoff)}
 
 
-def commutation_check(noise: np.ndarray, logical: np.ndarray,
-                      max_total: int | None = None) -> float:
-    """Max-abs matrix element of [E (x) E, L] between states with bounded total excitation.
+def commutation_check(noise: np.ndarray, logical: np.ndarray) -> float:
+    """Max-abs matrix element of [E (x) E, L] between states of total excitation <= d // 3.
 
     `noise` is the d x d factor E; `logical` is the d x d B of L = I (x) B or
     the d^2-entry involution s of S = I[s] (`fock.two_mode_swap`); any other
-    shape raises ``fock.LayoutError``.  The restriction (default: total
-    excitation <= d/3) removes truncation-edge artifacts of the squeeze
-    exponential; the claim being checked is algebraic and survives it.  The
-    k^2 entries between k kept states are read off the factors.
+    shape raises ``fock.LayoutError``.  The restriction removes
+    truncation-edge artifacts of the squeeze exponential; the claim being
+    checked is algebraic and survives it.  The k^2 entries between k kept
+    states are read off the factors.
     """
     d = noise.shape[0] if noise.ndim == 2 else 0
     if d < 1 or noise.shape != (d, d) or logical.shape not in ((d, d), (d * d,)):
         raise fock.LayoutError(f"commutation check needs a d x d factor and a d x d or d^2 "
                                f"logical of one cutoff d, got {noise.shape} and {logical.shape}")
-    if max_total is None:
-        max_total = d // 3
-    if max_total < 0:
-        raise ValueError(f"max_total must be non-negative, got {max_total}")
-    keep = np.concatenate(fock.pair_excitation_blocks(d)[:max_total + 1])
+    keep = np.concatenate(fock.pair_excitation_blocks(d)[:d // 3 + 1])
     i, j = np.divmod(keep, d)
     if logical.ndim == 2:
         comm = noise[np.ix_(i, i)] * (noise @ logical - logical @ noise)[np.ix_(j, j)]
@@ -129,8 +126,8 @@ class DfsReport:
     cutoff: int
     sv_threshold: float
     sectors: tuple[SectorNullReport, ...]
-    commutators: dict = field(default_factory=dict)
-    negative_control: float = 0.0
+    commutators: dict
+    negative_control: float
 
     @property
     def all_null_dims_zero(self) -> bool:
@@ -172,12 +169,12 @@ def dfs_nonexistence(max_total: int = 8, cutoff: int | None = None,
     (SVD, relative threshold 1e-8) and a random-combination eigenvector
     search, plus the encoded-operator commutators for contrast.  Only the
     generator's entries from each scanned sector into sectors M and M +- 2
-    are built, each from the one-mode a^2 - a^dag^2.
+    are built, each from the one-mode a^2 - a^dag^2.  A `max_total` that is
+    not an integer >= 0, or a cutoff that is not an integer >= 2, is a
+    ValueError.
     """
-    if max_total < 0:
-        raise ValueError(f"max_total must be non-negative, got {max_total}")
-    if cutoff is None:
-        cutoff = max_total + 3
+    max_total = fock.checked_int("max_total", max_total, 0)
+    cutoff = max_total + 3 if cutoff is None else fock.checked_int("cutoff", cutoff, 2)
     if max_total + 2 >= cutoff:
         raise ValueError("cutoff must exceed max_total + 2 for exact sector images")
     if rng is None:

@@ -154,7 +154,7 @@ def _segments(schedule: PulseSchedule) -> tuple[tuple, dict]:
     """The schedule's segments with the zero-duration ones dropped (each is
     the identity; kept, it would stop the rotations around it fusing), and
     each rotation's 2 x 2 ancilla matrix."""
-    segs = tuple(seg for seg in schedule.expand_waiting().segments
+    segs = tuple(seg for seg in schedule.segments
                  if isinstance(seg, QubitRotation) or seg.duration > 0.0)
     return segs, {seg: fock.qubit_rotation_matrix(seg.axis, seg.angle)
                   for seg in set(segs) if isinstance(seg, QubitRotation)}
@@ -728,11 +728,6 @@ def _thermal_with_ancilla(n_mean: float, cutoff: int) -> np.ndarray:
     return np.kron(plus_dm, np.diag(w.astype(complex))).reshape(2, cutoff, 2, cutoff)
 
 
-def fidelity_cutoff(n_mean: float, tail_tol: float = 1e-6, headroom: int = 4) -> int:
-    """Tail-controlled cutoff for one fidelity point (reported per point)."""
-    return required_cutoff(n_mean, tail_tol, 10) + headroom
-
-
 def fidelity_point(n_mean: float, config: tuple[int, float],
                    noise: NoiseParams | str = "ideal-sequence",
                    cutoff: int | None = None) -> FidelityPoint:
@@ -745,6 +740,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     consistency anchor); a NoiseParams adds bath damping via the master
     equation, with its coupling taken from `config`: the bath's own eta must
     be 0 or that coupling, else ValueError.
+    The default cutoff is 4 above the smallest one >= 10 whose thermal tail
+    is below 1e-6; a cutoff that is not an integer >= 2 is a ValueError.
     The ancilla starts in |+>, the mode thermal with weights w_k.  The two
     closed routes never form the state: branch +-'s population of Fock level
     n is sum_k w_k |<+-, n|G|+, k>|^2, read off the gate G's |+, k> columns
@@ -761,9 +758,8 @@ def fidelity_point(n_mean: float, config: tuple[int, float],
     while keeping each probability in range.
     """
     reps, eta = config
-    if cutoff is None:
-        cutoff = fidelity_cutoff(n_mean)
-    d = cutoff
+    d = required_cutoff(n_mean, 1e-6, 10) + 4 if cutoff is None \
+        else fock.checked_int("cutoff", cutoff, 2)
     nu = noise.nu if isinstance(noise, NoiseParams) else 1.0
     params = HybridHamiltonianParams(eta=eta, nu=nu)
     if noise in ("ideal-sequence", "exact-gate"):
@@ -863,14 +859,14 @@ def epsilon_tqp_trajectory_check(noise: NoiseParams, n_mean: float,
     counts quantum jumps.  The reference is `expected_jump_count` over that
     schedule's own duration from the initial state's mean excitation, bath
     heating included; its first-order limit over the implied duration is
-    `epsilon_tqp`.
+    `epsilon_tqp`.  A cutoff that is not an integer >= 2 is a ValueError.
     """
     eta = noise.eta
     if eta <= 0:
         raise ValueError("noise parameters need a positive eta")
     reps = pulses.coupling_implied_sequences(eta)
-    if cutoff is None:
-        cutoff = required_cutoff(n_mean, 1e-6, 10) + 6
+    cutoff = required_cutoff(n_mean, 1e-6, 10) + 6 if cutoff is None \
+        else fock.checked_int("cutoff", cutoff, 2)
     state = _thermal_with_ancilla(n_mean, cutoff)
     sched = pulses.build_h2_sequence(noise.hybrid_params(), reps)
     n0 = float(np.einsum("qaqa->a", state).real @ np.arange(cutoff))

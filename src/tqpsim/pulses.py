@@ -84,7 +84,8 @@ class FreeEvolution:
 
 @dataclass(frozen=True)
 class QubitRotation:
-    """Ideal instantaneous ancilla rotation exp(i angle sigma_axis)."""
+    """Ideal instantaneous ancilla rotation exp(i angle sigma_axis); the
+    angle must be finite."""
 
     axis: str
     angle: float
@@ -92,16 +93,16 @@ class QubitRotation:
     def __post_init__(self):
         if not isinstance(self.axis, str) or self.axis.lower() not in ("x", "y", "z"):
             raise ValueError(f"rotation axis must be x, y or z, got {self.axis!r}")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
 
 
 @dataclass(frozen=True)
 class WaitingPeriod:
-    """Bare-oscillator evolution.  With `flip_interval` set, the coupling is
-    cancelled dynamically by flipping the qubit every `flip_interval`;
-    otherwise the segment is an ideal eta = 0 evolution."""
+    """Bare-oscillator evolution: the segment with the coupling off, an
+    ideal eta = 0 evolution."""
 
     duration: float
-    flip_interval: float | None = None
 
 
 Segment = FreeEvolution | QubitRotation | WaitingPeriod
@@ -113,11 +114,10 @@ class PulseSchedule:
 
     def __post_init__(self):
         for seg in self.segments:
-            if isinstance(seg, (FreeEvolution, WaitingPeriod)) and seg.duration < 0:
-                raise ValueError("segment durations must be non-negative")
-            if isinstance(seg, WaitingPeriod) and seg.flip_interval is not None \
-                    and seg.flip_interval > seg.duration:
-                raise ValueError("flip interval cannot exceed the waiting duration")
+            if isinstance(seg, (FreeEvolution, WaitingPeriod)) \
+                    and not 0 <= seg.duration < math.inf:  # NaN fails every comparison
+                raise ValueError(f"segment durations must be finite and non-negative, "
+                                 f"got {seg.duration!r}")
 
     @property
     def total_time(self) -> float:
@@ -129,27 +129,6 @@ class PulseSchedule:
 
     def repeated(self, times: int) -> "PulseSchedule":
         return PulseSchedule(self.segments * times)
-
-    def expand_waiting(self) -> "PulseSchedule":
-        """Rewrite flip-cancelled waiting periods as rotations + free evolutions.
-
-        `flip_interval` is an upper bound; the actual half-interval divides
-        the duration exactly so the expanded schedule keeps the same total
-        time.
-        """
-        out = []
-        for seg in self.segments:
-            if isinstance(seg, WaitingPeriod) and seg.flip_interval is not None:
-                n_pairs = max(1, math.ceil(seg.duration / (2 * seg.flip_interval)))
-                half = seg.duration / (2 * n_pairs)
-                for _ in range(n_pairs):
-                    out.append(FreeEvolution(half))
-                    out.append(QubitRotation("x", -math.pi / 2))
-                    out.append(FreeEvolution(half))
-                    out.append(QubitRotation("x", math.pi / 2))
-            else:
-                out.append(seg)
-        return PulseSchedule(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +194,14 @@ def _on_ancilla(r: np.ndarray, u: np.ndarray) -> np.ndarray:
 _GROUP_TURNS = (("x", math.pi / 4), ("y", math.pi / 4), ("x", -math.pi / 4), ("y", -math.pi / 4))
 
 
-def _displacement_group(params: HybridHamiltonianParams,
-                        flip_interval: float | None = None) -> PulseSchedule:
-    """Four conjugated free evolutions + one waiting quarter period (4.5 pi/nu);
-    `flip_interval` is in units of 1/nu.  One sequence is four groups."""
+def _displacement_group(params: HybridHamiltonianParams) -> PulseSchedule:
+    """Four conjugated free evolutions + one waiting quarter period with the
+    coupling off (4.5 pi/nu).  One sequence is four groups."""
     pi, scale = math.pi, 1.0 / params.nu
     free = FreeEvolution(pi * scale)
     segs = [seg for axis, angle in _GROUP_TURNS
             for seg in (QubitRotation(axis, -angle), free, QubitRotation(axis, angle))]
-    return PulseSchedule(tuple(segs) + (
-        WaitingPeriod(pi / 2 * scale, None if flip_interval is None else flip_interval * scale),))
+    return PulseSchedule(tuple(segs) + (WaitingPeriod(pi / 2 * scale),))
 
 
 def _group_sector_blocks(params: HybridHamiltonianParams, cutoff: int) -> np.ndarray:
@@ -251,17 +228,16 @@ def _group_sector_blocks(params: HybridHamiltonianParams, cutoff: int) -> np.nda
     return np.exp(-0.5j * math.pi * np.arange(d))[:, None] * group
 
 
-def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1,
-                      flip_interval: float | None = None) -> PulseSchedule:
+def build_h2_sequence(params: HybridHamiltonianParams, repetitions: int = 1) -> PulseSchedule:
     """Engineered dispersive-coupling schedule: `repetitions` full sequences.
 
     Each sequence is the displacement group raised to the fourth power
-    (16 free evolutions of pi/nu, 4 quarter-period waits) and lasts
-    18 pi / nu.  Durations are in units of 1/nu for nu = 1; general nu
-    scales every duration by 1/nu.
+    (16 free evolutions of pi/nu, 4 quarter-period waits with the coupling
+    off) and lasts 18 pi / nu.  Durations are in units of 1/nu for nu = 1;
+    general nu scales every duration by 1/nu.
     """
     fock.checked_int("repetitions", repetitions, 1)
-    return _displacement_group(params, flip_interval).repeated(4 * repetitions)
+    return _displacement_group(params).repeated(4 * repetitions)
 
 
 def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
@@ -290,25 +266,21 @@ def sequence_unitary(params: HybridHamiltonianParams, cutoff: int,
     return out
 
 
-def dispersive_target(params: HybridHamiltonianParams, cutoff: int,
-                      repetitions: int = 1) -> np.ndarray:
-    """exp(-i 64 R eta^2 Z (a^dag a + 1/2)): the ideal engineered unitary."""
-    chi = 64.0 * repetitions * params.eta ** 2
+def dispersive_target(params: HybridHamiltonianParams, cutoff: int) -> np.ndarray:
+    """exp(-i 64 eta^2 Z (a^dag a + 1/2)): the ideal unitary of one engineered sequence."""
+    chi = 64.0 * params.eta ** 2
     ns = np.arange(cutoff) + 0.5
     return np.diag(np.concatenate([np.exp(-1j * chi * ns), np.exp(1j * chi * ns)]))
 
 
-def gauged_distance(u: np.ndarray, v: np.ndarray, n_max: int | None = None) -> float:
+def gauged_distance(u: np.ndarray, v: np.ndarray, n_max: int) -> float:
     """Largest entry-wise distance between two (ancilla, mode) unitaries up to
     a global phase.
 
-    Restricted to Fock levels <= n_max on both qubit branches (default: full
-    cutoff minus 6, excluding truncation-edge artifacts); the phase gauge
-    maximizes |Tr(U^dag V)|.
+    Restricted to Fock levels <= n_max on both qubit branches, which keeps
+    truncation-edge artifacts out; the phase gauge maximizes |Tr(U^dag V)|.
     """
     d = u.shape[0] // 2
-    if n_max is None:
-        n_max = max(d - 6, 1)
     keep = [q * d + n for q in range(2) for n in range(min(n_max + 1, d))]
     us, vs = u[np.ix_(keep, keep)], v[np.ix_(keep, keep)]
     tr = np.trace(us.conj().T @ vs)
@@ -316,12 +288,11 @@ def gauged_distance(u: np.ndarray, v: np.ndarray, n_max: int | None = None) -> f
     return float(np.abs(us * phase - vs).max())
 
 
-def sequence_residual(params: HybridHamiltonianParams, cutoff: int,
-                      repetitions: int = 1, n_max: int | None = None) -> float:
-    """Phase-gauged distance of the simulated sequence from its dispersive target."""
-    return gauged_distance(sequence_unitary(params, cutoff, repetitions),
-                           dispersive_target(params, cutoff, repetitions),
-                           n_max=n_max)
+def sequence_residual(params: HybridHamiltonianParams, cutoff: int, n_max: int) -> float:
+    """Phase-gauged distance of one simulated sequence from its dispersive
+    target, on Fock levels <= n_max."""
+    return gauged_distance(sequence_unitary(params, cutoff), dispersive_target(params, cutoff),
+                           n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .fock import checked_int
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-14
+CROSSOVER_TOL = 1e-4  # width of the bisection bracket the crossover root is the middle of
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,13 @@ def tqp_entropy_bits(mean_excitation: float) -> float:
     return 2.0 * ((m + 1) * math.log2(m + 1) - m * math.log2(m))
 
 
-def crossover_mean_excitation(tol: float = 1e-4) -> float:
-    """Bisection root of S_pair(n) = S_thermal(n); lies near 0.8."""
+def crossover_mean_excitation() -> float:
+    """Bisection root of S_pair(n) = S_thermal(n), to ``CROSSOVER_TOL``; lies near 0.8."""
     f = lambda n: tqp_entropy_bits(n) - thermal_entropy_bits(n)
     lo, hi = 0.3, 1.5
     if not (f(lo) < 0 < f(hi)):
         raise RuntimeError("crossover bracketing failed")
-    while hi - lo > tol:
+    while hi - lo > CROSSOVER_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid

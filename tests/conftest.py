@@ -37,7 +37,7 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
     lay = dense.SpaceLayout(1, (cutoff,))
     free: dict[float, np.ndarray] = {}
     u = np.eye(lay.total_dim, dtype=complex)
-    for seg in schedule.expand_waiting().segments:
+    for seg in schedule.segments:
         if isinstance(seg, pulses.QubitRotation):
             mat = dense.qubit_rotation(lay, seg.axis, seg.angle)
         elif isinstance(seg, pulses.FreeEvolution):

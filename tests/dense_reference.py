@@ -43,9 +43,8 @@ at axis 0, then the qumodes):
   cross-check of `opensys.fidelity_point`'s readout off the gate's |+, k>
   columns and off the diagonals of the bath route's ancilla blocks;
 * any pulse schedule's unitary segment by segment (`simulate_schedule`,
-  with the bare wait `bare_rotation` and the flip-cancelled wait's residual
-  `flip_cancellation_residual`): the cross-check of the sector blocks that
-  `pulses.sequence_unitary` powers;
+  with the bare wait `bare_rotation`): the cross-check of the sector blocks
+  that `pulses.sequence_unitary` powers;
 * the printed Lindblad right-hand side on the whole (ancilla, mode) space;
 * each timed segment's no-jump generator, built from the printed equation
   (`no_jump_generator`): the generator the trajectory cross-check steps
@@ -73,7 +72,7 @@ from scipy.linalg import expm
 
 from tqpsim import fock, msuqc, opensys, pulses, thermal
 from tqpsim.opensys import NoiseParams
-from tqpsim.pulses import FreeEvolution, PulseSchedule, QubitRotation, WaitingPeriod
+from tqpsim.pulses import FreeEvolution, PulseSchedule, QubitRotation
 from tqpsim.thermal import ThermalSpec
 
 INVOLUTION_TOL = 1e-10
@@ -363,15 +362,13 @@ def collective_channel(single: np.ndarray) -> np.ndarray:
     return np.kron(single, single)
 
 
-def commutation_check(noise: np.ndarray, logical: np.ndarray,
-                      max_total: int | None = None) -> float:
+def commutation_check(noise: np.ndarray, logical: np.ndarray) -> float:
     """Max-abs entry of [E, L] between the pair states of total excitation <=
-    `max_total` (default d // 3), for two d^2 x d^2 matrices of one cutoff d:
+    d // 3, for two d^2 x d^2 matrices of one cutoff d:
     E[keep] L[:, keep] - L[keep] E[:, keep]."""
     d = math.isqrt(len(noise))
     assert noise.shape == logical.shape == (d * d, d * d)
-    top = d // 3 if max_total is None else max_total
-    keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
+    keep = np.concatenate(fock.pair_excitation_blocks(d)[:d // 3 + 1])
     return float(np.abs(noise[keep] @ logical[:, keep] - logical[keep] @ noise[:, keep]).max())
 
 
@@ -669,14 +666,13 @@ def simulate_schedule(schedule: PulseSchedule, params, cutoff: int) -> np.ndarra
     The unitary is held as a (2, d, 2d) array, its rows split by ancilla Z
     level.  Free evolutions apply the closed-form per-level blocks U_pm(t)
     as one batched product; rotations are ideal and instantaneous, the 2 x 2
-    ancilla matrix acting on the level axis; waiting periods without a flip
-    interval are ideal bare evolutions, a diagonal phase on every level, and
-    with one they are simulated as the explicit flip sequence.
+    ancilla matrix acting on the level axis; waiting periods are ideal bare
+    evolutions, a diagonal phase on every level.
     """
     d = cutoff
     free_cache: dict[float, np.ndarray] = {}
     u = np.eye(2 * d, dtype=complex).reshape(2, d, 2 * d)
-    for seg in schedule.expand_waiting().segments:
+    for seg in schedule.segments:
         if isinstance(seg, QubitRotation):
             u = pulses._on_ancilla(fock.qubit_rotation_matrix(seg.axis, seg.angle), u)
         elif isinstance(seg, FreeEvolution):
@@ -686,17 +682,6 @@ def simulate_schedule(schedule: PulseSchedule, params, cutoff: int) -> np.ndarra
         else:
             u = np.exp(-1j * params.nu * seg.duration * np.arange(d))[:, None] * u
     return u.reshape(2 * d, 2 * d)
-
-
-def flip_cancellation_residual(params, duration: float, flip_interval: float, cutoff: int,
-                               n_max: int | None = None) -> float:
-    """Phase-gauged distance of the dynamically cancelled waiting period (the
-    qubit flipped every `flip_interval`) from the bare evolution
-    exp(-i duration nu a^dag a); the error is second order in the flip interval.
-    """
-    sched = PulseSchedule((WaitingPeriod(duration, flip_interval),))
-    return pulses.gauged_distance(simulate_schedule(sched, params, cutoff),
-                                  bare_rotation(params.nu, duration, cutoff), n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +754,7 @@ def block_pade_master(rho: np.ndarray, schedule, noise: NoiseParams) -> np.ndarr
     d = rho.shape[1]
     rho = np.array(rho, dtype=complex)
     props = {}
-    for seg in schedule.expand_waiting().segments:
+    for seg in schedule.segments:
         if isinstance(seg, QubitRotation):
             r = fock.qubit_rotation_matrix(seg.axis, seg.angle)
             rho = np.einsum("pq,qasb,rs->parb", r, rho, r.conj())

@@ -155,7 +155,7 @@ def test_criterion_3_mixed_equivalence():
 
 def test_criterion_4_entropy_crossover():
     t0 = time.monotonic()
-    root = thermal.crossover_mean_excitation(tol=1e-4)
+    root = thermal.crossover_mean_excitation()
     worst = 0.0
     for n in np.round(np.arange(0.05, 5.0001, 0.05), 10):
         rep = thermal.entropy_report(ThermalSpec(float(n)))

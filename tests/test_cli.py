@@ -476,7 +476,7 @@ def test_msuqc_demo_refuses_a_small_cutoff_before_any_circuit(tmp_path, capsys, 
     out = tmp_path / "m.json"
     assert run(["msuqc-demo", "--out", str(out), "--cutoff", "20"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --cutoff 20 is too small for mean excitation 1.0")
+    assert err.startswith("error: cutoff 20 leaves mean excitation 1.0 a thermal tail 9.54e-07")
     assert runs == [] and not out.exists()
 
 

@@ -213,8 +213,8 @@ def test_mixed_three_and_four_qubits_against_oracle(k, n_mean):
 
 
 def test_mixed_truncation_tail_is_broken_block_weight():
-    n_mean, pair_weight_tol = 0.5, 1e-7
-    d = msuqc.mixed_equivalence_cutoff(n_mean, pair_weight_tol=pair_weight_tol)
+    n_mean = 0.5
+    d = msuqc.mixed_equivalence_cutoff(n_mean)
     circ = msuqc.random_circuit(np.random.default_rng(61), 2, 1)
     res = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
     w = np.outer(thermal.even_odd_weights(n_mean, d, -1), thermal.even_odd_weights(n_mean, d, +1))
@@ -223,7 +223,7 @@ def test_mixed_truncation_tail_is_broken_block_weight():
                 for i1, j1, i2, j2 in np.ndindex(d, d, d, d)
                 if broken[i1, j1] or broken[i2, j2])
     assert res.truncation_tail == pytest.approx(brute, rel=1e-9)
-    assert 0.0 < res.truncation_tail < 2 * pair_weight_tol
+    assert 0.0 < res.truncation_tail < 2 * msuqc.PAIR_WEIGHT_TOL
 
 
 def _circuit_run(n_mean, cutoff, bases):
@@ -309,12 +309,19 @@ def test_gram_block_by_block_equals_one_stacked_product():
     assert np.abs(summed - one_product).max() <= 1e-15
 
 
+def _whole_stack(w_odd, w_even, d):
+    """One `_PairBlocks` stack of every occupied block, in order of total excitation."""
+    w_pair = np.outer(w_odd, w_even).ravel()
+    totals = [t for t, idx in enumerate(fock.pair_excitation_blocks(d)) if w_pair[idx].any()]
+    return msuqc._PairBlocks(w_odd, w_even, d, totals=totals, bs=fock.beam_splitter_5050(d))
+
+
 def test_size_class_stacks_hold_the_blocks_with_little_padding():
     # d = 48, <n> = 2: one stack pads to 2.9 times the entries of the blocks
     d, n_mean = 48, 2.0
     w_odd = thermal.even_odd_weights(n_mean, d, -1)
     w_even = thermal.even_odd_weights(n_mean, d, +1)
-    single = msuqc._PairBlocks(w_odd, w_even, d)
+    single = _whole_stack(w_odd, w_even, d)
     stacks = msuqc._pair_stacks(w_odd, w_even, d)
     real = int(np.sum((single.first[:, :, 0] >= 0).sum(axis=1)
                       * (single.weight > 0).sum(axis=1)))
@@ -338,7 +345,7 @@ def test_pair_blocks_allocate_no_pair_space_operator():
     w_even = thermal.even_odd_weights(n_mean, d, +1)
     tracemalloc.start()
     try:
-        msuqc._PairBlocks(w_odd, w_even, d)
+        _whole_stack(w_odd, w_even, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -351,7 +358,7 @@ def test_literal_circuit_matches_the_engine_gate_on_every_block(d):
     # literal circuit C R_X(theta) C (between B and B^dag for X) on |+> (x) each
     # state of every block, the truncated blocks t >= d included, must return the
     # ancilla to |+> and leave the same mode factor
-    pair = msuqc._PairBlocks(np.ones(d), np.ones(d), d)
+    pair = _whole_stack(np.ones(d), np.ones(d), d)
     literal = dense.literal_pair_blocks(d)
     assert pair.initial.shape == (2 * d - 1, d, d)
     assert np.array_equal(pair.first[:, :, 0], literal.first[:, 0, :, 0])
@@ -457,9 +464,6 @@ def test_circuit_validation_and_budget():
     (lambda c: msuqc.run_pure(c, [(0, -1)]), "-1"),
     (lambda c: msuqc.run_pure(c, [(0, 0)], cutoff=2.5), "2.5"),
     (lambda c: msuqc.run_pure(c, [(0, 0)], cutoff=False), "False"),
-    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, pair_weight_tol=0), "0"),
-    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, pair_weight_tol=math.nan), "nan"),
-    (lambda c: msuqc.mixed_equivalence_cutoff(0.5, tail_tol=-1e-8), "-1e-08"),
 ])
 def test_engine_entry_points_reject_bad_arguments(call, value):
     # each is a ValueError naming the value, raised before any numpy warning

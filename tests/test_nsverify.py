@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,29 +55,23 @@ def test_commutation_check_needs_one_cutoff():
 @pytest.mark.parametrize("kind,par", [("phase", 0.7), ("squeeze", 0.2)])
 def test_commutation_check_matches_full_product(kind, par):
     # the entries read off the factors against the kept rows and columns of the
-    # d^2 x d^2 matrices, and both against the full product restricted afterwards
-    d = D
-    single = nsverify.collective_noise(kind, par, D)
-    e = dense.collective_channel(single)
-    a = fock.annihilation(d)
-    a1 = dense.annihilation(LAY, 1)
-    for op, full_op in ((np.diag(fock.parity_diag(d)), dense.parity(LAY, 1)),
-                        (fock.two_mode_swap(d), dense.two_mode_swap(LAY, 0, 1)),
-                        (a + a.conj().T, a1 + a1.conj().T)):
-        full = e @ full_op - full_op @ e
-        for max_total in (0, None, 2 * d - 2):
-            top = d // 3 if max_total is None else max_total
-            keep = np.concatenate(fock.pair_excitation_blocks(d)[:top + 1])
+    # d^2 x d^2 matrices, and both against the full product restricted afterwards,
+    # on the states of total excitation <= d // 3: |0, 0> alone at d = 2
+    for d in (2, 7, D):
+        lay = SpaceLayout(0, (d, d))
+        single = nsverify.collective_noise(kind, par, d)
+        e = dense.collective_channel(single)
+        a = fock.annihilation(d)
+        a1 = dense.annihilation(lay, 1)
+        keep = np.concatenate(fock.pair_excitation_blocks(d)[:d // 3 + 1])
+        for op, full_op in ((np.diag(fock.parity_diag(d)), dense.parity(lay, 1)),
+                            (fock.two_mode_swap(d), dense.two_mode_swap(lay, 0, 1)),
+                            (a + a.conj().T, a1 + a1.conj().T)):
+            full = e @ full_op - full_op @ e
             ref = np.abs(full[np.ix_(keep, keep)]).max()
-            factored = nsverify.commutation_check(single, op, max_total)
-            assert abs(factored - dense.commutation_check(e, full_op, max_total)) <= 1e-15
+            factored = nsverify.commutation_check(single, op)
+            assert abs(factored - dense.commutation_check(e, full_op)) <= 1e-15
             assert abs(factored - ref) <= 1e-15
-
-
-def test_commutation_check_needs_a_non_negative_bound():
-    e = nsverify.collective_noise("phase", 0.7, D)
-    with pytest.raises(ValueError, match="max_total"):
-        nsverify.commutation_check(e, np.diag(fock.parity_diag(D)), max_total=-1)
 
 
 def test_channels_invert_and_squeeze_bound():
@@ -205,3 +201,19 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     pa = readout(noise_full @ (gate @ psi))
     assert pb[0] == pytest.approx(pa[0], abs=1e-8)
     assert pb[1] == pytest.approx(pa[1], abs=1e-8)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: nsverify.collective_noise("phase", 0.3, 2.5), "2.5"),
+    (lambda: nsverify.collective_noise("squeeze", math.inf, 6), "inf"),
+    (lambda: nsverify.collective_noise("squeeze", math.nan, 6), "nan"),
+    (lambda: nsverify.dfs_nonexistence(2.5), "2.5"),
+    (lambda: nsverify.dfs_nonexistence(-1), "-1"),
+    (lambda: nsverify.dfs_nonexistence(2, cutoff=5.5), "5.5"),
+])
+def test_entry_points_reject_bad_arguments(call, value):
+    # each is a ValueError naming the value, raised before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
+            call()

@@ -69,7 +69,7 @@ def rk4_reference(rho: np.ndarray, schedule: pulses.PulseSchedule,
     d = rho.shape[1]
     h = {seg: pulses.hamiltonian(hparams(eta, noise.nu), d)
          for seg, eta in ((pulses.FreeEvolution, noise.eta), (pulses.WaitingPeriod, 0.0))}
-    for seg in schedule.expand_waiting().segments:
+    for seg in schedule.segments:
         if isinstance(seg, pulses.QubitRotation):
             r = dense.qubit_rotation(SpaceLayout(1, (d,)), seg.axis, seg.angle)
             rho = (r @ _flat(rho) @ r.conj().T).reshape(rho.shape)
@@ -455,7 +455,7 @@ def test_jump_unravelling_without_jumps_matches_per_trajectory_loop():
     ref = np.zeros((2 * d, 2 * d), dtype=complex)
     for start in starts:
         psi = columns[:, start]
-        for seg in sched.expand_waiting().segments:
+        for seg in sched.segments:
             if isinstance(seg, pulses.QubitRotation):
                 psi = dense.qubit_rotation(SpaceLayout(1, (d,)), seg.axis, seg.angle) @ psi
             else:
@@ -518,7 +518,7 @@ def per_segment_unravelling(state, schedule, noise, rng, n_traj):
     the period screening and the eigenbasis root find in `jump_unravelling`,
     which must make the same random draws."""
     d = state.shape[1]
-    segs = schedule.expand_waiting().segments
+    segs = schedule.segments
     props = {seg: DyadicLadder(dense.no_jump_generator(noise, type(seg), d), seg.duration)
              for seg in set(segs)
              if isinstance(seg, (pulses.FreeEvolution, pulses.WaitingPeriod)) and seg.duration > 0}
@@ -796,6 +796,25 @@ def test_fidelity_point_refuses_a_bath_whose_eta_disagrees_with_the_config():
     with pytest.raises(ValueError, match=refusal):
         opensys.fidelity_point(0.5, config, noise=NoiseParams(Q=1e4, N_th=0.5, eta=0.03),
                                cutoff=8)
+
+
+_CONFIG_50 = (50, pulses.eta_for_repetitions(50))
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: opensys.fidelity_point(0.5, _CONFIG_50, cutoff=2.5), "2.5"),
+    (lambda: opensys.fidelity_point(0.5, _CONFIG_50, cutoff=True), "True"),
+    (lambda: opensys.fidelity_point(0.5, _CONFIG_50, cutoff=1), "1"),
+    (lambda: opensys.fidelity_point(0.5, _CONFIG_50, cutoff=0), "0"),
+    (lambda: opensys.epsilon_tqp_trajectory_check(NoiseParams(Q=1e6, N_th=100.0, eta=0.016), 1.0,
+                                                  np.random.default_rng(0), cutoff=2.5), "2.5"),
+])
+def test_cutoffs_must_be_integers_of_at_least_two(call, value):
+    # each is a ValueError naming the value, raised before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
+            call()
 
 
 def test_fidelity_point_refuses_an_overflowing_generator_naming_noise_and_cutoff():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -121,34 +122,15 @@ def test_quoted_coupling_sequences_cover_its_implied_duration():
     assert sched.total_time == pytest.approx(9 * math.pi / (64 * eta ** 2), rel=0.05)
 
 
-def test_waiting_flip_cancellation():
-    # eta = 0: nothing to cancel, exact for any interval
-    res0 = dense.flip_cancellation_residual(params(0.0), math.pi / 2, 0.05, 16, n_max=6)
-    assert res0 < 1e-12
-    p = params(0.05)
-    res1 = dense.flip_cancellation_residual(p, math.pi / 2, 0.01, 20, n_max=6)
-    assert res1 <= 1e-3
-    # the per-pair error is second order in the interval, but over a quarter
-    # period the pairs add as an oscillatory sum: total scales linearly, so
-    # quartering the interval wins a factor ~4
-    res2 = dense.flip_cancellation_residual(p, math.pi / 2, 0.0025, 20, n_max=6)
-    assert res1 / res2 >= 3.0
-    # over a full oscillator period the pair errors cancel exactly
-    full = dense.flip_cancellation_residual(p, 2 * math.pi, 0.01, 20, n_max=6)
-    assert full < 1e-10
-
-
 def test_schedule_expansion():
     p = params(0.02)
-    sched = pulses.build_h2_sequence(p, 1, flip_interval=0.05)
+    sched = pulses.build_h2_sequence(p, 1)
     assert sched.total_time == pytest.approx(18 * math.pi)
     assert {type(s) for s in sched.segments} == {FreeEvolution, QubitRotation, WaitingPeriod}
-    expanded = sched.expand_waiting()
-    assert not any(isinstance(s, WaitingPeriod) and s.flip_interval is not None
-                   for s in expanded.segments)
-    assert expanded.total_time == pytest.approx(sched.total_time, rel=1e-9)
-    with pytest.raises(ValueError):
-        PulseSchedule((WaitingPeriod(0.1, 0.5),))
+    # four displacement groups: 16 free evolutions of pi/nu and 4 quarter-period waits
+    assert [type(s) for s in sched.segments].count(FreeEvolution) == 16
+    assert [s for s in sched.segments if isinstance(s, WaitingPeriod)] == [
+        WaitingPeriod(math.pi / 2)] * 4
 
 
 def test_engineered_controlled_parity_branch_phases():
@@ -172,17 +154,29 @@ def test_simulate_schedule_matches_dense_exponentials(dense_schedule_unitary):
     assert pulses.gauged_distance(u_fast, u_slow, n_max=10) < 1e-8
 
 
+def _flipped(duration, pairs):
+    """A wait of `duration` with the coupling cancelled by flipping the qubit:
+    `pairs` times a free half, an x rotation of -pi/2, a free half and one of
+    +pi/2."""
+    half = FreeEvolution(duration / (2 * pairs))
+    return (half, QubitRotation("x", -math.pi / 2), half, QubitRotation("x", math.pi / 2)) * pairs
+
+
 def _cross_check_case(case):
     eta50 = pulses.eta_for_repetitions(50)
     if case == "engineered-d66":
         return params(eta50), 66, pulses.build_h2_sequence(params(eta50), 1)
     if case == "flip-cancelled-waiting":
         sched = PulseSchedule((WaitingPeriod(0.7), FreeEvolution(0.4), QubitRotation("Y", 0.3),
-                               WaitingPeriod(math.pi / 2, 0.05), QubitRotation("z", -0.2)))
+                               *_flipped(math.pi / 2, 16), QubitRotation("z", -0.2)))
         return params(0.05), 20, sched
     if case == "nu-2":
+        # two sequences with every quarter-period wait written out as flips
         p = params(0.03, nu=2.0)
-        return p, 24, pulses.build_h2_sequence(p, 2, flip_interval=0.05)
+        segs = [part for seg in pulses.build_h2_sequence(p, 2).segments
+                for part in (_flipped(seg.duration, 16) if isinstance(seg, WaitingPeriod)
+                             else (seg,))]
+        return p, 24, PulseSchedule(tuple(segs))
     return params(0.03), 12, PulseSchedule(())
 
 
@@ -256,3 +250,17 @@ def test_rotation_axis_is_checked_at_construction(axis):
     with pytest.raises(ValueError, match="axis"):
         QubitRotation(axis, 0.1)
     assert QubitRotation("X", 0.1).axis == "X"
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: PulseSchedule((FreeEvolution(math.nan),)), "nan"),
+    (lambda: PulseSchedule((WaitingPeriod(math.inf),)), "inf"),
+    (lambda: PulseSchedule((FreeEvolution(-0.1),)), "-0.1"),
+    (lambda: QubitRotation("x", math.nan), "nan"),
+    (lambda: QubitRotation("y", -math.inf), "-inf"),
+])
+def test_segments_refuse_values_that_are_not_finite(call, value):
+    # each is a ValueError naming the value; unchecked, evolve_master dropped a
+    # NaN duration as if it were 0 and returned an all-NaN state for a NaN angle
+    with pytest.raises(ValueError, match=f"got {re.escape(value)}$"):
+        call()

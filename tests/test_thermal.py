@@ -169,7 +169,7 @@ def test_crossover_flags_and_landauer_ordering():
 
 
 def test_crossover_root_location():
-    root = thermal.crossover_mean_excitation(tol=1e-4)
+    root = thermal.crossover_mean_excitation()
     assert 0.7 <= root <= 0.9
     assert thermal.tqp_entropy_bits(root + 0.01) > thermal.thermal_entropy_bits(root + 0.01)
     assert thermal.tqp_entropy_bits(root - 0.01) < thermal.thermal_entropy_bits(root - 0.01)
