@@ -348,7 +348,7 @@ def _cmd_ns_check(cfg: dict, out: str) -> int:
                 r = nsverify.commutation_check(e, op)
                 residuals.append({"kind": kind, "parameter": par,
                                   "logical_operator": name, "residual": r})
-                if r > cfg["commutator_tol"]:
+                if not r <= cfg["commutator_tol"]:  # a NaN residual fails
                     ok = False
     # --cutoff sets the scan's cutoff too; without it the scan takes max_total + 3
     report = nsverify.dfs_nonexistence(cfg["max_total"], cutoff=cfg["cutoff_override"], rng=rng)

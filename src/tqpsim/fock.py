@@ -20,7 +20,9 @@ Conventions
 * Mode-pair gates conserve total excitation: the beam splitter is held as
   its blocks, the swap as a permutation, parities and number as diagonals.
   The beam splitter's blocks are built once per cutoff and kept, read-only,
-  in a small cache of the most recent cutoffs.
+  in a small cache of the most recent cutoffs.  ``msuqc`` keeps the pair
+  layouts it builds from them and reuses one only while
+  ``beam_splitter_5050`` returns the same block objects (``is``).
 * The hybrid parity Z (x) exp(i pi a^dag a) splits an (ancilla, mode) space
   into two sectors of d states each (`parity_sectors`); the engineered
   pulse sequence is block diagonal in them.

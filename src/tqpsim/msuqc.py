@@ -15,6 +15,13 @@ routes compute that probability:
   cos + i sin of Z_L, the second-mode parity, and of X_L = B^dag P B
   (``fock.beam_splitter_5050``); entanglers make the circuit a sum over Z_L
   paths, contracted as a chain over the pairs (:func:`_run_on_pairs`).
+  The stacks depend on the cutoff and on which pair states the mixture
+  occupies, not on its weights, so they are built once per (cutoff,
+  support) and kept, read-only, for the last 8 such keys
+  (:func:`_pair_layout`); each run adds its weights by one gather per
+  stack.  A kept layout is reused only while ``fock.beam_splitter_5050``
+  returns the very blocks it was built from.  ``mixed_equivalence_cutoff``
+  is memoised.
 * ``qubit_space_oracle`` is the ground truth in the abstract 2^K logical
   space.
 
@@ -40,6 +47,8 @@ wire format is ``{"version": 1, "qubits": K, "steps": [{"phi": [...K],
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -211,11 +220,12 @@ def qubit_space_oracle(circuit: LogicalCircuit) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
 def mixed_equivalence_cutoff(mean_excitation: float) -> int:
     """Cutoff for mixed runs: at least 8, thermal tail below 1e-8, and joint
     weight of pair states with total excitation >= d below ``PAIR_WEIGHT_TOL``
     (those are the blocks where the truncated beam splitter deviates from the
-    ideal one).
+    ideal one).  A pure function of <n>, so its results are memoised.
     """
     d = required_cutoff(mean_excitation, 1e-8, 8)
     horizon = 4 * d + 64
@@ -250,25 +260,29 @@ class _PairBlocks:
     ``x_logical`` = B^dag P B, read from `fock`'s beam-splitter blocks
     (the truncated blocks t >= d included).
 
-    The stack holds the occupied blocks `totals`; `bs` is
-    ``fock.beam_splitter_5050`` at the cutoff.  Circuits hold a pair as the
-    size-class stacks of :func:`_pair_stacks`, which pad far less than one
-    stack of every block.
+    The stack holds the occupied blocks `totals` of a mixture that is
+    non-zero on the flat pair states `support`; `bs` is
+    ``fock.beam_splitter_5050`` at the cutoff.  None of its arrays depends
+    on the mixture's weights, and all are read-only, so
+    :func:`_pair_layout` caches stacks per (cutoff, support), reusing them
+    only while ``fock.beam_splitter_5050`` returns these very blocks `bs`,
+    and each run takes a copy with its own weights (:meth:`weighted`).
+    Circuits hold a pair as the size-class stacks of :func:`_pair_stacks`,
+    which pad far less than one stack of every block.
     """
 
-    def __init__(self, w_odd: np.ndarray, w_even: np.ndarray, cutoff: int, *,
+    def __init__(self, support: np.ndarray, cutoff: int, *,
                  totals: np.ndarray, bs: list[np.ndarray]):
         d = cutoff
-        w_pair = np.outer(w_odd, w_even).ravel()
         all_blocks = fock.pair_excitation_blocks(d)
         blocks = [(t, all_blocks[t]) for t in totals]
         nb = len(blocks)
         n = max(idx.size for _, idx in blocks)
-        c = max(np.count_nonzero(w_pair[idx]) for _, idx in blocks)
+        c = max(np.count_nonzero(support[idx]) for _, idx in blocks)
         self.x_logical = np.zeros((nb, n, n), dtype=complex)
         self.first = np.full((nb, n, 1), -1)  # first-mode Fock number, -1 on padding
         self.parity = np.zeros((nb, n, 1))  # second-mode Fock parity
-        self.weight = np.zeros((nb, c))
+        self.gather = np.full((nb, c), d * d)  # each column's flat pair state, d^2 on padding
         self.initial = np.zeros((nb, n, c), dtype=complex)
         for b, (t, idx) in enumerate(blocks):
             m = idx.size
@@ -276,12 +290,25 @@ class _PairBlocks:
             self.first[b, :m, 0] = i
             self.parity[b, :m, 0] = (-1.0) ** j
             self.x_logical[b, :m, :m] = bs[t].conj().T @ (self.parity[b, :m] * bs[t])
-            occupied = np.flatnonzero(w_pair[idx] > 0.0)
-            self.weight[b, :occupied.size] = w_pair[idx[occupied]]
+            occupied = np.flatnonzero(support[idx])
+            self.gather[b, :occupied.size] = idx[occupied]
             self.initial[b, occupied, np.arange(occupied.size)] = 1.0
         self.projectors = np.stack([1.0 + self.parity, 1.0 - self.parity]) / 2  # (I +- Z_L)/2
-        # weight of the blocks the truncated beam splitter does not treat ideally
-        self.broken_weight = float(sum(w_pair[idx].sum() for t, idx in blocks if t >= d))
+        # the blocks the truncated beam splitter does not treat ideally
+        self.broken = tuple(idx for t, idx in blocks if t >= d)
+        for array in (self.x_logical, self.first, self.parity, self.gather,
+                      self.initial, self.projectors, *self.broken):
+            array.setflags(write=False)
+
+    def weighted(self, w_pair: np.ndarray) -> "_PairBlocks":
+        """This stack for the mixture `w_pair` (flat over the pair states, non-zero
+        on the stack's support): a copy sharing the arrays, plus the column
+        weights ``weight`` (T, c) and the weight of the broken blocks
+        ``broken_weight``, summed block by block."""
+        stack = copy.copy(self)
+        stack.weight = np.append(w_pair, 0.0)[self.gather]
+        stack.broken_weight = float(sum(w_pair[idx].sum() for idx in self.broken))
+        return stack
 
     def step(self, states: np.ndarray, theta: float, phi: float) -> np.ndarray:
         """exp(i phi Z_L) exp(i theta X_L) states, for states shaped
@@ -308,41 +335,72 @@ class _PairBlocks:
 
 
 STACK_PADDING = 1.3  # padded entries of a pair's stacks, at most, per entry its blocks hold
+LAYOUT_CACHE_SIZE = 8  # pair layouts kept, as many as fock keeps beam splitters
+# (cutoff, support bytes) -> (the beam-splitter blocks read, the stacks built), oldest first
+_LAYOUTS = {}
 
 
-def _pair_stacks(w_odd: np.ndarray, w_even: np.ndarray, cutoff: int) -> list[_PairBlocks]:
-    """A mode pair's occupied blocks as size-class stacks of :class:`_PairBlocks`.
+def _pair_layout(support: np.ndarray, cutoff: int) -> list[_PairBlocks]:
+    """The size-class stacks of :class:`_PairBlocks`, without weights, of a
+    pair whose mixture is non-zero on the flat pair states `support`.
 
     One stack pads every block to the largest block size and column count:
     at d = 48 and <n> = 2 it holds 2.9 times the entries of the blocks.  The
     blocks are sorted by (size, column count) and cut into the fewest runs
     whose padded entries total at most ``STACK_PADDING`` times the blocks'
-    own, the cuts placed by dynamic programming to pad least.  The stacks
-    share one read of ``fock.beam_splitter_5050``.
+    own, the cuts placed by dynamic programming to pad least.
+
+    Every call reads ``fock.beam_splitter_5050`` once.  The stacks of the
+    last ``LAYOUT_CACHE_SIZE`` (cutoff, support) keys are kept in
+    ``_LAYOUTS``, with the blocks they were built from; kept stacks are
+    reused only if that read returns those very blocks (``is``), else they
+    are rebuilt and replace the entry.  So a replaced
+    ``fock.beam_splitter_5050`` takes effect however warm the cache is.
     """
     d = cutoff
-    w_pair = np.outer(w_odd, w_even).ravel()
-    blocks = sorted((idx.size, np.count_nonzero(w_pair[idx]), t)
-                    for t, idx in enumerate(fock.pair_excitation_blocks(d))
-                    if (w_pair[idx] > 0.0).any())
-    n, c, totals = (np.array(x) for x in zip(*blocks))
-    nb = len(blocks)
-    # padded[a, b]: the entries of one stack of the sorted blocks a .. b-1
-    padded = np.full((nb + 1, nb + 1), np.inf)
-    for a in range(nb):
-        padded[a, a + 1:] = np.arange(1, nb - a + 1) * n[a:] * np.maximum.accumulate(c[a:])
-    least, starts = padded[0], []  # least[b]: fewest padded entries of blocks 0 .. b-1
-    while least[nb] > STACK_PADDING * (n * c).sum():
-        candidates = least[:, None] + padded  # one more stack, starting at block a
-        starts.append(candidates.argmin(axis=0))
-        least = candidates.min(axis=0)
-    cuts = [nb]
-    for start in reversed(starts):
-        cuts.append(int(start[cuts[-1]]))
-    cuts = [0] + cuts[::-1]
     bs = fock.beam_splitter_5050(d)
-    return [_PairBlocks(w_odd, w_even, d, totals=totals[a:b], bs=bs)
-            for a, b in zip(cuts, cuts[1:])]
+    key = (d, support.tobytes())
+    kept = _LAYOUTS.pop(key, None)
+    if kept is not None and len(kept[0]) == len(bs) and all(a is b for a, b in zip(kept[0], bs)):
+        stacks = kept[1]
+    else:
+        blocks = sorted((idx.size, np.count_nonzero(support[idx]), t)
+                        for t, idx in enumerate(fock.pair_excitation_blocks(d))
+                        if support[idx].any())
+        n, c, totals = (np.array(x) for x in zip(*blocks))
+        nb = len(blocks)
+        # padded[a, b]: the entries of one stack of the sorted blocks a .. b-1
+        padded = np.full((nb + 1, nb + 1), np.inf)
+        for a in range(nb):
+            padded[a, a + 1:] = np.arange(1, nb - a + 1) * n[a:] * np.maximum.accumulate(c[a:])
+        least, starts = padded[0], []  # least[b]: fewest padded entries of blocks 0 .. b-1
+        while least[nb] > STACK_PADDING * (n * c).sum():
+            candidates = least[:, None] + padded  # one more stack, starting at block a
+            starts.append(candidates.argmin(axis=0))
+            least = candidates.min(axis=0)
+        cuts = [nb]
+        for start in reversed(starts):
+            cuts.append(int(start[cuts[-1]]))
+        cuts = [0] + cuts[::-1]
+        stacks = [_PairBlocks(support, d, totals=totals[a:b], bs=bs)
+                  for a, b in zip(cuts, cuts[1:])]
+    _LAYOUTS[key] = bs, stacks  # the most recently used last
+    if len(_LAYOUTS) > LAYOUT_CACHE_SIZE:
+        del _LAYOUTS[next(iter(_LAYOUTS))]
+    return stacks
+
+
+def _pair_stacks(w_odd: np.ndarray, w_even: np.ndarray, cutoff: int) -> list[_PairBlocks]:
+    """A mode pair's occupied blocks as size-class stacks of :class:`_PairBlocks`,
+    weighted by the mixture outer(w_odd, w_even): the stacks of
+    :func:`_pair_layout` for its support, built or cached, each with one
+    gather of the run's column weights.  The stacks share one read of
+    ``fock.beam_splitter_5050``, made on every run even when the layout is
+    cached: a kept layout is reused only if that read returns the blocks
+    it was built from, so the cache never outlives the blocks it stands for.
+    """
+    w_pair = np.outer(w_odd, w_even).ravel()
+    return [stack.weighted(w_pair) for stack in _pair_layout(w_pair > 0.0, cutoff)]
 
 
 def _run_on_pairs(circuit: LogicalCircuit, pairs: list[list[_PairBlocks]],
@@ -438,7 +496,10 @@ def run_mixed(circuit: LogicalCircuit, spec: ThermalSpec,
     t >= cutoff included.  The blocks are held as size-class stacks
     (:func:`_pair_stacks`), which pad at most 1.3 times the blocks' own
     entries, and every pair shares one list of them, built from one call of
-    ``fock.beam_splitter_5050`` (cached per cutoff).  The circuit runs as a
+    ``fock.beam_splitter_5050`` (cached per cutoff).  The stacks' weight-free
+    layout is cached per (cutoff, support) and reused while that call
+    returns the blocks it was built from (:func:`_pair_layout`); each run
+    gathers its column weights into it.  The circuit runs as a
     sum over Z_L paths, a pair holding 2^(steps-1) branch states since step
     1 meets logical |0> on every pair, contracted as a chain of the pairs'
     grams (:func:`_run_on_pairs`).  Any number of logical qubits is

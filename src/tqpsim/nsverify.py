@@ -25,6 +25,7 @@ cover M up to `max_total`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -44,11 +45,13 @@ def collective_noise(kind: str, parameter: float, cutoff: int) -> np.ndarray:
     even and odd levels.  The squeeze generator is anti-Hermitian, so the
     truncated exponential is unitary, but it is only faithful on
     number-bounded subspaces; |xi| <= 0.3 is enforced and callers should
-    confine test states to n <= d/3.  A squeeze that is not finite, or a
-    cutoff that is not an integer >= 2, is a ValueError.
+    confine test states to n <= d/3.  A phase or squeeze that is not
+    finite, or a cutoff that is not an integer >= 2, is a ValueError.
     """
     d = fock.checked_int("cutoff", cutoff, 2)
     if kind == "phase":
+        if not math.isfinite(parameter):
+            raise ValueError(f"the phase must be finite, got {parameter!r}")
         single = np.diag(np.exp(1j * parameter * np.arange(d)))
     elif kind == "squeeze":
         if not abs(parameter) <= SQUEEZE_PARAM_MAX:  # NaN fails too

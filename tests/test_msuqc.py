@@ -313,7 +313,8 @@ def _whole_stack(w_odd, w_even, d):
     """One `_PairBlocks` stack of every occupied block, in order of total excitation."""
     w_pair = np.outer(w_odd, w_even).ravel()
     totals = [t for t, idx in enumerate(fock.pair_excitation_blocks(d)) if w_pair[idx].any()]
-    return msuqc._PairBlocks(w_odd, w_even, d, totals=totals, bs=fock.beam_splitter_5050(d))
+    return msuqc._PairBlocks(w_pair > 0.0, d, totals=totals,
+                             bs=fock.beam_splitter_5050(d)).weighted(w_pair)
 
 
 def test_size_class_stacks_hold_the_blocks_with_little_padding():
@@ -392,7 +393,9 @@ def test_pure_support_check_raises(monkeypatch):
     # the half-angle beam splitter, exp(G / 2) on every total-excitation block,
     # still conserves number but is not 50:50, so an X rotation leaves the
     # basis-pair subspace; it replaces the function msuqc calls, so the
-    # per-cutoff cache of the real blocks is neither bypassed nor filled
+    # per-cutoff cache of the real blocks is neither bypassed nor filled, and
+    # the pair layout the real blocks built is not reused: its blocks are not
+    # the ones the replacement returns
     def half_block(d, idx):
         i, j = np.divmod(idx[:-1], d)
         sub = (math.pi / 8) * (np.sqrt(i + 1.0) * np.sqrt(j))
@@ -402,9 +405,84 @@ def test_pure_support_check_raises(monkeypatch):
         return [half_block(d, idx) for idx in fock.pair_excitation_blocks(d)]
     real = fock.beam_splitter_5050(6)[5]
     assert np.abs(half(6)[5] @ half(6)[5] - real).max() < 1e-14  # a square root
+    circ = single_qubit(theta=0.3)
+    msuqc.run_pure(circ, [(1, 0)])  # warms the layout cache with the real blocks
     monkeypatch.setattr(fock, "beam_splitter_5050", half)
     with pytest.raises(fock.StateError, match="left the encoded basis-pair subspace"):
-        msuqc.run_pure(single_qubit(theta=0.3), [(1, 0)])
+        msuqc.run_pure(circ, [(1, 0)])
+
+
+def _count_stack_builds(monkeypatch) -> list:
+    """The cutoff of every `_PairBlocks` built from now on, in order."""
+    built, real = [], msuqc._PairBlocks.__init__
+
+    def counting(self, support, cutoff, **kwargs):
+        built.append(cutoff)
+        real(self, support, cutoff, **kwargs)
+    monkeypatch.setattr(msuqc._PairBlocks, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n_mean", [0.5, 1.0, 2.0])
+def test_a_warm_layout_repeats_a_cold_run_bit_for_bit(k, n_mean, monkeypatch):
+    monkeypatch.setattr(msuqc, "_LAYOUTS", {})
+    circ = msuqc.random_circuit(np.random.default_rng(38), k, 3)
+    d = msuqc.mixed_equivalence_cutoff(n_mean)
+    built = _count_stack_builds(monkeypatch)
+    cold = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
+    assert built and set(built) == {d}
+    built.clear()
+    warm = msuqc.run_mixed(circ, ThermalSpec(n_mean), cutoff=d)
+    assert built == []  # a warm hit builds no stack
+    assert warm.probability.hex() == cold.probability.hex()
+    assert warm.truncation_tail.hex() == cold.truncation_tail.hex()
+
+
+def test_cached_layout_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(msuqc, "_LAYOUTS", {})
+    d, n_mean = 16, 1.0
+    stacks = msuqc._pair_stacks(thermal.even_odd_weights(n_mean, d, -1),
+                                thermal.even_odd_weights(n_mean, d, +1), d)
+    (_, kept), = msuqc._LAYOUTS.values()
+    assert len(kept) == len(stacks) > 1 and any(stack.broken for stack in kept)
+    for stack in kept:
+        for array in (stack.x_logical, stack.first, stack.parity, stack.gather,
+                      stack.initial, stack.projectors, *stack.broken):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0
+    # a run's weights are its own: writable, and not on the kept stacks
+    assert all(stack.weight.flags.writeable for stack in stacks)
+    assert not any(hasattr(stack, "weight") for stack in kept)
+
+
+def test_thermal_and_one_hot_supports_keep_separate_layouts(monkeypatch):
+    monkeypatch.setattr(msuqc, "_LAYOUTS", {})
+    circ = single_qubit(phi=0.2, theta=0.3)
+    built = _count_stack_builds(monkeypatch)
+    msuqc.run_mixed(circ, ThermalSpec(0.5, tail_tol=1.0), cutoff=12)
+    n_thermal = len(built)
+    msuqc.run_pure(circ, [(1, 0)], cutoff=12)
+    assert len(built) == n_thermal + 1  # one block, so one stack
+    assert [key[0] for key in msuqc._LAYOUTS] == [12, 12]
+    # another mean excitation at the same cutoff occupies the same states
+    msuqc.run_mixed(circ, ThermalSpec(1.0, tail_tol=1.0), cutoff=12)
+    assert len(built) == n_thermal + 1 and len(msuqc._LAYOUTS) == 2
+
+
+def test_the_layout_cache_keeps_its_bound(monkeypatch):
+    monkeypatch.setattr(msuqc, "_LAYOUTS", {})
+    circ = single_qubit(theta=0.3)
+    bases = [(m, n) for m in range(4) for n in range(3)]  # 12 supports at cutoff 14
+    for i, basis in enumerate(bases):
+        msuqc.run_pure(circ, [basis], cutoff=14)
+        assert len(msuqc._LAYOUTS) == min(i + 1, msuqc.LAYOUT_CACHE_SIZE)
+    # the most recently used stay: a repeat of the newest builds nothing
+    built = _count_stack_builds(monkeypatch)
+    msuqc.run_pure(circ, [bases[-1]], cutoff=14)
+    assert built == []
+    msuqc.run_pure(circ, [bases[0]], cutoff=14)
+    assert built == [14] and len(msuqc._LAYOUTS) == msuqc.LAYOUT_CACHE_SIZE
 
 
 def test_equivalence_cutoff_grows_with_temperature():
@@ -413,6 +491,14 @@ def test_equivalence_cutoff_grows_with_temperature():
     assert d_half < d_two
     q = 2.0 / 3.0
     assert q ** d_two < 1e-8
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_equivalence_cutoff_memo_still_refuses_bad_values(bad):
+    assert msuqc.mixed_equivalence_cutoff(1.0) == msuqc.mixed_equivalence_cutoff(1.0) == 28
+    for _ in range(2):  # a refusal is not memoised
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            msuqc.mixed_equivalence_cutoff(bad)
 
 
 def test_equivalence_cutoffs_on_a_grid():

@@ -210,6 +210,7 @@ def test_noise_acts_trivially_on_encoded_subsystem():
     (lambda: nsverify.dfs_nonexistence(2.5), "2.5"),
     (lambda: nsverify.dfs_nonexistence(-1), "-1"),
     (lambda: nsverify.dfs_nonexistence(2, cutoff=5.5), "5.5"),
+    pytest.param(lambda: nsverify.collective_noise("phase", math.nan, 4), "nan", id="phase-nan"),
 ])
 def test_entry_points_reject_bad_arguments(call, value):
     # each is a ValueError naming the value, raised before any numpy warning
