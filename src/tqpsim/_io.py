@@ -3,7 +3,7 @@
 CSV bodies are deterministic: '.' decimal separator, no locale, 12
 significant digits, fixed row order.  Every run also writes a JSON metadata
 sidecar embedding the tool version, the fully resolved configuration, seed,
-cutoffs and tolerances, so results are reproducible byte for byte.
+cutoffs and checks, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations

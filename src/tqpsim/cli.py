@@ -20,10 +20,10 @@ anticommutator on the random pair states as S(Pv) + P(Sv).  ns-check reads
 its commutators off each channel's single-mode factor, the parity logical's
 single-mode matrix and the swap's involution, with no pair matrix either.
 
-Exit codes: 0 success, 1 acceptance-check failure, 2 usage error.  Outputs
-embed the tool version, the fully resolved configuration, the seed, cutoffs
-and tolerances; rerunning with identical seed and config produces
-byte-identical CSV bodies.
+Each runner returns its acceptance checks as `Check` records with fixed bounds;
+its outputs list them under `checks` beside the tool version, the fully
+resolved configuration, the seed and cutoffs.  Exit codes: 0 success, 1 when
+some check fails, 2 usage error.  Identical seed and config give byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from ._io import format_value, sidecar_path, write_csv, write_json
+from ._io import sidecar_path, write_csv, write_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,6 +49,11 @@ GRID_POINTS_MAX = 2000  # points of the n_min .. n_max grid in steps of n_step
 LIST_ITEMS_MAX = 100
 # a bath walks every segment of the schedule at O(d^3): the default grid takes minutes
 BATH_N_MAX, BATH_REPETITIONS_MAX, BATH_CUTOFF_MAX = 4.0, 200, 66
+# the acceptance bounds, one per check (the README's checks table)
+AGREEMENT_TOL, CROSSOVER_WINDOW = 1e-6, (0.7, 0.9)  # entropy-sweep
+ORDERING_SLACK, MONOTONIC_SLACK = 0.0, 1e-3  # fidelity-sweep
+RESIDUAL_TOL, EQUIVALENCE_TOL = 1e-10, 1e-6  # algebra-check, msuqc-demo
+COMMUTATOR_TOL, MIN_SINGULAR_VALUE, NEGATIVE_CONTROL_MIN = 1e-8, 1e-3, 0.1  # ns-check
 
 
 class UsageError(Exception):
@@ -76,7 +82,6 @@ def _bath(**fields: tuple) -> tuple:
                                     and all(fields[key][1](x) for key, x in v.items())))
 
 
-_TOL = _number(0)  # tolerances, slacks and thresholds
 _NOISES = ("ideal-sequence", "exact-gate")
 
 
@@ -119,13 +124,35 @@ def _resolve_config(command: str, args) -> dict:
     return cfg
 
 
-def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
+class Check(NamedTuple):
+    """One acceptance check: a run's worst `value` against `bound`, a number or a
+    [lo, hi] window.  A NaN value fails; None, where nothing is compared, passes."""
+
+    name: str
+    value: float | None
+    bound: float | tuple[float, float]
+    passed: bool
+
+
+def _check(name: str, values: list, compare: str, bound: float) -> Check:
+    """The worst of `values` against `bound` under `compare` ('<=', '>=' or '>'), by
+    np.max or np.min, which keep a NaN that builtin max and min can drop."""
+    import numpy as np
+
+    if len(values) == 0:
+        return Check(name, None, bound, True)
+    value = float((np.max if compare == "<=" else np.min)(values))
+    return Check(name, value, bound,
+                 {"<=": value <= bound, ">=": value >= bound, ">": value > bound}[compare])
+
+
+def _metadata(command: str, cfg: dict, checks: list[Check], extra: dict) -> dict:
     import numpy
 
     scipy = sys.modules.get("scipy")  # no tqpsim module imports it; a caller may have
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     query = _blas_thread_query()
-    meta = {
+    return {
         "tool": "tqpsim",
         "version": __version__,
         "command": command,
@@ -135,10 +162,9 @@ def _metadata(command: str, cfg: dict, extra: dict | None = None) -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS + ("TQPSIM_THREADS",)},
         "blas_threads": None if query is None else query(),
+        "checks": [check._asdict() for check in checks],
+        **extra,
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 @functools.cache
@@ -171,33 +197,30 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_entropy_sweep(cfg: dict, out: str) -> int:
+def _cmd_entropy_sweep(cfg: dict, out: str) -> list[Check]:
     from . import thermal
 
-    grid = _grid(cfg["n_min"], cfg["n_max"], cfg["n_step"])
-    rows = []
-    ok = True
-    for n in grid:
-        spec = thermal.ThermalSpec(n, cutoff=cfg["cutoff_override"])
-        rep = thermal.entropy_report(spec)
+    rows, deviations = [], []
+    for n in _grid(cfg["n_min"], cfg["n_max"], cfg["n_step"]):
+        rep = thermal.entropy_report(thermal.ThermalSpec(n, cutoff=cfg["cutoff_override"]))
         rows.append((rep.mean_excitation, rep.s_thermal, rep.s_tqp, rep.n_tilde,
                      rep.landauer_pure, rep.landauer_tqp, rep.crossover_flag))
-        if abs(rep.s_tqp - rep.s_tqp_spectral) > cfg["agreement_tol"]:
-            ok = False
+        deviations.append(abs(rep.s_tqp - rep.s_tqp_spectral))
     root = thermal.crossover_mean_excitation()
+    checks = [_check("closed_form_vs_spectral", deviations, "<=", AGREEMENT_TOL),
+              Check("crossover_root", root, CROSSOVER_WINDOW,
+                    CROSSOVER_WINDOW[0] <= root <= CROSSOVER_WINDOW[1])]
     write_csv(out, ["n_mean", "S_thermal", "S_tqp", "n_tilde",
                     "landauer_pure", "landauer_tqp", "crossover_flag"], rows)
-    write_json(sidecar_path(out), _metadata("entropy-sweep", cfg, {
-        "crossover_root": root,
-        "closed_form_vs_spectral_ok": ok,
+    write_json(sidecar_path(out), _metadata("entropy-sweep", cfg, checks, {
+        "crossover_root": checks[1].value,
+        "closed_form_vs_spectral_ok": checks[0].passed,
         "rows": len(rows),
     }))
-    if not (0.7 <= root <= 0.9):
-        ok = False
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
-def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
+def _cmd_fidelity_sweep(cfg: dict, out: str) -> list[Check]:
     from . import opensys, pulses
 
     grid = _grid(cfg["n_min"], cfg["n_max"], cfg["n_step"])
@@ -216,41 +239,35 @@ def _cmd_fidelity_sweep(cfg: dict, out: str) -> int:
             curves[reps].append(pt.fidelity)
             max_tail = max(max_tail, pt.truncation_tail)
             max_defect = max(max_defect, pt.trace_defect)
-    ok = True
     ordered = sorted(reps_list)
-    for lo, hi in zip(ordered, ordered[1:]):
-        if not all(b >= a - cfg["ordering_slack"]
-                   for a, b in zip(curves[lo], curves[hi])):
-            ok = False
-    for r in reps_list:
-        c = curves[r]
-        if not all(c[i + 1] <= c[i] + cfg["monotonic_slack"] for i in range(len(c) - 1)):
-            ok = False
-        for n, f in zip(grid, c):
-            if n >= 1.0 and f <= 1.0 / (n + 1.0):
-                ok = False
+    # a curve's fall below one of fewer repetitions, its rises, its margins over 1/(n + 1)
+    shortfalls = [a - b for lo, hi in zip(ordered, ordered[1:])
+                  for a, b in zip(curves[lo], curves[hi])]
+    rises = [b - a for c in curves.values() for a, b in zip(c, c[1:])]
+    margins = [f - 1.0 / (n + 1.0) for c in curves.values() for n, f in zip(grid, c) if n >= 1.0]
+    checks = [_check("ordering", shortfalls, "<=", ORDERING_SLACK),
+              _check("monotonic", rises, "<=", MONOTONIC_SLACK),
+              _check("above_baseline", margins, ">", 0.0)]
     write_csv(out, ["n_mean", "eta", "repetitions", "fidelity", "p_plus",
                     "p_minus", "baseline", "cutoff", "seed"], rows)
-    write_json(sidecar_path(out), _metadata("fidelity-sweep", cfg, {
-        "checks_passed": ok,
+    write_json(sidecar_path(out), _metadata("fidelity-sweep", cfg, checks, {
+        "checks_passed": all(check.passed for check in checks),
         "configs": [{"repetitions": r, "eta": e} for r, e in configs],
         "max_trace_defect": max_defect,
         "max_truncation_tail": max_tail,
         "rows": len(rows),
     }))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
-def _cmd_algebra_check(cfg: dict, out: str) -> int:
+def _cmd_algebra_check(cfg: dict, out: str) -> list[Check]:
     import numpy as np
 
     from . import fock
 
-    tol = cfg["residual_tol"]
     cutoffs = [cfg["cutoff_override"]] if cfg["cutoff_override"] else cfg["cutoffs"]
     rng = np.random.default_rng(cfg["seed"] or 0)
     results = []
-    ok = True
     for d in cutoffs:
         # the forms circuits use, on one mode pair |i, j> (flat index i d + j): P
         # (second mode), C (ancilla and second mode) and N as diagonals, S as a
@@ -261,16 +278,16 @@ def _cmd_algebra_check(cfg: dict, out: str) -> int:
         N = fock.pair_number(d)
         S = fock.two_mode_swap(d)
         B = list(zip(fock.beam_splitter_5050(d), fock.pair_excitation_blocks(d)))
-        checks = {
+        residuals = {
             "parity_squared": np.abs(P * P - 1).max(),
             # S^2 = I exactly when s[s[k]] = k; otherwise |S^2 - I| holds entries 1
             "swap_squared": float((S[S] != np.arange(S.size)).any()),
             "controlled_parity_squared": np.abs(C * C - 1).max(),
-            "beam_splitter_unitary": max(np.abs(b.conj().T @ b - np.eye(len(b))).max()
-                                         for b, _ in B),
+            "beam_splitter_unitary": np.max([np.abs(b.conj().T @ b - np.eye(len(b))).max()
+                                             for b, _ in B]),
             # [B, N] holds b_kl (n_l - n_k) in each block; [S, N] holds n[s[k]] - n[k]
-            "beam_splitter_number_conservation": max(
-                np.abs(b * np.subtract.outer(N[idx], N[idx])).max() for b, idx in B),
+            "beam_splitter_number_conservation": np.max(
+                [np.abs(b * np.subtract.outer(N[idx], N[idx])).max() for b, idx in B]),
             "swap_number_conservation": np.abs(N[S] - N).max(),
         }
         # Pauli algebra on random encoded states v = E c of one fixed basis pair, E its
@@ -285,18 +302,20 @@ def _cmd_algebra_check(cfg: dict, out: str) -> int:
             coeffs /= np.linalg.norm(coeffs, axis=0)
             rows = np.flatnonzero(np.isin(S, pair))
             on_pair = (S[rows, None] == pair) * (P[pair][None, :] + P[rows, None])
-            checks["pauli_anticommutator_on_pair"] = np.linalg.norm(
+            residuals["pauli_anticommutator_on_pair"] = np.linalg.norm(
                 on_pair @ coeffs, axis=0).max()
-        results.append({"cutoff": d, "residuals": {k: float(v) for k, v in checks.items()}})
-        if max(checks.values()) > tol:
-            ok = False
-    write_json(out, _metadata("algebra-check", cfg, {
-        "results": results, "passed": ok,
+        results.append({"cutoff": d, "residuals": {k: float(v) for k, v in residuals.items()}})
+    # one check per residual, its worst over the cutoffs that have it
+    names = dict.fromkeys(name for r in results for name in r["residuals"])
+    checks = [_check(name, [r["residuals"][name] for r in results if name in r["residuals"]],
+                     "<=", RESIDUAL_TOL) for name in names]
+    write_json(out, _metadata("algebra-check", cfg, checks, {
+        "results": results, "passed": all(check.passed for check in checks),
     }))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
-def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
+def _cmd_msuqc_demo(cfg: dict, out: str) -> list[Check]:
     import numpy as np
 
     from . import msuqc, thermal
@@ -307,7 +326,6 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
             msuqc.check_thermal_tail(thermal.ThermalSpec(n_mean), cfg["cutoff_override"])
     rng = np.random.default_rng(cfg["seed"] or 0)
     records = []
-    worst = 0.0
     qubit_counts = list(cfg["qubit_counts"])
     for i in range(cfg["n_circuits"]):
         k = qubit_counts[i % len(qubit_counts)]
@@ -316,22 +334,20 @@ def _cmd_msuqc_demo(cfg: dict, out: str) -> int:
         a_oracle = msuqc.qubit_space_oracle(circuit)
         cutoff = cfg["cutoff_override"] or msuqc.mixed_equivalence_cutoff(n_mean)
         res = msuqc.run_mixed(circuit, thermal.ThermalSpec(n_mean), cutoff=cutoff)
-        dev = abs(res.probability - a_oracle)
-        worst = max(worst, dev)
         records.append({
             "circuit": circuit.to_json_dict(),
             "qubits": k, "mean_excitation": n_mean, "cutoff": cutoff,
             "a_oracle": a_oracle, "a_mixed": res.probability,
-            "deviation": dev, "truncation_tail": res.truncation_tail,
+            "deviation": abs(res.probability - a_oracle), "truncation_tail": res.truncation_tail,
         })
-    ok = worst <= cfg["equivalence_tol"]
-    write_json(out, _metadata("msuqc-demo", cfg, {
-        "runs": records, "worst_deviation": worst, "passed": ok,
+    checks = [_check("mixed_vs_oracle", [r["deviation"] for r in records], "<=", EQUIVALENCE_TOL)]
+    write_json(out, _metadata("msuqc-demo", cfg, checks, {
+        "runs": records, "worst_deviation": checks[0].value, "passed": checks[0].passed,
     }))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
-def _cmd_ns_check(cfg: dict, out: str) -> int:
+def _cmd_ns_check(cfg: dict, out: str) -> list[Check]:
     import numpy as np
 
     from . import nsverify
@@ -340,7 +356,6 @@ def _cmd_ns_check(cfg: dict, out: str) -> int:
     cutoff = cfg["cutoff_override"] or 24
     logicals = nsverify.encoded_logicals(cutoff)
     residuals = []
-    ok = True
     for kind, values in (("phase", cfg["phases"]), ("squeeze", cfg["squeezes"])):
         for par in values:
             e = nsverify.collective_noise(kind, par, cutoff)
@@ -348,22 +363,19 @@ def _cmd_ns_check(cfg: dict, out: str) -> int:
                 r = nsverify.commutation_check(e, op)
                 residuals.append({"kind": kind, "parameter": par,
                                   "logical_operator": name, "residual": r})
-                if not r <= cfg["commutator_tol"]:  # a NaN residual fails
-                    ok = False
     # --cutoff sets the scan's cutoff too; without it the scan takes max_total + 3
     report = nsverify.dfs_nonexistence(cfg["max_total"], cutoff=cfg["cutoff_override"], rng=rng)
-    if not report.all_null_dims_zero:
-        ok = False
-    if min(s.smallest_singular_value for s in report.sectors) < cfg["min_singular_value"]:
-        ok = False
-    if report.negative_control <= cfg["negative_control_min"]:
-        ok = False
-    write_json(out, _metadata("ns-check", cfg, {
+    checks = [_check("commutator", [r["residual"] for r in residuals], "<=", COMMUTATOR_TOL),
+              _check("null_dim", [s.null_dim for s in report.sectors], "<=", 0),
+              _check("min_singular_value", [s.smallest_singular_value for s in report.sectors],
+                     ">=", MIN_SINGULAR_VALUE),
+              _check("negative_control", [report.negative_control], ">", NEGATIVE_CONTROL_MIN)]
+    write_json(out, _metadata("ns-check", cfg, checks, {
         "commutators": residuals,
         "dfs_report": report.to_json_dict(),
-        "passed": ok,
+        "passed": all(check.passed for check in checks),
     }))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return checks
 
 
 # command: (runner, largest --cutoff, {key: (default, rule)}); the README lists
@@ -372,7 +384,6 @@ _COMMANDS = {
     "entropy-sweep": (_cmd_entropy_sweep, 500, {
         "n_min": (0.1, _number(0, 20)), "n_max": (2.0, _number(0, 20)),
         "n_step": (0.1, _number(0, above=True)),
-        "agreement_tol": (1e-6, _TOL),
     }),
     "fidelity-sweep": (_cmd_fidelity_sweep, 200, {
         "n_min": (0.2, _number(0, 10)), "n_max": (4.0, _number(0, 10)),
@@ -382,11 +393,9 @@ _COMMANDS = {
         # the master equation's trace defect |p+ + p- - 1| grows as (N_th + 1) / Q; Q >= 100
         # holds it far under opensys.BRANCH_TRACE_TOL (README gives the measurements)
         "bath": (None, _bath(Q=_number(100), N_th=_number(0, 100), nu=_number(1e-6, 1e6))),
-        "ordering_slack": (0.0, _TOL), "monotonic_slack": (1e-3, _TOL),
     }),
     "algebra-check": (_cmd_algebra_check, 100, {
         "cutoffs": ([6, 12, 20], _list(_number(2, 100, integer=True))),
-        "residual_tol": (1e-10, _TOL),
         "n_random_states": (20, _number(1, 1000, integer=True)),
     }),
     "msuqc-demo": (_cmd_msuqc_demo, 86, {
@@ -394,15 +403,11 @@ _COMMANDS = {
         "qubit_counts": ([1, 2], _list(_number(1, 10, integer=True))),
         "mean_excitations": ([0.5, 1.0, 2.0], _list(_number(0, 4))),
         "max_steps": (3, _number(1, 5, integer=True)),
-        "equivalence_tol": (1e-6, _TOL),
     }),
     "ns-check": (_cmd_ns_check, 103, {
         "max_total": (8, _number(0, 100, integer=True)),
         "phases": ([0.3, 0.7, math.pi / 2, math.pi], _list(_number(-2 * math.pi, 2 * math.pi))),
         "squeezes": ([0.05, 0.1, 0.2], _list(_number(-0.3, 0.3))),
-        "commutator_tol": (1e-8, _TOL),
-        "negative_control_min": (0.1, _TOL),
-        "min_singular_value": (1e-3, _TOL),
     }),
 }
 
@@ -457,10 +462,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command][0](cfg, args.out)
+        checks = _COMMANDS[args.command][0](cfg, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

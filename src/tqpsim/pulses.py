@@ -310,12 +310,6 @@ def coupling_implied_sequences(eta: float) -> int:
     return max(1, round(1.0 / (128.0 * eta ** 2)))
 
 
-def measurement_configs() -> tuple[tuple[int, float], ...]:
-    """The standard (repetitions, eta) pairs: 50, 100 and 200 phase-calibrated
-    sequences (eta = 0.0222, 0.0157, 0.0111)."""
-    return tuple((r, eta_for_repetitions(r)) for r in (50, 100, 200))
-
-
 def frame_correction(eta: float, repetitions: int) -> QubitRotation:
     """The engineered gate's ancilla correction exp(i chi/2 Z), chi = 64 R eta^2.
 

@@ -51,6 +51,15 @@ def _dense_segment_product(schedule, params, cutoff, free_matrix):
 
 
 @pytest.fixture
+def measurement_configs():
+    """The standard (repetitions, eta) pairs: 50, 100 and 200 phase-calibrated
+    sequences (eta = 0.0222, 0.0157, 0.0111)."""
+    from tqpsim import pulses
+
+    return tuple((r, pulses.eta_for_repetitions(r)) for r in (50, 100, 200))
+
+
+@pytest.fixture
 def dense_schedule_unitary():
     """``dense_reference.simulate_schedule`` with every free evolution a dense matrix
     exponential of the truncated Hamiltonian, in place of the closed-form

@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -12,12 +14,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import tqpsim
 from tqpsim import cli, thermal
 from tqpsim._io import sidecar_path
 
 
 def run(args):
     return cli.main(args)
+
+
+def _run_config(command: str, config: dict, tmp_path) -> tuple[int, dict]:
+    """Run `command` in-process at `config`: its exit code and its JSON output
+    or CSV sidecar."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / ("out.csv" if command.endswith("-sweep") else "out.json")
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    return code, json.loads((sidecar_path(out) if out.suffix == ".csv" else out).read_text())
 
 
 def test_entropy_sweep_output_and_columns(tmp_path):
@@ -48,12 +61,19 @@ def test_reproducible_csv_bodies(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_unknown_config_key_is_usage_error(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"n_minimum": 0.1}))
-    out = tmp_path / "x.csv"
-    assert run(["entropy-sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not out.exists()
+def test_unknown_config_key_is_usage_error(tmp_path, capsys):
+    cfg, out = tmp_path / "bad.json", tmp_path / "x.csv"
+    # a misspelt key, and each tolerance that is a fixed bound now
+    for command, key in [
+            ("entropy-sweep", "n_minimum"), ("entropy-sweep", "agreement_tol"),
+            ("fidelity-sweep", "ordering_slack"), ("fidelity-sweep", "monotonic_slack"),
+            ("algebra-check", "residual_tol"), ("msuqc-demo", "equivalence_tol"),
+            ("ns-check", "commutator_tol"), ("ns-check", "negative_control_min"),
+            ("ns-check", "min_singular_value")]:
+        cfg.write_text(json.dumps({key: 0.1}))
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2, key
+        assert f"error: unknown config keys for {command}: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_algebra_check_passes(tmp_path):
@@ -400,12 +420,13 @@ def test_msuqc_demo_ten_qubits(tmp_path):
                         "repetitions": [50]}),
     ("entropy-sweep", {"n_max": math.inf}),
     ("entropy-sweep", {"n_step": math.nan}),
-    ("ns-check", {"min_singular_value": math.nan}),
-    ("ns-check", {"commutator_tol": math.nan}),
-    ("entropy-sweep", {"agreement_tol": math.nan}),
-    ("fidelity-sweep", {"monotonic_slack": math.nan}),
-    ("msuqc-demo", {"equivalence_tol": math.nan}),
-    ("algebra-check", {"residual_tol": -1.0}),
+    # out-of-range numbers, booleans, an unknown noise and a float for an integer
+    ("ns-check", {"squeezes": [0.5]}),
+    ("ns-check", {"phases": [True]}),
+    ("entropy-sweep", {"n_min": True}),
+    ("fidelity-sweep", {"noise": "exact"}),
+    ("msuqc-demo", {"max_steps": 2.0}),
+    ("algebra-check", {"n_random_states": 1001}),
     # sizes beyond the memory budget
     ("algebra-check", {"cutoffs": [120]}),
     ("ns-check", {"max_total": 400}),
@@ -523,8 +544,65 @@ def test_metadata_embeds_resolved_config(tmp_path):
     meta = json.loads((tmp_path / "entropy.csv.meta.json").read_text())
     cfg = meta["config"]
     assert cfg["seed"] == 31
-    assert "n_min" in cfg and "n_step" in cfg and "agreement_tol" in cfg
+    assert "n_min" in cfg and "n_step" in cfg and "agreement_tol" not in cfg
     assert "cutoff_override" in cfg
+    (agreement,) = [c for c in meta["checks"] if c["name"] == "closed_form_vs_spectral"]
+    assert agreement["bound"] == 1e-6 and agreement["passed"] is True
+
+
+def _spoil_first(values, bad):
+    values = np.array(values, dtype=float)
+    values[0] += bad
+    return values
+
+
+# one check of each command forced to fail at a tiny config: (command, config, the
+# library call patched, the calls it leaves as they were before it spoils the rest
+# (so that a NaN comes after a number, which builtin max drops), how `bad` spoils a
+# result, a finite out-of-bound `bad`, the failing record, a legacy key and its value)
+FORCED_FAILURES = {
+    "entropy-sweep": ("entropy-sweep", {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5},
+                      "thermal.entropy_report", 1,
+                      lambda rep, bad: dataclasses.replace(
+                          rep, s_tqp_spectral=rep.s_tqp_spectral + bad),
+                      1e-3, "closed_form_vs_spectral", ("closed_form_vs_spectral_ok", False)),
+    "entropy-sweep-crossover": ("entropy-sweep", {"n_min": 0.5, "n_max": 1.0, "n_step": 0.5},
+                                "thermal.crossover_mean_excitation", 0, lambda root, bad: bad,
+                                0.95, "crossover_root", ("closed_form_vs_spectral_ok", True)),
+    "fidelity-sweep": ("fidelity-sweep", {"n_min": 1.0, "n_max": 1.0, "repetitions": [50]},
+                       "opensys.fidelity_point", 0,
+                       lambda pt, bad: dataclasses.replace(pt, fidelity=bad),
+                       0.4, "above_baseline", ("checks_passed", False)),
+    "algebra-check": ("algebra-check", {"cutoffs": [6, 8]}, "fock.controlled_parity_diag", 1,
+                      _spoil_first, 1e-6, "controlled_parity_squared", ("passed", False)),
+    "msuqc-demo": ("msuqc-demo", {"n_circuits": 2, "max_steps": 1, "mean_excitations": [0.5]},
+                   "msuqc.run_mixed", 1,
+                   lambda res, bad: dataclasses.replace(res, probability=res.probability + bad),
+                   0.5, "mixed_vs_oracle", ("passed", False)),
+    "ns-check": ("ns-check", {"max_total": 2, "phases": [0.3], "squeezes": [0.05]},
+                 "nsverify.dfs_nonexistence", 0,
+                 lambda rep, bad: dataclasses.replace(rep, negative_control=bad),
+                 0.05, "negative_control", ("passed", False)),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "finite"])
+@pytest.mark.parametrize("case", FORCED_FAILURES)
+def test_a_forced_failure_names_its_check(tmp_path, monkeypatch, case, bad):
+    command, config, call, kept, spoil, finite, name, (legacy, flag) = FORCED_FAILURES[case]
+    module, attr = call.split(".")
+    module = getattr(tqpsim, module)
+    original, calls = getattr(module, attr), itertools.count()
+    value = math.nan if bad == "nan" else finite
+
+    def spoilt(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return result if next(calls) < kept else spoil(result, value)
+    monkeypatch.setattr(module, attr, spoilt)
+    code, doc = _run_config(command, config, tmp_path)
+    assert code == 1
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [name]
+    assert doc[legacy] is flag
 
 
 def test_sidecar_records_libraries_and_thread_variables(tmp_path):
@@ -595,7 +673,6 @@ _SMALL = {
     "phases": st.lists(st.floats(-7, 7), min_size=1, max_size=2),
     "squeezes": st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=2),
 }
-_TOLERANCE = st.floats(0, 1)  # every other key is a tolerance, slack or threshold
 _ARBITRARY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -607,10 +684,7 @@ _ARBITRARY_JSON = st.recursive(
 def _command_and_config(draw):
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     table = cli._COMMANDS[command][2]
-    config = {}
-    for key, (_, (_, test)) in table.items():  # tolerances may keep their defaults
-        if key in _SMALL or draw(st.booleans()):
-            config[key] = draw(_SMALL.get(key, _TOLERANCE).filter(test))
+    config = {key: draw(_SMALL[key].filter(test)) for key, (_, (_, test)) in table.items()}
     if draw(st.booleans()):  # one key, any JSON: wrong types, out of range, huge, NaN
         config[draw(st.sampled_from(sorted(table)))] = draw(_ARBITRARY_JSON)
     cutoff = draw(st.none() | st.integers(2, 8) | st.integers())
@@ -638,12 +712,35 @@ def test_any_config_exits_cleanly(case):
             assert code in (0, 1) and not errors and out.exists()
 
 
-def test_readme_documents_every_config_key_and_default():
+def _table(section: str, header: str) -> set[tuple[str, ...]]:
+    """The rows of the markdown table under `header`, each a tuple of its cells."""
+    lines = section.split(header + "\n", 1)[1].splitlines()[1:]  # past the |---| line
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    return {tuple(cell.strip() for cell in row.strip("|").split("|")) for row in rows}
+
+
+def test_readme_documents_every_config_key_and_default(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     assert f"{cli.MEMORY_BUDGET_MB} MB" in section
+    keys = set()
     for command, (_, cutoff_max, table) in cli._COMMANDS.items():
         assert f"| `{command}` | `--cutoff` | none | an integer >= 2 and <= {cutoff_max} |" \
             in section
         for key, (default, (what, _)) in table.items():
             assert f"| `{command}` | `{key}` | `{json.dumps(default)}` | {what} |" in section
+        keys |= {(f"`{command}`", f"`{key}`") for key in ["--cutoff", *table]}
+    config_rows = _table(section, "| command | key | default | accepted values | "
+                                  "measured at the bound |")
+    assert {row[:2] for row in config_rows} == keys  # and no row for a key that went
+    # the checks table holds each record that a tiny run of each command writes
+    records = set()
+    for command, config in EVERY_COMMAND_RUNS.values():
+        if "bath" in config:
+            continue
+        code, doc = _run_config(command, config, tmp_path)
+        assert code == 0
+        records |= {(f"`{command}`", f"`{c['name']}`", f"`{json.dumps(c['bound'])}`")
+                    for c in doc["checks"]}
+    check_rows = _table(section, "| command | check | passes when | bound |")
+    assert {(row[0], row[1], row[3]) for row in check_rows} == records

@@ -835,8 +835,8 @@ def test_closed_fidelity_point_keeps_trace_at_the_largest_repetition_count(n_mea
     assert pt.trace_defect == abs(pt.p_plus + pt.p_minus - 1.0) <= opensys.BRANCH_TRACE_TOL
 
 
-def test_fidelity_config_ordering_at_reference_point():
-    pts = [opensys.fidelity_point(2.0, cfg) for cfg in pulses.measurement_configs()]
+def test_fidelity_config_ordering_at_reference_point(measurement_configs):
+    pts = [opensys.fidelity_point(2.0, cfg) for cfg in measurement_configs]
     f50, f100, f200 = (p.fidelity for p in pts)
     assert f200 > f100 > f50
     assert all(p.fidelity > 1.0 / 3.0 for p in pts)  # above the thermal baseline

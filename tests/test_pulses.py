@@ -101,11 +101,11 @@ def test_sequence_timing():
         pulses.build_h2_sequence(p, 0)
 
 
-def test_standard_configs_match_quoted_pairs():
+def test_standard_configs_match_quoted_pairs(measurement_configs):
     # repetition counts 50/100/200 pair with eta printed as 0.022/0.016/0.011,
     # each a conditional phase 128 R eta^2 of pi per excitation
     quoted = {50: 0.022, 100: 0.016, 200: 0.011}
-    for reps, eta in pulses.measurement_configs():
+    for reps, eta in measurement_configs:
         assert float(f"{eta:.2g}") == quoted[reps]
         assert 128.0 * reps * eta ** 2 == pytest.approx(math.pi, rel=1e-12)
     # the printed two-digit eta values land within 5% of the quoted counts
@@ -133,8 +133,8 @@ def test_schedule_expansion():
         WaitingPeriod(math.pi / 2)] * 4
 
 
-def test_engineered_controlled_parity_branch_phases():
-    reps, eta = pulses.measurement_configs()[0]
+def test_engineered_controlled_parity_branch_phases(measurement_configs):
+    reps, eta = measurement_configs[0]
     c = pulses.engineered_controlled_parity(params(eta), 24, reps)
     diag = np.diag(c)
     ph0 = np.unwrap(np.angle(diag[:6]))
@@ -190,8 +190,9 @@ def test_simulate_schedule_matches_dense_segment_product(dense_segment_product, 
         assert np.array_equal(u, np.eye(2 * d))
 
 
-def test_engineered_controlled_parity_matches_dense_route(dense_segment_product):
-    reps, eta = pulses.measurement_configs()[2]  # R = 200
+def test_engineered_controlled_parity_matches_dense_route(dense_segment_product,
+                                                          measurement_configs):
+    reps, eta = measurement_configs[2]  # R = 200
     p, d = params(eta), 66
     one = dense_segment_product(pulses.build_h2_sequence(p, 1), p, d)
     corr = dense.qubit_rotation(dense.SpaceLayout(1, (d,)), "z", 32.0 * reps * eta ** 2)
@@ -213,19 +214,19 @@ def _between_sectors(u: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("d", [3, 14, 66])
-def test_displacement_group_splits_into_parity_sectors(d):
+def test_displacement_group_splits_into_parity_sectors(d, measurement_configs):
     # the segment by segment group joins the sectors by rounding alone, and its
     # sector blocks are the closed-form ones sequence_unitary powers
     idx = fock.parity_sectors(d)
-    for p in [params(eta) for _, eta in pulses.measurement_configs()] + [params(0.03, nu=2.0)]:
+    for p in [params(eta) for _, eta in measurement_configs] + [params(0.03, nu=2.0)]:
         group = dense.simulate_schedule(pulses._displacement_group(p), p, d)
         assert np.abs(_between_sectors(group)).max() <= 1e-14
         blocks = group[idx[:, :, None], idx[:, None, :]]
         assert np.abs(pulses._group_sector_blocks(p, d) - blocks).max() <= 1e-13
 
 
-def test_engineered_controlled_parity_is_zero_between_parity_sectors():
-    for reps, eta in pulses.measurement_configs():
+def test_engineered_controlled_parity_is_zero_between_parity_sectors(measurement_configs):
+    for reps, eta in measurement_configs:
         u = pulses.engineered_controlled_parity(params(eta), 24, reps)
         assert not _between_sectors(u).any()
 
